@@ -141,7 +141,7 @@ def cmd_riccati(scn: Scenario, out: Path, args) -> int:
         "pi1": riccati_residual(pi1, pi1_field(sys, spec.R2)),
         "pi2": riccati_residual(pi2, pi2_field(sys, spec.R2, pi1)),
     }
-    solvability: dict = {"closed_form_applicable": bool(np.max(np.abs(spec.C.values)) < 1e-12)}
+    solvability: dict = {"closed_form_applicable": spec.c_vanishes}
     if solvability["closed_form_applicable"]:
         try:
             cf1, rep1 = pi1_closed_form(sys, spec.R2, spec.grid)
@@ -173,7 +173,7 @@ def cmd_riccati(scn: Scenario, out: Path, args) -> int:
 
 
 def _follower_terminal_defect(spec, ens) -> float:
-    xi = spec.xi.a[None] + ens.bundle.W[:, -1, None] * spec.xi.b[:, 0][None]
+    xi = spec.xi.on_paths(ens.bundle.W[:, -1])
     return float(np.max(np.abs(ens.y[:, -1] - xi), initial=0.0))
 
 
@@ -276,8 +276,11 @@ def cmd_verify(scn: Scenario, out: Path, args) -> int:
     if not spec.xi.deterministic:
         print("oracle verification needs a deterministic terminal datum", file=sys.stderr)
         return EXIT_VALIDATION
+    if not spec.c_vanishes:
+        print("oracle verification needs C = 0 (no multiplicative noise)", file=sys.stderr)
+        return EXIT_VALIDATION
     profile = TOLERANCE_PROFILES[args.tolerance]
-    bundle_paths = 2  # deterministic scenario: all paths identical
+    bundle_paths = 2  # deterministic xi and C = 0: all paths identical
     mc = MonteCarloConfig(paths=bundle_paths, seed=args.seed)
 
     p1 = solve_p1(spec)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .follower import paths_csv
 from .leader import StackelbergSolution, solve_equilibrium
 from .model import (
     CoefficientPath,
@@ -83,7 +84,7 @@ def build_finance_spec(m: MarketParams) -> LQGameSpec:
     zero = CoefficientPath.constant(grid, 0.0)
     one = CoefficientPath.constant(grid, 1.0)
     spec = LQGameSpec(
-        dims=Dimensions(1, 1, 1),
+        dims=Dimensions(1, 1),
         grid=grid,
         A=CoefficientPath(grid, -m.r.values),
         B1=one,
@@ -213,13 +214,10 @@ def consumption_equilibrium(
 
     The stacked system is built with the printed specialization of the
     upper diffusion block so every finance-side formula (including the
-    dual propagator) refers to one consistent coefficient set.  The
-    forward offset uses the "consistent" diffusion assembly so the
-    reconstructed backward pair satisfies the closed-loop equation
-    exactly, which the dual reserve representation relies on.
+    dual propagator) refers to one consistent coefficient set.
     """
     spec = build_finance_spec(m)
-    sol = solve_equilibrium(spec, mc=mc, hat_c1_source="display", diffusion="consistent")
+    sol = solve_equilibrium(spec, mc=mc, hat_c1_source="display")
     ens = sol.ensemble
     sigma = m.sigma.values[None, :, 0, 0]
     portfolio = ens.zbar[:, :, 0] / sigma
@@ -326,7 +324,7 @@ def initial_reserve(sol: StackelbergSolution) -> dict:
         w = w_end if i == grid.steps - 1 else dt
         integral += w * integrand(i + 1, gamma)
 
-    xi_hat = sys.xih.a[None] + ens.bundle.W[:, -1, None] * sys.xih.b[:, 0][None]
+    xi_hat = sys.xih.on_paths(ens.bundle.W[:, -1])
     per_path = np.einsum("pji,pj->pi", gamma, xi_hat) + integral
     estimate = per_path.mean(axis=0)
     stderr = per_path.std(axis=0, ddof=1) / np.sqrt(P) if P > 1 else np.zeros(m)
@@ -342,12 +340,9 @@ def initial_reserve(sol: StackelbergSolution) -> dict:
 
 def consumption_paths_csv(cs: ConsumptionSolution, max_paths: int | None = None) -> str:
     """Per-path CSV of (t, wealth, portfolio, c1, c2), 17 significant digits."""
-    lines = ["path,t,y,pi,c1,c2"]
-    n_paths = cs.wealth.shape[0] if max_paths is None else min(max_paths, cs.wealth.shape[0])
-    for p in range(n_paths):
-        for i, t in enumerate(cs.market.grid.nodes):
-            lines.append(
-                f"{p},{t:.17g},{cs.wealth[p, i, 0]:.17g},{cs.portfolio[p, i]:.17g},"
-                f"{cs.c1[p, i, 0]:.17g},{cs.c2[p, i, 0]:.17g}"
-            )
-    return "\n".join(lines) + "\n"
+    return paths_csv(
+        cs.market.grid.nodes,
+        ["y", "pi", "c1", "c2"],
+        [cs.wealth, cs.portfolio, cs.c1, cs.c2],
+        max_paths,
+    )

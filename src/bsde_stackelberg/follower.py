@@ -18,6 +18,7 @@ import numpy as np
 
 from .model import AffineControl, CoefficientPath, LQGameSpec, TerminalCondition, TimeGrid
 from .odeint import OdeDirection, guarded_inv, integrate_matrix_ode
+from .oracle import directional_slopes
 from .riccati import RiccatiPath
 from .sampling import MonteCarloConfig, PathBundle, sample_brownian
 
@@ -27,17 +28,17 @@ class AffineBSDESolution:
     """Solution phi(t) = alpha(t) + beta(t) W(t), eta(t) = beta(t)."""
 
     alpha: CoefficientPath  # m x 1
-    beta: CoefficientPath  # m x d
+    beta: CoefficientPath  # m x 1
 
     def phi_pathwise(self, W: np.ndarray) -> np.ndarray:
-        """(paths, N+1, m) values of phi along Brownian paths (d = 1)."""
+        """(paths, N+1, m) values of phi along Brownian paths."""
         a = self.alpha.values[:, :, 0]  # (N+1, m)
         b = self.beta.values[:, :, 0]
         return a[None] + W[:, :, None] * b[None]
 
     @property
     def eta_values(self) -> np.ndarray:
-        """(N+1, m) deterministic eta trajectory (d = 1)."""
+        """(N+1, m) deterministic eta trajectory."""
         return self.beta.values[:, :, 0]
 
 
@@ -58,8 +59,8 @@ def solve_affine_bsde(
     terminal values by RK4.
     """
     term_c = np.asarray(terminal_const, dtype=float).reshape(-1, 1)
-    term_l = np.atleast_2d(np.asarray(terminal_lin, dtype=float))
-    m, d = term_l.shape
+    term_l = np.asarray(terminal_lin, dtype=float).reshape(-1, 1)
+    m = term_c.shape[0]
 
     def field(t, Y):
         alpha, beta = Y[:, :1], Y[:, 1:]
@@ -97,7 +98,7 @@ def solve_phi_eta(spec: LQGameSpec, p1: RiccatiPath, u2: AffineControl) -> Affin
 
 
 def _u2_pathwise(u2: AffineControl, W: np.ndarray) -> np.ndarray:
-    """(paths, N+1, k) leader control values along paths (d = 1)."""
+    """(paths, N+1, k) leader control values along paths."""
     uc = u2.u_const.values[:, :, 0]
     ul = u2.u_lin.values[:, :, 0]
     return uc[None] + W[:, :, None] * ul[None]
@@ -117,8 +118,6 @@ def simulate_varphi(
     at the left node of each step; phi and eta enter through the affine
     representation evaluated on the same Brownian paths.
     """
-    if spec.dims.d != 1:
-        raise NotImplementedError("path simulation supports d = 1 only")
     n = spec.dims.n
     grid = spec.grid
     eye = np.eye(n)
@@ -158,7 +157,7 @@ def simulate_varphi(
 
 @dataclass
 class FollowerEnsemble:
-    """Pathwise follower solution on a Brownian ensemble (d = 1).
+    """Pathwise follower solution on a Brownian ensemble.
 
     Arrays are (paths, N+1, dim): x is the adjoint state, (y, z) the
     backward state pair, u1 the feedback control and u1_adjoint its
@@ -301,25 +300,42 @@ def closed_loop_residual(
     consistent first-order scheme.  Also returns the max single-step
     residual.
     """
-    grid = spec.grid
-    resid = []
-    for i in range(grid.steps):
-        t = grid.nodes[i]
+
+    def drift(i, t):
         A, B1, B2, C = spec.A(t), spec.B1(t), spec.B2(t), spec.C(t)
         R1inv = guarded_inv(spec.R1(t), t, "R1")
         gain = B1 @ R1inv @ B1.T
-        drift = (
+        return (
             ens.y[:, i] @ (A - gain @ p2.values[i]).T
             - ens.varphi[:, i] @ gain.T
             + ens.u2[:, i] @ B2.T
             + ens.z[:, i] @ C.T
         )
-        r = ens.y[:, i + 1] - ens.y[:, i] + drift * grid.dt - ens.z[:, i] * ens.bundle.dW[:, i, None]
-        resid.append(r)
-    resid = np.stack(resid, axis=1)
+
+    return _accumulated_residual(spec.grid, ens.y, ens.z, ens.bundle.dW, drift)
+
+
+def _accumulated_residual(
+    grid: TimeGrid,
+    y: np.ndarray,
+    z: np.ndarray,
+    dW: np.ndarray,
+    drift: Callable[[int, float], np.ndarray],
+) -> tuple[float, float]:
+    """RMS over paths of sum_i ||r_i||^2 and max |r_i| for a backward pair (y, z).
+
+    r_i = y_{i+1} - y_i + drift(i, t_i) dt - z_i dW_i, with drift(i, t_i)
+    the (paths, m) closed-loop drift at the left node of step i.
+    """
+    resid = np.stack(
+        [
+            y[:, i + 1] - y[:, i] + drift(i, grid.nodes[i]) * grid.dt - z[:, i] * dW[:, i, None]
+            for i in range(grid.steps)
+        ],
+        axis=1,
+    )
     accumulated = np.sum(resid**2, axis=(1, 2))
-    rms = float(np.sqrt(np.mean(accumulated)))
-    return rms, float(np.max(np.abs(resid)))
+    return float(np.sqrt(np.mean(accumulated))), float(np.max(np.abs(resid)))
 
 
 def perturbed_follower_cost(
@@ -340,7 +356,7 @@ def perturbed_follower_cost(
         lambda t: spec.B1(t) @ v.u_const(t),
         lambda t: spec.B1(t) @ v.u_lin(t),
         np.zeros(spec.dims.n),
-        np.zeros((spec.dims.n, spec.dims.d)),
+        np.zeros(spec.dims.n),
         spec.grid,
     )
     # -d(dy) = [A dy + C dz + B1 v] dt - dz dW has solution dy = alpha + beta W
@@ -378,16 +394,9 @@ def check_follower_stationarity(
     for i, t in enumerate(grid.nodes):
         r = ens.x[:, i] @ spec.B1(t) + ens.u1[:, i] @ spec.R1(t).T
         worst = max(worst, float(np.max(np.abs(r), initial=0.0)))
-    base = ens.J1[0]
-    slopes = {}
-    for eps in eps_list:
-        slopes[eps] = (perturbed_follower_cost(spec, ens, v, eps) - base) / eps
-    eps_sorted = sorted(eps_list, reverse=True)
-    if len(eps_sorted) >= 2:
-        e1, e2 = eps_sorted[0], eps_sorted[1]
-        extrapolated = (e1 * slopes[e2] - e2 * slopes[e1]) / (e1 - e2)
-    else:
-        extrapolated = slopes[eps_sorted[0]]
+    slopes, extrapolated = directional_slopes(
+        lambda eps: perturbed_follower_cost(spec, ens, v, eps), ens.J1[0], eps_list
+    )
     return {
         "algebraic_residual": worst,
         "slopes": slopes,
@@ -397,22 +406,29 @@ def check_follower_stationarity(
 
 def follower_paths_csv(ens: FollowerEnsemble, max_paths: int | None = None) -> str:
     """Per-path CSV: path,t,y_*,z_*,u1_*,x_* with 17 significant digits."""
-    n = ens.y.shape[2]
-    k = ens.u1.shape[2]
-    header = (
-        "path,t,"
-        + ",".join(f"y_{j + 1}" for j in range(n))
-        + ","
-        + ",".join(f"z_{j + 1}1" for j in range(n))
-        + ","
-        + ",".join(f"u1_{j + 1}" for j in range(k))
-        + ","
-        + ",".join(f"x_{j + 1}" for j in range(n))
-    )
-    lines = [header]
-    n_paths = ens.y.shape[0] if max_paths is None else min(max_paths, ens.y.shape[0])
-    for p in range(n_paths):
-        for i, t in enumerate(ens.grid.nodes):
-            vals = np.concatenate([ens.y[p, i], ens.z[p, i], ens.u1[p, i], ens.x[p, i]])
-            lines.append(f"{p},{t:.17g}," + ",".join(f"{x:.17g}" for x in vals))
+    n, k = ens.y.shape[2], ens.u1.shape[2]
+    header = column_labels("y", n) + column_labels("z", n, "1")
+    header += column_labels("u1", k) + column_labels("x", n)
+    return paths_csv(ens.grid.nodes, header, [ens.y, ens.z, ens.u1, ens.x], max_paths)
+
+
+def column_labels(prefix: str, count: int, suffix: str = "") -> list[str]:
+    """CSV column names prefix_1suffix, ..., prefix_<count>suffix."""
+    return [f"{prefix}_{j + 1}{suffix}" for j in range(count)]
+
+
+def paths_csv(
+    nodes: np.ndarray, header: list[str], blocks: list[np.ndarray], max_paths: int | None = None
+) -> str:
+    """Per-path CSV 'path,t,<header>' at the grid nodes, 17 significant digits.
+
+    blocks are (paths, N+1) or (paths, N+1, cols) arrays whose columns,
+    concatenated in order, match header; at most max_paths paths are listed.
+    """
+    count = blocks[0].shape[0] if max_paths is None else min(max_paths, blocks[0].shape[0])
+    data = np.concatenate([np.atleast_3d(b[:count]) for b in blocks], axis=2)
+    lines = ["path,t," + ",".join(header)]
+    for p in range(count):
+        for t, row in zip(nodes, data[p].tolist()):
+            lines.append(f"{p},{t:.17g}," + ",".join(f"{x:.17g}" for x in row))
     return "\n".join(lines) + "\n"

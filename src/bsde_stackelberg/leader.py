@@ -19,8 +19,11 @@ import numpy as np
 from .follower import (
     AffineBSDESolution,
     FollowerEnsemble,
+    _accumulated_residual,
     _u2_pathwise,
+    column_labels,
     follower_pipeline,
+    paths_csv,
     quadratic_cost,
     solve_affine_bsde,
 )
@@ -32,6 +35,7 @@ from .model import (
     TimeGrid,
 )
 from .odeint import guarded_inv
+from .oracle import directional_slopes
 from .riccati import (
     RiccatiPath,
     StackedSystem,
@@ -79,75 +83,64 @@ def solve_tilde_phi(
         K,
         minus_L,
         lambda t: zero,
-        lambda t: np.zeros((m, sys.xih.b.shape[1])),
+        lambda t: zero,
         -sys.xih.a,
         -sys.xih.b,
         sys.grid,
     )
 
 
-def _diffusion_matrices(sys, pi1, pi2, t, i, mode):
-    """Node-wise diffusion coefficients of the forward offset.
+def _offset_diffusion(C1, D1, Pi1, Pi2, mix, inv_12, inv_21):
+    """Diffusion coefficients of the forward offset at one node.
 
-    Returns (diff_varphi, diff_phi, diff_eta) multiplying the current
-    offset, the backward offset, and its martingale loading.  Two
-    assemblies are provided:
-
-    - "display": the closed-form coefficient display, term by term;
-    - "consistent": assembled from the pathwise relations
-      gamma = C1h X + D1h^T Y + (Pi2 - S1h)(I + Pi1 S1h)^-1
-      (Pi1 C1h X + Pi1 D1h^T Y + eta), with X, Y expressed through the
-      two offsets.  This choice makes the reconstructed (Y, Z) satisfy
-      the closed-loop backward equation without a systematic defect;
-      the two assemblies differ when Pi1 and Pi2 do not commute (see
-      diffusion_consistency_gap).
+    Returns (diff_varphi, diff_phi) multiplying the current offset and
+    the backward offset; the martingale loading eta-tilde enters through
+    mix = (Pi2 - S1h)(I + Pi1 S1h)^-1.  They are assembled from the
+    pathwise relations gamma = C1h X + D1h^T Y + mix (Pi1 C1h X
+    + Pi1 D1h^T Y + eta), with X, Y expressed through the two offsets, so
+    the reconstructed (Y, Z) satisfy the closed-loop backward equation
+    without a systematic defect.
     """
-    m = 2 * sys.n
-    eye = np.eye(m)
-    C1, D1, S1 = sys.C1h(t), sys.D1h(t), sys.S1h(t)
+    cfac = C1 + mix @ Pi1 @ C1
+    dfac = D1.T + mix @ Pi1 @ D1.T
+    return cfac @ inv_21 - dfac @ inv_12 @ Pi1, -cfac @ inv_21 @ Pi2 - dfac @ inv_12
+
+
+def _decoupling_inverses(sys, pi1, pi2, t, i):
+    """(I + Pi1 S1h)^-1, (I + Pi1 Pi2)^-1 and (I + Pi2 Pi1)^-1 at node i."""
+    eye = np.eye(2 * sys.n)
     Pi1, Pi2 = pi1.values[i], pi2.values[i]
-    inv_s = guarded_inv(eye + Pi1 @ S1, t, "(I + Pi1 S1-hat)")
-    inv_12 = guarded_inv(eye + Pi1 @ Pi2, t, "(I + Pi1 Pi2)")
-    inv_21 = guarded_inv(eye + Pi2 @ Pi1, t, "(I + Pi2 Pi1)")
-    mix = (Pi2 - S1) @ inv_s
-    if mode == "display":
-        mixer = mix @ Pi1
-        diff_varphi = -(
-            D1.T @ inv_12 @ Pi1
-            + mixer @ D1.T @ inv_21 @ Pi1
-            - C1 @ inv_21
-            - mixer @ C1 @ inv_21
-        )
-        diff_phi = -(
-            D1.T @ inv_12
-            + mixer @ D1.T @ inv_21
-            + C1 @ inv_21 @ Pi2
-            + mixer @ C1 @ inv_21 @ Pi2
-        )
-    elif mode == "consistent":
-        cfac = C1 + mix @ Pi1 @ C1
-        dfac = D1.T + mix @ Pi1 @ D1.T
-        diff_varphi = cfac @ inv_21 - dfac @ inv_12 @ Pi1
-        diff_phi = -cfac @ inv_21 @ Pi2 - dfac @ inv_12
-    else:
-        raise ValueError(f"unknown diffusion mode {mode!r}")
-    return diff_varphi, diff_phi, mix
+    return (
+        guarded_inv(eye + Pi1 @ sys.S1h(t), t, "(I + Pi1 S1-hat)"),
+        guarded_inv(eye + Pi1 @ Pi2, t, "(I + Pi1 Pi2)"),
+        guarded_inv(eye + Pi2 @ Pi1, t, "(I + Pi2 Pi1)"),
+    )
 
 
 def diffusion_consistency_gap(sys: StackedSystem, pi1: RiccatiPath, pi2: RiccatiPath) -> float:
-    """Max node-wise gap between the two diffusion assemblies.
+    """Max node-wise gap between the printed diffusion display and the simulated one.
 
-    Zero whenever Pi1 and Pi2 commute (e.g. scalar stacked blocks or
-    vanishing C); a nonzero value means the displayed coefficients do
-    not satisfy the exact pathwise relation linking the forward
-    diffusion to Z, and the "consistent" assembly should be preferred
-    for estimators that rely on that relation.
+    The printed display writes the forward-offset diffusion term by term;
+    it agrees with the pathwise assembly the simulation uses whenever Pi1
+    and Pi2 commute (e.g. vanishing C).  A nonzero value means the
+    displayed coefficients do not satisfy the exact pathwise relation
+    linking the forward diffusion to Z.
     """
     gap = 0.0
     for i, t in enumerate(sys.grid.nodes):
-        disp = _diffusion_matrices(sys, pi1, pi2, t, i, "display")
-        cons = _diffusion_matrices(sys, pi1, pi2, t, i, "consistent")
-        for a, b in zip(disp, cons):
+        C1, D1 = sys.C1h(t), sys.D1h(t)
+        Pi1, Pi2 = pi1.values[i], pi2.values[i]
+        inv_s, inv_12, inv_21 = _decoupling_inverses(sys, pi1, pi2, t, i)
+        mix = (Pi2 - sys.S1h(t)) @ inv_s
+        mixer = mix @ Pi1
+        display = (
+            -(D1.T @ inv_12 @ Pi1 + mixer @ D1.T @ inv_21 @ Pi1
+              - C1 @ inv_21 - mixer @ C1 @ inv_21),
+            -(D1.T @ inv_12 + mixer @ D1.T @ inv_21
+              + C1 @ inv_21 @ Pi2 + mixer @ C1 @ inv_21 @ Pi2),
+        )
+        simulated = _offset_diffusion(C1, D1, Pi1, Pi2, mix, inv_12, inv_21)
+        for a, b in zip(display, simulated):
             gap = max(gap, float(np.max(np.abs(a - b))))
     return gap
 
@@ -159,18 +152,15 @@ def simulate_tilde_varphi(
     pi2: RiccatiPath,
     tilde_phi: AffineBSDESolution,
     bundle: PathBundle,
-    diffusion: str = "display",
 ) -> np.ndarray:
     """Euler-Maruyama for the leader's forward offset, tilde-varphi(0) = 0.
 
-    Coefficient matrices follow the drift/diffusion displays of the
-    decoupled system term by term (diffusion="display") or the exact
-    pathwise Z-relation (diffusion="consistent"); returns
+    The drift follows the decoupled system's display and the diffusion
+    the exact pathwise Z-relation (see _offset_diffusion); returns
     (paths, N+1, 2n).
     """
     m = 2 * sys.n
     grid = sys.grid
-    eye = np.eye(m)
     N = grid.steps
 
     phi = tilde_phi.phi_pathwise(bundle.W)
@@ -186,19 +176,18 @@ def simulate_tilde_varphi(
         Pi1, Pi2 = pi1.values[i], pi2.values[i]
         D1, S1 = sys.D1h(t), sys.S1h(t)
         R2inv = guarded_inv(R2(t), t, "R2")
-        inv_s = guarded_inv(eye + Pi1 @ S1, t, "(I + Pi1 S1-hat)")
+        inv_s, inv_12, inv_21 = _decoupling_inverses(sys, pi1, pi2, t, i)
         coupler = (D1 + Pi2 @ C1.T) @ inv_s
+        mix = (Pi2 - S1) @ inv_s
 
         drift_mat = A1.T + Pi2 @ F2 - (B1 + Pi2 @ B2) @ R2inv @ B2.T - coupler @ Pi1 @ C1
-        drift_eta = -coupler
+        diff_varphi, diff_phi = _offset_diffusion(C1, D1, Pi1, Pi2, mix, inv_12, inv_21)
 
-        diff_varphi, diff_phi, diff_eta = _diffusion_matrices(sys, pi1, pi2, t, i, diffusion)
-
-        drift = tv[:, i] @ drift_mat.T + (drift_eta @ eta[i])[None]
+        drift = tv[:, i] @ drift_mat.T + (-coupler @ eta[i])[None]
         noise_load = (
             tv[:, i] @ diff_varphi.T
             + phi[:, i] @ diff_phi.T
-            + (diff_eta @ eta[i])[None]
+            + (mix @ eta[i])[None]
         )
         tv[:, i + 1] = tv[:, i] + drift * dt + noise_load * bundle.dW[:, i, None]
     return tv
@@ -206,7 +195,7 @@ def simulate_tilde_varphi(
 
 @dataclass
 class LeaderEnsemble:
-    """Pathwise stacked solution with named block views (d = 1).
+    """Pathwise stacked solution with named block views.
 
     X stacks (adjoint-forward offset, forward state), Y stacks
     (adjoint-backward state, follower backward state); the block
@@ -268,9 +257,7 @@ def reconstruct_XYZ(
     Y = -(I + Pi1 Pi2)^-1 (Pi1 varphi-tilde + phi-tilde);
     Z = -(I + Pi1 S1h)^-1 (Pi1 C1h X + Pi1 D1h^T Y + eta-tilde).
     """
-    m = 2 * sys.n
     grid = sys.grid
-    eye = np.eye(m)
     phi = tilde_phi.phi_pathwise(bundle.W)
     eta = tilde_phi.eta_values
 
@@ -279,10 +266,8 @@ def reconstruct_XYZ(
     Z = np.empty_like(phi)
     for i, t in enumerate(grid.nodes):
         Pi1, Pi2 = pi1.values[i], pi2.values[i]
-        C1, D1, S1 = sys.C1h(t), sys.D1h(t), sys.S1h(t)
-        inv_21 = guarded_inv(eye + Pi2 @ Pi1, t, "(I + Pi2 Pi1)")
-        inv_12 = guarded_inv(eye + Pi1 @ Pi2, t, "(I + Pi1 Pi2)")
-        inv_s = guarded_inv(eye + Pi1 @ S1, t, "(I + Pi1 S1-hat)")
+        C1, D1 = sys.C1h(t), sys.D1h(t)
+        inv_s, inv_12, inv_21 = _decoupling_inverses(sys, pi1, pi2, t, i)
         X[:, i] = tilde_varphi[:, i] @ inv_21.T - phi[:, i] @ (inv_21 @ Pi2).T
         Y[:, i] = -(tilde_varphi[:, i] @ (inv_12 @ Pi1).T + phi[:, i] @ inv_12.T)
         Z[:, i] = -(
@@ -366,29 +351,21 @@ def leader_bsde_residual(
     accumulated squared step residuals (O(dt)) plus the max single-step
     residual.
     """
-    grid = sys.grid
-    resid = []
-    for i in range(grid.steps):
-        t = grid.nodes[i]
+
+    def drift(i, t):
         A1, B1, B2 = sys.A1h(t), sys.B1h(t), sys.B2h(t)
         C1, F2 = sys.C1h(t), sys.F2h(t)
         Pi2 = pi2.values[i]
         R2inv = guarded_inv(R2(t), t, "R2")
         drift_y = A1 + F2 @ Pi2 - B2 @ R2inv @ (B1 + Pi2 @ B2).T
         forcing = F2 - B2 @ R2inv @ B2.T
-        drift = (
+        return (
             ens.Y[:, i] @ drift_y.T
             + ens.Z[:, i] @ C1
             + ens.tilde_varphi[:, i] @ forcing.T
         )
-        r = (
-            ens.Y[:, i + 1] - ens.Y[:, i] + drift * grid.dt
-            - ens.Z[:, i] * ens.bundle.dW[:, i, None]
-        )
-        resid.append(r)
-    resid = np.stack(resid, axis=1)
-    accumulated = np.sum(resid**2, axis=(1, 2))
-    return float(np.sqrt(np.mean(accumulated))), float(np.max(np.abs(resid)))
+
+    return _accumulated_residual(sys.grid, ens.Y, ens.Z, ens.bundle.dW, drift)
 
 
 @dataclass
@@ -414,7 +391,6 @@ def solve_equilibrium(
     mc: MonteCarloConfig | None = None,
     bundle: PathBundle | None = None,
     hat_c1_source: str = "dynamics",
-    diffusion: str = "display",
 ) -> StackelbergSolution:
     """Full leader pipeline: Riccati solves, auxiliary problems, reconstruction."""
     if bundle is None:
@@ -426,9 +402,7 @@ def solve_equilibrium(
     pi1 = solve_pi1(sys, spec.R2)
     pi2 = solve_pi2(sys, spec.R2, pi1)
     tilde_phi = solve_tilde_phi(sys, spec.R2, pi1)
-    tilde_varphi = simulate_tilde_varphi(
-        sys, spec.R2, pi1, pi2, tilde_phi, bundle, diffusion=diffusion
-    )
+    tilde_varphi = simulate_tilde_varphi(sys, spec.R2, pi1, pi2, tilde_phi, bundle)
     ens = reconstruct_XYZ(sys, pi1, pi2, tilde_phi, tilde_varphi, bundle)
     leader_feedback(sys, spec.R2, pi2, ens)
     equilibrium_follower_control(spec, p2, pi2, ens)
@@ -437,7 +411,7 @@ def solve_equilibrium(
 
 
 def _zero_terminal(spec: LQGameSpec) -> LQGameSpec:
-    xi0 = TerminalCondition(np.zeros(spec.dims.n), np.zeros((spec.dims.n, spec.dims.d)))
+    xi0 = TerminalCondition(np.zeros(spec.dims.n), np.zeros(spec.dims.n))
     return dataclasses.replace(spec, xi=xi0)
 
 
@@ -498,16 +472,9 @@ def check_leader_stationarity(
         )
         worst = max(worst, float(np.max(np.abs(r), initial=0.0)))
     delta = follower_response_delta(sol.spec, sol.p1, sol.p2, v, ens.bundle)
-    base = ens.J2[0]
-    slopes = {}
-    for eps in eps_list:
-        slopes[eps] = (perturbed_leader_cost(sol, v, eps, delta) - base) / eps
-    eps_sorted = sorted(eps_list, reverse=True)
-    if len(eps_sorted) >= 2:
-        e1, e2 = eps_sorted[0], eps_sorted[1]
-        extrapolated = (e1 * slopes[e2] - e2 * slopes[e1]) / (e1 - e2)
-    else:
-        extrapolated = slopes[eps_sorted[0]]
+    slopes, extrapolated = directional_slopes(
+        lambda eps: perturbed_leader_cost(sol, v, eps, delta), ens.J2[0], eps_list
+    )
     return {
         "algebraic_residual": worst,
         "slopes": slopes,
@@ -517,7 +484,7 @@ def check_leader_stationarity(
 
 def terminal_defect(sys: StackedSystem, ens: LeaderEnsemble) -> float:
     """Max over paths of ||Y(T) - xi-hat||, exact up to roundoff."""
-    xi_hat = ens.bundle.W[:, -1, None] * sys.xih.b[:, 0][None] + sys.xih.a[None]
+    xi_hat = sys.xih.on_paths(ens.bundle.W[:, -1])
     return float(np.max(np.abs(ens.Y[:, -1] - xi_hat), initial=0.0))
 
 
@@ -528,23 +495,8 @@ def initial_coupling_defect(sys: StackedSystem, ens: LeaderEnsemble) -> float:
 
 def leader_paths_csv(ens: LeaderEnsemble, max_paths: int | None = None) -> str:
     """Per-path CSV with block-named columns, 17 significant digits."""
-    n = ens.n
-    k = ens.u2.shape[2]
-
-    def cols(prefix, count):
-        return ",".join(f"{prefix}_{j + 1}" for j in range(count))
-
-    header = "path,t," + ",".join(
-        [cols("phibar", n), cols("q", n), cols("p", n), cols("ybar", n),
-         cols("k", n), cols("zbar", n), cols("u1", k), cols("u2", k)]
-    )
-    lines = [header]
-    n_paths = ens.Y.shape[0] if max_paths is None else min(max_paths, ens.Y.shape[0])
-    for p in range(n_paths):
-        for i, t in enumerate(ens.grid.nodes):
-            vals = np.concatenate(
-                [ens.phibar[p, i], ens.q[p, i], ens.p[p, i], ens.ybar[p, i],
-                 ens.kbar[p, i], ens.zbar[p, i], ens.u1[p, i], ens.u2[p, i]]
-            )
-            lines.append(f"{p},{t:.17g}," + ",".join(f"{x:.17g}" for x in vals))
-    return "\n".join(lines) + "\n"
+    n, k = ens.n, ens.u2.shape[2]
+    # X stacks (phibar, q), Y stacks (p, ybar) and Z stacks (k, zbar)
+    header = [c for pre in ("phibar", "q", "p", "ybar", "k", "zbar") for c in column_labels(pre, n)]
+    header += column_labels("u1", k) + column_labels("u2", k)
+    return paths_csv(ens.grid.nodes, header, [ens.X, ens.Y, ens.Z, ens.u1, ens.u2], max_paths)

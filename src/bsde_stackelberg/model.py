@@ -22,14 +22,13 @@ class SpecError(ValueError):
 
 @dataclass(frozen=True)
 class Dimensions:
-    """State (n), Brownian (d) and control (k) dimensions."""
+    """State (n) and control (k) dimensions; the noise is one Brownian motion."""
 
     n: int
-    d: int = 1
     k: int = 1
 
     def __post_init__(self):
-        for name in ("n", "d", "k"):
+        for name in ("n", "k"):
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 1:
                 raise SpecError(f"dimension {name} must be a positive integer, got {v!r}")
@@ -128,16 +127,19 @@ def eval_coefficient(path: CoefficientPath, t: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TerminalCondition:
-    """Terminal datum xi = a + b W(T); deterministic iff b = 0."""
+    """Terminal datum xi = a + b W(T) with b an n x 1 column; deterministic iff b = 0."""
 
     a: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float).reshape(-1)
-        b = np.atleast_2d(np.asarray(self.b, dtype=float))
-        if b.shape[0] != a.shape[0]:
-            raise SpecError(f"terminal loading b has {b.shape[0]} rows, a has length {a.shape[0]}")
+        b = np.asarray(self.b, dtype=float)
+        if b.size != a.shape[0]:
+            raise SpecError(
+                f"terminal loading b must be a {a.shape[0]} x 1 column, got shape {b.shape}"
+            )
+        b = b.reshape(-1, 1)
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise SpecError("terminal condition entries must be finite")
         a.setflags(write=False)
@@ -149,26 +151,27 @@ class TerminalCondition:
     def deterministic(self) -> bool:
         return not np.any(self.b)
 
+    def on_paths(self, W_T: np.ndarray) -> np.ndarray:
+        """(paths, n) values of xi for terminal Brownian values W_T of shape (paths,)."""
+        return self.a[None] + W_T[:, None] * self.b[:, 0][None]
+
 
 @dataclass(frozen=True)
 class AffineControl:
     """Control of the form u(t) = u_const(t) + u_lin(t) W(t)."""
 
     u_const: CoefficientPath  # k x 1
-    u_lin: CoefficientPath  # k x d
+    u_lin: CoefficientPath  # k x 1
 
     @classmethod
-    def zero(cls, grid: TimeGrid, k: int, d: int = 1) -> "AffineControl":
-        z = np.zeros((k, 1))
-        return cls(CoefficientPath.constant(grid, z), CoefficientPath.constant(grid, np.zeros((k, d))))
+    def zero(cls, grid: TimeGrid, k: int) -> "AffineControl":
+        return cls.constant(grid, np.zeros(k))
 
     @classmethod
-    def constant(cls, grid: TimeGrid, value, d: int = 1) -> "AffineControl":
+    def constant(cls, grid: TimeGrid, value) -> "AffineControl":
         c = np.asarray(value, dtype=float).reshape(-1, 1)
-        return cls(
-            CoefficientPath.constant(grid, c),
-            CoefficientPath.constant(grid, np.zeros((c.shape[0], d))),
-        )
+        zero = CoefficientPath.constant(grid, np.zeros_like(c))
+        return cls(CoefficientPath.constant(grid, c), zero)
 
 
 _COEFF_SHAPES = {
@@ -183,6 +186,12 @@ _COEFF_SHAPES = {
     "R2": ("k", "k"),
     "S2": ("n", "n"),
 }
+
+
+def coefficient_shapes(dims: Dimensions) -> dict[str, tuple[int, int]]:
+    """(rows, cols) of every coefficient path of a game with these dimensions."""
+    sizes = {"n": dims.n, "k": dims.k}
+    return {name: (sizes[r], sizes[c]) for name, (r, c) in _COEFF_SHAPES.items()}
 
 
 @dataclass(frozen=True)
@@ -206,13 +215,11 @@ class LQGameSpec:
     xi: TerminalCondition
 
     def __post_init__(self):
-        n, k = self.dims.n, self.dims.k
-        sizes = {"n": n, "k": k}
-        for name, (r, c) in _COEFF_SHAPES.items():
+        n = self.dims.n
+        for name, want in coefficient_shapes(self.dims).items():
             path = getattr(self, name)
             if path.grid != self.grid:
                 raise SpecError(f"coefficient {name} is sampled on a different grid")
-            want = (sizes[r], sizes[c])
             if path.shape != want:
                 raise SpecError(f"coefficient {name} has shape {path.shape}, expected {want}")
         for name in ("G1", "G2"):
@@ -222,11 +229,13 @@ class LQGameSpec:
             g = g.copy()
             g.setflags(write=False)
             object.__setattr__(self, name, g)
-        if self.xi.a.shape[0] != n or self.xi.b.shape != (n, self.dims.d):
-            raise SpecError(
-                f"terminal condition has shape ({self.xi.a.shape[0]}, {self.xi.b.shape}), "
-                f"expected ({n}, {(n, self.dims.d)})"
-            )
+        if self.xi.a.shape[0] != n:
+            raise SpecError(f"terminal condition has length {self.xi.a.shape[0]}, expected {n}")
+
+    @property
+    def c_vanishes(self) -> bool:
+        """True when the noise coefficient C is zero at every node (to 1e-12)."""
+        return bool(np.max(np.abs(self.C.values)) < 1e-12)
 
 
 @dataclass(frozen=True)

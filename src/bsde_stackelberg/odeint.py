@@ -150,12 +150,17 @@ def solvability_scan(blockmatrix: np.ndarray, grid: TimeGrid) -> SolvabilityRepo
     m = np.atleast_2d(np.asarray(blockmatrix, dtype=float))
     if m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
         raise ValueError(f"block matrix must be square with even size, got {m.shape}")
-    half = m.shape[0] // 2
-    dets = np.empty(grid.steps + 1)
     step = matrix_exponential(m * grid.dt)
-    acc = np.eye(m.shape[0])
-    for i in range(grid.steps + 1):
-        dets[i] = np.linalg.det(acc[half:, half:])
-        acc = step @ acc
+    acc = np.empty((grid.steps + 1, *m.shape))
+    acc[0] = np.eye(m.shape[0])
+    for i in range(grid.steps):
+        acc[i + 1] = step @ acc[i]
+    return determinant_scan(acc, grid)
+
+
+def determinant_scan(mats: np.ndarray, grid: TimeGrid) -> SolvabilityReport:
+    """det of the lower-right half block of each node matrix in an (N+1, 2m, 2m) stack."""
+    half = mats.shape[1] // 2
+    dets = np.linalg.det(mats[:, half:, half:])
     min_det = float(dets.min())
     return SolvabilityReport(grid, dets, min_det, bool(min_det > 0.0))

@@ -12,6 +12,7 @@ leader's control, so the outer problem is again an exact QP.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -113,11 +114,17 @@ def _quadratic_pieces(prob: DiscreteLQProblem, Qs: np.ndarray, G: np.ndarray):
     return W
 
 
-def _solve_qp(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
+def _convex(H: np.ndarray) -> np.ndarray:
+    """The symmetrized Hessian; NonConvexError unless it is positive semidefinite."""
     H = 0.5 * (H + H.T)
     min_eig = float(np.linalg.eigvalsh(H).min())
     if min_eig < -PSD_TOL * max(1.0, float(np.abs(H).max())):
         raise NonConvexError(min_eig)
+    return H
+
+
+def _solve_qp(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
+    H = _convex(H)
     u = np.linalg.solve(H, -g)
     grad = float(np.linalg.norm(H @ u + g))
     return u, grad
@@ -178,15 +185,9 @@ def deterministic_leader_oracle(spec: LQGameSpec) -> OracleResult:
     c0, S, T = _state_maps(prob)
 
     # follower optimum as an affine function of u2
+    H1, g1_const, _ = _cost_terms(prob, Q1s, spec.G1, c0, S, prob.R1_bar)
+    H1 = _convex(H1)
     W1 = _quadratic_pieces(prob, Q1s, spec.G1)
-    H1 = np.einsum("inm,inp,ipq->mq", S, W1, S, optimize=True)
-    for i in range(N):
-        H1[i * k : (i + 1) * k, i * k : (i + 1) * k] += prob.R1_bar[i]
-    H1 = 0.5 * (H1 + H1.T)
-    min_eig = float(np.linalg.eigvalsh(H1).min())
-    if min_eig < -PSD_TOL * max(1.0, float(np.abs(H1).max())):
-        raise NonConvexError(min_eig)
-    g1_const = np.einsum("inm,inp,ip->m", S, W1, c0, optimize=True)
     g1_lin = np.einsum("inm,inp,ipq->mq", S, W1, T, optimize=True)
     u1_const = np.linalg.solve(H1, -g1_const)
     u1_lin = np.linalg.solve(H1, -g1_lin)
@@ -210,6 +211,22 @@ def control_rms_gap(oracle_control: np.ndarray, pipeline_control: np.ndarray) ->
     return float(np.sqrt(np.mean((oracle_control - mid) ** 2)))
 
 
+def directional_slopes(
+    perturbed_cost: Callable[[float], float], base_cost: float, eps_list: tuple[float, ...]
+) -> tuple[dict, float]:
+    """Slopes [J(eps) - J(0)] / eps per eps and their Richardson-extrapolated limit.
+
+    The limit combines the two largest eps and removes the O(eps) bias,
+    so it is exact for a quadratic cost; with a single eps it is that slope.
+    """
+    slopes = {eps: (perturbed_cost(eps) - base_cost) / eps for eps in eps_list}
+    eps_sorted = sorted(eps_list, reverse=True)
+    if len(eps_sorted) < 2:
+        return slopes, slopes[eps_sorted[0]]
+    e1, e2 = eps_sorted[0], eps_sorted[1]
+    return slopes, (e1 * slopes[e2] - e2 * slopes[e1]) / (e1 - e2)
+
+
 def perturbation_suite(
     perturbed_cost,
     base_cost: float,
@@ -223,14 +240,10 @@ def perturbation_suite(
     the per-eps slopes and the Richardson-extrapolated limit.
     """
     rows = []
-    eps_sorted = sorted(eps_list, reverse=True)
     for idx, v in enumerate(directions):
-        slopes = {eps: (perturbed_cost(v, eps) - base_cost) / eps for eps in eps_list}
-        if len(eps_sorted) >= 2:
-            e1, e2 = eps_sorted[0], eps_sorted[1]
-            extrapolated = (e1 * slopes[e2] - e2 * slopes[e1]) / (e1 - e2)
-        else:
-            extrapolated = slopes[eps_sorted[0]]
+        slopes, extrapolated = directional_slopes(
+            lambda eps: perturbed_cost(v, eps), base_cost, eps_list
+        )
         rows.append(
             {
                 "direction": idx,

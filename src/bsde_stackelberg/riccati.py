@@ -18,6 +18,7 @@ from .model import CoefficientPath, LQGameSpec, TerminalCondition, TimeGrid
 from .odeint import (
     OdeDirection,
     SolvabilityReport,
+    determinant_scan,
     guarded_inv,
     integrate_matrix_ode,
     transition_steps,
@@ -283,20 +284,27 @@ def _require_c_zero(sys: StackedSystem):
         )
 
 
-def _closed_form_from_transitions(cumulative: np.ndarray, m: int) -> np.ndarray:
-    """-(lower-right block)^-1 (lower-left block) for each transition matrix."""
-    lr = cumulative[:, m:, m:]
-    ll = cumulative[:, m:, :m]
-    return -np.linalg.solve(lr, ll)
+def _transition_closed_form(
+    matfun: Callable[[float], np.ndarray], grid: TimeGrid, times: np.ndarray
+) -> tuple[np.ndarray, SolvabilityReport]:
+    """-(lower-right)^-1 (lower-left) of the cumulative transitions U_i = E_{N-1} ... E_i.
 
-
-def _scan_and_gate(cumulative: np.ndarray, m: int, grid: TimeGrid, times: np.ndarray) -> SolvabilityReport:
-    dets = np.linalg.det(cumulative[:, m:, m:])
-    min_i = int(np.argmin(dets))
-    report = SolvabilityReport(grid, dets, float(dets[min_i]), bool(dets.min() > 0.0))
+    E_i are the per-step transitions of dU/ds = matfun(s) U.  The lower-right
+    determinant of every U_i must stay positive, else UnsolvableError names
+    the time (from times) of the smallest one.
+    """
+    steps = transition_steps(matfun, grid)
+    size = steps.shape[1]
+    m = size // 2
+    cumulative = np.empty((grid.steps + 1, size, size))
+    cumulative[-1] = np.eye(size)
+    for i in range(grid.steps - 1, -1, -1):
+        cumulative[i] = cumulative[i + 1] @ steps[i]
+    report = determinant_scan(cumulative, grid)
     if not report.satisfied:
-        raise UnsolvableError(report.min_determinant, float(times[min_i]))
-    return report
+        at = float(times[int(np.argmin(report.determinants))])
+        raise UnsolvableError(report.min_determinant, at)
+    return -np.linalg.solve(cumulative[:, m:, m:], cumulative[:, m:, :m]), report
 
 
 def pi1_closed_form(
@@ -308,7 +316,6 @@ def pi1_closed_form(
     for constant hat matrices this reduces to e^(A (T - t)) literally.
     """
     _require_c_zero(sys)
-    m = 2 * sys.n
 
     def afun(t):
         A1, B1, B2, F1, F2 = sys.A1h(t), sys.B1h(t), sys.B2h(t), sys.F1h(t), sys.F2h(t)
@@ -317,13 +324,7 @@ def pi1_closed_form(
         bot = np.hstack([F2 - B2 @ R2inv @ B2.T, -A1 + B2 @ R2inv @ B1.T])
         return np.vstack([top, bot])
 
-    steps = transition_steps(afun, grid)
-    cumulative = np.empty((grid.steps + 1, 2 * m, 2 * m))
-    cumulative[-1] = np.eye(2 * m)
-    for i in range(grid.steps - 1, -1, -1):
-        cumulative[i] = cumulative[i + 1] @ steps[i]
-    report = _scan_and_gate(cumulative, m, grid, grid.nodes)
-    vals = _closed_form_from_transitions(cumulative, m)
+    vals, report = _transition_closed_form(afun, grid, grid.nodes)
     return RiccatiPath("Pi1", CoefficientPath(grid, vals)), report
 
 
@@ -337,7 +338,6 @@ def pi2_closed_form(
     with the forward RK4 solution (Pi2(0) = G2-hat at the t = 0 node).
     """
     _require_c_zero(sys)
-    m = 2 * sys.n
     T = grid.horizon
     G2h = sys.G2h
 
@@ -353,13 +353,7 @@ def pi2_closed_form(
         # the representation Pi21 = -(lower-right)^-1 (lower-left)
         return np.vstack([np.hstack([phi, hamilton]), np.hstack([-psi, -phi.T])])
 
-    steps = transition_steps(bfun, grid)
-    cumulative = np.empty((grid.steps + 1, 2 * m, 2 * m))
-    cumulative[-1] = np.eye(2 * m)
-    for j in range(grid.steps - 1, -1, -1):
-        cumulative[j] = cumulative[j + 1] @ steps[j]
-    report = _scan_and_gate(cumulative, m, grid, T - grid.nodes)
-    pi21_tau = _closed_form_from_transitions(cumulative, m)
+    pi21_tau, report = _transition_closed_form(bfun, grid, T - grid.nodes)
     # Pi2(t_i) = G2-hat + Pi21(tau = T - t_i)
     vals = G2h[None] + pi21_tau[::-1]
     return RiccatiPath("Pi2", CoefficientPath(grid, vals)), report

@@ -23,7 +23,7 @@ class MonteCarloConfig:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Brownian increments and running values on a grid (d = 1 noise)."""
+    """Brownian increments and running values on a grid."""
 
     grid: TimeGrid
     seed: int

@@ -25,20 +25,8 @@ from .model import (
     SpecError,
     TerminalCondition,
     TimeGrid,
+    coefficient_shapes,
 )
-
-_COEFF_SHAPES = {
-    "A": ("n", "n"),
-    "B1": ("n", "k"),
-    "B2": ("n", "k"),
-    "C": ("n", "n"),
-    "Q1": ("n", "n"),
-    "R1": ("k", "k"),
-    "S1": ("n", "n"),
-    "Q2": ("n", "n"),
-    "R2": ("k", "k"),
-    "S2": ("n", "n"),
-}
 
 
 @dataclass(frozen=True)
@@ -53,7 +41,11 @@ class Scenario:
 
 
 def _parse_path(entry, grid: TimeGrid, shape: tuple[int, int], name: str) -> CoefficientPath:
-    """One coefficient: {"constant": flat} or {"nodes": [[t, flat], ...]}."""
+    """One coefficient: {"constant": flat} or {"nodes": [[t, flat], ...]}.
+
+    Node times must be distinct and cover [0, T], so that interpolation
+    never holds an end value constant.
+    """
     rows, cols = shape
     if "constant" in entry:
         flat = np.asarray(entry["constant"], dtype=float).reshape(rows, cols)
@@ -61,6 +53,10 @@ def _parse_path(entry, grid: TimeGrid, shape: tuple[int, int], name: str) -> Coe
     if "nodes" in entry:
         pairs = sorted(entry["nodes"], key=lambda p: p[0])
         times = np.array([p[0] for p in pairs], dtype=float)
+        if np.any(np.diff(times) == 0.0):
+            raise SpecError(f"coefficient {name} has repeated node times")
+        if not (times.size and times[0] <= 0.0 and times[-1] >= grid.horizon):
+            raise SpecError(f"coefficient {name} node times must cover [0, {grid.horizon}]")
         vals = np.stack([np.asarray(p[1], dtype=float).reshape(rows, cols) for p in pairs])
         out = np.empty((grid.steps + 1, rows, cols))
         for r in range(rows):
@@ -71,25 +67,26 @@ def _parse_path(entry, grid: TimeGrid, shape: tuple[int, int], name: str) -> Coe
 
 
 def scenario_from_dict(doc: dict, steps: int | None = None, sha256: str = "") -> Scenario:
-    dims = Dimensions(**{k: int(v) for k, v in doc["dims"].items()})
+    dims_doc = dict(doc["dims"])
+    d = dims_doc.pop("d", 1)
+    if d != 1:
+        raise SpecError(f"dims.d must be 1 (the model has one Brownian motion), got {d!r}")
+    dims = Dimensions(**{k: int(v) for k, v in dims_doc.items()})
     grid = TimeGrid(float(doc["horizon"]), int(steps or doc["steps"]))
-    sizes = {"n": dims.n, "k": dims.k}
-    coeffs = {}
-    for name, (r, c) in _COEFF_SHAPES.items():
-        shape = (sizes[r], sizes[c])
-        coeffs[name] = _parse_path(doc["coefficients"][name], grid, shape, name)
+    coeffs = {
+        name: _parse_path(doc["coefficients"][name], grid, shape, name)
+        for name, shape in coefficient_shapes(dims).items()
+    }
     weights = doc["weights"]
     term = doc["terminal"]
     a = np.asarray(term["a"], dtype=float).reshape(dims.n)
-    b = np.asarray(term.get("b", np.zeros((dims.n, dims.d))), dtype=float).reshape(
-        dims.n, dims.d
-    )
+    xi = TerminalCondition(a, term.get("b", np.zeros(dims.n)))
     spec = LQGameSpec(
         dims=dims,
         grid=grid,
         G1=np.asarray(weights["G1"], dtype=float).reshape(dims.n, dims.n),
         G2=np.asarray(weights["G2"], dtype=float).reshape(dims.n, dims.n),
-        xi=TerminalCondition(a, b),
+        xi=xi,
         **coeffs,
     )
     mode = doc.get("mode", "strict")
@@ -100,12 +97,12 @@ def scenario_from_dict(doc: dict, steps: int | None = None, sha256: str = "") ->
         u2_doc = doc["u2"]
         const = _parse_path(u2_doc["const"], grid, (dims.k, 1), "u2.const")
         if "lin" in u2_doc:
-            lin = _parse_path(u2_doc["lin"], grid, (dims.k, dims.d), "u2.lin")
+            lin = _parse_path(u2_doc["lin"], grid, (dims.k, 1), "u2.lin")
         else:
-            lin = CoefficientPath.constant(grid, np.zeros((dims.k, dims.d)))
+            lin = CoefficientPath.constant(grid, np.zeros((dims.k, 1)))
         u2 = AffineControl(const, lin)
     else:
-        u2 = AffineControl.zero(grid, dims.k, dims.d)
+        u2 = AffineControl.zero(grid, dims.k)
 
     market = None
     if "market" in doc:
@@ -118,7 +115,7 @@ def scenario_from_dict(doc: dict, steps: int | None = None, sha256: str = "") ->
             grid=grid,
             G1=float(mdoc["G1"]),
             G2=float(mdoc["G2"]),
-            xi=spec.xi if dims.n == 1 else TerminalCondition(a[:1], b[:1]),
+            xi=TerminalCondition(xi.a[:1], xi.b[:1]),
             **paths,
         )
     return Scenario(spec, mode, u2, market, sha256)
@@ -156,7 +153,7 @@ def make_constant_spec(
     grid = TimeGrid(horizon, steps)
     cp = CoefficientPath.constant
     return LQGameSpec(
-        dims=Dimensions(n, 1, k),
+        dims=Dimensions(n, k),
         grid=grid,
         A=cp(grid, A),
         B1=cp(grid, B1),

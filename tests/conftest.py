@@ -68,7 +68,7 @@ def consumption(market):
 def scenario_document(spec, mode="strict", u2=None, market=None):
     """JSON-ready dict for an LQGameSpec (constant coefficients assumed)."""
     doc = {
-        "dims": {"n": spec.dims.n, "d": spec.dims.d, "k": spec.dims.k},
+        "dims": {"n": spec.dims.n, "d": 1, "k": spec.dims.k},
         "horizon": spec.grid.horizon,
         "steps": spec.grid.steps,
         "coefficients": {

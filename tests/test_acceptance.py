@@ -215,11 +215,7 @@ class TestAcceptance:
                 spec, p1, p2, AffineControl.zero(spec.grid, 1),
                 mc=mc if stochastic else bs.MonteCarloConfig(4, 0),
             )
-            sol = bs.solve_equilibrium(
-                spec,
-                mc=mc if stochastic else bs.MonteCarloConfig(4, 0),
-                diffusion="consistent" if stochastic else "display",
-            )
+            sol = bs.solve_equilibrium(spec, mc=mc if stochastic else bs.MonteCarloConfig(4, 0))
             tol_f = 1e-3 * max(1.0, abs(fol.J1[0]))
             tol_l = 1e-3 * max(1.0, abs(sol.J2[0]))
             for v in directions(spec.grid, include_noise=stochastic):
@@ -259,10 +255,8 @@ class TestAcceptance:
         fine_spec = stochastic_scenario(steps=512)
         coarse_spec = stochastic_scenario(steps=256)
         fine = sample_brownian(fine_spec.grid, 128, 4)
-        sol_f = bs.solve_equilibrium(fine_spec, bundle=fine, diffusion="consistent")
-        sol_c = bs.solve_equilibrium(
-            coarse_spec, bundle=coarsen(fine, 2), diffusion="consistent"
-        )
+        sol_f = bs.solve_equilibrium(fine_spec, bundle=fine)
+        sol_c = bs.solve_equilibrium(coarse_spec, bundle=coarsen(fine, 2))
         rms_f, _ = leader_bsde_residual(sol_f.system, fine_spec.R2, sol_f.pi2, sol_f.ensemble)
         rms_c, _ = leader_bsde_residual(
             sol_c.system, coarse_spec.R2, sol_c.pi2, sol_c.ensemble

@@ -156,30 +156,12 @@ class TestForwardOffsetDiffusion:
         )
         assert gap > 1e-6
 
-    def test_unknown_mode_rejected(self, stochastic_spec):
-        with pytest.raises(ValueError):
-            bs.solve_equilibrium(
-                stochastic_spec, mc=bs.MonteCarloConfig(2, 0), diffusion="bogus"
-            )
-
-    def test_consistent_mode_reduces_closed_loop_residual(self, stochastic_spec):
-        bundle = sample_brownian(stochastic_spec.grid, 64, 7)
-        rms = {}
-        for mode in ("display", "consistent"):
-            sol = bs.solve_equilibrium(stochastic_spec, bundle=bundle, diffusion=mode)
-            rms[mode], _ = leader_bsde_residual(
-                sol.system, stochastic_spec.R2, sol.pi2, sol.ensemble
-            )
-        assert rms["consistent"] < rms["display"]
-
     def test_residual_halves_with_dt_consistent_mode(self):
         fine_spec = bs.stochastic_scenario(steps=512)
         coarse_spec = bs.stochastic_scenario(steps=256)
         fine = sample_brownian(fine_spec.grid, 64, 11)
-        sol_f = bs.solve_equilibrium(fine_spec, bundle=fine, diffusion="consistent")
-        sol_c = bs.solve_equilibrium(
-            coarse_spec, bundle=coarsen(fine, 2), diffusion="consistent"
-        )
+        sol_f = bs.solve_equilibrium(fine_spec, bundle=fine)
+        sol_c = bs.solve_equilibrium(coarse_spec, bundle=coarsen(fine, 2))
         rms_f, _ = leader_bsde_residual(sol_f.system, fine_spec.R2, sol_f.pi2, sol_f.ensemble)
         rms_c, _ = leader_bsde_residual(
             sol_c.system, coarse_spec.R2, sol_c.pi2, sol_c.ensemble

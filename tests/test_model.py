@@ -12,7 +12,7 @@ from bsde_stackelberg.model import SYMMETRY_TOL, eval_coefficient
 class TestDimensions:
     def test_defaults(self):
         d = bs.Dimensions(3)
-        assert (d.n, d.d, d.k) == (3, 1, 1)
+        assert (d.n, d.k) == (3, 1)
 
     @pytest.mark.parametrize("bad", [0, -1, 1.5, "2"])
     def test_rejects_nonpositive_or_nonint(self, bad):

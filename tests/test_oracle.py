@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bsde_stackelberg as bs
+from bsde_stackelberg.leader import decoupling_consistency, initial_coupling_defect, terminal_defect
 from bsde_stackelberg.oracle import (
     NonConvexError,
     build_discrete_problem,
@@ -190,3 +191,57 @@ class TestOracleVsPipeline:
         sol = bs.solve_equilibrium(hand_spec_coarse, mc=bs.MonteCarloConfig(2, 0))
         rel = abs(sol.J2[0] - res.cost) / max(abs(res.cost), 1e-12)
         assert rel < 1e-2
+
+
+def _spd(rng, m, floor):
+    L = rng.uniform(-0.6, 0.6, (m, m))
+    return floor * np.eye(m) + L @ L.T
+
+
+def random_multidim_game(rng, n, k, steps=256):
+    """n x n state, k controls, C = 0 and a deterministic xi, so the QP oracles apply."""
+    return make_constant_spec(
+        1.0, steps,
+        A=rng.uniform(-0.5, 0.5, (n, n)),
+        B1=rng.uniform(-1.0, 1.0, (n, k)), B2=rng.uniform(-1.0, 1.0, (n, k)), C=np.zeros((n, n)),
+        Q1=_spd(rng, n, 0.2), R1=_spd(rng, k, 0.8), S1=_spd(rng, n, 0.1), G1=_spd(rng, n, 0.2),
+        Q2=_spd(rng, n, 0.2), R2=_spd(rng, k, 0.8), S2=_spd(rng, n, 0.1), G2=_spd(rng, n, 0.2),
+        a=rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.0, n), b=np.zeros(n),
+    )
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 2)])
+class TestMultiDimensionalPipelines:
+    """Games with n >= 2 and k != n, where a transposed block would show."""
+
+    def test_follower_matches_oracle(self, n, k):
+        rng = np.random.default_rng(10 * n + k)
+        spec = random_multidim_game(rng, n, k)
+        u2_value = rng.uniform(-0.5, 0.5, k)
+        p1 = bs.solve_p1(spec)
+        p2 = bs.solve_p2(spec, p1)
+        ens = bs.follower_pipeline(
+            spec, p1, p2, bs.AffineControl.constant(spec.grid, u2_value),
+            mc=bs.MonteCarloConfig(2, 0),
+        )
+        res = deterministic_follower_oracle(
+            build_discrete_problem(spec), np.tile(u2_value, (spec.grid.steps, 1))
+        )
+        assert abs(ens.J1[0] - res.cost) / abs(res.cost) <= 1e-3
+        xi = spec.xi.on_paths(ens.bundle.W[:, -1])
+        assert np.max(np.abs(ens.y[:, -1] - xi)) <= 1e-8
+        assert np.max(np.abs(ens.x[:, 0] - ens.y[:, 0] @ spec.G1.T)) <= 1e-8
+        assert np.max(np.abs(ens.u1 - ens.u1_adjoint)) <= 1e-8
+
+    def test_leader_matches_oracle(self, n, k):
+        spec = random_multidim_game(np.random.default_rng(10 * n + k + 1), n, k)
+        sol = bs.solve_equilibrium(spec, mc=bs.MonteCarloConfig(2, 0))
+        res = deterministic_leader_oracle(spec)
+        assert abs(sol.J2[0] - res.cost) / abs(res.cost) <= 1e-2
+        ens = sol.ensemble
+        assert terminal_defect(sol.system, ens) <= 1e-8
+        assert initial_coupling_defect(sol.system, ens) <= 1e-8
+        assert decoupling_consistency(ens, sol.pi2) <= 1e-8
+        assert np.max(np.abs(ens.u1 - ens.u1_stacked)) <= 1e-8
+        v = bs.AffineControl.constant(spec.grid, np.ones(k))
+        assert bs.check_leader_stationarity(sol, v)["algebraic_residual"] <= 1e-8

@@ -86,6 +86,39 @@ class TestScenarioParsing:
         with pytest.raises(bs.SpecError):
             scenario_from_dict(hand_doc)
 
+    @pytest.mark.parametrize(
+        "nodes",
+        [
+            [[0.2, [0.0]], [0.6, [1.0]]],  # covers neither end
+            [[0.2, [0.0]], [1.0, [1.0]]],  # starts after 0
+            [[0.0, [0.0]], [0.6, [1.0]]],  # ends before T
+            [[0.0, [0.0]], [0.5, [1.0]], [0.5, [2.0]], [1.0, [0.0]]],  # repeated time
+            [[0.0, [1.0]]],  # a single node
+            [],
+        ],
+    )
+    def test_bad_node_times_rejected(self, hand_doc, nodes):
+        hand_doc["coefficients"]["A"] = {"nodes": nodes}
+        with pytest.raises(bs.SpecError):
+            scenario_from_dict(hand_doc)
+
+    def test_nodes_beyond_horizon_accepted(self, hand_doc):
+        hand_doc["coefficients"]["A"] = {"nodes": [[-1.0, [-1.0]], [2.0, [2.0]]]}
+        scn = scenario_from_dict(hand_doc)
+        np.testing.assert_allclose(scn.spec.A.values[:, 0, 0], scn.spec.grid.nodes, atol=1e-14)
+
+    def test_single_brownian_dimension_accepted(self, hand_doc):
+        assert hand_doc["dims"]["d"] == 1
+        assert scenario_from_dict(hand_doc).spec.dims.n == 1
+        del hand_doc["dims"]["d"]
+        assert scenario_from_dict(hand_doc).spec.dims.n == 1
+
+    @pytest.mark.parametrize("d", [2, 0])
+    def test_other_brownian_dimension_rejected(self, hand_doc, d):
+        hand_doc["dims"]["d"] = d
+        with pytest.raises(bs.SpecError):
+            scenario_from_dict(hand_doc)
+
 
 class TestCliValidate:
     def test_pass_exit_zero(self, tmp_path, hand_doc, capsys):
@@ -120,6 +153,23 @@ class TestCliValidate:
         path = tmp_path / "thin.json"
         path.write_text(json.dumps({"dims": {"n": 1, "d": 1, "k": 1}}))
         assert main(["validate", "--scenario", str(path)]) == 1
+
+    def test_node_times_not_covering_horizon_exit_one(self, tmp_path, hand_doc, capsys):
+        hand_doc["coefficients"]["A"] = {"nodes": [[0.2, [0.0]], [0.6, [1.0]]]}
+        scn = write_scenario(tmp_path, hand_doc)
+        assert main(["validate", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "node times" in err
+
+    @pytest.mark.parametrize("command", ["validate", "follower"])
+    def test_two_brownian_dimensions_exit_one(self, tmp_path, hand_doc, capsys, command):
+        hand_doc["dims"]["d"] = 2
+        hand_doc["terminal"]["b"] = [[0.4, 0.1]]
+        scn = write_scenario(tmp_path, hand_doc)
+        rc = main([command, "--scenario", str(scn), "--out", str(tmp_path / "o"), "--paths", "4"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "dims.d" in err and "Traceback" not in err
 
 
 class TestCliPipelines:
@@ -247,6 +297,23 @@ class TestCliVerify:
         scn = write_scenario(tmp_path, scenario_document(stochastic_spec, mode="permissive"))
         rc = main(["verify", "--scenario", str(scn), "--out", str(tmp_path / "o")])
         assert rc == 1
+
+    def test_multiplicative_noise_rejected(self, tmp_path, capsys):
+        # the oracles are only upper bounds when C != 0: J1 = 0.2388 here
+        # against the oracle's 0.25, which used to fail as a false gap
+        spec = bs.make_constant_spec(
+            1.0, 200,
+            A=0.0, B1=1.0, B2=1.0, C=0.5,
+            Q1=0.0, R1=1.0, S1=0.5, G1=1.0,
+            Q2=0.0, R2=1.0, S2=0.0, G2=1.0,
+            a=1.0, b=0.0,
+        )
+        scn = write_scenario(tmp_path, scenario_document(spec))
+        out = tmp_path / "o"
+        assert main(["verify", "--scenario", str(scn), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "C = 0" in err
+        assert not out.exists()
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
