@@ -43,7 +43,7 @@ def residual_ratios(step_counts, paths, seed):
         spec = bs.stochastic_scenario(steps=N)
         bundle = coarsen(fine, finest // N) if N != finest else fine
         sol = bs.solve_equilibrium(spec, bundle=bundle)
-        rms, _ = leader_bsde_residual(sol.system, spec.R2, sol.pi2, sol.ensemble)
+        rms, _ = leader_bsde_residual(sol.system, sol.pi2, sol.ensemble)
         rows.append((N, rms))
     return rows
 

@@ -125,8 +125,8 @@ def _riccati_bundle(scn: Scenario):
     p1 = solve_p1(spec)
     p2 = solve_p2(spec, p1)
     sys = build_stacked_system(spec, p1, p2)
-    pi1 = solve_pi1(sys, spec.R2)
-    pi2 = solve_pi2(sys, spec.R2, pi1)
+    pi1 = solve_pi1(sys)
+    pi2 = solve_pi2(sys, pi1)
     return p1, p2, sys, pi1, pi2
 
 
@@ -138,8 +138,8 @@ def cmd_riccati(scn: Scenario, out: Path, args) -> int:
     residuals = {
         "p1": riccati_residual(p1, p1_field(spec)),
         "p2": riccati_residual(p2, p2_field(spec, p1)),
-        "pi1": riccati_residual(pi1, pi1_field(sys, spec.R2)),
-        "pi2": riccati_residual(pi2, pi2_field(sys, spec.R2, pi1)),
+        "pi1": riccati_residual(pi1, pi1_field(sys)),
+        "pi2": riccati_residual(pi2, pi2_field(sys, pi1)),
     }
     solvability: dict = {"closed_form_applicable": spec.c_vanishes}
     if solvability["closed_form_applicable"]:
@@ -208,15 +208,12 @@ def cmd_leader(scn: Scenario, out: Path, args) -> int:
     mc = MonteCarloConfig(paths=args.paths, seed=args.seed)
     sol = led.solve_equilibrium(spec, mc=mc)
     ens = sol.ensemble
-    rms, rmax = led.leader_bsde_residual(sol.system, spec.R2, sol.pi2, ens)
+    rms, rmax = led.leader_bsde_residual(sol.system, sol.pi2, ens)
     direction = AffineControl.constant(spec.grid, np.ones(spec.dims.k))
     lead_stat = led.check_leader_stationarity(sol, direction)
-    # follower optimality along the equilibrium trajectory
-    fol_resid = 0.0
-    for i, t in enumerate(spec.grid.nodes):
-        x = ens.ybar[:, i] @ sol.p2.values[i].T + ens.phibar[:, i]
-        r = x @ spec.B1(t) + ens.u1[:, i] @ spec.R1(t).T
-        fol_resid = max(fol_resid, float(np.max(np.abs(r), initial=0.0)))
+    # follower optimality along the equilibrium trajectory, whose adjoint
+    # state is x = P2 ybar + phibar
+    x = (ens.ybar.swapaxes(0, 1) @ np.swapaxes(sol.p2.values, 1, 2)).swapaxes(0, 1) + ens.phibar
     J1 = fol.quadratic_cost(
         spec.grid, ens.ybar, ens.u1, ens.zbar, spec.Q1, spec.R1, spec.S1, spec.G1
     )
@@ -225,7 +222,7 @@ def cmd_leader(scn: Scenario, out: Path, args) -> int:
         "J1": {"mean": J1[0], "stderr": J1[1]},
         "J2": {"mean": ens.J2[0], "stderr": ens.J2[1]},
         "stationarity": {
-            "follower": fol_resid,
+            "follower": fol.stationarity_residual(spec, x, ens.u1),
             "leader": lead_stat["algebraic_residual"],
             "leader_extrapolated_slope": lead_stat["extrapolated_slope"],
         },

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .follower import paths_csv
-from .leader import StackelbergSolution, solve_equilibrium
+from .leader import StackelbergSolution, closed_loop_drift, solve_equilibrium
 from .model import (
     CoefficientPath,
     Dimensions,
@@ -233,22 +233,10 @@ def _dual_coefficients(sol: StackelbergSolution):
     The propagator solves d(Gamma) = M^T Gamma dt + C1h Gamma dW with M
     the closed-loop drift of the backward pair, so that
     Y(t) = E[Gamma_t(T)^T xi-hat + int_t^T Gamma_t(s)^T f(s) ds] with
-    f = (F2h - B2h R2^-1 B2h^T) varphi-tilde.
+    f = (F2h - B2h R2^-1 B2h^T) varphi-tilde (see closed_loop_drift).
     """
-    sys = sol.system
-    grid = sys.grid
-    a = np.empty((grid.steps + 1, 2 * sys.n, 2 * sys.n))
-    c = np.empty_like(a)
-    forcing = np.empty_like(a)
-    for i, t in enumerate(grid.nodes):
-        A1, B1, B2, F2 = sys.A1h(t), sys.B1h(t), sys.B2h(t), sys.F2h(t)
-        R2inv = np.linalg.inv(sol.spec.R2(t))
-        Pi2 = sol.pi2.values[i]
-        M = A1 + F2 @ Pi2 - B2 @ R2inv @ (B1 + Pi2 @ B2).T
-        a[i] = M.T
-        c[i] = sys.C1h(t)
-        forcing[i] = F2 - B2 @ R2inv @ B2.T
-    return a, c, forcing
+    M, forcing = closed_loop_drift(sol.system, sol.pi2)
+    return np.swapaxes(M, 1, 2), sol.system.C1h.values, forcing
 
 
 def _gamma_step(gamma, a_i, a_ip1, c_i, dt, dW):

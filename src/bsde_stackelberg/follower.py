@@ -19,7 +19,7 @@ import numpy as np
 from .model import AffineControl, CoefficientPath, LQGameSpec, TerminalCondition, TimeGrid
 from .odeint import OdeDirection, guarded_inv, integrate_matrix_ode
 from .oracle import directional_slopes
-from .riccati import RiccatiPath
+from .riccati import RiccatiPath, _tr, p1_s1_inverse
 from .sampling import MonteCarloConfig, PathBundle, sample_brownian
 
 
@@ -43,10 +43,10 @@ class AffineBSDESolution:
 
 
 def solve_affine_bsde(
-    drift_lin: Callable[[float], np.ndarray],
-    drift_eta: Callable[[float], np.ndarray],
-    forcing_const: Callable[[float], np.ndarray],
-    forcing_lin: Callable[[float], np.ndarray],
+    drift_lin: np.ndarray,
+    drift_eta: np.ndarray,
+    forcing_const: np.ndarray,
+    forcing_lin: np.ndarray,
     terminal_const: np.ndarray,
     terminal_lin: np.ndarray,
     grid: TimeGrid,
@@ -56,17 +56,17 @@ def solve_affine_bsde(
     With g = g_c(t) + g_l(t) W(t) and phi = alpha + beta W, matching the
     dW and dt parts gives beta' = -M beta - g_l and
     alpha' = -M alpha - N beta - g_c, integrated backward from the
-    terminal values by RK4.
+    terminal values by RK4.  M, N (m x m) and g_c, g_l (m x 1) are given
+    as (2N+1)-sample tables at the RK4 half steps.
     """
     term_c = np.asarray(terminal_const, dtype=float).reshape(-1, 1)
     term_l = np.asarray(terminal_lin, dtype=float).reshape(-1, 1)
-    m = term_c.shape[0]
 
-    def field(t, Y):
+    def field(j, Y):
         alpha, beta = Y[:, :1], Y[:, 1:]
-        M, N = drift_lin(t), drift_eta(t)
-        dalpha = -M @ alpha - N @ beta - np.asarray(forcing_const(t)).reshape(m, 1)
-        dbeta = -M @ beta - np.atleast_2d(forcing_lin(t))
+        M = drift_lin[j]
+        dalpha = -M @ alpha - drift_eta[j] @ beta - forcing_const[j]
+        dbeta = -M @ beta - forcing_lin[j]
         return np.hstack([dalpha, dbeta])
 
     terminal = np.hstack([term_c, term_l])
@@ -79,22 +79,18 @@ def solve_affine_bsde(
 
 def solve_phi_eta(spec: LQGameSpec, p1: RiccatiPath, u2: AffineControl) -> AffineBSDESolution:
     """Auxiliary BSDE of the follower, terminal phi(T) = -xi."""
-    n = spec.dims.n
-    eye = np.eye(n)
-
-    def M(t):
-        return spec.A(t) - p1(t) @ spec.Q1(t)
-
-    def N(t):
-        return spec.C(t) @ guarded_inv(p1(t) @ spec.S1(t) + eye, t, "(P1 S1 + I)")
-
-    def g_c(t):
-        return -spec.B2(t) @ u2.u_const(t)
-
-    def g_l(t):
-        return -spec.B2(t) @ u2.u_lin(t)
-
+    P1, B2 = p1.path.half, spec.B2.half
+    M = spec.A.half - P1 @ spec.Q1.half
+    N = spec.C.half @ p1_s1_inverse(P1, spec.S1.half, spec.grid.half_times)
+    g_c = -B2 @ u2.u_const.half
+    g_l = -B2 @ u2.u_lin.half
     return solve_affine_bsde(M, N, g_c, g_l, -spec.xi.a, -spec.xi.b, spec.grid)
+
+
+def p2_p1_inverse(p1: RiccatiPath, p2: RiccatiPath) -> np.ndarray:
+    """(N+1, n, n) node table of (I + P2 P1)^-1."""
+    P1, P2 = p1.values, p2.values
+    return guarded_inv(np.eye(P1.shape[-1]) + P2 @ P1, p1.path.grid.nodes, "(I + P2 P1)")
 
 
 def _u2_pathwise(u2: AffineControl, W: np.ndarray) -> np.ndarray:
@@ -120,37 +116,29 @@ def simulate_varphi(
     """
     n = spec.dims.n
     grid = spec.grid
-    eye = np.eye(n)
     N = grid.steps
 
     phi = phieta.phi_pathwise(bundle.W)
-    eta = phieta.eta_values
+    eta = phieta.eta_values[:, :, None]
     u2p = _u2_pathwise(u2, bundle.W)
+
+    A, B2, C, S1 = spec.A.values, spec.B2.values, spec.C.values, spec.S1.values
+    P1, P2 = p1.values, p2.values
+    Ct = _tr(C)
+    inv1 = p1_s1_inverse(P1, S1, grid.nodes)
+    drift_mat = -P2 @ spec.B1_R1inv_B1T[::2] - P2 @ C @ inv1 @ P1 @ Ct + _tr(A)
+    drift_u2 = P2 @ B2
+    drift_eta = (P2 @ C @ inv1 @ eta)[:, :, 0]
+    diff_mat = (P1 @ P2 + np.eye(n)) @ inv1 @ Ct @ p2_p1_inverse(p1, p2)
+    diff_phi = diff_mat @ P2
+    diff_eta = ((P2 - S1) @ inv1 @ eta)[:, :, 0]
 
     P = bundle.n_paths
     varphi = np.zeros((P, N + 1, n))
     dt = grid.dt
     for i in range(N):
-        t = grid.nodes[i]
-        A, B1, B2, C = spec.A(t), spec.B1(t), spec.B2(t), spec.C(t)
-        S1 = spec.S1(t)
-        P1, P2 = p1.values[i], p2.values[i]
-        R1inv = guarded_inv(spec.R1(t), t, "R1")
-        inv1 = guarded_inv(P1 @ S1 + eye, t, "(P1 S1 + I)")
-        inv2 = guarded_inv(eye + P2 @ P1, t, "(I + P2 P1)")
-
-        drift_mat = -P2 @ B1 @ R1inv @ B1.T - P2 @ C @ inv1 @ P1 @ C.T + A.T
-        drift = (
-            varphi[:, i] @ drift_mat.T
-            + u2p[:, i] @ (P2 @ B2).T
-            - (P2 @ C @ inv1 @ eta[i])[None]
-        )
-        diff_mat = (P1 @ P2 + eye) @ inv1 @ C.T @ inv2
-        diffusion = (
-            varphi[:, i] @ diff_mat.T
-            - phi[:, i] @ (diff_mat @ P2).T
-            + ((P2 - S1) @ inv1 @ eta[i])[None]
-        )
+        drift = varphi[:, i] @ drift_mat[i].T + u2p[:, i] @ drift_u2[i].T - drift_eta[i][None]
+        diffusion = varphi[:, i] @ diff_mat[i].T - phi[:, i] @ diff_phi[i].T + diff_eta[i][None]
         varphi[:, i + 1] = varphi[:, i] + drift * dt + diffusion * bundle.dW[:, i, None]
     return varphi
 
@@ -194,23 +182,23 @@ def reconstruct_follower_state(
     z = -(P1 S1 + I)^-1 (P1 C^T x + eta).  The terminal identity
     y(T) = xi and the initial coupling x(0) = G1 y(0) hold exactly.
     """
-    n = spec.dims.n
     grid = spec.grid
-    eye = np.eye(n)
     phi = phieta.phi_pathwise(bundle.W)
-    eta = phieta.eta_values
+    eta = phieta.eta_values[:, :, None]
+    P1, P2 = p1.values, p2.values
+    inv1 = p1_s1_inverse(P1, spec.S1.values, grid.nodes)
+    inv2 = p2_p1_inverse(p1, p2)
+    x_phi = inv2 @ P2
+    z_x = inv1 @ P1 @ _tr(spec.C.values)
+    z_eta = (inv1 @ eta)[:, :, 0]
 
     x = np.empty_like(phi)
     y = np.empty_like(phi)
     z = np.empty_like(phi)
-    for i, t in enumerate(grid.nodes):
-        P1, P2 = p1.values[i], p2.values[i]
-        S1, C = spec.S1(t), spec.C(t)
-        inv2 = guarded_inv(eye + P2 @ P1, t, "(I + P2 P1)")
-        inv1 = guarded_inv(P1 @ S1 + eye, t, "(P1 S1 + I)")
-        x[:, i] = varphi[:, i] @ inv2.T - phi[:, i] @ (inv2 @ P2).T
-        y[:, i] = -x[:, i] @ P1.T - phi[:, i]
-        z[:, i] = -x[:, i] @ (inv1 @ P1 @ C.T).T - (inv1 @ eta[i])[None]
+    for i in range(grid.steps + 1):
+        x[:, i] = varphi[:, i] @ inv2[i].T - phi[:, i] @ x_phi[i].T
+        y[:, i] = -x[:, i] @ P1[i].T - phi[:, i]
+        z[:, i] = -x[:, i] @ z_x[i].T - z_eta[i][None]
     return FollowerEnsemble(grid, bundle, varphi, x, y, z)
 
 
@@ -224,10 +212,10 @@ def follower_feedback(spec: LQGameSpec, p2: RiccatiPath, ens: FollowerEnsemble) 
     P = ens.y.shape[0]
     u1 = np.empty((P, grid.steps + 1, spec.dims.k))
     u1_adj = np.empty_like(u1)
-    for i, t in enumerate(grid.nodes):
-        gain = guarded_inv(spec.R1(t), t, "R1") @ spec.B1(t).T
-        u1[:, i] = -(ens.y[:, i] @ p2.values[i].T + ens.varphi[:, i]) @ gain.T
-        u1_adj[:, i] = -ens.x[:, i] @ gain.T
+    gain = spec.R1_inv[::2] @ _tr(spec.B1.values)
+    for i in range(grid.steps + 1):
+        u1[:, i] = -(ens.y[:, i] @ p2.values[i].T + ens.varphi[:, i]) @ gain[i].T
+        u1_adj[:, i] = -ens.x[:, i] @ gain[i].T
     gap = float(np.max(np.abs(u1 - u1_adj), initial=0.0))
     if gap > 1e-10 * max(1.0, float(np.max(np.abs(u1), initial=0.0))):
         raise AssertionError(f"feedback/adjoint control forms disagree by {gap:.3e}")
@@ -300,16 +288,15 @@ def closed_loop_residual(
     consistent first-order scheme.  Also returns the max single-step
     residual.
     """
+    A, B2, C = spec.A.values, spec.B2.values, spec.C.values
+    gain = spec.B1_R1inv_B1T[::2]
 
-    def drift(i, t):
-        A, B1, B2, C = spec.A(t), spec.B1(t), spec.B2(t), spec.C(t)
-        R1inv = guarded_inv(spec.R1(t), t, "R1")
-        gain = B1 @ R1inv @ B1.T
+    def drift(i):
         return (
-            ens.y[:, i] @ (A - gain @ p2.values[i]).T
-            - ens.varphi[:, i] @ gain.T
-            + ens.u2[:, i] @ B2.T
-            + ens.z[:, i] @ C.T
+            ens.y[:, i] @ (A[i] - gain[i] @ p2.values[i]).T
+            - ens.varphi[:, i] @ gain[i].T
+            + ens.u2[:, i] @ B2[i].T
+            + ens.z[:, i] @ C[i].T
         )
 
     return _accumulated_residual(spec.grid, ens.y, ens.z, ens.bundle.dW, drift)
@@ -320,16 +307,16 @@ def _accumulated_residual(
     y: np.ndarray,
     z: np.ndarray,
     dW: np.ndarray,
-    drift: Callable[[int, float], np.ndarray],
+    drift: Callable[[int], np.ndarray],
 ) -> tuple[float, float]:
     """RMS over paths of sum_i ||r_i||^2 and max |r_i| for a backward pair (y, z).
 
-    r_i = y_{i+1} - y_i + drift(i, t_i) dt - z_i dW_i, with drift(i, t_i)
-    the (paths, m) closed-loop drift at the left node of step i.
+    r_i = y_{i+1} - y_i + drift(i) dt - z_i dW_i, with drift(i) the
+    (paths, m) closed-loop drift at the left node of step i.
     """
     resid = np.stack(
         [
-            y[:, i + 1] - y[:, i] + drift(i, grid.nodes[i]) * grid.dt - z[:, i] * dW[:, i, None]
+            y[:, i + 1] - y[:, i] + drift(i) * grid.dt - z[:, i] * dW[:, i, None]
             for i in range(grid.steps)
         ],
         axis=1,
@@ -351,10 +338,10 @@ def perturbed_follower_cost(
     perturbed trajectories are exact in the direction of v.
     """
     delta = solve_affine_bsde(
-        spec.A,
-        spec.C,
-        lambda t: spec.B1(t) @ v.u_const(t),
-        lambda t: spec.B1(t) @ v.u_lin(t),
+        spec.A.half,
+        spec.C.half,
+        spec.B1.half @ v.u_const.half,
+        spec.B1.half @ v.u_lin.half,
         np.zeros(spec.dims.n),
         np.zeros(spec.dims.n),
         spec.grid,
@@ -389,19 +376,22 @@ def check_follower_stationarity(
     [J1(u1 + eps v) - J1(u1)] / eps under common random numbers, plus
     the Richardson-extrapolated limit (exact for a quadratic cost).
     """
-    grid = spec.grid
-    worst = 0.0
-    for i, t in enumerate(grid.nodes):
-        r = ens.x[:, i] @ spec.B1(t) + ens.u1[:, i] @ spec.R1(t).T
-        worst = max(worst, float(np.max(np.abs(r), initial=0.0)))
     slopes, extrapolated = directional_slopes(
         lambda eps: perturbed_follower_cost(spec, ens, v, eps), ens.J1[0], eps_list
     )
     return {
-        "algebraic_residual": worst,
+        "algebraic_residual": stationarity_residual(spec, ens.x, ens.u1),
         "slopes": slopes,
         "extrapolated_slope": extrapolated,
     }
+
+
+def stationarity_residual(spec: LQGameSpec, x: np.ndarray, u1: np.ndarray) -> float:
+    """Max |x B1 + u1 R1^T| over nodes and paths: the follower's algebraic
+    first-order condition for adjoint states x and controls u1, both
+    (paths, N+1, dim)."""
+    r = x.swapaxes(0, 1) @ spec.B1.values + u1.swapaxes(0, 1) @ _tr(spec.R1.values)
+    return float(np.max(np.abs(r), initial=0.0))
 
 
 def follower_paths_csv(ens: FollowerEnsemble, max_paths: int | None = None) -> str:

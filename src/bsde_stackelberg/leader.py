@@ -29,7 +29,6 @@ from .follower import (
 )
 from .model import (
     AffineControl,
-    CoefficientPath,
     LQGameSpec,
     TerminalCondition,
     TimeGrid,
@@ -39,7 +38,9 @@ from .oracle import directional_slopes
 from .riccati import (
     RiccatiPath,
     StackedSystem,
+    _tr,
     build_stacked_system,
+    pi1_s1_inverse,
     solve_p1,
     solve_p2,
     solve_pi1,
@@ -48,9 +49,7 @@ from .riccati import (
 from .sampling import MonteCarloConfig, PathBundle, sample_brownian
 
 
-def solve_tilde_phi(
-    sys: StackedSystem, R2: CoefficientPath, pi1: RiccatiPath
-) -> AffineBSDESolution:
+def solve_tilde_phi(sys: StackedSystem, pi1: RiccatiPath) -> AffineBSDESolution:
     """Auxiliary BSDE of the leader, terminal value -xi-hat.
 
     The driver is K phi-tilde - L eta-tilde with
@@ -58,40 +57,16 @@ def solve_tilde_phi(
         + (Pi1 D1h - C1h^T)(I + Pi1 S1h)^-1 Pi1 D1h^T
     and L = (Pi1 D1h - C1h^T)(I + Pi1 S1h)^-1.
     """
-    m = 2 * sys.n
-    eye = np.eye(m)
-
-    def K(t):
-        A1, B1, B2 = sys.A1h(t), sys.B1h(t), sys.B2h(t)
-        C1, D1, F1, S1 = sys.C1h(t), sys.D1h(t), sys.F1h(t), sys.S1h(t)
-        Pi1 = pi1(t)
-        R2inv = guarded_inv(R2(t), t, "R2")
-        inv_s = guarded_inv(eye + Pi1 @ S1, t, "(I + Pi1 S1-hat)")
-        return (
-            A1 - Pi1 @ F1 + (Pi1 @ B1 - B2) @ R2inv @ B1.T
-            + (Pi1 @ D1 - C1.T) @ inv_s @ Pi1 @ D1.T
-        )
-
-    def minus_L(t):
-        C1, D1, S1 = sys.C1h(t), sys.D1h(t), sys.S1h(t)
-        Pi1 = pi1(t)
-        inv_s = guarded_inv(eye + Pi1 @ S1, t, "(I + Pi1 S1-hat)")
-        return -(Pi1 @ D1 - C1.T) @ inv_s
-
-    zero = np.zeros((m, 1))
-    return solve_affine_bsde(
-        K,
-        minus_L,
-        lambda t: zero,
-        lambda t: zero,
-        -sys.xih.a,
-        -sys.xih.b,
-        sys.grid,
-    )
+    A1, B1, B2, C1, D1, F1, _, S1 = sys.halves()
+    Pi1 = pi1.path.half
+    L = (Pi1 @ D1 - _tr(C1)) @ pi1_s1_inverse(Pi1, S1, sys.grid.half_times)
+    K = A1 - Pi1 @ F1 + (Pi1 @ B1 - B2) @ sys.R2_inv @ _tr(B1) + L @ Pi1 @ _tr(D1)
+    zero = np.zeros((*K.shape[:2], 1))
+    return solve_affine_bsde(K, -L, zero, zero, -sys.xih.a, -sys.xih.b, sys.grid)
 
 
 def _offset_diffusion(C1, D1, Pi1, Pi2, mix, inv_12, inv_21):
-    """Diffusion coefficients of the forward offset at one node.
+    """Diffusion coefficients of the forward offset at every node, as (N+1) stacks.
 
     Returns (diff_varphi, diff_phi) multiplying the current offset and
     the backward offset; the martingale loading eta-tilde enters through
@@ -102,18 +77,18 @@ def _offset_diffusion(C1, D1, Pi1, Pi2, mix, inv_12, inv_21):
     without a systematic defect.
     """
     cfac = C1 + mix @ Pi1 @ C1
-    dfac = D1.T + mix @ Pi1 @ D1.T
+    dfac = _tr(D1) + mix @ Pi1 @ _tr(D1)
     return cfac @ inv_21 - dfac @ inv_12 @ Pi1, -cfac @ inv_21 @ Pi2 - dfac @ inv_12
 
 
-def _decoupling_inverses(sys, pi1, pi2, t, i):
-    """(I + Pi1 S1h)^-1, (I + Pi1 Pi2)^-1 and (I + Pi2 Pi1)^-1 at node i."""
+def _decoupling_inverses(sys, pi1, pi2):
+    """(I + Pi1 S1h)^-1, (I + Pi1 Pi2)^-1 and (I + Pi2 Pi1)^-1, (N+1, 2n, 2n) node tables."""
     eye = np.eye(2 * sys.n)
-    Pi1, Pi2 = pi1.values[i], pi2.values[i]
+    Pi1, Pi2, nodes = pi1.values, pi2.values, sys.grid.nodes
     return (
-        guarded_inv(eye + Pi1 @ sys.S1h(t), t, "(I + Pi1 S1-hat)"),
-        guarded_inv(eye + Pi1 @ Pi2, t, "(I + Pi1 Pi2)"),
-        guarded_inv(eye + Pi2 @ Pi1, t, "(I + Pi2 Pi1)"),
+        pi1_s1_inverse(Pi1, sys.S1h.values, nodes),
+        guarded_inv(eye + Pi1 @ Pi2, nodes, "(I + Pi1 Pi2)"),
+        guarded_inv(eye + Pi2 @ Pi1, nodes, "(I + Pi2 Pi1)"),
     )
 
 
@@ -126,28 +101,23 @@ def diffusion_consistency_gap(sys: StackedSystem, pi1: RiccatiPath, pi2: Riccati
     displayed coefficients do not satisfy the exact pathwise relation
     linking the forward diffusion to Z.
     """
-    gap = 0.0
-    for i, t in enumerate(sys.grid.nodes):
-        C1, D1 = sys.C1h(t), sys.D1h(t)
-        Pi1, Pi2 = pi1.values[i], pi2.values[i]
-        inv_s, inv_12, inv_21 = _decoupling_inverses(sys, pi1, pi2, t, i)
-        mix = (Pi2 - sys.S1h(t)) @ inv_s
-        mixer = mix @ Pi1
-        display = (
-            -(D1.T @ inv_12 @ Pi1 + mixer @ D1.T @ inv_21 @ Pi1
-              - C1 @ inv_21 - mixer @ C1 @ inv_21),
-            -(D1.T @ inv_12 + mixer @ D1.T @ inv_21
-              + C1 @ inv_21 @ Pi2 + mixer @ C1 @ inv_21 @ Pi2),
-        )
-        simulated = _offset_diffusion(C1, D1, Pi1, Pi2, mix, inv_12, inv_21)
-        for a, b in zip(display, simulated):
-            gap = max(gap, float(np.max(np.abs(a - b))))
-    return gap
+    C1, D1t = sys.C1h.values, _tr(sys.D1h.values)
+    Pi1, Pi2 = pi1.values, pi2.values
+    inv_s, inv_12, inv_21 = _decoupling_inverses(sys, pi1, pi2)
+    mix = (Pi2 - sys.S1h.values) @ inv_s
+    mixer = mix @ Pi1
+    display = (
+        -(D1t @ inv_12 @ Pi1 + mixer @ D1t @ inv_21 @ Pi1
+          - C1 @ inv_21 - mixer @ C1 @ inv_21),
+        -(D1t @ inv_12 + mixer @ D1t @ inv_21
+          + C1 @ inv_21 @ Pi2 + mixer @ C1 @ inv_21 @ Pi2),
+    )
+    simulated = _offset_diffusion(C1, sys.D1h.values, Pi1, Pi2, mix, inv_12, inv_21)
+    return max(float(np.max(np.abs(a - b))) for a, b in zip(display, simulated))
 
 
 def simulate_tilde_varphi(
     sys: StackedSystem,
-    R2: CoefficientPath,
     pi1: RiccatiPath,
     pi2: RiccatiPath,
     tilde_phi: AffineBSDESolution,
@@ -164,31 +134,27 @@ def simulate_tilde_varphi(
     N = grid.steps
 
     phi = tilde_phi.phi_pathwise(bundle.W)
-    eta = tilde_phi.eta_values
+    eta = tilde_phi.eta_values[:, :, None]
+
+    A1, B1, B2 = sys.A1h.values, sys.B1h.values, sys.B2h.values
+    C1, D1, F2 = sys.C1h.values, sys.D1h.values, sys.F2h.values
+    Pi1, Pi2 = pi1.values, pi2.values
+    inv_s, inv_12, inv_21 = _decoupling_inverses(sys, pi1, pi2)
+    coupler = (D1 + Pi2 @ _tr(C1)) @ inv_s
+    mix = (Pi2 - sys.S1h.values) @ inv_s
+    drift_mat = (
+        _tr(A1) + Pi2 @ F2 - (B1 + Pi2 @ B2) @ sys.R2_inv[::2] @ _tr(B2) - coupler @ Pi1 @ C1
+    )
+    diff_varphi, diff_phi = _offset_diffusion(C1, D1, Pi1, Pi2, mix, inv_12, inv_21)
+    drift_eta = (coupler @ eta)[:, :, 0]
+    diff_eta = (mix @ eta)[:, :, 0]
 
     P = bundle.n_paths
     tv = np.zeros((P, N + 1, m))
     dt = grid.dt
     for i in range(N):
-        t = grid.nodes[i]
-        A1, B1, B2 = sys.A1h(t), sys.B1h(t), sys.B2h(t)
-        C1, F2 = sys.C1h(t), sys.F2h(t)
-        Pi1, Pi2 = pi1.values[i], pi2.values[i]
-        D1, S1 = sys.D1h(t), sys.S1h(t)
-        R2inv = guarded_inv(R2(t), t, "R2")
-        inv_s, inv_12, inv_21 = _decoupling_inverses(sys, pi1, pi2, t, i)
-        coupler = (D1 + Pi2 @ C1.T) @ inv_s
-        mix = (Pi2 - S1) @ inv_s
-
-        drift_mat = A1.T + Pi2 @ F2 - (B1 + Pi2 @ B2) @ R2inv @ B2.T - coupler @ Pi1 @ C1
-        diff_varphi, diff_phi = _offset_diffusion(C1, D1, Pi1, Pi2, mix, inv_12, inv_21)
-
-        drift = tv[:, i] @ drift_mat.T + (-coupler @ eta[i])[None]
-        noise_load = (
-            tv[:, i] @ diff_varphi.T
-            + phi[:, i] @ diff_phi.T
-            + (mix @ eta[i])[None]
-        )
+        drift = tv[:, i] @ drift_mat[i].T - drift_eta[i][None]
+        noise_load = tv[:, i] @ diff_varphi[i].T + phi[:, i] @ diff_phi[i].T + diff_eta[i][None]
         tv[:, i + 1] = tv[:, i] + drift * dt + noise_load * bundle.dW[:, i, None]
     return tv
 
@@ -259,22 +225,22 @@ def reconstruct_XYZ(
     """
     grid = sys.grid
     phi = tilde_phi.phi_pathwise(bundle.W)
-    eta = tilde_phi.eta_values
+    eta = tilde_phi.eta_values[:, :, None]
+    Pi1, Pi2 = pi1.values, pi2.values
+    inv_s, inv_12, inv_21 = _decoupling_inverses(sys, pi1, pi2)
+    x_phi = inv_21 @ Pi2
+    y_varphi = inv_12 @ Pi1
+    z_x = inv_s @ Pi1 @ sys.C1h.values
+    z_y = inv_s @ Pi1 @ _tr(sys.D1h.values)
+    z_eta = (inv_s @ eta)[:, :, 0]
 
     X = np.empty_like(phi)
     Y = np.empty_like(phi)
     Z = np.empty_like(phi)
-    for i, t in enumerate(grid.nodes):
-        Pi1, Pi2 = pi1.values[i], pi2.values[i]
-        C1, D1 = sys.C1h(t), sys.D1h(t)
-        inv_s, inv_12, inv_21 = _decoupling_inverses(sys, pi1, pi2, t, i)
-        X[:, i] = tilde_varphi[:, i] @ inv_21.T - phi[:, i] @ (inv_21 @ Pi2).T
-        Y[:, i] = -(tilde_varphi[:, i] @ (inv_12 @ Pi1).T + phi[:, i] @ inv_12.T)
-        Z[:, i] = -(
-            X[:, i] @ (inv_s @ Pi1 @ C1).T
-            + Y[:, i] @ (inv_s @ Pi1 @ D1.T).T
-            + (inv_s @ eta[i])[None]
-        )
+    for i in range(grid.steps + 1):
+        X[:, i] = tilde_varphi[:, i] @ inv_21[i].T - phi[:, i] @ x_phi[i].T
+        Y[:, i] = -(tilde_varphi[:, i] @ y_varphi[i].T + phi[:, i] @ inv_12[i].T)
+        Z[:, i] = -(X[:, i] @ z_x[i].T + Y[:, i] @ z_y[i].T + z_eta[i][None])
     return LeaderEnsemble(grid, bundle, sys.n, X, Y, Z, tilde_varphi)
 
 
@@ -288,19 +254,16 @@ def decoupling_consistency(ens: LeaderEnsemble, pi2: RiccatiPath) -> float:
     return float(np.max(np.abs(gap), initial=0.0))
 
 
-def leader_feedback(
-    sys: StackedSystem, R2: CoefficientPath, pi2: RiccatiPath, ens: LeaderEnsemble
-) -> np.ndarray:
+def leader_feedback(sys: StackedSystem, pi2: RiccatiPath, ens: LeaderEnsemble) -> np.ndarray:
     """Feedback control u2 = -R2^-1 (B1h + Pi2 B2h)^T Y - R2^-1 B2h^T varphi-tilde."""
     grid = sys.grid
     k = sys.B2h.shape[1]
     u2 = np.empty((ens.Y.shape[0], grid.steps + 1, k))
-    for i, t in enumerate(grid.nodes):
-        B1, B2 = sys.B1h(t), sys.B2h(t)
-        R2inv = guarded_inv(R2(t), t, "R2")
-        gain_y = R2inv @ (B1 + pi2.values[i] @ B2).T
-        gain_v = R2inv @ B2.T
-        u2[:, i] = -(ens.Y[:, i] @ gain_y.T + ens.tilde_varphi[:, i] @ gain_v.T)
+    R2inv, B2 = sys.R2_inv[::2], sys.B2h.values
+    gain_y = R2inv @ _tr(sys.B1h.values + pi2.values @ B2)
+    gain_v = R2inv @ _tr(B2)
+    for i in range(grid.steps + 1):
+        u2[:, i] = -(ens.Y[:, i] @ gain_y[i].T + ens.tilde_varphi[:, i] @ gain_v[i].T)
     ens.u2 = u2
     return u2
 
@@ -319,14 +282,12 @@ def equilibrium_follower_control(
     grid = spec.grid
     u1 = np.empty((ens.Y.shape[0], grid.steps + 1, k))
     u1_blk = np.empty_like(u1)
-    sel_first = np.zeros((n, 2 * n))
-    sel_first[:, :n] = np.eye(n)
-    for i, t in enumerate(grid.nodes):
-        gain = guarded_inv(spec.R1(t), t, "R1") @ spec.B1(t).T
-        stack = np.zeros((n, 2 * n))
-        stack[:, n:] = p2.values[i]
-        mat_y = gain @ (stack + sel_first @ pi2.values[i])
-        u1[:, i] = -(ens.Y[:, i] @ mat_y.T + ens.tilde_varphi[:, i, :n] @ gain.T)
+    stacked = pi2.values[:, :n].copy()  # (0, P2) + (I, 0) Pi2 at every node
+    stacked[:, :, n:] += p2.values
+    gains = spec.R1_inv[::2] @ _tr(spec.B1.values)
+    mat_y = gains @ stacked
+    for i, gain in enumerate(gains):
+        u1[:, i] = -(ens.Y[:, i] @ mat_y[i].T + ens.tilde_varphi[:, i, :n] @ gain.T)
         u1_blk[:, i] = -(ens.ybar[:, i] @ (gain @ p2.values[i]).T + ens.phibar[:, i] @ gain.T)
     gap = float(np.max(np.abs(u1 - u1_blk), initial=0.0))
     if gap > 1e-10 * max(1.0, float(np.max(np.abs(u1), initial=0.0))):
@@ -342,8 +303,21 @@ def leader_cost(spec: LQGameSpec, ens: LeaderEnsemble) -> tuple[float, float]:
     return ens.J2
 
 
+def closed_loop_drift(sys: StackedSystem, pi2: RiccatiPath) -> tuple[np.ndarray, np.ndarray]:
+    """(N+1)-node tables of the closed-loop backward equation of (Y, Z).
+
+    -dY = (M Y + C1h^T Z + f varphi-tilde) dt - Z dW with
+    M = A1h + F2h Pi2 - B2h R2^-1 (B1h + Pi2 B2h)^T and
+    f = F2h - B2h R2^-1 B2h^T; returns (M, f).
+    """
+    B2, F2, Pi2 = sys.B2h.values, sys.F2h.values, pi2.values
+    B2_R2inv = B2 @ sys.R2_inv[::2]
+    M = sys.A1h.values + F2 @ Pi2 - B2_R2inv @ _tr(sys.B1h.values + Pi2 @ B2)
+    return M, F2 - B2_R2inv @ _tr(B2)
+
+
 def leader_bsde_residual(
-    sys: StackedSystem, R2: CoefficientPath, pi2: RiccatiPath, ens: LeaderEnsemble
+    sys: StackedSystem, pi2: RiccatiPath, ens: LeaderEnsemble
 ) -> tuple[float, float]:
     """Discrete residual of the closed-loop BSDE for (Y, Z).
 
@@ -351,19 +325,11 @@ def leader_bsde_residual(
     accumulated squared step residuals (O(dt)) plus the max single-step
     residual.
     """
+    M, forcing = closed_loop_drift(sys, pi2)
+    C1 = sys.C1h.values
 
-    def drift(i, t):
-        A1, B1, B2 = sys.A1h(t), sys.B1h(t), sys.B2h(t)
-        C1, F2 = sys.C1h(t), sys.F2h(t)
-        Pi2 = pi2.values[i]
-        R2inv = guarded_inv(R2(t), t, "R2")
-        drift_y = A1 + F2 @ Pi2 - B2 @ R2inv @ (B1 + Pi2 @ B2).T
-        forcing = F2 - B2 @ R2inv @ B2.T
-        return (
-            ens.Y[:, i] @ drift_y.T
-            + ens.Z[:, i] @ C1
-            + ens.tilde_varphi[:, i] @ forcing.T
-        )
+    def drift(i):
+        return ens.Y[:, i] @ M[i].T + ens.Z[:, i] @ C1[i] + ens.tilde_varphi[:, i] @ forcing[i].T
 
     return _accumulated_residual(sys.grid, ens.Y, ens.Z, ens.bundle.dW, drift)
 
@@ -399,12 +365,12 @@ def solve_equilibrium(
     p1 = solve_p1(spec)
     p2 = solve_p2(spec, p1)
     sys = build_stacked_system(spec, p1, p2, hat_c1_source=hat_c1_source)
-    pi1 = solve_pi1(sys, spec.R2)
-    pi2 = solve_pi2(sys, spec.R2, pi1)
-    tilde_phi = solve_tilde_phi(sys, spec.R2, pi1)
-    tilde_varphi = simulate_tilde_varphi(sys, spec.R2, pi1, pi2, tilde_phi, bundle)
+    pi1 = solve_pi1(sys)
+    pi2 = solve_pi2(sys, pi1)
+    tilde_phi = solve_tilde_phi(sys, pi1)
+    tilde_varphi = simulate_tilde_varphi(sys, pi1, pi2, tilde_phi, bundle)
     ens = reconstruct_XYZ(sys, pi1, pi2, tilde_phi, tilde_varphi, bundle)
-    leader_feedback(sys, spec.R2, pi2, ens)
+    leader_feedback(sys, pi2, ens)
     equilibrium_follower_control(spec, p2, pi2, ens)
     leader_cost(spec, ens)
     return StackelbergSolution(spec, p1, p2, sys, pi1, pi2, tilde_phi, ens)
@@ -463,13 +429,10 @@ def check_leader_stationarity(
     extrapolation over the eps list.
     """
     sys, ens = sol.system, sol.ensemble
+    B1, B2, R2 = sys.B1h.values, sys.B2h.values, sol.spec.R2.values
     worst = 0.0
-    for i, t in enumerate(sys.grid.nodes):
-        r = (
-            ens.Y[:, i] @ sys.B1h(t)
-            + ens.X[:, i] @ sys.B2h(t)
-            + ens.u2[:, i] @ sol.spec.R2(t).T
-        )
+    for i in range(sys.grid.steps + 1):
+        r = ens.Y[:, i] @ B1[i] + ens.X[:, i] @ B2[i] + ens.u2[:, i] @ R2[i].T
         worst = max(worst, float(np.max(np.abs(r), initial=0.0)))
     delta = follower_response_delta(sol.spec, sol.p1, sol.p2, v, ens.bundle)
     slopes, extrapolated = directional_slopes(

@@ -2,13 +2,15 @@
 
 Everything here is immutable after construction and safe to share across
 threads.  Coefficients are stored as node samples on a uniform grid with
-linear interpolation in between, which is exactly what the RK4 integrator
-and the path simulators need.
+linear interpolation in between.  RK4 reads them only at the half steps
+t = j dt / 2, from one (2N+1)-sample table per coefficient, and the spec
+inverts R1 and R2 once, on those tables, for every consumer of a solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -55,6 +57,14 @@ class TimeGrid:
         object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "nodes", nodes)
 
+    @cached_property
+    def half_times(self) -> np.ndarray:
+        """The 2N+1 RK4 stage times j dt / 2: the nodes at even j, the midpoints at odd j."""
+        half = np.repeat(self.nodes, 2)[:-1]
+        half[1::2] += 0.5 * self.dt
+        half.setflags(write=False)
+        return half
+
     def __eq__(self, other):
         if not isinstance(other, TimeGrid):
             return NotImplemented
@@ -70,7 +80,7 @@ class CoefficientPath:
 
     values has shape (N + 1, rows, cols).  Evaluation between nodes is
     linear interpolation; node evaluation returns the stored matrix
-    bit-exactly.
+    bit-exactly.  half samples the same function at the RK4 half steps.
     """
 
     grid: TimeGrid
@@ -93,6 +103,17 @@ class CoefficientPath:
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape[1], self.values.shape[2]
+
+    @cached_property
+    def half(self) -> np.ndarray:
+        """(2N+1, rows, cols) samples at t = j dt / 2: the node values at even j,
+        the interval midpoints (the linear interpolant there) at odd j."""
+        v = self.values
+        out = np.empty((2 * v.shape[0] - 1, *v.shape[1:]))
+        out[0::2] = v
+        out[1::2] = 0.5 * (v[:-1] + v[1:])
+        out.setflags(write=False)
+        return out
 
     @classmethod
     def constant(cls, grid: TimeGrid, value) -> "CoefficientPath":
@@ -232,10 +253,33 @@ class LQGameSpec:
         if self.xi.a.shape[0] != n:
             raise SpecError(f"terminal condition has length {self.xi.a.shape[0]}, expected {n}")
 
+    @cached_property
+    def R1_inv(self) -> np.ndarray:
+        """(2N+1, k, k) half-step table of R1^-1, inverted once per spec."""
+        return _weight_inverse(self.R1, "R1")
+
+    @cached_property
+    def R2_inv(self) -> np.ndarray:
+        """(2N+1, k, k) half-step table of R2^-1, inverted once per spec."""
+        return _weight_inverse(self.R2, "R2")
+
+    @cached_property
+    def B1_R1inv_B1T(self) -> np.ndarray:
+        """(2N+1, n, n) half-step table of B1 R1^-1 B1^T."""
+        B1 = self.B1.half
+        return B1 @ self.R1_inv @ np.swapaxes(B1, 1, 2)
+
     @property
     def c_vanishes(self) -> bool:
         """True when the noise coefficient C is zero at every node (to 1e-12)."""
         return bool(np.max(np.abs(self.C.values)) < 1e-12)
+
+
+def _weight_inverse(weight: CoefficientPath, label: str) -> np.ndarray:
+    """Gated inverses of a control weight's half-step table, one batched call."""
+    from .odeint import guarded_inv  # odeint imports this module
+
+    return guarded_inv(weight.half, weight.grid.half_times, label)
 
 
 @dataclass(frozen=True)

@@ -43,9 +43,6 @@ class RiccatiPath:
     tag: str  # "P1", "P2", "Pi1" or "Pi2"
     path: CoefficientPath
 
-    def __call__(self, t: float) -> np.ndarray:
-        return self.path(t)
-
     @property
     def values(self) -> np.ndarray:
         return self.path.values
@@ -59,61 +56,69 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def p1_field(spec: LQGameSpec) -> Callable[[float, np.ndarray], np.ndarray]:
-    n = spec.dims.n
-    eye = np.eye(n)
+def _tr(stack: np.ndarray) -> np.ndarray:
+    """Transpose of every matrix in a stack."""
+    return np.swapaxes(stack, -1, -2)
 
-    def field(t, P1):
-        A, B1, C = spec.A(t), spec.B1(t), spec.C(t)
-        Q1, S1 = spec.Q1(t), spec.S1(t)
-        R1inv = guarded_inv(spec.R1(t), t, "R1")
-        inv1 = guarded_inv(P1 @ S1 + eye, t, "(P1 S1 + I)")
+
+def p1_s1_inverse(P1: np.ndarray, S1: np.ndarray, t) -> np.ndarray:
+    """(P1 S1 + I)^-1 of one matrix at time t, or of a stack at times t."""
+    return guarded_inv(P1 @ S1 + np.eye(P1.shape[-1]), t, "(P1 S1 + I)")
+
+
+def pi1_s1_inverse(Pi1: np.ndarray, S1h: np.ndarray, t) -> np.ndarray:
+    """(I + Pi1 S1-hat)^-1 of one matrix at time t, or of a stack at times t."""
+    return guarded_inv(np.eye(Pi1.shape[-1]) + Pi1 @ S1h, t, "(I + Pi1 S1-hat)")
+
+
+def p1_field(spec: LQGameSpec) -> Callable[[int, np.ndarray], np.ndarray]:
+    A, C, Q1, S1 = spec.A.half, spec.C.half, spec.Q1.half, spec.S1.half
+    gain, times = spec.B1_R1inv_B1T, spec.grid.half_times
+
+    def field(j, P1):
+        # (P1 S1 + I)^-1 depends on the RK4 iterate, so it is inverted per stage
+        inv1 = p1_s1_inverse(P1, S1[j], times[j])
         return -(
-            A @ P1 + P1 @ A.T - P1 @ Q1 @ P1 + B1 @ R1inv @ B1.T + C @ inv1 @ P1 @ C.T
+            A[j] @ P1 + P1 @ A[j].T - P1 @ Q1[j] @ P1 + gain[j] + C[j] @ inv1 @ P1 @ C[j].T
         )
 
     return field
 
 
-def p2_field(spec: LQGameSpec, p1: RiccatiPath) -> Callable[[float, np.ndarray], np.ndarray]:
-    n = spec.dims.n
-    eye = np.eye(n)
+def p2_field(spec: LQGameSpec, p1: RiccatiPath) -> Callable[[int, np.ndarray], np.ndarray]:
+    A, C, Q1 = spec.A.half, spec.C.half, spec.Q1.half
+    gain = spec.B1_R1inv_B1T
+    P1 = p1.path.half
+    noise = C @ p1_s1_inverse(P1, spec.S1.half, spec.grid.half_times) @ P1 @ _tr(C)
 
-    def field(t, P2):
-        A, B1, C = spec.A(t), spec.B1(t), spec.C(t)
-        Q1, S1, P1 = spec.Q1(t), spec.S1(t), p1(t)
-        R1inv = guarded_inv(spec.R1(t), t, "R1")
-        inv1 = guarded_inv(P1 @ S1 + eye, t, "(P1 S1 + I)")
+    def field(j, P2):
         return (
-            P2 @ A + A.T @ P2 + Q1 - P2 @ B1 @ R1inv @ B1.T @ P2
-            - P2 @ C @ inv1 @ P1 @ C.T @ P2
+            P2 @ A[j] + A[j].T @ P2 + Q1[j] - P2 @ gain[j] @ P2 - P2 @ noise[j] @ P2
         )
 
     return field
 
 
-def solve_p1(spec: LQGameSpec, symmetrize: bool = True) -> RiccatiPath:
+def solve_p1(spec: LQGameSpec) -> RiccatiPath:
     """Backward RK4 for P1 with P1(T) = 0, symmetrized per step."""
     n = spec.dims.n
-    post = _sym if symmetrize else None
     path = integrate_matrix_ode(
-        p1_field(spec), np.zeros((n, n)), spec.grid, OdeDirection.BACKWARD, postprocess=post
+        p1_field(spec), np.zeros((n, n)), spec.grid, OdeDirection.BACKWARD, postprocess=_sym
     )
     return RiccatiPath("P1", path)
 
 
-def solve_p2(spec: LQGameSpec, p1: RiccatiPath, symmetrize: bool = True) -> RiccatiPath:
-    """Forward RK4 for P2 with P2(0) = G1; may blow up in finite time."""
-    post = _sym if symmetrize else None
+def solve_p2(spec: LQGameSpec, p1: RiccatiPath) -> RiccatiPath:
+    """Forward RK4 for P2 with P2(0) = G1, symmetrized per step; may blow up in finite time."""
     path = integrate_matrix_ode(
-        p2_field(spec, p1), spec.G1, spec.grid, OdeDirection.FORWARD, postprocess=post
+        p2_field(spec, p1), spec.G1, spec.grid, OdeDirection.FORWARD, postprocess=_sym
     )
     return RiccatiPath("P2", path)
 
 
 @dataclass(frozen=True)
 class StackedSystem:
-    """Hat matrices of the leader's 2n-dimensional FBSDE."""
+    """Hat matrices of the leader's 2n-dimensional FBSDE and the leader's R2^-1."""
 
     n: int
     grid: TimeGrid
@@ -127,6 +132,12 @@ class StackedSystem:
     S1h: CoefficientPath
     G2h: np.ndarray
     xih: TerminalCondition
+    R2_inv: np.ndarray  # (2N+1, k, k) half-step table, the spec's R2_inv
+
+    def halves(self) -> tuple[np.ndarray, ...]:
+        """Half-step tables of A1h, B1h, B2h, C1h, D1h, F1h, F2h and S1h, in that order."""
+        hats = (self.A1h, self.B1h, self.B2h, self.C1h, self.D1h, self.F1h, self.F2h, self.S1h)
+        return tuple(h.half for h in hats)
 
 
 def build_stacked_system(
@@ -146,8 +157,18 @@ def build_stacked_system(
         raise ValueError(f"hat_c1_source must be 'dynamics' or 'display', got {hat_c1_source!r}")
     n, k = spec.dims.n, spec.dims.k
     grid = spec.grid
-    eye = np.eye(n)
     nn = grid.steps + 1
+
+    A, B2, C = spec.A.values, spec.B2.values, spec.C.values
+    Q2, S1, S2 = spec.Q2.values, spec.S1.values, spec.S2.values
+    P1, P2 = p1.values, p2.values
+    Ct = _tr(C)
+    gain = spec.B1_R1inv_B1T[::2]
+    inv1 = p1_s1_inverse(P1, S1, grid.nodes)
+    p1p2 = P1 @ P2 + np.eye(n)
+    second = inv1 if hat_c1_source == "dynamics" else guarded_inv(p1p2, grid.nodes, "(P1 P2 + I)")
+    p2c = P2 @ C
+    p2s1 = P2 - S1
 
     A1h = np.zeros((nn, 2 * n, 2 * n))
     B1h = np.zeros((nn, 2 * n, k))
@@ -158,39 +179,28 @@ def build_stacked_system(
     F2h = np.zeros((nn, 2 * n, 2 * n))
     S1h = np.zeros((nn, 2 * n, 2 * n))
 
-    for i, t in enumerate(grid.nodes):
-        A, B1, B2, C = spec.A(t), spec.B1(t), spec.B2(t), spec.C(t)
-        Q2, S1, S2 = spec.Q2(t), spec.S1(t), spec.S2(t)
-        P1, P2 = p1.values[i], p2.values[i]
-        R1inv = guarded_inv(spec.R1(t), t, "R1")
-        inv1 = guarded_inv(P1 @ S1 + eye, t, "(P1 S1 + I)")
+    a_cl = A - gain @ P2
+    A1h[:, :n, :n] = a_cl
+    A1h[:, n:, n:] = a_cl
+    B1h[:, :n, :] = P2 @ B2
+    B2h[:, n:, :] = B2
 
-        a_cl = A - B1 @ R1inv @ B1.T @ P2
-        A1h[i, :n, :n] = a_cl
-        A1h[i, n:, n:] = a_cl
-        B1h[i, :n, :] = P2 @ B2
-        B2h[i, n:, :] = B2
+    C1h[:, :n, :n] = p1p2 @ inv1 @ Ct - p2s1 @ second @ P1 @ Ct
+    C1h[:, n:, n:] = Ct
 
-        if hat_c1_source == "dynamics":
-            second = inv1
-        else:
-            second = guarded_inv(P1 @ P2 + eye, t, "(P1 P2 + I)")
-        C1h[i, :n, :n] = (P1 @ P2 + eye) @ inv1 @ C.T - (P2 - S1) @ second @ P1 @ C.T
-        C1h[i, n:, n:] = C.T
+    D1h[:, :n, n:] = p2c
+    D1h[:, n:, :n] = p2c @ inv1 @ p1p2 - p2c @ P1 @ inv1 @ p2s1
 
-        D1h[i, :n, n:] = P2 @ C
-        D1h[i, n:, :n] = P2 @ C @ inv1 @ (P1 @ P2 + eye) - P2 @ C @ P1 @ inv1 @ (P2 - S1)
+    F1h[:, :n, n:] = p2c @ inv1 @ P1 @ Ct @ P2
+    F1h[:, n:, :n] = p2c @ P1 @ inv1 @ Ct @ P2
+    F1h[:, n:, n:] = Q2
 
-        F1h[i, :n, n:] = P2 @ C @ inv1 @ P1 @ C.T @ P2
-        F1h[i, n:, :n] = P2 @ C @ P1 @ inv1 @ C.T @ P2
-        F1h[i, n:, n:] = Q2
+    F2h[:, :n, n:] = -gain
+    F2h[:, n:, :n] = -gain
 
-        F2h[i, :n, n:] = -B1 @ R1inv @ B1.T
-        F2h[i, n:, :n] = -B1 @ R1inv @ B1.T
-
-        S1h[i, :n, n:] = -(P2 - S1)
-        S1h[i, n:, :n] = -(P2 - S1)
-        S1h[i, n:, n:] = S2
+    S1h[:, :n, n:] = -p2s1
+    S1h[:, n:, :n] = -p2s1
+    S1h[:, n:, n:] = S2
 
     G2h = np.zeros((2 * n, 2 * n))
     G2h[n:, n:] = spec.G2
@@ -209,20 +219,20 @@ def build_stacked_system(
         CoefficientPath(grid, S1h),
         G2h,
         TerminalCondition(a_hat, b_hat),
+        spec.R2_inv,
     )
 
 
-def pi1_field(sys: StackedSystem, R2: CoefficientPath) -> Callable[[float, np.ndarray], np.ndarray]:
-    eye = np.eye(2 * sys.n)
+def pi1_field(sys: StackedSystem) -> Callable[[int, np.ndarray], np.ndarray]:
+    tables, R2inv, times = sys.halves(), sys.R2_inv, sys.grid.half_times
 
-    def field(t, Pi1):
-        A1, B1, B2 = sys.A1h(t), sys.B1h(t), sys.B2h(t)
-        C1, D1, F1, F2, S1 = sys.C1h(t), sys.D1h(t), sys.F1h(t), sys.F2h(t), sys.S1h(t)
-        R2inv = guarded_inv(R2(t), t, "R2")
-        inv_s = guarded_inv(eye + Pi1 @ S1, t, "(I + Pi1 S1-hat)")
+    def field(j, Pi1):
+        A1, B1, B2, C1, D1, F1, F2, S1 = (h[j] for h in tables)
+        # (I + Pi1 S1-hat)^-1 depends on the RK4 iterate, so it is inverted per stage
+        inv_s = pi1_s1_inverse(Pi1, S1, times[j])
         return -(
             A1 @ Pi1 + Pi1 @ A1.T - Pi1 @ F1 @ Pi1
-            + (Pi1 @ B1 - B2) @ R2inv @ (B1.T @ Pi1 - B2.T)
+            + (Pi1 @ B1 - B2) @ R2inv[j] @ (B1.T @ Pi1 - B2.T)
             + (C1.T - Pi1 @ D1) @ inv_s @ Pi1 @ (C1 - D1.T @ Pi1)
             - F2
         )
@@ -230,48 +240,40 @@ def pi1_field(sys: StackedSystem, R2: CoefficientPath) -> Callable[[float, np.nd
     return field
 
 
-def pi2_field(
-    sys: StackedSystem, R2: CoefficientPath, pi1: RiccatiPath
-) -> Callable[[float, np.ndarray], np.ndarray]:
-    eye = np.eye(2 * sys.n)
+def pi2_field(sys: StackedSystem, pi1: RiccatiPath) -> Callable[[int, np.ndarray], np.ndarray]:
+    tables, R2inv = sys.halves(), sys.R2_inv
+    Pi1 = pi1.path.half
+    inv_s = pi1_s1_inverse(Pi1, sys.S1h.half, sys.grid.half_times)
 
-    def field(t, Pi2):
-        A1, B1, B2 = sys.A1h(t), sys.B1h(t), sys.B2h(t)
-        C1, D1, F1, F2, S1 = sys.C1h(t), sys.D1h(t), sys.F1h(t), sys.F2h(t), sys.S1h(t)
-        Pi1 = pi1(t)
-        R2inv = guarded_inv(R2(t), t, "R2")
-        inv_s = guarded_inv(eye + Pi1 @ S1, t, "(I + Pi1 S1-hat)")
+    def field(j, Pi2):
+        A1, B1, B2, C1, D1, F1, F2, _ = (h[j] for h in tables)
         gain = B1 + Pi2 @ B2
         return (
             Pi2 @ A1 + A1.T @ Pi2 + Pi2 @ F2 @ Pi2
-            - gain @ R2inv @ gain.T
-            - (D1 + Pi2 @ C1.T) @ inv_s @ Pi1 @ (D1.T + C1 @ Pi2)
+            - gain @ R2inv[j] @ gain.T
+            - (D1 + Pi2 @ C1.T) @ inv_s[j] @ Pi1[j] @ (D1.T + C1 @ Pi2)
             + F1
         )
 
     return field
 
 
-def solve_pi1(sys: StackedSystem, R2: CoefficientPath, symmetrize: bool = True) -> RiccatiPath:
-    """Backward RK4 for Pi1 with Pi1(T) = 0."""
-    post = _sym if symmetrize else None
+def solve_pi1(sys: StackedSystem) -> RiccatiPath:
+    """Backward RK4 for Pi1 with Pi1(T) = 0, symmetrized per step."""
     path = integrate_matrix_ode(
-        pi1_field(sys, R2),
+        pi1_field(sys),
         np.zeros((2 * sys.n, 2 * sys.n)),
         sys.grid,
         OdeDirection.BACKWARD,
-        postprocess=post,
+        postprocess=_sym,
     )
     return RiccatiPath("Pi1", path)
 
 
-def solve_pi2(
-    sys: StackedSystem, R2: CoefficientPath, pi1: RiccatiPath, symmetrize: bool = True
-) -> RiccatiPath:
-    """Forward RK4 for Pi2 with Pi2(0) = G2-hat."""
-    post = _sym if symmetrize else None
+def solve_pi2(sys: StackedSystem, pi1: RiccatiPath) -> RiccatiPath:
+    """Forward RK4 for Pi2 with Pi2(0) = G2-hat, symmetrized per step."""
     path = integrate_matrix_ode(
-        pi2_field(sys, R2, pi1), sys.G2h, sys.grid, OdeDirection.FORWARD, postprocess=post
+        pi2_field(sys, pi1), sys.G2h, sys.grid, OdeDirection.FORWARD, postprocess=_sym
     )
     return RiccatiPath("Pi2", path)
 
@@ -360,11 +362,12 @@ def pi2_closed_form(
 
 
 def riccati_residual(
-    ric: RiccatiPath, field: Callable[[float, np.ndarray], np.ndarray]
+    ric: RiccatiPath, field: Callable[[int, np.ndarray], np.ndarray]
 ) -> tuple[float, float]:
     """Max norm of (central-difference derivative - field) at interior nodes.
 
-    Returns (max residual, time of the max).  Second-order differencing:
+    field takes the half-step index (node i is index 2 i), as the *_field
+    factories return it.  Returns (max residual, time of the max).  Second-order differencing:
     the residual of a well-resolved solve shrinks ~4x when N doubles.
     """
     grid = ric.path.grid
@@ -375,7 +378,7 @@ def riccati_residual(
     worst, at = -1.0, 0.0
     for i in range(1, grid.steps):
         deriv = (vals[i + 1] - vals[i - 1]) / (2.0 * dt)
-        r = float(np.max(np.abs(deriv - field(grid.nodes[i], vals[i]))))
+        r = float(np.max(np.abs(deriv - field(2 * i, vals[i]))))
         if r > worst:
             worst, at = r, float(grid.nodes[i])
     return worst, at

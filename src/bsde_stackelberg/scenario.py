@@ -71,7 +71,10 @@ def scenario_from_dict(doc: dict, steps: int | None = None, sha256: str = "") ->
     d = dims_doc.pop("d", 1)
     if d != 1:
         raise SpecError(f"dims.d must be 1 (the model has one Brownian motion), got {d!r}")
-    dims = Dimensions(**{k: int(v) for k, v in dims_doc.items()})
+    unknown = sorted(set(dims_doc) - {"n", "k"})
+    if unknown:
+        raise SpecError(f"unknown dims keys {unknown}; expected n, k and d")
+    dims = Dimensions(int(dims_doc["n"]), int(dims_doc.get("k", 1)))
     grid = TimeGrid(float(doc["horizon"]), int(steps or doc["steps"]))
     coeffs = {
         name: _parse_path(doc["coefficients"][name], grid, shape, name)

@@ -81,8 +81,8 @@ class TestAcceptance:
         t0 = time.perf_counter()
         p1, p2 = hand_riccati
         sys = bs.build_stacked_system(hand_spec, p1, p2)
-        pi1 = bs.solve_pi1(sys, hand_spec.R2)
-        pi2 = bs.solve_pi2(sys, hand_spec.R2, pi1)
+        pi1 = bs.solve_pi1(sys)
+        pi2 = bs.solve_pi2(sys, pi1)
         cf1, rep1 = bs.pi1_closed_form(sys, hand_spec.R2, hand_spec.grid)
         cf2, rep2 = bs.pi2_closed_form(sys, hand_spec.R2, hand_spec.grid)
         gap = max(
@@ -257,10 +257,8 @@ class TestAcceptance:
         fine = sample_brownian(fine_spec.grid, 128, 4)
         sol_f = bs.solve_equilibrium(fine_spec, bundle=fine)
         sol_c = bs.solve_equilibrium(coarse_spec, bundle=coarsen(fine, 2))
-        rms_f, _ = leader_bsde_residual(sol_f.system, fine_spec.R2, sol_f.pi2, sol_f.ensemble)
-        rms_c, _ = leader_bsde_residual(
-            sol_c.system, coarse_spec.R2, sol_c.pi2, sol_c.ensemble
-        )
+        rms_f, _ = leader_bsde_residual(sol_f.system, sol_f.pi2, sol_f.ensemble)
+        rms_c, _ = leader_bsde_residual(sol_c.system, sol_c.pi2, sol_c.ensemble)
         ratio = rms_c / rms_f
         ok = min_order >= 3.5 and abs(ratio - 2.0) <= 0.4
         report(

@@ -14,15 +14,20 @@ from bsde_stackelberg.follower import (
 from bsde_stackelberg.sampling import coarsen, sample_brownian
 
 
+def half_table(grid, value):
+    """A constant 1 x 1 coefficient as the (2N+1)-sample half-step table."""
+    return bs.CoefficientPath.constant(grid, value).half
+
+
 class TestAffineBSDE:
     def test_scalar_linear_bsde_closed_form(self):
         # -d(phi) = phi dt - eta dW, phi(T) = 1: phi(t) = e^(T - t), eta = 0
         g = bs.TimeGrid(1.0, 128)
         sol = solve_affine_bsde(
-            lambda t: np.eye(1),
-            lambda t: np.zeros((1, 1)),
-            lambda t: np.zeros((1, 1)),
-            lambda t: np.zeros((1, 1)),
+            half_table(g, 1.0),
+            half_table(g, 0.0),
+            half_table(g, 0.0),
+            half_table(g, 0.0),
             np.ones(1),
             np.zeros((1, 1)),
             g,
@@ -36,10 +41,10 @@ class TestAffineBSDE:
         # -d(phi) = -eta dW, phi(T) = W(T): phi(t) = W(t), so alpha = 0, beta = 1
         g = bs.TimeGrid(1.0, 64)
         sol = solve_affine_bsde(
-            lambda t: np.zeros((1, 1)),
-            lambda t: np.zeros((1, 1)),
-            lambda t: np.zeros((1, 1)),
-            lambda t: np.zeros((1, 1)),
+            half_table(g, 0.0),
+            half_table(g, 0.0),
+            half_table(g, 0.0),
+            half_table(g, 0.0),
             np.zeros(1),
             np.ones((1, 1)),
             g,
@@ -50,10 +55,10 @@ class TestAffineBSDE:
     def test_pathwise_evaluation(self):
         g = bs.TimeGrid(1.0, 8)
         sol = solve_affine_bsde(
-            lambda t: np.zeros((1, 1)),
-            lambda t: np.zeros((1, 1)),
-            lambda t: np.zeros((1, 1)),
-            lambda t: np.zeros((1, 1)),
+            half_table(g, 0.0),
+            half_table(g, 0.0),
+            half_table(g, 0.0),
+            half_table(g, 0.0),
             np.array([2.0]),
             np.array([[3.0]]),
             g,

@@ -28,6 +28,18 @@ def zero_spec(steps=32):
     )
 
 
+def two_state_stochastic_spec(steps):
+    """n = 2 game with non-symmetric A, C != 0 and a random terminal datum."""
+    return make_constant_spec(
+        1.0, steps,
+        A=[[0.1, 1.5], [-1.5, 0.2]], B1=[[1.0], [0.3]], B2=[[0.2], [1.0]],
+        C=[[0.3, 0.2], [-0.1, 0.25]],
+        Q1=[[0.5, 0.1], [0.1, 0.4]], R1=1.0, S1=[[0.2, 0.05], [0.05, 0.1]], G1=0.5 * np.eye(2),
+        Q2=[[0.3, 0.0], [0.0, 0.2]], R2=1.0, S2=0.1 * np.eye(2), G2=np.eye(2),
+        a=[0.5, -0.3], b=[1.0, 0.5],
+    )
+
+
 class TestAuxiliaryBackward:
     def test_zero_terminal_gives_zero_offsets(self):
         sol = bs.solve_equilibrium(zero_spec(), mc=bs.MonteCarloConfig(4, 0))
@@ -157,16 +169,17 @@ class TestForwardOffsetDiffusion:
         assert gap > 1e-6
 
     def test_residual_halves_with_dt_consistent_mode(self):
-        fine_spec = bs.stochastic_scenario(steps=512)
-        coarse_spec = bs.stochastic_scenario(steps=256)
-        fine = sample_brownian(fine_spec.grid, 64, 11)
-        sol_f = bs.solve_equilibrium(fine_spec, bundle=fine)
-        sol_c = bs.solve_equilibrium(coarse_spec, bundle=coarsen(fine, 2))
-        rms_f, _ = leader_bsde_residual(sol_f.system, fine_spec.R2, sol_f.pi2, sol_f.ensemble)
-        rms_c, _ = leader_bsde_residual(
-            sol_c.system, coarse_spec.R2, sol_c.pi2, sol_c.ensemble
-        )
-        assert rms_c / rms_f == pytest.approx(2.0, rel=0.25)
+        # n = 1, and n = 2 with a non-symmetric A1-hat, whose transpose in the
+        # forward offset's drift only a multi-state game can see
+        for scenario in (bs.stochastic_scenario, two_state_stochastic_spec):
+            fine_spec = scenario(steps=512)
+            coarse_spec = scenario(steps=256)
+            fine = sample_brownian(fine_spec.grid, 64, 11)
+            sol_f = bs.solve_equilibrium(fine_spec, bundle=fine)
+            sol_c = bs.solve_equilibrium(coarse_spec, bundle=coarsen(fine, 2))
+            rms_f, _ = leader_bsde_residual(sol_f.system, sol_f.pi2, sol_f.ensemble)
+            rms_c, _ = leader_bsde_residual(sol_c.system, sol_c.pi2, sol_c.ensemble)
+            assert rms_c / rms_f == pytest.approx(2.0, rel=0.25), scenario.__name__
 
 
 class TestCsv:

@@ -74,6 +74,23 @@ class TestGuardedInverse:
     def test_nonfinite_raises(self):
         with pytest.raises(bs.SingularityError):
             guarded_inv(np.array([[np.nan]]), 0.0, "m")
+        stack = np.stack([np.eye(2), np.full((2, 2), np.inf), np.eye(2)])
+        with pytest.raises(bs.SingularityError) as e:
+            guarded_inv(stack, np.array([0.0, 0.5, 1.0]), "m")
+        assert e.value.t == 0.5
+
+    def test_stack_inverted_entrywise(self):
+        rng = np.random.default_rng(4)
+        stack = rng.normal(size=(5, 3, 3)) + 3.0 * np.eye(3)
+        inv = guarded_inv(stack, np.linspace(0.0, 1.0, 5), "m")
+        for m, m_inv in zip(stack, inv):
+            np.testing.assert_allclose(m_inv @ m, np.eye(3), rtol=0, atol=1e-13)
+
+    def test_stack_singular_entry_named_by_time_and_label(self):
+        stack = np.stack([np.eye(2), 2.0 * np.eye(2), np.ones((2, 2)), np.zeros((2, 2))])
+        with pytest.raises(bs.SingularityError) as e:
+            guarded_inv(stack, np.array([0.0, 0.25, 0.5, 0.75]), "(stack)")
+        assert e.value.t == 0.5 and e.value.label == "(stack)"
 
 
 class TestMatrixExponential:

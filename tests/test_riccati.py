@@ -123,19 +123,19 @@ class TestLeaderRiccati:
     def test_pi_solves_and_residuals(self, hand_spec, hand_riccati):
         p1, p2 = hand_riccati
         sys = bs.build_stacked_system(hand_spec, p1, p2)
-        pi1 = bs.solve_pi1(sys, hand_spec.R2)
-        pi2 = bs.solve_pi2(sys, hand_spec.R2, pi1)
+        pi1 = bs.solve_pi1(sys)
+        pi2 = bs.solve_pi2(sys, pi1)
         assert np.max(np.abs(pi1.values[-1])) == 0.0  # terminal condition
         np.testing.assert_allclose(pi2.values[0], sys.G2h, atol=0)
-        r1, _ = bs.riccati_residual(pi1, pi1_field(sys, hand_spec.R2))
-        r2, _ = bs.riccati_residual(pi2, pi2_field(sys, hand_spec.R2, pi1))
+        r1, _ = bs.riccati_residual(pi1, pi1_field(sys))
+        r2, _ = bs.riccati_residual(pi2, pi2_field(sys, pi1))
         assert r1 < 1e-4 and r2 < 1e-4
 
     def test_closed_forms_match_rk4(self, hand_spec, hand_riccati):
         p1, p2 = hand_riccati
         sys = bs.build_stacked_system(hand_spec, p1, p2)
-        pi1 = bs.solve_pi1(sys, hand_spec.R2)
-        pi2 = bs.solve_pi2(sys, hand_spec.R2, pi1)
+        pi1 = bs.solve_pi1(sys)
+        pi2 = bs.solve_pi2(sys, pi1)
         cf1, rep1 = bs.pi1_closed_form(sys, hand_spec.R2, hand_spec.grid)
         cf2, rep2 = bs.pi2_closed_form(sys, hand_spec.R2, hand_spec.grid)
         assert rep1.satisfied and rep2.satisfied

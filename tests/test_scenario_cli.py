@@ -172,6 +172,18 @@ class TestCliValidate:
         assert err.count("\n") == 1 and "dims.d" in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("dims", [{"n": 1, "k": 1, "m": 1}, {"k": 1}], ids=["unknown", "no_n"])
+    @pytest.mark.parametrize("command", ["validate", "follower"])
+    def test_bad_dims_keys_exit_one(self, tmp_path, hand_doc, capsys, command, dims):
+        hand_doc["dims"] = dims
+        scn = write_scenario(tmp_path, hand_doc)
+        rc = main([command, "--scenario", str(scn), "--out", str(tmp_path / "o"), "--paths", "4"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "'m'" in err if "m" in dims else "'n'" in err
+
+
 class TestCliPipelines:
     def test_invalid_scenario_blocks_solver_commands(self, tmp_path, hand_doc):
         hand_doc["coefficients"]["R1"] = {"constant": [-1.0]}
