@@ -19,6 +19,7 @@ from .model import (
     validate_spec,
 )
 from .odeint import (
+    ConsistencyError,
     DivergenceError,
     OdeDirection,
     SingularityError,
@@ -59,6 +60,8 @@ from .leader import (
     check_leader_stationarity,
     diffusion_consistency_gap,
     equilibrium_follower_control,
+    equilibrium_follower_cost,
+    equilibrium_follower_stationarity,
     leader_bsde_residual,
     leader_cost,
     leader_feedback,

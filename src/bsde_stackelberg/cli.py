@@ -18,7 +18,7 @@ from . import follower as fol
 from . import leader as led
 from .finance import consumption_equilibrium, consumption_paths_csv, initial_reserve
 from .model import AffineControl, SpecError, validate_spec
-from .odeint import DivergenceError, SingularityError
+from .odeint import ConsistencyError, DivergenceError, SingularityError
 from .oracle import (
     build_discrete_problem,
     control_rms_gap,
@@ -84,14 +84,17 @@ def _write_text(out: Path, name: str, text: str):
     (out / name).write_text(text)
 
 
-def _provenance(scn: Scenario, args) -> dict:
-    return {
+def _write_summary(out: Path, summary: dict, scn: Scenario, args):
+    """Write summary.json with the run's provenance added, and print it."""
+    summary.update({
         "scenario_sha256": scn.sha256,
         "tolerance_profile": args.tolerance,
         "steps": scn.spec.grid.steps,
         "paths": args.paths,
         "seed": args.seed,
-    }
+    })
+    _write_json(out, "summary.json", summary)
+    print(json.dumps(_jsonable(summary), indent=2, sort_keys=True))
 
 
 def _validation_payload(scn: Scenario) -> tuple[dict, bool]:
@@ -114,9 +117,7 @@ def _validation_payload(scn: Scenario) -> tuple[dict, bool]:
 
 def cmd_validate(scn: Scenario, out: Path, args) -> int:
     payload, passed = _validation_payload(scn)
-    payload.update(_provenance(scn, args))
-    _write_json(out, "summary.json", payload)
-    print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
+    _write_summary(out, payload, scn, args)
     return 0 if passed else EXIT_VALIDATION
 
 
@@ -166,15 +167,13 @@ def cmd_riccati(scn: Scenario, out: Path, args) -> int:
             r.tag.lower(): r.max_asymmetry() for r in (p1, p2, pi1, pi2)
         },
     }
-    summary.update(_provenance(scn, args))
-    _write_json(out, "summary.json", summary)
-    print(json.dumps(_jsonable(summary), indent=2, sort_keys=True))
+    _write_summary(out, summary, scn, args)
     return 0
 
 
 def _follower_terminal_defect(spec, ens) -> float:
-    xi = spec.xi.on_paths(ens.bundle.W[:, -1])
-    return float(np.max(np.abs(ens.y[:, -1] - xi), initial=0.0))
+    xi = spec.xi.on_paths(ens.bundle.W[-1])
+    return float(np.max(np.abs(ens.y[-1] - xi), initial=0.0))
 
 
 def cmd_follower(scn: Scenario, out: Path, args) -> int:
@@ -197,9 +196,7 @@ def cmd_follower(scn: Scenario, out: Path, args) -> int:
         "bsde_residual_rms": rms,
         "bsde_residual_max": rmax,
     }
-    summary.update(_provenance(scn, args))
-    _write_json(out, "summary.json", summary)
-    print(json.dumps(_jsonable(summary), indent=2, sort_keys=True))
+    _write_summary(out, summary, scn, args)
     return 0
 
 
@@ -211,18 +208,13 @@ def cmd_leader(scn: Scenario, out: Path, args) -> int:
     rms, rmax = led.leader_bsde_residual(sol.system, sol.pi2, ens)
     direction = AffineControl.constant(spec.grid, np.ones(spec.dims.k))
     lead_stat = led.check_leader_stationarity(sol, direction)
-    # follower optimality along the equilibrium trajectory, whose adjoint
-    # state is x = P2 ybar + phibar
-    x = (ens.ybar.swapaxes(0, 1) @ np.swapaxes(sol.p2.values, 1, 2)).swapaxes(0, 1) + ens.phibar
-    J1 = fol.quadratic_cost(
-        spec.grid, ens.ybar, ens.u1, ens.zbar, spec.Q1, spec.R1, spec.S1, spec.G1
-    )
+    J1 = led.equilibrium_follower_cost(spec, ens)
     _write_text(out, "paths_leader.csv", led.leader_paths_csv(ens, CSV_PATH_CAP))
     summary = {
         "J1": {"mean": J1[0], "stderr": J1[1]},
         "J2": {"mean": ens.J2[0], "stderr": ens.J2[1]},
         "stationarity": {
-            "follower": fol.stationarity_residual(spec, x, ens.u1),
+            "follower": led.equilibrium_follower_stationarity(spec, sol.p2, ens),
             "leader": lead_stat["algebraic_residual"],
             "leader_extrapolated_slope": lead_stat["extrapolated_slope"],
         },
@@ -232,9 +224,7 @@ def cmd_leader(scn: Scenario, out: Path, args) -> int:
         "bsde_residual_rms": rms,
         "bsde_residual_max": rmax,
     }
-    summary.update(_provenance(scn, args))
-    _write_json(out, "summary.json", summary)
-    print(json.dumps(_jsonable(summary), indent=2, sort_keys=True))
+    _write_summary(out, summary, scn, args)
     return 0
 
 
@@ -246,10 +236,7 @@ def cmd_finance(scn: Scenario, out: Path, args) -> int:
     cs = consumption_equilibrium(scn.market, mc=mc)
     reserve = initial_reserve(cs.solution)
     ens = cs.solution.ensemble
-    spec = cs.solution.spec
-    J1 = fol.quadratic_cost(
-        spec.grid, ens.ybar, ens.u1, ens.zbar, spec.Q1, spec.R1, spec.S1, spec.G1
-    )
+    J1 = led.equilibrium_follower_cost(cs.solution.spec, ens)
     _write_text(out, "paths_finance.csv", consumption_paths_csv(cs, CSV_PATH_CAP))
     summary = {
         "initial_reserve": cs.initial_reserve,
@@ -262,9 +249,7 @@ def cmd_finance(scn: Scenario, out: Path, args) -> int:
             "gap": reserve["gap"],
         },
     }
-    summary.update(_provenance(scn, args))
-    _write_json(out, "summary.json", summary)
-    print(json.dumps(_jsonable(summary), indent=2, sort_keys=True))
+    _write_summary(out, summary, scn, args)
     return 0
 
 
@@ -289,7 +274,7 @@ def cmd_verify(scn: Scenario, out: Path, args) -> int:
     fol_rep = oracle_report(
         fol_oracle.cost,
         fol_ens.J1[0],
-        control_rms_gap(fol_oracle.control, fol_ens.u1[0]),
+        control_rms_gap(fol_oracle.control, fol_ens.u1[:, 0]),
         spec.grid.steps,
     )
 
@@ -298,7 +283,7 @@ def cmd_verify(scn: Scenario, out: Path, args) -> int:
     led_rep = oracle_report(
         led_oracle.cost,
         sol.ensemble.J2[0],
-        control_rms_gap(led_oracle.control, sol.ensemble.u2[0]),
+        control_rms_gap(led_oracle.control, sol.ensemble.u2[:, 0]),
         spec.grid.steps,
     )
     payload = {"follower": fol_rep, "leader": led_rep}
@@ -308,9 +293,7 @@ def cmd_verify(scn: Scenario, out: Path, args) -> int:
         and led_rep["rel_gap"] <= profile["leader_rel_gap"]
     )
     summary = {"oracle": payload, "passed": ok, "thresholds": profile}
-    summary.update(_provenance(scn, args))
-    _write_json(out, "summary.json", summary)
-    print(json.dumps(_jsonable(summary), indent=2, sort_keys=True))
+    _write_summary(out, summary, scn, args)
     return 0 if ok else EXIT_VALIDATION
 
 
@@ -359,7 +342,7 @@ def main(argv=None) -> int:
 
     try:
         return COMMANDS[args.command](scn, Path(args.out), args)
-    except (DivergenceError, SingularityError, UnsolvableError) as e:
+    except (DivergenceError, SingularityError, UnsolvableError, ConsistencyError) as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as e:

@@ -25,6 +25,7 @@ from .model import (
     TimeGrid,
     validate_spec,
 )
+from .odeint import ConsistencyError
 from .riccati import RiccatiPath, solve_p1, solve_p2
 from .sampling import MonteCarloConfig
 
@@ -137,7 +138,7 @@ def scalar_p1(m: MarketParams) -> RiccatiPath:
     if _constant_market(m):
         gap = float(np.max(np.abs(p1.values[:, 0, 0] - p1_closed_form(m))))
         if gap > 1e-8:
-            raise AssertionError(f"P1 disagrees with its closed form by {gap:.3e}")
+            raise ConsistencyError(f"P1 disagrees with its closed form by {gap:.3e}")
     return p1
 
 
@@ -191,8 +192,9 @@ def specialized_stacked_matrices(
 class ConsumptionSolution:
     """Equilibrium consumption plan with market-named views.
 
-    c1, c2 are the two consumption-rate controls, wealth the backward
-    state, portfolio the risky position z / sigma.  Y0 is the
+    c1, c2 are the two consumption-rate controls and wealth the backward
+    state, each (N+1, paths, 1); portfolio is the risky position
+    z / sigma, (N+1, paths).  Y0 is the
     2-dimensional initial backward value; the initial reserve is its
     second (wealth) component.
     """
@@ -219,9 +221,9 @@ def consumption_equilibrium(
     spec = build_finance_spec(m)
     sol = solve_equilibrium(spec, mc=mc, hat_c1_source="display")
     ens = sol.ensemble
-    sigma = m.sigma.values[None, :, 0, 0]
+    sigma = m.sigma.values[:, :, 0]  # (N+1, 1)
     portfolio = ens.zbar[:, :, 0] / sigma
-    Y0 = ens.Y[:, 0].mean(axis=0)
+    Y0 = ens.Y[0].mean(axis=0)
     return ConsumptionSolution(
         sol, m, ens.u1, ens.u2, ens.ybar, portfolio, Y0, float(Y0[1])
     )
@@ -277,7 +279,7 @@ def gamma_propagator(sol: StackelbergSolution, t: float, s: float, path: int) ->
     gamma = np.eye(m)[None]
     dW = sol.ensemble.bundle.dW
     for i in range(i0, i1):
-        gamma = _gamma_step(gamma, a[i], a[i + 1], c[i], grid.dt, dW[path : path + 1, i])
+        gamma = _gamma_step(gamma, a[i], a[i + 1], c[i], grid.dt, dW[i, path : path + 1])
     return gamma[0]
 
 
@@ -303,20 +305,20 @@ def initial_reserve(sol: StackelbergSolution) -> dict:
     w_end = 0.5 * dt
 
     def integrand(i, g):
-        f = np.einsum("ij,pj->pi", forcing[i], ens.tilde_varphi[:, i])
+        f = np.einsum("ij,pj->pi", forcing[i], ens.tilde_varphi[i])
         return np.einsum("pji,pj->pi", g, f)
 
     integral += w_end * integrand(0, gamma)
     for i in range(grid.steps):
-        gamma = _gamma_step(gamma, a[i], a[i + 1], c[i], dt, dW[:, i])
+        gamma = _gamma_step(gamma, a[i], a[i + 1], c[i], dt, dW[i])
         w = w_end if i == grid.steps - 1 else dt
         integral += w * integrand(i + 1, gamma)
 
-    xi_hat = sys.xih.on_paths(ens.bundle.W[:, -1])
+    xi_hat = sys.xih.on_paths(ens.bundle.W[-1])
     per_path = np.einsum("pji,pj->pi", gamma, xi_hat) + integral
     estimate = per_path.mean(axis=0)
     stderr = per_path.std(axis=0, ddof=1) / np.sqrt(P) if P > 1 else np.zeros(m)
-    pipeline_Y0 = ens.Y[:, 0].mean(axis=0)
+    pipeline_Y0 = ens.Y[0].mean(axis=0)
     return {
         "mc_estimate": estimate,
         "stderr": stderr,

@@ -7,17 +7,20 @@ control is affine in W(t).  That reduces every BSDE here to a pair of
 terminal-value ODEs; the only sampling error left is the Euler scheme
 for the auxiliary SDE and the decoupled state reconstruction is exact
 pathwise at the terminal and initial nodes.
+
+Path arrays are time-major, (N+1, paths, dim): node i of every path is
+one contiguous (paths, dim) block, and every node-wise relation is one
+stacked matmul against an (N+1, dim, dim) table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .model import AffineControl, CoefficientPath, LQGameSpec, TerminalCondition, TimeGrid
-from .odeint import OdeDirection, guarded_inv, integrate_matrix_ode
+from .model import AffineControl, CoefficientPath, LQGameSpec, TimeGrid
+from .odeint import OdeDirection, check_forms_agree, guarded_inv, integrate_matrix_ode
 from .oracle import directional_slopes
 from .riccati import RiccatiPath, _tr, p1_s1_inverse
 from .sampling import MonteCarloConfig, PathBundle, sample_brownian
@@ -31,10 +34,8 @@ class AffineBSDESolution:
     beta: CoefficientPath  # m x 1
 
     def phi_pathwise(self, W: np.ndarray) -> np.ndarray:
-        """(paths, N+1, m) values of phi along Brownian paths."""
-        a = self.alpha.values[:, :, 0]  # (N+1, m)
-        b = self.beta.values[:, :, 0]
-        return a[None] + W[:, :, None] * b[None]
+        """(N+1, paths, m) values of phi along Brownian paths W (N+1, paths)."""
+        return _affine_pathwise(self.alpha, self.beta, W)
 
     @property
     def eta_values(self) -> np.ndarray:
@@ -93,11 +94,14 @@ def p2_p1_inverse(p1: RiccatiPath, p2: RiccatiPath) -> np.ndarray:
     return guarded_inv(np.eye(P1.shape[-1]) + P2 @ P1, p1.path.grid.nodes, "(I + P2 P1)")
 
 
+def _affine_pathwise(const: CoefficientPath, lin: CoefficientPath, W: np.ndarray) -> np.ndarray:
+    """(N+1, paths, m) values of const(t) + lin(t) W(t) for m x 1 coefficients."""
+    return const.values[:, None, :, 0] + W[:, :, None] * lin.values[:, None, :, 0]
+
+
 def _u2_pathwise(u2: AffineControl, W: np.ndarray) -> np.ndarray:
-    """(paths, N+1, k) leader control values along paths."""
-    uc = u2.u_const.values[:, :, 0]
-    ul = u2.u_lin.values[:, :, 0]
-    return uc[None] + W[:, :, None] * ul[None]
+    """(N+1, paths, k) leader control values along paths."""
+    return _affine_pathwise(u2.u_const, u2.u_lin, W)
 
 
 def simulate_varphi(
@@ -105,23 +109,17 @@ def simulate_varphi(
     p1: RiccatiPath,
     p2: RiccatiPath,
     phieta: AffineBSDESolution,
-    u2: AffineControl,
+    phi: np.ndarray,
+    u2p: np.ndarray,
     bundle: PathBundle,
 ) -> np.ndarray:
     """Euler-Maruyama for the adjoint-offset SDE, varphi(0) = 0.
 
-    Returns (paths, N+1, n).  Drift and diffusion matrices are assembled
-    at the left node of each step; phi and eta enter through the affine
-    representation evaluated on the same Brownian paths.
+    Returns (N+1, paths, n).  Drift and diffusion matrices are assembled
+    at the left node of each step; phi = phieta.phi_pathwise(bundle.W)
+    and the leader control u2p enter as (N+1, paths, dim) path arrays.
     """
-    n = spec.dims.n
-    grid = spec.grid
-    N = grid.steps
-
-    phi = phieta.phi_pathwise(bundle.W)
-    eta = phieta.eta_values[:, :, None]
-    u2p = _u2_pathwise(u2, bundle.W)
-
+    n, grid, eta = spec.dims.n, spec.grid, phieta.eta_values[:, :, None]
     A, B2, C, S1 = spec.A.values, spec.B2.values, spec.C.values, spec.S1.values
     P1, P2 = p1.values, p2.values
     Ct = _tr(C)
@@ -133,13 +131,13 @@ def simulate_varphi(
     diff_phi = diff_mat @ P2
     diff_eta = ((P2 - S1) @ inv1 @ eta)[:, :, 0]
 
-    P = bundle.n_paths
-    varphi = np.zeros((P, N + 1, n))
-    dt = grid.dt
-    for i in range(N):
-        drift = varphi[:, i] @ drift_mat[i].T + u2p[:, i] @ drift_u2[i].T - drift_eta[i][None]
-        diffusion = varphi[:, i] @ diff_mat[i].T - phi[:, i] @ diff_phi[i].T + diff_eta[i][None]
-        varphi[:, i + 1] = varphi[:, i] + drift * dt + diffusion * bundle.dW[:, i, None]
+    varphi = np.zeros((grid.steps + 1, bundle.n_paths, n))
+    dt, dW = grid.dt, bundle.dW
+    for i in range(grid.steps):
+        v = varphi[i]
+        drift = v @ drift_mat[i].T + u2p[i] @ drift_u2[i].T - drift_eta[i]
+        diffusion = v @ diff_mat[i].T - phi[i] @ diff_phi[i].T + diff_eta[i]
+        varphi[i + 1] = v + drift * dt + diffusion * dW[i, :, None]
     return varphi
 
 
@@ -147,7 +145,7 @@ def simulate_varphi(
 class FollowerEnsemble:
     """Pathwise follower solution on a Brownian ensemble.
 
-    Arrays are (paths, N+1, dim): x is the adjoint state, (y, z) the
+    Arrays are (N+1, paths, dim): x is the adjoint state, (y, z) the
     backward state pair, u1 the feedback control and u1_adjoint its
     algebraically equal adjoint representation.
     """
@@ -163,42 +161,37 @@ class FollowerEnsemble:
     u2: np.ndarray = None
     J1: tuple[float, float] = None
 
-    @property
-    def seed(self) -> int:
-        return self.bundle.seed
-
 
 def reconstruct_follower_state(
     spec: LQGameSpec,
     p1: RiccatiPath,
     p2: RiccatiPath,
     phieta: AffineBSDESolution,
+    phi: np.ndarray,
     varphi: np.ndarray,
     bundle: PathBundle,
 ) -> FollowerEnsemble:
     """Recover (x, y, z) pathwise from the decoupling relations.
 
     x = (I + P2 P1)^-1 (varphi - P2 phi); y = -P1 x - phi;
-    z = -(P1 S1 + I)^-1 (P1 C^T x + eta).  The terminal identity
-    y(T) = xi and the initial coupling x(0) = G1 y(0) hold exactly.
+    z = -(P1 S1 + I)^-1 (P1 C^T x + eta), each one stacked product over
+    the nodes.  The terminal identity y(T) = xi and the initial coupling
+    x(0) = G1 y(0) hold exactly.
     """
     grid = spec.grid
-    phi = phieta.phi_pathwise(bundle.W)
     eta = phieta.eta_values[:, :, None]
     P1, P2 = p1.values, p2.values
     inv1 = p1_s1_inverse(P1, spec.S1.values, grid.nodes)
     inv2 = p2_p1_inverse(p1, p2)
-    x_phi = inv2 @ P2
-    z_x = inv1 @ P1 @ _tr(spec.C.values)
-    z_eta = (inv1 @ eta)[:, :, 0]
+    z_eta = (inv1 @ eta)[:, None, :, 0]
 
-    x = np.empty_like(phi)
-    y = np.empty_like(phi)
-    z = np.empty_like(phi)
-    for i in range(grid.steps + 1):
-        x[:, i] = varphi[:, i] @ inv2[i].T - phi[:, i] @ x_phi[i].T
-        y[:, i] = -x[:, i] @ P1[i].T - phi[:, i]
-        z[:, i] = -x[:, i] @ z_x[i].T - z_eta[i][None]
+    x = varphi @ _tr(inv2)
+    x -= phi @ _tr(inv2 @ P2)
+    # x @ (-M^T) is -(x @ M^T) exactly, without a negated copy of x
+    y = x @ -_tr(P1)
+    y -= phi
+    z = x @ -_tr(inv1 @ P1 @ _tr(spec.C.values))
+    z -= z_eta
     return FollowerEnsemble(grid, bundle, varphi, x, y, z)
 
 
@@ -208,17 +201,10 @@ def follower_feedback(spec: LQGameSpec, p2: RiccatiPath, ens: FollowerEnsemble) 
     The adjoint representation -R1^-1 B1^T x is computed alongside; the
     two agree to roundoff through the identity x = P2 y + varphi.
     """
-    grid = spec.grid
-    P = ens.y.shape[0]
-    u1 = np.empty((P, grid.steps + 1, spec.dims.k))
-    u1_adj = np.empty_like(u1)
-    gain = spec.R1_inv[::2] @ _tr(spec.B1.values)
-    for i in range(grid.steps + 1):
-        u1[:, i] = -(ens.y[:, i] @ p2.values[i].T + ens.varphi[:, i]) @ gain[i].T
-        u1_adj[:, i] = -ens.x[:, i] @ gain[i].T
-    gap = float(np.max(np.abs(u1 - u1_adj), initial=0.0))
-    if gap > 1e-10 * max(1.0, float(np.max(np.abs(u1), initial=0.0))):
-        raise AssertionError(f"feedback/adjoint control forms disagree by {gap:.3e}")
+    minus_gain_t = -_tr(spec.R1_inv[::2] @ _tr(spec.B1.values))
+    u1 = (ens.y @ _tr(p2.values) + ens.varphi) @ minus_gain_t
+    u1_adj = ens.x @ minus_gain_t
+    check_forms_agree(u1, u1_adj, "feedback/adjoint control forms")
     ens.u1, ens.u1_adjoint = u1, u1_adj
     return u1
 
@@ -235,20 +221,23 @@ def quadratic_cost(
 ) -> tuple[float, float]:
     """0.5 E{ int (y'Qy + u'Ru + z'Sz) dt + y(0)'G y(0) }, trapezoidal in time.
 
-    Returns (mean, standard error) over the path ensemble.
+    y, u and z are (N+1, paths, dim).  Returns (mean, standard error)
+    over the path ensemble.
     """
-    integrand = (
-        np.einsum("pij,ijk,pik->pi", y, Q.values, y, optimize=True)
-        + np.einsum("pij,ijk,pik->pi", u, R.values, u, optimize=True)
-        + np.einsum("pij,ijk,pik->pi", z, S.values, z, optimize=True)
-    )
-    time_integral = np.trapezoid(integrand, dx=grid.dt, axis=1)
-    initial = np.einsum("pj,jk,pk->p", y[:, 0], G, y[:, 0])
-    per_path = 0.5 * (time_integral + initial)
+    integrand = _quadratic_form(y, Q.values)
+    integrand += _quadratic_form(u, R.values)
+    integrand += _quadratic_form(z, S.values)
+    time_integral = np.trapezoid(integrand, dx=grid.dt, axis=0)
+    per_path = 0.5 * (time_integral + _quadratic_form(y[0], G))
     mean = float(per_path.mean())
     n_paths = per_path.shape[0]
     stderr = float(per_path.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
     return mean, stderr
+
+
+def _quadratic_form(v: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """v' M v over the last axis; M is one matrix or a stack matching v's first axis."""
+    return np.einsum("...j,...j->...", v @ M, v)
 
 
 def follower_cost(spec: LQGameSpec, ens: FollowerEnsemble) -> tuple[float, float]:
@@ -269,9 +258,11 @@ def follower_pipeline(
         mc = mc or MonteCarloConfig()
         bundle = sample_brownian(spec.grid, mc.paths, mc.seed)
     phieta = solve_phi_eta(spec, p1, u2)
-    varphi = simulate_varphi(spec, p1, p2, phieta, u2, bundle)
-    ens = reconstruct_follower_state(spec, p1, p2, phieta, varphi, bundle)
-    ens.u2 = _u2_pathwise(u2, bundle.W)
+    phi = phieta.phi_pathwise(bundle.W)
+    u2p = _u2_pathwise(u2, bundle.W)
+    varphi = simulate_varphi(spec, p1, p2, phieta, phi, u2p, bundle)
+    ens = reconstruct_follower_state(spec, p1, p2, phieta, phi, varphi, bundle)
+    ens.u2 = u2p
     follower_feedback(spec, p2, ens)
     follower_cost(spec, ens)
     return ens
@@ -288,40 +279,29 @@ def closed_loop_residual(
     consistent first-order scheme.  Also returns the max single-step
     residual.
     """
-    A, B2, C = spec.A.values, spec.B2.values, spec.C.values
-    gain = spec.B1_R1inv_B1T[::2]
-
-    def drift(i):
-        return (
-            ens.y[:, i] @ (A[i] - gain[i] @ p2.values[i]).T
-            - ens.varphi[:, i] @ gain[i].T
-            + ens.u2[:, i] @ B2[i].T
-            + ens.z[:, i] @ C[i].T
-        )
-
+    left = slice(0, -1)  # drift at the left node of each step
+    A, B2, C = spec.A.values[left], spec.B2.values[left], spec.C.values[left]
+    gain = spec.B1_R1inv_B1T[::2][left]
+    drift = ens.y[left] @ _tr(A - gain @ p2.values[left])
+    drift -= ens.varphi[left] @ _tr(gain)
+    drift += ens.u2[left] @ _tr(B2)
+    drift += ens.z[left] @ _tr(C)
     return _accumulated_residual(spec.grid, ens.y, ens.z, ens.bundle.dW, drift)
 
 
 def _accumulated_residual(
-    grid: TimeGrid,
-    y: np.ndarray,
-    z: np.ndarray,
-    dW: np.ndarray,
-    drift: Callable[[int], np.ndarray],
+    grid: TimeGrid, y: np.ndarray, z: np.ndarray, dW: np.ndarray, drift: np.ndarray
 ) -> tuple[float, float]:
     """RMS over paths of sum_i ||r_i||^2 and max |r_i| for a backward pair (y, z).
 
-    r_i = y_{i+1} - y_i + drift(i) dt - z_i dW_i, with drift(i) the
-    (paths, m) closed-loop drift at the left node of step i.
+    r_i = y_{i+1} - y_i + drift_i dt - z_i dW_i, with drift the (N, paths, m)
+    closed-loop drift at the left node of each step (overwritten here).
     """
-    resid = np.stack(
-        [
-            y[:, i + 1] - y[:, i] + drift(i) * grid.dt - z[:, i] * dW[:, i, None]
-            for i in range(grid.steps)
-        ],
-        axis=1,
-    )
-    accumulated = np.sum(resid**2, axis=(1, 2))
+    resid = y[1:] - y[:-1]
+    drift *= grid.dt
+    resid += drift
+    resid -= z[:-1] * dW[:, :, None]
+    accumulated = np.einsum("ipj,ipj->p", resid, resid)
     return float(np.sqrt(np.mean(accumulated))), float(np.max(np.abs(resid)))
 
 
@@ -347,20 +327,26 @@ def perturbed_follower_cost(
         spec.grid,
     )
     # -d(dy) = [A dy + C dz + B1 v] dt - dz dW has solution dy = alpha + beta W
-    dy = delta.phi_pathwise(ens.bundle.W)
-    dz = np.broadcast_to(delta.eta_values[None], dy.shape)
-    dv = _u2_pathwise(v, ens.bundle.W)
+    W = ens.bundle.W
+    dz = np.broadcast_to(delta.eta_values[:, None], ens.z.shape)
     mean, _ = quadratic_cost(
         spec.grid,
-        ens.y + eps * dy,
-        ens.u1 + eps * dv,
-        ens.z + eps * dz,
+        _perturbed(ens.y, eps, delta.phi_pathwise(W)),
+        _perturbed(ens.u1, eps, _u2_pathwise(v, W)),
+        _perturbed(ens.z, eps, dz),
         spec.Q1,
         spec.R1,
         spec.S1,
         spec.G1,
     )
     return mean
+
+
+def _perturbed(base: np.ndarray, eps: float, step: np.ndarray) -> np.ndarray:
+    """base + eps * step, built in one new array."""
+    out = np.multiply(step, eps)
+    out += base
+    return out
 
 
 def check_follower_stationarity(
@@ -389,8 +375,9 @@ def check_follower_stationarity(
 def stationarity_residual(spec: LQGameSpec, x: np.ndarray, u1: np.ndarray) -> float:
     """Max |x B1 + u1 R1^T| over nodes and paths: the follower's algebraic
     first-order condition for adjoint states x and controls u1, both
-    (paths, N+1, dim)."""
-    r = x.swapaxes(0, 1) @ spec.B1.values + u1.swapaxes(0, 1) @ _tr(spec.R1.values)
+    (N+1, paths, dim)."""
+    r = x @ spec.B1.values
+    r += u1 @ _tr(spec.R1.values)
     return float(np.max(np.abs(r), initial=0.0))
 
 
@@ -412,13 +399,13 @@ def paths_csv(
 ) -> str:
     """Per-path CSV 'path,t,<header>' at the grid nodes, 17 significant digits.
 
-    blocks are (paths, N+1) or (paths, N+1, cols) arrays whose columns,
+    blocks are (N+1, paths) or (N+1, paths, cols) arrays whose columns,
     concatenated in order, match header; at most max_paths paths are listed.
     """
-    count = blocks[0].shape[0] if max_paths is None else min(max_paths, blocks[0].shape[0])
-    data = np.concatenate([np.atleast_3d(b[:count]) for b in blocks], axis=2)
+    count = blocks[0].shape[1] if max_paths is None else min(max_paths, blocks[0].shape[1])
+    data = np.concatenate([np.atleast_3d(b[:, :count]) for b in blocks], axis=2)
     lines = ["path,t," + ",".join(header)]
     for p in range(count):
-        for t, row in zip(nodes, data[p].tolist()):
+        for t, row in zip(nodes, data[:, p].tolist()):
             lines.append(f"{p},{t:.17g}," + ",".join(f"{x:.17g}" for x in row))
     return "\n".join(lines) + "\n"

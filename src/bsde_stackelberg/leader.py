@@ -7,6 +7,7 @@ decouple it; the optimal trajectories are then reconstructed pathwise
 from one auxiliary BSDE (solved by an affine ansatz) and one auxiliary
 SDE (Euler-Maruyama), so the terminal condition Y(T) = xi-hat and the
 initial coupling X(0) = G2-hat Y(0) hold exactly by construction.
+Path arrays are time-major, (N+1, paths, dim), as in the follower module.
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ from .follower import (
     AffineBSDESolution,
     FollowerEnsemble,
     _accumulated_residual,
+    _perturbed,
     _u2_pathwise,
     column_labels,
     follower_pipeline,
     paths_csv,
     quadratic_cost,
     solve_affine_bsde,
+    stationarity_residual,
 )
 from .model import (
     AffineControl,
@@ -33,7 +36,7 @@ from .model import (
     TerminalCondition,
     TimeGrid,
 )
-from .odeint import guarded_inv
+from .odeint import check_forms_agree, guarded_inv
 from .oracle import directional_slopes
 from .riccati import (
     RiccatiPath,
@@ -121,21 +124,16 @@ def simulate_tilde_varphi(
     pi1: RiccatiPath,
     pi2: RiccatiPath,
     tilde_phi: AffineBSDESolution,
+    phi: np.ndarray,
     bundle: PathBundle,
 ) -> np.ndarray:
     """Euler-Maruyama for the leader's forward offset, tilde-varphi(0) = 0.
 
     The drift follows the decoupled system's display and the diffusion
-    the exact pathwise Z-relation (see _offset_diffusion); returns
-    (paths, N+1, 2n).
+    the exact pathwise Z-relation (see _offset_diffusion); phi is
+    tilde_phi.phi_pathwise(bundle.W).  Returns (N+1, paths, 2n).
     """
-    m = 2 * sys.n
-    grid = sys.grid
-    N = grid.steps
-
-    phi = tilde_phi.phi_pathwise(bundle.W)
-    eta = tilde_phi.eta_values[:, :, None]
-
+    grid, eta = sys.grid, tilde_phi.eta_values[:, :, None]
     A1, B1, B2 = sys.A1h.values, sys.B1h.values, sys.B2h.values
     C1, D1, F2 = sys.C1h.values, sys.D1h.values, sys.F2h.values
     Pi1, Pi2 = pi1.values, pi2.values
@@ -149,13 +147,13 @@ def simulate_tilde_varphi(
     drift_eta = (coupler @ eta)[:, :, 0]
     diff_eta = (mix @ eta)[:, :, 0]
 
-    P = bundle.n_paths
-    tv = np.zeros((P, N + 1, m))
-    dt = grid.dt
-    for i in range(N):
-        drift = tv[:, i] @ drift_mat[i].T - drift_eta[i][None]
-        noise_load = tv[:, i] @ diff_varphi[i].T + phi[:, i] @ diff_phi[i].T + diff_eta[i][None]
-        tv[:, i + 1] = tv[:, i] + drift * dt + noise_load * bundle.dW[:, i, None]
+    tv = np.zeros((grid.steps + 1, bundle.n_paths, 2 * sys.n))
+    dt, dW = grid.dt, bundle.dW
+    for i in range(grid.steps):
+        v = tv[i]
+        drift = v @ drift_mat[i].T - drift_eta[i]
+        noise_load = v @ diff_varphi[i].T + phi[i] @ diff_phi[i].T + diff_eta[i]
+        tv[i + 1] = v + drift * dt + noise_load * dW[i, :, None]
     return tv
 
 
@@ -171,11 +169,11 @@ class LeaderEnsemble:
     grid: TimeGrid
     bundle: PathBundle
     n: int
-    X: np.ndarray  # (paths, N+1, 2n)
+    X: np.ndarray  # (N+1, paths, 2n)
     Y: np.ndarray
     Z: np.ndarray
     tilde_varphi: np.ndarray
-    u2: np.ndarray = None  # (paths, N+1, k)
+    u2: np.ndarray = None  # (N+1, paths, k)
     u1: np.ndarray = None
     u1_stacked: np.ndarray = None
     J2: tuple[float, float] = None
@@ -204,44 +202,36 @@ class LeaderEnsemble:
     def zbar(self) -> np.ndarray:
         return self.Z[:, :, self.n :]
 
-    @property
-    def seed(self) -> int:
-        return self.bundle.seed
-
 
 def reconstruct_XYZ(
     sys: StackedSystem,
     pi1: RiccatiPath,
     pi2: RiccatiPath,
     tilde_phi: AffineBSDESolution,
+    phi: np.ndarray,
     tilde_varphi: np.ndarray,
     bundle: PathBundle,
 ) -> LeaderEnsemble:
-    """Recover (X, Y, Z) from the two decoupling relations, per path and node.
+    """Recover (X, Y, Z) from the two decoupling relations, all nodes at once.
 
     X = (I + Pi2 Pi1)^-1 (-Pi2 phi-tilde + varphi-tilde);
     Y = -(I + Pi1 Pi2)^-1 (Pi1 varphi-tilde + phi-tilde);
-    Z = -(I + Pi1 S1h)^-1 (Pi1 C1h X + Pi1 D1h^T Y + eta-tilde).
+    Z = -(I + Pi1 S1h)^-1 (Pi1 C1h X + Pi1 D1h^T Y + eta-tilde),
+    with phi = tilde_phi.phi_pathwise(bundle.W).
     """
-    grid = sys.grid
-    phi = tilde_phi.phi_pathwise(bundle.W)
     eta = tilde_phi.eta_values[:, :, None]
     Pi1, Pi2 = pi1.values, pi2.values
     inv_s, inv_12, inv_21 = _decoupling_inverses(sys, pi1, pi2)
-    x_phi = inv_21 @ Pi2
-    y_varphi = inv_12 @ Pi1
-    z_x = inv_s @ Pi1 @ sys.C1h.values
-    z_y = inv_s @ Pi1 @ _tr(sys.D1h.values)
-    z_eta = (inv_s @ eta)[:, :, 0]
 
-    X = np.empty_like(phi)
-    Y = np.empty_like(phi)
-    Z = np.empty_like(phi)
-    for i in range(grid.steps + 1):
-        X[:, i] = tilde_varphi[:, i] @ inv_21[i].T - phi[:, i] @ x_phi[i].T
-        Y[:, i] = -(tilde_varphi[:, i] @ y_varphi[i].T + phi[:, i] @ inv_12[i].T)
-        Z[:, i] = -(X[:, i] @ z_x[i].T + Y[:, i] @ z_y[i].T + z_eta[i][None])
-    return LeaderEnsemble(grid, bundle, sys.n, X, Y, Z, tilde_varphi)
+    X = tilde_varphi @ _tr(inv_21)
+    X -= phi @ _tr(inv_21 @ Pi2)
+    # v @ -M^T - w @ N^T is -(v @ M^T + w @ N^T) exactly, without negating v
+    Y = tilde_varphi @ -_tr(inv_12 @ Pi1)
+    Y -= phi @ _tr(inv_12)
+    Z = X @ -_tr(inv_s @ Pi1 @ sys.C1h.values)
+    Z -= Y @ _tr(inv_s @ Pi1 @ _tr(sys.D1h.values))
+    Z -= (inv_s @ eta)[:, None, :, 0]
+    return LeaderEnsemble(sys.grid, bundle, sys.n, X, Y, Z, tilde_varphi)
 
 
 def decoupling_consistency(ens: LeaderEnsemble, pi2: RiccatiPath) -> float:
@@ -250,20 +240,17 @@ def decoupling_consistency(ens: LeaderEnsemble, pi2: RiccatiPath) -> float:
     The reconstruction uses both decoupling relations; their mutual
     consistency is the sanity check of the whole leader solve.
     """
-    gap = ens.X - np.einsum("tij,ptj->pti", pi2.values, ens.Y) - ens.tilde_varphi
+    gap = ens.Y @ _tr(pi2.values)
+    np.subtract(ens.X, gap, out=gap)
+    gap -= ens.tilde_varphi
     return float(np.max(np.abs(gap), initial=0.0))
 
 
 def leader_feedback(sys: StackedSystem, pi2: RiccatiPath, ens: LeaderEnsemble) -> np.ndarray:
     """Feedback control u2 = -R2^-1 (B1h + Pi2 B2h)^T Y - R2^-1 B2h^T varphi-tilde."""
-    grid = sys.grid
-    k = sys.B2h.shape[1]
-    u2 = np.empty((ens.Y.shape[0], grid.steps + 1, k))
     R2inv, B2 = sys.R2_inv[::2], sys.B2h.values
-    gain_y = R2inv @ _tr(sys.B1h.values + pi2.values @ B2)
-    gain_v = R2inv @ _tr(B2)
-    for i in range(grid.steps + 1):
-        u2[:, i] = -(ens.Y[:, i] @ gain_y[i].T + ens.tilde_varphi[:, i] @ gain_v[i].T)
+    u2 = ens.Y @ -_tr(R2inv @ _tr(sys.B1h.values + pi2.values @ B2))
+    u2 -= ens.tilde_varphi @ _tr(R2inv @ _tr(B2))
     ens.u2 = u2
     return u2
 
@@ -278,20 +265,16 @@ def equilibrium_follower_control(
     block form: -R1^-1 B1^T (P2 ybar + phibar).  The two are equal
     through X = Pi2 Y + varphi-tilde; both are computed and compared.
     """
-    n, k = spec.dims.n, spec.dims.k
-    grid = spec.grid
-    u1 = np.empty((ens.Y.shape[0], grid.steps + 1, k))
-    u1_blk = np.empty_like(u1)
+    n = spec.dims.n
     stacked = pi2.values[:, :n].copy()  # (0, P2) + (I, 0) Pi2 at every node
     stacked[:, :, n:] += p2.values
     gains = spec.R1_inv[::2] @ _tr(spec.B1.values)
-    mat_y = gains @ stacked
-    for i, gain in enumerate(gains):
-        u1[:, i] = -(ens.Y[:, i] @ mat_y[i].T + ens.tilde_varphi[:, i, :n] @ gain.T)
-        u1_blk[:, i] = -(ens.ybar[:, i] @ (gain @ p2.values[i]).T + ens.phibar[:, i] @ gain.T)
-    gap = float(np.max(np.abs(u1 - u1_blk), initial=0.0))
-    if gap > 1e-10 * max(1.0, float(np.max(np.abs(u1), initial=0.0))):
-        raise AssertionError(f"stacked/block follower control forms disagree by {gap:.3e}")
+    gain_t = _tr(gains)
+    u1 = ens.Y @ -_tr(gains @ stacked)
+    u1 -= ens.tilde_varphi[:, :, :n] @ gain_t
+    u1_blk = ens.ybar @ -_tr(gains @ p2.values)
+    u1_blk -= ens.phibar @ gain_t
+    check_forms_agree(u1, u1_blk, "stacked/block follower control forms")
     ens.u1, ens.u1_stacked = u1_blk, u1
     return u1
 
@@ -301,6 +284,21 @@ def leader_cost(spec: LQGameSpec, ens: LeaderEnsemble) -> tuple[float, float]:
         spec.grid, ens.ybar, ens.u2, ens.zbar, spec.Q2, spec.R2, spec.S2, spec.G2
     )
     return ens.J2
+
+
+def equilibrium_follower_cost(spec: LQGameSpec, ens: LeaderEnsemble) -> tuple[float, float]:
+    """The follower's cost J1 along the equilibrium trajectory."""
+    return quadratic_cost(
+        spec.grid, ens.ybar, ens.u1, ens.zbar, spec.Q1, spec.R1, spec.S1, spec.G1
+    )
+
+
+def equilibrium_follower_stationarity(
+    spec: LQGameSpec, p2: RiccatiPath, ens: LeaderEnsemble
+) -> float:
+    """The follower's algebraic stationarity residual along the equilibrium,
+    where its adjoint state is x = P2 ybar + phibar."""
+    return stationarity_residual(spec, ens.ybar @ _tr(p2.values) + ens.phibar, ens.u1)
 
 
 def closed_loop_drift(sys: StackedSystem, pi2: RiccatiPath) -> tuple[np.ndarray, np.ndarray]:
@@ -326,11 +324,10 @@ def leader_bsde_residual(
     residual.
     """
     M, forcing = closed_loop_drift(sys, pi2)
-    C1 = sys.C1h.values
-
-    def drift(i):
-        return ens.Y[:, i] @ M[i].T + ens.Z[:, i] @ C1[i] + ens.tilde_varphi[:, i] @ forcing[i].T
-
+    left = slice(0, -1)  # drift at the left node of each step
+    drift = ens.Y[left] @ _tr(M[left])
+    drift += ens.Z[left] @ sys.C1h.values[left]
+    drift += ens.tilde_varphi[left] @ _tr(forcing[left])
     return _accumulated_residual(sys.grid, ens.Y, ens.Z, ens.bundle.dW, drift)
 
 
@@ -368,8 +365,10 @@ def solve_equilibrium(
     pi1 = solve_pi1(sys)
     pi2 = solve_pi2(sys, pi1)
     tilde_phi = solve_tilde_phi(sys, pi1)
-    tilde_varphi = simulate_tilde_varphi(sys, pi1, pi2, tilde_phi, bundle)
-    ens = reconstruct_XYZ(sys, pi1, pi2, tilde_phi, tilde_varphi, bundle)
+    phi = tilde_phi.phi_pathwise(bundle.W)
+    tilde_varphi = simulate_tilde_varphi(sys, pi1, pi2, tilde_phi, phi, bundle)
+    ens = reconstruct_XYZ(sys, pi1, pi2, tilde_phi, phi, tilde_varphi, bundle)
+    del phi  # free the pathwise offset before the feedback arrays are built
     leader_feedback(sys, pi2, ens)
     equilibrium_follower_control(spec, p2, pi2, ens)
     leader_cost(spec, ens)
@@ -399,13 +398,12 @@ def perturbed_leader_cost(
     """J2 at u2 + eps*v with the follower re-responding, common random numbers."""
     if delta is None:
         delta = follower_response_delta(sol.spec, sol.p1, sol.p2, v, sol.ensemble.bundle)
-    dv = _u2_pathwise(v, sol.ensemble.bundle.W)
     spec, ens = sol.spec, sol.ensemble
     mean, _ = quadratic_cost(
         spec.grid,
-        ens.ybar + eps * delta.y,
-        ens.u2 + eps * dv,
-        ens.zbar + eps * delta.z,
+        _perturbed(ens.ybar, eps, delta.y),
+        _perturbed(ens.u2, eps, _u2_pathwise(v, ens.bundle.W)),
+        _perturbed(ens.zbar, eps, delta.z),
         spec.Q2,
         spec.R2,
         spec.S2,
@@ -429,11 +427,10 @@ def check_leader_stationarity(
     extrapolation over the eps list.
     """
     sys, ens = sol.system, sol.ensemble
-    B1, B2, R2 = sys.B1h.values, sys.B2h.values, sol.spec.R2.values
-    worst = 0.0
-    for i in range(sys.grid.steps + 1):
-        r = ens.Y[:, i] @ B1[i] + ens.X[:, i] @ B2[i] + ens.u2[:, i] @ R2[i].T
-        worst = max(worst, float(np.max(np.abs(r), initial=0.0)))
+    r = ens.Y @ sys.B1h.values
+    r += ens.X @ sys.B2h.values
+    r += ens.u2 @ _tr(sol.spec.R2.values)
+    worst = float(np.max(np.abs(r), initial=0.0))
     delta = follower_response_delta(sol.spec, sol.p1, sol.p2, v, ens.bundle)
     slopes, extrapolated = directional_slopes(
         lambda eps: perturbed_leader_cost(sol, v, eps, delta), ens.J2[0], eps_list
@@ -447,13 +444,13 @@ def check_leader_stationarity(
 
 def terminal_defect(sys: StackedSystem, ens: LeaderEnsemble) -> float:
     """Max over paths of ||Y(T) - xi-hat||, exact up to roundoff."""
-    xi_hat = sys.xih.on_paths(ens.bundle.W[:, -1])
-    return float(np.max(np.abs(ens.Y[:, -1] - xi_hat), initial=0.0))
+    xi_hat = sys.xih.on_paths(ens.bundle.W[-1])
+    return float(np.max(np.abs(ens.Y[-1] - xi_hat), initial=0.0))
 
 
 def initial_coupling_defect(sys: StackedSystem, ens: LeaderEnsemble) -> float:
     """Max over paths of ||X(0) - G2-hat Y(0)||, exact up to roundoff."""
-    return float(np.max(np.abs(ens.X[:, 0] - ens.Y[:, 0] @ sys.G2h.T), initial=0.0))
+    return float(np.max(np.abs(ens.X[0] - ens.Y[0] @ sys.G2h.T), initial=0.0))
 
 
 def leader_paths_csv(ens: LeaderEnsemble, max_paths: int | None = None) -> str:

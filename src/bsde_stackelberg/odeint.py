@@ -38,6 +38,17 @@ class SingularityError(RuntimeError):
         super().__init__(f"{label} numerically singular at t={t:.6g}")
 
 
+class ConsistencyError(RuntimeError):
+    """Two algebraically equal forms of a computed quantity disagree."""
+
+
+def check_forms_agree(a: np.ndarray, b: np.ndarray, what: str):
+    """Raise ConsistencyError unless max |a - b| <= 1e-10 max(1, max |a|)."""
+    gap = float(np.max(np.abs(a - b), initial=0.0))
+    if gap > 1e-10 * max(1.0, float(np.max(np.abs(a), initial=0.0))):
+        raise ConsistencyError(f"{what} disagree by {gap:.3e}")
+
+
 def guarded_inv(m: np.ndarray, t, label: str) -> np.ndarray:
     """Inverse with a condition-number gate (threshold 1e12).
 

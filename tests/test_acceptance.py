@@ -112,7 +112,7 @@ class TestAcceptance:
             "P1": np.max(np.abs(p1.values[:, 0, 0] - (1.0 - nodes))),
             "P2": np.max(np.abs(p2.values[:, 0, 0] - 1.0 / (1.0 + nodes))),
             "x": np.max(np.abs(ens.x - 0.5)),
-            "y": np.max(np.abs(ens.y - (1.0 + nodes)[None, :, None] / 2.0)),
+            "y": np.max(np.abs(ens.y - (1.0 + nodes)[:, None, None] / 2.0)),
             "z": np.max(np.abs(ens.z)),
             "u1": np.max(np.abs(ens.u1 + 0.5)),
             "J1": abs(ens.J1[0] - 0.25),
@@ -163,7 +163,7 @@ class TestAcceptance:
             spec = hand_solvable_scenario(steps=N)
             res = deterministic_leader_oracle(spec)
             sol = bs.solve_equilibrium(spec, mc=bs.MonteCarloConfig(2, 0))
-            gaps.append(control_rms_gap(res.control, sol.ensemble.u2[0]))
+            gaps.append(control_rms_gap(res.control, sol.ensemble.u2[:, 0]))
         decreasing = gaps[0] > gaps[1] > gaps[2]
         ok = worst <= 1e-2 and decreasing
         report(
@@ -185,9 +185,9 @@ class TestAcceptance:
         )
         worst = 0.0
         for spec, ens in ((hand_spec, hand_follower), (stochastic_spec, sto_fol)):
-            xi = spec.xi.a[None] + ens.bundle.W[:, -1, None] * spec.xi.b[:, 0][None]
-            worst = max(worst, float(np.max(np.abs(ens.y[:, -1] - xi))))
-            worst = max(worst, float(np.max(np.abs(ens.x[:, 0] - ens.y[:, 0] @ spec.G1.T))))
+            xi = spec.xi.a[None] + ens.bundle.W[-1, :, None] * spec.xi.b[:, 0][None]
+            worst = max(worst, float(np.max(np.abs(ens.y[-1] - xi))))
+            worst = max(worst, float(np.max(np.abs(ens.x[0] - ens.y[0] @ spec.G1.T))))
             worst = max(worst, float(np.max(np.abs(ens.u1 - ens.u1_adjoint))))
         for sol in (hand_solution, stochastic_solution):
             worst = max(worst, terminal_defect(sol.system, sol.ensemble))

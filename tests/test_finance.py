@@ -112,12 +112,12 @@ class TestSpecializedMatrices:
 class TestEquilibrium:
     def test_wealth_terminal_identity(self, consumption):
         m = consumption.market
-        xi = m.xi.a[0] + m.xi.b[0, 0] * consumption.solution.ensemble.bundle.W[:, -1]
-        assert np.max(np.abs(consumption.wealth[:, -1, 0] - xi)) < 1e-10
+        xi = m.xi.a[0] + m.xi.b[0, 0] * consumption.solution.ensemble.bundle.W[-1]
+        assert np.max(np.abs(consumption.wealth[-1, :, 0] - xi)) < 1e-10
 
     def test_portfolio_is_scaled_martingale_loading(self, consumption):
         ens = consumption.solution.ensemble
-        sigma = consumption.market.sigma.values[None, :, 0, 0]
+        sigma = consumption.market.sigma.values[:, :, 0]
         np.testing.assert_allclose(
             consumption.portfolio, ens.zbar[:, :, 0] / sigma, atol=0
         )

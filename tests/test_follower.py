@@ -63,10 +63,10 @@ class TestAffineBSDE:
             np.array([[3.0]]),
             g,
         )
-        W = np.array([[0.0] * 9, [1.0] * 9])
+        W = np.array([[0.0] * 9, [1.0] * 9]).T
         vals = sol.phi_pathwise(W)
-        np.testing.assert_allclose(vals[0, :, 0], 2.0, atol=1e-14)
-        np.testing.assert_allclose(vals[1, :, 0], 5.0, atol=1e-14)
+        np.testing.assert_allclose(vals[:, 0, 0], 2.0, atol=1e-14)
+        np.testing.assert_allclose(vals[:, 1, 0], 5.0, atol=1e-14)
 
 
 class TestHandSolution:
@@ -74,7 +74,7 @@ class TestHandSolution:
         ens = hand_follower
         nodes = hand_spec.grid.nodes
         assert np.max(np.abs(ens.x - 0.5)) < 1e-10
-        assert np.max(np.abs(ens.y - (1.0 + nodes)[None, :, None] / 2.0)) < 1e-10
+        assert np.max(np.abs(ens.y - (1.0 + nodes)[:, None, None] / 2.0)) < 1e-10
         assert np.max(np.abs(ens.z)) < 1e-12
         assert np.max(np.abs(ens.u1 + 0.5)) < 1e-10
 
@@ -84,11 +84,11 @@ class TestHandSolution:
         assert stderr < 1e-14
 
     def test_terminal_identity_exact(self, hand_spec, hand_follower):
-        assert np.max(np.abs(hand_follower.y[:, -1] - 1.0)) < 1e-12
+        assert np.max(np.abs(hand_follower.y[-1] - 1.0)) < 1e-12
 
     def test_initial_coupling_exact(self, hand_spec, hand_follower):
         ens = hand_follower
-        gap = ens.x[:, 0] - ens.y[:, 0] @ hand_spec.G1.T
+        gap = ens.x[0] - ens.y[0] @ hand_spec.G1.T
         assert np.max(np.abs(gap)) < 1e-12
 
     def test_deterministic_scenario_is_seed_independent(self, hand_spec, hand_riccati):
@@ -113,12 +113,12 @@ def pipeline(stochastic_spec):
 class TestStochasticScenario:
     def test_terminal_identity_pathwise(self, stochastic_spec, pipeline):
         _, _, _, ens = pipeline
-        xi = stochastic_spec.xi.a[0] + stochastic_spec.xi.b[0, 0] * ens.bundle.W[:, -1]
-        assert np.max(np.abs(ens.y[:, -1, 0] - xi)) < 1e-12
+        xi = stochastic_spec.xi.a[0] + stochastic_spec.xi.b[0, 0] * ens.bundle.W[-1]
+        assert np.max(np.abs(ens.y[-1, :, 0] - xi)) < 1e-12
 
     def test_initial_coupling_pathwise(self, stochastic_spec, pipeline):
         _, _, _, ens = pipeline
-        gap = ens.x[:, 0] - ens.y[:, 0] @ stochastic_spec.G1.T
+        gap = ens.x[0] - ens.y[0] @ stochastic_spec.G1.T
         assert np.max(np.abs(gap)) < 1e-12
 
     def test_feedback_equals_adjoint_form(self, pipeline):
@@ -150,9 +150,9 @@ class TestQuadraticCost:
         g = bs.TimeGrid(1.0, 10)
         zero = bs.CoefficientPath.constant(g, 0.0)
         one = bs.CoefficientPath.constant(g, 1.0)
-        y = np.zeros((3, 11, 1))
-        z = np.zeros((3, 11, 1))
-        u = np.full((3, 11, 1), 2.0)
+        y = np.zeros((11, 3, 1))
+        z = np.zeros((11, 3, 1))
+        u = np.full((11, 3, 1), 2.0)
         mean, stderr = quadratic_cost(g, y, u, z, zero, one, zero, np.zeros((1, 1)))
         assert mean == pytest.approx(2.0)  # 0.5 * int 4 dt
         assert stderr == 0.0
@@ -160,7 +160,7 @@ class TestQuadraticCost:
     def test_initial_weight_term(self):
         g = bs.TimeGrid(1.0, 4)
         zero = bs.CoefficientPath.constant(g, 0.0)
-        y = np.full((2, 5, 1), 3.0)
+        y = np.full((5, 2, 1), 3.0)
         mean, _ = quadratic_cost(
             g, y, np.zeros_like(y), np.zeros_like(y), zero, zero, zero, np.array([[2.0]])
         )

@@ -1,0 +1,46 @@
+"""Golden numbers of the CLI at small sizes.
+
+The values were recorded before the path arrays moved to the time-major
+layout; the path layer must keep them to 1e-12 (relative or absolute,
+whichever is looser: decoupling_consistency_max is a roundoff figure).
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from bsde_stackelberg.cli import main
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+ARGS = ["--steps", "50", "--paths", "400", "--seed", "3"]
+
+
+def close(value):
+    return pytest.approx(value, rel=1e-12, abs=1e-12)
+
+
+def run(tmp_path, command, scenario):
+    out = tmp_path / command
+    assert main([command, "--scenario", str(SCENARIOS / scenario), "--out", str(out), *ARGS]) == 0
+    return json.loads((out / "summary.json").read_text())
+
+
+def test_equilibrium_golden_numbers(tmp_path, capsys):
+    s = run(tmp_path, "equilibrium", "stochastic.json")
+    assert s["J1"]["mean"] == close(0.09868401326866204)
+    assert s["J1"]["stderr"] == close(0.00303958146905454)
+    assert s["J2"]["mean"] == close(0.0778440661003004)
+    assert s["J2"]["stderr"] == close(0.0015457417323413063)
+    assert s["bsde_residual_rms"] == close(0.004729845288579447)
+    assert s["decoupling_consistency_max"] == close(1.942890293094024e-16)
+
+
+def test_finance_golden_numbers(tmp_path, capsys):
+    s = run(tmp_path, "finance", "finance.json")
+    assert s["Y0"] == [close(-0.16155118690507936), close(0.4044968011838428)]
+    assert s["initial_reserve"] == close(0.4044968011838428)
+    assert s["dual_check"]["mc_estimate"] == [
+        close(-0.16115398275412893),
+        close(0.40605567108313423),
+    ]

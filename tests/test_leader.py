@@ -132,8 +132,8 @@ class TestEquilibriumControls:
         ens = sol.ensemble
         worst = 0.0
         for i, t in enumerate(stochastic_spec.grid.nodes):
-            x = ens.ybar[:, i] @ sol.p2.values[i].T + ens.phibar[:, i]
-            r = x @ stochastic_spec.B1(t) + ens.u1[:, i] @ stochastic_spec.R1(t).T
+            x = ens.ybar[i] @ sol.p2.values[i].T + ens.phibar[i]
+            r = x @ stochastic_spec.B1(t) + ens.u1[i] @ stochastic_spec.R1(t).T
             worst = max(worst, float(np.max(np.abs(r))))
         assert worst < 1e-10
 
@@ -152,6 +152,49 @@ class TestEquilibriumControls:
         base = hand_solution.J2[0]
         for eps in (0.1, -0.1):
             assert perturbed_leader_cost(hand_solution, v, eps, delta) > base
+
+
+class TestNodeKernelsMatchLoops:
+    """The stacked node kernels against per-node loops of the same formulas,
+    on an n = 2 game whose non-symmetric matrices expose a transposition."""
+
+    def test_follower_reconstruction_and_feedback(self):
+        spec = two_state_stochastic_spec(steps=16)
+        p1 = bs.solve_p1(spec)
+        p2 = bs.solve_p2(spec, p1)
+        u2 = bs.AffineControl.constant(spec.grid, [0.3])
+        bundle = sample_brownian(spec.grid, 5, 3)
+        ens = bs.follower_pipeline(spec, p1, p2, u2, bundle=bundle)
+        phieta = bs.solve_phi_eta(spec, p1, u2)
+        phi, eta = phieta.phi_pathwise(bundle.W), phieta.eta_values
+        inv, eye = np.linalg.inv, np.eye(spec.dims.n)
+        for i in range(spec.grid.steps + 1):
+            P1, P2, C = p1.values[i], p2.values[i], spec.C.values[i]
+            x = (ens.varphi[i] - phi[i] @ P2.T) @ inv(eye + P2 @ P1).T
+            y = -x @ P1.T - phi[i]
+            z = -(x @ C @ P1.T + eta[i]) @ inv(P1 @ spec.S1.values[i] + eye).T
+            u1 = -(y @ P2.T + ens.varphi[i]) @ spec.B1.values[i] @ inv(spec.R1.values[i]).T
+            for got, want in ((ens.x[i], x), (ens.y[i], y), (ens.z[i], z), (ens.u1[i], u1)):
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+    def test_leader_reconstruction_and_feedback(self):
+        spec = two_state_stochastic_spec(steps=16)
+        bundle = sample_brownian(spec.grid, 5, 3)
+        sol = bs.solve_equilibrium(spec, bundle=bundle)
+        sys, ens = sol.system, sol.ensemble
+        phi, eta = sol.tilde_phi.phi_pathwise(bundle.W), sol.tilde_phi.eta_values
+        inv, eye = np.linalg.inv, np.eye(2 * spec.dims.n)
+        for i in range(spec.grid.steps + 1):
+            Pi1, Pi2, tv = sol.pi1.values[i], sol.pi2.values[i], ens.tilde_varphi[i]
+            B1, B2 = sys.B1h.values[i], sys.B2h.values[i]
+            X = (tv - phi[i] @ Pi2.T) @ inv(eye + Pi2 @ Pi1).T
+            Y = -(tv @ Pi1.T + phi[i]) @ inv(eye + Pi1 @ Pi2).T
+            Z = -(
+                X @ (Pi1 @ sys.C1h.values[i]).T + Y @ sys.D1h.values[i] @ Pi1.T + eta[i]
+            ) @ inv(eye + Pi1 @ sys.S1h.values[i]).T
+            u2 = -(Y @ (B1 + Pi2 @ B2) + tv @ B2) @ inv(spec.R2.values[i]).T
+            for got, want in ((ens.X[i], X), (ens.Y[i], Y), (ens.Z[i], Z), (ens.u2[i], u2)):
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
 class TestForwardOffsetDiffusion:

@@ -182,7 +182,7 @@ class TestOracleVsPipeline:
         prob = build_discrete_problem(hand_spec_coarse)
         res = deterministic_follower_oracle(prob, np.zeros((hand_spec_coarse.grid.steps, 1)))
         rep = oracle_report(
-            res.cost, ens.J1[0], control_rms_gap(res.control, ens.u1[0]), 256
+            res.cost, ens.J1[0], control_rms_gap(res.control, ens.u1[:, 0]), 256
         )
         assert rep["rel_gap"] < 1e-3
 
@@ -228,9 +228,9 @@ class TestMultiDimensionalPipelines:
             build_discrete_problem(spec), np.tile(u2_value, (spec.grid.steps, 1))
         )
         assert abs(ens.J1[0] - res.cost) / abs(res.cost) <= 1e-3
-        xi = spec.xi.on_paths(ens.bundle.W[:, -1])
-        assert np.max(np.abs(ens.y[:, -1] - xi)) <= 1e-8
-        assert np.max(np.abs(ens.x[:, 0] - ens.y[:, 0] @ spec.G1.T)) <= 1e-8
+        xi = spec.xi.on_paths(ens.bundle.W[-1])
+        assert np.max(np.abs(ens.y[-1] - xi)) <= 1e-8
+        assert np.max(np.abs(ens.x[0] - ens.y[0] @ spec.G1.T)) <= 1e-8
         assert np.max(np.abs(ens.u1 - ens.u1_adjoint)) <= 1e-8
 
     def test_leader_matches_oracle(self, n, k):

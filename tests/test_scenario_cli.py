@@ -328,6 +328,65 @@ class TestCliVerify:
         assert not out.exists()
 
 
+def doubled_follower_adjoint(original):
+    """(I + P2 P1)^-1 scaled by 2: x no longer equals P2 y + varphi."""
+    return lambda p1, p2: 2.0 * original(p1, p2)
+
+
+def doubled_leader_forward(original):
+    """(I + Pi2 Pi1)^-1 scaled by 2: X no longer equals Pi2 Y + varphi-tilde."""
+
+    def patched(sys, pi1, pi2):
+        inv_s, inv_12, inv_21 = original(sys, pi1, pi2)
+        return inv_s, inv_12, 2.0 * inv_21
+
+    return patched
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+# (command, shipped scenario or None for the hand game, module, attribute, breakage)
+CONSISTENCY_FAILURES = [
+    ("follower", None, "follower", "p2_p1_inverse", doubled_follower_adjoint),
+    ("verify", None, "follower", "p2_p1_inverse", doubled_follower_adjoint),
+    ("leader", None, "leader", "_decoupling_inverses", doubled_leader_forward),
+    ("equilibrium", None, "leader", "_decoupling_inverses", doubled_leader_forward),
+    ("finance", "finance.json", "leader", "_decoupling_inverses", doubled_leader_forward),
+]
+
+
+class TestCliConsistencyFailures:
+    """A failed pathwise consistency check exits 2 with one stderr line."""
+
+    @pytest.mark.parametrize(
+        "command, scenario, module, attribute, breakage",
+        CONSISTENCY_FAILURES,
+        ids=[row[0] for row in CONSISTENCY_FAILURES],
+    )
+    def test_exit_two_one_line(
+        self, tmp_path, hand_doc, capsys, monkeypatch,
+        command, scenario, module, attribute, breakage,
+    ):
+        target = getattr(bs, module)
+        monkeypatch.setattr(target, attribute, breakage(getattr(target, attribute)))
+        path = SCENARIOS / scenario if scenario else write_scenario(tmp_path, hand_doc)
+        rc = main([
+            command, "--scenario", str(path), "--out", str(tmp_path / "o"),
+            "--steps", "32", "--paths", "4", "--seed", "0",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("solver failure:") and "disagree" in err
+
+    def test_finance_closed_form_check_raises_named_error(self, market, monkeypatch):
+        from bsde_stackelberg import finance
+
+        monkeypatch.setattr(finance, "p1_closed_form", lambda m: 1.0 + m.grid.nodes)
+        with pytest.raises(bs.ConsistencyError, match="closed form"):
+            finance.scalar_p1(market)
+
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
