@@ -77,7 +77,6 @@ from .oracle import (
     build_discrete_problem,
     deterministic_follower_oracle,
     deterministic_leader_oracle,
-    perturbation_suite,
 )
 from .finance import (
     ConsumptionSolution,

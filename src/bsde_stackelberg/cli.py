@@ -20,6 +20,7 @@ from .finance import consumption_equilibrium, consumption_paths_csv, initial_res
 from .model import AffineControl, SpecError, validate_spec
 from .odeint import ConsistencyError, DivergenceError, SingularityError
 from .oracle import (
+    NonConvexError,
     build_discrete_problem,
     control_rms_gap,
     deterministic_follower_oracle,
@@ -171,11 +172,6 @@ def cmd_riccati(scn: Scenario, out: Path, args) -> int:
     return 0
 
 
-def _follower_terminal_defect(spec, ens) -> float:
-    xi = spec.xi.on_paths(ens.bundle.W[-1])
-    return float(np.max(np.abs(ens.y[-1] - xi), initial=0.0))
-
-
 def cmd_follower(scn: Scenario, out: Path, args) -> int:
     spec = scn.spec
     p1 = solve_p1(spec)
@@ -192,7 +188,7 @@ def cmd_follower(scn: Scenario, out: Path, args) -> int:
             "algebraic": stat["algebraic_residual"],
             "extrapolated_slope": stat["extrapolated_slope"],
         },
-        "terminal_error_max": _follower_terminal_defect(spec, ens),
+        "terminal_error_max": fol.terminal_defect(spec.xi, ens.y, ens.bundle.W),
         "bsde_residual_rms": rms,
         "bsde_residual_max": rmax,
     }
@@ -218,7 +214,7 @@ def cmd_leader(scn: Scenario, out: Path, args) -> int:
             "leader": lead_stat["algebraic_residual"],
             "leader_extrapolated_slope": lead_stat["extrapolated_slope"],
         },
-        "terminal_error_max": led.terminal_defect(sol.system, ens),
+        "terminal_error_max": fol.terminal_defect(sol.system.xih, ens.Y, ens.bundle.W),
         "initial_coupling_max": led.initial_coupling_defect(sol.system, ens),
         "decoupling_consistency_max": led.decoupling_consistency(ens, sol.pi2),
         "bsde_residual_rms": rms,
@@ -342,7 +338,14 @@ def main(argv=None) -> int:
 
     try:
         return COMMANDS[args.command](scn, Path(args.out), args)
-    except (DivergenceError, SingularityError, UnsolvableError, ConsistencyError) as e:
+    except (
+        DivergenceError,
+        SingularityError,
+        UnsolvableError,
+        ConsistencyError,
+        NonConvexError,
+        np.linalg.LinAlgError,
+    ) as e:
         print(f"solver failure: {e}", file=sys.stderr)
         return EXIT_SOLVER
     except OSError as e:

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AffineControl, CoefficientPath, LQGameSpec, TimeGrid
+from .model import AffineControl, CoefficientPath, LQGameSpec, TerminalCondition, TimeGrid
 from .odeint import OdeDirection, check_forms_agree, guarded_inv, integrate_matrix_ode
-from .oracle import directional_slopes
 from .riccati import RiccatiPath, _tr, p1_s1_inverse
 from .sampling import MonteCarloConfig, PathBundle, sample_brownian
 
@@ -195,6 +194,12 @@ def reconstruct_follower_state(
     return FollowerEnsemble(grid, bundle, varphi, x, y, z)
 
 
+def terminal_defect(xi: TerminalCondition, y: np.ndarray, W: np.ndarray) -> float:
+    """Max over paths of ||y(T) - xi(W(T))|| for a backward state y
+    (N+1, paths, dim) on Brownian paths W (N+1, paths); exact up to roundoff."""
+    return float(np.max(np.abs(y[-1] - xi.on_paths(W[-1])), initial=0.0))
+
+
 def follower_feedback(spec: LQGameSpec, p2: RiccatiPath, ens: FollowerEnsemble) -> np.ndarray:
     """Feedback control u1 = -R1^-1 B1^T (P2 y + varphi), stored on the ensemble.
 
@@ -224,25 +229,72 @@ def quadratic_cost(
     y, u and z are (N+1, paths, dim).  Returns (mean, standard error)
     over the path ensemble.
     """
-    integrand = _quadratic_form(y, Q.values)
-    integrand += _quadratic_form(u, R.values)
-    integrand += _quadratic_form(z, S.values)
+    integrand = _bilinear_form(y, Q.values, y)
+    integrand += _bilinear_form(u, R.values, u)
+    integrand += _bilinear_form(z, S.values, z)
     time_integral = np.trapezoid(integrand, dx=grid.dt, axis=0)
-    per_path = 0.5 * (time_integral + _quadratic_form(y[0], G))
+    per_path = 0.5 * (time_integral + _bilinear_form(y[0], G, y[0]))
     mean = float(per_path.mean())
     n_paths = per_path.shape[0]
     stderr = float(per_path.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
     return mean, stderr
 
 
-def _quadratic_form(v: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """v' M v over the last axis; M is one matrix or a stack matching v's first axis."""
-    return np.einsum("...j,...j->...", v @ M, v)
+def quadratic_expansion(
+    grid: TimeGrid,
+    base: tuple[np.ndarray, np.ndarray, np.ndarray],
+    step: tuple[np.ndarray, np.ndarray, np.ndarray],
+    Q: CoefficientPath,
+    R: CoefficientPath,
+    S: CoefficientPath,
+    G: np.ndarray,
+) -> tuple[float, float]:
+    """Mean (cross, curvature) of quadratic_cost along a step, with
+    J(base + eps step) = J(base) + eps cross + eps^2 curvature exactly.
+
+    base and step are (y, u, z) triples of (N+1, paths, dim) arrays; a
+    step may broadcast over paths.  cross is
+    E{ int (y'Q~dy + u'R~du + z'S~dz) dt + y(0)'G~dy(0) } with the
+    symmetric parts M~ = (M + M')/2, so it stays exact for weights that
+    are symmetric only to roundoff; curvature is the cost of the step.
+    """
+    y, u, z = base
+    dy, du, dz = step
+    integrand = _bilinear_form(y, _sym(Q.values), dy)
+    integrand += _bilinear_form(u, _sym(R.values), du)
+    integrand += _bilinear_form(z, _sym(S.values), dz)
+    per_path = np.trapezoid(integrand, dx=grid.dt, axis=0)
+    per_path += _bilinear_form(y[0], _sym(G), dy[0])
+    curvature, _ = quadratic_cost(grid, dy, du, dz, Q, R, S, G)
+    return float(per_path.mean()), curvature
+
+
+def _sym(M: np.ndarray) -> np.ndarray:
+    """Symmetric part (M + M')/2 of a matrix or a stack of matrices."""
+    return 0.5 * (M + _tr(M))
+
+
+def _bilinear_form(v: np.ndarray, M: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """v' M w over the last axis; M is one matrix or a stack matching v's first axis."""
+    return np.einsum("...j,...j->...", v @ M, w)
 
 
 def follower_cost(spec: LQGameSpec, ens: FollowerEnsemble) -> tuple[float, float]:
     ens.J1 = quadratic_cost(spec.grid, ens.y, ens.u1, ens.z, spec.Q1, spec.R1, spec.S1, spec.G1)
     return ens.J1
+
+
+def follower_state(
+    spec: LQGameSpec, p1: RiccatiPath, p2: RiccatiPath, u2: AffineControl, bundle: PathBundle
+) -> FollowerEnsemble:
+    """The follower's optimal state (x, y, z) on the paths, without feedback or cost."""
+    phieta = solve_phi_eta(spec, p1, u2)
+    phi = phieta.phi_pathwise(bundle.W)
+    u2p = _u2_pathwise(u2, bundle.W)
+    varphi = simulate_varphi(spec, p1, p2, phieta, phi, u2p, bundle)
+    ens = reconstruct_follower_state(spec, p1, p2, phieta, phi, varphi, bundle)
+    ens.u2 = u2p
+    return ens
 
 
 def follower_pipeline(
@@ -257,12 +309,7 @@ def follower_pipeline(
     if bundle is None:
         mc = mc or MonteCarloConfig()
         bundle = sample_brownian(spec.grid, mc.paths, mc.seed)
-    phieta = solve_phi_eta(spec, p1, u2)
-    phi = phieta.phi_pathwise(bundle.W)
-    u2p = _u2_pathwise(u2, bundle.W)
-    varphi = simulate_varphi(spec, p1, p2, phieta, phi, u2p, bundle)
-    ens = reconstruct_follower_state(spec, p1, p2, phieta, phi, varphi, bundle)
-    ens.u2 = u2p
+    ens = follower_state(spec, p1, p2, u2, bundle)
     follower_feedback(spec, p2, ens)
     follower_cost(spec, ens)
     return ens
@@ -305,17 +352,19 @@ def _accumulated_residual(
     return float(np.sqrt(np.mean(accumulated))), float(np.max(np.abs(resid)))
 
 
-def perturbed_follower_cost(
-    spec: LQGameSpec,
-    ens: FollowerEnsemble,
-    v: AffineControl,
-    eps: float,
-) -> float:
-    """J1 at control u1 + eps*v, same paths (common random numbers).
+def check_follower_stationarity(spec: LQGameSpec, ens: FollowerEnsemble, v: AffineControl) -> dict:
+    """First-order optimality of the computed feedback control.
 
-    The state perturbation solves the homogeneous BSDE with forcing
-    B1 v and zero terminal value, closed by the affine ansatz, so the
-    perturbed trajectories are exact in the direction of v.
+    Algebraic part: max ||B1^T x + R1 u1|| over nodes and paths (zero by
+    construction).  Variational part: J1 is quadratic, so along the
+    direction v, J1(u1 + eps v) = J1(u1) + eps slope + eps^2 curvature
+    exactly under common random numbers; the slope is reported as the
+    extrapolated (eps -> 0) directional derivative.
+
+    The state perturbation solves the homogeneous BSDE
+    -d(dy) = [A dy + C dz + B1 v] dt - dz dW with zero terminal value,
+    closed by the affine ansatz: dy = alpha + beta W and the
+    deterministic dz = beta.
     """
     delta = solve_affine_bsde(
         spec.A.half,
@@ -326,49 +375,15 @@ def perturbed_follower_cost(
         np.zeros(spec.dims.n),
         spec.grid,
     )
-    # -d(dy) = [A dy + C dz + B1 v] dt - dz dW has solution dy = alpha + beta W
     W = ens.bundle.W
-    dz = np.broadcast_to(delta.eta_values[:, None], ens.z.shape)
-    mean, _ = quadratic_cost(
-        spec.grid,
-        _perturbed(ens.y, eps, delta.phi_pathwise(W)),
-        _perturbed(ens.u1, eps, _u2_pathwise(v, W)),
-        _perturbed(ens.z, eps, dz),
-        spec.Q1,
-        spec.R1,
-        spec.S1,
-        spec.G1,
-    )
-    return mean
-
-
-def _perturbed(base: np.ndarray, eps: float, step: np.ndarray) -> np.ndarray:
-    """base + eps * step, built in one new array."""
-    out = np.multiply(step, eps)
-    out += base
-    return out
-
-
-def check_follower_stationarity(
-    spec: LQGameSpec,
-    ens: FollowerEnsemble,
-    v: AffineControl,
-    eps_list: tuple[float, ...] = (1e-2, 1e-3),
-) -> dict:
-    """First-order optimality of the computed feedback control.
-
-    Algebraic part: max ||B1^T x + R1 u1|| over nodes and paths (zero by
-    construction).  Variational part: directional derivatives
-    [J1(u1 + eps v) - J1(u1)] / eps under common random numbers, plus
-    the Richardson-extrapolated limit (exact for a quadratic cost).
-    """
-    slopes, extrapolated = directional_slopes(
-        lambda eps: perturbed_follower_cost(spec, ens, v, eps), ens.J1[0], eps_list
+    step = (delta.phi_pathwise(W), _u2_pathwise(v, W), delta.eta_values[:, None])
+    slope, curvature = quadratic_expansion(
+        spec.grid, (ens.y, ens.u1, ens.z), step, spec.Q1, spec.R1, spec.S1, spec.G1
     )
     return {
         "algebraic_residual": stationarity_residual(spec, ens.x, ens.u1),
-        "slopes": slopes,
-        "extrapolated_slope": extrapolated,
+        "extrapolated_slope": slope,
+        "curvature": curvature,
     }
 
 

@@ -12,7 +12,6 @@ leader's control, so the outer problem is again an exact QP.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -209,49 +208,6 @@ def control_rms_gap(oracle_control: np.ndarray, pipeline_control: np.ndarray) ->
     pipeline's node control (N+1, k), compared at step midpoints."""
     mid = 0.5 * (pipeline_control[:-1] + pipeline_control[1:])
     return float(np.sqrt(np.mean((oracle_control - mid) ** 2)))
-
-
-def directional_slopes(
-    perturbed_cost: Callable[[float], float], base_cost: float, eps_list: tuple[float, ...]
-) -> tuple[dict, float]:
-    """Slopes [J(eps) - J(0)] / eps per eps and their Richardson-extrapolated limit.
-
-    The limit combines the two largest eps and removes the O(eps) bias,
-    so it is exact for a quadratic cost; with a single eps it is that slope.
-    """
-    slopes = {eps: (perturbed_cost(eps) - base_cost) / eps for eps in eps_list}
-    eps_sorted = sorted(eps_list, reverse=True)
-    if len(eps_sorted) < 2:
-        return slopes, slopes[eps_sorted[0]]
-    e1, e2 = eps_sorted[0], eps_sorted[1]
-    return slopes, (e1 * slopes[e2] - e2 * slopes[e1]) / (e1 - e2)
-
-
-def perturbation_suite(
-    perturbed_cost,
-    base_cost: float,
-    directions: list,
-    eps_list: tuple[float, ...] = (1e-2, 1e-3),
-) -> list[dict]:
-    """Directional-derivative table for a solved pipeline.
-
-    perturbed_cost(direction, eps) must evaluate the cost at the
-    perturbed control under common random numbers.  Each row carries
-    the per-eps slopes and the Richardson-extrapolated limit.
-    """
-    rows = []
-    for idx, v in enumerate(directions):
-        slopes, extrapolated = directional_slopes(
-            lambda eps: perturbed_cost(v, eps), base_cost, eps_list
-        )
-        rows.append(
-            {
-                "direction": idx,
-                "slopes": {str(eps): s for eps, s in slopes.items()},
-                "extrapolated_slope": extrapolated,
-            }
-        )
-    return rows
 
 
 def oracle_report(

@@ -20,11 +20,11 @@ from bsde_stackelberg.finance import (
     scalar_p2,
     specialized_stacked_matrices,
 )
+from bsde_stackelberg.follower import terminal_defect
 from bsde_stackelberg.leader import (
     decoupling_consistency,
     initial_coupling_defect,
     leader_bsde_residual,
-    terminal_defect,
 )
 from bsde_stackelberg.model import AffineControl, CoefficientPath
 from bsde_stackelberg.oracle import (
@@ -190,7 +190,8 @@ class TestAcceptance:
             worst = max(worst, float(np.max(np.abs(ens.x[0] - ens.y[0] @ spec.G1.T))))
             worst = max(worst, float(np.max(np.abs(ens.u1 - ens.u1_adjoint))))
         for sol in (hand_solution, stochastic_solution):
-            worst = max(worst, terminal_defect(sol.system, sol.ensemble))
+            ens = sol.ensemble
+            worst = max(worst, terminal_defect(sol.system.xih, ens.Y, ens.bundle.W))
             worst = max(worst, initial_coupling_defect(sol.system, sol.ensemble))
             worst = max(worst, decoupling_consistency(sol.ensemble, sol.pi2))
             worst = max(

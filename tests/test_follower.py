@@ -1,17 +1,24 @@
 """Follower pipeline: affine reduction, reconstruction, cost, optimality."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import bsde_stackelberg as bs
 from bsde_stackelberg.follower import (
+    _u2_pathwise,
     check_follower_stationarity,
     follower_paths_csv,
-    perturbed_follower_cost,
     quadratic_cost,
+    quadratic_expansion,
     solve_affine_bsde,
 )
+from bsde_stackelberg.leader import _zero_terminal, follower_response_delta
 from bsde_stackelberg.sampling import coarsen, sample_brownian
+from bsde_stackelberg.scenario import load_scenario, make_constant_spec
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def half_table(grid, value):
@@ -167,10 +174,16 @@ class TestQuadraticCost:
         assert mean == pytest.approx(9.0)  # 0.5 * 2 * 3^2
 
 
+def expanded_cost(base, stat, eps):
+    """J(u + eps v) from the exact quadratic expansion of a stationarity check."""
+    return base + eps * stat["extrapolated_slope"] + eps**2 * stat["curvature"]
+
+
 class TestPerturbations:
     def test_zero_direction_changes_nothing(self, hand_spec, hand_follower):
         v = bs.AffineControl.zero(hand_spec.grid, 1)
-        assert perturbed_follower_cost(hand_spec, hand_follower, v, 1e-2) == pytest.approx(
+        stat = check_follower_stationarity(hand_spec, hand_follower, v)
+        assert expanded_cost(hand_follower.J1[0], stat, 1e-2) == pytest.approx(
             hand_follower.J1[0], abs=1e-15
         )
 
@@ -182,8 +195,120 @@ class TestPerturbations:
     def test_quadratic_growth_away_from_optimum(self, hand_spec, hand_follower):
         # J1(u + eps v) - J1(u) must be positive (strict convexity in u)
         v = bs.AffineControl.constant(hand_spec.grid, [1.0])
+        stat = check_follower_stationarity(hand_spec, hand_follower, v)
         for eps in (0.1, -0.1):
-            assert perturbed_follower_cost(hand_spec, hand_follower, v, eps) > hand_follower.J1[0]
+            assert expanded_cost(hand_follower.J1[0], stat, eps) > hand_follower.J1[0]
+
+
+def dense_game(steps=40):
+    """n = 3, k = 2 game with non-symmetric A, C != 0 and a random terminal datum."""
+    return make_constant_spec(
+        1.0, steps,
+        A=[[0.1, 0.8, 0.0], [-0.6, 0.2, 0.3], [0.1, -0.4, -0.1]],
+        B1=[[1.0, 0.0], [0.3, 0.5], [0.0, 0.8]],
+        B2=[[0.2, 0.1], [1.0, 0.0], [0.0, 0.6]],
+        C=[[0.3, 0.1, 0.0], [-0.1, 0.2, 0.1], [0.0, 0.05, 0.25]],
+        Q1=[[0.5, 0.1, 0.0], [0.1, 0.4, 0.05], [0.0, 0.05, 0.3]],
+        R1=[[1.0, 0.2], [0.2, 0.8]],
+        S1=[[0.2, 0.05, 0.0], [0.05, 0.1, 0.0], [0.0, 0.0, 0.15]],
+        G1=[[0.5, 0.1, 0.0], [0.1, 0.4, 0.0], [0.0, 0.0, 0.6]],
+        Q2=[[0.3, 0.0, 0.1], [0.0, 0.2, 0.0], [0.1, 0.0, 0.4]],
+        R2=[[1.2, -0.1], [-0.1, 0.9]],
+        S2=0.1 * np.eye(3),
+        G2=[[1.0, 0.2, 0.0], [0.2, 0.7, 0.1], [0.0, 0.1, 0.5]],
+        a=[0.5, -0.3, 0.2], b=[1.0, 0.5, -0.4],
+    )
+
+
+def expansion_games():
+    return {
+        "stochastic": load_scenario(SCENARIOS / "stochastic.json", steps=64).spec,
+        "dense": dense_game(),
+    }
+
+
+def affine_direction(grid, k):
+    """v(t) = c + l W(t) with c, l != 0."""
+    c = np.linspace(1.0, -0.5, k).reshape(k, 1)
+    lin = np.linspace(0.4, 0.9, k).reshape(k, 1)
+    path = bs.CoefficientPath.constant
+    return bs.AffineControl(path(grid, c), path(grid, lin))
+
+
+def follower_case(spec, v, bundle):
+    """Base (y, u, z), step, weights, base cost and stationarity of the follower."""
+    p1 = bs.solve_p1(spec)
+    p2 = bs.solve_p2(spec, p1)
+    u2 = bs.AffineControl.constant(spec.grid, 0.2 * np.ones(spec.dims.k))
+    ens = bs.follower_pipeline(spec, p1, p2, u2, bundle=bundle)
+    # -d(dy) = [A dy + C dz + B1 v] dt - dz dW, dy(T) = 0
+    delta = solve_affine_bsde(
+        spec.A.half, spec.C.half,
+        spec.B1.half @ v.u_const.half, spec.B1.half @ v.u_lin.half,
+        np.zeros(spec.dims.n), np.zeros(spec.dims.n), spec.grid,
+    )
+    W = bundle.W
+    step = (delta.phi_pathwise(W), _u2_pathwise(v, W), delta.eta_values[:, None])
+    weights = (spec.Q1, spec.R1, spec.S1, spec.G1)
+    stat = check_follower_stationarity(spec, ens, v)
+    return (ens.y, ens.u1, ens.z), step, weights, ens.J1[0], stat
+
+
+def leader_case(spec, v, bundle):
+    """Base (ybar, u2, zbar), step, weights, base cost and stationarity of the leader."""
+    sol = bs.solve_equilibrium(spec, bundle=bundle)
+    ens = sol.ensemble
+    delta = follower_response_delta(spec, sol.p1, sol.p2, v, bundle)
+    step = (delta.y, _u2_pathwise(v, bundle.W), delta.z)
+    weights = (spec.Q2, spec.R2, spec.S2, spec.G2)
+    stat = bs.check_leader_stationarity(sol, v)
+    return (ens.ybar, ens.u2, ens.zbar), step, weights, ens.J2[0], stat
+
+
+def skewed(weights, scale=0.3):
+    """The weights plus an antisymmetric part, which leaves every quadratic form unchanged."""
+    def skew(M):
+        K = scale * np.triu(np.ones(M.shape[-2:]), 1)
+        return M + K - K.T
+
+    Q, R, S, G = weights
+    return (*(bs.CoefficientPath(Q.grid, skew(W.values)) for W in (Q, R, S)), skew(G))
+
+
+class TestQuadraticExpansion:
+    """J(base + eps step) built as arrays against J + eps cross + eps^2 curvature."""
+
+    @pytest.mark.parametrize("game", ["stochastic", "dense"])
+    @pytest.mark.parametrize("level", [follower_case, leader_case], ids=["follower", "leader"])
+    def test_matches_perturbed_cost(self, game, level):
+        spec = expansion_games()[game]
+        bundle = sample_brownian(spec.grid, 60, 7)
+        v = affine_direction(spec.grid, spec.dims.k)
+        base, step, weights, J, stat = level(spec, v, bundle)
+        assert stat["curvature"] > 0.0
+        # the same weights up to an antisymmetric part
+        tilted = skewed(weights)
+        J_t, _ = quadratic_cost(spec.grid, *base, *tilted)
+        cross_t, curvature_t = quadratic_expansion(spec.grid, base, step, *tilted)
+        for eps in (1e-2, -0.1):
+            perturbed = [b + eps * d for b, d in zip(base, step)]
+            brute, _ = quadratic_cost(spec.grid, *perturbed, *weights)
+            assert abs(brute - expanded_cost(J, stat, eps)) <= 1e-12 * abs(J)
+            brute_t, _ = quadratic_cost(spec.grid, *perturbed, *tilted)
+            expanded_t = J_t + eps * cross_t + eps**2 * curvature_t
+            assert abs(brute_t - expanded_t) <= 1e-12 * abs(J_t)
+
+    @pytest.mark.parametrize("game", ["stochastic", "dense"])
+    def test_response_delta_is_the_full_pipeline_state(self, game):
+        spec = expansion_games()[game]
+        bundle = sample_brownian(spec.grid, 20, 5)
+        p1 = bs.solve_p1(spec)
+        p2 = bs.solve_p2(spec, p1)
+        v = affine_direction(spec.grid, spec.dims.k)
+        delta = follower_response_delta(spec, p1, p2, v, bundle)
+        full = bs.follower_pipeline(_zero_terminal(spec), p1, p2, v, bundle=bundle)
+        assert np.array_equal(delta.y, full.y) and np.array_equal(delta.z, full.z)
+        assert delta.u1 is None and delta.J1 is None
 
 
 class TestCsv:

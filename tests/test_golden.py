@@ -1,8 +1,10 @@
 """Golden numbers of the CLI at small sizes.
 
 The values were recorded before the path arrays moved to the time-major
-layout; the path layer must keep them to 1e-12 (relative or absolute,
-whichever is looser: decoupling_consistency_max is a roundoff figure).
+layout, and the stationarity slopes before they were formed from the
+exact quadratic expansion instead of finite differences; each must hold
+to 1e-12 (relative or absolute, whichever is looser:
+decoupling_consistency_max is a roundoff figure).
 """
 
 import json
@@ -34,6 +36,15 @@ def test_equilibrium_golden_numbers(tmp_path, capsys):
     assert s["J2"]["stderr"] == close(0.0015457417323413063)
     assert s["bsde_residual_rms"] == close(0.004729845288579447)
     assert s["decoupling_consistency_max"] == close(1.942890293094024e-16)
+    assert s["stationarity"]["leader_extrapolated_slope"] == close(0.0004126971030927862)
+
+
+def test_follower_golden_numbers(tmp_path, capsys):
+    s = run(tmp_path, "follower", "stochastic.json")
+    assert s["J1"]["mean"] == close(0.14954178813691094)
+    assert s["J1"]["stderr"] == close(0.004075845358434761)
+    assert s["stationarity"]["extrapolated_slope"] == close(0.0013465134923257291)
+    assert s["bsde_residual_rms"] == close(0.0027620693515219064)
 
 
 def test_finance_golden_numbers(tmp_path, capsys):

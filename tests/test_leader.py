@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 import bsde_stackelberg as bs
+from bsde_stackelberg.follower import terminal_defect
 from bsde_stackelberg.leader import (
     decoupling_consistency,
     initial_coupling_defect,
     leader_bsde_residual,
     leader_paths_csv,
-    perturbed_leader_cost,
     simulate_tilde_varphi,
-    terminal_defect,
 )
 from bsde_stackelberg.sampling import coarsen, sample_brownian
 from bsde_stackelberg.scenario import make_constant_spec
@@ -85,8 +84,8 @@ class TestAuxiliaryBackward:
 
 class TestStructuralIdentities:
     def test_terminal_identity(self, hand_solution, stochastic_solution):
-        assert terminal_defect(hand_solution.system, hand_solution.ensemble) < 1e-12
-        assert terminal_defect(stochastic_solution.system, stochastic_solution.ensemble) < 1e-12
+        for sol in (hand_solution, stochastic_solution):
+            assert terminal_defect(sol.system.xih, sol.ensemble.Y, sol.ensemble.bundle.W) < 1e-12
 
     def test_initial_coupling(self, hand_solution, stochastic_solution):
         assert initial_coupling_defect(hand_solution.system, hand_solution.ensemble) < 1e-12
@@ -143,15 +142,12 @@ class TestEquilibriumControls:
         assert abs(stat["extrapolated_slope"]) < 1e-7
 
     def test_perturbed_cost_grows_at_optimum(self, hand_spec, hand_solution):
-        from bsde_stackelberg.leader import follower_response_delta
-
         v = bs.AffineControl.constant(hand_spec.grid, [1.0])
-        delta = follower_response_delta(
-            hand_spec, hand_solution.p1, hand_solution.p2, v, hand_solution.ensemble.bundle
-        )
+        stat = bs.check_leader_stationarity(hand_solution, v)
         base = hand_solution.J2[0]
         for eps in (0.1, -0.1):
-            assert perturbed_leader_cost(hand_solution, v, eps, delta) > base
+            perturbed = base + eps * stat["extrapolated_slope"] + eps**2 * stat["curvature"]
+            assert perturbed > base
 
 
 class TestNodeKernelsMatchLoops:

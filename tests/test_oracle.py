@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import bsde_stackelberg as bs
-from bsde_stackelberg.leader import decoupling_consistency, initial_coupling_defect, terminal_defect
+from bsde_stackelberg.follower import terminal_defect
+from bsde_stackelberg.leader import decoupling_consistency, initial_coupling_defect
 from bsde_stackelberg.oracle import (
     NonConvexError,
     build_discrete_problem,
@@ -12,7 +13,6 @@ from bsde_stackelberg.oracle import (
     deterministic_follower_oracle,
     deterministic_leader_oracle,
     oracle_report,
-    perturbation_suite,
 )
 from bsde_stackelberg.scenario import hand_solvable_scenario, make_constant_spec
 
@@ -153,18 +153,6 @@ class TestDiagnostics:
         oracle = np.array([[0.5], [1.5], [2.5], [4.5]])
         assert control_rms_gap(oracle, pipeline) == pytest.approx(0.5)
 
-    def test_perturbation_suite_zero_direction(self):
-        rows = perturbation_suite(lambda v, eps: 1.0, 1.0, [None, None])
-        assert len(rows) == 2
-        for row in rows:
-            assert row["extrapolated_slope"] == 0.0
-            assert all(s == 0.0 for s in row["slopes"].values())
-
-    def test_perturbation_suite_extrapolates_linear_bias(self):
-        # cost(eps) = base + eps^2: slope eps -> 0 after extrapolation
-        rows = perturbation_suite(lambda v, eps: 2.0 + eps**2, 2.0, [None])
-        assert rows[0]["extrapolated_slope"] == pytest.approx(0.0, abs=1e-12)
-
     def test_oracle_report_fields(self):
         rep = oracle_report(0.25, 0.2505, 1e-3, 256)
         assert rep["rel_gap"] == pytest.approx(0.002)
@@ -239,7 +227,7 @@ class TestMultiDimensionalPipelines:
         res = deterministic_leader_oracle(spec)
         assert abs(sol.J2[0] - res.cost) / abs(res.cost) <= 1e-2
         ens = sol.ensemble
-        assert terminal_defect(sol.system, ens) <= 1e-8
+        assert terminal_defect(sol.system.xih, ens.Y, ens.bundle.W) <= 1e-8
         assert initial_coupling_defect(sol.system, ens) <= 1e-8
         assert decoupling_consistency(ens, sol.pi2) <= 1e-8
         assert np.max(np.abs(ens.u1 - ens.u1_stacked)) <= 1e-8

@@ -355,8 +355,17 @@ CONSISTENCY_FAILURES = [
 ]
 
 
+# breakages of the oracle's convexity gate, with the message each raises: a
+# negated Hessian fails the gate (NonConvexError), a zero one makes numpy's
+# solve raise LinAlgError
+CONVEXITY_BREAKAGES = {
+    "nonconvex": (lambda convex: lambda H: convex(-H), "not PSD"),
+    "linalg": (lambda convex: np.zeros_like, "Singular matrix"),
+}
+
+
 class TestCliConsistencyFailures:
-    """A failed pathwise consistency check exits 2 with one stderr line."""
+    """A failed consistency check or solve exits 2 with one stderr line."""
 
     @pytest.mark.parametrize(
         "command, scenario, module, attribute, breakage",
@@ -378,6 +387,22 @@ class TestCliConsistencyFailures:
         assert rc == 2
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("solver failure:") and "disagree" in err
+
+    @pytest.mark.parametrize(
+        "breakage, message", CONVEXITY_BREAKAGES.values(), ids=CONVEXITY_BREAKAGES.keys()
+    )
+    def test_verify_solver_error_exits_two(
+        self, tmp_path, hand_doc, capsys, monkeypatch, breakage, message
+    ):
+        monkeypatch.setattr(bs.oracle, "_convex", breakage(bs.oracle._convex))
+        rc = main([
+            "verify", "--scenario", str(write_scenario(tmp_path, hand_doc)),
+            "--out", str(tmp_path / "o"), "--steps", "32", "--paths", "4", "--seed", "0",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("solver failure:") and message in err
 
     def test_finance_closed_form_check_raises_named_error(self, market, monkeypatch):
         from bsde_stackelberg import finance
