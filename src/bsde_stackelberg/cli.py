@@ -146,8 +146,8 @@ def cmd_riccati(scn: Scenario, out: Path, args) -> int:
     solvability: dict = {"closed_form_applicable": spec.c_vanishes}
     if solvability["closed_form_applicable"]:
         try:
-            cf1, rep1 = pi1_closed_form(sys, spec.R2, spec.grid)
-            cf2, rep2 = pi2_closed_form(sys, spec.R2, spec.grid)
+            cf1, rep1 = pi1_closed_form(sys, spec.R2)
+            cf2, rep2 = pi2_closed_form(sys, spec.R2)
             solvability["pi1"] = {
                 "min_determinant": rep1.min_determinant,
                 "satisfied": rep1.satisfied,
@@ -261,12 +261,11 @@ def cmd_verify(scn: Scenario, out: Path, args) -> int:
     bundle_paths = 2  # deterministic xi and C = 0: all paths identical
     mc = MonteCarloConfig(paths=bundle_paths, seed=args.seed)
 
-    p1 = solve_p1(spec)
-    p2 = solve_p2(spec, p1)
+    sol = led.solve_equilibrium(spec, mc=mc)
     prob = build_discrete_problem(spec)
     u2_steps = 0.5 * (scn.u2.u_const.values[:-1, :, 0] + scn.u2.u_const.values[1:, :, 0])
     fol_oracle = deterministic_follower_oracle(prob, u2_steps)
-    fol_ens = fol.follower_pipeline(spec, p1, p2, scn.u2, mc=mc)
+    fol_ens = fol.follower_pipeline(spec, sol.p1, sol.p2, scn.u2, mc=mc)
     fol_rep = oracle_report(
         fol_oracle.cost,
         fol_ens.J1[0],
@@ -275,7 +274,6 @@ def cmd_verify(scn: Scenario, out: Path, args) -> int:
     )
 
     led_oracle = deterministic_leader_oracle(spec)
-    sol = led.solve_equilibrium(spec, mc=mc)
     led_rep = oracle_report(
         led_oracle.cost,
         sol.ensemble.J2[0],

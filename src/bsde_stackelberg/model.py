@@ -129,21 +129,26 @@ class CoefficientPath:
         return eval_coefficient(self, t)
 
 
-def eval_coefficient(path: CoefficientPath, t: float) -> np.ndarray:
-    """Value at time t: stored matrix at nodes, linear interpolation in between."""
+def eval_coefficient(path: CoefficientPath, t) -> np.ndarray:
+    """Value at time t: stored matrix at nodes, linear interpolation in between.
+
+    K times give a (K, rows, cols) stack, bit for bit K one-time calls.  Times
+    up to 1e-12 max(1, T) outside [0, T] are clamped; others raise ValueError.
+    """
     grid = path.grid
+    t = np.asarray(t, dtype=float)
     tol = 1e-12 * max(1.0, grid.horizon)
-    if not (-tol <= t <= grid.horizon + tol):
-        raise ValueError(f"t={t} outside [0, {grid.horizon}]")
-    t = min(max(t, 0.0), grid.horizon)
-    pos = t / grid.dt
-    i = int(np.floor(pos))
-    if i >= grid.steps:
-        return path.values[grid.steps]
-    if t == grid.nodes[i]:
-        return path.values[i]
-    w = (t - grid.nodes[i]) / grid.dt
-    return (1.0 - w) * path.values[i] + w * path.values[i + 1]
+    inside = (-tol <= t) & (t <= grid.horizon + tol)
+    if not inside.all():
+        bad = float(t[~inside][0]) if t.ndim else float(t)
+        raise ValueError(f"t={bad} outside [0, {grid.horizon}]")
+    t = np.clip(t, 0.0, grid.horizon)
+    i = np.minimum(np.floor(t / grid.dt).astype(int), grid.steps)
+    # at and past the last node, i + 1 is clamped; those entries take values[i] below
+    w = ((t - grid.nodes[i]) / grid.dt)[..., None, None]
+    out = (1.0 - w) * path.values[i] + w * path.values[np.minimum(i + 1, grid.steps)]
+    exact = ((i == grid.steps) | (t == grid.nodes[i]))[..., None, None]
+    return np.where(exact, path.values[i], out)
 
 
 @dataclass(frozen=True)

@@ -121,32 +121,30 @@ def integrate_matrix_ode(
 
 
 def matrix_exponential(m: np.ndarray) -> np.ndarray:
-    """e^M by scaling-and-squaring with Pade approximation."""
+    """e^M by scaling-and-squaring with Pade approximation, of one matrix or a stack."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    if m.shape[0] != m.shape[1]:
+    if m.shape[-1] != m.shape[-2]:
         raise ValueError(f"matrix must be square, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return scipy.linalg.expm(m)
 
 
-def transition_steps(matfun: Callable[[float], np.ndarray], grid: TimeGrid) -> np.ndarray:
+def transition_steps(matfun: Callable[[np.ndarray], np.ndarray], grid: TimeGrid) -> np.ndarray:
     """Per-interval transition matrices of dU/dt = matfun(t) U.
 
     Fourth-order Magnus integrator with two-point Gauss-Legendre
     sampling; exact (up to expm accuracy) when matfun is constant.
-    Returns E of shape (N, m, m) with U(t_{i+1}) = E[i] U(t_i).
+    matfun maps N times, one per interval, to the (N, m, m) stack of its
+    values, once per Gauss point.  Returns E with U(t_{i+1}) = E[i] U(t_i).
     """
     dt = grid.dt
     c = np.sqrt(3.0) / 6.0
-    out = []
-    for i in range(grid.steps):
-        t = grid.nodes[i]
-        a1 = np.atleast_2d(matfun(t + (0.5 - c) * dt))
-        a2 = np.atleast_2d(matfun(t + (0.5 + c) * dt))
-        omega = 0.5 * dt * (a1 + a2) + (np.sqrt(3.0) / 12.0) * dt * dt * (a2 @ a1 - a1 @ a2)
-        out.append(matrix_exponential(omega))
-    return np.stack(out)
+    t = grid.nodes[:-1]
+    a1 = matfun(t + (0.5 - c) * dt)
+    a2 = matfun(t + (0.5 + c) * dt)
+    omega = 0.5 * dt * (a1 + a2) + (np.sqrt(3.0) / 12.0) * dt * dt * (a2 @ a1 - a1 @ a2)
+    return matrix_exponential(omega)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .model import LQGameSpec
 
@@ -53,33 +54,29 @@ def build_discrete_problem(spec: LQGameSpec) -> DiscreteLQProblem:
     grid = spec.grid
     N, dt = grid.steps, grid.dt
 
-    E = np.empty((N, n, n))
-    F1 = np.empty((N, n, k))
-    F2 = np.empty((N, n, k))
-    for i in range(N):
-        t1 = grid.nodes[i + 1]
+    def rate(t):
+        # columns: [state basis | unit u1 | unit u2]; y' = -(A y + B1 u1 + B2 u2)
+        A = spec.A(t)
+        G = np.concatenate([np.zeros((N, n, n)), spec.B1(t), spec.B2(t)], axis=2)
+        return lambda M: -(A @ M + G)
 
-        def f(t, M):
-            # columns: [state basis | unit u1 | unit u2]; y' = -(A y + B1 u1 + B2 u2)
-            G = np.hstack([np.zeros((n, n)), spec.B1(t), spec.B2(t)])
-            return -(spec.A(t) @ M + G)
-
-        M = np.hstack([np.eye(n), np.zeros((n, 2 * k))])
-        h = -dt  # one RK4 step from t_{i+1} back to t_i
-        k1 = f(t1, M)
-        k2 = f(t1 + 0.5 * h, M + 0.5 * h * k1)
-        k3 = f(t1 + 0.5 * h, M + 0.5 * h * k2)
-        k4 = f(t1 + h, M + h * k3)
-        M = M + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        E[i], F1[i], F2[i] = M[:, :n], M[:, n : n + k], M[:, n + k :]
+    # one RK4 step from t_{i+1} back to t_i on every interval at once
+    h = -dt
+    t1 = grid.nodes[1:]
+    f1, fm, f0 = rate(t1), rate(t1 + 0.5 * h), rate(t1 + h)
+    M = np.tile(np.hstack([np.eye(n), np.zeros((n, 2 * k))]), (N, 1, 1))
+    k1 = f1(M)
+    k2 = fm(M + 0.5 * h * k1)
+    k3 = fm(M + 0.5 * h * k2)
+    k4 = f0(M + h * k3)
+    M = M + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    E, F1, F2 = M[:, :, :n], M[:, :, n : n + k], M[:, :, n + k :]
 
     w = np.full(N + 1, dt)
     w[0] = w[-1] = 0.5 * dt
-    R1_bar = np.empty((N, k, k))
-    R2_bar = np.empty((N, k, k))
-    for i in range(N):
-        R1_bar[i] = 0.5 * dt * (spec.R1(grid.nodes[i]) + spec.R1(grid.nodes[i + 1]))
-        R2_bar[i] = 0.5 * dt * (spec.R2(grid.nodes[i]) + spec.R2(grid.nodes[i + 1]))
+    R1, R2 = spec.R1(grid.nodes), spec.R2(grid.nodes)
+    R1_bar = 0.5 * dt * (R1[:-1] + R1[1:])
+    R2_bar = 0.5 * dt * (R2[:-1] + R2[1:])
     return DiscreteLQProblem(spec, E, F1, F2, w, R1_bar, R2_bar)
 
 
@@ -146,11 +143,7 @@ def _cost_terms(prob: DiscreteLQProblem, Qs, G, c, S, R_bar):
     H = np.einsum("inm,inp,ipq->mq", S, W, S, optimize=True)
     g = np.einsum("inm,inp,ip->m", S, W, c, optimize=True)
     const = 0.5 * float(np.einsum("in,inp,ip->", c, W, c, optimize=True))
-    k = R_bar.shape[1]
-    N = R_bar.shape[0]
-    for i in range(N):
-        H[i * k : (i + 1) * k, i * k : (i + 1) * k] += R_bar[i]
-    return H, g, const
+    return H + scipy.linalg.block_diag(*R_bar), g, const
 
 
 def deterministic_follower_oracle(prob: DiscreteLQProblem, u2: np.ndarray) -> OracleResult:
@@ -160,7 +153,7 @@ def deterministic_follower_oracle(prob: DiscreteLQProblem, u2: np.ndarray) -> Or
     """
     spec = prob.spec
     grid = spec.grid
-    Q1s = np.stack([spec.Q1(t) for t in grid.nodes])
+    Q1s = spec.Q1(grid.nodes)
     c0, S, T = _state_maps(prob)
     u2 = np.asarray(u2, dtype=float).reshape(grid.steps * spec.dims.k)
     c = c0 + np.einsum("inm,m->in", T, u2)
@@ -179,8 +172,8 @@ def deterministic_leader_oracle(spec: LQGameSpec) -> OracleResult:
     prob = build_discrete_problem(spec)
     grid = spec.grid
     N, k = grid.steps, spec.dims.k
-    Q1s = np.stack([spec.Q1(t) for t in grid.nodes])
-    Q2s = np.stack([spec.Q2(t) for t in grid.nodes])
+    Q1s = spec.Q1(grid.nodes)
+    Q2s = spec.Q2(grid.nodes)
     c0, S, T = _state_maps(prob)
 
     # follower optimum as an affine function of u2

@@ -73,13 +73,14 @@ def pi1_s1_inverse(Pi1: np.ndarray, S1h: np.ndarray, t) -> np.ndarray:
 
 def p1_field(spec: LQGameSpec) -> Callable[[int, np.ndarray], np.ndarray]:
     A, C, Q1, S1 = spec.A.half, spec.C.half, spec.Q1.half, spec.S1.half
+    At, Ct = _tr(A), _tr(C)
     gain, times = spec.B1_R1inv_B1T, spec.grid.half_times
 
     def field(j, P1):
         # (P1 S1 + I)^-1 depends on the RK4 iterate, so it is inverted per stage
         inv1 = p1_s1_inverse(P1, S1[j], times[j])
         return -(
-            A[j] @ P1 + P1 @ A[j].T - P1 @ Q1[j] @ P1 + gain[j] + C[j] @ inv1 @ P1 @ C[j].T
+            A[j] @ P1 + P1 @ At[j] - P1 @ Q1[j] @ P1 + gain[j] + C[j] @ inv1 @ P1 @ Ct[j]
         )
 
     return field
@@ -87,13 +88,14 @@ def p1_field(spec: LQGameSpec) -> Callable[[int, np.ndarray], np.ndarray]:
 
 def p2_field(spec: LQGameSpec, p1: RiccatiPath) -> Callable[[int, np.ndarray], np.ndarray]:
     A, C, Q1 = spec.A.half, spec.C.half, spec.Q1.half
+    At = _tr(A)
     gain = spec.B1_R1inv_B1T
     P1 = p1.path.half
     noise = C @ p1_s1_inverse(P1, spec.S1.half, spec.grid.half_times) @ P1 @ _tr(C)
 
     def field(j, P2):
         return (
-            P2 @ A[j] + A[j].T @ P2 + Q1[j] - P2 @ gain[j] @ P2 - P2 @ noise[j] @ P2
+            P2 @ A[j] + At[j] @ P2 + Q1[j] - P2 @ gain[j] @ P2 - P2 @ noise[j] @ P2
         )
 
     return field
@@ -225,15 +227,16 @@ def build_stacked_system(
 
 def pi1_field(sys: StackedSystem) -> Callable[[int, np.ndarray], np.ndarray]:
     tables, R2inv, times = sys.halves(), sys.R2_inv, sys.grid.half_times
+    A1t, B1t, B2t, C1t, D1t = (_tr(h) for h in tables[:5])
 
     def field(j, Pi1):
         A1, B1, B2, C1, D1, F1, F2, S1 = (h[j] for h in tables)
         # (I + Pi1 S1-hat)^-1 depends on the RK4 iterate, so it is inverted per stage
         inv_s = pi1_s1_inverse(Pi1, S1, times[j])
         return -(
-            A1 @ Pi1 + Pi1 @ A1.T - Pi1 @ F1 @ Pi1
-            + (Pi1 @ B1 - B2) @ R2inv[j] @ (B1.T @ Pi1 - B2.T)
-            + (C1.T - Pi1 @ D1) @ inv_s @ Pi1 @ (C1 - D1.T @ Pi1)
+            A1 @ Pi1 + Pi1 @ A1t[j] - Pi1 @ F1 @ Pi1
+            + (Pi1 @ B1 - B2) @ R2inv[j] @ (B1t[j] @ Pi1 - B2t[j])
+            + (C1t[j] - Pi1 @ D1) @ inv_s @ Pi1 @ (C1 - D1t[j] @ Pi1)
             - F2
         )
 
@@ -242,6 +245,7 @@ def pi1_field(sys: StackedSystem) -> Callable[[int, np.ndarray], np.ndarray]:
 
 def pi2_field(sys: StackedSystem, pi1: RiccatiPath) -> Callable[[int, np.ndarray], np.ndarray]:
     tables, R2inv = sys.halves(), sys.R2_inv
+    A1t, C1t, D1t = (_tr(h) for h in (tables[0], tables[3], tables[4]))
     Pi1 = pi1.path.half
     inv_s = pi1_s1_inverse(Pi1, sys.S1h.half, sys.grid.half_times)
 
@@ -249,9 +253,9 @@ def pi2_field(sys: StackedSystem, pi1: RiccatiPath) -> Callable[[int, np.ndarray
         A1, B1, B2, C1, D1, F1, F2, _ = (h[j] for h in tables)
         gain = B1 + Pi2 @ B2
         return (
-            Pi2 @ A1 + A1.T @ Pi2 + Pi2 @ F2 @ Pi2
-            - gain @ R2inv[j] @ gain.T
-            - (D1 + Pi2 @ C1.T) @ inv_s[j] @ Pi1[j] @ (D1.T + C1 @ Pi2)
+            Pi2 @ A1 + A1t[j] @ Pi2 + Pi2 @ F2 @ Pi2
+            - gain @ R2inv[j] @ _tr(gain)
+            - (D1 + Pi2 @ C1t[j]) @ inv_s[j] @ Pi1[j] @ (D1t[j] + C1 @ Pi2)
             + F1
         )
 
@@ -287,13 +291,13 @@ def _require_c_zero(sys: StackedSystem):
 
 
 def _transition_closed_form(
-    matfun: Callable[[float], np.ndarray], grid: TimeGrid, times: np.ndarray
+    matfun: Callable[[np.ndarray], np.ndarray], grid: TimeGrid, times: np.ndarray
 ) -> tuple[np.ndarray, SolvabilityReport]:
     """-(lower-right)^-1 (lower-left) of the cumulative transitions U_i = E_{N-1} ... E_i.
 
-    E_i are the per-step transitions of dU/ds = matfun(s) U.  The lower-right
-    determinant of every U_i must stay positive, else UnsolvableError names
-    the time (from times) of the smallest one.
+    E_i are the per-step transitions of dU/ds = matfun(s) U, matfun stack-valued.
+    The lower-right determinant of every U_i must stay positive, else
+    UnsolvableError names the time (from times) of the smallest one.
     """
     steps = transition_steps(matfun, grid)
     size = steps.shape[1]
@@ -309,30 +313,31 @@ def _transition_closed_form(
     return -np.linalg.solve(cumulative[:, m:, m:], cumulative[:, m:, :m]), report
 
 
-def pi1_closed_form(
-    sys: StackedSystem, R2: CoefficientPath, grid: TimeGrid
-) -> tuple[RiccatiPath, SolvabilityReport]:
+def pi1_closed_form(sys: StackedSystem, R2: CoefficientPath) -> tuple[RiccatiPath, SolvabilityReport]:
     """Matrix-exponential representation of Pi1 (requires C = 0).
 
     Built on the transition matrices of the linear Hamiltonian system;
     for constant hat matrices this reduces to e^(A (T - t)) literally.
     """
     _require_c_zero(sys)
+    grid = sys.grid
 
     def afun(t):
+        # read and invert at the Gauss times, not from the half-step tables,
+        # so that the closed form stays independent of the RK4 route
         A1, B1, B2, F1, F2 = sys.A1h(t), sys.B1h(t), sys.B2h(t), sys.F1h(t), sys.F2h(t)
         R2inv = guarded_inv(R2(t), t, "R2")
-        top = np.hstack([A1.T - B1 @ R2inv @ B2.T, B1 @ R2inv @ B1.T - F1])
-        bot = np.hstack([F2 - B2 @ R2inv @ B2.T, -A1 + B2 @ R2inv @ B1.T])
-        return np.vstack([top, bot])
+        B1t, B2t = _tr(B1), _tr(B2)
+        return np.block([
+            [_tr(A1) - B1 @ R2inv @ B2t, B1 @ R2inv @ B1t - F1],
+            [F2 - B2 @ R2inv @ B2t, -A1 + B2 @ R2inv @ B1t],
+        ])
 
     vals, report = _transition_closed_form(afun, grid, grid.nodes)
     return RiccatiPath("Pi1", CoefficientPath(grid, vals)), report
 
 
-def pi2_closed_form(
-    sys: StackedSystem, R2: CoefficientPath, grid: TimeGrid
-) -> tuple[RiccatiPath, SolvabilityReport]:
+def pi2_closed_form(sys: StackedSystem, R2: CoefficientPath) -> tuple[RiccatiPath, SolvabilityReport]:
     """Matrix-exponential representation of Pi2 (requires C = 0).
 
     The representation lives in reversed time tau = T - t; the returned
@@ -340,20 +345,22 @@ def pi2_closed_form(
     with the forward RK4 solution (Pi2(0) = G2-hat at the t = 0 node).
     """
     _require_c_zero(sys)
+    grid = sys.grid
     T = grid.horizon
     G2h = sys.G2h
 
     def bfun(tau):
-        t = min(max(T - tau, 0.0), T)
+        t = np.clip(T - tau, 0.0, T)
         A1, B1, B2, F1, F2 = sys.A1h(t), sys.B1h(t), sys.B2h(t), sys.F1h(t), sys.F2h(t)
         R2inv = guarded_inv(R2(t), t, "R2")
-        hamilton = F2 - B2 @ R2inv @ B2.T
-        drift = A1 - B2 @ R2inv @ B1.T
+        B1t = _tr(B1)
+        hamilton = F2 - B2 @ R2inv @ _tr(B2)
+        drift = A1 - B2 @ R2inv @ B1t
         phi = drift + hamilton @ G2h
-        psi = G2h @ drift + drift.T @ G2h + G2h @ hamilton @ G2h + F1 - B1 @ R2inv @ B1.T
+        psi = G2h @ drift + _tr(drift) @ G2h + G2h @ hamilton @ G2h + F1 - B1 @ R2inv @ B1t
         # Hamiltonian block sign convention: lower-left carries -psi, matching
         # the representation Pi21 = -(lower-right)^-1 (lower-left)
-        return np.vstack([np.hstack([phi, hamilton]), np.hstack([-psi, -phi.T])])
+        return np.block([[phi, hamilton], [-psi, -_tr(phi)]])
 
     pi21_tau, report = _transition_closed_form(bfun, grid, T - grid.nodes)
     # Pi2(t_i) = G2-hat + Pi21(tau = T - t_i)
@@ -362,26 +369,24 @@ def pi2_closed_form(
 
 
 def riccati_residual(
-    ric: RiccatiPath, field: Callable[[int, np.ndarray], np.ndarray]
+    ric: RiccatiPath, field: Callable[[np.ndarray, np.ndarray], np.ndarray]
 ) -> tuple[float, float]:
     """Max norm of (central-difference derivative - field) at interior nodes.
 
-    field takes the half-step index (node i is index 2 i), as the *_field
-    factories return it.  Returns (max residual, time of the max).  Second-order differencing:
+    field takes half-step indices (node i is index 2 i) and a stack of iterates,
+    as the *_field factories return it; all interior nodes go through one call.
+    Returns (max residual, time of the first max).  Second-order differencing:
     the residual of a well-resolved solve shrinks ~4x when N doubles.
     """
     grid = ric.path.grid
     if grid.steps < 4:
         raise ValueError("residual check needs N >= 4")
     vals = ric.values
-    dt = grid.dt
-    worst, at = -1.0, 0.0
-    for i in range(1, grid.steps):
-        deriv = (vals[i + 1] - vals[i - 1]) / (2.0 * dt)
-        r = float(np.max(np.abs(deriv - field(2 * i, vals[i]))))
-        if r > worst:
-            worst, at = r, float(grid.nodes[i])
-    return worst, at
+    deriv = (vals[2:] - vals[:-2]) / (2.0 * grid.dt)
+    inner = np.arange(1, grid.steps)
+    r = np.max(np.abs(deriv - field(2 * inner, vals[1:-1])), axis=(1, 2))
+    worst = int(np.argmax(r))
+    return float(r[worst]), float(grid.nodes[inner[worst]])
 
 
 def riccati_csv(ric: RiccatiPath) -> str:

@@ -83,8 +83,8 @@ class TestAcceptance:
         sys = bs.build_stacked_system(hand_spec, p1, p2)
         pi1 = bs.solve_pi1(sys)
         pi2 = bs.solve_pi2(sys, pi1)
-        cf1, rep1 = bs.pi1_closed_form(sys, hand_spec.R2, hand_spec.grid)
-        cf2, rep2 = bs.pi2_closed_form(sys, hand_spec.R2, hand_spec.grid)
+        cf1, rep1 = bs.pi1_closed_form(sys, hand_spec.R2)
+        cf2, rep2 = bs.pi2_closed_form(sys, hand_spec.R2)
         gap = max(
             float(np.max(np.abs(cf1.values - pi1.values))),
             float(np.max(np.abs(cf2.values - pi2.values))),
@@ -316,8 +316,8 @@ class TestAcceptance:
         rejected = not bs.solvability_scan(oscillator, bs.TimeGrid(1.0, 200)).satisfied
         p1, p2 = hand_riccati
         sys = bs.build_stacked_system(hand_spec, p1, p2)
-        _, rep1 = bs.pi1_closed_form(sys, hand_spec.R2, hand_spec.grid)
-        _, rep2 = bs.pi2_closed_form(sys, hand_spec.R2, hand_spec.grid)
+        _, rep1 = bs.pi1_closed_form(sys, hand_spec.R2)
+        _, rep2 = bs.pi2_closed_form(sys, hand_spec.R2)
         try:
             bs.solve_equilibrium(hand_spec, mc=bs.MonteCarloConfig(2, 0))
             completed = True

@@ -61,15 +61,15 @@ class TestAuxiliaryBackward:
         eye = np.eye(2)
 
         def kfun(t):
-            i = int(round(t / hand_spec.grid.dt))
+            i = np.rint(t / hand_spec.grid.dt).astype(int)
             A1, B1, B2 = sys.A1h(t), sys.B1h(t), sys.B2h(t)
             D1, C1, F1, S1 = sys.D1h(t), sys.C1h(t), sys.F1h(t), sys.S1h(t)
             Pi1 = pi1.values[i]
             R2inv = np.linalg.inv(R2(t))
             inv_s = np.linalg.inv(eye + Pi1 @ S1)
             return (
-                A1 - Pi1 @ F1 + (Pi1 @ B1 - B2) @ R2inv @ B1.T
-                + (Pi1 @ D1 - C1.T) @ inv_s @ Pi1 @ D1.T
+                A1 - Pi1 @ F1 + (Pi1 @ B1 - B2) @ R2inv @ np.swapaxes(B1, 1, 2)
+                + (Pi1 @ D1 - np.swapaxes(C1, 1, 2)) @ inv_s @ Pi1 @ np.swapaxes(D1, 1, 2)
             )
 
         # alpha' = -K alpha, so alpha(T) = [transition of x' = -K x](0 -> T) alpha(0)

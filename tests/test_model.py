@@ -102,6 +102,52 @@ class TestCoefficientPath:
         assert vals.min() - 1e-12 <= v <= vals.max() + 1e-12
 
 
+def _one_time_rule(path, t):
+    """The per-time rule, written out on Python floats: clamp the 1e-12 band,
+    stored matrix at nodes and at t >= T, (1 - w) v_i + w v_(i+1) in between."""
+    grid = path.grid
+    t = min(max(t, 0.0), grid.horizon)
+    i = int(np.floor(t / grid.dt))
+    if i >= grid.steps:
+        return path.values[grid.steps]
+    if t == grid.nodes[i]:
+        return path.values[i]
+    w = (t - grid.nodes[i]) / grid.dt
+    return (1.0 - w) * path.values[i] + w * path.values[i + 1]
+
+
+class TestStackedEvaluation:
+    @given(
+        steps=st.integers(1, 60),
+        horizon=st.floats(1e-2, 1e2),
+        fractions=st.lists(st.floats(0.0, 1.0), max_size=20),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_stack_equals_one_time_calls(self, steps, horizon, fractions, seed):
+        g = bs.TimeGrid(horizon, steps)
+        p = bs.CoefficientPath(g, np.random.default_rng(seed).normal(size=(steps + 1, 2, 3)))
+        band = 1e-12 * max(1.0, horizon)
+        mids = g.nodes[:-1] + 0.5 * g.dt
+        t = np.concatenate([
+            g.nodes, mids, np.array(fractions) * horizon,
+            [-band, -0.5 * band, horizon + 0.5 * band, horizon + band],
+        ])
+        stack = eval_coefficient(p, t)
+        assert stack.shape == (t.size, 2, 3)
+        ones = np.stack([eval_coefficient(p, float(s)) for s in t])
+        assert np.array_equal(stack, ones)
+        assert np.array_equal(stack, np.stack([_one_time_rule(p, float(s)) for s in t]))
+        assert np.array_equal(p(t), stack) and p(float(t[-1])).shape == (2, 3)
+
+    @pytest.mark.parametrize("bad", [-1e-9, 1.0 + 1e-9, np.nan])
+    def test_out_of_range_element_raises(self, bad):
+        g = bs.TimeGrid(1.0, 4)
+        p = bs.CoefficientPath.constant(g, np.eye(2))
+        with pytest.raises(ValueError, match="outside"):
+            eval_coefficient(p, np.array([0.0, 0.5, bad, 1.0]))
+
+
 class TestTerminalCondition:
     def test_deterministic_flag(self):
         assert bs.TerminalCondition([1.0], [[0.0]]).deterministic

@@ -115,14 +115,14 @@ class TestTransitionSteps:
     def test_constant_matrix_reduces_to_expm(self):
         g = bs.TimeGrid(1.0, 5)
         m = np.array([[0.1, 1.0], [-0.3, 0.2]])
-        steps = transition_steps(lambda t: m, g)
+        steps = transition_steps(lambda t: np.broadcast_to(m, (t.size, 2, 2)), g)
         expected = bs.matrix_exponential(m * g.dt)
         np.testing.assert_allclose(steps, np.broadcast_to(expected, steps.shape), atol=1e-13)
 
     def test_time_varying_fourth_order(self):
         # dU/dt = a(t) U scalar: exact transition exp(int a)
         def afun(t):
-            return np.array([[np.sin(3.0 * t)]])
+            return np.sin(3.0 * t)[:, None, None]
 
         errs = []
         for N in (8, 16, 32):

@@ -11,7 +11,7 @@ from bsde_stackelberg.riccati import (
     pi2_field,
     riccati_csv,
 )
-from bsde_stackelberg.scenario import make_constant_spec
+from bsde_stackelberg.scenario import make_constant_spec, scenario_from_dict
 
 
 def tanh_spec(steps=256):
@@ -23,6 +23,44 @@ def tanh_spec(steps=256):
         Q2=0.0, R2=1.0, S2=0.0, G2=1.0,
         a=1.0, b=0.0,
     )
+
+
+def time_varying_c0_spec(seed=0, steps=250):
+    """n = 3, k = 2, C = 0, deterministic xi; A, Q1 and R2 piecewise linear in time."""
+    rng = np.random.default_rng(seed)
+    n, k = 3, 2
+
+    def spd(m, floor, scale):
+        L = rng.uniform(-scale, scale, (m, m))
+        M = L @ L.T + floor * np.eye(m)
+        return (0.5 * (M + M.T)).ravel().tolist()
+
+    def nodes(times, draw):
+        return {"nodes": [[t, draw()] for t in times]}
+
+    def constant(flat):
+        return {"constant": flat}
+
+    doc = {
+        "dims": {"n": n, "k": k},
+        "horizon": 1.0,
+        "steps": steps,
+        "coefficients": {
+            "A": nodes([0.0, 0.5, 1.0], lambda: rng.uniform(-0.5, 0.5, n * n).tolist()),
+            "B1": constant(rng.uniform(-1.0, 1.0, n * k).tolist()),
+            "B2": constant(rng.uniform(-1.0, 1.0, n * k).tolist()),
+            "C": constant([0.0] * (n * n)),
+            "Q1": nodes([0.0, 0.5, 1.0], lambda: spd(n, 0.2, 0.6)),
+            "R1": constant(spd(k, 0.8, 0.4)),
+            "S1": constant(spd(n, 0.1, 0.4)),
+            "Q2": constant(spd(n, 0.2, 0.6)),
+            "R2": nodes([0.0, 1.0], lambda: spd(k, 0.8, 0.4)),
+            "S2": constant(spd(n, 0.1, 0.4)),
+        },
+        "weights": {"G1": spd(n, 0.2, 0.5), "G2": spd(n, 0.2, 0.5)},
+        "terminal": {"a": rng.uniform(-1.0, 1.0, n).tolist(), "b": [[0.0]] * n},
+    }
+    return scenario_from_dict(doc).spec
 
 
 class TestFollowerRiccati:
@@ -136,24 +174,40 @@ class TestLeaderRiccati:
         sys = bs.build_stacked_system(hand_spec, p1, p2)
         pi1 = bs.solve_pi1(sys)
         pi2 = bs.solve_pi2(sys, pi1)
-        cf1, rep1 = bs.pi1_closed_form(sys, hand_spec.R2, hand_spec.grid)
-        cf2, rep2 = bs.pi2_closed_form(sys, hand_spec.R2, hand_spec.grid)
+        cf1, rep1 = bs.pi1_closed_form(sys, hand_spec.R2)
+        cf2, rep2 = bs.pi2_closed_form(sys, hand_spec.R2)
         assert rep1.satisfied and rep2.satisfied
         assert np.max(np.abs(cf1.values - pi1.values)) < 1e-8
         assert np.max(np.abs(cf2.values - pi2.values)) < 1e-8
+
+    def test_closed_forms_match_rk4_time_varying(self):
+        # A, Q1 and R2 vary in time, so the closed forms sample the hat
+        # matrices and R2 between the nodes, at the Gauss points
+        spec = time_varying_c0_spec()
+        assert np.ptp(spec.A.values, axis=0).max() > 0.1
+        assert np.ptp(spec.R2.values, axis=0).max() > 0.1
+        p1 = bs.solve_p1(spec)
+        sys = bs.build_stacked_system(spec, p1, bs.solve_p2(spec, p1))
+        pi1 = bs.solve_pi1(sys)
+        pi2 = bs.solve_pi2(sys, pi1)
+        cf1, rep1 = bs.pi1_closed_form(sys, spec.R2)
+        cf2, rep2 = bs.pi2_closed_form(sys, spec.R2)
+        assert rep1.satisfied and rep2.satisfied
+        assert np.max(np.abs(cf1.values - pi1.values)) <= 1e-9
+        assert np.max(np.abs(cf2.values - pi2.values)) <= 1e-9
 
     def test_closed_form_requires_c_zero(self, stochastic_spec):
         p1 = bs.solve_p1(stochastic_spec)
         p2 = bs.solve_p2(stochastic_spec, p1)
         sys = bs.build_stacked_system(stochastic_spec, p1, p2)
         with pytest.raises(ValueError):
-            bs.pi1_closed_form(sys, stochastic_spec.R2, stochastic_spec.grid)
+            bs.pi1_closed_form(sys, stochastic_spec.R2)
 
     def test_closed_form_boundaries(self, hand_spec, hand_riccati):
         p1, p2 = hand_riccati
         sys = bs.build_stacked_system(hand_spec, p1, p2)
-        cf1, _ = bs.pi1_closed_form(sys, hand_spec.R2, hand_spec.grid)
-        cf2, _ = bs.pi2_closed_form(sys, hand_spec.R2, hand_spec.grid)
+        cf1, _ = bs.pi1_closed_form(sys, hand_spec.R2)
+        cf2, _ = bs.pi2_closed_form(sys, hand_spec.R2)
         assert np.max(np.abs(cf1.values[-1])) < 1e-12  # Pi1(T) = 0
         np.testing.assert_allclose(cf2.values[0], sys.G2h, atol=1e-12)  # Pi2(0) = G2-hat
 
