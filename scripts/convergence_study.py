@@ -2,9 +2,12 @@
 """Convergence study: Riccati RK4 order and pathwise residual order.
 
 Measures (a) the observed order of the backward Riccati solve against an
-exact tanh solution and (b) how the accumulated closed-loop residual of
-the equilibrium simulation scales when the time step halves, using the
-same Brownian paths on both grids.
+exact tanh solution and (b) how the accumulated closed-loop residuals of
+the leader's equilibrium simulation and of the follower's response to a
+fixed leader control scale when the time step halves, using the same
+Brownian paths on every grid.  The residuals are reported on the scalar
+stochastic scenario and on an n = 3, k = 2 game with C != 0, where P1 and
+P2 - S1 do not commute; a consistent scheme halves both at every level.
 
 Example:
     python3 scripts/convergence_study.py --paths 128
@@ -17,6 +20,7 @@ import numpy as np
 import bsde_stackelberg as bs
 from bsde_stackelberg.leader import leader_bsde_residual
 from bsde_stackelberg.sampling import coarsen, sample_brownian
+from bsde_stackelberg.scenario import make_constant_spec
 
 
 def riccati_orders(step_counts):
@@ -35,16 +39,43 @@ def riccati_orders(step_counts):
     return rows
 
 
-def residual_ratios(step_counts, paths, seed):
+def three_state_game(steps):
+    """n = 3, k = 2, non-symmetric A and C != 0, stochastic terminal datum."""
+    return make_constant_spec(
+        1.0, steps,
+        A=[[0.1, 0.8, 0.0], [-0.6, 0.2, 0.3], [0.1, -0.4, -0.1]],
+        B1=[[1.0, 0.0], [0.3, 0.5], [0.0, 0.8]],
+        B2=[[0.2, 0.1], [1.0, 0.0], [0.0, 0.6]],
+        C=[[0.9, 0.3, 0.0], [-0.3, 0.6, 0.3], [0.0, 0.15, 0.75]],
+        Q1=[[0.5, 0.1, 0.0], [0.1, 0.4, 0.05], [0.0, 0.05, 0.3]],
+        R1=[[1.0, 0.2], [0.2, 0.8]],
+        S1=[[0.2, 0.05, 0.0], [0.05, 0.1, 0.0], [0.0, 0.0, 0.15]],
+        G1=[[0.5, 0.1, 0.0], [0.1, 0.4, 0.0], [0.0, 0.0, 0.6]],
+        Q2=[[0.3, 0.0, 0.1], [0.0, 0.2, 0.0], [0.1, 0.0, 0.4]],
+        R2=[[1.2, -0.1], [-0.1, 0.9]],
+        S2=0.1 * np.eye(3),
+        G2=[[1.0, 0.2, 0.0], [0.2, 0.7, 0.1], [0.0, 0.1, 0.5]],
+        a=[0.5, -0.3, 0.2], b=[1.0, 0.5, -0.4],
+    )
+
+
+def residual_rms(spec, bundle):
+    """(leader, follower) RMS closed-loop residuals; the follower responds to u2 = 0.2."""
+    sol = bs.solve_equilibrium(spec, bundle=bundle)
+    leader, _ = leader_bsde_residual(sol.system, sol.pi2, sol.ensemble)
+    u2 = bs.AffineControl.constant(spec.grid, 0.2 * np.ones(spec.dims.k))
+    ens = bs.follower_pipeline(spec, sol.p1, sol.p2, u2, bundle=bundle)
+    follower, _ = bs.closed_loop_residual(sol.p2, ens)
+    return leader, follower
+
+
+def residual_ratios(game, step_counts, paths, seed):
     finest = max(step_counts)
     fine = sample_brownian(bs.TimeGrid(1.0, finest), paths, seed)
     rows = []
     for N in sorted(step_counts):
-        spec = bs.stochastic_scenario(steps=N)
         bundle = coarsen(fine, finest // N) if N != finest else fine
-        sol = bs.solve_equilibrium(spec, bundle=bundle)
-        rms, _ = leader_bsde_residual(sol.system, sol.pi2, sol.ensemble)
-        rows.append((N, rms))
+        rows.append((N, *residual_rms(game(steps=N), bundle)))
     return rows
 
 
@@ -63,15 +94,19 @@ def main() -> int:
         print(f"{N:>6} {err:12.3e} {order}")
         prev = err
 
-    print()
-    print("Accumulated closed-loop residual vs time step")
-    print(f"{'N':>6} {'RMS residual':>13} {'ratio':>7}")
-    rows = residual_ratios((128, 256, 512), args.paths, args.seed)
-    prev = None
-    for N, rms in reversed(rows):
-        ratio = f"{rms / prev:7.2f}" if prev else " " * 7
-        print(f"{N:>6} {rms:13.3e} {ratio}")
-        prev = rms
+    games = (("n = 1 stochastic", bs.stochastic_scenario), ("n = 3, C != 0", three_state_game))
+    for name, game in games:
+        print()
+        print(f"Accumulated closed-loop residual vs time step ({name})")
+        print(f"{'N':>6} {'leader RMS':>13} {'ratio':>7} {'follower RMS':>13} {'ratio':>7}")
+        prev = None
+        for N, *rms in reversed(residual_ratios(game, (128, 256, 512), args.paths, args.seed)):
+            cells = []
+            for j, r in enumerate(rms):
+                ratio = f"{r / prev[j]:7.2f}" if prev else " " * 7
+                cells.append(f"{r:13.3e} {ratio}")
+            print(f"{N:>6} " + " ".join(cells))
+            prev = rms
     return 0
 
 

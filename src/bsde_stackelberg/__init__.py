@@ -33,6 +33,7 @@ from .riccati import (
     StackedSystem,
     UnsolvableError,
     build_stacked_system,
+    follower_system,
     pi1_closed_form,
     pi2_closed_form,
     riccati_residual,
@@ -50,9 +51,6 @@ from .follower import (
     follower_cost,
     follower_feedback,
     follower_pipeline,
-    reconstruct_follower_state,
-    simulate_varphi,
-    solve_phi_eta,
 )
 from .leader import (
     LeaderEnsemble,

@@ -178,7 +178,7 @@ def cmd_follower(scn: Scenario, out: Path, args) -> int:
     p2 = solve_p2(spec, p1)
     mc = MonteCarloConfig(paths=args.paths, seed=args.seed)
     ens = fol.follower_pipeline(spec, p1, p2, scn.u2, mc=mc)
-    rms, rmax = fol.closed_loop_residual(spec, p2, ens)
+    rms, rmax = fol.closed_loop_residual(p2, ens)
     direction = AffineControl.constant(spec.grid, np.ones(spec.dims.k))
     stat = fol.check_follower_stationarity(spec, ens, direction)
     _write_text(out, "paths_follower.csv", fol.follower_paths_csv(ens, CSV_PATH_CAP))
@@ -273,7 +273,7 @@ def cmd_verify(scn: Scenario, out: Path, args) -> int:
         spec.grid.steps,
     )
 
-    led_oracle = deterministic_leader_oracle(spec)
+    led_oracle = deterministic_leader_oracle(prob)
     led_rep = oracle_report(
         led_oracle.cost,
         sol.ensemble.J2[0],

@@ -6,7 +6,10 @@ are deterministic, the terminal datum is affine in W(T) and the leader
 control is affine in W(t).  That reduces every BSDE here to a pair of
 terminal-value ODEs; the only sampling error left is the Euler scheme
 for the auxiliary SDE and the decoupled state reconstruction is exact
-pathwise at the terminal and initial nodes.
+pathwise at the terminal and initial nodes.  The follower's problem is
+the leader's stacked form at dimension n (riccati.follower_system), so
+its offsets, reconstruction, feedback and residual are the leader's
+kernels run on that system.
 
 Path arrays are time-major, (N+1, paths, dim): node i of every path is
 one contiguous (paths, dim) block, and every node-wise relation is one
@@ -16,13 +19,17 @@ stacked matmul against an (N+1, dim, dim) table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .model import AffineControl, CoefficientPath, LQGameSpec, TerminalCondition, TimeGrid
-from .odeint import OdeDirection, check_forms_agree, guarded_inv, integrate_matrix_ode
-from .riccati import RiccatiPath, _tr, p1_s1_inverse
+from .odeint import OdeDirection, check_forms_agree, integrate_matrix_ode
+from .riccati import RiccatiPath, StackedSystem, _tr, follower_system
 from .sampling import MonteCarloConfig, PathBundle, sample_brownian
+
+if TYPE_CHECKING:
+    from .leader import LeaderEnsemble
 
 
 @dataclass(frozen=True)
@@ -77,22 +84,6 @@ def solve_affine_bsde(
     )
 
 
-def solve_phi_eta(spec: LQGameSpec, p1: RiccatiPath, u2: AffineControl) -> AffineBSDESolution:
-    """Auxiliary BSDE of the follower, terminal phi(T) = -xi."""
-    P1, B2 = p1.path.half, spec.B2.half
-    M = spec.A.half - P1 @ spec.Q1.half
-    N = spec.C.half @ p1_s1_inverse(P1, spec.S1.half, spec.grid.half_times)
-    g_c = -B2 @ u2.u_const.half
-    g_l = -B2 @ u2.u_lin.half
-    return solve_affine_bsde(M, N, g_c, g_l, -spec.xi.a, -spec.xi.b, spec.grid)
-
-
-def p2_p1_inverse(p1: RiccatiPath, p2: RiccatiPath) -> np.ndarray:
-    """(N+1, n, n) node table of (I + P2 P1)^-1."""
-    P1, P2 = p1.values, p2.values
-    return guarded_inv(np.eye(P1.shape[-1]) + P2 @ P1, p1.path.grid.nodes, "(I + P2 P1)")
-
-
 def _affine_pathwise(const: CoefficientPath, lin: CoefficientPath, W: np.ndarray) -> np.ndarray:
     """(N+1, paths, m) values of const(t) + lin(t) W(t) for m x 1 coefficients."""
     return const.values[:, None, :, 0] + W[:, :, None] * lin.values[:, None, :, 0]
@@ -103,95 +94,47 @@ def _u2_pathwise(u2: AffineControl, W: np.ndarray) -> np.ndarray:
     return _affine_pathwise(u2.u_const, u2.u_lin, W)
 
 
-def simulate_varphi(
-    spec: LQGameSpec,
-    p1: RiccatiPath,
-    p2: RiccatiPath,
-    phieta: AffineBSDESolution,
-    phi: np.ndarray,
-    u2p: np.ndarray,
-    bundle: PathBundle,
-) -> np.ndarray:
-    """Euler-Maruyama for the adjoint-offset SDE, varphi(0) = 0.
-
-    Returns (N+1, paths, n).  Drift and diffusion matrices are assembled
-    at the left node of each step; phi = phieta.phi_pathwise(bundle.W)
-    and the leader control u2p enter as (N+1, paths, dim) path arrays.
-    """
-    n, grid, eta = spec.dims.n, spec.grid, phieta.eta_values[:, :, None]
-    A, B2, C, S1 = spec.A.values, spec.B2.values, spec.C.values, spec.S1.values
-    P1, P2 = p1.values, p2.values
-    Ct = _tr(C)
-    inv1 = p1_s1_inverse(P1, S1, grid.nodes)
-    drift_mat = -P2 @ spec.B1_R1inv_B1T[::2] - P2 @ C @ inv1 @ P1 @ Ct + _tr(A)
-    drift_u2 = P2 @ B2
-    drift_eta = (P2 @ C @ inv1 @ eta)[:, :, 0]
-    diff_mat = (P1 @ P2 + np.eye(n)) @ inv1 @ Ct @ p2_p1_inverse(p1, p2)
-    diff_phi = diff_mat @ P2
-    diff_eta = ((P2 - S1) @ inv1 @ eta)[:, :, 0]
-
-    varphi = np.zeros((grid.steps + 1, bundle.n_paths, n))
-    dt, dW = grid.dt, bundle.dW
-    for i in range(grid.steps):
-        v = varphi[i]
-        drift = v @ drift_mat[i].T + u2p[i] @ drift_u2[i].T - drift_eta[i]
-        diffusion = v @ diff_mat[i].T - phi[i] @ diff_phi[i].T + diff_eta[i]
-        varphi[i + 1] = v + drift * dt + diffusion * dW[i, :, None]
-    return varphi
-
-
 @dataclass
 class FollowerEnsemble:
     """Pathwise follower solution on a Brownian ensemble.
 
-    Arrays are (N+1, paths, dim): x is the adjoint state, (y, z) the
-    backward state pair, u1 the feedback control and u1_adjoint its
-    algebraically equal adjoint representation.
+    The follower's problem is the stacked system of follower_system, solved
+    by the leader's kernels: x, y, z and varphi are that solution's X, Y, Z
+    and forward offset.  Arrays are (N+1, paths, dim): x is the adjoint
+    state, (y, z) the backward state pair, u1 the feedback control and
+    u1_adjoint its algebraically equal adjoint representation.
     """
 
-    grid: TimeGrid
-    bundle: PathBundle
-    varphi: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
+    system: StackedSystem
+    stacked: LeaderEnsemble
     u1: np.ndarray = None
     u1_adjoint: np.ndarray = None
     u2: np.ndarray = None
     J1: tuple[float, float] = None
 
+    @property
+    def grid(self) -> TimeGrid:
+        return self.stacked.grid
 
-def reconstruct_follower_state(
-    spec: LQGameSpec,
-    p1: RiccatiPath,
-    p2: RiccatiPath,
-    phieta: AffineBSDESolution,
-    phi: np.ndarray,
-    varphi: np.ndarray,
-    bundle: PathBundle,
-) -> FollowerEnsemble:
-    """Recover (x, y, z) pathwise from the decoupling relations.
+    @property
+    def bundle(self) -> PathBundle:
+        return self.stacked.bundle
 
-    x = (I + P2 P1)^-1 (varphi - P2 phi); y = -P1 x - phi;
-    z = -(P1 S1 + I)^-1 (P1 C^T x + eta), each one stacked product over
-    the nodes.  The terminal identity y(T) = xi and the initial coupling
-    x(0) = G1 y(0) hold exactly.
-    """
-    grid = spec.grid
-    eta = phieta.eta_values[:, :, None]
-    P1, P2 = p1.values, p2.values
-    inv1 = p1_s1_inverse(P1, spec.S1.values, grid.nodes)
-    inv2 = p2_p1_inverse(p1, p2)
-    z_eta = (inv1 @ eta)[:, None, :, 0]
+    @property
+    def varphi(self) -> np.ndarray:
+        return self.stacked.tilde_varphi
 
-    x = varphi @ _tr(inv2)
-    x -= phi @ _tr(inv2 @ P2)
-    # x @ (-M^T) is -(x @ M^T) exactly, without a negated copy of x
-    y = x @ -_tr(P1)
-    y -= phi
-    z = x @ -_tr(inv1 @ P1 @ _tr(spec.C.values))
-    z -= z_eta
-    return FollowerEnsemble(grid, bundle, varphi, x, y, z)
+    @property
+    def x(self) -> np.ndarray:
+        return self.stacked.X
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.stacked.Y
+
+    @property
+    def z(self) -> np.ndarray:
+        return self.stacked.Z
 
 
 def terminal_defect(xi: TerminalCondition, y: np.ndarray, W: np.ndarray) -> float:
@@ -200,15 +143,18 @@ def terminal_defect(xi: TerminalCondition, y: np.ndarray, W: np.ndarray) -> floa
     return float(np.max(np.abs(y[-1] - xi.on_paths(W[-1])), initial=0.0))
 
 
-def follower_feedback(spec: LQGameSpec, p2: RiccatiPath, ens: FollowerEnsemble) -> np.ndarray:
+def follower_feedback(p2: RiccatiPath, ens: FollowerEnsemble) -> np.ndarray:
     """Feedback control u1 = -R1^-1 B1^T (P2 y + varphi), stored on the ensemble.
 
-    The adjoint representation -R1^-1 B1^T x is computed alongside; the
-    two agree to roundoff through the identity x = P2 y + varphi.
+    It is leader_feedback on the follower's system.  The adjoint
+    representation -R1^-1 B1^T x is computed alongside; the two agree to
+    roundoff through the identity x = P2 y + varphi.
     """
-    minus_gain_t = -_tr(spec.R1_inv[::2] @ _tr(spec.B1.values))
-    u1 = (ens.y @ _tr(p2.values) + ens.varphi) @ minus_gain_t
-    u1_adj = ens.x @ minus_gain_t
+    from .leader import leader_feedback  # leader imports this module
+
+    sys = ens.system
+    u1 = leader_feedback(sys, p2, ens.stacked)
+    u1_adj = ens.x @ -_tr(sys.R_inv[::2] @ _tr(sys.B2h.values))
     check_forms_agree(u1, u1_adj, "feedback/adjoint control forms")
     ens.u1, ens.u1_adjoint = u1, u1_adj
     return u1
@@ -287,14 +233,20 @@ def follower_cost(spec: LQGameSpec, ens: FollowerEnsemble) -> tuple[float, float
 def follower_state(
     spec: LQGameSpec, p1: RiccatiPath, p2: RiccatiPath, u2: AffineControl, bundle: PathBundle
 ) -> FollowerEnsemble:
-    """The follower's optimal state (x, y, z) on the paths, without feedback or cost."""
-    phieta = solve_phi_eta(spec, p1, u2)
+    """The follower's optimal state (x, y, z) on the paths, without feedback or cost.
+
+    The leader's offset and reconstruction kernels run on
+    follower_system(spec, u2), whose Pi1 and Pi2 are P1 and P2.
+    """
+    # imported at call time: leader imports this module
+    from .leader import reconstruct_XYZ, simulate_tilde_varphi, solve_tilde_phi
+
+    sys = follower_system(spec, u2)
+    phieta = solve_tilde_phi(sys, p1)
     phi = phieta.phi_pathwise(bundle.W)
-    u2p = _u2_pathwise(u2, bundle.W)
-    varphi = simulate_varphi(spec, p1, p2, phieta, phi, u2p, bundle)
-    ens = reconstruct_follower_state(spec, p1, p2, phieta, phi, varphi, bundle)
-    ens.u2 = u2p
-    return ens
+    varphi = simulate_tilde_varphi(sys, p1, p2, phieta, phi, bundle)
+    stacked = reconstruct_XYZ(sys, p1, p2, phieta, phi, varphi, bundle)
+    return FollowerEnsemble(sys, stacked, u2=_u2_pathwise(u2, bundle.W))
 
 
 def follower_pipeline(
@@ -310,46 +262,17 @@ def follower_pipeline(
         mc = mc or MonteCarloConfig()
         bundle = sample_brownian(spec.grid, mc.paths, mc.seed)
     ens = follower_state(spec, p1, p2, u2, bundle)
-    follower_feedback(spec, p2, ens)
+    follower_feedback(p2, ens)
     follower_cost(spec, ens)
     return ens
 
 
-def closed_loop_residual(
-    spec: LQGameSpec, p2: RiccatiPath, ens: FollowerEnsemble
-) -> tuple[float, float]:
-    """Discrete residual of the closed-loop BSDE for (y, z).
+def closed_loop_residual(p2: RiccatiPath, ens: FollowerEnsemble) -> tuple[float, float]:
+    """Discrete residual of the follower's closed-loop BSDE for (y, z):
+    leader_bsde_residual on the follower's system, with the same conventions."""
+    from .leader import leader_bsde_residual  # leader imports this module
 
-    r_i = y_{i+1} - y_i + drift_i dt - z_i dW_i per path and step; the
-    reported RMS is the root-mean over paths of the accumulated
-    squared residual sum_i ||r_i||^2, which scales like O(dt) for a
-    consistent first-order scheme.  Also returns the max single-step
-    residual.
-    """
-    left = slice(0, -1)  # drift at the left node of each step
-    A, B2, C = spec.A.values[left], spec.B2.values[left], spec.C.values[left]
-    gain = spec.B1_R1inv_B1T[::2][left]
-    drift = ens.y[left] @ _tr(A - gain @ p2.values[left])
-    drift -= ens.varphi[left] @ _tr(gain)
-    drift += ens.u2[left] @ _tr(B2)
-    drift += ens.z[left] @ _tr(C)
-    return _accumulated_residual(spec.grid, ens.y, ens.z, ens.bundle.dW, drift)
-
-
-def _accumulated_residual(
-    grid: TimeGrid, y: np.ndarray, z: np.ndarray, dW: np.ndarray, drift: np.ndarray
-) -> tuple[float, float]:
-    """RMS over paths of sum_i ||r_i||^2 and max |r_i| for a backward pair (y, z).
-
-    r_i = y_{i+1} - y_i + drift_i dt - z_i dW_i, with drift the (N, paths, m)
-    closed-loop drift at the left node of each step (overwritten here).
-    """
-    resid = y[1:] - y[:-1]
-    drift *= grid.dt
-    resid += drift
-    resid -= z[:-1] * dW[:, :, None]
-    accumulated = np.einsum("ipj,ipj->p", resid, resid)
-    return float(np.sqrt(np.mean(accumulated))), float(np.max(np.abs(resid)))
+    return leader_bsde_residual(ens.system, p2, ens.stacked)
 
 
 def check_follower_stationarity(spec: LQGameSpec, ens: FollowerEnsemble, v: AffineControl) -> dict:

@@ -7,6 +7,8 @@ decouple it; the optimal trajectories are then reconstructed pathwise
 from one auxiliary BSDE (solved by an affine ansatz) and one auxiliary
 SDE (Euler-Maruyama), so the terminal condition Y(T) = xi-hat and the
 initial coupling X(0) = G2-hat Y(0) hold exactly by construction.
+The follower's problem is the same decoupled form at dimension n
+(riccati.follower_system), so these kernels serve both levels.
 Path arrays are time-major, (N+1, paths, dim), as in the follower module.
 """
 
@@ -20,7 +22,6 @@ import numpy as np
 from .follower import (
     AffineBSDESolution,
     FollowerEnsemble,
-    _accumulated_residual,
     _u2_pathwise,
     column_labels,
     follower_state,
@@ -52,19 +53,20 @@ from .sampling import MonteCarloConfig, PathBundle, sample_brownian
 
 
 def solve_tilde_phi(sys: StackedSystem, pi1: RiccatiPath) -> AffineBSDESolution:
-    """Auxiliary BSDE of the leader, terminal value -xi-hat.
+    """Auxiliary BSDE of a stacked system, terminal value -xi-hat.
 
-    The driver is K phi-tilde - L eta-tilde with
-    K = A1h - Pi1 F1h + (Pi1 B1h - B2h) R2^-1 B1h^T
-        + (Pi1 D1h - C1h^T)(I + Pi1 S1h)^-1 Pi1 D1h^T
-    and L = (Pi1 D1h - C1h^T)(I + Pi1 S1h)^-1.
+    The driver is K phi-tilde - L eta-tilde - forcing_load u with
+    K = A1h - Pi1 F1h + (Pi1 B1h - B2h) R^-1 B1h^T
+        + (Pi1 D1h - C1h^T)(I + Pi1 S1h)^-1 Pi1 D1h^T,
+    L = (Pi1 D1h - C1h^T)(I + Pi1 S1h)^-1 and u the known control.
     """
     A1, B1, B2, C1, D1, F1, _, S1 = sys.halves()
     Pi1 = pi1.path.half
     L = (Pi1 @ D1 - _tr(C1)) @ pi1_s1_inverse(Pi1, S1, sys.grid.half_times)
-    K = A1 - Pi1 @ F1 + (Pi1 @ B1 - B2) @ sys.R2_inv @ _tr(B1) + L @ Pi1 @ _tr(D1)
-    zero = np.zeros((*K.shape[:2], 1))
-    return solve_affine_bsde(K, -L, zero, zero, -sys.xih.a, -sys.xih.b, sys.grid)
+    K = A1 - Pi1 @ F1 + (Pi1 @ B1 - B2) @ sys.R_inv @ _tr(B1) + L @ Pi1 @ _tr(D1)
+    load, u = sys.forcing_load.half, sys.forcing_control
+    g_c, g_l = -load @ u.u_const.half, -load @ u.u_lin.half
+    return solve_affine_bsde(K, -L, g_c, g_l, -sys.xih.a, -sys.xih.b, sys.grid)
 
 
 def _offset_diffusion(C1, D1, Pi1, Pi2, mix, inv_12, inv_21):
@@ -84,8 +86,8 @@ def _offset_diffusion(C1, D1, Pi1, Pi2, mix, inv_12, inv_21):
 
 
 def _decoupling_inverses(sys, pi1, pi2):
-    """(I + Pi1 S1h)^-1, (I + Pi1 Pi2)^-1 and (I + Pi2 Pi1)^-1, (N+1, 2n, 2n) node tables."""
-    eye = np.eye(2 * sys.n)
+    """(I + Pi1 S1h)^-1, (I + Pi1 Pi2)^-1 and (I + Pi2 Pi1)^-1, (N+1, dim, dim) node tables."""
+    eye = np.eye(sys.dim)
     Pi1, Pi2, nodes = pi1.values, pi2.values, sys.grid.nodes
     return (
         pi1_s1_inverse(Pi1, sys.S1h.values, nodes),
@@ -126,11 +128,12 @@ def simulate_tilde_varphi(
     phi: np.ndarray,
     bundle: PathBundle,
 ) -> np.ndarray:
-    """Euler-Maruyama for the leader's forward offset, tilde-varphi(0) = 0.
+    """Euler-Maruyama for a stacked system's forward offset, tilde-varphi(0) = 0.
 
-    The drift follows the decoupled system's display and the diffusion
-    the exact pathwise Z-relation (see _offset_diffusion); phi is
-    tilde_phi.phi_pathwise(bundle.W).  Returns (N+1, paths, 2n).
+    The drift follows the decoupled system's display plus Pi2 forcing_load u
+    for the known control u, and the diffusion the exact pathwise Z-relation
+    (see _offset_diffusion); phi is tilde_phi.phi_pathwise(bundle.W).
+    Returns (N+1, paths, dim).
     """
     grid, eta = sys.grid, tilde_phi.eta_values[:, :, None]
     A1, B1, B2 = sys.A1h.values, sys.B1h.values, sys.B2h.values
@@ -140,17 +143,20 @@ def simulate_tilde_varphi(
     coupler = (D1 + Pi2 @ _tr(C1)) @ inv_s
     mix = (Pi2 - sys.S1h.values) @ inv_s
     drift_mat = (
-        _tr(A1) + Pi2 @ F2 - (B1 + Pi2 @ B2) @ sys.R2_inv[::2] @ _tr(B2) - coupler @ Pi1 @ C1
+        _tr(A1) + Pi2 @ F2 - (B1 + Pi2 @ B2) @ sys.R_inv[::2] @ _tr(B2) - coupler @ Pi1 @ C1
     )
     diff_varphi, diff_phi = _offset_diffusion(C1, D1, Pi1, Pi2, mix, inv_12, inv_21)
+    drift_u = Pi2 @ sys.forcing_load.values
     drift_eta = (coupler @ eta)[:, :, 0]
     diff_eta = (mix @ eta)[:, :, 0]
 
-    tv = np.zeros((grid.steps + 1, bundle.n_paths, 2 * sys.n))
+    u = _u2_pathwise(sys.forcing_control, bundle.W)  # (N+1, paths, 0) for the leader
+    tv = np.zeros((grid.steps + 1, bundle.n_paths, sys.dim))
     dt, dW = grid.dt, bundle.dW
     for i in range(grid.steps):
         v = tv[i]
         drift = v @ drift_mat[i].T - drift_eta[i]
+        drift += u[i] @ drift_u[i].T
         noise_load = v @ diff_varphi[i].T + phi[i] @ diff_phi[i].T + diff_eta[i]
         tv[i + 1] = v + drift * dt + noise_load * dW[i, :, None]
     return tv
@@ -246,12 +252,11 @@ def decoupling_consistency(ens: LeaderEnsemble, pi2: RiccatiPath) -> float:
 
 
 def leader_feedback(sys: StackedSystem, pi2: RiccatiPath, ens: LeaderEnsemble) -> np.ndarray:
-    """Feedback control u2 = -R2^-1 (B1h + Pi2 B2h)^T Y - R2^-1 B2h^T varphi-tilde."""
-    R2inv, B2 = sys.R2_inv[::2], sys.B2h.values
-    u2 = ens.Y @ -_tr(R2inv @ _tr(sys.B1h.values + pi2.values @ B2))
-    u2 -= ens.tilde_varphi @ _tr(R2inv @ _tr(B2))
-    ens.u2 = u2
-    return u2
+    """Feedback control u = -R^-1 (B1h + Pi2 B2h)^T Y - R^-1 B2h^T varphi-tilde."""
+    Rinv, B2 = sys.R_inv[::2], sys.B2h.values
+    u = ens.Y @ -_tr(Rinv @ _tr(sys.B1h.values + pi2.values @ B2))
+    u -= ens.tilde_varphi @ _tr(Rinv @ _tr(B2))
+    return u
 
 
 def equilibrium_follower_control(
@@ -303,14 +308,14 @@ def equilibrium_follower_stationarity(
 def closed_loop_drift(sys: StackedSystem, pi2: RiccatiPath) -> tuple[np.ndarray, np.ndarray]:
     """(N+1)-node tables of the closed-loop backward equation of (Y, Z).
 
-    -dY = (M Y + C1h^T Z + f varphi-tilde) dt - Z dW with
-    M = A1h + F2h Pi2 - B2h R2^-1 (B1h + Pi2 B2h)^T and
-    f = F2h - B2h R2^-1 B2h^T; returns (M, f).
+    -dY = (M Y + C1h^T Z + F varphi-tilde + forcing_load u) dt - Z dW with
+    M = A1h + F2h Pi2 - B2h R^-1 (B1h + Pi2 B2h)^T and
+    F = F2h - B2h R^-1 B2h^T; returns (M, F).
     """
     B2, F2, Pi2 = sys.B2h.values, sys.F2h.values, pi2.values
-    B2_R2inv = B2 @ sys.R2_inv[::2]
-    M = sys.A1h.values + F2 @ Pi2 - B2_R2inv @ _tr(sys.B1h.values + Pi2 @ B2)
-    return M, F2 - B2_R2inv @ _tr(B2)
+    B2_Rinv = B2 @ sys.R_inv[::2]
+    M = sys.A1h.values + F2 @ Pi2 - B2_Rinv @ _tr(sys.B1h.values + Pi2 @ B2)
+    return M, F2 - B2_Rinv @ _tr(B2)
 
 
 def leader_bsde_residual(
@@ -318,16 +323,23 @@ def leader_bsde_residual(
 ) -> tuple[float, float]:
     """Discrete residual of the closed-loop BSDE for (Y, Z).
 
-    Same convention as the follower residual: RMS of the per-path
-    accumulated squared step residuals (O(dt)) plus the max single-step
-    residual.
+    r_i = Y_{i+1} - Y_i + drift_i dt - Z_i dW_i per path and step, with the
+    drift at the left node; returns the RMS over paths of the accumulated
+    squared residual sum_i ||r_i||^2, which scales like O(dt) for a
+    consistent first-order scheme, and the max single-step residual.
     """
-    M, forcing = closed_loop_drift(sys, pi2)
-    left = slice(0, -1)  # drift at the left node of each step
-    drift = ens.Y[left] @ _tr(M[left])
-    drift += ens.Z[left] @ sys.C1h.values[left]
-    drift += ens.tilde_varphi[left] @ _tr(forcing[left])
-    return _accumulated_residual(sys.grid, ens.Y, ens.Z, ens.bundle.dW, drift)
+    M, F = closed_loop_drift(sys, pi2)
+    drift = ens.Y[:-1] @ _tr(M[:-1])
+    drift += ens.Z[:-1] @ sys.C1h.values[:-1]
+    drift += ens.tilde_varphi[:-1] @ _tr(F[:-1])
+    u = _u2_pathwise(sys.forcing_control, ens.bundle.W)  # (N+1, paths, 0) for the leader
+    drift += u[:-1] @ _tr(sys.forcing_load.values[:-1])
+    drift *= sys.grid.dt
+    resid = ens.Y[1:] - ens.Y[:-1]
+    resid += drift
+    resid -= ens.Z[:-1] * ens.bundle.dW[:, :, None]
+    accumulated = np.einsum("ipj,ipj->p", resid, resid)
+    return float(np.sqrt(np.mean(accumulated))), float(np.max(np.abs(resid)))
 
 
 @dataclass
@@ -368,7 +380,7 @@ def solve_equilibrium(
     tilde_varphi = simulate_tilde_varphi(sys, pi1, pi2, tilde_phi, phi, bundle)
     ens = reconstruct_XYZ(sys, pi1, pi2, tilde_phi, phi, tilde_varphi, bundle)
     del phi  # free the pathwise offset before the feedback arrays are built
-    leader_feedback(sys, pi2, ens)
+    ens.u2 = leader_feedback(sys, pi2, ens)
     equilibrium_follower_control(spec, p2, pi2, ens)
     leader_cost(spec, ens)
     return StackelbergSolution(spec, p1, p2, sys, pi1, pi2, tilde_phi, ens)

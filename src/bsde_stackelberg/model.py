@@ -144,6 +144,9 @@ def eval_coefficient(path: CoefficientPath, t) -> np.ndarray:
         raise ValueError(f"t={bad} outside [0, {grid.horizon}]")
     t = np.clip(t, 0.0, grid.horizon)
     i = np.minimum(np.floor(t / grid.dt).astype(int), grid.steps)
+    # t / dt can round to just below a node's index: take that node when t equals it
+    nxt = np.minimum(i + 1, grid.steps)
+    i = np.where(t == grid.nodes[nxt], nxt, i)
     # at and past the last node, i + 1 is clamped; those entries take values[i] below
     w = ((t - grid.nodes[i]) / grid.dt)[..., None, None]
     out = (1.0 - w) * path.values[i] + w * path.values[np.minimum(i + 1, grid.steps)]

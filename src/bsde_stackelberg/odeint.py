@@ -19,6 +19,7 @@ import scipy.linalg
 from .model import CoefficientPath, TimeGrid
 
 COND_LIMIT = 1e12
+MAX_NORM = 1e12  # an RK4 iterate past this max-entry size counts as diverged
 
 
 class DivergenceError(RuntimeError):
@@ -77,15 +78,15 @@ def integrate_matrix_ode(
     grid: TimeGrid,
     direction: OdeDirection,
     postprocess: Callable[[np.ndarray], np.ndarray] | None = None,
-    max_norm: float = 1e12,
 ) -> CoefficientPath:
     """Classical RK4 for dM/dt = field(j, M) with one boundary value.
 
     The field receives the half-step index j of its stage time
     t = grid.half_times[j], so it reads precomputed (2N+1)-sample tables
     instead of interpolating.  postprocess (e.g. symmetrization) is
-    applied to the iterate after every step.  Non-finite or exploding
-    iterates raise DivergenceError with the first bad time.
+    applied to the iterate after every step.  Non-finite iterates, or
+    ones with an entry above MAX_NORM, raise DivergenceError with the
+    first bad time.
     """
     m0 = np.atleast_2d(np.asarray(boundary_value, dtype=float))
     N, dt = grid.steps, grid.dt
@@ -112,7 +113,7 @@ def integrate_matrix_ode(
         m = m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if postprocess is not None:
             m = postprocess(m)
-        if not np.all(np.isfinite(m)) or np.max(np.abs(m)) > max_norm:
+        if not np.all(np.isfinite(m)) or np.max(np.abs(m)) > MAX_NORM:
             raise DivergenceError(float(grid.nodes[N - i - 1 if backward else i + 1]))
         out[i + 1] = m
     if backward:

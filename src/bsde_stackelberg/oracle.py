@@ -12,6 +12,7 @@ leader's control, so the outer problem is again an exact QP.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -45,6 +46,29 @@ class DiscreteLQProblem:
     node_weights: np.ndarray  # (N+1,), trapezoid * dt
     R1_bar: np.ndarray  # (N, k, k), per-step control weight * dt
     R2_bar: np.ndarray  # (N, k, k)
+
+    @cached_property
+    def state_maps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Affine map (u1, u2) -> node states: y_i = c_i + S_i u1 + T_i u2.
+
+        Controls are flattened step-major; returns c (N+1, n),
+        S and T (N+1, n, N*k).  Built once per problem, for both oracles.
+        """
+        n, k = self.spec.dims.n, self.spec.dims.k
+        N = self.spec.grid.steps
+        c = np.zeros((N + 1, n))
+        S = np.zeros((N + 1, n, N * k))
+        T = np.zeros((N + 1, n, N * k))
+        c[N] = self.spec.xi.a
+        for i in range(N - 1, -1, -1):
+            c[i] = self.E[i] @ c[i + 1]
+            S[i] = self.E[i] @ S[i + 1]
+            T[i] = self.E[i] @ T[i + 1]
+            S[i, :, i * k : (i + 1) * k] += self.F1[i]
+            T[i, :, i * k : (i + 1) * k] += self.F2[i]
+        for shared in (c, S, T):
+            shared.setflags(write=False)
+        return c, S, T
 
 
 def build_discrete_problem(spec: LQGameSpec) -> DiscreteLQProblem:
@@ -80,28 +104,6 @@ def build_discrete_problem(spec: LQGameSpec) -> DiscreteLQProblem:
     return DiscreteLQProblem(spec, E, F1, F2, w, R1_bar, R2_bar)
 
 
-def _state_maps(prob: DiscreteLQProblem):
-    """Affine map (u1, u2) -> node states: y_i = c_i + S_i u1 + T_i u2.
-
-    Controls are flattened step-major; returns c (N+1, n),
-    S and T (N+1, n, N*k).
-    """
-    spec = prob.spec
-    n, k = spec.dims.n, spec.dims.k
-    N = spec.grid.steps
-    c = np.zeros((N + 1, n))
-    S = np.zeros((N + 1, n, N * k))
-    T = np.zeros((N + 1, n, N * k))
-    c[N] = spec.xi.a
-    for i in range(N - 1, -1, -1):
-        c[i] = prob.E[i] @ c[i + 1]
-        S[i] = prob.E[i] @ S[i + 1]
-        T[i] = prob.E[i] @ T[i + 1]
-        S[i, :, i * k : (i + 1) * k] += prob.F1[i]
-        T[i, :, i * k : (i + 1) * k] += prob.F2[i]
-    return c, S, T
-
-
 def _quadratic_pieces(prob: DiscreteLQProblem, Qs: np.ndarray, G: np.ndarray):
     """Trapezoid state weights + initial weight as one (N+1) stack of matrices."""
     W = prob.node_weights[:, None, None] * Qs
@@ -133,7 +135,6 @@ class OracleResult:
     control: np.ndarray  # (N, k)
     cost: float
     gradient_norm: float
-    iterations: int
     inner_control: np.ndarray | None = None  # leader oracle: induced follower control
 
 
@@ -154,27 +155,27 @@ def deterministic_follower_oracle(prob: DiscreteLQProblem, u2: np.ndarray) -> Or
     spec = prob.spec
     grid = spec.grid
     Q1s = spec.Q1(grid.nodes)
-    c0, S, T = _state_maps(prob)
+    c0, S, T = prob.state_maps
     u2 = np.asarray(u2, dtype=float).reshape(grid.steps * spec.dims.k)
     c = c0 + np.einsum("inm,m->in", T, u2)
     H, g, const = _cost_terms(prob, Q1s, spec.G1, c, S, prob.R1_bar)
     u, grad = _solve_qp(H, g)
     cost = 0.5 * float(u @ H @ u) + float(g @ u) + const
-    return OracleResult(u.reshape(grid.steps, spec.dims.k), cost, grad, 1)
+    return OracleResult(u.reshape(grid.steps, spec.dims.k), cost, grad)
 
 
-def deterministic_leader_oracle(spec: LQGameSpec) -> OracleResult:
+def deterministic_leader_oracle(prob: DiscreteLQProblem) -> OracleResult:
     """Exact discrete leader optimum with the follower responding optimally.
 
     The inner argmin u1*(u2) = -H1^-1 (g1 + B12 u2) is affine, so the
     bilevel cost is an exact quadratic in u2; both solves are direct.
     """
-    prob = build_discrete_problem(spec)
+    spec = prob.spec
     grid = spec.grid
     N, k = grid.steps, spec.dims.k
     Q1s = spec.Q1(grid.nodes)
     Q2s = spec.Q2(grid.nodes)
-    c0, S, T = _state_maps(prob)
+    c0, S, T = prob.state_maps
 
     # follower optimum as an affine function of u2
     H1, g1_const, _ = _cost_terms(prob, Q1s, spec.G1, c0, S, prob.R1_bar)
@@ -191,9 +192,7 @@ def deterministic_leader_oracle(spec: LQGameSpec) -> OracleResult:
     u2, grad = _solve_qp(H2, g2)
     cost = 0.5 * float(u2 @ H2 @ u2) + float(g2 @ u2) + const2
     u1 = u1_const + u1_lin @ u2
-    return OracleResult(
-        u2.reshape(N, k), cost, grad, 1, inner_control=u1.reshape(N, k)
-    )
+    return OracleResult(u2.reshape(N, k), cost, grad, inner_control=u1.reshape(N, k))
 
 
 def control_rms_gap(oracle_control: np.ndarray, pipeline_control: np.ndarray) -> float:

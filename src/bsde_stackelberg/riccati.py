@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import CoefficientPath, LQGameSpec, TerminalCondition, TimeGrid
+from .model import AffineControl, CoefficientPath, LQGameSpec, TerminalCondition, TimeGrid
 from .odeint import (
     OdeDirection,
     SolvabilityReport,
@@ -120,9 +120,16 @@ def solve_p2(spec: LQGameSpec, p1: RiccatiPath) -> RiccatiPath:
 
 @dataclass(frozen=True)
 class StackedSystem:
-    """Hat matrices of the leader's 2n-dimensional FBSDE and the leader's R2^-1."""
+    """Hat matrices of a decoupled FBSDE, its control weight's inverse and its known control.
 
-    n: int
+    The leader's system has dimension 2n (build_stacked_system); the
+    follower's problem is the same form at dimension n (follower_system).
+    The backward driver carries a known control u as + forcing_load u: the
+    leader's control in the follower's problem, none (zero columns) in the
+    leader's own.
+    """
+
+    n: int  # the game's state dimension
     grid: TimeGrid
     A1h: CoefficientPath
     B1h: CoefficientPath
@@ -134,7 +141,14 @@ class StackedSystem:
     S1h: CoefficientPath
     G2h: np.ndarray
     xih: TerminalCondition
-    R2_inv: np.ndarray  # (2N+1, k, k) half-step table, the spec's R2_inv
+    R_inv: np.ndarray  # (2N+1, k, k) half-step table: the spec's R2_inv or R1_inv
+    forcing_load: CoefficientPath  # (dim, j) loading of the known control
+    forcing_control: AffineControl  # the known control, j x 1
+
+    @property
+    def dim(self) -> int:
+        """Dimension of the forward and backward states."""
+        return self.A1h.shape[0]
 
     def halves(self) -> tuple[np.ndarray, ...]:
         """Half-step tables of A1h, B1h, B2h, C1h, D1h, F1h, F2h and S1h, in that order."""
@@ -208,6 +222,7 @@ def build_stacked_system(
     G2h[n:, n:] = spec.G2
     a_hat = np.concatenate([np.zeros(n), spec.xi.a])
     b_hat = np.vstack([np.zeros_like(spec.xi.b), spec.xi.b])
+    # the leader's problem has no known control: zero columns
     return StackedSystem(
         n,
         grid,
@@ -222,11 +237,26 @@ def build_stacked_system(
         G2h,
         TerminalCondition(a_hat, b_hat),
         spec.R2_inv,
+        CoefficientPath(grid, np.zeros((nn, 2 * n, 0))),
+        AffineControl.zero(grid, 0),
+    )
+
+
+def follower_system(spec: LQGameSpec, u2: AffineControl) -> StackedSystem:
+    """The follower's problem as an n-dimensional stacked system, whose Pi1
+    and Pi2 are P1 and P2; the leader's control u2 is its known control."""
+    grid, n = spec.grid, spec.dims.n
+    zero = CoefficientPath.constant(grid, np.zeros((n, n)))
+    return StackedSystem(
+        n, grid, A1h=spec.A, B1h=CoefficientPath.constant(grid, np.zeros((n, spec.dims.k))),
+        B2h=spec.B1, C1h=CoefficientPath(grid, _tr(spec.C.values)), D1h=zero, F1h=spec.Q1,
+        F2h=zero, S1h=spec.S1, G2h=spec.G1, xih=spec.xi, R_inv=spec.R1_inv,
+        forcing_load=spec.B2, forcing_control=u2,
     )
 
 
 def pi1_field(sys: StackedSystem) -> Callable[[int, np.ndarray], np.ndarray]:
-    tables, R2inv, times = sys.halves(), sys.R2_inv, sys.grid.half_times
+    tables, Rinv, times = sys.halves(), sys.R_inv, sys.grid.half_times
     A1t, B1t, B2t, C1t, D1t = (_tr(h) for h in tables[:5])
 
     def field(j, Pi1):
@@ -235,7 +265,7 @@ def pi1_field(sys: StackedSystem) -> Callable[[int, np.ndarray], np.ndarray]:
         inv_s = pi1_s1_inverse(Pi1, S1, times[j])
         return -(
             A1 @ Pi1 + Pi1 @ A1t[j] - Pi1 @ F1 @ Pi1
-            + (Pi1 @ B1 - B2) @ R2inv[j] @ (B1t[j] @ Pi1 - B2t[j])
+            + (Pi1 @ B1 - B2) @ Rinv[j] @ (B1t[j] @ Pi1 - B2t[j])
             + (C1t[j] - Pi1 @ D1) @ inv_s @ Pi1 @ (C1 - D1t[j] @ Pi1)
             - F2
         )
@@ -244,7 +274,7 @@ def pi1_field(sys: StackedSystem) -> Callable[[int, np.ndarray], np.ndarray]:
 
 
 def pi2_field(sys: StackedSystem, pi1: RiccatiPath) -> Callable[[int, np.ndarray], np.ndarray]:
-    tables, R2inv = sys.halves(), sys.R2_inv
+    tables, Rinv = sys.halves(), sys.R_inv
     A1t, C1t, D1t = (_tr(h) for h in (tables[0], tables[3], tables[4]))
     Pi1 = pi1.path.half
     inv_s = pi1_s1_inverse(Pi1, sys.S1h.half, sys.grid.half_times)
@@ -254,7 +284,7 @@ def pi2_field(sys: StackedSystem, pi1: RiccatiPath) -> Callable[[int, np.ndarray
         gain = B1 + Pi2 @ B2
         return (
             Pi2 @ A1 + A1t[j] @ Pi2 + Pi2 @ F2 @ Pi2
-            - gain @ R2inv[j] @ _tr(gain)
+            - gain @ Rinv[j] @ _tr(gain)
             - (D1 + Pi2 @ C1t[j]) @ inv_s[j] @ Pi1[j] @ (D1t[j] + C1 @ Pi2)
             + F1
         )
@@ -266,7 +296,7 @@ def solve_pi1(sys: StackedSystem) -> RiccatiPath:
     """Backward RK4 for Pi1 with Pi1(T) = 0, symmetrized per step."""
     path = integrate_matrix_ode(
         pi1_field(sys),
-        np.zeros((2 * sys.n, 2 * sys.n)),
+        np.zeros((sys.dim, sys.dim)),
         sys.grid,
         OdeDirection.BACKWARD,
         postprocess=_sym,

@@ -154,14 +154,14 @@ class TestAcceptance:
         ]
         worst = 0.0
         for spec in specs:
-            res = deterministic_leader_oracle(spec)
+            res = deterministic_leader_oracle(build_discrete_problem(spec))
             sol = bs.solve_equilibrium(spec, mc=bs.MonteCarloConfig(2, 0))
             rel = abs(sol.J2[0] - res.cost) / max(abs(res.cost), 1e-12)
             worst = max(worst, rel)
         gaps = []
         for N in (64, 256, 1024):
             spec = hand_solvable_scenario(steps=N)
-            res = deterministic_leader_oracle(spec)
+            res = deterministic_leader_oracle(build_discrete_problem(spec))
             sol = bs.solve_equilibrium(spec, mc=bs.MonteCarloConfig(2, 0))
             gaps.append(control_rms_gap(res.control, sol.ensemble.u2[:, 0]))
         decreasing = gaps[0] > gaps[1] > gaps[2]

@@ -161,17 +161,32 @@ class TestNodeKernelsMatchLoops:
         u2 = bs.AffineControl.constant(spec.grid, [0.3])
         bundle = sample_brownian(spec.grid, 5, 3)
         ens = bs.follower_pipeline(spec, p1, p2, u2, bundle=bundle)
-        phieta = bs.solve_phi_eta(spec, p1, u2)
+        phieta = bs.solve_tilde_phi(bs.follower_system(spec, u2), p1)
         phi, eta = phieta.phi_pathwise(bundle.W), phieta.eta_values
         inv, eye = np.linalg.inv, np.eye(spec.dims.n)
         for i in range(spec.grid.steps + 1):
             P1, P2, C = p1.values[i], p2.values[i], spec.C.values[i]
-            x = (ens.varphi[i] - phi[i] @ P2.T) @ inv(eye + P2 @ P1).T
-            y = -x @ P1.T - phi[i]
-            z = -(x @ C @ P1.T + eta[i]) @ inv(P1 @ spec.S1.values[i] + eye).T
-            u1 = -(y @ P2.T + ens.varphi[i]) @ spec.B1.values[i] @ inv(spec.R1.values[i]).T
+            S1, B1, vp = spec.S1.values[i], spec.B1.values[i], ens.varphi[i]
+            x = (vp - phi[i] @ P2.T) @ inv(eye + P2 @ P1).T
+            y = -(vp @ P1.T + phi[i]) @ inv(eye + P1 @ P2).T
+            z = -(x @ C @ P1.T + eta[i]) @ inv(eye + P1 @ S1).T
+            u1 = -(y @ P2.T + vp) @ B1 @ inv(spec.R1.values[i]).T
             for got, want in ((ens.x[i], x), (ens.y[i], y), (ens.z[i], z), (ens.u1[i], u1)):
                 np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+            if i == spec.grid.steps:
+                break
+            # one Euler step of varphi, whose diffusion is the exact pathwise
+            # relation [I + (P2 - S1)(I + P1 S1)^-1 P1] C^T (I + P2 P1)^-1
+            inv1 = inv(eye + P1 @ S1)
+            gain = B1 @ inv(spec.R1.values[i]) @ B1.T
+            drift_mat = spec.A.values[i].T - P2 @ gain - P2 @ C @ inv1 @ P1 @ C.T
+            drift = vp @ drift_mat.T + ens.u2[i] @ (P2 @ spec.B2.values[i]).T
+            drift -= eta[i] @ (P2 @ C @ inv1).T
+            cfac = (eye + (P2 - S1) @ inv1 @ P1) @ C.T
+            noise = (vp - phi[i] @ P2.T) @ (cfac @ inv(eye + P2 @ P1)).T
+            noise += eta[i] @ ((P2 - S1) @ inv1).T
+            step = vp + drift * spec.grid.dt + noise * bundle.dW[i, :, None]
+            np.testing.assert_allclose(ens.varphi[i + 1], step, rtol=1e-10, atol=1e-12)
 
     def test_leader_reconstruction_and_feedback(self):
         spec = two_state_stochastic_spec(steps=16)

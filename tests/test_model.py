@@ -108,6 +108,8 @@ def _one_time_rule(path, t):
     grid = path.grid
     t = min(max(t, 0.0), grid.horizon)
     i = int(np.floor(t / grid.dt))
+    if i < grid.steps and t == grid.nodes[i + 1]:
+        i += 1  # t / dt rounded to just below the node's index
     if i >= grid.steps:
         return path.values[grid.steps]
     if t == grid.nodes[i]:
@@ -119,7 +121,8 @@ def _one_time_rule(path, t):
 class TestStackedEvaluation:
     @given(
         steps=st.integers(1, 60),
-        horizon=st.floats(1e-2, 1e2),
+        # besides random horizons, ones whose t / dt falls just below some node's index
+        horizon=st.floats(1e-2, 1e2) | st.sampled_from([1.03125, 0.1, 0.7, 3.3]),
         fractions=st.lists(st.floats(0.0, 1.0), max_size=20),
         seed=st.integers(0, 2**16),
     )
@@ -135,6 +138,7 @@ class TestStackedEvaluation:
         ])
         stack = eval_coefficient(p, t)
         assert stack.shape == (t.size, 2, 3)
+        assert np.array_equal(stack[: steps + 1], p.values)  # every node returns its matrix
         ones = np.stack([eval_coefficient(p, float(s)) for s in t])
         assert np.array_equal(stack, ones)
         assert np.array_equal(stack, np.stack([_one_time_rule(p, float(s)) for s in t]))

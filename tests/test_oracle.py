@@ -113,7 +113,7 @@ class TestLeaderOracle:
             Q2=0.3, R2=1.0, S2=0.0, G2=1.0,
             a=0.0, b=0.0,
         )
-        res = deterministic_leader_oracle(spec)
+        res = deterministic_leader_oracle(build_discrete_problem(spec))
         assert np.max(np.abs(res.control)) < 1e-14
         assert np.max(np.abs(res.inner_control)) < 1e-14
         assert res.cost == pytest.approx(0.0, abs=1e-20)
@@ -127,18 +127,18 @@ class TestLeaderOracle:
             Q2=0.0, R2=1.0, S2=0.0, G2=0.0,
             a=1.0, b=0.0,
         )
-        res = deterministic_leader_oracle(spec)
+        res = deterministic_leader_oracle(build_discrete_problem(spec))
         assert np.max(np.abs(res.control)) < 1e-14
         assert res.cost == 0.0
 
     def test_inner_control_is_follower_best_response(self, hand_spec_coarse):
-        res = deterministic_leader_oracle(hand_spec_coarse)
         prob = build_discrete_problem(hand_spec_coarse)
+        res = deterministic_leader_oracle(prob)
         follower = deterministic_follower_oracle(prob, res.control)
         np.testing.assert_allclose(res.inner_control, follower.control, atol=1e-10)
 
     def test_gradient_certified(self, hand_spec_coarse):
-        res = deterministic_leader_oracle(hand_spec_coarse)
+        res = deterministic_leader_oracle(build_discrete_problem(hand_spec_coarse))
         assert res.gradient_norm < 1e-10
 
 
@@ -175,7 +175,7 @@ class TestOracleVsPipeline:
         assert rep["rel_gap"] < 1e-3
 
     def test_leader_rel_gap_small(self, hand_spec_coarse):
-        res = deterministic_leader_oracle(hand_spec_coarse)
+        res = deterministic_leader_oracle(build_discrete_problem(hand_spec_coarse))
         sol = bs.solve_equilibrium(hand_spec_coarse, mc=bs.MonteCarloConfig(2, 0))
         rel = abs(sol.J2[0] - res.cost) / max(abs(res.cost), 1e-12)
         assert rel < 1e-2
@@ -224,7 +224,7 @@ class TestMultiDimensionalPipelines:
     def test_leader_matches_oracle(self, n, k):
         spec = random_multidim_game(np.random.default_rng(10 * n + k + 1), n, k)
         sol = bs.solve_equilibrium(spec, mc=bs.MonteCarloConfig(2, 0))
-        res = deterministic_leader_oracle(spec)
+        res = deterministic_leader_oracle(build_discrete_problem(spec))
         assert abs(sol.J2[0] - res.cost) / abs(res.cost) <= 1e-2
         ens = sol.ensemble
         assert terminal_defect(sol.system.xih, ens.Y, ens.bundle.W) <= 1e-8

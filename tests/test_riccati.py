@@ -1,5 +1,7 @@
 """The four Riccati solves, the stacked system, and the closed forms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,19 @@ class TestStackedSystem:
         p1, p2 = hand_riccati
         with pytest.raises(ValueError):
             bs.build_stacked_system(hand_spec, p1, p2, hat_c1_source="other")
+
+    def test_follower_system_riccati_pair_is_p1_p2(self):
+        # n = 3, k = 2, non-symmetric C != 0, time-varying A and Q1: the follower's
+        # system read through the Pi fields reproduces the P fields' solutions
+        base = time_varying_c0_spec(seed=3, steps=120)
+        C = np.random.default_rng(3).uniform(-0.3, 0.3, (3, 3))
+        spec = dataclasses.replace(base, C=bs.CoefficientPath.constant(base.grid, C))
+        p1 = bs.solve_p1(spec)
+        p2 = bs.solve_p2(spec, p1)
+        sys = bs.follower_system(spec, bs.AffineControl.zero(spec.grid, 2))
+        pi1 = bs.solve_pi1(sys)
+        assert np.array_equal(pi1.values, p1.values)
+        assert np.max(np.abs(bs.solve_pi2(sys, pi1).values - p2.values)) <= 1e-14
 
     def test_d1h_lower_block_hand_value(self):
         # S1 = 0 scalar: lower-left D1-hat = P2 C (P1 P2 + 1) - P2 C P1 P2

@@ -328,13 +328,9 @@ class TestCliVerify:
         assert not out.exists()
 
 
-def doubled_follower_adjoint(original):
-    """(I + P2 P1)^-1 scaled by 2: x no longer equals P2 y + varphi."""
-    return lambda p1, p2: 2.0 * original(p1, p2)
-
-
-def doubled_leader_forward(original):
-    """(I + Pi2 Pi1)^-1 scaled by 2: X no longer equals Pi2 Y + varphi-tilde."""
+def doubled_forward(original):
+    """(I + Pi2 Pi1)^-1 scaled by 2: X no longer equals Pi2 Y + varphi-tilde, at
+    either level (the follower's system has Pi1 = P1 and Pi2 = P2)."""
 
     def patched(sys, pi1, pi2):
         inv_s, inv_12, inv_21 = original(sys, pi1, pi2)
@@ -347,11 +343,11 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 # (command, shipped scenario or None for the hand game, module, attribute, breakage)
 CONSISTENCY_FAILURES = [
-    ("follower", None, "follower", "p2_p1_inverse", doubled_follower_adjoint),
-    ("verify", None, "follower", "p2_p1_inverse", doubled_follower_adjoint),
-    ("leader", None, "leader", "_decoupling_inverses", doubled_leader_forward),
-    ("equilibrium", None, "leader", "_decoupling_inverses", doubled_leader_forward),
-    ("finance", "finance.json", "leader", "_decoupling_inverses", doubled_leader_forward),
+    ("follower", None, "leader", "_decoupling_inverses", doubled_forward),
+    ("verify", None, "leader", "_decoupling_inverses", doubled_forward),
+    ("leader", None, "leader", "_decoupling_inverses", doubled_forward),
+    ("equilibrium", None, "leader", "_decoupling_inverses", doubled_forward),
+    ("finance", "finance.json", "leader", "_decoupling_inverses", doubled_forward),
 ]
 
 
