@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Convergence study: Riccati RK4 order and pathwise residual order.
 
-Measures (a) the observed order of the backward Riccati solve against an
-exact tanh solution and (b) how the accumulated closed-loop residuals of
-the leader's equilibrium simulation and of the follower's response to a
-fixed leader control scale when the time step halves, using the same
-Brownian paths on every grid.  The residuals are reported on the scalar
-stochastic scenario and on an n = 3, k = 2 game with C != 0, where P1 and
-P2 - S1 do not commute; a consistent scheme halves both at every level.
+Measures (a) the observed RK4 orders of the backward P1 solve against an
+exact tanh solution and of the forward P2 solve against 1/(1 + t), and
+(b) how the accumulated closed-loop residuals of the leader's equilibrium
+simulation and of the follower's response to a fixed leader control
+scale when the time step halves, using the same Brownian paths on every
+grid.  The residuals are reported on the scalar stochastic scenario and
+on an n = 3, k = 2 game with C != 0, where P1 and P2 - S1 do not
+commute; a consistent scheme halves both at every level.
 
 Example:
     python3 scripts/convergence_study.py --paths 128
@@ -24,6 +25,8 @@ from bsde_stackelberg.scenario import make_constant_spec
 
 
 def riccati_orders(step_counts):
+    """Max errors of P1 against tanh(T - t) (tanh game) and of P2 against
+    1/(1 + t) (hand-solvable game, where P1 = 1 - t is linear)."""
     rows = []
     for N in step_counts:
         spec = bs.make_constant_spec(
@@ -34,8 +37,11 @@ def riccati_orders(step_counts):
             a=1.0, b=0.0,
         )
         p1 = bs.solve_p1(spec)
-        err = float(np.max(np.abs(p1.values[:, 0, 0] - np.tanh(1.0 - spec.grid.nodes))))
-        rows.append((N, err))
+        err1 = float(np.max(np.abs(p1.values[:, 0, 0] - np.tanh(1.0 - spec.grid.nodes))))
+        hand = bs.hand_solvable_scenario(N)
+        p2 = bs.solve_p2(hand, bs.solve_p1(hand))
+        err2 = float(np.max(np.abs(p2.values[:, 0, 0] - 1.0 / (1.0 + hand.grid.nodes))))
+        rows.append((N, err1, err2))
     return rows
 
 
@@ -85,14 +91,16 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    print("Riccati solve vs exact tanh solution")
-    print(f"{'N':>6} {'max error':>12} {'order':>7}")
-    rows = riccati_orders((8, 16, 32, 64, 128))
+    print("Riccati solves vs exact solutions (P1 = tanh(1 - t), P2 = 1/(1 + t))")
+    print(f"{'N':>6} {'P1 error':>12} {'order':>7} {'P2 error':>12} {'order':>7}")
     prev = None
-    for N, err in rows:
-        order = f"{np.log2(prev / err):7.2f}" if prev else " " * 7
-        print(f"{N:>6} {err:12.3e} {order}")
-        prev = err
+    for N, *errs in riccati_orders((8, 16, 32, 64, 128)):
+        cells = []
+        for j, err in enumerate(errs):
+            order = f"{np.log2(prev[j] / err):7.2f}" if prev else " " * 7
+            cells.append(f"{err:12.3e} {order}")
+        print(f"{N:>6} " + " ".join(cells))
+        prev = errs
 
     games = (("n = 1 stochastic", bs.stochastic_scenario), ("n = 3, C != 0", three_state_game))
     for name, game in games:

@@ -67,6 +67,7 @@ from .leader import (
     simulate_tilde_varphi,
     solve_equilibrium,
     solve_tilde_phi,
+    stacked_paths,
 )
 from .oracle import (
     DiscreteLQProblem,

@@ -30,8 +30,7 @@ from .oracle import (
 from .riccati import (
     UnsolvableError,
     build_stacked_system,
-    p1_field,
-    p2_field,
+    follower_system,
     pi1_closed_form,
     pi1_field,
     pi2_closed_form,
@@ -137,9 +136,10 @@ def cmd_riccati(scn: Scenario, out: Path, args) -> int:
     p1, p2, sys, pi1, pi2 = _riccati_bundle(scn)
     for ric in (p1, p2, pi1, pi2):
         _write_text(out, f"riccati_{ric.tag.lower()}.csv", riccati_csv(ric))
+    fsys = follower_system(spec, scn.u2)  # P1 and P2 are its Pi1 and Pi2
     residuals = {
-        "p1": riccati_residual(p1, p1_field(spec)),
-        "p2": riccati_residual(p2, p2_field(spec, p1)),
+        "p1": riccati_residual(p1, pi1_field(fsys)),
+        "p2": riccati_residual(p2, pi2_field(fsys, p1)),
         "pi1": riccati_residual(pi1, pi1_field(sys)),
         "pi2": riccati_residual(pi2, pi2_field(sys, pi1)),
     }

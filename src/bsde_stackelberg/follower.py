@@ -235,17 +235,13 @@ def follower_state(
 ) -> FollowerEnsemble:
     """The follower's optimal state (x, y, z) on the paths, without feedback or cost.
 
-    The leader's offset and reconstruction kernels run on
-    follower_system(spec, u2), whose Pi1 and Pi2 are P1 and P2.
+    The leader's path kernel runs on follower_system(spec, u2), whose Pi1
+    and Pi2 are P1 and P2.
     """
-    # imported at call time: leader imports this module
-    from .leader import reconstruct_XYZ, simulate_tilde_varphi, solve_tilde_phi
+    from .leader import stacked_paths  # leader imports this module
 
     sys = follower_system(spec, u2)
-    phieta = solve_tilde_phi(sys, p1)
-    phi = phieta.phi_pathwise(bundle.W)
-    varphi = simulate_tilde_varphi(sys, p1, p2, phieta, phi, bundle)
-    stacked = reconstruct_XYZ(sys, p1, p2, phieta, phi, varphi, bundle)
+    _, stacked = stacked_paths(sys, p1, p2, bundle)
     return FollowerEnsemble(sys, stacked, u2=_u2_pathwise(u2, bundle.W))
 
 

@@ -127,19 +127,20 @@ def simulate_tilde_varphi(
     tilde_phi: AffineBSDESolution,
     phi: np.ndarray,
     bundle: PathBundle,
+    inverses: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Euler-Maruyama for a stacked system's forward offset, tilde-varphi(0) = 0.
 
     The drift follows the decoupled system's display plus Pi2 forcing_load u
     for the known control u, and the diffusion the exact pathwise Z-relation
-    (see _offset_diffusion); phi is tilde_phi.phi_pathwise(bundle.W).
-    Returns (N+1, paths, dim).
+    (see _offset_diffusion); phi is tilde_phi.phi_pathwise(bundle.W) and
+    inverses are _decoupling_inverses(sys, pi1, pi2).  Returns (N+1, paths, dim).
     """
     grid, eta = sys.grid, tilde_phi.eta_values[:, :, None]
     A1, B1, B2 = sys.A1h.values, sys.B1h.values, sys.B2h.values
     C1, D1, F2 = sys.C1h.values, sys.D1h.values, sys.F2h.values
     Pi1, Pi2 = pi1.values, pi2.values
-    inv_s, inv_12, inv_21 = _decoupling_inverses(sys, pi1, pi2)
+    inv_s, inv_12, inv_21 = inverses
     coupler = (D1 + Pi2 @ _tr(C1)) @ inv_s
     mix = (Pi2 - sys.S1h.values) @ inv_s
     drift_mat = (
@@ -216,17 +217,19 @@ def reconstruct_XYZ(
     phi: np.ndarray,
     tilde_varphi: np.ndarray,
     bundle: PathBundle,
+    inverses: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> LeaderEnsemble:
     """Recover (X, Y, Z) from the two decoupling relations, all nodes at once.
 
     X = (I + Pi2 Pi1)^-1 (-Pi2 phi-tilde + varphi-tilde);
     Y = -(I + Pi1 Pi2)^-1 (Pi1 varphi-tilde + phi-tilde);
     Z = -(I + Pi1 S1h)^-1 (Pi1 C1h X + Pi1 D1h^T Y + eta-tilde),
-    with phi = tilde_phi.phi_pathwise(bundle.W).
+    with phi = tilde_phi.phi_pathwise(bundle.W) and the three inverses
+    from _decoupling_inverses(sys, pi1, pi2).
     """
     eta = tilde_phi.eta_values[:, :, None]
     Pi1, Pi2 = pi1.values, pi2.values
-    inv_s, inv_12, inv_21 = _decoupling_inverses(sys, pi1, pi2)
+    inv_s, inv_12, inv_21 = inverses
 
     X = tilde_varphi @ _tr(inv_21)
     X -= phi @ _tr(inv_21 @ Pi2)
@@ -237,6 +240,20 @@ def reconstruct_XYZ(
     Z -= Y @ _tr(inv_s @ Pi1 @ _tr(sys.D1h.values))
     Z -= (inv_s @ eta)[:, None, :, 0]
     return LeaderEnsemble(sys.grid, bundle, sys.n, X, Y, Z, tilde_varphi)
+
+
+def stacked_paths(
+    sys: StackedSystem, pi1: RiccatiPath, pi2: RiccatiPath, bundle: PathBundle
+) -> tuple[AffineBSDESolution, LeaderEnsemble]:
+    """A decoupled stacked system on the paths: the auxiliary BSDE, the Euler
+    forward offset and the reconstructed (X, Y, Z), with the decoupling
+    inverses formed once.  The one path kernel of both levels."""
+    tilde_phi = solve_tilde_phi(sys, pi1)
+    phi = tilde_phi.phi_pathwise(bundle.W)
+    inverses = _decoupling_inverses(sys, pi1, pi2)
+    tilde_varphi = simulate_tilde_varphi(sys, pi1, pi2, tilde_phi, phi, bundle, inverses)
+    ens = reconstruct_XYZ(sys, pi1, pi2, tilde_phi, phi, tilde_varphi, bundle, inverses)
+    return tilde_phi, ens
 
 
 def decoupling_consistency(ens: LeaderEnsemble, pi2: RiccatiPath) -> float:
@@ -375,11 +392,7 @@ def solve_equilibrium(
     sys = build_stacked_system(spec, p1, p2, hat_c1_source=hat_c1_source)
     pi1 = solve_pi1(sys)
     pi2 = solve_pi2(sys, pi1)
-    tilde_phi = solve_tilde_phi(sys, pi1)
-    phi = tilde_phi.phi_pathwise(bundle.W)
-    tilde_varphi = simulate_tilde_varphi(sys, pi1, pi2, tilde_phi, phi, bundle)
-    ens = reconstruct_XYZ(sys, pi1, pi2, tilde_phi, phi, tilde_varphi, bundle)
-    del phi  # free the pathwise offset before the feedback arrays are built
+    tilde_phi, ens = stacked_paths(sys, pi1, pi2, bundle)
     ens.u2 = leader_feedback(sys, pi2, ens)
     equilibrium_follower_control(spec, p2, pi2, ens)
     leader_cost(spec, ens)

@@ -1,10 +1,12 @@
-"""The four Riccati equations and the stacked leader system.
+"""The Riccati pair of a decoupled FBSDE, and the stacked leader system.
 
-P1 (backward, terminal 0) and P2 (forward, initial G1) decouple the
-follower's Hamiltonian system; Pi1 (backward) and Pi2 (forward, initial
-G2-hat) decouple the leader's stacked FBSDE.  For constant coefficients
-with C = 0 the solutions of Pi1 and Pi2 have matrix-exponential closed
-forms, implemented here as an independent cross-check of the RK4 route.
+Pi1 (backward, terminal 0) and Pi2 (forward, initial G2-hat) decouple a
+StackedSystem.  The leader's system has dimension 2n; the follower's
+problem is the same form at dimension n (follower_system), so its P1
+(terminal 0) and P2 (initial G1) are that system's Pi1 and Pi2, solved
+by the same two flow fields.  For constant coefficients with C = 0 the
+solutions of Pi1 and Pi2 have matrix-exponential closed forms,
+implemented here as an independent cross-check of the RK4 route.
 """
 
 from __future__ import annotations
@@ -61,61 +63,9 @@ def _tr(stack: np.ndarray) -> np.ndarray:
     return np.swapaxes(stack, -1, -2)
 
 
-def p1_s1_inverse(P1: np.ndarray, S1: np.ndarray, t) -> np.ndarray:
-    """(P1 S1 + I)^-1 of one matrix at time t, or of a stack at times t."""
-    return guarded_inv(P1 @ S1 + np.eye(P1.shape[-1]), t, "(P1 S1 + I)")
-
-
 def pi1_s1_inverse(Pi1: np.ndarray, S1h: np.ndarray, t) -> np.ndarray:
     """(I + Pi1 S1-hat)^-1 of one matrix at time t, or of a stack at times t."""
     return guarded_inv(np.eye(Pi1.shape[-1]) + Pi1 @ S1h, t, "(I + Pi1 S1-hat)")
-
-
-def p1_field(spec: LQGameSpec) -> Callable[[int, np.ndarray], np.ndarray]:
-    A, C, Q1, S1 = spec.A.half, spec.C.half, spec.Q1.half, spec.S1.half
-    At, Ct = _tr(A), _tr(C)
-    gain, times = spec.B1_R1inv_B1T, spec.grid.half_times
-
-    def field(j, P1):
-        # (P1 S1 + I)^-1 depends on the RK4 iterate, so it is inverted per stage
-        inv1 = p1_s1_inverse(P1, S1[j], times[j])
-        return -(
-            A[j] @ P1 + P1 @ At[j] - P1 @ Q1[j] @ P1 + gain[j] + C[j] @ inv1 @ P1 @ Ct[j]
-        )
-
-    return field
-
-
-def p2_field(spec: LQGameSpec, p1: RiccatiPath) -> Callable[[int, np.ndarray], np.ndarray]:
-    A, C, Q1 = spec.A.half, spec.C.half, spec.Q1.half
-    At = _tr(A)
-    gain = spec.B1_R1inv_B1T
-    P1 = p1.path.half
-    noise = C @ p1_s1_inverse(P1, spec.S1.half, spec.grid.half_times) @ P1 @ _tr(C)
-
-    def field(j, P2):
-        return (
-            P2 @ A[j] + At[j] @ P2 + Q1[j] - P2 @ gain[j] @ P2 - P2 @ noise[j] @ P2
-        )
-
-    return field
-
-
-def solve_p1(spec: LQGameSpec) -> RiccatiPath:
-    """Backward RK4 for P1 with P1(T) = 0, symmetrized per step."""
-    n = spec.dims.n
-    path = integrate_matrix_ode(
-        p1_field(spec), np.zeros((n, n)), spec.grid, OdeDirection.BACKWARD, postprocess=_sym
-    )
-    return RiccatiPath("P1", path)
-
-
-def solve_p2(spec: LQGameSpec, p1: RiccatiPath) -> RiccatiPath:
-    """Forward RK4 for P2 with P2(0) = G1, symmetrized per step; may blow up in finite time."""
-    path = integrate_matrix_ode(
-        p2_field(spec, p1), spec.G1, spec.grid, OdeDirection.FORWARD, postprocess=_sym
-    )
-    return RiccatiPath("P2", path)
 
 
 @dataclass(frozen=True)
@@ -165,7 +115,7 @@ def build_stacked_system(
     """Node-wise assembly of the hat matrices from spec, P1 and P2.
 
     hat_c1_source selects the second-term factor in the upper-left block
-    of C1-hat: "dynamics" uses (P1 S1 + I)^-1 so the stacked FBSDE
+    of C1-hat: "dynamics" uses (I + P1 S1)^-1 so the stacked FBSDE
     reproduces the leader's state equation block-for-block; "display"
     uses (P1 P2 + I)^-1 as printed.  Default is "dynamics".
     """
@@ -180,7 +130,7 @@ def build_stacked_system(
     P1, P2 = p1.values, p2.values
     Ct = _tr(C)
     gain = spec.B1_R1inv_B1T[::2]
-    inv1 = p1_s1_inverse(P1, S1, grid.nodes)
+    inv1 = pi1_s1_inverse(P1, S1, grid.nodes)
     p1p2 = P1 @ P2 + np.eye(n)
     second = inv1 if hat_c1_source == "dynamics" else guarded_inv(p1p2, grid.nodes, "(P1 P2 + I)")
     p2c = P2 @ C
@@ -256,37 +206,49 @@ def follower_system(spec: LQGameSpec, u2: AffineControl) -> StackedSystem:
 
 
 def pi1_field(sys: StackedSystem) -> Callable[[int, np.ndarray], np.ndarray]:
-    tables, Rinv, times = sys.halves(), sys.R_inv, sys.grid.half_times
-    A1t, B1t, B2t, C1t, D1t = (_tr(h) for h in tables[:5])
+    A1, B1, B2, C1, D1, F1, F2, S1 = sys.halves()
+    times = sys.grid.half_times
+    B1_Rinv, B2_Rinv = B1 @ sys.R_inv, B2 @ sys.R_inv
+    # (Pi1 B1 - B2) R^-1 (B1^T Pi1 - B2^T) expanded: its iterate-free products
+    # join A1, F1 and F2 in four tables
+    left = A1 - B2_Rinv @ _tr(B1)
+    right = _tr(A1) - B1_Rinv @ _tr(B2)
+    quad = F1 - B1_Rinv @ _tr(B1)
+    const = B2_Rinv @ _tr(B2) - F2
+    C1t, D1t = _tr(C1), _tr(D1)
 
     def field(j, Pi1):
-        A1, B1, B2, C1, D1, F1, F2, S1 = (h[j] for h in tables)
         # (I + Pi1 S1-hat)^-1 depends on the RK4 iterate, so it is inverted per stage
-        inv_s = pi1_s1_inverse(Pi1, S1, times[j])
+        inv_s = pi1_s1_inverse(Pi1, S1[j], times[j])
         return -(
-            A1 @ Pi1 + Pi1 @ A1t[j] - Pi1 @ F1 @ Pi1
-            + (Pi1 @ B1 - B2) @ Rinv[j] @ (B1t[j] @ Pi1 - B2t[j])
-            + (C1t[j] - Pi1 @ D1) @ inv_s @ Pi1 @ (C1 - D1t[j] @ Pi1)
-            - F2
+            left[j] @ Pi1 + Pi1 @ right[j] - Pi1 @ quad[j] @ Pi1 + const[j]
+            + (C1t[j] - Pi1 @ D1[j]) @ inv_s @ Pi1 @ (C1[j] - D1t[j] @ Pi1)
         )
 
     return field
 
 
 def pi2_field(sys: StackedSystem, pi1: RiccatiPath) -> Callable[[int, np.ndarray], np.ndarray]:
-    tables, Rinv = sys.halves(), sys.R_inv
-    A1t, C1t, D1t = (_tr(h) for h in (tables[0], tables[3], tables[4]))
+    A1, B1, B2, C1, D1, F1, F2, S1 = sys.halves()
+    Rinv = sys.R_inv
     Pi1 = pi1.path.half
-    inv_s = pi1_s1_inverse(Pi1, sys.S1h.half, sys.grid.half_times)
+    w = pi1_s1_inverse(Pi1, S1, sys.grid.half_times) @ Pi1
+    B2_Rinv, C1t_w, D1_w = B2 @ Rinv, _tr(C1) @ w, D1 @ w
+    # (B1 + Pi2 B2) R^-1 (B1 + Pi2 B2)^T and (D1 + Pi2 C1^T) w (D1^T + C1 Pi2)
+    # expanded into tables; Pi2^T stays apart from Pi2, because the stage
+    # iterates are not symmetric when F1 is not
+    left = A1 - B2_Rinv @ _tr(B1) - C1t_w @ _tr(D1)
+    quad = F2 - C1t_w @ C1
+    quad_t = B2_Rinv @ _tr(B2)
+    right = _tr(A1) - D1_w @ C1
+    right_t = B1 @ Rinv @ _tr(B2)
+    const = F1 - B1 @ Rinv @ _tr(B1) - D1_w @ _tr(D1)
 
     def field(j, Pi2):
-        A1, B1, B2, C1, D1, F1, F2, _ = (h[j] for h in tables)
-        gain = B1 + Pi2 @ B2
+        Pi2t = _tr(Pi2)
         return (
-            Pi2 @ A1 + A1t[j] @ Pi2 + Pi2 @ F2 @ Pi2
-            - gain @ Rinv[j] @ _tr(gain)
-            - (D1 + Pi2 @ C1t[j]) @ inv_s[j] @ Pi1[j] @ (D1t[j] + C1 @ Pi2)
-            + F1
+            Pi2 @ (left[j] + quad[j] @ Pi2 - quad_t[j] @ Pi2t)
+            + right[j] @ Pi2 - right_t[j] @ Pi2t + const[j]
         )
 
     return field
@@ -310,6 +272,21 @@ def solve_pi2(sys: StackedSystem, pi1: RiccatiPath) -> RiccatiPath:
         pi2_field(sys, pi1), sys.G2h, sys.grid, OdeDirection.FORWARD, postprocess=_sym
     )
     return RiccatiPath("Pi2", path)
+
+
+def _riccati_system(spec: LQGameSpec) -> StackedSystem:
+    """The follower's system with no known control: its Riccati flows never read one."""
+    return follower_system(spec, AffineControl.zero(spec.grid, spec.dims.k))
+
+
+def solve_p1(spec: LQGameSpec) -> RiccatiPath:
+    """P1: Pi1 of the follower's system, backward RK4 from P1(T) = 0."""
+    return RiccatiPath("P1", solve_pi1(_riccati_system(spec)).path)
+
+
+def solve_p2(spec: LQGameSpec, p1: RiccatiPath) -> RiccatiPath:
+    """P2: Pi2 of the follower's system, forward RK4 from P2(0) = G1; may blow up in finite time."""
+    return RiccatiPath("P2", solve_pi2(_riccati_system(spec), p1).path)
 
 
 def _require_c_zero(sys: StackedSystem):

@@ -84,3 +84,21 @@ def scenario_document(spec, mode="strict", u2=None, market=None):
     if market is not None:
         doc["market"] = market
     return doc
+
+
+def singular_stage_document():
+    """Permissive n = 2 game with A = Q1 = C = 0, B1 = R1 = I and S1 = diag(-2, 1):
+    P1 = (1 - t) I, so I + P1 S1 = diag(2t - 1, 2 - t) is singular at t = 0.5."""
+    eye, zero = [1.0, 0.0, 0.0, 1.0], [0.0] * 4
+    coefficients = {name: {"constant": zero} for name in ("A", "C", "Q1", "Q2", "S2")}
+    coefficients.update({name: {"constant": eye} for name in ("B1", "B2", "R1", "R2")})
+    coefficients["S1"] = {"constant": [-2.0, 0.0, 0.0, 1.0]}
+    return {
+        "dims": {"n": 2, "k": 2},
+        "horizon": 1.0,
+        "steps": 100,
+        "coefficients": coefficients,
+        "weights": {"G1": eye, "G2": eye},
+        "terminal": {"a": [1.0, 0.0], "b": [[0.0], [0.0]]},
+        "mode": "permissive",
+    }

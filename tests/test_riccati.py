@@ -7,13 +7,13 @@ import pytest
 
 import bsde_stackelberg as bs
 from bsde_stackelberg.riccati import (
-    p1_field,
-    p2_field,
     pi1_field,
     pi2_field,
     riccati_csv,
 )
 from bsde_stackelberg.scenario import make_constant_spec, scenario_from_dict
+
+from conftest import singular_stage_document
 
 
 def tanh_spec(steps=256):
@@ -65,6 +65,34 @@ def time_varying_c0_spec(seed=0, steps=250):
     return scenario_from_dict(doc).spec
 
 
+def paper_p_fields(spec):
+    """The paper's P1 and P2 equations, written out from the game's coefficients,
+    as stacked fields for riccati_residual: field(j, P) at half-step indices j.
+
+    P1' = -(A P1 + P1 A' - P1 Q1 P1 + B1 R1^-1 B1' + C (P1 S1 + I)^-1 P1 C'),
+    P2' = P2 A + A' P2 + Q1 - P2 B1 R1^-1 B1' P2 - P2 C (P1 S1 + I)^-1 P1 C' P2.
+    """
+    A, B1, C, Q1, S1 = (getattr(spec, name).half for name in ("A", "B1", "C", "Q1", "S1"))
+    At, Ct = np.swapaxes(A, 1, 2), np.swapaxes(C, 1, 2)
+    gain = B1 @ np.linalg.inv(spec.R1.half) @ np.swapaxes(B1, 1, 2)
+    eye = np.eye(spec.dims.n)
+
+    def p1_field(j, P1):
+        noise = C[j] @ np.linalg.inv(P1 @ S1[j] + eye) @ P1 @ Ct[j]
+        return -(A[j] @ P1 + P1 @ At[j] - P1 @ Q1[j] @ P1 + gain[j] + noise)
+
+    def p2_field(p1):
+        P1 = p1.path.half
+
+        def field(j, P2):
+            noise = C[j] @ np.linalg.inv(P1[j] @ S1[j] + eye) @ P1[j] @ Ct[j]
+            return P2 @ A[j] + At[j] @ P2 + Q1[j] - P2 @ gain[j] @ P2 - P2 @ noise @ P2
+
+        return field
+
+    return p1_field, p2_field
+
+
 class TestFollowerRiccati:
     def test_p1_hand_solution(self, hand_spec, hand_riccati):
         p1, _ = hand_riccati
@@ -94,11 +122,39 @@ class TestFollowerRiccati:
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders > 3.5)
 
+    def test_p1_p2_solve_the_papers_equations(self):
+        # n = 3, k = 2, non-symmetric C != 0, time-varying A and Q1: P1 and P2,
+        # solved as Pi1 and Pi2 of the follower's system, against the paper's
+        # equations written out above.  The residual peaks at the coefficients'
+        # kink at t = 0.5 (6e-4 and 9e-4 here); reading C for C' in the
+        # follower's system gives 8e-2 and 2e-2
+        base = time_varying_c0_spec(seed=3, steps=480)
+        C = np.random.default_rng(3).uniform(-0.3, 0.3, (3, 3))
+        spec = dataclasses.replace(base, C=bs.CoefficientPath.constant(base.grid, C))
+        p1 = bs.solve_p1(spec)
+        p2 = bs.solve_p2(spec, p1)
+        assert (p1.tag, p2.tag) == ("P1", "P2")
+        assert np.max(np.abs(p1.values[-1])) == 0.0
+        np.testing.assert_array_equal(p2.values[0], spec.G1)
+        paper_p1, paper_p2 = paper_p_fields(spec)
+        r1, _ = bs.riccati_residual(p1, paper_p1)
+        r2, _ = bs.riccati_residual(p2, paper_p2(p1))
+        assert r1 < 2e-3 and r2 < 2e-3
+
     def test_residuals_small(self, hand_spec, hand_riccati):
         p1, p2 = hand_riccati
-        r1, _ = bs.riccati_residual(p1, p1_field(hand_spec))
-        r2, _ = bs.riccati_residual(p2, p2_field(hand_spec, p1))
+        fsys = bs.follower_system(hand_spec, bs.AffineControl.zero(hand_spec.grid, 1))
+        r1, _ = bs.riccati_residual(p1, pi1_field(fsys))
+        r2, _ = bs.riccati_residual(p2, pi2_field(fsys, p1))
         assert r1 < 1e-6 and r2 < 1e-6
+
+    def test_singular_stage_raises_with_time_and_label(self):
+        # the per-stage gate of the Riccati flow stops P1 where I + P1 S1 is singular
+        spec = scenario_from_dict(singular_stage_document()).spec
+        with pytest.raises(bs.SingularityError) as err:
+            bs.solve_p1(spec)
+        assert err.value.t == 0.5
+        assert err.value.label == "(I + Pi1 S1-hat)"
 
     def test_symmetry(self, hand_riccati):
         p1, p2 = hand_riccati
@@ -140,19 +196,6 @@ class TestStackedSystem:
         p1, p2 = hand_riccati
         with pytest.raises(ValueError):
             bs.build_stacked_system(hand_spec, p1, p2, hat_c1_source="other")
-
-    def test_follower_system_riccati_pair_is_p1_p2(self):
-        # n = 3, k = 2, non-symmetric C != 0, time-varying A and Q1: the follower's
-        # system read through the Pi fields reproduces the P fields' solutions
-        base = time_varying_c0_spec(seed=3, steps=120)
-        C = np.random.default_rng(3).uniform(-0.3, 0.3, (3, 3))
-        spec = dataclasses.replace(base, C=bs.CoefficientPath.constant(base.grid, C))
-        p1 = bs.solve_p1(spec)
-        p2 = bs.solve_p2(spec, p1)
-        sys = bs.follower_system(spec, bs.AffineControl.zero(spec.grid, 2))
-        pi1 = bs.solve_pi1(sys)
-        assert np.array_equal(pi1.values, p1.values)
-        assert np.max(np.abs(bs.solve_pi2(sys, pi1).values - p2.values)) <= 1e-14
 
     def test_d1h_lower_block_hand_value(self):
         # S1 = 0 scalar: lower-left D1-hat = P2 C (P1 P2 + 1) - P2 C P1 P2

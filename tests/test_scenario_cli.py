@@ -12,7 +12,7 @@ import bsde_stackelberg as bs
 from bsde_stackelberg.cli import main
 from bsde_stackelberg.scenario import load_scenario, scenario_from_dict
 
-from conftest import scenario_document
+from conftest import scenario_document, singular_stage_document
 
 
 def write_scenario(tmp_path, doc, name="scn.json"):
@@ -383,6 +383,13 @@ class TestCliConsistencyFailures:
         assert rc == 2
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("solver failure:") and "disagree" in err
+
+    def test_singular_stage_exits_two(self, tmp_path, capsys):
+        scn = write_scenario(tmp_path, singular_stage_document())
+        rc = main(["riccati", "--scenario", str(scn), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "solver failure: (I + Pi1 S1-hat) numerically singular at t=0.5\n"
 
     @pytest.mark.parametrize(
         "breakage, message", CONVEXITY_BREAKAGES.values(), ids=CONVEXITY_BREAKAGES.keys()
