@@ -8,7 +8,14 @@ simulation and of the follower's response to a fixed leader control
 scale when the time step halves, using the same Brownian paths on every
 grid.  The residuals are reported on the scalar stochastic scenario and
 on an n = 3, k = 2 game with C != 0, where P1 and P2 - S1 do not
-commute; a consistent scheme halves both at every level.
+commute; a consistent scheme halves both at every level.  It also gives
+(c) the Richardson order of alpha(0), the value at t = 0 of an affine
+BSDE solved by RK4 step maps, over N, 2N and 4N, on the hand-solvable
+and n = 3 games: for the leader's auxiliary BSDE, and for the follower's
+perturbation BSDE with a smooth forcing read exactly at the half steps.
+The second shows the step maps' order 4.  The first is about 2, because
+the RK4 midpoint stages read Pi1 and the hat matrices (built from P1 and
+P2) as linear interpolants of their node values.
 
 Example:
     python3 scripts/convergence_study.py --paths 128
@@ -19,7 +26,8 @@ import argparse
 import numpy as np
 
 import bsde_stackelberg as bs
-from bsde_stackelberg.leader import leader_bsde_residual
+from bsde_stackelberg.follower import solve_affine_bsde
+from bsde_stackelberg.leader import leader_bsde_residual, solve_tilde_phi
 from bsde_stackelberg.sampling import coarsen, sample_brownian
 from bsde_stackelberg.scenario import make_constant_spec
 
@@ -65,6 +73,26 @@ def three_state_game(steps):
     )
 
 
+def offset_alpha0(spec):
+    """alpha(0) of the leader's auxiliary BSDE, and of the follower's perturbation
+    BSDE -d(dy) = [A dy + C dz + B1 v] dt - dz dW with v_j = sin(2t + j) + cos(t + j) W
+    read at the half steps, for zero terminal values."""
+    p1 = bs.solve_p1(spec)
+    sys = bs.build_stacked_system(spec, p1, bs.solve_p2(spec, p1))
+    leader = solve_tilde_phi(sys, bs.solve_pi1(sys)).alpha.values[0, :, 0]
+    t = spec.grid.half_times[:, None, None] + np.arange(spec.dims.k)[None, :, None]
+    zero, B1 = np.zeros(spec.dims.n), spec.B1.half
+    delta = solve_affine_bsde(
+        spec.A.half, spec.C.half, B1 @ np.sin(2.0 * t), B1 @ np.cos(t), zero, zero, spec.grid
+    )
+    return leader, delta.alpha.values[0, :, 0]
+
+
+def richardson_order(coarse, mid, fine):
+    """log2 of the ratio of successive max-norm differences over N, 2N and 4N."""
+    return float(np.log2(np.max(np.abs(coarse - mid)) / np.max(np.abs(mid - fine))))
+
+
 def residual_rms(spec, bundle):
     """(leader, follower) RMS closed-loop residuals; the follower responds to u2 = 0.2."""
     sol = bs.solve_equilibrium(spec, bundle=bundle)
@@ -101,6 +129,15 @@ def main() -> int:
             cells.append(f"{err:12.3e} {order}")
         print(f"{N:>6} " + " ".join(cells))
         prev = errs
+
+    print()
+    print("Richardson order of alpha(0) over N, 2N and 4N (RK4 step maps)")
+    print(f"{'game':>14} {'N':>6} {'leader aux.':>12} {'perturbation':>13}")
+    for name, game in (("hand-solvable", bs.hand_solvable_scenario), ("n = 3", three_state_game)):
+        alphas = [offset_alpha0(game(N)) for N in (16, 32, 64, 128)]
+        for i, N in enumerate((16, 32)):
+            orders = [richardson_order(*(a[j] for a in alphas[i:i + 3])) for j in (0, 1)]
+            print(f"{name:>14} {N:>6} {orders[0]:12.2f} {orders[1]:13.2f}")
 
     games = (("n = 1 stochastic", bs.stochastic_scenario), ("n = 3, C != 0", three_state_game))
     for name, game in games:

@@ -8,6 +8,7 @@ steps, paths) produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -57,26 +58,13 @@ TOLERANCE_PROFILES = {
 }
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return _jsonable(x.tolist())
-    if isinstance(x, (np.bool_, bool)):
-        return bool(x)
-    if isinstance(x, (np.floating, float)):
-        return float(x)
-    if isinstance(x, (np.integer, int)):
-        return int(x)
-    return x
+def _json_text(payload: dict) -> str:
+    """Indented JSON with sorted keys; numpy arrays and scalars go through tolist()."""
+    return json.dumps(payload, indent=2, sort_keys=True, default=lambda x: x.tolist())
 
 
 def _write_json(out: Path, name: str, payload: dict):
-    out.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True)
-    (out / name).write_text(text + "\n")
+    _write_text(out, name, _json_text(payload) + "\n")
 
 
 def _write_text(out: Path, name: str, text: str):
@@ -94,7 +82,7 @@ def _write_summary(out: Path, summary: dict, scn: Scenario, args):
         "seed": args.seed,
     })
     _write_json(out, "summary.json", summary)
-    print(json.dumps(_jsonable(summary), indent=2, sort_keys=True))
+    print(_json_text(summary))
 
 
 def _validation_payload(scn: Scenario) -> tuple[dict, bool]:
@@ -102,15 +90,7 @@ def _validation_payload(scn: Scenario) -> tuple[dict, bool]:
     payload = {
         "mode": scn.mode,
         "passed": report.passed,
-        "violations": [
-            {
-                "assumption": v.assumption,
-                "location": v.location,
-                "message": v.message,
-                "severity": v.severity,
-            }
-            for v in report.violations
-        ],
+        "violations": [dataclasses.asdict(v) for v in report.violations],
     }
     return payload, report.passed
 
@@ -146,18 +126,16 @@ def cmd_riccati(scn: Scenario, out: Path, args) -> int:
     solvability: dict = {"closed_form_applicable": spec.c_vanishes}
     if solvability["closed_form_applicable"]:
         try:
-            cf1, rep1 = pi1_closed_form(sys, spec.R2)
-            cf2, rep2 = pi2_closed_form(sys, spec.R2)
-            solvability["pi1"] = {
-                "min_determinant": rep1.min_determinant,
-                "satisfied": rep1.satisfied,
-                "max_gap_vs_rk4": float(np.max(np.abs(cf1.values - pi1.values))),
+            forms = {
+                "pi1": (pi1_closed_form(sys, spec.R2), pi1),
+                "pi2": (pi2_closed_form(sys, spec.R2), pi2),
             }
-            solvability["pi2"] = {
-                "min_determinant": rep2.min_determinant,
-                "satisfied": rep2.satisfied,
-                "max_gap_vs_rk4": float(np.max(np.abs(cf2.values - pi2.values))),
-            }
+            for tag, ((cf, rep), rk4) in forms.items():
+                solvability[tag] = {
+                    "min_determinant": rep.min_determinant,
+                    "satisfied": rep.satisfied,
+                    "max_gap_vs_rk4": float(np.max(np.abs(cf.values - rk4.values))),
+                }
         except UnsolvableError as e:
             solvability["error"] = str(e)
     _write_json(out, "solvability.json", solvability)

@@ -24,8 +24,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .model import AffineControl, CoefficientPath, LQGameSpec, TerminalCondition, TimeGrid
-from .odeint import OdeDirection, check_forms_agree, integrate_matrix_ode
-from .riccati import RiccatiPath, StackedSystem, _tr, follower_system
+from .odeint import MAX_NORM, DivergenceError, check_forms_agree
+from .riccati import RiccatiPath, StackedSystem, _sym, _tr, csv_block, follower_system
 from .sampling import MonteCarloConfig, PathBundle, sample_brownian
 
 if TYPE_CHECKING:
@@ -64,24 +64,33 @@ def solve_affine_bsde(
     dW and dt parts gives beta' = -M beta - g_l and
     alpha' = -M alpha - N beta - g_c, integrated backward from the
     terminal values by RK4.  M, N (m x m) and g_c, g_l (m x 1) are given
-    as (2N+1)-sample tables at the RK4 half steps.
+    as (2N+1)-sample tables at the RK4 half steps.  The pair is linear:
+    Y = (alpha, beta, 1) solves Y' = -G Y with G = [[M, N, g_c], [0, M, g_l],
+    [0, 0, 0]], so stacked matmuls on G's tables give all N RK4 step
+    matrices at once, and each step is one matvec.  A non-finite iterate,
+    or one above MAX_NORM, raises DivergenceError at the first such node.
     """
-    term_c = np.asarray(terminal_const, dtype=float).reshape(-1, 1)
-    term_l = np.asarray(terminal_lin, dtype=float).reshape(-1, 1)
-
-    def field(j, Y):
-        alpha, beta = Y[:, :1], Y[:, 1:]
-        M = drift_lin[j]
-        dalpha = -M @ alpha - drift_eta[j] @ beta - forcing_const[j]
-        dbeta = -M @ beta - forcing_lin[j]
-        return np.hstack([dalpha, dbeta])
-
-    terminal = np.hstack([term_c, term_l])
-    combined = integrate_matrix_ode(field, terminal, grid, OdeDirection.BACKWARD)
-    return AffineBSDESolution(
-        CoefficientPath(grid, combined.values[:, :, :1]),
-        CoefficientPath(grid, combined.values[:, :, 1:]),
-    )
+    m, N, h = drift_lin.shape[1], grid.steps, grid.dt
+    gen = np.zeros((2 * N + 1, 2 * m + 1, 2 * m + 1))
+    gen[:, :m, :m] = gen[:, m:-1, m:-1] = drift_lin
+    gen[:, :m, m:-1], gen[:, :m, -1:], gen[:, m:-1, -1:] = drift_eta, forcing_const, forcing_lin
+    # backward in t is forward in s = T - t, with dY/ds = G(T - s) Y
+    a0, a_half, a1 = gen[:0:-2], gen[-2::-2], gen[-3::-2]
+    eye = np.eye(2 * m + 1)
+    k2 = a_half @ (eye + 0.5 * h * a0)
+    k3 = a_half @ (eye + 0.5 * h * k2)
+    steps = eye + (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + a1 @ (eye + h * k3))
+    y = np.empty((N + 1, 2 * m + 1))
+    y[0, :m], y[0, m:-1], y[0, -1] = np.ravel(terminal_const), np.ravel(terminal_lin), 1.0
+    with np.errstate(all="ignore"):  # the iterates past a divergence are discarded
+        for i in range(N):
+            y[i + 1] = steps[i] @ y[i]
+        stepped = y[1:, :-1]
+        bad = ~np.isfinite(stepped).all(axis=1) | (np.abs(stepped).max(axis=1) > MAX_NORM)
+    if bad.any():
+        raise DivergenceError(float(grid.nodes[N - 1 - bad.argmax()]))
+    y = y[::-1, :, None]
+    return AffineBSDESolution(CoefficientPath(grid, y[:, :m]), CoefficientPath(grid, y[:, m:-1]))
 
 
 def _affine_pathwise(const: CoefficientPath, lin: CoefficientPath, W: np.ndarray) -> np.ndarray:
@@ -215,11 +224,6 @@ def quadratic_expansion(
     return float(per_path.mean()), curvature
 
 
-def _sym(M: np.ndarray) -> np.ndarray:
-    """Symmetric part (M + M')/2 of a matrix or a stack of matrices."""
-    return 0.5 * (M + _tr(M))
-
-
 def _bilinear_form(v: np.ndarray, M: np.ndarray, w: np.ndarray) -> np.ndarray:
     """v' M w over the last axis; M is one matrix or a stack matching v's first axis."""
     return np.einsum("...j,...j->...", v @ M, w)
@@ -338,8 +342,6 @@ def paths_csv(
     """
     count = blocks[0].shape[1] if max_paths is None else min(max_paths, blocks[0].shape[1])
     data = np.concatenate([np.atleast_3d(b[:, :count]) for b in blocks], axis=2)
-    lines = ["path,t," + ",".join(header)]
-    for p in range(count):
-        for t, row in zip(nodes, data[:, p].tolist()):
-            lines.append(f"{p},{t:.17g}," + ",".join(f"{x:.17g}" for x in row))
-    return "\n".join(lines) + "\n"
+    lines = ["path,t," + ",".join(header) + "\n"]
+    lines += [csv_block(np.column_stack([nodes, data[:, p]]), f"{p},") for p in range(count)]
+    return "".join(lines)

@@ -318,14 +318,6 @@ class ValidationReport:
         return not self.errors
 
 
-def _asymmetry(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - m.T), initial=0.0))
-
-
-def _min_eig(m: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(0.5 * (m + m.T)).min())
-
-
 def validate_spec(spec: LQGameSpec, strict: bool = True) -> ValidationReport:
     """Check assumptions (L1)-(L3) on a structurally well-formed spec.
 
@@ -337,26 +329,19 @@ def validate_spec(spec: LQGameSpec, strict: bool = True) -> ValidationReport:
     out: list[Violation] = []
 
     def check_block(name: str, values: np.ndarray, assumption: str, kind: str):
-        # kind: "sym", "psd" or "pd"; values shaped (nodes, m, m) or (m, m)
-        vals = values if values.ndim == 3 else values[None]
-        worst_asym = max(_asymmetry(v) for v in vals)
+        # kind: "psd" or "pd"; values shaped (nodes, m, m) or (m, m), checked in one batch
+        vals_t = np.swapaxes(values, -1, -2)
+        worst_asym = float(np.max(np.abs(values - vals_t)))
+        min_eig = float(np.linalg.eigvalsh(0.5 * (values + vals_t)).min())
         if worst_asym > SYMMETRY_TOL:
-            out.append(
-                Violation(assumption, name, f"{name} not symmetric (asymmetry {worst_asym:.3e})", "error")
-            )
-            return
-        if kind == "sym":
-            return
-        min_eig = min(_min_eig(v) for v in vals)
-        if kind == "pd" and min_eig <= 0.0:
-            out.append(
-                Violation(assumption, name, f"{name} not positive definite (min eig {min_eig:.3e})", "error")
-            )
+            problem, severity = f"not symmetric (asymmetry {worst_asym:.3e})", "error"
+        elif kind == "pd" and min_eig <= 0.0:
+            problem, severity = f"not positive definite (min eig {min_eig:.3e})", "error"
         elif kind == "psd" and min_eig < -SYMMETRY_TOL:
-            severity = "error" if strict else "warning"
-            out.append(
-                Violation(assumption, name, f"{name} not PSD (min eig {min_eig:.3e})", severity)
-            )
+            problem, severity = f"not PSD (min eig {min_eig:.3e})", "error" if strict else "warning"
+        else:
+            return
+        out.append(Violation(assumption, name, f"{name} {problem}", severity))
 
     # (L1): boundedness of A, B1, B2, C == finiteness of node values, enforced
     # by CoefficientPath construction; nothing left to flag here.

@@ -50,20 +50,25 @@ def check_forms_agree(a: np.ndarray, b: np.ndarray, what: str):
         raise ConsistencyError(f"{what} disagree by {gap:.3e}")
 
 
-def guarded_inv(m: np.ndarray, t, label: str) -> np.ndarray:
-    """Inverse with a condition-number gate (threshold 1e12).
-
-    m is one matrix at time t, or a (K, m, m) stack at K times t, gated by
-    one batched cond and inverted by one batched inv; SingularityError
-    names the time of the first non-finite or ill-conditioned entry.
-    """
-    m = np.atleast_2d(m)
-    stack = m.reshape(-1, *m.shape[-2:])
+def check_invertible(stack: np.ndarray, t, label: str):
+    """Raise SingularityError at the time of the first non-finite matrix, or the
+    first with cond above 1e12, of a (K, m, m) stack at K times t: one batched cond."""
     finite = np.isfinite(stack).all(axis=(1, 2))
     cond = np.linalg.cond(np.where(finite[:, None, None], stack, 0.0))
     bad = ~finite | ~(cond <= COND_LIMIT)
     if bad.any():
         raise SingularityError(float(np.broadcast_to(t, bad.shape)[bad.argmax()]), label)
+
+
+def guarded_inv(m: np.ndarray, t, label: str) -> np.ndarray:
+    """Inverse with a condition-number gate (threshold 1e12).
+
+    m is one matrix at time t, or a (K, m, m) stack at K times t, gated by
+    check_invertible and inverted by one batched inv.  The Pi1 flow gates
+    its stage matrices with the same check, after the flow (riccati.pi1_field).
+    """
+    m = np.atleast_2d(m)
+    check_invertible(m.reshape(-1, *m.shape[-2:]), t, label)
     return np.linalg.inv(m)
 
 
@@ -81,12 +86,14 @@ def integrate_matrix_ode(
 ) -> CoefficientPath:
     """Classical RK4 for dM/dt = field(j, M) with one boundary value.
 
-    The field receives the half-step index j of its stage time
-    t = grid.half_times[j], so it reads precomputed (2N+1)-sample tables
-    instead of interpolating.  postprocess (e.g. symmetrization) is
-    applied to the iterate after every step.  Non-finite iterates, or
-    ones with an entry above MAX_NORM, raise DivergenceError with the
-    first bad time.
+    It carries the nonlinear Riccati flows; linear ODEs take RK4 step
+    maps instead (follower.solve_affine_bsde).  The field is called once
+    per stage, in integration order, with the half-step index j of its
+    stage time t = grid.half_times[j], so it reads precomputed
+    (2N+1)-sample tables instead of interpolating.  postprocess (e.g.
+    symmetrization) is applied to the iterate after every step.
+    Non-finite iterates, or ones with an entry above MAX_NORM, raise
+    DivergenceError with the first bad time.
     """
     m0 = np.atleast_2d(np.asarray(boundary_value, dtype=float))
     N, dt = grid.steps, grid.dt

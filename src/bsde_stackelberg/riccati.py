@@ -19,12 +19,16 @@ import numpy as np
 from .model import AffineControl, CoefficientPath, LQGameSpec, TerminalCondition, TimeGrid
 from .odeint import (
     OdeDirection,
+    SingularityError,
     SolvabilityReport,
+    check_invertible,
     determinant_scan,
     guarded_inv,
     integrate_matrix_ode,
     transition_steps,
 )
+
+PI1_S1 = "(I + Pi1 S1-hat)"
 
 
 class UnsolvableError(RuntimeError):
@@ -54,18 +58,19 @@ class RiccatiPath:
         return float(np.max(np.abs(v - np.transpose(v, (0, 2, 1)))))
 
 
-def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
-
-
 def _tr(stack: np.ndarray) -> np.ndarray:
     """Transpose of every matrix in a stack."""
     return np.swapaxes(stack, -1, -2)
 
 
+def _sym(m: np.ndarray) -> np.ndarray:
+    """Symmetric part (M + M')/2 of a matrix or a stack of matrices."""
+    return 0.5 * (m + _tr(m))
+
+
 def pi1_s1_inverse(Pi1: np.ndarray, S1h: np.ndarray, t) -> np.ndarray:
     """(I + Pi1 S1-hat)^-1 of one matrix at time t, or of a stack at times t."""
-    return guarded_inv(np.eye(Pi1.shape[-1]) + Pi1 @ S1h, t, "(I + Pi1 S1-hat)")
+    return guarded_inv(np.eye(Pi1.shape[-1]) + Pi1 @ S1h, t, PI1_S1)
 
 
 @dataclass(frozen=True)
@@ -206,6 +211,11 @@ def follower_system(spec: LQGameSpec, u2: AffineControl) -> StackedSystem:
 
 
 def pi1_field(sys: StackedSystem) -> Callable[[int, np.ndarray], np.ndarray]:
+    """The Pi1 flow's right-hand side at one RK4 stage (scalar j), or at a stack
+    as riccati_residual passes it, gated by pi1_s1_inverse.  A stage inverts
+    I + Pi1 S1-hat with plain inv and records it in a (4N, m, m) stack that
+    field.gate() checks with one batched cond after the flow.  A non-finite stage
+    matrix raises SingularityError at once, an exactly singular one LinAlgError."""
     A1, B1, B2, C1, D1, F1, F2, S1 = sys.halves()
     times = sys.grid.half_times
     B1_Rinv, B2_Rinv = B1 @ sys.R_inv, B2 @ sys.R_inv
@@ -216,15 +226,26 @@ def pi1_field(sys: StackedSystem) -> Callable[[int, np.ndarray], np.ndarray]:
     quad = F1 - B1_Rinv @ _tr(B1)
     const = B2_Rinv @ _tr(B2) - F2
     C1t, D1t = _tr(C1), _tr(D1)
+    eye, stage_j, count = np.eye(sys.dim), np.empty(4 * sys.grid.steps, dtype=int), 0
+    stages = np.empty((4 * sys.grid.steps, sys.dim, sys.dim))
+
+    def stage_inverse(j, Pi1):
+        # (I + Pi1 S1-hat)^-1 depends on the RK4 iterate, so it is inverted per stage
+        nonlocal count
+        m = stages[count] = eye + Pi1 @ S1[j]
+        stage_j[count], count = j, count + 1
+        if not np.isfinite(m).all():
+            raise SingularityError(float(times[j]), PI1_S1)
+        return np.linalg.inv(m)  # LinAlgError stops the flow; the gate names the stage
 
     def field(j, Pi1):
-        # (I + Pi1 S1-hat)^-1 depends on the RK4 iterate, so it is inverted per stage
-        inv_s = pi1_s1_inverse(Pi1, S1[j], times[j])
+        inv_s = pi1_s1_inverse(Pi1, S1[j], times[j]) if np.ndim(j) else stage_inverse(j, Pi1)
         return -(
             left[j] @ Pi1 + Pi1 @ right[j] - Pi1 @ quad[j] @ Pi1 + const[j]
             + (C1t[j] - Pi1 @ D1[j]) @ inv_s @ Pi1 @ (C1[j] - D1t[j] @ Pi1)
         )
 
+    field.gate = lambda: check_invertible(stages[:count], times[stage_j[:count]], PI1_S1)
     return field
 
 
@@ -255,14 +276,15 @@ def pi2_field(sys: StackedSystem, pi1: RiccatiPath) -> Callable[[int, np.ndarray
 
 
 def solve_pi1(sys: StackedSystem) -> RiccatiPath:
-    """Backward RK4 for Pi1 with Pi1(T) = 0, symmetrized per step."""
-    path = integrate_matrix_ode(
-        pi1_field(sys),
-        np.zeros((sys.dim, sys.dim)),
-        sys.grid,
-        OdeDirection.BACKWARD,
-        postprocess=_sym,
-    )
+    """Backward RK4 for Pi1 with Pi1(T) = 0, symmetrized per step.  The stages
+    are gated after the flow (pi1_field), also when it stopped or diverged, so
+    SingularityError names the first bad stage in integration order."""
+    field, zero = pi1_field(sys), np.zeros((sys.dim, sys.dim))
+    try:
+        with np.errstate(all="ignore"):  # past a bad stage the iterate may overflow
+            path = integrate_matrix_ode(field, zero, sys.grid, OdeDirection.BACKWARD, _sym)
+    finally:
+        field.gate()
     return RiccatiPath("Pi1", path)
 
 
@@ -400,7 +422,12 @@ def riccati_csv(ric: RiccatiPath) -> str:
     """CSV export: header t,m_11,...,m_nn (row-major), 17 significant digits."""
     rows, cols = ric.path.shape
     header = "t," + ",".join(f"m_{r + 1}{c + 1}" for r in range(rows) for c in range(cols))
-    lines = [header]
-    for t, m in zip(ric.path.grid.nodes, ric.values):
-        lines.append(",".join([f"{t:.17g}"] + [f"{x:.17g}" for x in m.ravel()]))
-    return "\n".join(lines) + "\n"
+    nodes = ric.path.grid.nodes
+    return header + "\n" + csv_block(np.column_stack([nodes, ric.values.reshape(len(nodes), -1)]))
+
+
+def csv_block(table: np.ndarray, lead: str = "") -> str:
+    """The rows of a 2-D table as CSV lines, each after lead and ended by a newline,
+    17 significant digits; one "%.17g" format string formats the whole table."""
+    line = lead + ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return (line * table.shape[0]) % tuple(table.ravel().tolist())

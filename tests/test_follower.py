@@ -16,6 +16,7 @@ from bsde_stackelberg.follower import (
     solve_affine_bsde,
 )
 from bsde_stackelberg.leader import _zero_terminal, follower_response_delta
+from bsde_stackelberg.odeint import OdeDirection, integrate_matrix_ode
 from bsde_stackelberg.sampling import coarsen, sample_brownian
 from bsde_stackelberg.scenario import load_scenario, make_constant_spec
 
@@ -75,6 +76,55 @@ class TestAffineBSDE:
         vals = sol.phi_pathwise(W)
         np.testing.assert_allclose(vals[:, 0, 0], 2.0, atol=1e-14)
         np.testing.assert_allclose(vals[:, 1, 0], 5.0, atol=1e-14)
+
+
+def reference_affine_bsde(M, N, g_c, g_l, term_c, term_l, grid):
+    """The affine BSDE's ODE pair by the generic RK4 closure: the (N+1, m, 2)
+    stack of [alpha, beta] that solve_affine_bsde's step maps must reproduce."""
+
+    def field(j, Y):
+        alpha, beta = Y[:, :1], Y[:, 1:]
+        dalpha = -M[j] @ alpha - N[j] @ beta - g_c[j]
+        dbeta = -M[j] @ beta - g_l[j]
+        return np.hstack([dalpha, dbeta])
+
+    terminal = np.hstack([np.reshape(term_c, (-1, 1)), np.reshape(term_l, (-1, 1))])
+    return integrate_matrix_ode(field, terminal, grid, OdeDirection.BACKWARD).values
+
+
+def varying_tables(grid, n=3):
+    """Half-step tables of a time-varying n = 3 system with N != 0 and g_l != 0."""
+    rng = np.random.default_rng(7)
+    t = grid.nodes[:, None, None]
+
+    def table(cols, scale):
+        a, b = rng.uniform(-scale, scale, (2, n, cols))
+        return bs.CoefficientPath(grid, a + b * np.sin(3.0 * t)).half
+
+    return table(n, 1.0), table(n, 0.8), table(1, 1.0), table(1, 0.5)
+
+
+class TestAffineStepMaps:
+    def test_step_maps_match_rk4_closure(self):
+        g = bs.TimeGrid(1.3, 90)
+        M, N, g_c, g_l = varying_tables(g)
+        term_c, term_l = np.array([0.4, -1.0, 0.7]), np.array([[0.3], [0.0], [-0.6]])
+        sol = solve_affine_bsde(M, N, g_c, g_l, term_c, term_l, g)
+        ref = reference_affine_bsde(M, N, g_c, g_l, term_c, term_l, g)
+        got = np.concatenate([sol.alpha.values, sol.beta.values], axis=2)
+        assert np.max(np.abs(ref)) > 0.5 and np.max(np.abs(ref[:, :, 1])) > 0.5
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
+
+    def test_exploding_drift_diverges_where_the_closure_does(self):
+        g = bs.TimeGrid(1.0, 100)
+        M = half_table(g, 60.0 * np.eye(3))
+        _, N, g_c, g_l = varying_tables(g)
+        args = (M, N, g_c, g_l, np.ones(3), np.ones((3, 1)), g)
+        with pytest.raises(bs.DivergenceError) as ref:
+            reference_affine_bsde(*args)
+        with pytest.raises(bs.DivergenceError) as err:
+            solve_affine_bsde(*args)
+        assert err.value.t == ref.value.t and 0.4 < err.value.t < 0.7
 
 
 class TestHandSolution:

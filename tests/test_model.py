@@ -212,6 +212,35 @@ class TestSpecValidation:
             report = bs.validate_spec(spec, strict=strict)
             assert any(v.severity == "error" and "symmetric" in v.message for v in report.violations)
 
+    def test_violation_messages_pinned(self):
+        # one bad node each: Q1 not PSD at t = 0.5, R2 not PD at t = 0.25; S1 asymmetric
+        import dataclasses
+
+        from bsde_stackelberg.scenario import make_constant_spec
+
+        z, eye = np.zeros((2, 2)), np.eye(2)
+        base = make_constant_spec(
+            1.0, 4,
+            A=z, B1=eye, B2=eye, C=z, Q1=eye, R1=eye, S1=z, G1=eye,
+            Q2=z, R2=eye, S2=z, G2=eye, a=[1.0, 0.0], b=[0.0, 0.0],
+        )
+        q1, r2 = np.tile(eye, (5, 1, 1)), np.tile(eye, (5, 1, 1))
+        q1[2] = np.diag([1.0, -0.25])
+        r2[1] = np.diag([2.0, -0.5])
+        spec = dataclasses.replace(
+            base,
+            Q1=bs.CoefficientPath(base.grid, q1),
+            S1=bs.CoefficientPath.constant(base.grid, [[0.0, 1e-3], [0.0, 0.0]]),
+            R2=bs.CoefficientPath(base.grid, r2),
+        )
+        for strict, q1_severity in ((True, "error"), (False, "warning")):
+            report = bs.validate_spec(spec, strict=strict)
+            assert [str(v) for v in report.violations] == [
+                f"(L2): Q1 not PSD (min eig -2.500e-01) [Q1, {q1_severity}]",
+                "(L2): S1 not symmetric (asymmetry 1.000e-03) [S1, error]",
+                "(L3): R2 not positive definite (min eig -5.000e-01) [R2, error]",
+            ]
+
     def test_shape_mismatch_is_structural(self, hand_spec_coarse):
         import dataclasses
 

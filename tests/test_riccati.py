@@ -1,11 +1,13 @@
 """The four Riccati solves, the stacked system, and the closed forms."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 import bsde_stackelberg as bs
+from bsde_stackelberg.follower import paths_csv
 from bsde_stackelberg.riccati import (
     pi1_field,
     pi2_field,
@@ -63,6 +65,16 @@ def time_varying_c0_spec(seed=0, steps=250):
         "terminal": {"a": rng.uniform(-1.0, 1.0, n).tolist(), "b": [[0.0]] * n},
     }
     return scenario_from_dict(doc).spec
+
+
+def gate_spec(S1, C, Q1):
+    """n = k = 2, N = 8, B1 = B2 = R1 = R2 = I and A = 0, for the stage gate of P1."""
+    zero, eye = np.zeros((2, 2)), np.eye(2)
+    return make_constant_spec(
+        1.0, 8,
+        A=zero, B1=eye, B2=eye, C=C, Q1=Q1, R1=eye, S1=S1, G1=eye,
+        Q2=zero, R2=eye, S2=zero, G2=eye, a=[1.0, 0.0], b=[0.0, 0.0],
+    )
 
 
 def paper_p_fields(spec):
@@ -155,6 +167,30 @@ class TestFollowerRiccati:
             bs.solve_p1(spec)
         assert err.value.t == 0.5
         assert err.value.label == "(I + Pi1 S1-hat)"
+
+    def test_exactly_singular_stage_raises_at_its_time(self):
+        # n = 2, N = 8, B1 = R1 = I: the second stage of the first backward step reads
+        # Pi1 = dt/2 I = I/16 exactly, so I + Pi1 S1 = diag(0, 17/16) makes inv raise;
+        # the gate after the flow names that stage
+        spec = gate_spec(np.diag([-16.0, 1.0]), np.zeros((2, 2)), np.zeros((2, 2)))
+        with pytest.raises(bs.SingularityError) as err:
+            bs.solve_p1(spec)
+        assert (err.value.t, err.value.label) == (0.9375, "(I + Pi1 S1-hat)")
+        assert isinstance(err.value.__context__, np.linalg.LinAlgError)
+
+    def test_ill_conditioned_stage_wins_over_later_divergence(self):
+        # the same stage is diag(2^-45, 17/16), cond 3.7e13, but invertible; its huge
+        # inverse, through C != 0 and Q1 = I, makes the flow diverge at t = 0.875
+        eps = 2.0**-45
+        swap = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]])
+        spec = gate_spec(np.diag([-16.0 * (1.0 - eps), 1.0]), swap, np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning escapes the flow
+            with pytest.raises(bs.SingularityError) as err:
+                bs.solve_p1(spec)
+        assert (err.value.t, err.value.label) == (0.9375, "(I + Pi1 S1-hat)")
+        assert isinstance(err.value.__context__, bs.DivergenceError)
+        assert err.value.__context__.t == 0.875
 
     def test_symmetry(self, hand_riccati):
         p1, p2 = hand_riccati
@@ -278,3 +314,23 @@ class TestCsvExport:
         assert lines[0] == "t,m_11"
         t, v = map(float, lines[6].split(","))  # header + node index 5
         assert v == p1.values[5, 0, 0]  # 17 significant digits round-trips
+
+    def test_rows_match_fstring_form_bytewise(self):
+        # one "%.17g" format string per block writes the bytes of one f-string per number
+        special = [-0.0, np.nan, np.inf, -np.inf, 1e-320, 0.1, 1e300]
+        nodes = np.array([0.0, 0.1, 1e300])
+        data = np.array([np.roll(special, s) for s in range(6)]).reshape(3, 2, 7)
+        header = [f"c{j}" for j in range(7)]
+        lines = ["path,t," + ",".join(header)]
+        for p in range(2):
+            for t, row in zip(nodes, data[:, p].tolist()):
+                lines.append(f"{p},{t:.17g}," + ",".join(f"{x:.17g}" for x in row))
+        assert paths_csv(nodes, header, [data[:, :, :3], data[:, :, 3:]]) == "\n".join(lines) + "\n"
+
+        finite = [-0.0, 1e-320, 0.1, 1e300]
+        grid = bs.TimeGrid(1.0, 3)
+        ric = bs.RiccatiPath("P1", bs.CoefficientPath(grid, np.reshape(finite * 4, (4, 2, 2))))
+        lines = ["t,m_11,m_12,m_21,m_22"]
+        for t, m in zip(grid.nodes, ric.values):
+            lines.append(",".join([f"{t:.17g}"] + [f"{x:.17g}" for x in m.ravel()]))
+        assert riccati_csv(ric) == "\n".join(lines) + "\n"
