@@ -15,7 +15,13 @@ and n = 3 games: for the leader's auxiliary BSDE, and for the follower's
 perturbation BSDE with a smooth forcing read exactly at the half steps.
 The second shows the step maps' order 4.  The first is about 2, because
 the RK4 midpoint stages read Pi1 and the hat matrices (built from P1 and
-P2) as linear interpolants of their node values.
+P2) as linear interpolants of their node values; (d) the Richardson
+orders of Pi1(0) and Pi2(T) on the n = 3 game show the same order 2.
+(e) The pathwise adjoint check simulates the follower's adjoint x by
+Euler from the equilibrium's (ybar, zbar) and compares it at T with
+P2 ybar + phibar, which the stacked system carries; the RMS gap of a
+stacked system that reproduces the follower's closed loop halves with
+the time step.
 
 Example:
     python3 scripts/convergence_study.py --paths 128
@@ -30,6 +36,8 @@ from bsde_stackelberg.follower import solve_affine_bsde
 from bsde_stackelberg.leader import leader_bsde_residual, solve_tilde_phi
 from bsde_stackelberg.sampling import coarsen, sample_brownian
 from bsde_stackelberg.scenario import make_constant_spec
+
+MARKET = dict(r=0.03, mu=0.08, sigma=0.25, R1=1.0, R2=1.5, G1=1.0, G2=0.8, a=1.0, b=0.3)
 
 
 def riccati_orders(step_counts):
@@ -88,6 +96,48 @@ def offset_alpha0(spec):
     return leader, delta.alpha.values[0, :, 0]
 
 
+def leader_riccati_ends(spec):
+    """Pi1(0) and Pi2(T) of the leader's stacked system."""
+    p1 = bs.solve_p1(spec)
+    sys = bs.build_stacked_system(spec, p1, bs.solve_p2(spec, p1))
+    pi1 = bs.solve_pi1(sys)
+    return pi1.values[0], bs.solve_pi2(sys, pi1).values[-1]
+
+
+def finance_market(steps):
+    """The consumption market of scenarios/finance.json on N steps."""
+    return bs.MarketParams.constant(1.0, steps, **MARKET)
+
+
+def finance_game(steps):
+    return bs.build_finance_spec(finance_market(steps))
+
+
+def adjoint_gap(sol):
+    """RMS over paths, at T, of x - (P2 ybar + phibar), where x is the follower's
+    adjoint dx = (A^T x + Q1 ybar) dt + (C^T x + S1 zbar) dW, x(0) = G1 ybar(0),
+    simulated by Euler from the equilibrium's (ybar, zbar) on the solve's paths."""
+    spec, ens = sol.spec, sol.ensemble
+    A, C, Q1, S1 = (getattr(spec, name).values for name in ("A", "C", "Q1", "S1"))
+    ybar, zbar, dW, dt = ens.ybar, ens.zbar, ens.bundle.dW, spec.grid.dt
+    x = ybar[0] @ spec.G1.T
+    for i in range(spec.grid.steps):
+        drift = x @ A[i] + ybar[i] @ Q1[i].T
+        x = x + drift * dt + (x @ C[i] + zbar[i] @ S1[i].T) * dW[i, :, None]
+    gap = x - ybar[-1] @ sol.p2.values[-1].T - ens.phibar[-1]
+    return float(np.sqrt(np.mean(np.sum(gap**2, axis=1))))
+
+
+def adjoint_gaps(game, step_counts, paths, seed):
+    """adjoint_gap at each N, on the finest grid's paths coarsened."""
+    finest = max(step_counts)
+    fine = sample_brownian(bs.TimeGrid(1.0, finest), paths, seed)
+    return [
+        adjoint_gap(bs.solve_equilibrium(game(N), bundle=coarsen(fine, finest // N)))
+        for N in step_counts
+    ]
+
+
 def richardson_order(coarse, mid, fine):
     """log2 of the ratio of successive max-norm differences over N, 2N and 4N."""
     return float(np.log2(np.max(np.abs(coarse - mid)) / np.max(np.abs(mid - fine))))
@@ -138,6 +188,23 @@ def main() -> int:
         for i, N in enumerate((16, 32)):
             orders = [richardson_order(*(a[j] for a in alphas[i:i + 3])) for j in (0, 1)]
             print(f"{name:>14} {N:>6} {orders[0]:12.2f} {orders[1]:13.2f}")
+
+    print()
+    print("Richardson order of the leader's Riccati solutions over N, 2N and 4N (n = 3)")
+    print(f"{'N':>6} {'Pi1(0)':>8} {'Pi2(T)':>8}")
+    ends = [leader_riccati_ends(three_state_game(N)) for N in (16, 32, 64, 128, 256)]
+    for i, N in enumerate((16, 32, 64)):
+        orders = [richardson_order(*(e[j] for e in ends[i:i + 3])) for j in (0, 1)]
+        print(f"{N:>6} {orders[0]:8.2f} {orders[1]:8.2f}")
+
+    print()
+    print("Pathwise adjoint check: RMS of x - (P2 ybar + phibar) at T vs time step")
+    print(f"{'N':>6} {'finance':>12} {'ratio':>7} {'n = 3':>12} {'ratio':>7}")
+    steps = (100, 200, 400, 800)
+    gaps = [adjoint_gaps(game, steps, args.paths, args.seed) for game in (finance_game, three_state_game)]
+    for i, N in enumerate(steps):
+        cells = [f"{g[i]:12.3e} " + (f"{g[i - 1] / g[i]:7.2f}" if i else " " * 7) for g in gaps]
+        print(f"{N:>6} " + " ".join(cells))
 
     games = (("n = 1 stochastic", bs.stochastic_scenario), ("n = 3, C != 0", three_state_game))
     for name, game in games:

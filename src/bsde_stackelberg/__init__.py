@@ -56,7 +56,6 @@ from .leader import (
     LeaderEnsemble,
     StackelbergSolution,
     check_leader_stationarity,
-    diffusion_consistency_gap,
     equilibrium_follower_control,
     equilibrium_follower_cost,
     equilibrium_follower_stationarity,
@@ -82,10 +81,7 @@ from .finance import (
     MarketParams,
     build_finance_spec,
     consumption_equilibrium,
-    gamma_propagator,
     initial_reserve,
-    scalar_p1,
-    scalar_p2,
 )
 from .scenario import (
     Scenario,

@@ -3,10 +3,10 @@
 Two agents consume out of a shared terminal-wealth constraint; the
 problem maps onto the generic leader-follower machinery through
 A = -r, B1 = B2 = 1, C = -(mu - r)/sigma, Q1 = Q2 = S1 = S2 = 0.
-Besides the generic pipelines, the module carries the hand-specialized
-2x2 stacked matrices (a direct cross-check of the generic assembly),
-scalar closed forms for the first Riccati equation, and the dual
-propagator representation of the initial wealth reserve.
+The equilibrium is the generic leader pipeline on that specification;
+the module adds the market-named views of it and the dual propagator
+representation of the initial wealth reserve, a Monte Carlo check of
+the pipeline's Y(0).
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from .model import (
     TimeGrid,
     validate_spec,
 )
-from .odeint import ConsistencyError
-from .riccati import RiccatiPath, solve_p1, solve_p2
 from .sampling import MonteCarloConfig
 
 
@@ -107,87 +105,6 @@ def build_finance_spec(m: MarketParams) -> LQGameSpec:
     return spec
 
 
-def _constant_market(m: MarketParams) -> bool:
-    return all(
-        np.ptp(getattr(m, name).values) == 0.0 for name in ("r", "mu", "sigma", "R1")
-    )
-
-
-def p1_closed_form(m: MarketParams) -> np.ndarray:
-    """Scalar linear-ODE solution for constant parameters.
-
-    P1(t) = (e^(lam (T - t)) - 1) / (R1 lam) with lam = theta^2 - 2r,
-    degenerating to (T - t)/R1 when lam = 0.
-    """
-    if not _constant_market(m):
-        raise ValueError("closed form requires constant r, mu, sigma, R1")
-    r = float(m.r.values[0, 0, 0])
-    theta = float(m.theta().values[0, 0, 0])
-    R1 = float(m.R1.values[0, 0, 0])
-    lam = theta**2 - 2.0 * r
-    tau = m.grid.horizon - m.grid.nodes
-    if abs(lam) < 1e-14:
-        return tau / R1
-    return np.expm1(lam * tau) / (R1 * lam)
-
-
-def scalar_p1(m: MarketParams) -> RiccatiPath:
-    """First Riccati solution; cross-checked against the closed form
-    whenever the market parameters are constant."""
-    p1 = solve_p1(build_finance_spec(m))
-    if _constant_market(m):
-        gap = float(np.max(np.abs(p1.values[:, 0, 0] - p1_closed_form(m))))
-        if gap > 1e-8:
-            raise ConsistencyError(f"P1 disagrees with its closed form by {gap:.3e}")
-    return p1
-
-
-def scalar_p2(m: MarketParams, p1: RiccatiPath) -> RiccatiPath:
-    return solve_p2(build_finance_spec(m), p1)
-
-
-def specialized_stacked_matrices(
-    m: MarketParams, p1: RiccatiPath, p2: RiccatiPath
-) -> dict[str, np.ndarray]:
-    """The hand-specialized 2x2 stacked matrices of the consumption game.
-
-    Written exactly as the scalar formulas, independently of the generic
-    block assembly; the two must coincide node-wise.
-    """
-    nn = m.grid.steps + 1
-    theta = m.theta().values[:, 0, 0]
-    r = m.r.values[:, 0, 0]
-    R1 = m.R1.values[:, 0, 0]
-    P1 = p1.values[:, 0, 0]
-    P2 = p2.values[:, 0, 0]
-
-    A1h = np.zeros((nn, 2, 2))
-    A1h[:, 0, 0] = A1h[:, 1, 1] = -r - P2 / R1
-    B1h = np.zeros((nn, 2, 1))
-    B1h[:, 0, 0] = P2
-    B2h = np.zeros((nn, 2, 1))
-    B2h[:, 1, 0] = 1.0
-    C1h = np.zeros((nn, 2, 2))
-    C1h[:, 0, 0] = (-1.0 - P2**2 * P1**2 - P2 * P1) / (P1 * P2 + 1.0) * theta
-    C1h[:, 1, 1] = -theta
-    D1h = np.zeros((nn, 2, 2))
-    D1h[:, 0, 1] = -P2 * theta
-    D1h[:, 1, 0] = -P2 * theta
-    F1h = np.zeros((nn, 2, 2))
-    F1h[:, 0, 1] = theta**2 * P2**2 * P1
-    F1h[:, 1, 0] = theta**2 * P2**2 * P1
-    F2h = np.zeros((nn, 2, 2))
-    F2h[:, 0, 1] = -1.0 / R1
-    F2h[:, 1, 0] = -1.0 / R1
-    S1h = np.zeros((nn, 2, 2))
-    S1h[:, 0, 1] = -P2
-    S1h[:, 1, 0] = -P2
-    return {
-        "A1h": A1h, "B1h": B1h, "B2h": B2h, "C1h": C1h,
-        "D1h": D1h, "F1h": F1h, "F2h": F2h, "S1h": S1h,
-    }
-
-
 @dataclass
 class ConsumptionSolution:
     """Equilibrium consumption plan with market-named views.
@@ -214,12 +131,11 @@ def consumption_equilibrium(
 ) -> ConsumptionSolution:
     """Run the generic leader pipeline on the market specification.
 
-    The stacked system is built with the printed specialization of the
-    upper diffusion block so every finance-side formula (including the
-    dual propagator) refers to one consistent coefficient set.
+    The stacked system is the generic one, derived from the follower's
+    closed loop; the dual propagator of initial_reserve reads the same
+    hat matrices.
     """
-    spec = build_finance_spec(m)
-    sol = solve_equilibrium(spec, mc=mc, hat_c1_source="display")
+    sol = solve_equilibrium(build_finance_spec(m), mc=mc)
     ens = sol.ensemble
     sigma = m.sigma.values[:, :, 0]  # (N+1, 1)
     portfolio = ens.zbar[:, :, 0] / sigma
@@ -258,29 +174,6 @@ def _gamma_step(gamma, a_i, a_ip1, c_i, dt, dW):
         + dW[:, None, None] * diff
         + 0.5 * (dW**2 - dt)[:, None, None] * milstein
     )
-
-
-def gamma_propagator(sol: StackelbergSolution, t: float, s: float, path: int) -> np.ndarray:
-    """Pathwise propagator Gamma_t(s) (2n x 2n), identity at s = t.
-
-    t and s must be grid nodes with t <= s; the path index selects the
-    Brownian trajectory of the solved ensemble.
-    """
-    grid = sol.system.grid
-    i0 = int(round(t / grid.dt))
-    i1 = int(round(s / grid.dt))
-    if not (0 <= i0 <= i1 <= grid.steps):
-        raise ValueError(f"need grid nodes 0 <= t <= s <= T, got t={t}, s={s}")
-    for i, u in ((i0, t), (i1, s)):
-        if abs(grid.nodes[i] - u) > 1e-12 * max(1.0, grid.horizon):
-            raise ValueError(f"time {u} is not a grid node")
-    a, c, _ = _dual_coefficients(sol)
-    m = 2 * sol.system.n
-    gamma = np.eye(m)[None]
-    dW = sol.ensemble.bundle.dW
-    for i in range(i0, i1):
-        gamma = _gamma_step(gamma, a[i], a[i + 1], c[i], grid.dt, dW[i, path : path + 1])
-    return gamma[0]
 
 
 def initial_reserve(sol: StackelbergSolution) -> dict:

@@ -96,30 +96,6 @@ def _decoupling_inverses(sys, pi1, pi2):
     )
 
 
-def diffusion_consistency_gap(sys: StackedSystem, pi1: RiccatiPath, pi2: RiccatiPath) -> float:
-    """Max node-wise gap between the printed diffusion display and the simulated one.
-
-    The printed display writes the forward-offset diffusion term by term;
-    it agrees with the pathwise assembly the simulation uses whenever Pi1
-    and Pi2 commute (e.g. vanishing C).  A nonzero value means the
-    displayed coefficients do not satisfy the exact pathwise relation
-    linking the forward diffusion to Z.
-    """
-    C1, D1t = sys.C1h.values, _tr(sys.D1h.values)
-    Pi1, Pi2 = pi1.values, pi2.values
-    inv_s, inv_12, inv_21 = _decoupling_inverses(sys, pi1, pi2)
-    mix = (Pi2 - sys.S1h.values) @ inv_s
-    mixer = mix @ Pi1
-    display = (
-        -(D1t @ inv_12 @ Pi1 + mixer @ D1t @ inv_21 @ Pi1
-          - C1 @ inv_21 - mixer @ C1 @ inv_21),
-        -(D1t @ inv_12 + mixer @ D1t @ inv_21
-          + C1 @ inv_21 @ Pi2 + mixer @ C1 @ inv_21 @ Pi2),
-    )
-    simulated = _offset_diffusion(C1, sys.D1h.values, Pi1, Pi2, mix, inv_12, inv_21)
-    return max(float(np.max(np.abs(a - b))) for a, b in zip(display, simulated))
-
-
 def simulate_tilde_varphi(
     sys: StackedSystem,
     pi1: RiccatiPath,
@@ -381,7 +357,6 @@ def solve_equilibrium(
     spec: LQGameSpec,
     mc: MonteCarloConfig | None = None,
     bundle: PathBundle | None = None,
-    hat_c1_source: str = "dynamics",
 ) -> StackelbergSolution:
     """Full leader pipeline: Riccati solves, auxiliary problems, reconstruction."""
     if bundle is None:
@@ -389,7 +364,7 @@ def solve_equilibrium(
         bundle = sample_brownian(spec.grid, mc.paths, mc.seed)
     p1 = solve_p1(spec)
     p2 = solve_p2(spec, p1)
-    sys = build_stacked_system(spec, p1, p2, hat_c1_source=hat_c1_source)
+    sys = build_stacked_system(spec, p1, p2)
     pi1 = solve_pi1(sys)
     pi2 = solve_pi2(sys, pi1)
     tilde_phi, ens = stacked_paths(sys, pi1, pi2, bundle)

@@ -111,21 +111,16 @@ class StackedSystem:
         return tuple(h.half for h in hats)
 
 
-def build_stacked_system(
-    spec: LQGameSpec,
-    p1: RiccatiPath,
-    p2: RiccatiPath,
-    hat_c1_source: str = "dynamics",
-) -> StackedSystem:
+def build_stacked_system(spec: LQGameSpec, p1: RiccatiPath, p2: RiccatiPath) -> StackedSystem:
     """Node-wise assembly of the hat matrices from spec, P1 and P2.
 
-    hat_c1_source selects the second-term factor in the upper-left block
-    of C1-hat: "dynamics" uses (I + P1 S1)^-1 so the stacked FBSDE
-    reproduces the leader's state equation block-for-block; "display"
-    uses (P1 P2 + I)^-1 as printed.  Default is "dynamics".
+    Every block is read off the follower's closed loop.  phibar = x - P2 ybar,
+    with x the follower's adjoint, dx = (A^T x + Q1 ybar) dt + (C^T x + S1 zbar) dW,
+    so phibar's diffusion is C^T phibar + C^T P2 ybar + (S1 - P2) zbar and its
+    drift carries P2 C zbar and K ybar, K = P2 C (I + P1 S1)^-1 P1 C^T P2.
+    Hence C1-hat = diag(C^T, C^T), both off-diagonal blocks of D1-hat are P2 C
+    and both of F1-hat are K, which is symmetric.
     """
-    if hat_c1_source not in ("dynamics", "display"):
-        raise ValueError(f"hat_c1_source must be 'dynamics' or 'display', got {hat_c1_source!r}")
     n, k = spec.dims.n, spec.dims.k
     grid = spec.grid
     nn = grid.steps + 1
@@ -135,11 +130,7 @@ def build_stacked_system(
     P1, P2 = p1.values, p2.values
     Ct = _tr(C)
     gain = spec.B1_R1inv_B1T[::2]
-    inv1 = pi1_s1_inverse(P1, S1, grid.nodes)
-    p1p2 = P1 @ P2 + np.eye(n)
-    second = inv1 if hat_c1_source == "dynamics" else guarded_inv(p1p2, grid.nodes, "(P1 P2 + I)")
     p2c = P2 @ C
-    p2s1 = P2 - S1
 
     A1h = np.zeros((nn, 2 * n, 2 * n))
     B1h = np.zeros((nn, 2 * n, k))
@@ -150,27 +141,17 @@ def build_stacked_system(
     F2h = np.zeros((nn, 2 * n, 2 * n))
     S1h = np.zeros((nn, 2 * n, 2 * n))
 
-    a_cl = A - gain @ P2
-    A1h[:, :n, :n] = a_cl
-    A1h[:, n:, n:] = a_cl
+    A1h[:, :n, :n] = A1h[:, n:, n:] = A - gain @ P2
     B1h[:, :n, :] = P2 @ B2
     B2h[:, n:, :] = B2
 
-    C1h[:, :n, :n] = p1p2 @ inv1 @ Ct - p2s1 @ second @ P1 @ Ct
-    C1h[:, n:, n:] = Ct
-
-    D1h[:, :n, n:] = p2c
-    D1h[:, n:, :n] = p2c @ inv1 @ p1p2 - p2c @ P1 @ inv1 @ p2s1
-
-    F1h[:, :n, n:] = p2c @ inv1 @ P1 @ Ct @ P2
-    F1h[:, n:, :n] = p2c @ P1 @ inv1 @ Ct @ P2
+    C1h[:, :n, :n] = C1h[:, n:, n:] = Ct
+    D1h[:, :n, n:] = D1h[:, n:, :n] = p2c
+    F1h[:, :n, n:] = F1h[:, n:, :n] = p2c @ pi1_s1_inverse(P1, S1, grid.nodes) @ P1 @ Ct @ P2
     F1h[:, n:, n:] = Q2
 
-    F2h[:, :n, n:] = -gain
-    F2h[:, n:, :n] = -gain
-
-    S1h[:, :n, n:] = -p2s1
-    S1h[:, n:, :n] = -p2s1
+    F2h[:, :n, n:] = F2h[:, n:, :n] = -gain
+    S1h[:, :n, n:] = S1h[:, n:, :n] = S1 - P2
     S1h[:, n:, n:] = S2
 
     G2h = np.zeros((2 * n, 2 * n))
@@ -256,8 +237,9 @@ def pi2_field(sys: StackedSystem, pi1: RiccatiPath) -> Callable[[int, np.ndarray
     w = pi1_s1_inverse(Pi1, S1, sys.grid.half_times) @ Pi1
     B2_Rinv, C1t_w, D1_w = B2 @ Rinv, _tr(C1) @ w, D1 @ w
     # (B1 + Pi2 B2) R^-1 (B1 + Pi2 B2)^T and (D1 + Pi2 C1^T) w (D1^T + C1 Pi2)
-    # expanded into tables; Pi2^T stays apart from Pi2, because the stage
-    # iterates are not symmetric when F1 is not
+    # expanded into tables; F1 is symmetric, so the stage iterates are symmetric
+    # up to roundoff, but Pi2^T stays apart from Pi2: merging the two tables
+    # would regroup the sums, and P2 is this flow on the follower's system
     left = A1 - B2_Rinv @ _tr(B1) - C1t_w @ _tr(D1)
     quad = F2 - C1t_w @ C1
     quad_t = B2_Rinv @ _tr(B2)

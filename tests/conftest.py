@@ -102,3 +102,53 @@ def singular_stage_document():
         "terminal": {"a": [1.0, 0.0], "b": [[0.0], [0.0]]},
         "mode": "permissive",
     }
+
+
+def p1_closed_form(m):
+    """P1 of a constant consumption market, a scalar linear ODE's solution:
+    P1(t) = (e^(lam (T - t)) - 1) / (R1 lam) with lam = theta^2 - 2r,
+    degenerating to (T - t)/R1 when lam = 0."""
+    if any(np.ptp(getattr(m, name).values) != 0.0 for name in ("r", "mu", "sigma", "R1")):
+        raise ValueError("closed form requires constant r, mu, sigma, R1")
+    r = float(m.r.values[0, 0, 0])
+    theta = float(m.theta().values[0, 0, 0])
+    R1 = float(m.R1.values[0, 0, 0])
+    lam = theta**2 - 2.0 * r
+    tau = m.grid.horizon - m.grid.nodes
+    if abs(lam) < 1e-14:
+        return tau / R1
+    return np.expm1(lam * tau) / (R1 * lam)
+
+
+def specialized_stacked_matrices(m, p1, p2):
+    """The consumption game's 2x2 stacked matrices, written out as scalar formulas
+    independently of the generic block assembly (C = -theta, S1 = Q1 = 0):
+    C1-hat = diag(-theta, -theta), D1-hat's off-diagonal entries are P2 C and
+    F1-hat's are P2 C P1 C P2."""
+    nn = m.grid.steps + 1
+    theta = m.theta().values[:, 0, 0]
+    r = m.r.values[:, 0, 0]
+    R1 = m.R1.values[:, 0, 0]
+    P1 = p1.values[:, 0, 0]
+    P2 = p2.values[:, 0, 0]
+
+    A1h = np.zeros((nn, 2, 2))
+    A1h[:, 0, 0] = A1h[:, 1, 1] = -r - P2 / R1
+    B1h = np.zeros((nn, 2, 1))
+    B1h[:, 0, 0] = P2
+    B2h = np.zeros((nn, 2, 1))
+    B2h[:, 1, 0] = 1.0
+    C1h = np.zeros((nn, 2, 2))
+    C1h[:, 0, 0] = C1h[:, 1, 1] = -theta
+    D1h = np.zeros((nn, 2, 2))
+    D1h[:, 0, 1] = D1h[:, 1, 0] = -P2 * theta
+    F1h = np.zeros((nn, 2, 2))
+    F1h[:, 0, 1] = F1h[:, 1, 0] = theta**2 * P2**2 * P1
+    F2h = np.zeros((nn, 2, 2))
+    F2h[:, 0, 1] = F2h[:, 1, 0] = -1.0 / R1
+    S1h = np.zeros((nn, 2, 2))
+    S1h[:, 0, 1] = S1h[:, 1, 0] = -P2
+    return {
+        "A1h": A1h, "B1h": B1h, "B2h": B2h, "C1h": C1h,
+        "D1h": D1h, "F1h": F1h, "F2h": F2h, "S1h": S1h,
+    }

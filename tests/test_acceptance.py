@@ -12,14 +12,7 @@ import numpy as np
 import pytest
 
 import bsde_stackelberg as bs
-from bsde_stackelberg.finance import (
-    MarketParams,
-    initial_reserve,
-    p1_closed_form,
-    scalar_p1,
-    scalar_p2,
-    specialized_stacked_matrices,
-)
+from bsde_stackelberg.finance import MarketParams, initial_reserve
 from bsde_stackelberg.follower import terminal_defect
 from bsde_stackelberg.leader import (
     decoupling_consistency,
@@ -39,6 +32,8 @@ from bsde_stackelberg.scenario import (
     random_deterministic_scenario,
     stochastic_scenario,
 )
+
+from conftest import p1_closed_form, specialized_stacked_matrices
 
 
 @pytest.fixture()
@@ -280,11 +275,10 @@ class TestAcceptance:
             1.0, 100, r=0.03, mu=0.08, sigma=0.25, R1=1.0, R2=1.5,
             G1=1.0, G2=0.8, a=1.0, b=0.3,
         )
-        p1 = scalar_p1(market)
-        p2 = scalar_p2(market, p1)
-        sys = bs.build_stacked_system(
-            bs.build_finance_spec(market), p1, p2, hat_c1_source="display"
-        )
+        spec = bs.build_finance_spec(market)
+        p1 = bs.solve_p1(spec)
+        p2 = bs.solve_p2(spec, p1)
+        sys = bs.build_stacked_system(spec, p1, p2)
         mats = specialized_stacked_matrices(market, p1, p2)
         mat_gap = max(
             float(np.max(np.abs(getattr(sys, name).values - vals)))

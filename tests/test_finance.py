@@ -6,16 +6,15 @@ import pytest
 import bsde_stackelberg as bs
 from bsde_stackelberg.finance import (
     MarketParams,
+    _dual_coefficients,
+    _gamma_step,
     build_finance_spec,
     consumption_equilibrium,
     consumption_paths_csv,
-    gamma_propagator,
     initial_reserve,
-    p1_closed_form,
-    scalar_p1,
-    scalar_p2,
-    specialized_stacked_matrices,
 )
+
+from conftest import p1_closed_form, specialized_stacked_matrices
 
 
 def benchmark_market(steps=100):
@@ -24,6 +23,34 @@ def benchmark_market(steps=100):
         1.0, steps, r=0.0, mu=0.25, sigma=0.25, R1=1.0, R2=1.5,
         G1=1.0, G2=0.8, a=1.0, b=0.0,
     )
+
+
+def riccati_pair(m):
+    spec = build_finance_spec(m)
+    p1 = bs.solve_p1(spec)
+    return p1, bs.solve_p2(spec, p1)
+
+
+def gamma_propagator(sol, t, s, path):
+    """Pathwise propagator Gamma_t(s) (2n x 2n) of initial_reserve, identity at s = t.
+
+    t and s must be grid nodes with t <= s; the path index selects the
+    Brownian trajectory of the solved ensemble.
+    """
+    grid = sol.system.grid
+    i0 = int(round(t / grid.dt))
+    i1 = int(round(s / grid.dt))
+    if not (0 <= i0 <= i1 <= grid.steps):
+        raise ValueError(f"need grid nodes 0 <= t <= s <= T, got t={t}, s={s}")
+    for i, u in ((i0, t), (i1, s)):
+        if abs(grid.nodes[i] - u) > 1e-12 * max(1.0, grid.horizon):
+            raise ValueError(f"time {u} is not a grid node")
+    a, c, _ = _dual_coefficients(sol)
+    gamma = np.eye(2 * sol.system.n)[None]
+    dW = sol.ensemble.bundle.dW
+    for i in range(i0, i1):
+        gamma = _gamma_step(gamma, a[i], a[i + 1], c[i], grid.dt, dW[i, path : path + 1])
+    return gamma[0]
 
 
 class TestMarketParams:
@@ -74,7 +101,7 @@ class TestScalarRiccati:
 
     def test_scalar_p1_matches_closed_form(self):
         m = benchmark_market(400)
-        p1 = scalar_p1(m)  # raises if the solve drifts from the closed form
+        p1, _ = riccati_pair(m)
         np.testing.assert_allclose(
             p1.values[:, 0, 0], p1_closed_form(m), atol=1e-9
         )
@@ -91,18 +118,15 @@ class TestScalarRiccati:
         )
 
     def test_p2_positive_and_bounded_by_g1(self, market):
-        p1 = scalar_p1(market)
-        p2 = scalar_p2(market, p1)
+        _, p2 = riccati_pair(market)
         assert np.all(p2.values[:, 0, 0] > 0.0)
         assert p2.values[0, 0, 0] == market.G1
 
 
 class TestSpecializedMatrices:
     def test_matches_generic_assembly(self, market):
-        p1 = scalar_p1(market)
-        p2 = scalar_p2(market, p1)
-        spec = build_finance_spec(market)
-        sys = bs.build_stacked_system(spec, p1, p2, hat_c1_source="display")
+        p1, p2 = riccati_pair(market)
+        sys = bs.build_stacked_system(build_finance_spec(market), p1, p2)
         mats = specialized_stacked_matrices(market, p1, p2)
         for name, vals in mats.items():
             gap = np.max(np.abs(getattr(sys, name).values - vals))

@@ -1,11 +1,18 @@
 """Leader pipeline: decoupled simulation, reconstruction, equilibrium controls."""
 
+import functools
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import bsde_stackelberg as bs
+from bsde_stackelberg import finance
 from bsde_stackelberg.follower import terminal_defect
 from bsde_stackelberg.leader import (
+    _decoupling_inverses,
+    _offset_diffusion,
     decoupling_consistency,
     initial_coupling_defect,
     leader_bsde_residual,
@@ -14,6 +21,11 @@ from bsde_stackelberg.leader import (
 )
 from bsde_stackelberg.sampling import coarsen, sample_brownian
 from bsde_stackelberg.scenario import make_constant_spec
+
+STUDY = Path(__file__).resolve().parents[1] / "scripts" / "convergence_study.py"
+_spec = importlib.util.spec_from_file_location("convergence_study", STUDY)
+study = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(study)
 
 
 def zero_spec(steps=32):
@@ -37,6 +49,30 @@ def two_state_stochastic_spec(steps):
         Q2=[[0.3, 0.0], [0.0, 0.2]], R2=1.0, S2=0.1 * np.eye(2), G2=np.eye(2),
         a=[0.5, -0.3], b=[1.0, 0.5],
     )
+
+
+def diffusion_consistency_gap(sys, pi1, pi2):
+    """Max node-wise gap between the printed diffusion display and the simulated one.
+
+    The printed display writes the forward-offset diffusion term by term;
+    it agrees with the pathwise assembly the simulation uses whenever Pi1
+    and Pi2 commute (e.g. vanishing C).  A nonzero value means the
+    displayed coefficients do not satisfy the exact pathwise relation
+    linking the forward diffusion to Z.
+    """
+    C1, D1t = sys.C1h.values, np.swapaxes(sys.D1h.values, 1, 2)
+    Pi1, Pi2 = pi1.values, pi2.values
+    inv_s, inv_12, inv_21 = _decoupling_inverses(sys, pi1, pi2)
+    mix = (Pi2 - sys.S1h.values) @ inv_s
+    mixer = mix @ Pi1
+    display = (
+        -(D1t @ inv_12 @ Pi1 + mixer @ D1t @ inv_21 @ Pi1
+          - C1 @ inv_21 - mixer @ C1 @ inv_21),
+        -(D1t @ inv_12 + mixer @ D1t @ inv_21
+          + C1 @ inv_21 @ Pi2 + mixer @ C1 @ inv_21 @ Pi2),
+    )
+    simulated = _offset_diffusion(C1, sys.D1h.values, Pi1, Pi2, mix, inv_12, inv_21)
+    return max(float(np.max(np.abs(a - b))) for a, b in zip(display, simulated))
 
 
 class TestAuxiliaryBackward:
@@ -211,13 +247,13 @@ class TestNodeKernelsMatchLoops:
 class TestForwardOffsetDiffusion:
     def test_modes_identical_when_diffusion_inactive(self, hand_spec, hand_solution):
         # C = 0: both assemblies vanish identically
-        gap = bs.diffusion_consistency_gap(
+        gap = diffusion_consistency_gap(
             hand_solution.system, hand_solution.pi1, hand_solution.pi2
         )
         assert gap == 0.0
 
     def test_modes_differ_on_noncommuting_scenario(self, stochastic_solution):
-        gap = bs.diffusion_consistency_gap(
+        gap = diffusion_consistency_gap(
             stochastic_solution.system, stochastic_solution.pi1, stochastic_solution.pi2
         )
         assert gap > 1e-6
@@ -234,6 +270,28 @@ class TestForwardOffsetDiffusion:
             rms_f, _ = leader_bsde_residual(sol_f.system, sol_f.pi2, sol_f.ensemble)
             rms_c, _ = leader_bsde_residual(sol_c.system, sol_c.pi2, sol_c.ensemble)
             assert rms_c / rms_f == pytest.approx(2.0, rel=0.25), scenario.__name__
+
+
+class TestFollowerAdjoint:
+    def test_adjoint_gap_halves_with_dt(self, monkeypatch):
+        # the follower's adjoint x, simulated by Euler from the equilibrium's (ybar, zbar),
+        # against P2 ybar + phibar at T (convergence_study.adjoint_gap): the gap halves
+        # with the time step only if the stacked system reproduces the follower's
+        # closed loop.  The market runs through consumption_equilibrium on common paths
+        def two_state(N, bundle):
+            return bs.solve_equilibrium(two_state_stochastic_spec(N), bundle=bundle)
+
+        def consumption(N, bundle):
+            solve = functools.partial(bs.solve_equilibrium, bundle=bundle)
+            monkeypatch.setattr(finance, "solve_equilibrium", solve)
+            return finance.consumption_equilibrium(study.finance_market(N)).solution
+
+        for solve, N in ((two_state, 400), (consumption, 100)):
+            fine = sample_brownian(bs.TimeGrid(1.0, 2 * N), 256, 5)
+            coarse_gap = study.adjoint_gap(solve(N, coarsen(fine, 2)))
+            assert coarse_gap / study.adjoint_gap(solve(2 * N, fine)) == pytest.approx(
+                2.0, abs=0.25
+            ), solve.__name__
 
 
 class TestCsv:

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bsde_stackelberg as bs
 from bsde_stackelberg.follower import paths_csv
@@ -74,6 +76,27 @@ def gate_spec(S1, C, Q1):
         1.0, 8,
         A=zero, B1=eye, B2=eye, C=C, Q1=Q1, R1=eye, S1=S1, G1=eye,
         Q2=zero, R2=eye, S2=zero, G2=eye, a=[1.0, 0.0], b=[0.0, 0.0],
+    )
+
+
+def random_noisy_game(seed, n, k, steps=64):
+    """n-state game with symmetric weights, C != 0 and S1 != 0, so that P1, P2 - S1
+    and (I + P1 S1)^-1 do not commute; entries drawn from seed."""
+    rng = np.random.default_rng(seed)
+
+    def psd(m, floor):
+        L = rng.uniform(-0.5, 0.5, (m, m))
+        return L @ L.T + floor * np.eye(m)
+
+    def entries(rows, cols):
+        return rng.uniform(-0.6, 0.6, (rows, cols))
+
+    return make_constant_spec(
+        1.0, steps,
+        A=entries(n, n), B1=entries(n, k), B2=entries(n, k), C=entries(n, n),
+        Q1=psd(n, 0.1), R1=psd(k, 0.5), S1=psd(n, 0.1), G1=psd(n, 0.2),
+        Q2=psd(n, 0.1), R2=psd(k, 0.5), S2=psd(n, 0.1), G2=psd(n, 0.2),
+        a=rng.uniform(-1.0, 1.0, n), b=rng.uniform(-1.0, 1.0, n),
     )
 
 
@@ -216,22 +239,52 @@ class TestStackedSystem:
         np.testing.assert_allclose(sys.xih.b, [[0.0], [0.0]], atol=0)
         assert sys.G2h[1, 1] == 1.0 and np.sum(np.abs(sys.G2h)) == 1.0
 
-    def test_hat_c1_sources_differ_only_when_active(self, stochastic_spec):
-        p1 = bs.solve_p1(stochastic_spec)
-        p2 = bs.solve_p2(stochastic_spec, p1)
-        dyn = bs.build_stacked_system(stochastic_spec, p1, p2, hat_c1_source="dynamics")
-        dis = bs.build_stacked_system(stochastic_spec, p1, p2, hat_c1_source="display")
-        # only the upper-left block of C1-hat moves
-        gap = np.abs(dyn.C1h.values - dis.C1h.values)
-        assert np.max(gap[:, 0, 0]) > 0.0
-        assert np.max(gap[:, 1, :]) == 0.0 and np.max(gap[:, 0, 1]) == 0.0
-        for name in ("A1h", "B1h", "B2h", "D1h", "F1h", "F2h", "S1h"):
-            assert np.array_equal(getattr(dyn, name).values, getattr(dis, name).values)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), k=st.integers(1, 3))
+    @settings(max_examples=10, deadline=None)
+    def test_blocks_follow_the_followers_closed_loop(self, seed, n, k):
+        # phibar = x - P2 ybar for the follower's adjoint x: C1-hat = diag(C', C'), both
+        # off-diagonal blocks of D1-hat are P2 C and both of F1-hat are
+        # K = P2 C (I + P1 S1)^-1 P1 C' P2, which is symmetric
+        spec = random_noisy_game(seed, n, k)
+        p1 = bs.solve_p1(spec)
+        p2 = bs.solve_p2(spec, p1)
+        sys = bs.build_stacked_system(spec, p1, p2)
+        C, S1, P1, P2 = spec.C.values, spec.S1.values, p1.values, p2.values
+        Ct = np.swapaxes(C, 1, 2)
+        K = P2 @ C @ np.linalg.solve(np.eye(n) + P1 @ S1, P1) @ Ct @ P2
+        zero = np.zeros_like(P1)
 
-    def test_bad_source_rejected(self, hand_spec, hand_riccati):
-        p1, p2 = hand_riccati
-        with pytest.raises(ValueError):
-            bs.build_stacked_system(hand_spec, p1, p2, hat_c1_source="other")
+        def blocks(h):
+            v = h.values
+            return v[:, :n, :n], v[:, :n, n:], v[:, n:, :n], v[:, n:, n:]
+
+        for got, want in (
+            (blocks(sys.C1h), (Ct, zero, zero, Ct)),
+            (blocks(sys.D1h), (zero, P2 @ C, P2 @ C, zero)),
+            (blocks(sys.F1h)[:3], (zero, K, K)),
+        ):
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-14)
+        f1 = sys.F1h.values
+        assert np.max(np.abs(f1 - np.swapaxes(f1, 1, 2))) <= 1e-14 * max(1.0, np.max(np.abs(f1)))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), k=st.integers(1, 3))
+    @settings(max_examples=10, deadline=None)
+    def test_unsymmetrized_flows_stay_symmetric(self, seed, n, k):
+        # with a symmetric F1-hat the Pi1 and Pi2 fields map symmetric iterates to
+        # symmetric ones, so the per-step symmetrization removes roundoff only
+        spec = random_noisy_game(seed, n, k)
+        p1 = bs.solve_p1(spec)
+        sys = bs.build_stacked_system(spec, p1, bs.solve_p2(spec, p1))
+        zero = np.zeros((2 * n, 2 * n))
+        pi1 = bs.RiccatiPath("Pi1", bs.integrate_matrix_ode(
+            pi1_field(sys), zero, sys.grid, bs.OdeDirection.BACKWARD
+        ))
+        pi2 = bs.RiccatiPath("Pi2", bs.integrate_matrix_ode(
+            pi2_field(sys, pi1), sys.G2h, sys.grid, bs.OdeDirection.FORWARD
+        ))
+        for pi in (pi1, pi2):
+            assert pi.max_asymmetry() <= 1e-13 * max(1.0, np.max(np.abs(pi.values))), pi.tag
 
     def test_d1h_lower_block_hand_value(self):
         # S1 = 0 scalar: lower-left D1-hat = P2 C (P1 P2 + 1) - P2 C P1 P2

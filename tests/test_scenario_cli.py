@@ -407,13 +407,6 @@ class TestCliConsistencyFailures:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("solver failure:") and message in err
 
-    def test_finance_closed_form_check_raises_named_error(self, market, monkeypatch):
-        from bsde_stackelberg import finance
-
-        monkeypatch.setattr(finance, "p1_closed_form", lambda m: 1.0 + m.grid.nodes)
-        with pytest.raises(bs.ConsistencyError, match="closed form"):
-            finance.scalar_p1(market)
-
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
