@@ -146,10 +146,10 @@ def richardson_order(coarse, mid, fine):
 def residual_rms(spec, bundle):
     """(leader, follower) RMS closed-loop residuals; the follower responds to u2 = 0.2."""
     sol = bs.solve_equilibrium(spec, bundle=bundle)
-    leader, _ = leader_bsde_residual(sol.system, sol.pi2, sol.ensemble)
+    leader, _ = leader_bsde_residual(sol.ensemble)
     u2 = bs.AffineControl.constant(spec.grid, 0.2 * np.ones(spec.dims.k))
     ens = bs.follower_pipeline(spec, sol.p1, sol.p2, u2, bundle=bundle)
-    follower, _ = bs.closed_loop_residual(sol.p2, ens)
+    follower, _ = bs.closed_loop_residual(ens)
     return leader, follower
 
 

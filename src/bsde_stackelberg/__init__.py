@@ -51,6 +51,7 @@ from .follower import (
     follower_cost,
     follower_feedback,
     follower_pipeline,
+    follower_summary,
 )
 from .leader import (
     LeaderEnsemble,
@@ -59,6 +60,7 @@ from .leader import (
     equilibrium_follower_control,
     equilibrium_follower_cost,
     equilibrium_follower_stationarity,
+    equilibrium_summary,
     leader_bsde_residual,
     leader_cost,
     leader_feedback,
@@ -81,6 +83,7 @@ from .finance import (
     MarketParams,
     build_finance_spec,
     consumption_equilibrium,
+    consumption_summary,
     initial_reserve,
 )
 from .scenario import (

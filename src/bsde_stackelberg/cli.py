@@ -17,7 +17,7 @@ import numpy as np
 
 from . import follower as fol
 from . import leader as led
-from .finance import consumption_equilibrium, consumption_paths_csv, initial_reserve
+from .finance import consumption_summary
 from .model import AffineControl, SpecError, validate_spec
 from .odeint import ConsistencyError, DivergenceError, SingularityError
 from .oracle import (
@@ -150,54 +150,23 @@ def cmd_riccati(scn: Scenario, out: Path, args) -> int:
     return 0
 
 
+def _direction(scn: Scenario) -> AffineControl:
+    """The stationarity checks' control direction: constant ones."""
+    return AffineControl.constant(scn.spec.grid, np.ones(scn.spec.dims.k))
+
+
 def cmd_follower(scn: Scenario, out: Path, args) -> int:
-    spec = scn.spec
-    p1 = solve_p1(spec)
-    p2 = solve_p2(spec, p1)
     mc = MonteCarloConfig(paths=args.paths, seed=args.seed)
-    ens = fol.follower_pipeline(spec, p1, p2, scn.u2, mc=mc)
-    rms, rmax = fol.closed_loop_residual(p2, ens)
-    direction = AffineControl.constant(spec.grid, np.ones(spec.dims.k))
-    stat = fol.check_follower_stationarity(spec, ens, direction)
-    _write_text(out, "paths_follower.csv", fol.follower_paths_csv(ens, CSV_PATH_CAP))
-    summary = {
-        "J1": {"mean": ens.J1[0], "stderr": ens.J1[1]},
-        "stationarity": {
-            "algebraic": stat["algebraic_residual"],
-            "extrapolated_slope": stat["extrapolated_slope"],
-        },
-        "terminal_error_max": fol.terminal_defect(spec.xi, ens.y, ens.bundle.W),
-        "bsde_residual_rms": rms,
-        "bsde_residual_max": rmax,
-    }
+    summary, csv = fol.follower_summary(scn.spec, scn.u2, mc, _direction(scn), CSV_PATH_CAP)
+    _write_text(out, "paths_follower.csv", csv)
     _write_summary(out, summary, scn, args)
     return 0
 
 
 def cmd_leader(scn: Scenario, out: Path, args) -> int:
-    spec = scn.spec
     mc = MonteCarloConfig(paths=args.paths, seed=args.seed)
-    sol = led.solve_equilibrium(spec, mc=mc)
-    ens = sol.ensemble
-    rms, rmax = led.leader_bsde_residual(sol.system, sol.pi2, ens)
-    direction = AffineControl.constant(spec.grid, np.ones(spec.dims.k))
-    lead_stat = led.check_leader_stationarity(sol, direction)
-    J1 = led.equilibrium_follower_cost(spec, ens)
-    _write_text(out, "paths_leader.csv", led.leader_paths_csv(ens, CSV_PATH_CAP))
-    summary = {
-        "J1": {"mean": J1[0], "stderr": J1[1]},
-        "J2": {"mean": ens.J2[0], "stderr": ens.J2[1]},
-        "stationarity": {
-            "follower": led.equilibrium_follower_stationarity(spec, sol.p2, ens),
-            "leader": lead_stat["algebraic_residual"],
-            "leader_extrapolated_slope": lead_stat["extrapolated_slope"],
-        },
-        "terminal_error_max": fol.terminal_defect(sol.system.xih, ens.Y, ens.bundle.W),
-        "initial_coupling_max": led.initial_coupling_defect(sol.system, ens),
-        "decoupling_consistency_max": led.decoupling_consistency(ens, sol.pi2),
-        "bsde_residual_rms": rms,
-        "bsde_residual_max": rmax,
-    }
+    summary, csv = led.equilibrium_summary(scn.spec, mc, _direction(scn), CSV_PATH_CAP)
+    _write_text(out, "paths_leader.csv", csv)
     _write_summary(out, summary, scn, args)
     return 0
 
@@ -207,22 +176,8 @@ def cmd_finance(scn: Scenario, out: Path, args) -> int:
         print("scenario has no 'market' section", file=sys.stderr)
         return EXIT_VALIDATION
     mc = MonteCarloConfig(paths=args.paths, seed=args.seed)
-    cs = consumption_equilibrium(scn.market, mc=mc)
-    reserve = initial_reserve(cs.solution)
-    ens = cs.solution.ensemble
-    J1 = led.equilibrium_follower_cost(cs.solution.spec, ens)
-    _write_text(out, "paths_finance.csv", consumption_paths_csv(cs, CSV_PATH_CAP))
-    summary = {
-        "initial_reserve": cs.initial_reserve,
-        "Y0": cs.Y0,
-        "J1": {"mean": J1[0], "stderr": J1[1]},
-        "J2": {"mean": ens.J2[0], "stderr": ens.J2[1]},
-        "dual_check": {
-            "mc_estimate": reserve["mc_estimate"],
-            "stderr": reserve["stderr"],
-            "gap": reserve["gap"],
-        },
-    }
+    summary, csv = consumption_summary(scn.market, mc, CSV_PATH_CAP)
+    _write_text(out, "paths_finance.csv", csv)
     _write_summary(out, summary, scn, args)
     return 0
 

@@ -15,8 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .follower import paths_csv
-from .leader import StackelbergSolution, closed_loop_drift, solve_equilibrium
+from .follower import cost_figures, paths_csv
+from .leader import (
+    StackelbergSolution,
+    equilibrium_follower_cost,
+    equilibrium_layer,
+    equilibrium_paths,
+    leader_cost,
+    solve_equilibrium,
+)
 from .model import (
     CoefficientPath,
     Dimensions,
@@ -25,7 +32,7 @@ from .model import (
     TimeGrid,
     validate_spec,
 )
-from .sampling import MonteCarloConfig
+from .sampling import MonteCarloConfig, PathBundle, mean_stderr, stream_paths
 
 
 @dataclass(frozen=True)
@@ -135,7 +142,11 @@ def consumption_equilibrium(
     closed loop; the dual propagator of initial_reserve reads the same
     hat matrices.
     """
-    sol = solve_equilibrium(build_finance_spec(m), mc=mc)
+    return _consumption(solve_equilibrium(build_finance_spec(m), mc=mc), m)
+
+
+def _consumption(sol: StackelbergSolution, m: MarketParams) -> ConsumptionSolution:
+    """The market-named views of an equilibrium solution's ensemble."""
     ens = sol.ensemble
     sigma = m.sigma.values[:, :, 0]  # (N+1, 1)
     portfolio = ens.zbar[:, :, 0] / sigma
@@ -151,9 +162,9 @@ def _dual_coefficients(sol: StackelbergSolution):
     The propagator solves d(Gamma) = M^T Gamma dt + C1h Gamma dW with M
     the closed-loop drift of the backward pair, so that
     Y(t) = E[Gamma_t(T)^T xi-hat + int_t^T Gamma_t(s)^T f(s) ds] with
-    f = (F2h - B2h R2^-1 B2h^T) varphi-tilde (see closed_loop_drift).
+    f = (F2h - B2h R2^-1 B2h^T) varphi-tilde (see PathKernel.closed_loop).
     """
-    M, forcing = closed_loop_drift(sol.system, sol.pi2)
+    M, forcing = sol.kernel.closed_loop
     return np.swapaxes(M, 1, 2), sol.system.C1h.values, forcing
 
 
@@ -176,13 +187,11 @@ def _gamma_step(gamma, a_i, a_ip1, c_i, dt, dW):
     )
 
 
-def initial_reserve(sol: StackelbergSolution) -> dict:
-    """Monte Carlo evaluation of the dual representation of Y(0).
+def reserve_samples(sol: StackelbergSolution) -> np.ndarray:
+    """Per path, Gamma_0(T)^T xi-hat + trapezoid(Gamma_0(t)^T f(t)): the dual
+    representation's samples of Y(0), (paths, 2n).
 
-    Streams the propagator over the solved ensemble's own paths and
-    accumulates Gamma_0(T)^T xi-hat + trapezoid(Gamma_0(t)^T f(t));
-    reports the estimate with standard errors next to the pipeline's
-    deterministic Y(0).
+    The propagator is streamed over the ensemble's own paths.
     """
     sys = sol.system
     grid = sys.grid
@@ -208,10 +217,16 @@ def initial_reserve(sol: StackelbergSolution) -> dict:
         integral += w * integrand(i + 1, gamma)
 
     xi_hat = sys.xih.on_paths(ens.bundle.W[-1])
-    per_path = np.einsum("pji,pj->pi", gamma, xi_hat) + integral
-    estimate = per_path.mean(axis=0)
-    stderr = per_path.std(axis=0, ddof=1) / np.sqrt(P) if P > 1 else np.zeros(m)
-    pipeline_Y0 = ens.Y[0].mean(axis=0)
+    return np.einsum("pji,pj->pi", gamma, xi_hat) + integral
+
+
+def reserve_report(samples: np.ndarray, y0_paths: np.ndarray) -> dict:
+    """The dual check's figures from its samples (reserve_samples) and the
+    pipeline's per-path Y(0), both (paths, 2n) and merged over any number of
+    path chunks: the estimate with its standard errors next to the
+    pipeline's deterministic Y(0)."""
+    estimate, stderr = mean_stderr(samples)
+    pipeline_Y0 = y0_paths.mean(axis=0)
     return {
         "mc_estimate": estimate,
         "stderr": stderr,
@@ -221,6 +236,12 @@ def initial_reserve(sol: StackelbergSolution) -> dict:
     }
 
 
+def initial_reserve(sol: StackelbergSolution) -> dict:
+    """Monte Carlo evaluation of the dual representation of Y(0) on the solved
+    ensemble's paths (reserve_samples, reserve_report)."""
+    return reserve_report(reserve_samples(sol), sol.ensemble.Y[0])
+
+
 def consumption_paths_csv(cs: ConsumptionSolution, max_paths: int | None = None) -> str:
     """Per-path CSV of (t, wealth, portfolio, c1, c2), 17 significant digits."""
     return paths_csv(
@@ -228,4 +249,40 @@ def consumption_paths_csv(cs: ConsumptionSolution, max_paths: int | None = None)
         ["y", "pi", "c1", "c2"],
         [cs.wealth, cs.portfolio, cs.c1, cs.c2],
         max_paths,
+        cs.solution.ensemble.bundle.first,
     )
+
+
+def consumption_summary(
+    m: MarketParams, mc: MonteCarloConfig, csv_paths: int = 0
+) -> tuple[dict, str]:
+    """The consumption equilibrium's figures on mc's paths, keyed as the CLI's
+    summary, and the CSV of the first csv_paths paths, streamed in path
+    chunks (stream_paths).
+
+    The deterministic layer is formed once; each chunk runs the path kernel,
+    both controls and costs and the dual propagator.
+    """
+    sol = equilibrium_layer(build_finance_spec(m))
+
+    def chunk(bundle: PathBundle) -> dict:
+        chunk_sol = equilibrium_paths(sol, bundle)
+        ens = chunk_sol.ensemble
+        return {
+            "J1": equilibrium_follower_cost(sol.spec, ens),
+            "J2": leader_cost(sol.spec, ens),
+            "Y0": ens.Y[0],
+            "reserve": reserve_samples(chunk_sol),
+            "csv": consumption_paths_csv(_consumption(chunk_sol, m), csv_paths),
+        }
+
+    merged = stream_paths(m.grid, mc, sol.system.dim, chunk)
+    reserve = reserve_report(merged["reserve"], merged["Y0"])
+    summary = {
+        "initial_reserve": float(reserve["pipeline_Y0"][1]),
+        "Y0": reserve["pipeline_Y0"],
+        "J1": cost_figures(merged["J1"]),
+        "J2": cost_figures(merged["J2"]),
+        "dual_check": {key: reserve[key] for key in ("mc_estimate", "stderr", "gap")},
+    }
+    return summary, merged["csv"]

@@ -25,11 +25,20 @@ import numpy as np
 
 from .model import AffineControl, CoefficientPath, LQGameSpec, TerminalCondition, TimeGrid
 from .odeint import MAX_NORM, DivergenceError, check_forms_agree
-from .riccati import RiccatiPath, StackedSystem, _sym, _tr, csv_block, follower_system
-from .sampling import MonteCarloConfig, PathBundle, sample_brownian
+from .riccati import (
+    RiccatiPath,
+    StackedSystem,
+    _sym,
+    _tr,
+    csv_block,
+    follower_system,
+    solve_p1,
+    solve_p2,
+)
+from .sampling import MonteCarloConfig, PathBundle, mean_stderr, sample_brownian, stream_paths
 
 if TYPE_CHECKING:
-    from .leader import LeaderEnsemble
+    from .leader import LeaderEnsemble, PathKernel
 
 
 @dataclass(frozen=True)
@@ -114,12 +123,15 @@ class FollowerEnsemble:
     u1_adjoint its algebraically equal adjoint representation.
     """
 
-    system: StackedSystem
     stacked: LeaderEnsemble
     u1: np.ndarray = None
     u1_adjoint: np.ndarray = None
     u2: np.ndarray = None
     J1: tuple[float, float] = None
+
+    @property
+    def system(self) -> StackedSystem:
+        return self.stacked.kernel.sys
 
     @property
     def grid(self) -> TimeGrid:
@@ -169,6 +181,39 @@ def follower_feedback(p2: RiccatiPath, ens: FollowerEnsemble) -> np.ndarray:
     return u1
 
 
+def cost_samples(
+    grid: TimeGrid,
+    y: np.ndarray,
+    u: np.ndarray,
+    z: np.ndarray,
+    Q: CoefficientPath,
+    R: CoefficientPath,
+    S: CoefficientPath,
+    G: np.ndarray,
+) -> np.ndarray:
+    """Per path, 0.5 { int (y'Qy + u'Ru + z'Sz) dt + y(0)'G y(0) }, trapezoidal in time.
+
+    y, u and z are (N+1, paths, dim); a term may broadcast over paths.
+    """
+    integrand = _bilinear_form(y, Q.values, y)
+    integrand += _bilinear_form(u, R.values, u)
+    integrand += _bilinear_form(z, S.values, z)
+    time_integral = np.trapezoid(integrand, dx=grid.dt, axis=0)
+    return 0.5 * (time_integral + _bilinear_form(y[0], G, y[0]))
+
+
+def _estimate(samples: np.ndarray) -> tuple[float, float]:
+    """(mean, standard error) of per-path scalars, as floats (sampling.mean_stderr)."""
+    mean, stderr = mean_stderr(samples)
+    return float(mean), float(stderr)
+
+
+def cost_figures(samples: np.ndarray) -> dict:
+    """A cost's summary entry {"mean", "stderr"} from its per-path samples."""
+    mean, stderr = _estimate(samples)
+    return {"mean": mean, "stderr": stderr}
+
+
 def quadratic_cost(
     grid: TimeGrid,
     y: np.ndarray,
@@ -179,20 +224,9 @@ def quadratic_cost(
     S: CoefficientPath,
     G: np.ndarray,
 ) -> tuple[float, float]:
-    """0.5 E{ int (y'Qy + u'Ru + z'Sz) dt + y(0)'G y(0) }, trapezoidal in time.
-
-    y, u and z are (N+1, paths, dim).  Returns (mean, standard error)
-    over the path ensemble.
-    """
-    integrand = _bilinear_form(y, Q.values, y)
-    integrand += _bilinear_form(u, R.values, u)
-    integrand += _bilinear_form(z, S.values, z)
-    time_integral = np.trapezoid(integrand, dx=grid.dt, axis=0)
-    per_path = 0.5 * (time_integral + _bilinear_form(y[0], G, y[0]))
-    mean = float(per_path.mean())
-    n_paths = per_path.shape[0]
-    stderr = float(per_path.std(ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return mean, stderr
+    """0.5 E{ int (y'Qy + u'Ru + z'Sz) dt + y(0)'G y(0) }: the (mean, standard
+    error) over the path ensemble of cost_samples."""
+    return _estimate(cost_samples(grid, y, u, z, Q, R, S, G))
 
 
 def quadratic_expansion(
@@ -203,25 +237,25 @@ def quadratic_expansion(
     R: CoefficientPath,
     S: CoefficientPath,
     G: np.ndarray,
-) -> tuple[float, float]:
-    """Mean (cross, curvature) of quadratic_cost along a step, with
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per path (cross, curvature) of the cost along a step, with
     J(base + eps step) = J(base) + eps cross + eps^2 curvature exactly.
 
     base and step are (y, u, z) triples of (N+1, paths, dim) arrays; a
     step may broadcast over paths.  cross is
-    E{ int (y'Q~dy + u'R~du + z'S~dz) dt + y(0)'G~dy(0) } with the
-    symmetric parts M~ = (M + M')/2, so it stays exact for weights that
-    are symmetric only to roundoff; curvature is the cost of the step.
+    int (y'Q~dy + u'R~du + z'S~dz) dt + y(0)'G~dy(0) with the symmetric
+    parts M~ = (M + M')/2, so it stays exact for weights that are
+    symmetric only to roundoff; curvature is the cost of the step
+    (cost_samples).  Their means over paths are the expansion of J.
     """
     y, u, z = base
     dy, du, dz = step
     integrand = _bilinear_form(y, _sym(Q.values), dy)
     integrand += _bilinear_form(u, _sym(R.values), du)
     integrand += _bilinear_form(z, _sym(S.values), dz)
-    per_path = np.trapezoid(integrand, dx=grid.dt, axis=0)
-    per_path += _bilinear_form(y[0], _sym(G), dy[0])
-    curvature, _ = quadratic_cost(grid, dy, du, dz, Q, R, S, G)
-    return float(per_path.mean()), curvature
+    cross = np.trapezoid(integrand, dx=grid.dt, axis=0)
+    cross += _bilinear_form(y[0], _sym(G), dy[0])
+    return cross, cost_samples(grid, dy, du, dz, Q, R, S, G)
 
 
 def _bilinear_form(v: np.ndarray, M: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -229,24 +263,30 @@ def _bilinear_form(v: np.ndarray, M: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("...j,...j->...", v @ M, w)
 
 
-def follower_cost(spec: LQGameSpec, ens: FollowerEnsemble) -> tuple[float, float]:
-    ens.J1 = quadratic_cost(spec.grid, ens.y, ens.u1, ens.z, spec.Q1, spec.R1, spec.S1, spec.G1)
-    return ens.J1
+def follower_cost(spec: LQGameSpec, ens: FollowerEnsemble) -> np.ndarray:
+    """The follower's per-path cost J1 on the ensemble; its (mean, stderr) is stored as ens.J1."""
+    samples = cost_samples(spec.grid, ens.y, ens.u1, ens.z, spec.Q1, spec.R1, spec.S1, spec.G1)
+    ens.J1 = _estimate(samples)
+    return samples
 
 
-def follower_state(
-    spec: LQGameSpec, p1: RiccatiPath, p2: RiccatiPath, u2: AffineControl, bundle: PathBundle
-) -> FollowerEnsemble:
-    """The follower's optimal state (x, y, z) on the paths, without feedback or cost.
+def follower_kernel(
+    spec: LQGameSpec, p1: RiccatiPath, p2: RiccatiPath, u2: AffineControl
+) -> PathKernel:
+    """The leader's path kernel on follower_system(spec, u2), whose Pi1 and Pi2
+    are P1 and P2."""
+    from .leader import path_kernel  # leader imports this module
 
-    The leader's path kernel runs on follower_system(spec, u2), whose Pi1
-    and Pi2 are P1 and P2.
-    """
+    return path_kernel(follower_system(spec, u2), p1, p2)
+
+
+def follower_paths(kernel: PathKernel, bundle: PathBundle) -> FollowerEnsemble:
+    """The follower's optimal state (x, y, z) on a bundle of paths, from its
+    kernel (follower_kernel), without feedback or cost."""
     from .leader import stacked_paths  # leader imports this module
 
-    sys = follower_system(spec, u2)
-    _, stacked = stacked_paths(sys, p1, p2, bundle)
-    return FollowerEnsemble(sys, stacked, u2=_u2_pathwise(u2, bundle.W))
+    u2 = _u2_pathwise(kernel.sys.forcing_control, bundle.W)
+    return FollowerEnsemble(stacked_paths(kernel, bundle), u2=u2)
 
 
 def follower_pipeline(
@@ -257,22 +297,68 @@ def follower_pipeline(
     mc: MonteCarloConfig | None = None,
     bundle: PathBundle | None = None,
 ) -> FollowerEnsemble:
-    """Full follower solve for an exogenous affine leader control."""
+    """Full follower solve for an exogenous affine leader control on one bundle of paths."""
     if bundle is None:
         mc = mc or MonteCarloConfig()
         bundle = sample_brownian(spec.grid, mc.paths, mc.seed)
-    ens = follower_state(spec, p1, p2, u2, bundle)
+    ens = follower_paths(follower_kernel(spec, p1, p2, u2), bundle)
     follower_feedback(p2, ens)
     follower_cost(spec, ens)
     return ens
 
 
-def closed_loop_residual(p2: RiccatiPath, ens: FollowerEnsemble) -> tuple[float, float]:
+def closed_loop_residual(ens: FollowerEnsemble) -> tuple[float, float]:
     """Discrete residual of the follower's closed-loop BSDE for (y, z):
     leader_bsde_residual on the follower's system, with the same conventions."""
     from .leader import leader_bsde_residual  # leader imports this module
 
-    return leader_bsde_residual(ens.system, p2, ens.stacked)
+    return leader_bsde_residual(ens.stacked)
+
+
+def response_step(spec: LQGameSpec, v: AffineControl) -> AffineBSDESolution:
+    """The follower's state perturbation for a control step v, for any paths.
+
+    It solves the homogeneous BSDE -d(dy) = [A dy + C dz + B1 v] dt - dz dW
+    with zero terminal value, closed by the affine ansatz: dy = alpha + beta W
+    and the deterministic dz = beta.
+    """
+    return solve_affine_bsde(
+        spec.A.half,
+        spec.C.half,
+        spec.B1.half @ v.u_const.half,
+        spec.B1.half @ v.u_lin.half,
+        np.zeros(spec.dims.n),
+        np.zeros(spec.dims.n),
+        spec.grid,
+    )
+
+
+def follower_stationarity_samples(
+    spec: LQGameSpec, ens: FollowerEnsemble, v: AffineControl, delta: AffineBSDESolution
+) -> dict:
+    """check_follower_stationarity's samples on the ensemble for the step v and its
+    state perturbation delta (response_step): the algebraic residual's max over
+    the paths, and per path the cross term and the curvature of J1 along v."""
+    W = ens.bundle.W
+    step = (delta.phi_pathwise(W), _u2_pathwise(v, W), delta.eta_values[:, None])
+    cross, curvature = quadratic_expansion(
+        spec.grid, (ens.y, ens.u1, ens.z), step, spec.Q1, spec.R1, spec.S1, spec.G1
+    )
+    return {
+        "algebraic_residual": stationarity_residual(spec, ens.x, ens.u1),
+        "extrapolated_slope": cross,
+        "curvature": curvature,
+    }
+
+
+def stationarity_report(samples: dict) -> dict:
+    """A stationarity check's figures from its samples, merged over any number of
+    path chunks: the algebraic residual's max, and the mean slope and curvature."""
+    return {
+        "algebraic_residual": samples["algebraic_residual"],
+        "extrapolated_slope": float(samples["extrapolated_slope"].mean()),
+        "curvature": float(samples["curvature"].mean()),
+    }
 
 
 def check_follower_stationarity(spec: LQGameSpec, ens: FollowerEnsemble, v: AffineControl) -> dict:
@@ -283,31 +369,9 @@ def check_follower_stationarity(spec: LQGameSpec, ens: FollowerEnsemble, v: Affi
     direction v, J1(u1 + eps v) = J1(u1) + eps slope + eps^2 curvature
     exactly under common random numbers; the slope is reported as the
     extrapolated (eps -> 0) directional derivative.
-
-    The state perturbation solves the homogeneous BSDE
-    -d(dy) = [A dy + C dz + B1 v] dt - dz dW with zero terminal value,
-    closed by the affine ansatz: dy = alpha + beta W and the
-    deterministic dz = beta.
     """
-    delta = solve_affine_bsde(
-        spec.A.half,
-        spec.C.half,
-        spec.B1.half @ v.u_const.half,
-        spec.B1.half @ v.u_lin.half,
-        np.zeros(spec.dims.n),
-        np.zeros(spec.dims.n),
-        spec.grid,
-    )
-    W = ens.bundle.W
-    step = (delta.phi_pathwise(W), _u2_pathwise(v, W), delta.eta_values[:, None])
-    slope, curvature = quadratic_expansion(
-        spec.grid, (ens.y, ens.u1, ens.z), step, spec.Q1, spec.R1, spec.S1, spec.G1
-    )
-    return {
-        "algebraic_residual": stationarity_residual(spec, ens.x, ens.u1),
-        "extrapolated_slope": slope,
-        "curvature": curvature,
-    }
+    delta = response_step(spec, v)
+    return stationarity_report(follower_stationarity_samples(spec, ens, v, delta))
 
 
 def stationarity_residual(spec: LQGameSpec, x: np.ndarray, u1: np.ndarray) -> float:
@@ -320,11 +384,12 @@ def stationarity_residual(spec: LQGameSpec, x: np.ndarray, u1: np.ndarray) -> fl
 
 
 def follower_paths_csv(ens: FollowerEnsemble, max_paths: int | None = None) -> str:
-    """Per-path CSV: path,t,y_*,z_*,u1_*,x_* with 17 significant digits."""
+    """Per-path CSV: path,t,y_*,z_*,u1_*,x_* with 17 significant digits (paths_csv)."""
     n, k = ens.y.shape[2], ens.u1.shape[2]
     header = column_labels("y", n) + column_labels("z", n, "1")
     header += column_labels("u1", k) + column_labels("x", n)
-    return paths_csv(ens.grid.nodes, header, [ens.y, ens.z, ens.u1, ens.x], max_paths)
+    blocks = [ens.y, ens.z, ens.u1, ens.x]
+    return paths_csv(ens.grid.nodes, header, blocks, max_paths, ens.bundle.first)
 
 
 def column_labels(prefix: str, count: int, suffix: str = "") -> list[str]:
@@ -333,15 +398,71 @@ def column_labels(prefix: str, count: int, suffix: str = "") -> list[str]:
 
 
 def paths_csv(
-    nodes: np.ndarray, header: list[str], blocks: list[np.ndarray], max_paths: int | None = None
+    nodes: np.ndarray,
+    header: list[str],
+    blocks: list[np.ndarray],
+    max_paths: int | None = None,
+    first: int = 0,
 ) -> str:
     """Per-path CSV 'path,t,<header>' at the grid nodes, 17 significant digits.
 
     blocks are (N+1, paths) or (N+1, paths, cols) arrays whose columns,
-    concatenated in order, match header; at most max_paths paths are listed.
+    concatenated in order, match header.  Their paths are numbered from
+    first, and those numbered below max_paths are listed.  The header line
+    opens the file, so it comes only with first = 0: the CSVs of
+    consecutive path chunks join into the CSV of all their paths.
     """
-    count = blocks[0].shape[1] if max_paths is None else min(max_paths, blocks[0].shape[1])
+    width = blocks[0].shape[1]
+    count = width if max_paths is None else max(0, min(max_paths - first, width))
     data = np.concatenate([np.atleast_3d(b[:, :count]) for b in blocks], axis=2)
-    lines = ["path,t," + ",".join(header) + "\n"]
-    lines += [csv_block(np.column_stack([nodes, data[:, p]]), f"{p},") for p in range(count)]
+    lines = ["path,t," + ",".join(header) + "\n"] if first == 0 else []
+    lines += [
+        csv_block(np.column_stack([nodes, data[:, p]]), f"{first + p},") for p in range(count)
+    ]
     return "".join(lines)
+
+
+def follower_summary(
+    spec: LQGameSpec, u2: AffineControl, mc: MonteCarloConfig, v: AffineControl, csv_paths: int = 0
+) -> tuple[dict, str]:
+    """The follower's figures for the leader control u2 on mc's paths, keyed as
+    the CLI's summary, and the CSV of the first csv_paths paths, streamed in
+    path chunks (stream_paths).
+
+    P1, P2, the path kernel and the response step of the stationarity
+    direction v are formed once; each chunk runs the kernel, the feedback,
+    the cost, the residual and the stationarity check.
+    """
+    from .leader import bsde_residual_samples, residual_rms  # leader imports this module
+
+    p1 = solve_p1(spec)
+    p2 = solve_p2(spec, p1)
+    kernel = follower_kernel(spec, p1, p2, u2)
+    delta = response_step(spec, v)
+
+    def chunk(bundle: PathBundle) -> dict:
+        ens = follower_paths(kernel, bundle)
+        follower_feedback(p2, ens)
+        residual, residual_max = bsde_residual_samples(ens.stacked)
+        return {
+            "J1": follower_cost(spec, ens),
+            **follower_stationarity_samples(spec, ens, v, delta),
+            "terminal_error_max": terminal_defect(spec.xi, ens.y, bundle.W),
+            "residual": residual,
+            "bsde_residual_max": residual_max,
+            "csv": follower_paths_csv(ens, csv_paths),
+        }
+
+    merged = stream_paths(spec.grid, mc, kernel.sys.dim, chunk)
+    stat = stationarity_report(merged)
+    summary = {
+        "J1": cost_figures(merged["J1"]),
+        "stationarity": {
+            "algebraic": stat["algebraic_residual"],
+            "extrapolated_slope": stat["extrapolated_slope"],
+        },
+        "terminal_error_max": merged["terminal_error_max"],
+        "bsde_residual_rms": residual_rms(merged["residual"]),
+        "bsde_residual_max": merged["bsde_residual_max"],
+    }
+    return summary, merged["csv"]

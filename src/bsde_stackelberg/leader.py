@@ -16,20 +16,26 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .follower import (
     AffineBSDESolution,
     FollowerEnsemble,
+    _estimate,
     _u2_pathwise,
     column_labels,
-    follower_state,
+    cost_figures,
+    cost_samples,
+    follower_kernel,
+    follower_paths,
     paths_csv,
-    quadratic_cost,
     quadratic_expansion,
     solve_affine_bsde,
+    stationarity_report,
     stationarity_residual,
+    terminal_defect,
 )
 from .model import (
     AffineControl,
@@ -49,7 +55,7 @@ from .riccati import (
     solve_pi1,
     solve_pi2,
 )
-from .sampling import MonteCarloConfig, PathBundle, sample_brownian
+from .sampling import MonteCarloConfig, PathBundle, sample_brownian, stream_paths
 
 
 def solve_tilde_phi(sys: StackedSystem, pi1: RiccatiPath) -> AffineBSDESolution:
@@ -60,9 +66,9 @@ def solve_tilde_phi(sys: StackedSystem, pi1: RiccatiPath) -> AffineBSDESolution:
         + (Pi1 D1h - C1h^T)(I + Pi1 S1h)^-1 Pi1 D1h^T,
     L = (Pi1 D1h - C1h^T)(I + Pi1 S1h)^-1 and u the known control.
     """
-    A1, B1, B2, C1, D1, F1, _, S1 = sys.halves()
+    A1, B1, B2, C1, D1, F1, _, _ = sys.halves()
     Pi1 = pi1.path.half
-    L = (Pi1 @ D1 - _tr(C1)) @ pi1_s1_inverse(Pi1, S1, sys.grid.half_times)
+    L = (Pi1 @ D1 - _tr(C1)) @ pi1.s1_inverse
     K = A1 - Pi1 @ F1 + (Pi1 @ B1 - B2) @ sys.R_inv @ _tr(B1) + L @ Pi1 @ _tr(D1)
     load, u = sys.forcing_load.half, sys.forcing_control
     g_c, g_l = -load @ u.u_const.half, -load @ u.u_lin.half
@@ -96,41 +102,87 @@ def _decoupling_inverses(sys, pi1, pi2):
     )
 
 
-def simulate_tilde_varphi(
-    sys: StackedSystem,
-    pi1: RiccatiPath,
-    pi2: RiccatiPath,
-    tilde_phi: AffineBSDESolution,
-    phi: np.ndarray,
-    bundle: PathBundle,
-    inverses: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """Euler-Maruyama for a stacked system's forward offset, tilde-varphi(0) = 0.
+@dataclass(frozen=True)
+class PathKernel:
+    """The path layer of one decoupled stacked system, with its node tables formed once.
 
-    The drift follows the decoupled system's display plus Pi2 forcing_load u
-    for the known control u, and the diffusion the exact pathwise Z-relation
-    (see _offset_diffusion); phi is tilde_phi.phi_pathwise(bundle.W) and
-    inverses are _decoupling_inverses(sys, pi1, pi2).  Returns (N+1, paths, dim).
+    path_kernel builds it from the system, Pi1 and Pi2: the auxiliary BSDE's
+    solution, the Euler tables of the forward offset and the reconstruction
+    tables of (X, Y, Z).  None of them depends on the paths, so one kernel
+    serves any number of path chunks (stacked_paths).
     """
-    grid, eta = sys.grid, tilde_phi.eta_values[:, :, None]
+
+    sys: StackedSystem
+    pi2: RiccatiPath
+    tilde_phi: AffineBSDESolution
+    euler: tuple[np.ndarray, ...]  # simulate_tilde_varphi's drift and diffusion tables
+    recon: tuple[np.ndarray, ...]  # reconstruct_XYZ's tables
+
+    @cached_property
+    def closed_loop(self) -> tuple[np.ndarray, np.ndarray]:
+        """(N+1)-node tables (M, F) of the closed-loop backward equation of (Y, Z),
+        -dY = (M Y + C1h^T Z + F varphi-tilde + forcing_load u) dt - Z dW with
+        M = A1h + F2h Pi2 - B2h R^-1 (B1h + Pi2 B2h)^T and F = F2h - B2h R^-1 B2h^T.
+        The residual and the dual reserve read them."""
+        sys, Pi2 = self.sys, self.pi2.values
+        B2, F2 = sys.B2h.values, sys.F2h.values
+        B2_Rinv = B2 @ sys.R_inv[::2]
+        M = sys.A1h.values + F2 @ Pi2 - B2_Rinv @ _tr(sys.B1h.values + Pi2 @ B2)
+        return M, F2 - B2_Rinv @ _tr(B2)
+
+
+def path_kernel(sys: StackedSystem, pi1: RiccatiPath, pi2: RiccatiPath) -> PathKernel:
+    """A stacked system's path kernel: the auxiliary BSDE and every node table.
+
+    The Euler step of the forward offset follows the decoupled system's
+    display plus Pi2 forcing_load u for the known control u, and its
+    diffusion the exact pathwise Z-relation (see _offset_diffusion).  The
+    reconstruction tables are those of reconstruct_XYZ.  The decoupling
+    inverses are formed once, by _decoupling_inverses.
+    """
+    tilde_phi = solve_tilde_phi(sys, pi1)
+    eta = tilde_phi.eta_values[:, :, None]
     A1, B1, B2 = sys.A1h.values, sys.B1h.values, sys.B2h.values
     C1, D1, F2 = sys.C1h.values, sys.D1h.values, sys.F2h.values
     Pi1, Pi2 = pi1.values, pi2.values
-    inv_s, inv_12, inv_21 = inverses
+    inv_s, inv_12, inv_21 = _decoupling_inverses(sys, pi1, pi2)
     coupler = (D1 + Pi2 @ _tr(C1)) @ inv_s
     mix = (Pi2 - sys.S1h.values) @ inv_s
     drift_mat = (
         _tr(A1) + Pi2 @ F2 - (B1 + Pi2 @ B2) @ sys.R_inv[::2] @ _tr(B2) - coupler @ Pi1 @ C1
     )
     diff_varphi, diff_phi = _offset_diffusion(C1, D1, Pi1, Pi2, mix, inv_12, inv_21)
-    drift_u = Pi2 @ sys.forcing_load.values
-    drift_eta = (coupler @ eta)[:, :, 0]
-    diff_eta = (mix @ eta)[:, :, 0]
+    euler = (
+        drift_mat,
+        (coupler @ eta)[:, :, 0],
+        Pi2 @ sys.forcing_load.values,
+        diff_varphi,
+        diff_phi,
+        (mix @ eta)[:, :, 0],
+    )
+    # v @ -M^T - w @ N^T is -(v @ M^T + w @ N^T) exactly, without negating v
+    recon = (
+        _tr(inv_21),
+        _tr(inv_21 @ Pi2),
+        -_tr(inv_12 @ Pi1),
+        _tr(inv_12),
+        -_tr(inv_s @ Pi1 @ C1),
+        _tr(inv_s @ Pi1 @ _tr(D1)),
+        (inv_s @ eta)[:, None, :, 0],
+    )
+    return PathKernel(sys, pi2, tilde_phi, euler, recon)
 
+
+def simulate_tilde_varphi(kernel: PathKernel, phi: np.ndarray, bundle: PathBundle) -> np.ndarray:
+    """Euler-Maruyama for a stacked system's forward offset, tilde-varphi(0) = 0,
+    on the kernel's tables (path_kernel); phi is kernel.tilde_phi.phi_pathwise(bundle.W).
+    Returns (N+1, paths, dim)."""
+    sys = kernel.sys
+    drift_mat, drift_eta, drift_u, diff_varphi, diff_phi, diff_eta = kernel.euler
     u = _u2_pathwise(sys.forcing_control, bundle.W)  # (N+1, paths, 0) for the leader
-    tv = np.zeros((grid.steps + 1, bundle.n_paths, sys.dim))
-    dt, dW = grid.dt, bundle.dW
-    for i in range(grid.steps):
+    tv = np.zeros((sys.grid.steps + 1, bundle.n_paths, sys.dim))
+    dt, dW = sys.grid.dt, bundle.dW
+    for i in range(sys.grid.steps):
         v = tv[i]
         drift = v @ drift_mat[i].T - drift_eta[i]
         drift += u[i] @ drift_u[i].T
@@ -148,9 +200,8 @@ class LeaderEnsemble:
     properties expose the n-dimensional components by name.
     """
 
-    grid: TimeGrid
+    kernel: PathKernel
     bundle: PathBundle
-    n: int
     X: np.ndarray  # (N+1, paths, 2n)
     Y: np.ndarray
     Z: np.ndarray
@@ -158,7 +209,16 @@ class LeaderEnsemble:
     u2: np.ndarray = None  # (N+1, paths, k)
     u1: np.ndarray = None
     u1_stacked: np.ndarray = None
+    J1: tuple[float, float] = None
     J2: tuple[float, float] = None
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.kernel.sys.grid
+
+    @property
+    def n(self) -> int:
+        return self.kernel.sys.n
 
     @property
     def phibar(self) -> np.ndarray:
@@ -186,50 +246,32 @@ class LeaderEnsemble:
 
 
 def reconstruct_XYZ(
-    sys: StackedSystem,
-    pi1: RiccatiPath,
-    pi2: RiccatiPath,
-    tilde_phi: AffineBSDESolution,
-    phi: np.ndarray,
-    tilde_varphi: np.ndarray,
-    bundle: PathBundle,
-    inverses: tuple[np.ndarray, np.ndarray, np.ndarray],
+    kernel: PathKernel, phi: np.ndarray, tilde_varphi: np.ndarray, bundle: PathBundle
 ) -> LeaderEnsemble:
     """Recover (X, Y, Z) from the two decoupling relations, all nodes at once.
 
     X = (I + Pi2 Pi1)^-1 (-Pi2 phi-tilde + varphi-tilde);
     Y = -(I + Pi1 Pi2)^-1 (Pi1 varphi-tilde + phi-tilde);
     Z = -(I + Pi1 S1h)^-1 (Pi1 C1h X + Pi1 D1h^T Y + eta-tilde),
-    with phi = tilde_phi.phi_pathwise(bundle.W) and the three inverses
-    from _decoupling_inverses(sys, pi1, pi2).
+    with phi = kernel.tilde_phi.phi_pathwise(bundle.W) and the kernel's tables.
     """
-    eta = tilde_phi.eta_values[:, :, None]
-    Pi1, Pi2 = pi1.values, pi2.values
-    inv_s, inv_12, inv_21 = inverses
-
-    X = tilde_varphi @ _tr(inv_21)
-    X -= phi @ _tr(inv_21 @ Pi2)
-    # v @ -M^T - w @ N^T is -(v @ M^T + w @ N^T) exactly, without negating v
-    Y = tilde_varphi @ -_tr(inv_12 @ Pi1)
-    Y -= phi @ _tr(inv_12)
-    Z = X @ -_tr(inv_s @ Pi1 @ sys.C1h.values)
-    Z -= Y @ _tr(inv_s @ Pi1 @ _tr(sys.D1h.values))
-    Z -= (inv_s @ eta)[:, None, :, 0]
-    return LeaderEnsemble(sys.grid, bundle, sys.n, X, Y, Z, tilde_varphi)
+    x_v, x_phi, y_v, y_phi, z_x, z_y, z_eta = kernel.recon
+    X = tilde_varphi @ x_v
+    X -= phi @ x_phi
+    Y = tilde_varphi @ y_v
+    Y -= phi @ y_phi
+    Z = X @ z_x
+    Z -= Y @ z_y
+    Z -= z_eta
+    return LeaderEnsemble(kernel, bundle, X, Y, Z, tilde_varphi)
 
 
-def stacked_paths(
-    sys: StackedSystem, pi1: RiccatiPath, pi2: RiccatiPath, bundle: PathBundle
-) -> tuple[AffineBSDESolution, LeaderEnsemble]:
-    """A decoupled stacked system on the paths: the auxiliary BSDE, the Euler
-    forward offset and the reconstructed (X, Y, Z), with the decoupling
-    inverses formed once.  The one path kernel of both levels."""
-    tilde_phi = solve_tilde_phi(sys, pi1)
-    phi = tilde_phi.phi_pathwise(bundle.W)
-    inverses = _decoupling_inverses(sys, pi1, pi2)
-    tilde_varphi = simulate_tilde_varphi(sys, pi1, pi2, tilde_phi, phi, bundle, inverses)
-    ens = reconstruct_XYZ(sys, pi1, pi2, tilde_phi, phi, tilde_varphi, bundle, inverses)
-    return tilde_phi, ens
+def stacked_paths(kernel: PathKernel, bundle: PathBundle) -> LeaderEnsemble:
+    """A decoupled stacked system on a bundle of paths: the Euler forward offset
+    and the reconstructed (X, Y, Z).  The one path kernel of both levels."""
+    phi = kernel.tilde_phi.phi_pathwise(bundle.W)
+    tilde_varphi = simulate_tilde_varphi(kernel, phi, bundle)
+    return reconstruct_XYZ(kernel, phi, tilde_varphi, bundle)
 
 
 def decoupling_consistency(ens: LeaderEnsemble, pi2: RiccatiPath) -> float:
@@ -276,18 +318,22 @@ def equilibrium_follower_control(
     return u1
 
 
-def leader_cost(spec: LQGameSpec, ens: LeaderEnsemble) -> tuple[float, float]:
-    ens.J2 = quadratic_cost(
+def leader_cost(spec: LQGameSpec, ens: LeaderEnsemble) -> np.ndarray:
+    """The leader's per-path cost J2 along the ensemble; its (mean, stderr) is stored as ens.J2."""
+    samples = cost_samples(
         spec.grid, ens.ybar, ens.u2, ens.zbar, spec.Q2, spec.R2, spec.S2, spec.G2
     )
-    return ens.J2
+    ens.J2 = _estimate(samples)
+    return samples
 
 
-def equilibrium_follower_cost(spec: LQGameSpec, ens: LeaderEnsemble) -> tuple[float, float]:
-    """The follower's cost J1 along the equilibrium trajectory."""
-    return quadratic_cost(
+def equilibrium_follower_cost(spec: LQGameSpec, ens: LeaderEnsemble) -> np.ndarray:
+    """The follower's per-path cost J1 along the equilibrium; its (mean, stderr) is stored as ens.J1."""
+    samples = cost_samples(
         spec.grid, ens.ybar, ens.u1, ens.zbar, spec.Q1, spec.R1, spec.S1, spec.G1
     )
+    ens.J1 = _estimate(samples)
+    return samples
 
 
 def equilibrium_follower_stationarity(
@@ -298,30 +344,16 @@ def equilibrium_follower_stationarity(
     return stationarity_residual(spec, ens.ybar @ _tr(p2.values) + ens.phibar, ens.u1)
 
 
-def closed_loop_drift(sys: StackedSystem, pi2: RiccatiPath) -> tuple[np.ndarray, np.ndarray]:
-    """(N+1)-node tables of the closed-loop backward equation of (Y, Z).
-
-    -dY = (M Y + C1h^T Z + F varphi-tilde + forcing_load u) dt - Z dW with
-    M = A1h + F2h Pi2 - B2h R^-1 (B1h + Pi2 B2h)^T and
-    F = F2h - B2h R^-1 B2h^T; returns (M, F).
-    """
-    B2, F2, Pi2 = sys.B2h.values, sys.F2h.values, pi2.values
-    B2_Rinv = B2 @ sys.R_inv[::2]
-    M = sys.A1h.values + F2 @ Pi2 - B2_Rinv @ _tr(sys.B1h.values + Pi2 @ B2)
-    return M, F2 - B2_Rinv @ _tr(B2)
-
-
-def leader_bsde_residual(
-    sys: StackedSystem, pi2: RiccatiPath, ens: LeaderEnsemble
-) -> tuple[float, float]:
-    """Discrete residual of the closed-loop BSDE for (Y, Z).
+def bsde_residual_samples(ens: LeaderEnsemble) -> tuple[np.ndarray, float]:
+    """Discrete residual of the closed-loop BSDE for (Y, Z) on the ensemble's paths.
 
     r_i = Y_{i+1} - Y_i + drift_i dt - Z_i dW_i per path and step, with the
-    drift at the left node; returns the RMS over paths of the accumulated
-    squared residual sum_i ||r_i||^2, which scales like O(dt) for a
-    consistent first-order scheme, and the max single-step residual.
+    drift at the left node (the kernel's closed_loop tables); returns each
+    path's accumulated squared residual sum_i ||r_i||^2 and the max
+    single-step residual.
     """
-    M, F = closed_loop_drift(sys, pi2)
+    sys = ens.kernel.sys
+    M, F = ens.kernel.closed_loop
     drift = ens.Y[:-1] @ _tr(M[:-1])
     drift += ens.Z[:-1] @ sys.C1h.values[:-1]
     drift += ens.tilde_varphi[:-1] @ _tr(F[:-1])
@@ -331,13 +363,29 @@ def leader_bsde_residual(
     resid = ens.Y[1:] - ens.Y[:-1]
     resid += drift
     resid -= ens.Z[:-1] * ens.bundle.dW[:, :, None]
-    accumulated = np.einsum("ipj,ipj->p", resid, resid)
-    return float(np.sqrt(np.mean(accumulated))), float(np.max(np.abs(resid)))
+    return np.einsum("ipj,ipj->p", resid, resid), float(np.max(np.abs(resid)))
+
+
+def residual_rms(accumulated: np.ndarray) -> float:
+    """RMS over paths of the accumulated squared residuals of bsde_residual_samples,
+    which scales like O(dt) for a consistent first-order scheme."""
+    return float(np.sqrt(np.mean(accumulated)))
+
+
+def leader_bsde_residual(ens: LeaderEnsemble) -> tuple[float, float]:
+    """The closed-loop BSDE's residual RMS over paths (residual_rms) and its max
+    single-step residual (bsde_residual_samples)."""
+    accumulated, worst = bsde_residual_samples(ens)
+    return residual_rms(accumulated), worst
 
 
 @dataclass
 class StackelbergSolution:
-    """Everything produced by one end-to-end equilibrium solve."""
+    """An equilibrium solve: its deterministic layer and the ensemble of its paths.
+
+    equilibrium_layer fills everything but the ensemble; equilibrium_paths
+    adds the ensemble of one bundle of paths, a whole solve's or one chunk's.
+    """
 
     spec: LQGameSpec
     p1: RiccatiPath
@@ -345,12 +393,36 @@ class StackelbergSolution:
     system: StackedSystem
     pi1: RiccatiPath
     pi2: RiccatiPath
-    tilde_phi: AffineBSDESolution
-    ensemble: LeaderEnsemble
+    kernel: PathKernel  # the leader's path kernel
+    ensemble: LeaderEnsemble | None = None
+
+    @property
+    def tilde_phi(self) -> AffineBSDESolution:
+        return self.kernel.tilde_phi
 
     @property
     def J2(self) -> tuple[float, float]:
         return self.ensemble.J2
+
+
+def equilibrium_layer(spec: LQGameSpec) -> StackelbergSolution:
+    """The deterministic layer of an equilibrium solve: P1, P2, the stacked
+    system, Pi1, Pi2 and the leader's path kernel."""
+    p1 = solve_p1(spec)
+    p2 = solve_p2(spec, p1)
+    sys = build_stacked_system(spec, p1, p2)
+    pi1 = solve_pi1(sys)
+    pi2 = solve_pi2(sys, pi1)
+    return StackelbergSolution(spec, p1, p2, sys, pi1, pi2, path_kernel(sys, pi1, pi2))
+
+
+def equilibrium_paths(sol: StackelbergSolution, bundle: PathBundle) -> StackelbergSolution:
+    """sol with the ensemble of a bundle of paths: the leader's path kernel and
+    both equilibrium controls; the costs are left to the caller."""
+    ens = stacked_paths(sol.kernel, bundle)
+    ens.u2 = leader_feedback(sol.system, sol.pi2, ens)
+    equilibrium_follower_control(sol.spec, sol.p2, sol.pi2, ens)
+    return dataclasses.replace(sol, ensemble=ens)
 
 
 def solve_equilibrium(
@@ -358,20 +430,14 @@ def solve_equilibrium(
     mc: MonteCarloConfig | None = None,
     bundle: PathBundle | None = None,
 ) -> StackelbergSolution:
-    """Full leader pipeline: Riccati solves, auxiliary problems, reconstruction."""
+    """Full leader pipeline on one bundle of paths: Riccati solves, auxiliary
+    problems, reconstruction, controls and the leader's cost."""
     if bundle is None:
         mc = mc or MonteCarloConfig()
         bundle = sample_brownian(spec.grid, mc.paths, mc.seed)
-    p1 = solve_p1(spec)
-    p2 = solve_p2(spec, p1)
-    sys = build_stacked_system(spec, p1, p2)
-    pi1 = solve_pi1(sys)
-    pi2 = solve_pi2(sys, pi1)
-    tilde_phi, ens = stacked_paths(sys, pi1, pi2, bundle)
-    ens.u2 = leader_feedback(sys, pi2, ens)
-    equilibrium_follower_control(spec, p2, pi2, ens)
-    leader_cost(spec, ens)
-    return StackelbergSolution(spec, p1, p2, sys, pi1, pi2, tilde_phi, ens)
+    sol = equilibrium_paths(equilibrium_layer(spec), bundle)
+    leader_cost(spec, sol.ensemble)
+    return sol
 
 
 def _zero_terminal(spec: LQGameSpec) -> LQGameSpec:
@@ -379,16 +445,40 @@ def _zero_terminal(spec: LQGameSpec) -> LQGameSpec:
     return dataclasses.replace(spec, xi=xi0)
 
 
-def follower_response_delta(
-    spec: LQGameSpec, p1: RiccatiPath, p2: RiccatiPath, v: AffineControl, bundle: PathBundle
-) -> FollowerEnsemble:
-    """The follower's optimal-response derivative in direction v.
+def response_kernel(
+    spec: LQGameSpec, p1: RiccatiPath, p2: RiccatiPath, v: AffineControl
+) -> PathKernel:
+    """The path kernel of the follower's optimal-response derivative in direction v.
 
     The response map (u2, xi) -> (y, z) is jointly affine, so the
     derivative is the follower's state for control v with zero terminal
     datum, on the same Brownian paths.
     """
-    return follower_state(_zero_terminal(spec), p1, p2, v, bundle)
+    return follower_kernel(_zero_terminal(spec), p1, p2, v)
+
+
+def follower_response_delta(
+    spec: LQGameSpec, p1: RiccatiPath, p2: RiccatiPath, v: AffineControl, bundle: PathBundle
+) -> FollowerEnsemble:
+    """The follower's optimal-response derivative in direction v on a bundle."""
+    return follower_paths(response_kernel(spec, p1, p2, v), bundle)
+
+
+def leader_stationarity_samples(sol: StackelbergSolution, response: PathKernel) -> dict:
+    """check_leader_stationarity's samples on sol's ensemble for the direction of
+    the response kernel (response_kernel): the algebraic residual's max over the
+    paths, and per path the cross term and the curvature of J2 along the step."""
+    spec, sys, ens = sol.spec, sol.system, sol.ensemble
+    r = ens.Y @ sys.B1h.values
+    r += ens.X @ sys.B2h.values
+    r += ens.u2 @ _tr(spec.R2.values)
+    worst = float(np.max(np.abs(r), initial=0.0))
+    delta = follower_paths(response, ens.bundle)
+    cross, curvature = quadratic_expansion(
+        spec.grid, (ens.ybar, ens.u2, ens.zbar), (delta.y, delta.u2, delta.z),
+        spec.Q2, spec.R2, spec.S2, spec.G2,
+    )
+    return {"algebraic_residual": worst, "extrapolated_slope": cross, "curvature": curvature}
 
 
 def check_leader_stationarity(sol: StackelbergSolution, v: AffineControl) -> dict:
@@ -402,17 +492,8 @@ def check_leader_stationarity(sol: StackelbergSolution, v: AffineControl) -> dic
     common random numbers; the slope is reported as the extrapolated
     (eps -> 0) directional derivative.
     """
-    spec, sys, ens = sol.spec, sol.system, sol.ensemble
-    r = ens.Y @ sys.B1h.values
-    r += ens.X @ sys.B2h.values
-    r += ens.u2 @ _tr(spec.R2.values)
-    worst = float(np.max(np.abs(r), initial=0.0))
-    delta = follower_response_delta(spec, sol.p1, sol.p2, v, ens.bundle)
-    step = (delta.y, _u2_pathwise(v, ens.bundle.W), delta.z)
-    slope, curvature = quadratic_expansion(
-        spec.grid, (ens.ybar, ens.u2, ens.zbar), step, spec.Q2, spec.R2, spec.S2, spec.G2
-    )
-    return {"algebraic_residual": worst, "extrapolated_slope": slope, "curvature": curvature}
+    response = response_kernel(sol.spec, sol.p1, sol.p2, v)
+    return stationarity_report(leader_stationarity_samples(sol, response))
 
 
 def initial_coupling_defect(sys: StackedSystem, ens: LeaderEnsemble) -> float:
@@ -421,9 +502,60 @@ def initial_coupling_defect(sys: StackedSystem, ens: LeaderEnsemble) -> float:
 
 
 def leader_paths_csv(ens: LeaderEnsemble, max_paths: int | None = None) -> str:
-    """Per-path CSV with block-named columns, 17 significant digits."""
+    """Per-path CSV with block-named columns, 17 significant digits (paths_csv)."""
     n, k = ens.n, ens.u2.shape[2]
     # X stacks (phibar, q), Y stacks (p, ybar) and Z stacks (k, zbar)
     header = [c for pre in ("phibar", "q", "p", "ybar", "k", "zbar") for c in column_labels(pre, n)]
     header += column_labels("u1", k) + column_labels("u2", k)
-    return paths_csv(ens.grid.nodes, header, [ens.X, ens.Y, ens.Z, ens.u1, ens.u2], max_paths)
+    blocks = [ens.X, ens.Y, ens.Z, ens.u1, ens.u2]
+    return paths_csv(ens.grid.nodes, header, blocks, max_paths, ens.bundle.first)
+
+
+def equilibrium_summary(
+    spec: LQGameSpec, mc: MonteCarloConfig, v: AffineControl, csv_paths: int = 0
+) -> tuple[dict, str]:
+    """The equilibrium's figures on mc's paths, keyed as the CLI's summary, and
+    the CSV of the first csv_paths paths, streamed in path chunks (stream_paths).
+
+    The deterministic layer and the response kernel of the stationarity
+    direction v are formed once; each chunk runs the path kernel, both
+    controls and costs, the residual, both stationarity checks and the
+    structural defects.
+    """
+    sol = equilibrium_layer(spec)
+    response = response_kernel(spec, sol.p1, sol.p2, v)
+
+    def chunk(bundle: PathBundle) -> dict:
+        chunk_sol = equilibrium_paths(sol, bundle)
+        ens = chunk_sol.ensemble
+        residual, residual_max = bsde_residual_samples(ens)
+        return {
+            "J1": equilibrium_follower_cost(spec, ens),
+            "J2": leader_cost(spec, ens),
+            **leader_stationarity_samples(chunk_sol, response),
+            "follower": equilibrium_follower_stationarity(spec, sol.p2, ens),
+            "terminal_error_max": terminal_defect(sol.system.xih, ens.Y, bundle.W),
+            "initial_coupling_max": initial_coupling_defect(sol.system, ens),
+            "decoupling_consistency_max": decoupling_consistency(ens, sol.pi2),
+            "residual": residual,
+            "bsde_residual_max": residual_max,
+            "csv": leader_paths_csv(ens, csv_paths),
+        }
+
+    merged = stream_paths(spec.grid, mc, sol.system.dim, chunk)
+    stat = stationarity_report(merged)
+    summary = {
+        "J1": cost_figures(merged["J1"]),
+        "J2": cost_figures(merged["J2"]),
+        "stationarity": {
+            "follower": merged["follower"],
+            "leader": stat["algebraic_residual"],
+            "leader_extrapolated_slope": stat["extrapolated_slope"],
+        },
+        "terminal_error_max": merged["terminal_error_max"],
+        "initial_coupling_max": merged["initial_coupling_max"],
+        "decoupling_consistency_max": merged["decoupling_consistency_max"],
+        "bsde_residual_rms": residual_rms(merged["residual"]),
+        "bsde_residual_max": merged["bsde_residual_max"],
+    }
+    return summary, merged["csv"]

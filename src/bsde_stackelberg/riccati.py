@@ -12,6 +12,7 @@ implemented here as an independent cross-check of the RK4 route.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -48,10 +49,17 @@ class RiccatiPath:
 
     tag: str  # "P1", "P2", "Pi1" or "Pi2"
     path: CoefficientPath
+    S1h: CoefficientPath | None = None  # for P1 and Pi1: the S1-hat of their system
 
     @property
     def values(self) -> np.ndarray:
         return self.path.values
+
+    @cached_property
+    def s1_inverse(self) -> np.ndarray:
+        """(2N+1) half-step table of (I + Pi1 S1-hat)^-1 for a P1 or Pi1, formed
+        and gated once; pi2_field and leader.solve_tilde_phi share it."""
+        return pi1_s1_inverse(self.path.half, self.S1h.half, self.path.grid.half_times)
 
     def max_asymmetry(self) -> float:
         v = self.path.values
@@ -231,10 +239,9 @@ def pi1_field(sys: StackedSystem) -> Callable[[int, np.ndarray], np.ndarray]:
 
 
 def pi2_field(sys: StackedSystem, pi1: RiccatiPath) -> Callable[[int, np.ndarray], np.ndarray]:
-    A1, B1, B2, C1, D1, F1, F2, S1 = sys.halves()
+    A1, B1, B2, C1, D1, F1, F2, _ = sys.halves()
     Rinv = sys.R_inv
-    Pi1 = pi1.path.half
-    w = pi1_s1_inverse(Pi1, S1, sys.grid.half_times) @ Pi1
+    w = pi1.s1_inverse @ pi1.path.half
     B2_Rinv, C1t_w, D1_w = B2 @ Rinv, _tr(C1) @ w, D1 @ w
     # (B1 + Pi2 B2) R^-1 (B1 + Pi2 B2)^T and (D1 + Pi2 C1^T) w (D1^T + C1 Pi2)
     # expanded into tables; F1 is symmetric, so the stage iterates are symmetric
@@ -267,7 +274,7 @@ def solve_pi1(sys: StackedSystem) -> RiccatiPath:
             path = integrate_matrix_ode(field, zero, sys.grid, OdeDirection.BACKWARD, _sym)
     finally:
         field.gate()
-    return RiccatiPath("Pi1", path)
+    return RiccatiPath("Pi1", path, sys.S1h)
 
 
 def solve_pi2(sys: StackedSystem, pi1: RiccatiPath) -> RiccatiPath:
@@ -285,7 +292,8 @@ def _riccati_system(spec: LQGameSpec) -> StackedSystem:
 
 def solve_p1(spec: LQGameSpec) -> RiccatiPath:
     """P1: Pi1 of the follower's system, backward RK4 from P1(T) = 0."""
-    return RiccatiPath("P1", solve_pi1(_riccati_system(spec)).path)
+    pi1 = solve_pi1(_riccati_system(spec))
+    return RiccatiPath("P1", pi1.path, pi1.S1h)
 
 
 def solve_p2(spec: LQGameSpec, p1: RiccatiPath) -> RiccatiPath:
@@ -345,7 +353,7 @@ def pi1_closed_form(sys: StackedSystem, R2: CoefficientPath) -> tuple[RiccatiPat
         ])
 
     vals, report = _transition_closed_form(afun, grid, grid.nodes)
-    return RiccatiPath("Pi1", CoefficientPath(grid, vals)), report
+    return RiccatiPath("Pi1", CoefficientPath(grid, vals), sys.S1h), report
 
 
 def pi2_closed_form(sys: StackedSystem, R2: CoefficientPath) -> tuple[RiccatiPath, SolvabilityReport]:

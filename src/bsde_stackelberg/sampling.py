@@ -1,15 +1,22 @@
-"""Reproducible Brownian path generation.
+"""Reproducible Brownian path generation, and the path chunks a solve streams.
 
 Counter-based Philox streams keyed on (seed, path index): every path
 is bit-reproducible in isolation and independent of how many other
 paths are drawn, which is what the common-random-number comparisons
 need.  Within a path, increments are drawn in step order.  Arrays are
 time-major: row i holds step i (or node i) of every path.
+
+Because any slice of paths can be drawn on its own, a solve need not
+hold all of its paths at once: stream_paths draws them in chunks sized
+by PATH_CHUNK_BYTES, runs a per-chunk kernel and merges its per-path
+results in path order.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -30,6 +37,7 @@ class PathBundle:
     seed: int
     dW: np.ndarray  # (N, paths)
     W: np.ndarray  # (N + 1, paths), W[0] = 0
+    first: int = 0  # index of the bundle's first path in its seed's stream
 
     @property
     def n_paths(self) -> int:
@@ -42,11 +50,12 @@ def _running_values(dW: np.ndarray) -> np.ndarray:
     return W
 
 
-def sample_brownian(grid: TimeGrid, n_paths: int, seed: int) -> PathBundle:
-    """Draw n_paths Brownian trajectories with increments ~ N(0, dt).
+def sample_brownian(grid: TimeGrid, n_paths: int, seed: int, first: int = 0) -> PathBundle:
+    """Draw paths first, ..., first + n_paths - 1, with increments ~ N(0, dt).
 
-    Path p is the stream of Philox(key=(seed << 64) | p) from counter 0;
-    one bit generator is re-keyed per path instead of built per path.
+    Path p is the stream of Philox(key=(seed << 64) | p) from counter 0, so
+    a slice of paths comes out bit for bit as the same columns of a full
+    draw; one bit generator is re-keyed per path instead of built per path.
     """
     dW = np.empty((grid.steps, n_paths))
     bitgen = np.random.Philox(key=seed << 64)
@@ -55,12 +64,12 @@ def sample_brownian(grid: TimeGrid, n_paths: int, seed: int) -> PathBundle:
     key = state["state"]["key"]
     row = np.empty(grid.steps)
     for p in range(n_paths):
-        key[0] = p
-        bitgen.state = state  # counter 0, empty buffer, key (p, seed)
+        key[0] = first + p
+        bitgen.state = state  # counter 0, empty buffer, key (first + p, seed)
         gen.standard_normal(out=row)
         dW[:, p] = row
     dW *= np.sqrt(grid.dt)
-    return PathBundle(grid, seed, dW, _running_values(dW))
+    return PathBundle(grid, seed, dW, _running_values(dW), first)
 
 
 def coarsen(bundle: PathBundle, factor: int) -> PathBundle:
@@ -69,4 +78,60 @@ def coarsen(bundle: PathBundle, factor: int) -> PathBundle:
         raise ValueError(f"steps {bundle.grid.steps} not divisible by {factor}")
     coarse = TimeGrid(bundle.grid.horizon, bundle.grid.steps // factor)
     dW = bundle.dW.reshape(coarse.steps, factor, bundle.n_paths).sum(axis=1)
-    return PathBundle(coarse, bundle.seed, dW, _running_values(dW))
+    return PathBundle(coarse, bundle.seed, dW, _running_values(dW), bundle.first)
+
+
+# Memory budget of one (N + 1, chunk, dim) float64 path array.  A chunk's
+# working set (both levels' states, offsets, controls and temporaries) is
+# about 12 such arrays, and peak memory no longer grows with the path count.
+PATH_CHUNK_BYTES = 4 * 2**20
+
+
+def chunk_bounds(n_paths: int, steps: int, dim: int) -> list[tuple[int, int]]:
+    """(first, count) of each path chunk, in path order.
+
+    As few chunks as keep one (steps + 1, count, dim) float64 array within
+    PATH_CHUNK_BYTES, with counts that differ by at most one path.
+    """
+    width = max(1, PATH_CHUNK_BYTES // (8 * (steps + 1) * dim))
+    chunks = max(1, -(-n_paths // width))
+    edges = [c * n_paths // chunks for c in range(chunks + 1)]
+    return [(a, b - a) for a, b in zip(edges[:-1], edges[1:])]
+
+
+def stream_paths(
+    grid: TimeGrid, mc: MonteCarloConfig, dim: int, chunk: Callable[[PathBundle], dict]
+) -> dict:
+    """Run chunk on mc's paths, one chunk_bounds(mc.paths, N, dim) chunk at a time.
+
+    chunk maps a bundle to a dict whose values are per-path arrays (leading
+    axis: path), maxima over the bundle's paths (floats) or text.  The
+    chunks' values are merged key by key: arrays are concatenated in path
+    order, maxima reduced by max (NaN propagates) and texts joined.  A
+    reduction of the merged values, by the expression a single bundle of
+    all paths would use, then gives figures that do not depend on the
+    chunk width.  Arrays are copied as they come, so a chunk may return
+    views of its path arrays without keeping them alive.
+    """
+    parts = defaultdict(list)
+    for first, count in chunk_bounds(mc.paths, grid.steps, dim):
+        for key, value in chunk(sample_brownian(grid, count, mc.seed, first)).items():
+            parts[key].append(value.copy() if isinstance(value, np.ndarray) else value)
+    return {key: _merge(values) for key, values in parts.items()}
+
+
+def _merge(values: list):
+    if isinstance(values[0], str):
+        return "".join(values)
+    if isinstance(values[0], np.ndarray):
+        return np.concatenate(values)
+    return float(np.max(values))
+
+
+def mean_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over paths (the leading axis) and its standard error
+    std(ddof=1) / sqrt(paths); the standard error of one path is 0."""
+    mean = samples.mean(axis=0)
+    n_paths = samples.shape[0]
+    stderr = samples.std(axis=0, ddof=1) / np.sqrt(n_paths) if n_paths > 1 else np.zeros_like(mean)
+    return mean, stderr

@@ -152,3 +152,23 @@ def specialized_stacked_matrices(m, p1, p2):
         "A1h": A1h, "B1h": B1h, "B2h": B2h, "C1h": C1h,
         "D1h": D1h, "F1h": F1h, "F2h": F2h, "S1h": S1h,
     }
+
+
+def dense_game(steps=40):
+    """n = 3, k = 2 game with non-symmetric A, C != 0 and a random terminal datum."""
+    return bs.make_constant_spec(
+        1.0, steps,
+        A=[[0.1, 0.8, 0.0], [-0.6, 0.2, 0.3], [0.1, -0.4, -0.1]],
+        B1=[[1.0, 0.0], [0.3, 0.5], [0.0, 0.8]],
+        B2=[[0.2, 0.1], [1.0, 0.0], [0.0, 0.6]],
+        C=[[0.3, 0.1, 0.0], [-0.1, 0.2, 0.1], [0.0, 0.05, 0.25]],
+        Q1=[[0.5, 0.1, 0.0], [0.1, 0.4, 0.05], [0.0, 0.05, 0.3]],
+        R1=[[1.0, 0.2], [0.2, 0.8]],
+        S1=[[0.2, 0.05, 0.0], [0.05, 0.1, 0.0], [0.0, 0.0, 0.15]],
+        G1=[[0.5, 0.1, 0.0], [0.1, 0.4, 0.0], [0.0, 0.0, 0.6]],
+        Q2=[[0.3, 0.0, 0.1], [0.0, 0.2, 0.0], [0.1, 0.0, 0.4]],
+        R2=[[1.2, -0.1], [-0.1, 0.9]],
+        S2=0.1 * np.eye(3),
+        G2=[[1.0, 0.2, 0.0], [0.2, 0.7, 0.1], [0.0, 0.1, 0.5]],
+        a=[0.5, -0.3, 0.2], b=[1.0, 0.5, -0.4],
+    )

@@ -18,7 +18,8 @@ from bsde_stackelberg.follower import (
 from bsde_stackelberg.leader import _zero_terminal, follower_response_delta
 from bsde_stackelberg.odeint import OdeDirection, integrate_matrix_ode
 from bsde_stackelberg.sampling import coarsen, sample_brownian
-from bsde_stackelberg.scenario import load_scenario, make_constant_spec
+from bsde_stackelberg.scenario import load_scenario
+from conftest import dense_game
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -201,7 +202,7 @@ class TestStochasticScenario:
                 p2 = bs.solve_p2(spec, p1)
                 u2 = bs.AffineControl.constant(spec.grid, 0.2 * np.ones(spec.dims.k))
                 ens = bs.follower_pipeline(spec, p1, p2, u2, bundle=bundle)
-                rms.append(bs.closed_loop_residual(p2, ens)[0])
+                rms.append(bs.closed_loop_residual(ens)[0])
             assert rms[1] / rms[0] == pytest.approx(2.0, abs=0.25), scenario.__name__
 
 
@@ -251,26 +252,6 @@ class TestPerturbations:
         stat = check_follower_stationarity(hand_spec, hand_follower, v)
         for eps in (0.1, -0.1):
             assert expanded_cost(hand_follower.J1[0], stat, eps) > hand_follower.J1[0]
-
-
-def dense_game(steps=40):
-    """n = 3, k = 2 game with non-symmetric A, C != 0 and a random terminal datum."""
-    return make_constant_spec(
-        1.0, steps,
-        A=[[0.1, 0.8, 0.0], [-0.6, 0.2, 0.3], [0.1, -0.4, -0.1]],
-        B1=[[1.0, 0.0], [0.3, 0.5], [0.0, 0.8]],
-        B2=[[0.2, 0.1], [1.0, 0.0], [0.0, 0.6]],
-        C=[[0.3, 0.1, 0.0], [-0.1, 0.2, 0.1], [0.0, 0.05, 0.25]],
-        Q1=[[0.5, 0.1, 0.0], [0.1, 0.4, 0.05], [0.0, 0.05, 0.3]],
-        R1=[[1.0, 0.2], [0.2, 0.8]],
-        S1=[[0.2, 0.05, 0.0], [0.05, 0.1, 0.0], [0.0, 0.0, 0.15]],
-        G1=[[0.5, 0.1, 0.0], [0.1, 0.4, 0.0], [0.0, 0.0, 0.6]],
-        Q2=[[0.3, 0.0, 0.1], [0.0, 0.2, 0.0], [0.1, 0.0, 0.4]],
-        R2=[[1.2, -0.1], [-0.1, 0.9]],
-        S2=0.1 * np.eye(3),
-        G2=[[1.0, 0.2, 0.0], [0.2, 0.7, 0.1], [0.0, 0.1, 0.5]],
-        a=[0.5, -0.3, 0.2], b=[1.0, 0.5, -0.4],
-    )
 
 
 def noisy_dense_game(steps):
@@ -348,7 +329,9 @@ class TestQuadraticExpansion:
         # the same weights up to an antisymmetric part
         tilted = skewed(weights)
         J_t, _ = quadratic_cost(spec.grid, *base, *tilted)
-        cross_t, curvature_t = quadratic_expansion(spec.grid, base, step, *tilted)
+        cross_t, curvature_t = (
+            s.mean() for s in quadratic_expansion(spec.grid, base, step, *tilted)
+        )
         for eps in (1e-2, -0.1):
             perturbed = [b + eps * d for b, d in zip(base, step)]
             brute, _ = quadratic_cost(spec.grid, *perturbed, *weights)

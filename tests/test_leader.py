@@ -267,8 +267,8 @@ class TestForwardOffsetDiffusion:
             fine = sample_brownian(fine_spec.grid, 64, 11)
             sol_f = bs.solve_equilibrium(fine_spec, bundle=fine)
             sol_c = bs.solve_equilibrium(coarse_spec, bundle=coarsen(fine, 2))
-            rms_f, _ = leader_bsde_residual(sol_f.system, sol_f.pi2, sol_f.ensemble)
-            rms_c, _ = leader_bsde_residual(sol_c.system, sol_c.pi2, sol_c.ensemble)
+            rms_f, _ = leader_bsde_residual(sol_f.ensemble)
+            rms_c, _ = leader_bsde_residual(sol_c.ensemble)
             assert rms_c / rms_f == pytest.approx(2.0, rel=0.25), scenario.__name__
 
 

@@ -279,7 +279,7 @@ class TestStackedSystem:
         zero = np.zeros((2 * n, 2 * n))
         pi1 = bs.RiccatiPath("Pi1", bs.integrate_matrix_ode(
             pi1_field(sys), zero, sys.grid, bs.OdeDirection.BACKWARD
-        ))
+        ), sys.S1h)
         pi2 = bs.RiccatiPath("Pi2", bs.integrate_matrix_ode(
             pi2_field(sys, pi1), sys.G2h, sys.grid, bs.OdeDirection.FORWARD
         ))

@@ -78,3 +78,13 @@ class TestKeyContract:
             gen = np.random.Generator(np.random.Philox(key=(seed << 64) | p))
             expected = gen.standard_normal(g.steps) * np.sqrt(g.dt)
             assert np.array_equal(b.dW[:, p], expected), (seed, p)
+
+    @pytest.mark.parametrize("first", [1, 3, 7])
+    def test_slice_matches_full_draw(self, first):
+        # a chunk of paths drawn on its own is bit for bit those columns of a full draw
+        g = bs.TimeGrid(1.0, 24)
+        full = sample_brownian(g, 10, 5)
+        part = sample_brownian(g, 3, 5, first=first)
+        assert part.first == first
+        assert np.array_equal(part.dW, full.dW[:, first : first + 3])
+        assert np.array_equal(part.W, full.W[:, first : first + 3])

@@ -1,0 +1,105 @@
+"""Streamed path layer: slices of the Philox stream, chunk bounds, and CLI
+artifacts that do not depend on the path-chunk width."""
+
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import bsde_stackelberg as bs
+from bsde_stackelberg import sampling
+from bsde_stackelberg.cli import CSV_PATH_CAP, main
+from bsde_stackelberg.scenario import load_scenario
+from conftest import dense_game, scenario_document
+
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
+_spec = importlib.util.spec_from_file_location(
+    "compare_outputs", ROOT / "scripts" / "compare_outputs.py"
+)
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
+
+PATHS, STEPS = 60, 16  # more paths than CSV_PATH_CAP, so narrow chunks split the CSV
+# the shipped scenarios, and an n = 3, k = 2 game with C != 0 written out by the test
+RUNS = [
+    (command, scenario)
+    for command in ("equilibrium", "follower")
+    for scenario in ("hand_solvable.json", "stochastic.json", "finance.json", "dense")
+] + [("finance", "finance.json")]
+
+
+def budget_for(width, steps, dim):
+    """The PATH_CHUNK_BYTES that caps chunks at width paths."""
+    return 8 * (steps + 1) * dim * width
+
+
+class TestChunkBounds:
+    @pytest.mark.parametrize("n_paths, width", [(60, 60), (60, 9), (60, 2), (7, 2), (10, 3), (1, 4)])
+    def test_even_split_within_budget(self, monkeypatch, n_paths, width):
+        monkeypatch.setattr(sampling, "PATH_CHUNK_BYTES", budget_for(width, 10, 3))
+        bounds = sampling.chunk_bounds(n_paths, 10, 3)
+        counts = [count for _, count in bounds]
+        assert [first for first, _ in bounds] == list(np.cumsum([0] + counts[:-1]))
+        assert sum(counts) == n_paths
+        assert len(bounds) == math.ceil(n_paths / width)
+        assert max(counts) <= width and max(counts) - min(counts) <= 1
+
+    def test_no_paths_is_one_empty_chunk(self):
+        assert sampling.chunk_bounds(0, 10, 2) == [(0, 0)]
+
+    def test_merge_concatenates_maxes_and_joins(self, monkeypatch):
+        grid = bs.TimeGrid(1.0, 4)
+        monkeypatch.setattr(sampling, "PATH_CHUNK_BYTES", budget_for(2, 4, 1))
+
+        def chunk(bundle):
+            return {"W_T": bundle.W[-1], "peak": float(bundle.first), "ids": f"{bundle.first};"}
+
+        merged = sampling.stream_paths(grid, bs.MonteCarloConfig(5, 3), 1, chunk)
+        assert np.array_equal(merged["W_T"], sampling.sample_brownian(grid, 5, 3).W[-1])
+        assert merged["peak"] == 3.0 and merged["ids"] == "0;1;3;"  # counts 1, 2, 2
+
+
+def scenario_path(tmp_path, scenario):
+    if scenario != "dense":
+        return SCENARIOS / scenario
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(scenario_document(dense_game(STEPS))))
+    return path
+
+
+def run_cli(tmp_path, monkeypatch, command, scenario, width):
+    """Run one command with chunks capped at width paths; returns its --out directory."""
+    path = scenario_path(tmp_path, scenario)
+    dim = load_scenario(path, steps=STEPS).spec.dims.n * (1 if command == "follower" else 2)
+    monkeypatch.setattr(sampling, "PATH_CHUNK_BYTES", budget_for(width, STEPS, dim))
+    assert max(count for _, count in sampling.chunk_bounds(PATHS, STEPS, dim)) == width
+    out = tmp_path / f"{command}-{scenario}-{width}"
+    argv = [
+        command, "--scenario", str(path), "--out", str(out),
+        "--steps", str(STEPS), "--paths", str(PATHS), "--seed", "4",
+    ]
+    assert main(argv) == 0
+    return out
+
+
+@pytest.mark.parametrize("command, scenario", RUNS, ids=[f"{c}-{s}" for c, s in RUNS])
+def test_artifacts_independent_of_chunk_width(tmp_path, monkeypatch, capsys, command, scenario):
+    whole = run_cli(tmp_path, monkeypatch, command, scenario, PATHS)
+    files = sorted(p.name for p in whole.iterdir())
+    assert "summary.json" in files and any(f.endswith(".csv") for f in files)
+    csv = next(whole.glob("*.csv")).read_text()
+    listed = {line.split(",", 1)[0] for line in csv.splitlines()[1:]}
+    assert listed == {str(p) for p in range(CSV_PATH_CAP)}
+    for width in (math.ceil(PATHS / 7), 2):
+        chunked = run_cli(tmp_path, monkeypatch, command, scenario, width)
+        assert sorted(p.name for p in chunked.iterdir()) == files
+        for name in files:
+            assert (chunked / name).read_bytes() == (whole / name).read_bytes(), (width, name)
+    # one-path chunks take another BLAS route for their 1-row matmuls and a
+    # pairwise sum for their time integrals: equal within compare_outputs.py's rule
+    single = run_cli(tmp_path, monkeypatch, command, scenario, 1)
+    compare_outputs.compare_trees(whole, single)
