@@ -33,7 +33,7 @@ import numpy as np
 
 import bsde_stackelberg as bs
 from bsde_stackelberg.follower import solve_affine_bsde
-from bsde_stackelberg.leader import leader_bsde_residual, solve_tilde_phi
+from bsde_stackelberg.leader import bsde_residual_samples, residual_rms, solve_tilde_phi
 from bsde_stackelberg.sampling import coarsen, sample_brownian
 from bsde_stackelberg.scenario import make_constant_spec
 
@@ -98,10 +98,8 @@ def offset_alpha0(spec):
 
 def leader_riccati_ends(spec):
     """Pi1(0) and Pi2(T) of the leader's stacked system."""
-    p1 = bs.solve_p1(spec)
-    sys = bs.build_stacked_system(spec, p1, bs.solve_p2(spec, p1))
-    pi1 = bs.solve_pi1(sys)
-    return pi1.values[0], bs.solve_pi2(sys, pi1).values[-1]
+    _, _, _, pi1, pi2 = bs.riccati_chain(spec)
+    return pi1.values[0], pi2.values[-1]
 
 
 def finance_market(steps):
@@ -133,7 +131,7 @@ def adjoint_gaps(game, step_counts, paths, seed):
     finest = max(step_counts)
     fine = sample_brownian(bs.TimeGrid(1.0, finest), paths, seed)
     return [
-        adjoint_gap(bs.solve_equilibrium(game(N), bundle=coarsen(fine, finest // N)))
+        adjoint_gap(bs.equilibrium_paths(bs.equilibrium_layer(game(N)), coarsen(fine, finest // N)))
         for N in step_counts
     ]
 
@@ -143,14 +141,14 @@ def richardson_order(coarse, mid, fine):
     return float(np.log2(np.max(np.abs(coarse - mid)) / np.max(np.abs(mid - fine))))
 
 
-def residual_rms(spec, bundle):
+def closed_loop_rms(spec, bundle):
     """(leader, follower) RMS closed-loop residuals; the follower responds to u2 = 0.2."""
-    sol = bs.solve_equilibrium(spec, bundle=bundle)
-    leader, _ = leader_bsde_residual(sol.ensemble)
+    sol = bs.equilibrium_paths(bs.equilibrium_layer(spec), bundle)
     u2 = bs.AffineControl.constant(spec.grid, 0.2 * np.ones(spec.dims.k))
-    ens = bs.follower_pipeline(spec, sol.p1, sol.p2, u2, bundle=bundle)
-    follower, _ = bs.closed_loop_residual(ens)
-    return leader, follower
+    follower = bs.follower_paths(bs.follower_kernel(spec, sol.p1, sol.p2, u2), bundle)
+    return tuple(
+        residual_rms(bsde_residual_samples(ens)[0]) for ens in (sol.ensemble, follower.stacked)
+    )
 
 
 def residual_ratios(game, step_counts, paths, seed):
@@ -159,7 +157,7 @@ def residual_ratios(game, step_counts, paths, seed):
     rows = []
     for N in sorted(step_counts):
         bundle = coarsen(fine, finest // N) if N != finest else fine
-        rows.append((N, *residual_rms(game(steps=N), bundle)))
+        rows.append((N, *closed_loop_rms(game(steps=N), bundle)))
     return rows
 
 

@@ -36,6 +36,7 @@ from .riccati import (
     follower_system,
     pi1_closed_form,
     pi2_closed_form,
+    riccati_chain,
     riccati_residual,
     solve_p1,
     solve_p2,
@@ -46,27 +47,25 @@ from .sampling import MonteCarloConfig, PathBundle, coarsen, sample_brownian
 from .follower import (
     AffineBSDESolution,
     FollowerEnsemble,
-    check_follower_stationarity,
-    closed_loop_residual,
     follower_cost,
     follower_feedback,
-    follower_pipeline,
+    follower_kernel,
+    follower_paths,
     follower_summary,
 )
 from .leader import (
     LeaderEnsemble,
     StackelbergSolution,
-    check_leader_stationarity,
     equilibrium_follower_control,
     equilibrium_follower_cost,
     equilibrium_follower_stationarity,
+    equilibrium_layer,
+    equilibrium_paths,
     equilibrium_summary,
-    leader_bsde_residual,
     leader_cost,
     leader_feedback,
     reconstruct_XYZ,
     simulate_tilde_varphi,
-    solve_equilibrium,
     solve_tilde_phi,
     stacked_paths,
 )
@@ -78,14 +77,7 @@ from .oracle import (
     deterministic_follower_oracle,
     deterministic_leader_oracle,
 )
-from .finance import (
-    ConsumptionSolution,
-    MarketParams,
-    build_finance_spec,
-    consumption_equilibrium,
-    consumption_summary,
-    initial_reserve,
-)
+from .finance import MarketParams, build_finance_spec, consumption_summary
 from .scenario import (
     Scenario,
     hand_solvable_scenario,

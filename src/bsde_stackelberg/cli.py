@@ -30,20 +30,16 @@ from .oracle import (
 )
 from .riccati import (
     UnsolvableError,
-    build_stacked_system,
     follower_system,
     pi1_closed_form,
     pi1_field,
     pi2_closed_form,
     pi2_field,
+    riccati_chain,
     riccati_csv,
     riccati_residual,
-    solve_p1,
-    solve_p2,
-    solve_pi1,
-    solve_pi2,
 )
-from .sampling import MonteCarloConfig
+from .sampling import MonteCarloConfig, sample_brownian
 from .scenario import Scenario, load_scenario
 
 EXIT_VALIDATION = 1
@@ -101,19 +97,9 @@ def cmd_validate(scn: Scenario, out: Path, args) -> int:
     return 0 if passed else EXIT_VALIDATION
 
 
-def _riccati_bundle(scn: Scenario):
-    spec = scn.spec
-    p1 = solve_p1(spec)
-    p2 = solve_p2(spec, p1)
-    sys = build_stacked_system(spec, p1, p2)
-    pi1 = solve_pi1(sys)
-    pi2 = solve_pi2(sys, pi1)
-    return p1, p2, sys, pi1, pi2
-
-
 def cmd_riccati(scn: Scenario, out: Path, args) -> int:
     spec = scn.spec
-    p1, p2, sys, pi1, pi2 = _riccati_bundle(scn)
+    p1, p2, sys, pi1, pi2 = riccati_chain(spec)  # no path kernel: riccati draws no paths
     for ric in (p1, p2, pi1, pi2):
         _write_text(out, f"riccati_{ric.tag.lower()}.csv", riccati_csv(ric))
     fsys = follower_system(spec, scn.u2)  # P1 and P2 are its Pi1 and Pi2
@@ -191,17 +177,18 @@ def cmd_verify(scn: Scenario, out: Path, args) -> int:
         print("oracle verification needs C = 0 (no multiplicative noise)", file=sys.stderr)
         return EXIT_VALIDATION
     profile = TOLERANCE_PROFILES[args.tolerance]
-    bundle_paths = 2  # deterministic xi and C = 0: all paths identical
-    mc = MonteCarloConfig(paths=bundle_paths, seed=args.seed)
+    # deterministic xi and C = 0: all paths identical, so 2 paths in one bundle
+    bundle = sample_brownian(spec.grid, 2, args.seed)
 
-    sol = led.solve_equilibrium(spec, mc=mc)
+    sol = led.equilibrium_paths(led.equilibrium_layer(spec), bundle)
     prob = build_discrete_problem(spec)
     u2_steps = 0.5 * (scn.u2.u_const.values[:-1, :, 0] + scn.u2.u_const.values[1:, :, 0])
     fol_oracle = deterministic_follower_oracle(prob, u2_steps)
-    fol_ens = fol.follower_pipeline(spec, sol.p1, sol.p2, scn.u2, mc=mc)
+    fol_ens = fol.follower_paths(fol.follower_kernel(spec, sol.p1, sol.p2, scn.u2), bundle)
+    fol.follower_feedback(sol.p2, fol_ens)
     fol_rep = oracle_report(
         fol_oracle.cost,
-        fol_ens.J1[0],
+        float(fol.follower_cost(spec, fol_ens).mean()),
         control_rms_gap(fol_oracle.control, fol_ens.u1[:, 0]),
         spec.grid.steps,
     )
@@ -209,7 +196,7 @@ def cmd_verify(scn: Scenario, out: Path, args) -> int:
     led_oracle = deterministic_leader_oracle(prob)
     led_rep = oracle_report(
         led_oracle.cost,
-        sol.ensemble.J2[0],
+        float(led.leader_cost(spec, sol.ensemble).mean()),
         control_rms_gap(led_oracle.control, sol.ensemble.u2[:, 0]),
         spec.grid.steps,
     )
@@ -252,6 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.paths < 1:
+        print(f"--paths must be at least 1, got {args.paths}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         scn = load_scenario(args.scenario, steps=args.steps)
     except (OSError, json.JSONDecodeError) as e:

@@ -4,9 +4,9 @@ Two agents consume out of a shared terminal-wealth constraint; the
 problem maps onto the generic leader-follower machinery through
 A = -r, B1 = B2 = 1, C = -(mu - r)/sigma, Q1 = Q2 = S1 = S2 = 0.
 The equilibrium is the generic leader pipeline on that specification;
-the module adds the market-named views of it and the dual propagator
-representation of the initial wealth reserve, a Monte Carlo check of
-the pipeline's Y(0).
+the module adds the market-named CSV of it (wealth, portfolio and the two
+consumption rates) and the dual propagator representation of the initial
+wealth reserve, a Monte Carlo check of the pipeline's Y(0).
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ import numpy as np
 
 from .follower import cost_figures, paths_csv
 from .leader import (
+    LeaderEnsemble,
     StackelbergSolution,
     equilibrium_follower_cost,
     equilibrium_layer,
     equilibrium_paths,
     leader_cost,
-    solve_equilibrium,
 )
 from .model import (
     CoefficientPath,
@@ -112,50 +112,6 @@ def build_finance_spec(m: MarketParams) -> LQGameSpec:
     return spec
 
 
-@dataclass
-class ConsumptionSolution:
-    """Equilibrium consumption plan with market-named views.
-
-    c1, c2 are the two consumption-rate controls and wealth the backward
-    state, each (N+1, paths, 1); portfolio is the risky position
-    z / sigma, (N+1, paths).  Y0 is the
-    2-dimensional initial backward value; the initial reserve is its
-    second (wealth) component.
-    """
-
-    solution: StackelbergSolution
-    market: MarketParams
-    c1: np.ndarray
-    c2: np.ndarray
-    wealth: np.ndarray
-    portfolio: np.ndarray
-    Y0: np.ndarray
-    initial_reserve: float
-
-
-def consumption_equilibrium(
-    m: MarketParams, mc: MonteCarloConfig | None = None
-) -> ConsumptionSolution:
-    """Run the generic leader pipeline on the market specification.
-
-    The stacked system is the generic one, derived from the follower's
-    closed loop; the dual propagator of initial_reserve reads the same
-    hat matrices.
-    """
-    return _consumption(solve_equilibrium(build_finance_spec(m), mc=mc), m)
-
-
-def _consumption(sol: StackelbergSolution, m: MarketParams) -> ConsumptionSolution:
-    """The market-named views of an equilibrium solution's ensemble."""
-    ens = sol.ensemble
-    sigma = m.sigma.values[:, :, 0]  # (N+1, 1)
-    portfolio = ens.zbar[:, :, 0] / sigma
-    Y0 = ens.Y[0].mean(axis=0)
-    return ConsumptionSolution(
-        sol, m, ens.u1, ens.u2, ens.ybar, portfolio, Y0, float(Y0[1])
-    )
-
-
 def _dual_coefficients(sol: StackelbergSolution):
     """Node-wise (drift, diffusion, forcing) matrices of the propagator.
 
@@ -232,24 +188,21 @@ def reserve_report(samples: np.ndarray, y0_paths: np.ndarray) -> dict:
         "stderr": stderr,
         "pipeline_Y0": pipeline_Y0,
         "gap": estimate - pipeline_Y0,
-        "initial_reserve": float(estimate[-1]),
     }
 
 
-def initial_reserve(sol: StackelbergSolution) -> dict:
-    """Monte Carlo evaluation of the dual representation of Y(0) on the solved
-    ensemble's paths (reserve_samples, reserve_report)."""
-    return reserve_report(reserve_samples(sol), sol.ensemble.Y[0])
+def consumption_paths_csv(
+    ens: LeaderEnsemble, m: MarketParams, max_paths: int | None = None
+) -> str:
+    """Per-path CSV of (t, wealth, portfolio, c1, c2), 17 significant digits.
 
-
-def consumption_paths_csv(cs: ConsumptionSolution, max_paths: int | None = None) -> str:
-    """Per-path CSV of (t, wealth, portfolio, c1, c2), 17 significant digits."""
+    Wealth is the leader's backward state ybar, the portfolio the risky
+    position zbar / sigma, and c1, c2 the two consumption rates u1, u2.
+    """
+    portfolio = ens.zbar[:, :, 0] / m.sigma.values[:, :, 0]
     return paths_csv(
-        cs.market.grid.nodes,
-        ["y", "pi", "c1", "c2"],
-        [cs.wealth, cs.portfolio, cs.c1, cs.c2],
-        max_paths,
-        cs.solution.ensemble.bundle.first,
+        m.grid.nodes, ["y", "pi", "c1", "c2"], [ens.ybar, portfolio, ens.u1, ens.u2],
+        max_paths, ens.bundle.first,
     )
 
 
@@ -273,7 +226,7 @@ def consumption_summary(
             "J2": leader_cost(sol.spec, ens),
             "Y0": ens.Y[0],
             "reserve": reserve_samples(chunk_sol),
-            "csv": consumption_paths_csv(_consumption(chunk_sol, m), csv_paths),
+            "csv": consumption_paths_csv(ens, m, csv_paths),
         }
 
     merged = stream_paths(m.grid, mc, sol.system.dim, chunk)

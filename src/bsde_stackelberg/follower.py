@@ -35,7 +35,7 @@ from .riccati import (
     solve_p1,
     solve_p2,
 )
-from .sampling import MonteCarloConfig, PathBundle, mean_stderr, sample_brownian, stream_paths
+from .sampling import MonteCarloConfig, PathBundle, mean_stderr, stream_paths
 
 if TYPE_CHECKING:
     from .leader import LeaderEnsemble, PathKernel
@@ -127,7 +127,6 @@ class FollowerEnsemble:
     u1: np.ndarray = None
     u1_adjoint: np.ndarray = None
     u2: np.ndarray = None
-    J1: tuple[float, float] = None
 
     @property
     def system(self) -> StackedSystem:
@@ -202,31 +201,11 @@ def cost_samples(
     return 0.5 * (time_integral + _bilinear_form(y[0], G, y[0]))
 
 
-def _estimate(samples: np.ndarray) -> tuple[float, float]:
-    """(mean, standard error) of per-path scalars, as floats (sampling.mean_stderr)."""
-    mean, stderr = mean_stderr(samples)
-    return float(mean), float(stderr)
-
-
 def cost_figures(samples: np.ndarray) -> dict:
-    """A cost's summary entry {"mean", "stderr"} from its per-path samples."""
-    mean, stderr = _estimate(samples)
-    return {"mean": mean, "stderr": stderr}
-
-
-def quadratic_cost(
-    grid: TimeGrid,
-    y: np.ndarray,
-    u: np.ndarray,
-    z: np.ndarray,
-    Q: CoefficientPath,
-    R: CoefficientPath,
-    S: CoefficientPath,
-    G: np.ndarray,
-) -> tuple[float, float]:
-    """0.5 E{ int (y'Qy + u'Ru + z'Sz) dt + y(0)'G y(0) }: the (mean, standard
-    error) over the path ensemble of cost_samples."""
-    return _estimate(cost_samples(grid, y, u, z, Q, R, S, G))
+    """A cost's summary entry {"mean", "stderr"} from its per-path samples
+    (sampling.mean_stderr)."""
+    mean, stderr = mean_stderr(samples)
+    return {"mean": float(mean), "stderr": float(stderr)}
 
 
 def quadratic_expansion(
@@ -264,10 +243,8 @@ def _bilinear_form(v: np.ndarray, M: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def follower_cost(spec: LQGameSpec, ens: FollowerEnsemble) -> np.ndarray:
-    """The follower's per-path cost J1 on the ensemble; its (mean, stderr) is stored as ens.J1."""
-    samples = cost_samples(spec.grid, ens.y, ens.u1, ens.z, spec.Q1, spec.R1, spec.S1, spec.G1)
-    ens.J1 = _estimate(samples)
-    return samples
+    """The follower's per-path cost J1 on the ensemble (cost_samples)."""
+    return cost_samples(spec.grid, ens.y, ens.u1, ens.z, spec.Q1, spec.R1, spec.S1, spec.G1)
 
 
 def follower_kernel(
@@ -287,32 +264,6 @@ def follower_paths(kernel: PathKernel, bundle: PathBundle) -> FollowerEnsemble:
 
     u2 = _u2_pathwise(kernel.sys.forcing_control, bundle.W)
     return FollowerEnsemble(stacked_paths(kernel, bundle), u2=u2)
-
-
-def follower_pipeline(
-    spec: LQGameSpec,
-    p1: RiccatiPath,
-    p2: RiccatiPath,
-    u2: AffineControl,
-    mc: MonteCarloConfig | None = None,
-    bundle: PathBundle | None = None,
-) -> FollowerEnsemble:
-    """Full follower solve for an exogenous affine leader control on one bundle of paths."""
-    if bundle is None:
-        mc = mc or MonteCarloConfig()
-        bundle = sample_brownian(spec.grid, mc.paths, mc.seed)
-    ens = follower_paths(follower_kernel(spec, p1, p2, u2), bundle)
-    follower_feedback(p2, ens)
-    follower_cost(spec, ens)
-    return ens
-
-
-def closed_loop_residual(ens: FollowerEnsemble) -> tuple[float, float]:
-    """Discrete residual of the follower's closed-loop BSDE for (y, z):
-    leader_bsde_residual on the follower's system, with the same conventions."""
-    from .leader import leader_bsde_residual  # leader imports this module
-
-    return leader_bsde_residual(ens.stacked)
 
 
 def response_step(spec: LQGameSpec, v: AffineControl) -> AffineBSDESolution:
@@ -336,9 +287,17 @@ def response_step(spec: LQGameSpec, v: AffineControl) -> AffineBSDESolution:
 def follower_stationarity_samples(
     spec: LQGameSpec, ens: FollowerEnsemble, v: AffineControl, delta: AffineBSDESolution
 ) -> dict:
-    """check_follower_stationarity's samples on the ensemble for the step v and its
-    state perturbation delta (response_step): the algebraic residual's max over
-    the paths, and per path the cross term and the curvature of J1 along v."""
+    """First-order optimality of the follower's feedback control on the ensemble,
+    for the step v and its state perturbation delta (response_step), as samples
+    that stationarity_report reduces.
+
+    Algebraic part: max ||B1^T x + R1 u1|| over nodes and paths (zero by
+    construction).  Variational part: J1 is quadratic, so along the
+    direction v, J1(u1 + eps v) = J1(u1) + eps slope + eps^2 curvature
+    exactly under common random numbers; per path, the cross term (whose
+    mean is the extrapolated, eps -> 0, directional derivative) and the
+    curvature.
+    """
     W = ens.bundle.W
     step = (delta.phi_pathwise(W), _u2_pathwise(v, W), delta.eta_values[:, None])
     cross, curvature = quadratic_expansion(
@@ -359,19 +318,6 @@ def stationarity_report(samples: dict) -> dict:
         "extrapolated_slope": float(samples["extrapolated_slope"].mean()),
         "curvature": float(samples["curvature"].mean()),
     }
-
-
-def check_follower_stationarity(spec: LQGameSpec, ens: FollowerEnsemble, v: AffineControl) -> dict:
-    """First-order optimality of the computed feedback control.
-
-    Algebraic part: max ||B1^T x + R1 u1|| over nodes and paths (zero by
-    construction).  Variational part: J1 is quadratic, so along the
-    direction v, J1(u1 + eps v) = J1(u1) + eps slope + eps^2 curvature
-    exactly under common random numbers; the slope is reported as the
-    extrapolated (eps -> 0) directional derivative.
-    """
-    delta = response_step(spec, v)
-    return stationarity_report(follower_stationarity_samples(spec, ens, v, delta))
 
 
 def stationarity_residual(spec: LQGameSpec, x: np.ndarray, u1: np.ndarray) -> float:

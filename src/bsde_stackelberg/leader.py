@@ -22,8 +22,6 @@ import numpy as np
 
 from .follower import (
     AffineBSDESolution,
-    FollowerEnsemble,
-    _estimate,
     _u2_pathwise,
     column_labels,
     cost_figures,
@@ -44,18 +42,8 @@ from .model import (
     TimeGrid,
 )
 from .odeint import check_forms_agree, guarded_inv
-from .riccati import (
-    RiccatiPath,
-    StackedSystem,
-    _tr,
-    build_stacked_system,
-    pi1_s1_inverse,
-    solve_p1,
-    solve_p2,
-    solve_pi1,
-    solve_pi2,
-)
-from .sampling import MonteCarloConfig, PathBundle, sample_brownian, stream_paths
+from .riccati import RiccatiPath, StackedSystem, _tr, pi1_s1_inverse, riccati_chain
+from .sampling import MonteCarloConfig, PathBundle, stream_paths
 
 
 def solve_tilde_phi(sys: StackedSystem, pi1: RiccatiPath) -> AffineBSDESolution:
@@ -209,8 +197,6 @@ class LeaderEnsemble:
     u2: np.ndarray = None  # (N+1, paths, k)
     u1: np.ndarray = None
     u1_stacked: np.ndarray = None
-    J1: tuple[float, float] = None
-    J2: tuple[float, float] = None
 
     @property
     def grid(self) -> TimeGrid:
@@ -319,21 +305,13 @@ def equilibrium_follower_control(
 
 
 def leader_cost(spec: LQGameSpec, ens: LeaderEnsemble) -> np.ndarray:
-    """The leader's per-path cost J2 along the ensemble; its (mean, stderr) is stored as ens.J2."""
-    samples = cost_samples(
-        spec.grid, ens.ybar, ens.u2, ens.zbar, spec.Q2, spec.R2, spec.S2, spec.G2
-    )
-    ens.J2 = _estimate(samples)
-    return samples
+    """The leader's per-path cost J2 along the ensemble (cost_samples)."""
+    return cost_samples(spec.grid, ens.ybar, ens.u2, ens.zbar, spec.Q2, spec.R2, spec.S2, spec.G2)
 
 
 def equilibrium_follower_cost(spec: LQGameSpec, ens: LeaderEnsemble) -> np.ndarray:
-    """The follower's per-path cost J1 along the equilibrium; its (mean, stderr) is stored as ens.J1."""
-    samples = cost_samples(
-        spec.grid, ens.ybar, ens.u1, ens.zbar, spec.Q1, spec.R1, spec.S1, spec.G1
-    )
-    ens.J1 = _estimate(samples)
-    return samples
+    """The follower's per-path cost J1 along the equilibrium (cost_samples)."""
+    return cost_samples(spec.grid, ens.ybar, ens.u1, ens.zbar, spec.Q1, spec.R1, spec.S1, spec.G1)
 
 
 def equilibrium_follower_stationarity(
@@ -372,13 +350,6 @@ def residual_rms(accumulated: np.ndarray) -> float:
     return float(np.sqrt(np.mean(accumulated)))
 
 
-def leader_bsde_residual(ens: LeaderEnsemble) -> tuple[float, float]:
-    """The closed-loop BSDE's residual RMS over paths (residual_rms) and its max
-    single-step residual (bsde_residual_samples)."""
-    accumulated, worst = bsde_residual_samples(ens)
-    return residual_rms(accumulated), worst
-
-
 @dataclass
 class StackelbergSolution:
     """An equilibrium solve: its deterministic layer and the ensemble of its paths.
@@ -400,19 +371,11 @@ class StackelbergSolution:
     def tilde_phi(self) -> AffineBSDESolution:
         return self.kernel.tilde_phi
 
-    @property
-    def J2(self) -> tuple[float, float]:
-        return self.ensemble.J2
-
 
 def equilibrium_layer(spec: LQGameSpec) -> StackelbergSolution:
     """The deterministic layer of an equilibrium solve: P1, P2, the stacked
-    system, Pi1, Pi2 and the leader's path kernel."""
-    p1 = solve_p1(spec)
-    p2 = solve_p2(spec, p1)
-    sys = build_stacked_system(spec, p1, p2)
-    pi1 = solve_pi1(sys)
-    pi2 = solve_pi2(sys, pi1)
+    system, Pi1, Pi2 (riccati_chain) and the leader's path kernel."""
+    p1, p2, sys, pi1, pi2 = riccati_chain(spec)
     return StackelbergSolution(spec, p1, p2, sys, pi1, pi2, path_kernel(sys, pi1, pi2))
 
 
@@ -423,21 +386,6 @@ def equilibrium_paths(sol: StackelbergSolution, bundle: PathBundle) -> Stackelbe
     ens.u2 = leader_feedback(sol.system, sol.pi2, ens)
     equilibrium_follower_control(sol.spec, sol.p2, sol.pi2, ens)
     return dataclasses.replace(sol, ensemble=ens)
-
-
-def solve_equilibrium(
-    spec: LQGameSpec,
-    mc: MonteCarloConfig | None = None,
-    bundle: PathBundle | None = None,
-) -> StackelbergSolution:
-    """Full leader pipeline on one bundle of paths: Riccati solves, auxiliary
-    problems, reconstruction, controls and the leader's cost."""
-    if bundle is None:
-        mc = mc or MonteCarloConfig()
-        bundle = sample_brownian(spec.grid, mc.paths, mc.seed)
-    sol = equilibrium_paths(equilibrium_layer(spec), bundle)
-    leader_cost(spec, sol.ensemble)
-    return sol
 
 
 def _zero_terminal(spec: LQGameSpec) -> LQGameSpec:
@@ -457,17 +405,19 @@ def response_kernel(
     return follower_kernel(_zero_terminal(spec), p1, p2, v)
 
 
-def follower_response_delta(
-    spec: LQGameSpec, p1: RiccatiPath, p2: RiccatiPath, v: AffineControl, bundle: PathBundle
-) -> FollowerEnsemble:
-    """The follower's optimal-response derivative in direction v on a bundle."""
-    return follower_paths(response_kernel(spec, p1, p2, v), bundle)
-
-
 def leader_stationarity_samples(sol: StackelbergSolution, response: PathKernel) -> dict:
-    """check_leader_stationarity's samples on sol's ensemble for the direction of
-    the response kernel (response_kernel): the algebraic residual's max over the
-    paths, and per path the cross term and the curvature of J2 along the step."""
+    """First-order optimality of the leader's feedback control on sol's ensemble,
+    for the direction of the response kernel (response_kernel), as samples that
+    stationarity_report reduces.
+
+    Algebraic part: max ||B1h^T Y + B2h^T X + R2 u2|| over nodes and
+    paths (zero when Pi2 is symmetric).  Variational part: the bilevel
+    cost is quadratic in u2 once the follower's optimal response is
+    followed through the affine response map, so
+    J2(u2 + eps v) = J2(u2) + eps slope + eps^2 curvature exactly under
+    common random numbers; per path, the cross term (whose mean is the
+    extrapolated, eps -> 0, directional derivative) and the curvature.
+    """
     spec, sys, ens = sol.spec, sol.system, sol.ensemble
     r = ens.Y @ sys.B1h.values
     r += ens.X @ sys.B2h.values
@@ -479,21 +429,6 @@ def leader_stationarity_samples(sol: StackelbergSolution, response: PathKernel) 
         spec.Q2, spec.R2, spec.S2, spec.G2,
     )
     return {"algebraic_residual": worst, "extrapolated_slope": cross, "curvature": curvature}
-
-
-def check_leader_stationarity(sol: StackelbergSolution, v: AffineControl) -> dict:
-    """First-order optimality of the leader's feedback control.
-
-    Algebraic part: max ||B1h^T Y + B2h^T X + R2 u2|| over nodes and
-    paths (zero when Pi2 is symmetric).  Variational part: the bilevel
-    cost is quadratic in u2 once the follower's optimal response is
-    followed through the affine response map, so
-    J2(u2 + eps v) = J2(u2) + eps slope + eps^2 curvature exactly under
-    common random numbers; the slope is reported as the extrapolated
-    (eps -> 0) directional derivative.
-    """
-    response = response_kernel(sol.spec, sol.p1, sol.p2, v)
-    return stationarity_report(leader_stationarity_samples(sol, response))
 
 
 def initial_coupling_defect(sys: StackedSystem, ens: LeaderEnsemble) -> float:

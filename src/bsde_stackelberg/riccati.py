@@ -301,6 +301,17 @@ def solve_p2(spec: LQGameSpec, p1: RiccatiPath) -> RiccatiPath:
     return RiccatiPath("P2", solve_pi2(_riccati_system(spec), p1).path)
 
 
+def riccati_chain(
+    spec: LQGameSpec,
+) -> tuple[RiccatiPath, RiccatiPath, StackedSystem, RiccatiPath, RiccatiPath]:
+    """P1, P2, the leader's stacked system, Pi1 and Pi2 of a game, in solve order."""
+    p1 = solve_p1(spec)
+    p2 = solve_p2(spec, p1)
+    sys = build_stacked_system(spec, p1, p2)
+    pi1 = solve_pi1(sys)
+    return p1, p2, sys, pi1, solve_pi2(sys, pi1)
+
+
 def _require_c_zero(sys: StackedSystem):
     worst = max(float(np.max(np.abs(sys.C1h.values))), float(np.max(np.abs(sys.D1h.values))))
     if worst > 1e-12:

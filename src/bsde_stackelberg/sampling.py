@@ -25,8 +25,8 @@ from .model import TimeGrid
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
-    paths: int = 10000
-    seed: int = 0
+    paths: int
+    seed: int
 
 
 @dataclass(frozen=True)

@@ -35,20 +35,27 @@ def hand_riccati(hand_spec):
 
 @pytest.fixture(scope="session")
 def hand_follower(hand_spec, hand_riccati):
+    """The follower's state and feedback for u2 = 0 on 4 paths."""
     p1, p2 = hand_riccati
     u2 = bs.AffineControl.zero(hand_spec.grid, hand_spec.dims.k)
-    mc = bs.MonteCarloConfig(paths=4, seed=0)
-    return bs.follower_pipeline(hand_spec, p1, p2, u2, mc=mc)
+    kernel = bs.follower_kernel(hand_spec, p1, p2, u2)
+    ens = bs.follower_paths(kernel, bs.sample_brownian(hand_spec.grid, 4, 0))
+    bs.follower_feedback(p2, ens)
+    return ens
 
 
 @pytest.fixture(scope="session")
 def hand_solution(hand_spec):
-    return bs.solve_equilibrium(hand_spec, mc=bs.MonteCarloConfig(paths=4, seed=0))
+    return bs.equilibrium_paths(
+        bs.equilibrium_layer(hand_spec), bs.sample_brownian(hand_spec.grid, 4, 0)
+    )
 
 
 @pytest.fixture(scope="session")
 def stochastic_solution(stochastic_spec):
-    return bs.solve_equilibrium(stochastic_spec, mc=bs.MonteCarloConfig(paths=256, seed=3))
+    return bs.equilibrium_paths(
+        bs.equilibrium_layer(stochastic_spec), bs.sample_brownian(stochastic_spec.grid, 256, 3)
+    )
 
 
 @pytest.fixture(scope="session")
@@ -60,9 +67,11 @@ def market():
 
 @pytest.fixture(scope="session")
 def consumption(market):
-    from bsde_stackelberg.finance import consumption_equilibrium
-
-    return consumption_equilibrium(market, mc=bs.MonteCarloConfig(paths=2000, seed=5))
+    """The consumption market's equilibrium on 2000 paths."""
+    return bs.equilibrium_paths(
+        bs.equilibrium_layer(bs.build_finance_spec(market)),
+        bs.sample_brownian(market.grid, 2000, 5),
+    )
 
 
 def scenario_document(spec, mode="strict", u2=None, market=None):

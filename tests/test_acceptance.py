@@ -14,9 +14,10 @@ import bsde_stackelberg as bs
 from bsde_stackelberg.finance import MarketParams
 from bsde_stackelberg.follower import terminal_defect
 from bsde_stackelberg.leader import (
+    bsde_residual_samples,
     decoupling_consistency,
     initial_coupling_defect,
-    leader_bsde_residual,
+    residual_rms,
 )
 from bsde_stackelberg.model import AffineControl, CoefficientPath
 from bsde_stackelberg.oracle import (
@@ -109,7 +110,7 @@ class TestAcceptance:
             "y": np.max(np.abs(ens.y - (1.0 + nodes)[:, None, None] / 2.0)),
             "z": np.max(np.abs(ens.z)),
             "u1": np.max(np.abs(ens.u1 + 0.5)),
-            "J1": abs(ens.J1[0] - 0.25),
+            "J1": abs(bs.follower_cost(hand_spec, ens).mean() - 0.25),
         }
         worst = max(errs.values())
         report(
@@ -130,10 +131,11 @@ class TestAcceptance:
             res = deterministic_follower_oracle(prob, np.zeros((256, 1)))
             p1 = bs.solve_p1(spec)
             p2 = bs.solve_p2(spec, p1)
-            ens = bs.follower_pipeline(
-                spec, p1, p2, AffineControl.zero(spec.grid, 1), mc=bs.MonteCarloConfig(2, 0)
-            )
-            rel = abs(ens.J1[0] - res.cost) / max(abs(res.cost), 1e-12)
+            kernel = bs.follower_kernel(spec, p1, p2, AffineControl.zero(spec.grid, 1))
+            ens = bs.follower_paths(kernel, sample_brownian(spec.grid, 2, 0))
+            bs.follower_feedback(p2, ens)
+            J1 = bs.follower_cost(spec, ens).mean()
+            rel = abs(J1 - res.cost) / max(abs(res.cost), 1e-12)
             worst = max(worst, rel)
         report(
             "follower cost vs exact QP oracle (6 scenarios, N=256)",
@@ -149,14 +151,16 @@ class TestAcceptance:
         worst = 0.0
         for spec in specs:
             res = deterministic_leader_oracle(build_discrete_problem(spec))
-            sol = bs.solve_equilibrium(spec, mc=bs.MonteCarloConfig(2, 0))
-            rel = abs(sol.J2[0] - res.cost) / max(abs(res.cost), 1e-12)
+            ens = bs.equilibrium_paths(
+                bs.equilibrium_layer(spec), sample_brownian(spec.grid, 2, 0)
+            ).ensemble
+            rel = abs(bs.leader_cost(spec, ens).mean() - res.cost) / max(abs(res.cost), 1e-12)
             worst = max(worst, rel)
         gaps = []
         for N in (64, 256, 1024):
             spec = hand_solvable_scenario(steps=N)
             res = deterministic_leader_oracle(build_discrete_problem(spec))
-            sol = bs.solve_equilibrium(spec, mc=bs.MonteCarloConfig(2, 0))
+            sol = bs.equilibrium_paths(bs.equilibrium_layer(spec), sample_brownian(spec.grid, 2, 0))
             gaps.append(control_rms_gap(res.control, sol.ensemble.u2[:, 0]))
         decreasing = gaps[0] > gaps[1] > gaps[2]
         ok = worst <= 1e-2 and decreasing
@@ -173,10 +177,11 @@ class TestAcceptance:
     ):
         p1 = bs.solve_p1(stochastic_spec)
         p2 = bs.solve_p2(stochastic_spec, p1)
-        sto_fol = bs.follower_pipeline(
-            stochastic_spec, p1, p2, AffineControl.constant(stochastic_spec.grid, [0.2]),
-            mc=bs.MonteCarloConfig(128, 1),
+        kernel = bs.follower_kernel(
+            stochastic_spec, p1, p2, AffineControl.constant(stochastic_spec.grid, [0.2])
         )
+        sto_fol = bs.follower_paths(kernel, sample_brownian(stochastic_spec.grid, 128, 1))
+        bs.follower_feedback(p2, sto_fol)
         worst = 0.0
         for spec, ens in ((hand_spec, hand_follower), (stochastic_spec, sto_fol)):
             xi = spec.xi.a[None] + ens.bundle.W[-1, :, None] * spec.xi.b[:, 0][None]
@@ -200,24 +205,20 @@ class TestAcceptance:
     def test_stationarity_both_levels(self, hand_spec, report):
         # the exact-diffusion assembly keeps the variational slopes
         # unbiased; the slope estimator's Monte Carlo noise at 20000
-        # paths sits well inside the 1e-3 budget
-        mc = bs.MonteCarloConfig(paths=20000, seed=4)
+        # paths sits well inside the 1e-3 budget.  Each direction streams
+        # its paths through follower_summary and equilibrium_summary
         rows = []
         for spec, stochastic in ((hand_spec, False), (stochastic_scenario(256), True)):
-            p1 = bs.solve_p1(spec)
-            p2 = bs.solve_p2(spec, p1)
-            fol = bs.follower_pipeline(
-                spec, p1, p2, AffineControl.zero(spec.grid, 1),
-                mc=mc if stochastic else bs.MonteCarloConfig(4, 0),
-            )
-            sol = bs.solve_equilibrium(spec, mc=mc if stochastic else bs.MonteCarloConfig(4, 0))
-            tol_f = 1e-3 * max(1.0, abs(fol.J1[0]))
-            tol_l = 1e-3 * max(1.0, abs(sol.J2[0]))
+            mc = bs.MonteCarloConfig(20000, 4) if stochastic else bs.MonteCarloConfig(4, 0)
+            u2 = AffineControl.zero(spec.grid, 1)
             for v in directions(spec.grid, include_noise=stochastic):
-                sf = bs.check_follower_stationarity(spec, fol, v)
-                sl = bs.check_leader_stationarity(sol, v)
-                rows.append((sf["algebraic_residual"], sf["extrapolated_slope"], tol_f))
-                rows.append((sl["algebraic_residual"], sl["extrapolated_slope"], tol_l))
+                fol, _ = bs.follower_summary(spec, u2, mc, v)
+                sol, _ = bs.equilibrium_summary(spec, mc, v)
+                sf, sl = fol["stationarity"], sol["stationarity"]
+                tol_f = 1e-3 * max(1.0, abs(fol["J1"]["mean"]))
+                tol_l = 1e-3 * max(1.0, abs(sol["J2"]["mean"]))
+                rows.append((sf["algebraic"], sf["extrapolated_slope"], tol_f))
+                rows.append((sl["leader"], sl["leader_extrapolated_slope"], tol_l))
         worst_alg = max(r[0] for r in rows)
         worst_rel = max(abs(r[1]) / r[2] for r in rows)
         ok = worst_alg <= 1e-8 and worst_rel <= 1.0
@@ -250,11 +251,11 @@ class TestAcceptance:
         fine_spec = stochastic_scenario(steps=512)
         coarse_spec = stochastic_scenario(steps=256)
         fine = sample_brownian(fine_spec.grid, 128, 4)
-        sol_f = bs.solve_equilibrium(fine_spec, bundle=fine)
-        sol_c = bs.solve_equilibrium(coarse_spec, bundle=coarsen(fine, 2))
-        rms_f, _ = leader_bsde_residual(sol_f.ensemble)
-        rms_c, _ = leader_bsde_residual(sol_c.ensemble)
-        ratio = rms_c / rms_f
+        rms = []
+        for spec, bundle in ((fine_spec, fine), (coarse_spec, coarsen(fine, 2))):
+            ens = bs.equilibrium_paths(bs.equilibrium_layer(spec), bundle).ensemble
+            rms.append(residual_rms(bsde_residual_samples(ens)[0]))
+        ratio = rms[1] / rms[0]
         ok = min_order >= 3.5 and abs(ratio - 2.0) <= 0.4
         report(
             "convergence orders (RK4 and pathwise residual)",
@@ -312,7 +313,8 @@ class TestAcceptance:
         _, rep1 = bs.pi1_closed_form(sys, hand_spec.R2)
         _, rep2 = bs.pi2_closed_form(sys, hand_spec.R2)
         try:
-            bs.solve_equilibrium(hand_spec, mc=bs.MonteCarloConfig(2, 0))
+            bundle = sample_brownian(hand_spec.grid, 2, 0)
+            bs.equilibrium_paths(bs.equilibrium_layer(hand_spec), bundle)
             completed = True
         except bs.DivergenceError:
             completed = False

@@ -9,9 +9,7 @@ from bsde_stackelberg.finance import (
     _dual_coefficients,
     _gamma_step,
     build_finance_spec,
-    consumption_equilibrium,
     consumption_paths_csv,
-    initial_reserve,
 )
 
 from conftest import p1_closed_form, specialized_stacked_matrices
@@ -32,7 +30,7 @@ def riccati_pair(m):
 
 
 def gamma_propagator(sol, t, s, path):
-    """Pathwise propagator Gamma_t(s) (2n x 2n) of initial_reserve, identity at s = t.
+    """Pathwise propagator Gamma_t(s) (2n x 2n) of reserve_samples, identity at s = t.
 
     t and s must be grid nodes with t <= s; the path index selects the
     Brownian trajectory of the solved ensemble.
@@ -134,39 +132,38 @@ class TestSpecializedMatrices:
 
 
 class TestEquilibrium:
-    def test_wealth_terminal_identity(self, consumption):
-        m = consumption.market
-        xi = m.xi.a[0] + m.xi.b[0, 0] * consumption.solution.ensemble.bundle.W[-1]
-        assert np.max(np.abs(consumption.wealth[-1, :, 0] - xi)) < 1e-10
+    def test_wealth_terminal_identity(self, market, consumption):
+        ens = consumption.ensemble
+        xi = market.xi.a[0] + market.xi.b[0, 0] * ens.bundle.W[-1]
+        assert np.max(np.abs(ens.ybar[-1, :, 0] - xi)) < 1e-10
 
-    def test_portfolio_is_scaled_martingale_loading(self, consumption):
-        ens = consumption.solution.ensemble
-        sigma = consumption.market.sigma.values[:, :, 0]
-        np.testing.assert_allclose(
-            consumption.portfolio, ens.zbar[:, :, 0] / sigma, atol=0
-        )
+    def test_portfolio_is_scaled_martingale_loading(self, market, consumption):
+        # the CSV's 17 significant digits give back every float64 exactly
+        ens = consumption.ensemble
+        text = consumption_paths_csv(ens, market, max_paths=2)
+        rows = np.loadtxt(text.splitlines()[1:], delimiter=",")
+        sigma = market.sigma.values[:, 0, 0]
+        for p in range(2):
+            columns = rows[rows[:, 0] == p]
+            np.testing.assert_array_equal(columns[:, 2], ens.ybar[:, p, 0])
+            np.testing.assert_array_equal(columns[:, 3], ens.zbar[:, p, 0] / sigma)
+            np.testing.assert_array_equal(columns[:, 4], ens.u1[:, p, 0])
+            np.testing.assert_array_equal(columns[:, 5], ens.u2[:, p, 0])
 
-    def test_views_alias_generic_solution(self, consumption):
-        ens = consumption.solution.ensemble
-        assert np.array_equal(consumption.c1, ens.u1)
-        assert np.array_equal(consumption.c2, ens.u2)
-        assert np.array_equal(consumption.wealth, ens.ybar)
-        assert consumption.initial_reserve == pytest.approx(consumption.Y0[1])
-
-    def test_csv_header_and_cap(self, consumption):
-        text = consumption_paths_csv(consumption, max_paths=2)
+    def test_csv_header_and_cap(self, market, consumption):
+        text = consumption_paths_csv(consumption.ensemble, market, max_paths=2)
         lines = text.strip().split("\n")
         assert lines[0] == "path,t,y,pi,c1,c2"
-        assert len(lines) == 1 + 2 * (consumption.market.grid.steps + 1)
+        assert len(lines) == 1 + 2 * (market.grid.steps + 1)
 
 
 class TestDualRepresentation:
     def test_propagator_identity_at_start(self, consumption):
-        g = gamma_propagator(consumption.solution, 0.0, 0.0, path=0)
+        g = gamma_propagator(consumption, 0.0, 0.0, path=0)
         np.testing.assert_allclose(g, np.eye(2), atol=0)
 
     def test_propagator_composes(self, consumption):
-        sol = consumption.solution
+        sol = consumption
         dt = sol.system.grid.dt
         full = gamma_propagator(sol, 0.0, 4 * dt, path=1)
         left = gamma_propagator(sol, 0.0, 2 * dt, path=1)
@@ -175,9 +172,9 @@ class TestDualRepresentation:
 
     def test_rejects_off_grid_times(self, consumption):
         with pytest.raises(ValueError):
-            gamma_propagator(consumption.solution, 0.0, 0.1234567, path=0)
+            gamma_propagator(consumption, 0.0, 0.1234567, path=0)
         with pytest.raises(ValueError):
-            gamma_propagator(consumption.solution, 0.5, 0.25, path=0)
+            gamma_propagator(consumption, 0.5, 0.25, path=0)
 
     def test_deterministic_market_reserve_exact(self):
         # mu = r kills the noise loading: the dual integral is deterministic
@@ -185,13 +182,14 @@ class TestDualRepresentation:
             1.0, 100, r=0.03, mu=0.03, sigma=0.2, R1=1.0, R2=1.5,
             G1=1.0, G2=0.8, a=1.0, b=0.0,
         )
-        cs = consumption_equilibrium(m, mc=bs.MonteCarloConfig(4, 0))
-        rep = initial_reserve(cs.solution)
-        assert np.max(rep["stderr"]) < 1e-12
-        assert np.max(np.abs(rep["gap"])) < 1e-5
-        assert rep["initial_reserve"] == pytest.approx(cs.initial_reserve, abs=1e-5)
+        summary, _ = bs.consumption_summary(m, bs.MonteCarloConfig(4, 0))
+        dual = summary["dual_check"]
+        assert np.max(dual["stderr"]) < 1e-12
+        assert np.max(np.abs(dual["gap"])) < 1e-5
+        assert dual["mc_estimate"][1] == pytest.approx(summary["initial_reserve"], abs=1e-5)
 
-    def test_stochastic_market_reserve_within_three_sigma(self, consumption):
-        rep = initial_reserve(consumption.solution)
-        ratios = np.abs(rep["gap"]) / np.maximum(rep["stderr"], 1e-300)
+    def test_stochastic_market_reserve_within_three_sigma(self, market):
+        summary, _ = bs.consumption_summary(market, bs.MonteCarloConfig(2000, 5))
+        dual = summary["dual_check"]
+        ratios = np.abs(dual["gap"]) / np.maximum(dual["stderr"], 1e-300)
         assert np.all(ratios < 3.0)

@@ -9,15 +9,23 @@ import pytest
 import bsde_stackelberg as bs
 from bsde_stackelberg.follower import (
     _u2_pathwise,
-    check_follower_stationarity,
+    cost_samples,
     follower_paths_csv,
-    quadratic_cost,
+    follower_stationarity_samples,
     quadratic_expansion,
+    response_step,
     solve_affine_bsde,
+    stationarity_report,
 )
-from bsde_stackelberg.leader import _zero_terminal, follower_response_delta
+from bsde_stackelberg.leader import (
+    _zero_terminal,
+    bsde_residual_samples,
+    leader_stationarity_samples,
+    residual_rms,
+    response_kernel,
+)
 from bsde_stackelberg.odeint import OdeDirection, integrate_matrix_ode
-from bsde_stackelberg.sampling import coarsen, sample_brownian
+from bsde_stackelberg.sampling import coarsen, mean_stderr, sample_brownian
 from bsde_stackelberg.scenario import load_scenario
 from conftest import dense_game
 
@@ -137,8 +145,8 @@ class TestHandSolution:
         assert np.max(np.abs(ens.z)) < 1e-12
         assert np.max(np.abs(ens.u1 + 0.5)) < 1e-10
 
-    def test_cost_quarter_with_zero_stderr(self, hand_follower):
-        mean, stderr = hand_follower.J1
+    def test_cost_quarter_with_zero_stderr(self, hand_spec, hand_follower):
+        mean, stderr = mean_stderr(bs.follower_cost(hand_spec, hand_follower))
         assert mean == pytest.approx(0.25, abs=1e-10)
         assert stderr < 1e-14
 
@@ -153,9 +161,10 @@ class TestHandSolution:
     def test_deterministic_scenario_is_seed_independent(self, hand_spec, hand_riccati):
         p1, p2 = hand_riccati
         u2 = bs.AffineControl.zero(hand_spec.grid, 1)
-        a = bs.follower_pipeline(hand_spec, p1, p2, u2, mc=bs.MonteCarloConfig(2, 0))
-        b = bs.follower_pipeline(hand_spec, p1, p2, u2, mc=bs.MonteCarloConfig(2, 99))
-        assert np.array_equal(a.y, b.y) and np.array_equal(a.u1, b.u1)
+        kernel = bs.follower_kernel(hand_spec, p1, p2, u2)
+        a, b = (bs.follower_paths(kernel, sample_brownian(hand_spec.grid, 2, s)) for s in (0, 99))
+        assert np.array_equal(a.y, b.y)
+        assert np.array_equal(bs.follower_feedback(p2, a), bs.follower_feedback(p2, b))
 
 
 @pytest.fixture(scope="module")
@@ -163,9 +172,9 @@ def pipeline(stochastic_spec):
     p1 = bs.solve_p1(stochastic_spec)
     p2 = bs.solve_p2(stochastic_spec, p1)
     u2 = bs.AffineControl.constant(stochastic_spec.grid, [0.2])
-    ens = bs.follower_pipeline(
-        stochastic_spec, p1, p2, u2, mc=bs.MonteCarloConfig(paths=128, seed=1)
-    )
+    kernel = bs.follower_kernel(stochastic_spec, p1, p2, u2)
+    ens = bs.follower_paths(kernel, sample_brownian(stochastic_spec.grid, 128, 1))
+    bs.follower_feedback(p2, ens)
     return p1, p2, u2, ens
 
 
@@ -187,7 +196,8 @@ class TestStochasticScenario:
     def test_algebraic_stationarity(self, stochastic_spec, pipeline):
         _, _, _, ens = pipeline
         v = bs.AffineControl.constant(stochastic_spec.grid, [1.0])
-        stat = check_follower_stationarity(stochastic_spec, ens, v)
+        delta = response_step(stochastic_spec, v)
+        stat = follower_stationarity_samples(stochastic_spec, ens, v, delta)
         assert stat["algebraic_residual"] < 1e-10
 
     def test_bsde_residual_halves_with_dt(self):
@@ -201,8 +211,8 @@ class TestStochasticScenario:
                 p1 = bs.solve_p1(spec)
                 p2 = bs.solve_p2(spec, p1)
                 u2 = bs.AffineControl.constant(spec.grid, 0.2 * np.ones(spec.dims.k))
-                ens = bs.follower_pipeline(spec, p1, p2, u2, bundle=bundle)
-                rms.append(bs.closed_loop_residual(ens)[0])
+                ens = bs.follower_paths(bs.follower_kernel(spec, p1, p2, u2), bundle)
+                rms.append(residual_rms(bsde_residual_samples(ens.stacked)[0]))
             assert rms[1] / rms[0] == pytest.approx(2.0, abs=0.25), scenario.__name__
 
 
@@ -214,7 +224,7 @@ class TestQuadraticCost:
         y = np.zeros((11, 3, 1))
         z = np.zeros((11, 3, 1))
         u = np.full((11, 3, 1), 2.0)
-        mean, stderr = quadratic_cost(g, y, u, z, zero, one, zero, np.zeros((1, 1)))
+        mean, stderr = mean_stderr(cost_samples(g, y, u, z, zero, one, zero, np.zeros((1, 1))))
         assert mean == pytest.approx(2.0)  # 0.5 * int 4 dt
         assert stderr == 0.0
 
@@ -222,10 +232,10 @@ class TestQuadraticCost:
         g = bs.TimeGrid(1.0, 4)
         zero = bs.CoefficientPath.constant(g, 0.0)
         y = np.full((5, 2, 1), 3.0)
-        mean, _ = quadratic_cost(
+        samples = cost_samples(
             g, y, np.zeros_like(y), np.zeros_like(y), zero, zero, zero, np.array([[2.0]])
         )
-        assert mean == pytest.approx(9.0)  # 0.5 * 2 * 3^2
+        assert samples.mean() == pytest.approx(9.0)  # 0.5 * 2 * 3^2
 
 
 def expanded_cost(base, stat, eps):
@@ -236,22 +246,25 @@ def expanded_cost(base, stat, eps):
 class TestPerturbations:
     def test_zero_direction_changes_nothing(self, hand_spec, hand_follower):
         v = bs.AffineControl.zero(hand_spec.grid, 1)
-        stat = check_follower_stationarity(hand_spec, hand_follower, v)
-        assert expanded_cost(hand_follower.J1[0], stat, 1e-2) == pytest.approx(
-            hand_follower.J1[0], abs=1e-15
-        )
+        delta = response_step(hand_spec, v)
+        stat = stationarity_report(follower_stationarity_samples(hand_spec, hand_follower, v, delta))
+        J1 = bs.follower_cost(hand_spec, hand_follower).mean()
+        assert expanded_cost(J1, stat, 1e-2) == pytest.approx(J1, abs=1e-15)
 
     def test_slope_zero_at_optimum_hand(self, hand_spec, hand_follower):
         v = bs.AffineControl.constant(hand_spec.grid, [1.0])
-        stat = check_follower_stationarity(hand_spec, hand_follower, v)
+        delta = response_step(hand_spec, v)
+        stat = stationarity_report(follower_stationarity_samples(hand_spec, hand_follower, v, delta))
         assert abs(stat["extrapolated_slope"]) < 1e-10
 
     def test_quadratic_growth_away_from_optimum(self, hand_spec, hand_follower):
         # J1(u + eps v) - J1(u) must be positive (strict convexity in u)
         v = bs.AffineControl.constant(hand_spec.grid, [1.0])
-        stat = check_follower_stationarity(hand_spec, hand_follower, v)
+        delta = response_step(hand_spec, v)
+        stat = stationarity_report(follower_stationarity_samples(hand_spec, hand_follower, v, delta))
+        J1 = bs.follower_cost(hand_spec, hand_follower).mean()
         for eps in (0.1, -0.1):
-            assert expanded_cost(hand_follower.J1[0], stat, eps) > hand_follower.J1[0]
+            assert expanded_cost(J1, stat, eps) > J1
 
 
 def noisy_dense_game(steps):
@@ -280,7 +293,8 @@ def follower_case(spec, v, bundle):
     p1 = bs.solve_p1(spec)
     p2 = bs.solve_p2(spec, p1)
     u2 = bs.AffineControl.constant(spec.grid, 0.2 * np.ones(spec.dims.k))
-    ens = bs.follower_pipeline(spec, p1, p2, u2, bundle=bundle)
+    ens = bs.follower_paths(bs.follower_kernel(spec, p1, p2, u2), bundle)
+    bs.follower_feedback(p2, ens)
     # -d(dy) = [A dy + C dz + B1 v] dt - dz dW, dy(T) = 0
     delta = solve_affine_bsde(
         spec.A.half, spec.C.half,
@@ -290,19 +304,20 @@ def follower_case(spec, v, bundle):
     W = bundle.W
     step = (delta.phi_pathwise(W), _u2_pathwise(v, W), delta.eta_values[:, None])
     weights = (spec.Q1, spec.R1, spec.S1, spec.G1)
-    stat = check_follower_stationarity(spec, ens, v)
-    return (ens.y, ens.u1, ens.z), step, weights, ens.J1[0], stat
+    stat = stationarity_report(follower_stationarity_samples(spec, ens, v, response_step(spec, v)))
+    return (ens.y, ens.u1, ens.z), step, weights, bs.follower_cost(spec, ens).mean(), stat
 
 
 def leader_case(spec, v, bundle):
     """Base (ybar, u2, zbar), step, weights, base cost and stationarity of the leader."""
-    sol = bs.solve_equilibrium(spec, bundle=bundle)
+    sol = bs.equilibrium_paths(bs.equilibrium_layer(spec), bundle)
     ens = sol.ensemble
-    delta = follower_response_delta(spec, sol.p1, sol.p2, v, bundle)
+    response = response_kernel(spec, sol.p1, sol.p2, v)
+    delta = bs.follower_paths(response, bundle)
     step = (delta.y, _u2_pathwise(v, bundle.W), delta.z)
     weights = (spec.Q2, spec.R2, spec.S2, spec.G2)
-    stat = bs.check_leader_stationarity(sol, v)
-    return (ens.ybar, ens.u2, ens.zbar), step, weights, ens.J2[0], stat
+    stat = stationarity_report(leader_stationarity_samples(sol, response))
+    return (ens.ybar, ens.u2, ens.zbar), step, weights, bs.leader_cost(spec, ens).mean(), stat
 
 
 def skewed(weights, scale=0.3):
@@ -328,15 +343,15 @@ class TestQuadraticExpansion:
         assert stat["curvature"] > 0.0
         # the same weights up to an antisymmetric part
         tilted = skewed(weights)
-        J_t, _ = quadratic_cost(spec.grid, *base, *tilted)
+        J_t = cost_samples(spec.grid, *base, *tilted).mean()
         cross_t, curvature_t = (
             s.mean() for s in quadratic_expansion(spec.grid, base, step, *tilted)
         )
         for eps in (1e-2, -0.1):
             perturbed = [b + eps * d for b, d in zip(base, step)]
-            brute, _ = quadratic_cost(spec.grid, *perturbed, *weights)
+            brute = cost_samples(spec.grid, *perturbed, *weights).mean()
             assert abs(brute - expanded_cost(J, stat, eps)) <= 1e-12 * abs(J)
-            brute_t, _ = quadratic_cost(spec.grid, *perturbed, *tilted)
+            brute_t = cost_samples(spec.grid, *perturbed, *tilted).mean()
             expanded_t = J_t + eps * cross_t + eps**2 * curvature_t
             assert abs(brute_t - expanded_t) <= 1e-12 * abs(J_t)
 
@@ -347,10 +362,11 @@ class TestQuadraticExpansion:
         p1 = bs.solve_p1(spec)
         p2 = bs.solve_p2(spec, p1)
         v = affine_direction(spec.grid, spec.dims.k)
-        delta = follower_response_delta(spec, p1, p2, v, bundle)
-        full = bs.follower_pipeline(_zero_terminal(spec), p1, p2, v, bundle=bundle)
+        delta = bs.follower_paths(response_kernel(spec, p1, p2, v), bundle)
+        full = bs.follower_paths(bs.follower_kernel(_zero_terminal(spec), p1, p2, v), bundle)
+        bs.follower_feedback(p2, full)
         assert np.array_equal(delta.y, full.y) and np.array_equal(delta.z, full.z)
-        assert delta.u1 is None and delta.J1 is None
+        assert delta.u1 is None
 
 
 class TestCsv:

@@ -1,6 +1,5 @@
 """Leader pipeline: decoupled simulation, reconstruction, equilibrium controls."""
 
-import functools
 import importlib.util
 from pathlib import Path
 
@@ -8,18 +7,20 @@ import numpy as np
 import pytest
 
 import bsde_stackelberg as bs
-from bsde_stackelberg import finance
-from bsde_stackelberg.follower import terminal_defect
+from bsde_stackelberg.follower import stationarity_report, terminal_defect
 from bsde_stackelberg.leader import (
     _decoupling_inverses,
     _offset_diffusion,
+    bsde_residual_samples,
     decoupling_consistency,
     initial_coupling_defect,
-    leader_bsde_residual,
     leader_paths_csv,
+    leader_stationarity_samples,
+    residual_rms,
+    response_kernel,
     simulate_tilde_varphi,
 )
-from bsde_stackelberg.sampling import coarsen, sample_brownian
+from bsde_stackelberg.sampling import coarsen, mean_stderr, sample_brownian
 from bsde_stackelberg.scenario import make_constant_spec
 
 STUDY = Path(__file__).resolve().parents[1] / "scripts" / "convergence_study.py"
@@ -77,12 +78,13 @@ def diffusion_consistency_gap(sys, pi1, pi2):
 
 class TestAuxiliaryBackward:
     def test_zero_terminal_gives_zero_offsets(self):
-        sol = bs.solve_equilibrium(zero_spec(), mc=bs.MonteCarloConfig(4, 0))
+        spec = zero_spec()
+        sol = bs.equilibrium_paths(bs.equilibrium_layer(spec), sample_brownian(spec.grid, 4, 0))
         assert np.max(np.abs(sol.tilde_phi.alpha.values)) == 0.0
         assert np.max(np.abs(sol.tilde_phi.beta.values)) == 0.0
         for arr in (sol.ensemble.X, sol.ensemble.Y, sol.ensemble.Z, sol.ensemble.u2):
             assert np.max(np.abs(arr)) == 0.0
-        assert sol.J2[0] == 0.0
+        assert bs.leader_cost(spec, sol.ensemble).mean() == 0.0
 
     def test_deterministic_terminal_kills_martingale_loading(self, hand_solution):
         assert np.max(np.abs(hand_solution.tilde_phi.beta.values)) == 0.0
@@ -146,11 +148,15 @@ class TestStructuralIdentities:
         assert np.array_equal(ens.ybar, ens.Y[:, :, n:])
 
     def test_deterministic_terminal_stderr_zero_and_seed_free(self, hand_spec):
-        a = bs.solve_equilibrium(hand_spec, mc=bs.MonteCarloConfig(2, 0))
-        b = bs.solve_equilibrium(hand_spec, mc=bs.MonteCarloConfig(2, 123))
-        assert a.J2[1] == 0.0
-        assert a.J2[0] == pytest.approx(b.J2[0], abs=1e-15)
-        assert np.array_equal(a.ensemble.u2, b.ensemble.u2)
+        layer = bs.equilibrium_layer(hand_spec)
+        a, b = (
+            bs.equilibrium_paths(layer, sample_brownian(hand_spec.grid, 2, seed)).ensemble
+            for seed in (0, 123)
+        )
+        (J2_a, stderr_a), (J2_b, _) = (mean_stderr(bs.leader_cost(hand_spec, e)) for e in (a, b))
+        assert stderr_a == 0.0
+        assert J2_a == pytest.approx(J2_b, abs=1e-15)
+        assert np.array_equal(a.u2, b.u2)
 
 
 class TestEquilibriumControls:
@@ -159,11 +165,11 @@ class TestEquilibriumControls:
         assert np.max(np.abs(ens.u1 - ens.u1_stacked)) < 1e-10
 
     def test_algebraic_stationarity_both_levels(self, stochastic_spec, stochastic_solution):
-        v = bs.AffineControl.constant(stochastic_spec.grid, [1.0])
-        stat = bs.check_leader_stationarity(stochastic_solution, v)
-        assert stat["algebraic_residual"] < 1e-10
-        # follower optimality along the equilibrium path
         sol = stochastic_solution
+        v = bs.AffineControl.constant(stochastic_spec.grid, [1.0])
+        response = response_kernel(stochastic_spec, sol.p1, sol.p2, v)
+        assert leader_stationarity_samples(sol, response)["algebraic_residual"] < 1e-10
+        # follower optimality along the equilibrium path
         ens = sol.ensemble
         worst = 0.0
         for i, t in enumerate(stochastic_spec.grid.nodes):
@@ -174,13 +180,15 @@ class TestEquilibriumControls:
 
     def test_variational_slope_zero_on_hand_scenario(self, hand_spec, hand_solution):
         v = bs.AffineControl.constant(hand_spec.grid, [1.0])
-        stat = bs.check_leader_stationarity(hand_solution, v)
+        response = response_kernel(hand_spec, hand_solution.p1, hand_solution.p2, v)
+        stat = stationarity_report(leader_stationarity_samples(hand_solution, response))
         assert abs(stat["extrapolated_slope"]) < 1e-7
 
     def test_perturbed_cost_grows_at_optimum(self, hand_spec, hand_solution):
         v = bs.AffineControl.constant(hand_spec.grid, [1.0])
-        stat = bs.check_leader_stationarity(hand_solution, v)
-        base = hand_solution.J2[0]
+        response = response_kernel(hand_spec, hand_solution.p1, hand_solution.p2, v)
+        stat = stationarity_report(leader_stationarity_samples(hand_solution, response))
+        base = bs.leader_cost(hand_spec, hand_solution.ensemble).mean()
         for eps in (0.1, -0.1):
             perturbed = base + eps * stat["extrapolated_slope"] + eps**2 * stat["curvature"]
             assert perturbed > base
@@ -196,7 +204,8 @@ class TestNodeKernelsMatchLoops:
         p2 = bs.solve_p2(spec, p1)
         u2 = bs.AffineControl.constant(spec.grid, [0.3])
         bundle = sample_brownian(spec.grid, 5, 3)
-        ens = bs.follower_pipeline(spec, p1, p2, u2, bundle=bundle)
+        ens = bs.follower_paths(bs.follower_kernel(spec, p1, p2, u2), bundle)
+        bs.follower_feedback(p2, ens)
         phieta = bs.solve_tilde_phi(bs.follower_system(spec, u2), p1)
         phi, eta = phieta.phi_pathwise(bundle.W), phieta.eta_values
         inv, eye = np.linalg.inv, np.eye(spec.dims.n)
@@ -227,7 +236,7 @@ class TestNodeKernelsMatchLoops:
     def test_leader_reconstruction_and_feedback(self):
         spec = two_state_stochastic_spec(steps=16)
         bundle = sample_brownian(spec.grid, 5, 3)
-        sol = bs.solve_equilibrium(spec, bundle=bundle)
+        sol = bs.equilibrium_paths(bs.equilibrium_layer(spec), bundle)
         sys, ens = sol.system, sol.ensemble
         phi, eta = sol.tilde_phi.phi_pathwise(bundle.W), sol.tilde_phi.eta_values
         inv, eye = np.linalg.inv, np.eye(2 * spec.dims.n)
@@ -265,33 +274,29 @@ class TestForwardOffsetDiffusion:
             fine_spec = scenario(steps=512)
             coarse_spec = scenario(steps=256)
             fine = sample_brownian(fine_spec.grid, 64, 11)
-            sol_f = bs.solve_equilibrium(fine_spec, bundle=fine)
-            sol_c = bs.solve_equilibrium(coarse_spec, bundle=coarsen(fine, 2))
-            rms_f, _ = leader_bsde_residual(sol_f.ensemble)
-            rms_c, _ = leader_bsde_residual(sol_c.ensemble)
+            rms = []
+            for spec, bundle in ((fine_spec, fine), (coarse_spec, coarsen(fine, 2))):
+                ens = bs.equilibrium_paths(bs.equilibrium_layer(spec), bundle).ensemble
+                rms.append(residual_rms(bsde_residual_samples(ens)[0]))
+            rms_f, rms_c = rms
             assert rms_c / rms_f == pytest.approx(2.0, rel=0.25), scenario.__name__
 
 
 class TestFollowerAdjoint:
-    def test_adjoint_gap_halves_with_dt(self, monkeypatch):
+    def test_adjoint_gap_halves_with_dt(self):
         # the follower's adjoint x, simulated by Euler from the equilibrium's (ybar, zbar),
         # against P2 ybar + phibar at T (convergence_study.adjoint_gap): the gap halves
         # with the time step only if the stacked system reproduces the follower's
-        # closed loop.  The market runs through consumption_equilibrium on common paths
-        def two_state(N, bundle):
-            return bs.solve_equilibrium(two_state_stochastic_spec(N), bundle=bundle)
+        # closed loop.  Both grids run on common paths
+        def solve(game, N, bundle):
+            return bs.equilibrium_paths(bs.equilibrium_layer(game(N)), bundle)
 
-        def consumption(N, bundle):
-            solve = functools.partial(bs.solve_equilibrium, bundle=bundle)
-            monkeypatch.setattr(finance, "solve_equilibrium", solve)
-            return finance.consumption_equilibrium(study.finance_market(N)).solution
-
-        for solve, N in ((two_state, 400), (consumption, 100)):
+        for game, N in ((two_state_stochastic_spec, 400), (study.finance_game, 100)):
             fine = sample_brownian(bs.TimeGrid(1.0, 2 * N), 256, 5)
-            coarse_gap = study.adjoint_gap(solve(N, coarsen(fine, 2)))
-            assert coarse_gap / study.adjoint_gap(solve(2 * N, fine)) == pytest.approx(
+            coarse_gap = study.adjoint_gap(solve(game, N, coarsen(fine, 2)))
+            assert coarse_gap / study.adjoint_gap(solve(game, 2 * N, fine)) == pytest.approx(
                 2.0, abs=0.25
-            ), solve.__name__
+            ), game.__name__
 
 
 class TestCsv:

@@ -5,7 +5,12 @@ import pytest
 
 import bsde_stackelberg as bs
 from bsde_stackelberg.follower import terminal_defect
-from bsde_stackelberg.leader import decoupling_consistency, initial_coupling_defect
+from bsde_stackelberg.leader import (
+    decoupling_consistency,
+    initial_coupling_defect,
+    leader_stationarity_samples,
+    response_kernel,
+)
 from bsde_stackelberg.oracle import (
     NonConvexError,
     build_discrete_problem,
@@ -164,20 +169,21 @@ class TestOracleVsPipeline:
         p1 = bs.solve_p1(hand_spec_coarse)
         p2 = bs.solve_p2(hand_spec_coarse, p1)
         u2 = bs.AffineControl.zero(hand_spec_coarse.grid, 1)
-        ens = bs.follower_pipeline(
-            hand_spec_coarse, p1, p2, u2, mc=bs.MonteCarloConfig(2, 0)
-        )
+        kernel = bs.follower_kernel(hand_spec_coarse, p1, p2, u2)
+        ens = bs.follower_paths(kernel, bs.sample_brownian(hand_spec_coarse.grid, 2, 0))
+        bs.follower_feedback(p2, ens)
         prob = build_discrete_problem(hand_spec_coarse)
         res = deterministic_follower_oracle(prob, np.zeros((hand_spec_coarse.grid.steps, 1)))
-        rep = oracle_report(
-            res.cost, ens.J1[0], control_rms_gap(res.control, ens.u1[:, 0]), 256
-        )
+        J1 = bs.follower_cost(hand_spec_coarse, ens).mean()
+        rep = oracle_report(res.cost, J1, control_rms_gap(res.control, ens.u1[:, 0]), 256)
         assert rep["rel_gap"] < 1e-3
 
     def test_leader_rel_gap_small(self, hand_spec_coarse):
         res = deterministic_leader_oracle(build_discrete_problem(hand_spec_coarse))
-        sol = bs.solve_equilibrium(hand_spec_coarse, mc=bs.MonteCarloConfig(2, 0))
-        rel = abs(sol.J2[0] - res.cost) / max(abs(res.cost), 1e-12)
+        bundle = bs.sample_brownian(hand_spec_coarse.grid, 2, 0)
+        ens = bs.equilibrium_paths(bs.equilibrium_layer(hand_spec_coarse), bundle).ensemble
+        J2 = bs.leader_cost(hand_spec_coarse, ens).mean()
+        rel = abs(J2 - res.cost) / max(abs(res.cost), 1e-12)
         assert rel < 1e-2
 
 
@@ -208,14 +214,13 @@ class TestMultiDimensionalPipelines:
         u2_value = rng.uniform(-0.5, 0.5, k)
         p1 = bs.solve_p1(spec)
         p2 = bs.solve_p2(spec, p1)
-        ens = bs.follower_pipeline(
-            spec, p1, p2, bs.AffineControl.constant(spec.grid, u2_value),
-            mc=bs.MonteCarloConfig(2, 0),
-        )
+        kernel = bs.follower_kernel(spec, p1, p2, bs.AffineControl.constant(spec.grid, u2_value))
+        ens = bs.follower_paths(kernel, bs.sample_brownian(spec.grid, 2, 0))
+        bs.follower_feedback(p2, ens)
         res = deterministic_follower_oracle(
             build_discrete_problem(spec), np.tile(u2_value, (spec.grid.steps, 1))
         )
-        assert abs(ens.J1[0] - res.cost) / abs(res.cost) <= 1e-3
+        assert abs(bs.follower_cost(spec, ens).mean() - res.cost) / abs(res.cost) <= 1e-3
         xi = spec.xi.on_paths(ens.bundle.W[-1])
         assert np.max(np.abs(ens.y[-1] - xi)) <= 1e-8
         assert np.max(np.abs(ens.x[0] - ens.y[0] @ spec.G1.T)) <= 1e-8
@@ -223,13 +228,14 @@ class TestMultiDimensionalPipelines:
 
     def test_leader_matches_oracle(self, n, k):
         spec = random_multidim_game(np.random.default_rng(10 * n + k + 1), n, k)
-        sol = bs.solve_equilibrium(spec, mc=bs.MonteCarloConfig(2, 0))
+        sol = bs.equilibrium_paths(bs.equilibrium_layer(spec), bs.sample_brownian(spec.grid, 2, 0))
         res = deterministic_leader_oracle(build_discrete_problem(spec))
-        assert abs(sol.J2[0] - res.cost) / abs(res.cost) <= 1e-2
         ens = sol.ensemble
+        assert abs(bs.leader_cost(spec, ens).mean() - res.cost) / abs(res.cost) <= 1e-2
         assert terminal_defect(sol.system.xih, ens.Y, ens.bundle.W) <= 1e-8
         assert initial_coupling_defect(sol.system, ens) <= 1e-8
         assert decoupling_consistency(ens, sol.pi2) <= 1e-8
         assert np.max(np.abs(ens.u1 - ens.u1_stacked)) <= 1e-8
         v = bs.AffineControl.constant(spec.grid, np.ones(k))
-        assert bs.check_leader_stationarity(sol, v)["algebraic_residual"] <= 1e-8
+        response = response_kernel(spec, sol.p1, sol.p2, v)
+        assert leader_stationarity_samples(sol, response)["algebraic_residual"] <= 1e-8

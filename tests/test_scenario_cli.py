@@ -14,6 +14,8 @@ from bsde_stackelberg.scenario import load_scenario, scenario_from_dict
 
 from conftest import scenario_document, singular_stage_document
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
 
 def write_scenario(tmp_path, doc, name="scn.json"):
     path = tmp_path / name
@@ -172,6 +174,19 @@ class TestCliValidate:
         assert err.count("\n") == 1 and "dims.d" in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("paths", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["equilibrium", "follower", "finance"])
+    def test_paths_below_one_exit_one(self, tmp_path, capsys, command, paths):
+        out = tmp_path / "o"
+        rc = main([
+            command, "--scenario", str(SCENARIOS / "finance.json"), "--out", str(out),
+            "--steps", "16", "--paths", paths,
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"--paths must be at least 1, got {paths}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("dims", [{"n": 1, "k": 1, "m": 1}, {"k": 1}], ids=["unknown", "no_n"])
     @pytest.mark.parametrize("command", ["validate", "follower"])
     def test_bad_dims_keys_exit_one(self, tmp_path, hand_doc, capsys, command, dims):
@@ -305,6 +320,19 @@ class TestCliVerify:
         assert oracle["follower"]["rel_gap"] < 1e-3
         assert oracle["leader"]["rel_gap"] < 1e-2
 
+    def test_costs_equal_the_streamed_commands(self, tmp_path):
+        # verify's one 2-path bundle against the equilibrium and follower
+        # commands' streamed summaries on the same 2 paths: the same costs
+        common = ["--scenario", str(SCENARIOS / "hand_solvable.json"), "--steps", "128"]
+        common += ["--seed", "9", "--paths", "2"]
+        for command in ("verify", "equilibrium", "follower"):
+            assert main([command, *common, "--out", str(tmp_path / command)]) == 0
+        oracle = json.loads((tmp_path / "verify" / "oracle.json").read_text())
+        leader = json.loads((tmp_path / "equilibrium" / "summary.json").read_text())
+        follower = json.loads((tmp_path / "follower" / "summary.json").read_text())
+        assert oracle["leader"]["pipeline_cost"] == leader["J2"]["mean"]
+        assert oracle["follower"]["pipeline_cost"] == follower["J1"]["mean"]
+
     def test_stochastic_terminal_rejected(self, tmp_path, stochastic_spec):
         scn = write_scenario(tmp_path, scenario_document(stochastic_spec, mode="permissive"))
         rc = main(["verify", "--scenario", str(scn), "--out", str(tmp_path / "o")])
@@ -338,8 +366,6 @@ def doubled_forward(original):
 
     return patched
 
-
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 # (command, shipped scenario or None for the hand game, module, attribute, breakage)
 CONSISTENCY_FAILURES = [
