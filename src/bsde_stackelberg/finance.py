@@ -120,7 +120,7 @@ def _dual_coefficients(sol: StackelbergSolution):
     Y(t) = E[Gamma_t(T)^T xi-hat + int_t^T Gamma_t(s)^T f(s) ds] with
     f = (F2h - B2h R2^-1 B2h^T) varphi-tilde (see PathKernel.closed_loop).
     """
-    M, forcing = sol.kernel.closed_loop
+    M, forcing = sol.kernel.closed_loop[:2]  # the leader has no known control
     return np.swapaxes(M, 1, 2), sol.system.C1h.values, forcing
 
 

@@ -126,7 +126,11 @@ class FollowerEnsemble:
     stacked: LeaderEnsemble
     u1: np.ndarray = None
     u1_adjoint: np.ndarray = None
-    u2: np.ndarray = None
+
+    @property
+    def u2(self) -> np.ndarray:
+        """The leader's control, the system's known control, along the paths."""
+        return _u2_pathwise(self.system.forcing_control, self.bundle.W)
 
     @property
     def system(self) -> StackedSystem:
@@ -216,16 +220,17 @@ def quadratic_expansion(
     R: CoefficientPath,
     S: CoefficientPath,
     G: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per path (cross, curvature) of the cost along a step, with
-    J(base + eps step) = J(base) + eps cross + eps^2 curvature exactly.
+) -> np.ndarray:
+    """Per path, the cross term of the cost along a step, with
+    J(base + eps step) = J(base) + eps cross + eps^2 curvature exactly,
+    where the curvature is the cost of the step (cost_samples).
 
     base and step are (y, u, z) triples of (N+1, paths, dim) arrays; a
     step may broadcast over paths.  cross is
     int (y'Q~dy + u'R~du + z'S~dz) dt + y(0)'G~dy(0) with the symmetric
     parts M~ = (M + M')/2, so it stays exact for weights that are
-    symmetric only to roundoff; curvature is the cost of the step
-    (cost_samples).  Their means over paths are the expansion of J.
+    symmetric only to roundoff.  Its mean over paths is the directional
+    derivative of J.
     """
     y, u, z = base
     dy, du, dz = step
@@ -234,7 +239,7 @@ def quadratic_expansion(
     integrand += _bilinear_form(z, _sym(S.values), dz)
     cross = np.trapezoid(integrand, dx=grid.dt, axis=0)
     cross += _bilinear_form(y[0], _sym(G), dy[0])
-    return cross, cost_samples(grid, dy, du, dz, Q, R, S, G)
+    return cross
 
 
 def _bilinear_form(v: np.ndarray, M: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -262,8 +267,7 @@ def follower_paths(kernel: PathKernel, bundle: PathBundle) -> FollowerEnsemble:
     kernel (follower_kernel), without feedback or cost."""
     from .leader import stacked_paths  # leader imports this module
 
-    u2 = _u2_pathwise(kernel.sys.forcing_control, bundle.W)
-    return FollowerEnsemble(stacked_paths(kernel, bundle), u2=u2)
+    return FollowerEnsemble(stacked_paths(kernel, bundle))
 
 
 def response_step(spec: LQGameSpec, v: AffineControl) -> AffineBSDESolution:
@@ -294,29 +298,26 @@ def follower_stationarity_samples(
     Algebraic part: max ||B1^T x + R1 u1|| over nodes and paths (zero by
     construction).  Variational part: J1 is quadratic, so along the
     direction v, J1(u1 + eps v) = J1(u1) + eps slope + eps^2 curvature
-    exactly under common random numbers; per path, the cross term (whose
-    mean is the extrapolated, eps -> 0, directional derivative) and the
-    curvature.
+    exactly under common random numbers; per path, the cross term, whose
+    mean is the extrapolated, eps -> 0, directional derivative.
     """
     W = ens.bundle.W
     step = (delta.phi_pathwise(W), _u2_pathwise(v, W), delta.eta_values[:, None])
-    cross, curvature = quadratic_expansion(
+    cross = quadratic_expansion(
         spec.grid, (ens.y, ens.u1, ens.z), step, spec.Q1, spec.R1, spec.S1, spec.G1
     )
     return {
         "algebraic_residual": stationarity_residual(spec, ens.x, ens.u1),
         "extrapolated_slope": cross,
-        "curvature": curvature,
     }
 
 
 def stationarity_report(samples: dict) -> dict:
     """A stationarity check's figures from its samples, merged over any number of
-    path chunks: the algebraic residual's max, and the mean slope and curvature."""
+    path chunks: the algebraic residual's max and the mean slope."""
     return {
         "algebraic_residual": samples["algebraic_residual"],
         "extrapolated_slope": float(samples["extrapolated_slope"].mean()),
-        "curvature": float(samples["curvature"].mean()),
     }
 
 

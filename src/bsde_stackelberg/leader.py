@@ -22,7 +22,6 @@ import numpy as np
 
 from .follower import (
     AffineBSDESolution,
-    _u2_pathwise,
     column_labels,
     cost_figures,
     cost_samples,
@@ -92,47 +91,67 @@ def _decoupling_inverses(sys, pi1, pi2):
 
 @dataclass(frozen=True)
 class PathKernel:
-    """The path layer of one decoupled stacked system, with its node tables formed once.
+    """The path layer of one decoupled stacked system, as maps of one augmented state.
 
-    path_kernel builds it from the system, Pi1 and Pi2: the auxiliary BSDE's
-    solution, the Euler tables of the forward offset and the reconstruction
-    tables of (X, Y, Z).  None of them depends on the paths, so one kernel
-    serves any number of path chunks (stacked_paths).
+    Every path process is affine in zeta = (tilde-varphi, W, 1): the
+    auxiliary BSDE's tilde-phi = alpha + eta W and the known control
+    u_const + u_lin W live in the W and 1 rows of the kernel's tables.
+    step maps zeta_i to the forward offset's drift and diffusion at node i,
+    (N+1, dim+2, 2 dim); read_X, read_Y and read_Z map zeta to X, Y and Z,
+    (N+1, dim+2, dim) each.  None of them depends on the paths, so one
+    kernel serves any number of path chunks (stacked_paths).  step's drift
+    and diffusion columns are the tilde-varphi columns of the linear Euler
+    recursion zeta_{i+1} = zeta_i (I + A_i dt + C_i dW_i), whose W entry
+    steps by dW and whose 1 entry stays.
     """
 
     sys: StackedSystem
     pi2: RiccatiPath
     tilde_phi: AffineBSDESolution
-    euler: tuple[np.ndarray, ...]  # simulate_tilde_varphi's drift and diffusion tables
-    recon: tuple[np.ndarray, ...]  # reconstruct_XYZ's tables
+    step: np.ndarray  # (N+1, dim+2, 2 dim): zeta -> (drift, diffusion) of tilde-varphi
+    read_X: np.ndarray  # (N+1, dim+2, dim): zeta -> X
+    read_Y: np.ndarray  # (N+1, dim+2, dim): zeta -> Y
+    read_Z: np.ndarray  # (N+1, dim+2, dim): zeta -> Z
 
     @cached_property
-    def closed_loop(self) -> tuple[np.ndarray, np.ndarray]:
-        """(N+1)-node tables (M, F) of the closed-loop backward equation of (Y, Z),
+    def closed_loop(self) -> tuple[np.ndarray, ...]:
+        """(N+1)-node tables (M, F, load) of the closed-loop backward equation of (Y, Z),
         -dY = (M Y + C1h^T Z + F varphi-tilde + forcing_load u) dt - Z dW with
-        M = A1h + F2h Pi2 - B2h R^-1 (B1h + Pi2 B2h)^T and F = F2h - B2h R^-1 B2h^T.
-        The residual and the dual reserve read them."""
+        M = A1h + F2h Pi2 - B2h R^-1 (B1h + Pi2 B2h)^T, F = F2h - B2h R^-1 B2h^T
+        and the known control's load forcing_load (u_const + u_lin W) = l W + c
+        as its W and 1 rows, load = (l, c), (N+1, 2, dim).  The residual and the
+        dual reserve read them."""
         sys, Pi2 = self.sys, self.pi2.values
         B2, F2 = sys.B2h.values, sys.F2h.values
         B2_Rinv = B2 @ sys.R_inv[::2]
         M = sys.A1h.values + F2 @ Pi2 - B2_Rinv @ _tr(sys.B1h.values + Pi2 @ B2)
-        return M, F2 - B2_Rinv @ _tr(B2)
+        u = sys.forcing_control
+        load = _affine_rows(sys.forcing_load.values, u.u_const.values, u.u_lin.values)
+        return M, F2 - B2_Rinv @ _tr(B2), load
+
+
+def _affine_rows(K: np.ndarray, const: np.ndarray, lin: np.ndarray) -> np.ndarray:
+    """The W and 1 rows, (N+1, 2, rows), of v -> K (const + lin W) as a map of zeta,
+    for (N+1, rows, j) tables K and (N+1, j, 1) coefficients."""
+    return _tr(np.concatenate([K @ lin, K @ const], axis=2))
 
 
 def path_kernel(sys: StackedSystem, pi1: RiccatiPath, pi2: RiccatiPath) -> PathKernel:
-    """A stacked system's path kernel: the auxiliary BSDE and every node table.
+    """A stacked system's path kernel: the auxiliary BSDE and the four tables on zeta.
 
-    The Euler step of the forward offset follows the decoupled system's
-    display plus Pi2 forcing_load u for the known control u, and its
-    diffusion the exact pathwise Z-relation (see _offset_diffusion).  The
-    reconstruction tables are those of reconstruct_XYZ.  The decoupling
-    inverses are formed once, by _decoupling_inverses.
+    The forward offset's drift follows the decoupled system's display plus
+    Pi2 forcing_load u for the known control u, and its diffusion the exact
+    pathwise Z-relation (see _offset_diffusion).  X and Y are the two
+    decoupling relations of reconstruct_XYZ, and Z's table is composed from
+    theirs.  tilde-phi and u are folded into the W and 1 rows here, once;
+    the decoupling inverses are formed once, by _decoupling_inverses.
     """
     tilde_phi = solve_tilde_phi(sys, pi1)
-    eta = tilde_phi.eta_values[:, :, None]
+    alpha, eta = tilde_phi.alpha.values, tilde_phi.beta.values  # (N+1, dim, 1)
+    u = sys.forcing_control
     A1, B1, B2 = sys.A1h.values, sys.B1h.values, sys.B2h.values
     C1, D1, F2 = sys.C1h.values, sys.D1h.values, sys.F2h.values
-    Pi1, Pi2 = pi1.values, pi2.values
+    Pi1, Pi2, d = pi1.values, pi2.values, sys.dim
     inv_s, inv_12, inv_21 = _decoupling_inverses(sys, pi1, pi2)
     coupler = (D1 + Pi2 @ _tr(C1)) @ inv_s
     mix = (Pi2 - sys.S1h.values) @ inv_s
@@ -140,43 +159,36 @@ def path_kernel(sys: StackedSystem, pi1: RiccatiPath, pi2: RiccatiPath) -> PathK
         _tr(A1) + Pi2 @ F2 - (B1 + Pi2 @ B2) @ sys.R_inv[::2] @ _tr(B2) - coupler @ Pi1 @ C1
     )
     diff_varphi, diff_phi = _offset_diffusion(C1, D1, Pi1, Pi2, mix, inv_12, inv_21)
-    euler = (
-        drift_mat,
-        (coupler @ eta)[:, :, 0],
-        Pi2 @ sys.forcing_load.values,
-        diff_varphi,
-        diff_phi,
-        (mix @ eta)[:, :, 0],
-    )
-    # v @ -M^T - w @ N^T is -(v @ M^T + w @ N^T) exactly, without negating v
-    recon = (
-        _tr(inv_21),
-        _tr(inv_21 @ Pi2),
-        -_tr(inv_12 @ Pi1),
-        _tr(inv_12),
-        -_tr(inv_s @ Pi1 @ C1),
-        _tr(inv_s @ Pi1 @ _tr(D1)),
-        (inv_s @ eta)[:, None, :, 0],
-    )
-    return PathKernel(sys, pi2, tilde_phi, euler, recon)
+    step = np.empty((sys.grid.steps + 1, d + 2, 2 * d))
+    step[:, :d, :d], step[:, :d, d:] = _tr(drift_mat), _tr(diff_varphi)
+    step[:, d:, :d] = _affine_rows(Pi2 @ sys.forcing_load.values, u.u_const.values, u.u_lin.values)
+    step[:, d:, d:] = _affine_rows(diff_phi, alpha, eta)
+    step[:, -1, :d] -= (coupler @ eta)[:, :, 0]
+    step[:, -1, d:] += (mix @ eta)[:, :, 0]
+    read_X = np.concatenate([_tr(inv_21), _affine_rows(-inv_21 @ Pi2, alpha, eta)], axis=1)
+    read_Y = np.concatenate([-_tr(inv_12 @ Pi1), _affine_rows(-inv_12, alpha, eta)], axis=1)
+    # Z = -(I + Pi1 S1h)^-1 (Pi1 C1h X + Pi1 D1h^T Y + eta-tilde)
+    gain = inv_s @ Pi1
+    read_Z = -(read_X @ _tr(gain @ C1) + read_Y @ _tr(gain @ _tr(D1)))
+    read_Z[:, -1] -= (inv_s @ eta)[:, :, 0]
+    return PathKernel(sys, pi2, tilde_phi, step, read_X, read_Y, read_Z)
 
 
-def simulate_tilde_varphi(kernel: PathKernel, phi: np.ndarray, bundle: PathBundle) -> np.ndarray:
+def simulate_tilde_varphi(kernel: PathKernel, bundle: PathBundle) -> np.ndarray:
     """Euler-Maruyama for a stacked system's forward offset, tilde-varphi(0) = 0,
-    on the kernel's tables (path_kernel); phi is kernel.tilde_phi.phi_pathwise(bundle.W).
-    Returns (N+1, paths, dim)."""
-    sys = kernel.sys
-    drift_mat, drift_eta, drift_u, diff_varphi, diff_phi, diff_eta = kernel.euler
-    u = _u2_pathwise(sys.forcing_control, bundle.W)  # (N+1, paths, 0) for the leader
-    tv = np.zeros((sys.grid.steps + 1, bundle.n_paths, sys.dim))
-    dt, dW = sys.grid.dt, bundle.dW
-    for i in range(sys.grid.steps):
-        v = tv[i]
-        drift = v @ drift_mat[i].T - drift_eta[i]
-        drift += u[i] @ drift_u[i].T
-        noise_load = v @ diff_varphi[i].T + phi[i] @ diff_phi[i].T + diff_eta[i]
-        tv[i + 1] = v + drift * dt + noise_load * dW[i, :, None]
-    return tv
+    on the augmented state zeta = (tilde-varphi, W, 1): one matmul with the
+    kernel's step table gives each step's drift and diffusion.
+    Returns zeta, (N+1, paths, dim + 2)."""
+    d, grid = kernel.sys.dim, kernel.sys.grid
+    zeta = np.empty((grid.steps + 1, bundle.n_paths, d + 2))
+    zeta[0, :, :d] = 0.0
+    zeta[:, :, d] = bundle.W
+    zeta[:, :, d + 1] = 1.0
+    dt, dW = grid.dt, bundle.dW
+    for i in range(grid.steps):
+        load = zeta[i] @ kernel.step[i]
+        zeta[i + 1, :, :d] = zeta[i, :, :d] + load[:, :d] * dt + load[:, d:] * dW[i, :, None]
+    return zeta
 
 
 @dataclass
@@ -223,41 +235,29 @@ class LeaderEnsemble:
         return self.Y[:, :, self.n :]
 
     @property
-    def kbar(self) -> np.ndarray:
-        return self.Z[:, :, : self.n]
-
-    @property
     def zbar(self) -> np.ndarray:
         return self.Z[:, :, self.n :]
 
 
-def reconstruct_XYZ(
-    kernel: PathKernel, phi: np.ndarray, tilde_varphi: np.ndarray, bundle: PathBundle
-) -> LeaderEnsemble:
-    """Recover (X, Y, Z) from the two decoupling relations, all nodes at once.
+def reconstruct_XYZ(kernel: PathKernel, zeta: np.ndarray, bundle: PathBundle) -> LeaderEnsemble:
+    """Recover (X, Y, Z) from the augmented state zeta (simulate_tilde_varphi),
+    one matmul per process with the kernel's read-out tables:
 
     X = (I + Pi2 Pi1)^-1 (-Pi2 phi-tilde + varphi-tilde);
     Y = -(I + Pi1 Pi2)^-1 (Pi1 varphi-tilde + phi-tilde);
-    Z = -(I + Pi1 S1h)^-1 (Pi1 C1h X + Pi1 D1h^T Y + eta-tilde),
-    with phi = kernel.tilde_phi.phi_pathwise(bundle.W) and the kernel's tables.
+    Z = -(I + Pi1 S1h)^-1 (Pi1 C1h X + Pi1 D1h^T Y + eta-tilde).
+
+    The ensemble holds a copy of tilde-varphi, not zeta.
     """
-    x_v, x_phi, y_v, y_phi, z_x, z_y, z_eta = kernel.recon
-    X = tilde_varphi @ x_v
-    X -= phi @ x_phi
-    Y = tilde_varphi @ y_v
-    Y -= phi @ y_phi
-    Z = X @ z_x
-    Z -= Y @ z_y
-    Z -= z_eta
+    tilde_varphi = np.ascontiguousarray(zeta[:, :, : kernel.sys.dim])
+    X, Y, Z = zeta @ kernel.read_X, zeta @ kernel.read_Y, zeta @ kernel.read_Z
     return LeaderEnsemble(kernel, bundle, X, Y, Z, tilde_varphi)
 
 
 def stacked_paths(kernel: PathKernel, bundle: PathBundle) -> LeaderEnsemble:
     """A decoupled stacked system on a bundle of paths: the Euler forward offset
     and the reconstructed (X, Y, Z).  The one path kernel of both levels."""
-    phi = kernel.tilde_phi.phi_pathwise(bundle.W)
-    tilde_varphi = simulate_tilde_varphi(kernel, phi, bundle)
-    return reconstruct_XYZ(kernel, phi, tilde_varphi, bundle)
+    return reconstruct_XYZ(kernel, simulate_tilde_varphi(kernel, bundle), bundle)
 
 
 def decoupling_consistency(ens: LeaderEnsemble, pi2: RiccatiPath) -> float:
@@ -330,13 +330,12 @@ def bsde_residual_samples(ens: LeaderEnsemble) -> tuple[np.ndarray, float]:
     path's accumulated squared residual sum_i ||r_i||^2 and the max
     single-step residual.
     """
-    sys = ens.kernel.sys
-    M, F = ens.kernel.closed_loop
+    sys, W = ens.kernel.sys, ens.bundle.W[:-1]
+    M, F, load = ens.kernel.closed_loop
     drift = ens.Y[:-1] @ _tr(M[:-1])
     drift += ens.Z[:-1] @ sys.C1h.values[:-1]
     drift += ens.tilde_varphi[:-1] @ _tr(F[:-1])
-    u = _u2_pathwise(sys.forcing_control, ens.bundle.W)  # (N+1, paths, 0) for the leader
-    drift += u[:-1] @ _tr(sys.forcing_load.values[:-1])
+    drift += np.stack([W, np.ones_like(W)], axis=2) @ load[:-1]  # (W, 1) @ (l, c)
     drift *= sys.grid.dt
     resid = ens.Y[1:] - ens.Y[:-1]
     resid += drift
@@ -415,8 +414,8 @@ def leader_stationarity_samples(sol: StackelbergSolution, response: PathKernel) 
     cost is quadratic in u2 once the follower's optimal response is
     followed through the affine response map, so
     J2(u2 + eps v) = J2(u2) + eps slope + eps^2 curvature exactly under
-    common random numbers; per path, the cross term (whose mean is the
-    extrapolated, eps -> 0, directional derivative) and the curvature.
+    common random numbers; per path, the cross term, whose mean is the
+    extrapolated, eps -> 0, directional derivative.
     """
     spec, sys, ens = sol.spec, sol.system, sol.ensemble
     r = ens.Y @ sys.B1h.values
@@ -424,11 +423,11 @@ def leader_stationarity_samples(sol: StackelbergSolution, response: PathKernel) 
     r += ens.u2 @ _tr(spec.R2.values)
     worst = float(np.max(np.abs(r), initial=0.0))
     delta = follower_paths(response, ens.bundle)
-    cross, curvature = quadratic_expansion(
+    cross = quadratic_expansion(
         spec.grid, (ens.ybar, ens.u2, ens.zbar), (delta.y, delta.u2, delta.z),
         spec.Q2, spec.R2, spec.S2, spec.G2,
     )
-    return {"algebraic_residual": worst, "extrapolated_slope": cross, "curvature": curvature}
+    return {"algebraic_residual": worst, "extrapolated_slope": cross}
 
 
 def initial_coupling_defect(sys: StackedSystem, ens: LeaderEnsemble) -> float:

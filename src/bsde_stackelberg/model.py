@@ -65,14 +65,6 @@ class TimeGrid:
         half.setflags(write=False)
         return half
 
-    def __eq__(self, other):
-        if not isinstance(other, TimeGrid):
-            return NotImplemented
-        return self.horizon == other.horizon and self.steps == other.steps
-
-    def __hash__(self):
-        return hash((self.horizon, self.steps))
-
 
 @dataclass(frozen=True)
 class CoefficientPath:

@@ -12,12 +12,18 @@ import pytest
 
 import bsde_stackelberg as bs
 from bsde_stackelberg.finance import MarketParams
-from bsde_stackelberg.follower import terminal_defect
+from bsde_stackelberg.follower import (
+    follower_stationarity_samples,
+    response_step,
+    terminal_defect,
+)
 from bsde_stackelberg.leader import (
     bsde_residual_samples,
     decoupling_consistency,
     initial_coupling_defect,
+    leader_stationarity_samples,
     residual_rms,
+    response_kernel,
 )
 from bsde_stackelberg.model import AffineControl, CoefficientPath
 from bsde_stackelberg.oracle import (
@@ -26,7 +32,7 @@ from bsde_stackelberg.oracle import (
     deterministic_follower_oracle,
     deterministic_leader_oracle,
 )
-from bsde_stackelberg.sampling import coarsen, sample_brownian
+from bsde_stackelberg.sampling import coarsen, sample_brownian, stream_paths
 from bsde_stackelberg.scenario import (
     hand_solvable_scenario,
     random_deterministic_scenario,
@@ -205,20 +211,36 @@ class TestAcceptance:
     def test_stationarity_both_levels(self, hand_spec, report):
         # the exact-diffusion assembly keeps the variational slopes
         # unbiased; the slope estimator's Monte Carlo noise at 20000
-        # paths sits well inside the 1e-3 budget.  Each direction streams
-        # its paths through follower_summary and equilibrium_summary
+        # paths sits well inside the 1e-3 budget.  The paths stream once,
+        # and each chunk runs both levels' checks for every direction
         rows = []
         for spec, stochastic in ((hand_spec, False), (stochastic_scenario(256), True)):
             mc = bs.MonteCarloConfig(20000, 4) if stochastic else bs.MonteCarloConfig(4, 0)
-            u2 = AffineControl.zero(spec.grid, 1)
-            for v in directions(spec.grid, include_noise=stochastic):
-                fol, _ = bs.follower_summary(spec, u2, mc, v)
-                sol, _ = bs.equilibrium_summary(spec, mc, v)
-                sf, sl = fol["stationarity"], sol["stationarity"]
-                tol_f = 1e-3 * max(1.0, abs(fol["J1"]["mean"]))
-                tol_l = 1e-3 * max(1.0, abs(sol["J2"]["mean"]))
-                rows.append((sf["algebraic"], sf["extrapolated_slope"], tol_f))
-                rows.append((sl["leader"], sl["leader_extrapolated_slope"], tol_l))
+            dirs = directions(spec.grid, include_noise=stochastic)
+            sol = bs.equilibrium_layer(spec)
+            follower = bs.follower_kernel(spec, sol.p1, sol.p2, AffineControl.zero(spec.grid, 1))
+            deltas = [response_step(spec, v) for v in dirs]
+            responses = [response_kernel(spec, sol.p1, sol.p2, v) for v in dirs]
+
+            def chunk(bundle):
+                fol = bs.follower_paths(follower, bundle)
+                bs.follower_feedback(sol.p2, fol)
+                eq = bs.equilibrium_paths(sol, bundle)
+                out = {"J1": bs.follower_cost(spec, fol), "J2": bs.leader_cost(spec, eq.ensemble)}
+                for j, v in enumerate(dirs):
+                    for level, samples in (
+                        ("J1", follower_stationarity_samples(spec, fol, v, deltas[j])),
+                        ("J2", leader_stationarity_samples(eq, responses[j])),
+                    ):
+                        out |= {(level, j, key): value for key, value in samples.items()}
+                return out
+
+            merged = stream_paths(spec.grid, mc, sol.system.dim, chunk)
+            for j in range(len(dirs)):
+                for level in ("J1", "J2"):
+                    tol = 1e-3 * max(1.0, abs(merged[level].mean()))
+                    slope = merged[(level, j, "extrapolated_slope")].mean()
+                    rows.append((merged[(level, j, "algebraic_residual")], slope, tol))
         worst_alg = max(r[0] for r in rows)
         worst_rel = max(abs(r[1]) / r[2] for r in rows)
         ok = worst_alg <= 1e-8 and worst_rel <= 1.0

@@ -238,9 +238,16 @@ class TestQuadraticCost:
         assert samples.mean() == pytest.approx(9.0)  # 0.5 * 2 * 3^2
 
 
-def expanded_cost(base, stat, eps):
-    """J(u + eps v) from the exact quadratic expansion of a stationarity check."""
-    return base + eps * stat["extrapolated_slope"] + eps**2 * stat["curvature"]
+def expanded_cost(base, stat, curvature, eps):
+    """J(u + eps v) from the exact quadratic expansion of a stationarity check,
+    whose curvature is the cost of the step."""
+    return base + eps * stat["extrapolated_slope"] + eps**2 * curvature
+
+
+def follower_curvature(spec, v, delta, W):
+    """The follower's curvature along v: the mean cost of the step (cost_samples)."""
+    step = (delta.phi_pathwise(W), _u2_pathwise(v, W), delta.eta_values[:, None])
+    return cost_samples(spec.grid, *step, spec.Q1, spec.R1, spec.S1, spec.G1).mean()
 
 
 class TestPerturbations:
@@ -249,7 +256,8 @@ class TestPerturbations:
         delta = response_step(hand_spec, v)
         stat = stationarity_report(follower_stationarity_samples(hand_spec, hand_follower, v, delta))
         J1 = bs.follower_cost(hand_spec, hand_follower).mean()
-        assert expanded_cost(J1, stat, 1e-2) == pytest.approx(J1, abs=1e-15)
+        curvature = follower_curvature(hand_spec, v, delta, hand_follower.bundle.W)
+        assert expanded_cost(J1, stat, curvature, 1e-2) == pytest.approx(J1, abs=1e-15)
 
     def test_slope_zero_at_optimum_hand(self, hand_spec, hand_follower):
         v = bs.AffineControl.constant(hand_spec.grid, [1.0])
@@ -263,8 +271,9 @@ class TestPerturbations:
         delta = response_step(hand_spec, v)
         stat = stationarity_report(follower_stationarity_samples(hand_spec, hand_follower, v, delta))
         J1 = bs.follower_cost(hand_spec, hand_follower).mean()
+        curvature = follower_curvature(hand_spec, v, delta, hand_follower.bundle.W)
         for eps in (0.1, -0.1):
-            assert expanded_cost(J1, stat, eps) > J1
+            assert expanded_cost(J1, stat, curvature, eps) > J1
 
 
 def noisy_dense_game(steps):
@@ -340,17 +349,17 @@ class TestQuadraticExpansion:
         bundle = sample_brownian(spec.grid, 60, 7)
         v = affine_direction(spec.grid, spec.dims.k)
         base, step, weights, J, stat = level(spec, v, bundle)
-        assert stat["curvature"] > 0.0
+        curvature = cost_samples(spec.grid, *step, *weights).mean()
+        assert curvature > 0.0
         # the same weights up to an antisymmetric part
         tilted = skewed(weights)
         J_t = cost_samples(spec.grid, *base, *tilted).mean()
-        cross_t, curvature_t = (
-            s.mean() for s in quadratic_expansion(spec.grid, base, step, *tilted)
-        )
+        cross_t = quadratic_expansion(spec.grid, base, step, *tilted).mean()
+        curvature_t = cost_samples(spec.grid, *step, *tilted).mean()
         for eps in (1e-2, -0.1):
             perturbed = [b + eps * d for b, d in zip(base, step)]
             brute = cost_samples(spec.grid, *perturbed, *weights).mean()
-            assert abs(brute - expanded_cost(J, stat, eps)) <= 1e-12 * abs(J)
+            assert abs(brute - expanded_cost(J, stat, curvature, eps)) <= 1e-12 * abs(J)
             brute_t = cost_samples(spec.grid, *perturbed, *tilted).mean()
             expanded_t = J_t + eps * cross_t + eps**2 * curvature_t
             assert abs(brute_t - expanded_t) <= 1e-12 * abs(J_t)

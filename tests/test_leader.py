@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import bsde_stackelberg as bs
-from bsde_stackelberg.follower import stationarity_report, terminal_defect
+from bsde_stackelberg.follower import cost_samples, stationarity_report, terminal_defect
 from bsde_stackelberg.leader import (
     _decoupling_inverses,
     _offset_diffusion,
@@ -189,8 +189,13 @@ class TestEquilibriumControls:
         response = response_kernel(hand_spec, hand_solution.p1, hand_solution.p2, v)
         stat = stationarity_report(leader_stationarity_samples(hand_solution, response))
         base = bs.leader_cost(hand_spec, hand_solution.ensemble).mean()
+        delta = bs.follower_paths(response, hand_solution.ensemble.bundle)
+        curvature = cost_samples(
+            hand_spec.grid, delta.y, delta.u2, delta.z,
+            hand_spec.Q2, hand_spec.R2, hand_spec.S2, hand_spec.G2,
+        ).mean()
         for eps in (0.1, -0.1):
-            perturbed = base + eps * stat["extrapolated_slope"] + eps**2 * stat["curvature"]
+            perturbed = base + eps * stat["extrapolated_slope"] + eps**2 * curvature
             assert perturbed > base
 
 
@@ -198,11 +203,14 @@ class TestNodeKernelsMatchLoops:
     """The stacked node kernels against per-node loops of the same formulas,
     on an n = 2 game whose non-symmetric matrices expose a transposition."""
 
-    def test_follower_reconstruction_and_feedback(self):
+    # a leader control affine in W exercises the known control's W row
+    @pytest.mark.parametrize("u_lin", [0.0, 0.7], ids=["constant", "affine"])
+    def test_follower_reconstruction_and_feedback(self, u_lin):
         spec = two_state_stochastic_spec(steps=16)
         p1 = bs.solve_p1(spec)
         p2 = bs.solve_p2(spec, p1)
-        u2 = bs.AffineControl.constant(spec.grid, [0.3])
+        path = bs.CoefficientPath.constant
+        u2 = bs.AffineControl(path(spec.grid, [[0.3]]), path(spec.grid, [[u_lin]]))
         bundle = sample_brownian(spec.grid, 5, 3)
         ens = bs.follower_paths(bs.follower_kernel(spec, p1, p2, u2), bundle)
         bs.follower_feedback(p2, ens)
