@@ -32,10 +32,14 @@ import argparse
 import numpy as np
 
 import bsde_stackelberg as bs
-from bsde_stackelberg.follower import solve_affine_bsde
-from bsde_stackelberg.leader import bsde_residual_samples, residual_rms, solve_tilde_phi
 from bsde_stackelberg.sampling import coarsen, sample_brownian
 from bsde_stackelberg.scenario import make_constant_spec
+from bsde_stackelberg.stacked import (
+    bsde_residual_samples,
+    residual_rms,
+    solve_affine_bsde,
+    solve_tilde_phi,
+)
 
 MARKET = dict(r=0.03, mu=0.08, sigma=0.25, R1=1.0, R2=1.5, G1=1.0, G2=0.8, a=1.0, b=0.3)
 
@@ -145,9 +149,9 @@ def closed_loop_rms(spec, bundle):
     """(leader, follower) RMS closed-loop residuals; the follower responds to u2 = 0.2."""
     sol = bs.equilibrium_paths(bs.equilibrium_layer(spec), bundle)
     u2 = bs.AffineControl.constant(spec.grid, 0.2 * np.ones(spec.dims.k))
-    follower = bs.follower_paths(bs.follower_kernel(spec, sol.p1, sol.p2, u2), bundle)
+    follower = bs.stacked_paths(bs.follower_kernel(spec, sol.p1, sol.p2, u2), bundle)
     return tuple(
-        residual_rms(bsde_residual_samples(ens)[0]) for ens in (sol.ensemble, follower.stacked)
+        residual_rms(bsde_residual_samples(ens)[0]) for ens in (sol.ensemble, follower)
     )
 
 

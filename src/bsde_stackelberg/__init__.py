@@ -44,17 +44,22 @@ from .riccati import (
     solve_pi2,
 )
 from .sampling import MonteCarloConfig, PathBundle, coarsen, sample_brownian
-from .follower import (
+from .stacked import (
     AffineBSDESolution,
-    FollowerEnsemble,
+    StackedEnsemble,
+    leader_feedback,
+    reconstruct_XYZ,
+    simulate_tilde_varphi,
+    solve_tilde_phi,
+    stacked_paths,
+)
+from .follower import (
     follower_cost,
     follower_feedback,
     follower_kernel,
-    follower_paths,
     follower_summary,
 )
 from .leader import (
-    LeaderEnsemble,
     StackelbergSolution,
     equilibrium_follower_control,
     equilibrium_follower_cost,
@@ -63,11 +68,6 @@ from .leader import (
     equilibrium_paths,
     equilibrium_summary,
     leader_cost,
-    leader_feedback,
-    reconstruct_XYZ,
-    simulate_tilde_varphi,
-    solve_tilde_phi,
-    stacked_paths,
 )
 from .oracle import (
     DiscreteLQProblem,

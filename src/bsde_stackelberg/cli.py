@@ -41,6 +41,7 @@ from .riccati import (
 )
 from .sampling import MonteCarloConfig, sample_brownian
 from .scenario import Scenario, load_scenario
+from .stacked import stacked_paths
 
 EXIT_VALIDATION = 1
 EXIT_SOLVER = 2
@@ -99,22 +100,25 @@ def cmd_validate(scn: Scenario, out: Path, args) -> int:
 
 def cmd_riccati(scn: Scenario, out: Path, args) -> int:
     spec = scn.spec
-    p1, p2, sys, pi1, pi2 = riccati_chain(spec)  # no path kernel: riccati draws no paths
+    if spec.grid.steps < 4:
+        print(f"riccati needs at least 4 steps, got {spec.grid.steps}", file=sys.stderr)
+        return EXIT_VALIDATION
+    p1, p2, lsys, pi1, pi2 = riccati_chain(spec)  # no path kernel: riccati draws no paths
     for ric in (p1, p2, pi1, pi2):
         _write_text(out, f"riccati_{ric.tag.lower()}.csv", riccati_csv(ric))
     fsys = follower_system(spec, scn.u2)  # P1 and P2 are its Pi1 and Pi2
     residuals = {
         "p1": riccati_residual(p1, pi1_field(fsys)),
         "p2": riccati_residual(p2, pi2_field(fsys, p1)),
-        "pi1": riccati_residual(pi1, pi1_field(sys)),
-        "pi2": riccati_residual(pi2, pi2_field(sys, pi1)),
+        "pi1": riccati_residual(pi1, pi1_field(lsys)),
+        "pi2": riccati_residual(pi2, pi2_field(lsys, pi1)),
     }
     solvability: dict = {"closed_form_applicable": spec.c_vanishes}
     if solvability["closed_form_applicable"]:
         try:
             forms = {
-                "pi1": (pi1_closed_form(sys, spec.R2), pi1),
-                "pi2": (pi2_closed_form(sys, spec.R2), pi2),
+                "pi1": (pi1_closed_form(lsys, spec.R2), pi1),
+                "pi2": (pi2_closed_form(lsys, spec.R2), pi2),
             }
             for tag, ((cf, rep), rk4) in forms.items():
                 solvability[tag] = {
@@ -184,8 +188,8 @@ def cmd_verify(scn: Scenario, out: Path, args) -> int:
     prob = build_discrete_problem(spec)
     u2_steps = 0.5 * (scn.u2.u_const.values[:-1, :, 0] + scn.u2.u_const.values[1:, :, 0])
     fol_oracle = deterministic_follower_oracle(prob, u2_steps)
-    fol_ens = fol.follower_paths(fol.follower_kernel(spec, sol.p1, sol.p2, scn.u2), bundle)
-    fol.follower_feedback(sol.p2, fol_ens)
+    fol_ens = stacked_paths(fol.follower_kernel(spec, sol.p1, sol.p2, scn.u2), bundle)
+    fol.follower_feedback(fol_ens)
     fol_rep = oracle_report(
         fol_oracle.cost,
         float(fol.follower_cost(spec, fol_ens).mean()),
@@ -241,6 +245,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.paths < 1:
         print(f"--paths must be at least 1, got {args.paths}", file=sys.stderr)
+        return EXIT_VALIDATION
+    if not 0 <= args.seed < 2**64:  # sampling keys each path's stream on (seed << 64) | path
+        print(f"--seed must be in [0, 2**64), got {args.seed}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
         scn = load_scenario(args.scenario, steps=args.steps)

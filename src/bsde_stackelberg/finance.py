@@ -15,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .follower import cost_figures, paths_csv
 from .leader import (
-    LeaderEnsemble,
     StackelbergSolution,
     equilibrium_follower_cost,
     equilibrium_layer,
@@ -33,6 +31,7 @@ from .model import (
     validate_spec,
 )
 from .sampling import MonteCarloConfig, PathBundle, mean_stderr, stream_paths
+from .stacked import StackedEnsemble, cost_figures, paths_csv
 
 
 @dataclass(frozen=True)
@@ -192,7 +191,7 @@ def reserve_report(samples: np.ndarray, y0_paths: np.ndarray) -> dict:
 
 
 def consumption_paths_csv(
-    ens: LeaderEnsemble, m: MarketParams, max_paths: int | None = None
+    ens: StackedEnsemble, m: MarketParams, max_paths: int | None = None
 ) -> str:
     """Per-path CSV of (t, wealth, portfolio, c1, c2), 17 significant digits.
 

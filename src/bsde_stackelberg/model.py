@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from .odeint import guarded_inv
+
 SYMMETRY_TOL = 1e-12
 
 
@@ -277,8 +279,6 @@ class LQGameSpec:
 
 def _weight_inverse(weight: CoefficientPath, label: str) -> np.ndarray:
     """Gated inverses of a control weight's half-step table, one batched call."""
-    from .odeint import guarded_inv  # odeint imports this module
-
     return guarded_inv(weight.half, weight.grid.half_times, label)
 
 

@@ -4,7 +4,9 @@ Classical RK4 on the game's uniform time grid, in both directions.
 Backward problems are integrated as forward problems in reversed time
 (s = T - t) so both directions share one code path.  A separate
 4th-order Magnus propagator provides linear-system transition matrices;
-the Riccati closed forms are built on it.
+the Riccati closed forms are built on it.  The module imports no other
+module of the package: a grid is any model.TimeGrid, read through its
+steps, dt and nodes, and results are plain arrays.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
-
-from .model import CoefficientPath, TimeGrid
 
 COND_LIMIT = 1e12
 MAX_NORM = 1e12  # an RK4 iterate past this max-entry size counts as diverged
@@ -80,14 +80,15 @@ class OdeDirection(enum.Enum):
 def integrate_matrix_ode(
     field: Callable[[int, np.ndarray], np.ndarray],
     boundary_value: np.ndarray,
-    grid: TimeGrid,
+    grid,
     direction: OdeDirection,
     postprocess: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> CoefficientPath:
-    """Classical RK4 for dM/dt = field(j, M) with one boundary value.
+) -> np.ndarray:
+    """Classical RK4 for dM/dt = field(j, M) with one boundary value; returns
+    the (N+1, m, m) values at the grid's nodes.
 
     It carries the nonlinear Riccati flows; linear ODEs take RK4 step
-    maps instead (follower.solve_affine_bsde).  The field is called once
+    maps instead (stacked.solve_affine_bsde).  The field is called once
     per stage, in integration order, with the half-step index j of its
     stage time t = grid.half_times[j], so it reads precomputed
     (2N+1)-sample tables instead of interpolating.  postprocess (e.g.
@@ -123,9 +124,7 @@ def integrate_matrix_ode(
         if not np.all(np.isfinite(m)) or np.max(np.abs(m)) > MAX_NORM:
             raise DivergenceError(float(grid.nodes[N - i - 1 if backward else i + 1]))
         out[i + 1] = m
-    if backward:
-        out = out[::-1]
-    return CoefficientPath(grid, out)
+    return out[::-1] if backward else out
 
 
 def matrix_exponential(m: np.ndarray) -> np.ndarray:
@@ -138,7 +137,7 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(m)
 
 
-def transition_steps(matfun: Callable[[np.ndarray], np.ndarray], grid: TimeGrid) -> np.ndarray:
+def transition_steps(matfun: Callable[[np.ndarray], np.ndarray], grid) -> np.ndarray:
     """Per-interval transition matrices of dU/dt = matfun(t) U.
 
     Fourth-order Magnus integrator with two-point Gauss-Legendre
@@ -159,13 +158,13 @@ def transition_steps(matfun: Callable[[np.ndarray], np.ndarray], grid: TimeGrid)
 class SolvabilityReport:
     """Determinant scan behind the closed-form Riccati representations."""
 
-    grid: TimeGrid
+    grid: object  # the model.TimeGrid of the scan
     determinants: np.ndarray
     min_determinant: float
     satisfied: bool
 
 
-def solvability_scan(blockmatrix: np.ndarray, grid: TimeGrid) -> SolvabilityReport:
+def solvability_scan(blockmatrix: np.ndarray, grid) -> SolvabilityReport:
     """Scan det of the lower-right block of e^(M t) over the grid nodes.
 
     The scanned quantity is det{(0, I) e^(M t) (0; I)} for each node t;
@@ -183,7 +182,7 @@ def solvability_scan(blockmatrix: np.ndarray, grid: TimeGrid) -> SolvabilityRepo
     return determinant_scan(acc, grid)
 
 
-def determinant_scan(mats: np.ndarray, grid: TimeGrid) -> SolvabilityReport:
+def determinant_scan(mats: np.ndarray, grid) -> SolvabilityReport:
     """det of the lower-right half block of each node matrix in an (N+1, 2m, 2m) stack."""
     half = mats.shape[1] // 2
     dets = np.linalg.det(mats[:, half:, half:])

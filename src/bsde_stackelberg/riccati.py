@@ -58,7 +58,8 @@ class RiccatiPath:
     @cached_property
     def s1_inverse(self) -> np.ndarray:
         """(2N+1) half-step table of (I + Pi1 S1-hat)^-1 for a P1 or Pi1, formed
-        and gated once; pi2_field and leader.solve_tilde_phi share it."""
+        and gated once; pi2_field and stacked.solve_tilde_phi read it, and
+        build_stacked_system and stacked.path_kernel its node rows [::2]."""
         return pi1_s1_inverse(self.path.half, self.S1h.half, self.path.grid.half_times)
 
     def max_asymmetry(self) -> float:
@@ -155,7 +156,7 @@ def build_stacked_system(spec: LQGameSpec, p1: RiccatiPath, p2: RiccatiPath) -> 
 
     C1h[:, :n, :n] = C1h[:, n:, n:] = Ct
     D1h[:, :n, n:] = D1h[:, n:, :n] = p2c
-    F1h[:, :n, n:] = F1h[:, n:, :n] = p2c @ pi1_s1_inverse(P1, S1, grid.nodes) @ P1 @ Ct @ P2
+    F1h[:, :n, n:] = F1h[:, n:, :n] = p2c @ p1.s1_inverse[::2] @ P1 @ Ct @ P2
     F1h[:, n:, n:] = Q2
 
     F2h[:, :n, n:] = F2h[:, n:, :n] = -gain
@@ -271,18 +272,18 @@ def solve_pi1(sys: StackedSystem) -> RiccatiPath:
     field, zero = pi1_field(sys), np.zeros((sys.dim, sys.dim))
     try:
         with np.errstate(all="ignore"):  # past a bad stage the iterate may overflow
-            path = integrate_matrix_ode(field, zero, sys.grid, OdeDirection.BACKWARD, _sym)
+            values = integrate_matrix_ode(field, zero, sys.grid, OdeDirection.BACKWARD, _sym)
     finally:
         field.gate()
-    return RiccatiPath("Pi1", path, sys.S1h)
+    return RiccatiPath("Pi1", CoefficientPath(sys.grid, values), sys.S1h)
 
 
 def solve_pi2(sys: StackedSystem, pi1: RiccatiPath) -> RiccatiPath:
     """Forward RK4 for Pi2 with Pi2(0) = G2-hat, symmetrized per step."""
-    path = integrate_matrix_ode(
+    values = integrate_matrix_ode(
         pi2_field(sys, pi1), sys.G2h, sys.grid, OdeDirection.FORWARD, postprocess=_sym
     )
-    return RiccatiPath("Pi2", path)
+    return RiccatiPath("Pi2", CoefficientPath(sys.grid, values))
 
 
 def _riccati_system(spec: LQGameSpec) -> StackedSystem:

@@ -1,0 +1,485 @@
+"""The path layer of a decoupled stacked system, shared by both levels.
+
+A StackedSystem is a forward-backward pair (X, (Y, Z)) that two Riccati
+solutions Pi1, Pi2 decouple: the leader's system has dimension 2n
+(riccati.build_stacked_system), the follower's problem is the same form at
+dimension n (riccati.follower_system) with P1 and P2 as its Pi1 and Pi2.
+The optimal trajectories are reconstructed pathwise from one auxiliary
+BSDE and one auxiliary SDE (Euler-Maruyama), so the terminal condition
+Y(T) = xi-hat and the initial coupling X(0) = G2-hat Y(0) hold exactly by
+construction.
+
+Every linear BSDE here is closed exactly by the affine ansatz
+phi = alpha(t) + beta(t) W(t), eta = beta(t), valid because coefficients
+are deterministic, the terminal datum is affine in W(T) and the known
+control is affine in W(t).  That reduces it to a pair of terminal-value
+ODEs; the only sampling error left is the Euler scheme for the auxiliary
+SDE.  The module also holds the reductions both levels apply to their
+paths: feedback, costs, the BSDE residual, the structural defects and the
+per-path CSV.
+
+Path arrays are time-major, (N+1, paths, dim): node i of every path is
+one contiguous (paths, dim) block, and every node-wise relation is one
+stacked matmul against an (N+1, dim, dim) table.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
+
+from .model import AffineControl, CoefficientPath, TerminalCondition, TimeGrid
+from .odeint import MAX_NORM, DivergenceError, guarded_inv
+from .riccati import RiccatiPath, StackedSystem, _sym, _tr, csv_block
+from .sampling import PathBundle, mean_stderr
+
+
+@dataclass(frozen=True)
+class AffineBSDESolution:
+    """Solution phi(t) = alpha(t) + beta(t) W(t), eta(t) = beta(t)."""
+
+    alpha: CoefficientPath  # m x 1
+    beta: CoefficientPath  # m x 1
+
+    def phi_pathwise(self, W: np.ndarray) -> np.ndarray:
+        """(N+1, paths, m) values of phi along Brownian paths W (N+1, paths)."""
+        return _affine_pathwise(self.alpha, self.beta, W)
+
+    @property
+    def eta_values(self) -> np.ndarray:
+        """(N+1, m) deterministic eta trajectory."""
+        return self.beta.values[:, :, 0]
+
+
+def solve_affine_bsde(
+    drift_lin: np.ndarray,
+    drift_eta: np.ndarray,
+    forcing_const: np.ndarray,
+    forcing_lin: np.ndarray,
+    terminal_const: np.ndarray,
+    terminal_lin: np.ndarray,
+    grid: TimeGrid,
+) -> AffineBSDESolution:
+    """Reduce -d(phi) = [M phi + N eta + g(t, W)] dt - eta dW to ODEs.
+
+    With g = g_c(t) + g_l(t) W(t) and phi = alpha + beta W, matching the
+    dW and dt parts gives beta' = -M beta - g_l and
+    alpha' = -M alpha - N beta - g_c, integrated backward from the
+    terminal values by RK4.  M, N (m x m) and g_c, g_l (m x 1) are given
+    as (2N+1)-sample tables at the RK4 half steps.  The pair is linear:
+    Y = (alpha, beta, 1) solves Y' = -G Y with G = [[M, N, g_c], [0, M, g_l],
+    [0, 0, 0]], so stacked matmuls on G's tables give all N RK4 step
+    matrices at once, and each step is one matvec.  A non-finite iterate,
+    or one above MAX_NORM, raises DivergenceError at the first such node.
+    """
+    m, N, h = drift_lin.shape[1], grid.steps, grid.dt
+    gen = np.zeros((2 * N + 1, 2 * m + 1, 2 * m + 1))
+    gen[:, :m, :m] = gen[:, m:-1, m:-1] = drift_lin
+    gen[:, :m, m:-1], gen[:, :m, -1:], gen[:, m:-1, -1:] = drift_eta, forcing_const, forcing_lin
+    # backward in t is forward in s = T - t, with dY/ds = G(T - s) Y
+    a0, a_half, a1 = gen[:0:-2], gen[-2::-2], gen[-3::-2]
+    eye = np.eye(2 * m + 1)
+    k2 = a_half @ (eye + 0.5 * h * a0)
+    k3 = a_half @ (eye + 0.5 * h * k2)
+    steps = eye + (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + a1 @ (eye + h * k3))
+    y = np.empty((N + 1, 2 * m + 1))
+    y[0, :m], y[0, m:-1], y[0, -1] = np.ravel(terminal_const), np.ravel(terminal_lin), 1.0
+    with np.errstate(all="ignore"):  # the iterates past a divergence are discarded
+        for i in range(N):
+            y[i + 1] = steps[i] @ y[i]
+        stepped = y[1:, :-1]
+        bad = ~np.isfinite(stepped).all(axis=1) | (np.abs(stepped).max(axis=1) > MAX_NORM)
+    if bad.any():
+        raise DivergenceError(float(grid.nodes[N - 1 - bad.argmax()]))
+    y = y[::-1, :, None]
+    return AffineBSDESolution(CoefficientPath(grid, y[:, :m]), CoefficientPath(grid, y[:, m:-1]))
+
+
+def _affine_pathwise(const: CoefficientPath, lin: CoefficientPath, W: np.ndarray) -> np.ndarray:
+    """(N+1, paths, m) values of const(t) + lin(t) W(t) for m x 1 coefficients."""
+    return const.values[:, None, :, 0] + W[:, :, None] * lin.values[:, None, :, 0]
+
+
+def _u2_pathwise(u2: AffineControl, W: np.ndarray) -> np.ndarray:
+    """(N+1, paths, k) leader control values along paths."""
+    return _affine_pathwise(u2.u_const, u2.u_lin, W)
+
+
+def solve_tilde_phi(sys: StackedSystem, pi1: RiccatiPath) -> AffineBSDESolution:
+    """Auxiliary BSDE of a stacked system, terminal value -xi-hat.
+
+    The driver is K phi-tilde - L eta-tilde - forcing_load u with
+    K = A1h - Pi1 F1h + (Pi1 B1h - B2h) R^-1 B1h^T
+        + (Pi1 D1h - C1h^T)(I + Pi1 S1h)^-1 Pi1 D1h^T,
+    L = (Pi1 D1h - C1h^T)(I + Pi1 S1h)^-1 and u the known control.
+    """
+    A1, B1, B2, C1, D1, F1, _, _ = sys.halves()
+    Pi1 = pi1.path.half
+    L = (Pi1 @ D1 - _tr(C1)) @ pi1.s1_inverse
+    K = A1 - Pi1 @ F1 + (Pi1 @ B1 - B2) @ sys.R_inv @ _tr(B1) + L @ Pi1 @ _tr(D1)
+    load, u = sys.forcing_load.half, sys.forcing_control
+    g_c, g_l = -load @ u.u_const.half, -load @ u.u_lin.half
+    return solve_affine_bsde(K, -L, g_c, g_l, -sys.xih.a, -sys.xih.b, sys.grid)
+
+
+def _offset_diffusion(C1, D1, Pi1, Pi2, mix, inv_12, inv_21):
+    """Diffusion coefficients of the forward offset at every node, as (N+1) stacks.
+
+    Returns (diff_varphi, diff_phi) multiplying the current offset and
+    the backward offset; the martingale loading eta-tilde enters through
+    mix = (Pi2 - S1h)(I + Pi1 S1h)^-1.  They are assembled from the
+    pathwise relations gamma = C1h X + D1h^T Y + mix (Pi1 C1h X
+    + Pi1 D1h^T Y + eta), with X, Y expressed through the two offsets, so
+    the reconstructed (Y, Z) satisfy the closed-loop backward equation
+    without a systematic defect.
+    """
+    cfac = C1 + mix @ Pi1 @ C1
+    dfac = _tr(D1) + mix @ Pi1 @ _tr(D1)
+    return cfac @ inv_21 - dfac @ inv_12 @ Pi1, -cfac @ inv_21 @ Pi2 - dfac @ inv_12
+
+
+def _decoupling_inverses(sys, pi1, pi2):
+    """(I + Pi1 S1h)^-1, (I + Pi1 Pi2)^-1 and (I + Pi2 Pi1)^-1, (N+1, dim, dim) node tables;
+    the first is the node rows of pi1's half-step table (RiccatiPath.s1_inverse)."""
+    eye = np.eye(sys.dim)
+    Pi1, Pi2, nodes = pi1.values, pi2.values, sys.grid.nodes
+    return (
+        pi1.s1_inverse[::2],
+        guarded_inv(eye + Pi1 @ Pi2, nodes, "(I + Pi1 Pi2)"),
+        guarded_inv(eye + Pi2 @ Pi1, nodes, "(I + Pi2 Pi1)"),
+    )
+
+
+@dataclass(frozen=True)
+class PathKernel:
+    """The path layer of one decoupled stacked system, as maps of one augmented state.
+
+    Every path process is affine in zeta = (tilde-varphi, W, 1): the
+    auxiliary BSDE's tilde-phi = alpha + eta W and the known control
+    u_const + u_lin W live in the W and 1 rows of the kernel's tables.
+    step maps zeta_i to the forward offset's drift and diffusion at node i,
+    (N+1, dim+2, 2 dim); read_X, read_Y and read_Z map zeta to X, Y and Z,
+    (N+1, dim+2, dim) each.  None of them depends on the paths, so one
+    kernel serves any number of path chunks (stacked_paths).  step's drift
+    and diffusion columns are the tilde-varphi columns of the linear Euler
+    recursion zeta_{i+1} = zeta_i (I + A_i dt + C_i dW_i), whose W entry
+    steps by dW and whose 1 entry stays.
+    """
+
+    sys: StackedSystem
+    pi2: RiccatiPath
+    tilde_phi: AffineBSDESolution
+    step: np.ndarray  # (N+1, dim+2, 2 dim): zeta -> (drift, diffusion) of tilde-varphi
+    read_X: np.ndarray  # (N+1, dim+2, dim): zeta -> X
+    read_Y: np.ndarray  # (N+1, dim+2, dim): zeta -> Y
+    read_Z: np.ndarray  # (N+1, dim+2, dim): zeta -> Z
+
+    @cached_property
+    def closed_loop(self) -> tuple[np.ndarray, ...]:
+        """(N+1)-node tables (M, F, load) of the closed-loop backward equation of (Y, Z),
+        -dY = (M Y + C1h^T Z + F varphi-tilde + forcing_load u) dt - Z dW with
+        M = A1h + F2h Pi2 - B2h R^-1 (B1h + Pi2 B2h)^T, F = F2h - B2h R^-1 B2h^T
+        and the known control's load forcing_load (u_const + u_lin W) = l W + c
+        as its W and 1 rows, load = (l, c), (N+1, 2, dim).  The residual and the
+        dual reserve read them."""
+        sys, Pi2 = self.sys, self.pi2.values
+        B2, F2 = sys.B2h.values, sys.F2h.values
+        B2_Rinv = B2 @ sys.R_inv[::2]
+        M = sys.A1h.values + F2 @ Pi2 - B2_Rinv @ _tr(sys.B1h.values + Pi2 @ B2)
+        u = sys.forcing_control
+        load = _affine_rows(sys.forcing_load.values, u.u_const.values, u.u_lin.values)
+        return M, F2 - B2_Rinv @ _tr(B2), load
+
+
+def _affine_rows(K: np.ndarray, const: np.ndarray, lin: np.ndarray) -> np.ndarray:
+    """The W and 1 rows, (N+1, 2, rows), of v -> K (const + lin W) as a map of zeta,
+    for (N+1, rows, j) tables K and (N+1, j, 1) coefficients."""
+    return _tr(np.concatenate([K @ lin, K @ const], axis=2))
+
+
+def path_kernel(sys: StackedSystem, pi1: RiccatiPath, pi2: RiccatiPath) -> PathKernel:
+    """A stacked system's path kernel: the auxiliary BSDE and the four tables on zeta.
+
+    The forward offset's drift follows the decoupled system's display plus
+    Pi2 forcing_load u for the known control u, and its diffusion the exact
+    pathwise Z-relation (see _offset_diffusion).  X and Y are the two
+    decoupling relations of reconstruct_XYZ, and Z's table is composed from
+    theirs.  tilde-phi and u are folded into the W and 1 rows here, once;
+    the decoupling inverses are formed once, by _decoupling_inverses.
+    """
+    tilde_phi = solve_tilde_phi(sys, pi1)
+    alpha, eta = tilde_phi.alpha.values, tilde_phi.beta.values  # (N+1, dim, 1)
+    u = sys.forcing_control
+    A1, B1, B2 = sys.A1h.values, sys.B1h.values, sys.B2h.values
+    C1, D1, F2 = sys.C1h.values, sys.D1h.values, sys.F2h.values
+    Pi1, Pi2, d = pi1.values, pi2.values, sys.dim
+    inv_s, inv_12, inv_21 = _decoupling_inverses(sys, pi1, pi2)
+    coupler = (D1 + Pi2 @ _tr(C1)) @ inv_s
+    mix = (Pi2 - sys.S1h.values) @ inv_s
+    drift_mat = (
+        _tr(A1) + Pi2 @ F2 - (B1 + Pi2 @ B2) @ sys.R_inv[::2] @ _tr(B2) - coupler @ Pi1 @ C1
+    )
+    diff_varphi, diff_phi = _offset_diffusion(C1, D1, Pi1, Pi2, mix, inv_12, inv_21)
+    step = np.empty((sys.grid.steps + 1, d + 2, 2 * d))
+    step[:, :d, :d], step[:, :d, d:] = _tr(drift_mat), _tr(diff_varphi)
+    step[:, d:, :d] = _affine_rows(Pi2 @ sys.forcing_load.values, u.u_const.values, u.u_lin.values)
+    step[:, d:, d:] = _affine_rows(diff_phi, alpha, eta)
+    step[:, -1, :d] -= (coupler @ eta)[:, :, 0]
+    step[:, -1, d:] += (mix @ eta)[:, :, 0]
+    read_X = np.concatenate([_tr(inv_21), _affine_rows(-inv_21 @ Pi2, alpha, eta)], axis=1)
+    read_Y = np.concatenate([-_tr(inv_12 @ Pi1), _affine_rows(-inv_12, alpha, eta)], axis=1)
+    # Z = -(I + Pi1 S1h)^-1 (Pi1 C1h X + Pi1 D1h^T Y + eta-tilde)
+    gain = inv_s @ Pi1
+    read_Z = -(read_X @ _tr(gain @ C1) + read_Y @ _tr(gain @ _tr(D1)))
+    read_Z[:, -1] -= (inv_s @ eta)[:, :, 0]
+    return PathKernel(sys, pi2, tilde_phi, step, read_X, read_Y, read_Z)
+
+
+def simulate_tilde_varphi(kernel: PathKernel, bundle: PathBundle) -> np.ndarray:
+    """Euler-Maruyama for a stacked system's forward offset, tilde-varphi(0) = 0,
+    on the augmented state zeta = (tilde-varphi, W, 1): one matmul with the
+    kernel's step table gives each step's drift and diffusion.
+    Returns zeta, (N+1, paths, dim + 2)."""
+    d, grid = kernel.sys.dim, kernel.sys.grid
+    zeta = np.empty((grid.steps + 1, bundle.n_paths, d + 2))
+    zeta[0, :, :d] = 0.0
+    zeta[:, :, d] = bundle.W
+    zeta[:, :, d + 1] = 1.0
+    dt, dW = grid.dt, bundle.dW
+    for i in range(grid.steps):
+        load = zeta[i] @ kernel.step[i]
+        zeta[i + 1, :, :d] = zeta[i, :, :d] + load[:, :d] * dt + load[:, d:] * dW[i, :, None]
+    return zeta
+
+
+@dataclass
+class StackedEnsemble:
+    """Pathwise stacked solution with named block views, at either level.
+
+    On the leader's system X stacks (adjoint-forward offset, forward state)
+    and Y stacks (adjoint-backward state, follower backward state); the
+    block properties expose the n-dimensional components by name, and u2,
+    u1 and u1_stacked are the leader's control and the follower's in block
+    and stacked form.  On the follower's system X is the adjoint state,
+    (Y, Z) the backward state pair, u1 the feedback control and u1_adjoint
+    its algebraically equal adjoint representation.
+    """
+
+    kernel: PathKernel
+    bundle: PathBundle
+    X: np.ndarray  # (N+1, paths, dim)
+    Y: np.ndarray
+    Z: np.ndarray
+    tilde_varphi: np.ndarray
+    u2: np.ndarray = None  # (N+1, paths, k)
+    u1: np.ndarray = None
+    u1_stacked: np.ndarray = None
+    u1_adjoint: np.ndarray = None
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.kernel.sys.grid
+
+    @property
+    def n(self) -> int:
+        return self.kernel.sys.n
+
+    @property
+    def phibar(self) -> np.ndarray:
+        return self.X[:, :, : self.n]
+
+    @property
+    def q(self) -> np.ndarray:
+        return self.X[:, :, self.n :]
+
+    @property
+    def p(self) -> np.ndarray:
+        return self.Y[:, :, : self.n]
+
+    @property
+    def ybar(self) -> np.ndarray:
+        return self.Y[:, :, self.n :]
+
+    @property
+    def zbar(self) -> np.ndarray:
+        return self.Z[:, :, self.n :]
+
+
+def reconstruct_XYZ(kernel: PathKernel, zeta: np.ndarray, bundle: PathBundle) -> StackedEnsemble:
+    """Recover (X, Y, Z) from the augmented state zeta (simulate_tilde_varphi),
+    one matmul per process with the kernel's read-out tables:
+
+    X = (I + Pi2 Pi1)^-1 (-Pi2 phi-tilde + varphi-tilde);
+    Y = -(I + Pi1 Pi2)^-1 (Pi1 varphi-tilde + phi-tilde);
+    Z = -(I + Pi1 S1h)^-1 (Pi1 C1h X + Pi1 D1h^T Y + eta-tilde).
+
+    The ensemble holds a copy of tilde-varphi, not zeta.
+    """
+    tilde_varphi = np.ascontiguousarray(zeta[:, :, : kernel.sys.dim])
+    X, Y, Z = zeta @ kernel.read_X, zeta @ kernel.read_Y, zeta @ kernel.read_Z
+    return StackedEnsemble(kernel, bundle, X, Y, Z, tilde_varphi)
+
+
+def stacked_paths(kernel: PathKernel, bundle: PathBundle) -> StackedEnsemble:
+    """A decoupled stacked system on a bundle of paths: the Euler forward offset
+    and the reconstructed (X, Y, Z).  The one path kernel of both levels."""
+    return reconstruct_XYZ(kernel, simulate_tilde_varphi(kernel, bundle), bundle)
+
+
+def decoupling_consistency(ens: StackedEnsemble) -> float:
+    """Max norm of X - Pi2 Y - varphi-tilde over paths and nodes.
+
+    The reconstruction uses both decoupling relations; their mutual
+    consistency is the sanity check of the whole leader solve.
+    """
+    gap = ens.Y @ _tr(ens.kernel.pi2.values)
+    np.subtract(ens.X, gap, out=gap)
+    gap -= ens.tilde_varphi
+    return float(np.max(np.abs(gap), initial=0.0))
+
+
+def leader_feedback(ens: StackedEnsemble) -> np.ndarray:
+    """Feedback control u = -R^-1 (B1h + Pi2 B2h)^T Y - R^-1 B2h^T varphi-tilde
+    of the ensemble's system."""
+    sys, pi2 = ens.kernel.sys, ens.kernel.pi2
+    Rinv, B2 = sys.R_inv[::2], sys.B2h.values
+    u = ens.Y @ -_tr(Rinv @ _tr(sys.B1h.values + pi2.values @ B2))
+    u -= ens.tilde_varphi @ _tr(Rinv @ _tr(B2))
+    return u
+
+
+def bsde_residual_samples(ens: StackedEnsemble) -> tuple[np.ndarray, float]:
+    """Discrete residual of the closed-loop BSDE for (Y, Z) on the ensemble's paths.
+
+    r_i = Y_{i+1} - Y_i + drift_i dt - Z_i dW_i per path and step, with the
+    drift at the left node (the kernel's closed_loop tables); returns each
+    path's accumulated squared residual sum_i ||r_i||^2 and the max
+    single-step residual.
+    """
+    sys, W = ens.kernel.sys, ens.bundle.W[:-1]
+    M, F, load = ens.kernel.closed_loop
+    drift = ens.Y[:-1] @ _tr(M[:-1])
+    drift += ens.Z[:-1] @ sys.C1h.values[:-1]
+    drift += ens.tilde_varphi[:-1] @ _tr(F[:-1])
+    drift += np.stack([W, np.ones_like(W)], axis=2) @ load[:-1]  # (W, 1) @ (l, c)
+    drift *= sys.grid.dt
+    resid = ens.Y[1:] - ens.Y[:-1]
+    resid += drift
+    resid -= ens.Z[:-1] * ens.bundle.dW[:, :, None]
+    return np.einsum("ipj,ipj->p", resid, resid), float(np.max(np.abs(resid)))
+
+
+def residual_rms(accumulated: np.ndarray) -> float:
+    """RMS over paths of the accumulated squared residuals of bsde_residual_samples,
+    which scales like O(dt) for a consistent first-order scheme."""
+    return float(np.sqrt(np.mean(accumulated)))
+
+
+def terminal_defect(xi: TerminalCondition, y: np.ndarray, W: np.ndarray) -> float:
+    """Max over paths of ||y(T) - xi(W(T))|| for a backward state y
+    (N+1, paths, dim) on Brownian paths W (N+1, paths); exact up to roundoff."""
+    return float(np.max(np.abs(y[-1] - xi.on_paths(W[-1])), initial=0.0))
+
+
+def cost_samples(
+    grid: TimeGrid,
+    y: np.ndarray,
+    u: np.ndarray,
+    z: np.ndarray,
+    Q: CoefficientPath,
+    R: CoefficientPath,
+    S: CoefficientPath,
+    G: np.ndarray,
+) -> np.ndarray:
+    """Per path, 0.5 { int (y'Qy + u'Ru + z'Sz) dt + y(0)'G y(0) }, trapezoidal in time.
+
+    y, u and z are (N+1, paths, dim); a term may broadcast over paths.
+    """
+    integrand = _bilinear_form(y, Q.values, y)
+    integrand += _bilinear_form(u, R.values, u)
+    integrand += _bilinear_form(z, S.values, z)
+    time_integral = np.trapezoid(integrand, dx=grid.dt, axis=0)
+    return 0.5 * (time_integral + _bilinear_form(y[0], G, y[0]))
+
+
+def cost_figures(samples: np.ndarray) -> dict:
+    """A cost's summary entry {"mean", "stderr"} from its per-path samples
+    (sampling.mean_stderr)."""
+    mean, stderr = mean_stderr(samples)
+    return {"mean": float(mean), "stderr": float(stderr)}
+
+
+def quadratic_expansion(
+    grid: TimeGrid,
+    base: tuple[np.ndarray, np.ndarray, np.ndarray],
+    step: tuple[np.ndarray, np.ndarray, np.ndarray],
+    Q: CoefficientPath,
+    R: CoefficientPath,
+    S: CoefficientPath,
+    G: np.ndarray,
+) -> np.ndarray:
+    """Per path, the cross term of the cost along a step, with
+    J(base + eps step) = J(base) + eps cross + eps^2 curvature exactly,
+    where the curvature is the cost of the step (cost_samples).
+
+    base and step are (y, u, z) triples of (N+1, paths, dim) arrays; a
+    step may broadcast over paths.  cross is
+    int (y'Q~dy + u'R~du + z'S~dz) dt + y(0)'G~dy(0) with the symmetric
+    parts M~ = (M + M')/2, so it stays exact for weights that are
+    symmetric only to roundoff.  Its mean over paths is the directional
+    derivative of J.
+    """
+    y, u, z = base
+    dy, du, dz = step
+    integrand = _bilinear_form(y, _sym(Q.values), dy)
+    integrand += _bilinear_form(u, _sym(R.values), du)
+    integrand += _bilinear_form(z, _sym(S.values), dz)
+    cross = np.trapezoid(integrand, dx=grid.dt, axis=0)
+    cross += _bilinear_form(y[0], _sym(G), dy[0])
+    return cross
+
+
+def _bilinear_form(v: np.ndarray, M: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """v' M w over the last axis; M is one matrix or a stack matching v's first axis."""
+    return np.einsum("...j,...j->...", v @ M, w)
+
+
+def stationarity_report(samples: dict) -> dict:
+    """A stationarity check's figures from its samples, merged over any number of
+    path chunks: the algebraic residual's max and the mean slope."""
+    return {
+        "algebraic_residual": samples["algebraic_residual"],
+        "extrapolated_slope": float(samples["extrapolated_slope"].mean()),
+    }
+
+
+def column_labels(prefix: str, count: int, suffix: str = "") -> list[str]:
+    """CSV column names prefix_1suffix, ..., prefix_<count>suffix."""
+    return [f"{prefix}_{j + 1}{suffix}" for j in range(count)]
+
+
+def paths_csv(
+    nodes: np.ndarray,
+    header: list[str],
+    blocks: list[np.ndarray],
+    max_paths: int | None = None,
+    first: int = 0,
+) -> str:
+    """Per-path CSV 'path,t,<header>' at the grid nodes, 17 significant digits.
+
+    blocks are (N+1, paths) or (N+1, paths, cols) arrays whose columns,
+    concatenated in order, match header.  Their paths are numbered from
+    first, and those numbered below max_paths are listed.  The header line
+    opens the file, so it comes only with first = 0: the CSVs of
+    consecutive path chunks join into the CSV of all their paths.
+    """
+    width = blocks[0].shape[1]
+    count = width if max_paths is None else max(0, min(max_paths - first, width))
+    data = np.concatenate([np.atleast_3d(b[:, :count]) for b in blocks], axis=2)
+    lines = ["path,t," + ",".join(header) + "\n"] if first == 0 else []
+    lines += [
+        csv_block(np.column_stack([nodes, data[:, p]]), f"{first + p},") for p in range(count)
+    ]
+    return "".join(lines)

@@ -39,8 +39,8 @@ def hand_follower(hand_spec, hand_riccati):
     p1, p2 = hand_riccati
     u2 = bs.AffineControl.zero(hand_spec.grid, hand_spec.dims.k)
     kernel = bs.follower_kernel(hand_spec, p1, p2, u2)
-    ens = bs.follower_paths(kernel, bs.sample_brownian(hand_spec.grid, 4, 0))
-    bs.follower_feedback(p2, ens)
+    ens = bs.stacked_paths(kernel, bs.sample_brownian(hand_spec.grid, 4, 0))
+    bs.follower_feedback(ens)
     return ens
 
 

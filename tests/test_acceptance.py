@@ -12,17 +12,10 @@ import pytest
 
 import bsde_stackelberg as bs
 from bsde_stackelberg.finance import MarketParams
-from bsde_stackelberg.follower import (
-    follower_stationarity_samples,
-    response_step,
-    terminal_defect,
-)
+from bsde_stackelberg.follower import follower_stationarity_samples, response_step
 from bsde_stackelberg.leader import (
-    bsde_residual_samples,
-    decoupling_consistency,
     initial_coupling_defect,
     leader_stationarity_samples,
-    residual_rms,
     response_kernel,
 )
 from bsde_stackelberg.model import AffineControl, CoefficientPath
@@ -37,6 +30,12 @@ from bsde_stackelberg.scenario import (
     hand_solvable_scenario,
     random_deterministic_scenario,
     stochastic_scenario,
+)
+from bsde_stackelberg.stacked import (
+    bsde_residual_samples,
+    decoupling_consistency,
+    residual_rms,
+    terminal_defect,
 )
 
 from conftest import p1_closed_form, specialized_stacked_matrices
@@ -112,9 +111,9 @@ class TestAcceptance:
         errs = {
             "P1": np.max(np.abs(p1.values[:, 0, 0] - (1.0 - nodes))),
             "P2": np.max(np.abs(p2.values[:, 0, 0] - 1.0 / (1.0 + nodes))),
-            "x": np.max(np.abs(ens.x - 0.5)),
-            "y": np.max(np.abs(ens.y - (1.0 + nodes)[:, None, None] / 2.0)),
-            "z": np.max(np.abs(ens.z)),
+            "x": np.max(np.abs(ens.X - 0.5)),
+            "y": np.max(np.abs(ens.Y - (1.0 + nodes)[:, None, None] / 2.0)),
+            "z": np.max(np.abs(ens.Z)),
             "u1": np.max(np.abs(ens.u1 + 0.5)),
             "J1": abs(bs.follower_cost(hand_spec, ens).mean() - 0.25),
         }
@@ -138,8 +137,8 @@ class TestAcceptance:
             p1 = bs.solve_p1(spec)
             p2 = bs.solve_p2(spec, p1)
             kernel = bs.follower_kernel(spec, p1, p2, AffineControl.zero(spec.grid, 1))
-            ens = bs.follower_paths(kernel, sample_brownian(spec.grid, 2, 0))
-            bs.follower_feedback(p2, ens)
+            ens = bs.stacked_paths(kernel, sample_brownian(spec.grid, 2, 0))
+            bs.follower_feedback(ens)
             J1 = bs.follower_cost(spec, ens).mean()
             rel = abs(J1 - res.cost) / max(abs(res.cost), 1e-12)
             worst = max(worst, rel)
@@ -186,19 +185,19 @@ class TestAcceptance:
         kernel = bs.follower_kernel(
             stochastic_spec, p1, p2, AffineControl.constant(stochastic_spec.grid, [0.2])
         )
-        sto_fol = bs.follower_paths(kernel, sample_brownian(stochastic_spec.grid, 128, 1))
-        bs.follower_feedback(p2, sto_fol)
+        sto_fol = bs.stacked_paths(kernel, sample_brownian(stochastic_spec.grid, 128, 1))
+        bs.follower_feedback(sto_fol)
         worst = 0.0
         for spec, ens in ((hand_spec, hand_follower), (stochastic_spec, sto_fol)):
             xi = spec.xi.a[None] + ens.bundle.W[-1, :, None] * spec.xi.b[:, 0][None]
-            worst = max(worst, float(np.max(np.abs(ens.y[-1] - xi))))
-            worst = max(worst, float(np.max(np.abs(ens.x[0] - ens.y[0] @ spec.G1.T))))
+            worst = max(worst, float(np.max(np.abs(ens.Y[-1] - xi))))
+            worst = max(worst, float(np.max(np.abs(ens.X[0] - ens.Y[0] @ spec.G1.T))))
             worst = max(worst, float(np.max(np.abs(ens.u1 - ens.u1_adjoint))))
         for sol in (hand_solution, stochastic_solution):
             ens = sol.ensemble
             worst = max(worst, terminal_defect(sol.system.xih, ens.Y, ens.bundle.W))
-            worst = max(worst, initial_coupling_defect(sol.system, sol.ensemble))
-            worst = max(worst, decoupling_consistency(sol.ensemble, sol.pi2))
+            worst = max(worst, initial_coupling_defect(sol.ensemble))
+            worst = max(worst, decoupling_consistency(sol.ensemble))
             worst = max(
                 worst, float(np.max(np.abs(sol.ensemble.u1 - sol.ensemble.u1_stacked)))
             )
@@ -223,8 +222,8 @@ class TestAcceptance:
             responses = [response_kernel(spec, sol.p1, sol.p2, v) for v in dirs]
 
             def chunk(bundle):
-                fol = bs.follower_paths(follower, bundle)
-                bs.follower_feedback(sol.p2, fol)
+                fol = bs.stacked_paths(follower, bundle)
+                bs.follower_feedback(fol)
                 eq = bs.equilibrium_paths(sol, bundle)
                 out = {"J1": bs.follower_cost(spec, fol), "J2": bs.leader_cost(spec, eq.ensemble)}
                 for j, v in enumerate(dirs):

@@ -8,25 +8,23 @@ import pytest
 
 import bsde_stackelberg as bs
 from bsde_stackelberg.follower import (
-    _u2_pathwise,
-    cost_samples,
     follower_paths_csv,
     follower_stationarity_samples,
-    quadratic_expansion,
     response_step,
-    solve_affine_bsde,
-    stationarity_report,
 )
-from bsde_stackelberg.leader import (
-    _zero_terminal,
-    bsde_residual_samples,
-    leader_stationarity_samples,
-    residual_rms,
-    response_kernel,
-)
+from bsde_stackelberg.leader import _zero_terminal, leader_stationarity_samples, response_kernel
 from bsde_stackelberg.odeint import OdeDirection, integrate_matrix_ode
 from bsde_stackelberg.sampling import coarsen, mean_stderr, sample_brownian
 from bsde_stackelberg.scenario import load_scenario
+from bsde_stackelberg.stacked import (
+    _u2_pathwise,
+    bsde_residual_samples,
+    cost_samples,
+    quadratic_expansion,
+    residual_rms,
+    solve_affine_bsde,
+    stationarity_report,
+)
 from conftest import dense_game
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -98,7 +96,7 @@ def reference_affine_bsde(M, N, g_c, g_l, term_c, term_l, grid):
         return np.hstack([dalpha, dbeta])
 
     terminal = np.hstack([np.reshape(term_c, (-1, 1)), np.reshape(term_l, (-1, 1))])
-    return integrate_matrix_ode(field, terminal, grid, OdeDirection.BACKWARD).values
+    return integrate_matrix_ode(field, terminal, grid, OdeDirection.BACKWARD)
 
 
 def varying_tables(grid, n=3):
@@ -140,9 +138,9 @@ class TestHandSolution:
     def test_state_and_control_values(self, hand_spec, hand_follower):
         ens = hand_follower
         nodes = hand_spec.grid.nodes
-        assert np.max(np.abs(ens.x - 0.5)) < 1e-10
-        assert np.max(np.abs(ens.y - (1.0 + nodes)[:, None, None] / 2.0)) < 1e-10
-        assert np.max(np.abs(ens.z)) < 1e-12
+        assert np.max(np.abs(ens.X - 0.5)) < 1e-10
+        assert np.max(np.abs(ens.Y - (1.0 + nodes)[:, None, None] / 2.0)) < 1e-10
+        assert np.max(np.abs(ens.Z)) < 1e-12
         assert np.max(np.abs(ens.u1 + 0.5)) < 1e-10
 
     def test_cost_quarter_with_zero_stderr(self, hand_spec, hand_follower):
@@ -151,20 +149,20 @@ class TestHandSolution:
         assert stderr < 1e-14
 
     def test_terminal_identity_exact(self, hand_spec, hand_follower):
-        assert np.max(np.abs(hand_follower.y[-1] - 1.0)) < 1e-12
+        assert np.max(np.abs(hand_follower.Y[-1] - 1.0)) < 1e-12
 
     def test_initial_coupling_exact(self, hand_spec, hand_follower):
         ens = hand_follower
-        gap = ens.x[0] - ens.y[0] @ hand_spec.G1.T
+        gap = ens.X[0] - ens.Y[0] @ hand_spec.G1.T
         assert np.max(np.abs(gap)) < 1e-12
 
     def test_deterministic_scenario_is_seed_independent(self, hand_spec, hand_riccati):
         p1, p2 = hand_riccati
         u2 = bs.AffineControl.zero(hand_spec.grid, 1)
         kernel = bs.follower_kernel(hand_spec, p1, p2, u2)
-        a, b = (bs.follower_paths(kernel, sample_brownian(hand_spec.grid, 2, s)) for s in (0, 99))
-        assert np.array_equal(a.y, b.y)
-        assert np.array_equal(bs.follower_feedback(p2, a), bs.follower_feedback(p2, b))
+        a, b = (bs.stacked_paths(kernel, sample_brownian(hand_spec.grid, 2, s)) for s in (0, 99))
+        assert np.array_equal(a.Y, b.Y)
+        assert np.array_equal(bs.follower_feedback(a), bs.follower_feedback(b))
 
 
 @pytest.fixture(scope="module")
@@ -173,8 +171,8 @@ def pipeline(stochastic_spec):
     p2 = bs.solve_p2(stochastic_spec, p1)
     u2 = bs.AffineControl.constant(stochastic_spec.grid, [0.2])
     kernel = bs.follower_kernel(stochastic_spec, p1, p2, u2)
-    ens = bs.follower_paths(kernel, sample_brownian(stochastic_spec.grid, 128, 1))
-    bs.follower_feedback(p2, ens)
+    ens = bs.stacked_paths(kernel, sample_brownian(stochastic_spec.grid, 128, 1))
+    bs.follower_feedback(ens)
     return p1, p2, u2, ens
 
 
@@ -182,11 +180,11 @@ class TestStochasticScenario:
     def test_terminal_identity_pathwise(self, stochastic_spec, pipeline):
         _, _, _, ens = pipeline
         xi = stochastic_spec.xi.a[0] + stochastic_spec.xi.b[0, 0] * ens.bundle.W[-1]
-        assert np.max(np.abs(ens.y[-1, :, 0] - xi)) < 1e-12
+        assert np.max(np.abs(ens.Y[-1, :, 0] - xi)) < 1e-12
 
     def test_initial_coupling_pathwise(self, stochastic_spec, pipeline):
         _, _, _, ens = pipeline
-        gap = ens.x[0] - ens.y[0] @ stochastic_spec.G1.T
+        gap = ens.X[0] - ens.Y[0] @ stochastic_spec.G1.T
         assert np.max(np.abs(gap)) < 1e-12
 
     def test_feedback_equals_adjoint_form(self, pipeline):
@@ -211,8 +209,8 @@ class TestStochasticScenario:
                 p1 = bs.solve_p1(spec)
                 p2 = bs.solve_p2(spec, p1)
                 u2 = bs.AffineControl.constant(spec.grid, 0.2 * np.ones(spec.dims.k))
-                ens = bs.follower_paths(bs.follower_kernel(spec, p1, p2, u2), bundle)
-                rms.append(residual_rms(bsde_residual_samples(ens.stacked)[0]))
+                ens = bs.stacked_paths(bs.follower_kernel(spec, p1, p2, u2), bundle)
+                rms.append(residual_rms(bsde_residual_samples(ens)[0]))
             assert rms[1] / rms[0] == pytest.approx(2.0, abs=0.25), scenario.__name__
 
 
@@ -302,8 +300,8 @@ def follower_case(spec, v, bundle):
     p1 = bs.solve_p1(spec)
     p2 = bs.solve_p2(spec, p1)
     u2 = bs.AffineControl.constant(spec.grid, 0.2 * np.ones(spec.dims.k))
-    ens = bs.follower_paths(bs.follower_kernel(spec, p1, p2, u2), bundle)
-    bs.follower_feedback(p2, ens)
+    ens = bs.stacked_paths(bs.follower_kernel(spec, p1, p2, u2), bundle)
+    bs.follower_feedback(ens)
     # -d(dy) = [A dy + C dz + B1 v] dt - dz dW, dy(T) = 0
     delta = solve_affine_bsde(
         spec.A.half, spec.C.half,
@@ -314,7 +312,7 @@ def follower_case(spec, v, bundle):
     step = (delta.phi_pathwise(W), _u2_pathwise(v, W), delta.eta_values[:, None])
     weights = (spec.Q1, spec.R1, spec.S1, spec.G1)
     stat = stationarity_report(follower_stationarity_samples(spec, ens, v, response_step(spec, v)))
-    return (ens.y, ens.u1, ens.z), step, weights, bs.follower_cost(spec, ens).mean(), stat
+    return (ens.Y, ens.u1, ens.Z), step, weights, bs.follower_cost(spec, ens).mean(), stat
 
 
 def leader_case(spec, v, bundle):
@@ -322,8 +320,8 @@ def leader_case(spec, v, bundle):
     sol = bs.equilibrium_paths(bs.equilibrium_layer(spec), bundle)
     ens = sol.ensemble
     response = response_kernel(spec, sol.p1, sol.p2, v)
-    delta = bs.follower_paths(response, bundle)
-    step = (delta.y, _u2_pathwise(v, bundle.W), delta.z)
+    delta = bs.stacked_paths(response, bundle)
+    step = (delta.Y, _u2_pathwise(v, bundle.W), delta.Z)
     weights = (spec.Q2, spec.R2, spec.S2, spec.G2)
     stat = stationarity_report(leader_stationarity_samples(sol, response))
     return (ens.ybar, ens.u2, ens.zbar), step, weights, bs.leader_cost(spec, ens).mean(), stat
@@ -371,10 +369,10 @@ class TestQuadraticExpansion:
         p1 = bs.solve_p1(spec)
         p2 = bs.solve_p2(spec, p1)
         v = affine_direction(spec.grid, spec.dims.k)
-        delta = bs.follower_paths(response_kernel(spec, p1, p2, v), bundle)
-        full = bs.follower_paths(bs.follower_kernel(_zero_terminal(spec), p1, p2, v), bundle)
-        bs.follower_feedback(p2, full)
-        assert np.array_equal(delta.y, full.y) and np.array_equal(delta.z, full.z)
+        delta = bs.stacked_paths(response_kernel(spec, p1, p2, v), bundle)
+        full = bs.stacked_paths(bs.follower_kernel(_zero_terminal(spec), p1, p2, v), bundle)
+        bs.follower_feedback(full)
+        assert np.array_equal(delta.Y, full.Y) and np.array_equal(delta.Z, full.Z)
         assert delta.u1 is None
 
 

@@ -7,21 +7,25 @@ import numpy as np
 import pytest
 
 import bsde_stackelberg as bs
-from bsde_stackelberg.follower import cost_samples, stationarity_report, terminal_defect
 from bsde_stackelberg.leader import (
-    _decoupling_inverses,
-    _offset_diffusion,
-    bsde_residual_samples,
-    decoupling_consistency,
     initial_coupling_defect,
     leader_paths_csv,
     leader_stationarity_samples,
-    residual_rms,
     response_kernel,
-    simulate_tilde_varphi,
 )
 from bsde_stackelberg.sampling import coarsen, mean_stderr, sample_brownian
 from bsde_stackelberg.scenario import make_constant_spec
+from bsde_stackelberg.stacked import (
+    _decoupling_inverses,
+    _offset_diffusion,
+    _u2_pathwise,
+    bsde_residual_samples,
+    cost_samples,
+    decoupling_consistency,
+    residual_rms,
+    stationarity_report,
+    terminal_defect,
+)
 
 STUDY = Path(__file__).resolve().parents[1] / "scripts" / "convergence_study.py"
 _spec = importlib.util.spec_from_file_location("convergence_study", STUDY)
@@ -126,18 +130,12 @@ class TestStructuralIdentities:
             assert terminal_defect(sol.system.xih, sol.ensemble.Y, sol.ensemble.bundle.W) < 1e-12
 
     def test_initial_coupling(self, hand_solution, stochastic_solution):
-        assert initial_coupling_defect(hand_solution.system, hand_solution.ensemble) < 1e-12
-        assert (
-            initial_coupling_defect(stochastic_solution.system, stochastic_solution.ensemble)
-            < 1e-12
-        )
+        assert initial_coupling_defect(hand_solution.ensemble) < 1e-12
+        assert initial_coupling_defect(stochastic_solution.ensemble) < 1e-12
 
     def test_forward_backward_decoupling(self, hand_solution, stochastic_solution):
-        assert decoupling_consistency(hand_solution.ensemble, hand_solution.pi2) < 1e-12
-        assert (
-            decoupling_consistency(stochastic_solution.ensemble, stochastic_solution.pi2)
-            < 1e-12
-        )
+        assert decoupling_consistency(hand_solution.ensemble) < 1e-12
+        assert decoupling_consistency(stochastic_solution.ensemble) < 1e-12
 
     def test_block_views(self, stochastic_solution):
         ens = stochastic_solution.ensemble
@@ -189,9 +187,11 @@ class TestEquilibriumControls:
         response = response_kernel(hand_spec, hand_solution.p1, hand_solution.p2, v)
         stat = stationarity_report(leader_stationarity_samples(hand_solution, response))
         base = bs.leader_cost(hand_spec, hand_solution.ensemble).mean()
-        delta = bs.follower_paths(response, hand_solution.ensemble.bundle)
+        bundle = hand_solution.ensemble.bundle
+        delta = bs.stacked_paths(response, bundle)
+        du2 = _u2_pathwise(response.sys.forcing_control, bundle.W)
         curvature = cost_samples(
-            hand_spec.grid, delta.y, delta.u2, delta.z,
+            hand_spec.grid, delta.Y, du2, delta.Z,
             hand_spec.Q2, hand_spec.R2, hand_spec.S2, hand_spec.G2,
         ).mean()
         for eps in (0.1, -0.1):
@@ -212,19 +212,20 @@ class TestNodeKernelsMatchLoops:
         path = bs.CoefficientPath.constant
         u2 = bs.AffineControl(path(spec.grid, [[0.3]]), path(spec.grid, [[u_lin]]))
         bundle = sample_brownian(spec.grid, 5, 3)
-        ens = bs.follower_paths(bs.follower_kernel(spec, p1, p2, u2), bundle)
-        bs.follower_feedback(p2, ens)
+        ens = bs.stacked_paths(bs.follower_kernel(spec, p1, p2, u2), bundle)
+        bs.follower_feedback(ens)
+        u2_paths = _u2_pathwise(u2, bundle.W)
         phieta = bs.solve_tilde_phi(bs.follower_system(spec, u2), p1)
         phi, eta = phieta.phi_pathwise(bundle.W), phieta.eta_values
         inv, eye = np.linalg.inv, np.eye(spec.dims.n)
         for i in range(spec.grid.steps + 1):
             P1, P2, C = p1.values[i], p2.values[i], spec.C.values[i]
-            S1, B1, vp = spec.S1.values[i], spec.B1.values[i], ens.varphi[i]
+            S1, B1, vp = spec.S1.values[i], spec.B1.values[i], ens.tilde_varphi[i]
             x = (vp - phi[i] @ P2.T) @ inv(eye + P2 @ P1).T
             y = -(vp @ P1.T + phi[i]) @ inv(eye + P1 @ P2).T
             z = -(x @ C @ P1.T + eta[i]) @ inv(eye + P1 @ S1).T
             u1 = -(y @ P2.T + vp) @ B1 @ inv(spec.R1.values[i]).T
-            for got, want in ((ens.x[i], x), (ens.y[i], y), (ens.z[i], z), (ens.u1[i], u1)):
+            for got, want in ((ens.X[i], x), (ens.Y[i], y), (ens.Z[i], z), (ens.u1[i], u1)):
                 np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
             if i == spec.grid.steps:
                 break
@@ -233,13 +234,13 @@ class TestNodeKernelsMatchLoops:
             inv1 = inv(eye + P1 @ S1)
             gain = B1 @ inv(spec.R1.values[i]) @ B1.T
             drift_mat = spec.A.values[i].T - P2 @ gain - P2 @ C @ inv1 @ P1 @ C.T
-            drift = vp @ drift_mat.T + ens.u2[i] @ (P2 @ spec.B2.values[i]).T
+            drift = vp @ drift_mat.T + u2_paths[i] @ (P2 @ spec.B2.values[i]).T
             drift -= eta[i] @ (P2 @ C @ inv1).T
             cfac = (eye + (P2 - S1) @ inv1 @ P1) @ C.T
             noise = (vp - phi[i] @ P2.T) @ (cfac @ inv(eye + P2 @ P1)).T
             noise += eta[i] @ ((P2 - S1) @ inv1).T
             step = vp + drift * spec.grid.dt + noise * bundle.dW[i, :, None]
-            np.testing.assert_allclose(ens.varphi[i + 1], step, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(ens.tilde_varphi[i + 1], step, rtol=1e-10, atol=1e-12)
 
     def test_leader_reconstruction_and_feedback(self):
         spec = two_state_stochastic_spec(steps=16)

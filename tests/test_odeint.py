@@ -16,7 +16,7 @@ class TestRK4:
     def test_forward_exponential_exact_to_rk4_order(self):
         g = bs.TimeGrid(1.0, 64)
         sol = integrate_matrix_ode(lambda t, m: m, np.eye(1), g, OdeDirection.FORWARD)
-        err = abs(float(sol.values[-1, 0, 0]) - np.e)
+        err = abs(float(sol[-1, 0, 0]) - np.e)
         assert err < 1e-8
 
     def test_backward_matches_forward_in_reversed_time(self):
@@ -24,7 +24,7 @@ class TestRK4:
         g = bs.TimeGrid(1.0, 64)
         sol = integrate_matrix_ode(lambda t, m: m, np.eye(1), g, OdeDirection.BACKWARD)
         np.testing.assert_allclose(
-            sol.values[:, 0, 0], np.exp(g.nodes - 1.0), rtol=0, atol=1e-8
+            sol[:, 0, 0], np.exp(g.nodes - 1.0), rtol=0, atol=1e-8
         )
 
     def test_fourth_order_convergence(self):
@@ -35,7 +35,7 @@ class TestRK4:
             sol = integrate_matrix_ode(
                 lambda t, m: np.eye(1) - m @ m, np.zeros((1, 1)), g, OdeDirection.FORWARD
             )
-            errs.append(np.max(np.abs(sol.values[:, 0, 0] - np.tanh(g.nodes))))
+            errs.append(np.max(np.abs(sol[:, 0, 0] - np.tanh(g.nodes))))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders > 3.5)
 
@@ -49,7 +49,7 @@ class TestRK4:
             OdeDirection.FORWARD,
             postprocess=lambda m: 0.5 * (m + m.T),
         )
-        assert np.allclose(sol.values, np.transpose(sol.values, (0, 2, 1)))
+        assert np.allclose(sol, np.transpose(sol, (0, 2, 1)))
 
     def test_divergence_detected_with_time(self):
         # m' = m^2, m(0) = 2 blows up at t = 0.5; the 1e12 bound trips at t = 0.501

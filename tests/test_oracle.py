@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 import bsde_stackelberg as bs
-from bsde_stackelberg.follower import terminal_defect
 from bsde_stackelberg.leader import (
-    decoupling_consistency,
     initial_coupling_defect,
     leader_stationarity_samples,
     response_kernel,
@@ -20,6 +18,7 @@ from bsde_stackelberg.oracle import (
     oracle_report,
 )
 from bsde_stackelberg.scenario import hand_solvable_scenario, make_constant_spec
+from bsde_stackelberg.stacked import decoupling_consistency, terminal_defect
 
 
 @pytest.fixture(scope="module")
@@ -170,8 +169,8 @@ class TestOracleVsPipeline:
         p2 = bs.solve_p2(hand_spec_coarse, p1)
         u2 = bs.AffineControl.zero(hand_spec_coarse.grid, 1)
         kernel = bs.follower_kernel(hand_spec_coarse, p1, p2, u2)
-        ens = bs.follower_paths(kernel, bs.sample_brownian(hand_spec_coarse.grid, 2, 0))
-        bs.follower_feedback(p2, ens)
+        ens = bs.stacked_paths(kernel, bs.sample_brownian(hand_spec_coarse.grid, 2, 0))
+        bs.follower_feedback(ens)
         prob = build_discrete_problem(hand_spec_coarse)
         res = deterministic_follower_oracle(prob, np.zeros((hand_spec_coarse.grid.steps, 1)))
         J1 = bs.follower_cost(hand_spec_coarse, ens).mean()
@@ -215,15 +214,15 @@ class TestMultiDimensionalPipelines:
         p1 = bs.solve_p1(spec)
         p2 = bs.solve_p2(spec, p1)
         kernel = bs.follower_kernel(spec, p1, p2, bs.AffineControl.constant(spec.grid, u2_value))
-        ens = bs.follower_paths(kernel, bs.sample_brownian(spec.grid, 2, 0))
-        bs.follower_feedback(p2, ens)
+        ens = bs.stacked_paths(kernel, bs.sample_brownian(spec.grid, 2, 0))
+        bs.follower_feedback(ens)
         res = deterministic_follower_oracle(
             build_discrete_problem(spec), np.tile(u2_value, (spec.grid.steps, 1))
         )
         assert abs(bs.follower_cost(spec, ens).mean() - res.cost) / abs(res.cost) <= 1e-3
         xi = spec.xi.on_paths(ens.bundle.W[-1])
-        assert np.max(np.abs(ens.y[-1] - xi)) <= 1e-8
-        assert np.max(np.abs(ens.x[0] - ens.y[0] @ spec.G1.T)) <= 1e-8
+        assert np.max(np.abs(ens.Y[-1] - xi)) <= 1e-8
+        assert np.max(np.abs(ens.X[0] - ens.Y[0] @ spec.G1.T)) <= 1e-8
         assert np.max(np.abs(ens.u1 - ens.u1_adjoint)) <= 1e-8
 
     def test_leader_matches_oracle(self, n, k):
@@ -233,8 +232,8 @@ class TestMultiDimensionalPipelines:
         ens = sol.ensemble
         assert abs(bs.leader_cost(spec, ens).mean() - res.cost) / abs(res.cost) <= 1e-2
         assert terminal_defect(sol.system.xih, ens.Y, ens.bundle.W) <= 1e-8
-        assert initial_coupling_defect(sol.system, ens) <= 1e-8
-        assert decoupling_consistency(ens, sol.pi2) <= 1e-8
+        assert initial_coupling_defect(ens) <= 1e-8
+        assert decoupling_consistency(ens) <= 1e-8
         assert np.max(np.abs(ens.u1 - ens.u1_stacked)) <= 1e-8
         v = bs.AffineControl.constant(spec.grid, np.ones(k))
         response = response_kernel(spec, sol.p1, sol.p2, v)

@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bsde_stackelberg as bs
-from bsde_stackelberg.follower import paths_csv
 from bsde_stackelberg.riccati import (
     pi1_field,
     pi2_field,
     riccati_csv,
 )
 from bsde_stackelberg.scenario import make_constant_spec, scenario_from_dict
+from bsde_stackelberg.stacked import paths_csv
 
 from conftest import singular_stage_document
 
@@ -277,12 +277,12 @@ class TestStackedSystem:
         p1 = bs.solve_p1(spec)
         sys = bs.build_stacked_system(spec, p1, bs.solve_p2(spec, p1))
         zero = np.zeros((2 * n, 2 * n))
-        pi1 = bs.RiccatiPath("Pi1", bs.integrate_matrix_ode(
+        pi1 = bs.RiccatiPath("Pi1", bs.CoefficientPath(sys.grid, bs.integrate_matrix_ode(
             pi1_field(sys), zero, sys.grid, bs.OdeDirection.BACKWARD
-        ), sys.S1h)
-        pi2 = bs.RiccatiPath("Pi2", bs.integrate_matrix_ode(
+        )), sys.S1h)
+        pi2 = bs.RiccatiPath("Pi2", bs.CoefficientPath(sys.grid, bs.integrate_matrix_ode(
             pi2_field(sys, pi1), sys.G2h, sys.grid, bs.OdeDirection.FORWARD
-        ))
+        )))
         for pi in (pi1, pi2):
             assert pi.max_asymmetry() <= 1e-13 * max(1.0, np.max(np.abs(pi.values))), pi.tag
 

@@ -187,6 +187,42 @@ class TestCliValidate:
         assert err == f"--paths must be at least 1, got {paths}\n"
         assert not out.exists()
 
+    # Philox keys each path's stream on (seed << 64) | path, below 2**128
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "two_to_64"])
+    @pytest.mark.parametrize("command", ["follower", "equilibrium", "finance", "verify"])
+    def test_seed_out_of_range_exit_one(self, tmp_path, capsys, command, seed):
+        out = tmp_path / "o"
+        scenario = "finance.json" if command == "finance" else "hand_solvable.json"
+        rc = main([
+            command, "--scenario", str(SCENARIOS / scenario), "--out", str(out),
+            "--steps", "16", "--paths", "2", "--seed", str(seed),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"--seed must be in [0, 2**64), got {seed}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1], ids=["zero", "largest"])
+    def test_seed_range_ends_accepted(self, tmp_path, seed):
+        rc = main([
+            "follower", "--scenario", str(SCENARIOS / "stochastic.json"),
+            "--out", str(tmp_path / "o"), "--steps", "16", "--paths", "2", "--seed", str(seed),
+        ])
+        assert rc == 0
+
+    @pytest.mark.parametrize("steps", ["3", "1"])
+    def test_riccati_below_four_steps_exit_one(self, tmp_path, capsys, steps):
+        # the Riccati residual's central differences need N >= 4
+        out = tmp_path / "o"
+        rc = main([
+            "riccati", "--scenario", str(SCENARIOS / "hand_solvable.json"), "--out", str(out),
+            "--steps", steps,
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"riccati needs at least 4 steps, got {steps}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("dims", [{"n": 1, "k": 1, "m": 1}, {"k": 1}], ids=["unknown", "no_n"])
     @pytest.mark.parametrize("command", ["validate", "follower"])
     def test_bad_dims_keys_exit_one(self, tmp_path, hand_doc, capsys, command, dims):
@@ -369,11 +405,11 @@ def doubled_forward(original):
 
 # (command, shipped scenario or None for the hand game, module, attribute, breakage)
 CONSISTENCY_FAILURES = [
-    ("follower", None, "leader", "_decoupling_inverses", doubled_forward),
-    ("verify", None, "leader", "_decoupling_inverses", doubled_forward),
-    ("leader", None, "leader", "_decoupling_inverses", doubled_forward),
-    ("equilibrium", None, "leader", "_decoupling_inverses", doubled_forward),
-    ("finance", "finance.json", "leader", "_decoupling_inverses", doubled_forward),
+    ("follower", None, "stacked", "_decoupling_inverses", doubled_forward),
+    ("verify", None, "stacked", "_decoupling_inverses", doubled_forward),
+    ("leader", None, "stacked", "_decoupling_inverses", doubled_forward),
+    ("equilibrium", None, "stacked", "_decoupling_inverses", doubled_forward),
+    ("finance", "finance.json", "stacked", "_decoupling_inverses", doubled_forward),
 ]
 
 
