@@ -47,11 +47,11 @@ from .sampling import MonteCarloConfig, PathBundle, coarsen, sample_brownian
 from .stacked import (
     AffineBSDESolution,
     StackedEnsemble,
-    leader_feedback,
     reconstruct_XYZ,
     simulate_tilde_varphi,
     solve_tilde_phi,
     stacked_paths,
+    structural_defects,
 )
 from .follower import (
     follower_cost,
@@ -61,9 +61,7 @@ from .follower import (
 )
 from .leader import (
     StackelbergSolution,
-    equilibrium_follower_control,
     equilibrium_follower_cost,
-    equilibrium_follower_stationarity,
     equilibrium_layer,
     equilibrium_paths,
     equilibrium_summary,

@@ -181,10 +181,11 @@ def cmd_verify(scn: Scenario, out: Path, args) -> int:
         print("oracle verification needs C = 0 (no multiplicative noise)", file=sys.stderr)
         return EXIT_VALIDATION
     profile = TOLERANCE_PROFILES[args.tolerance]
+    layer = led.equilibrium_layer(spec)  # its consistency checks come before any path
     # deterministic xi and C = 0: all paths identical, so 2 paths in one bundle
     bundle = sample_brownian(spec.grid, 2, args.seed)
 
-    sol = led.equilibrium_paths(led.equilibrium_layer(spec), bundle)
+    sol = led.equilibrium_paths(layer, bundle)
     prob = build_discrete_problem(spec)
     u2_steps = 0.5 * (scn.u2.u_const.values[:-1, :, 0] + scn.u2.u_const.values[1:, :, 0])
     fol_oracle = deterministic_follower_oracle(prob, u2_steps)

@@ -6,8 +6,11 @@ its offsets, reconstruction, feedback and residual are the stacked path
 layer (stacked.path_kernel, stacked.stacked_paths) run on it.  On the
 follower's ensemble X is the adjoint state x and (Y, Z) the backward
 state pair (y, z).  This module adds what only the follower has: the
-adjoint form of its feedback, its cost, its response to a control step,
-its stationarity check, its CSV and the summary of its command.
+adjoint form of its feedback, checked once on the kernel's tables, its
+cost, its response to a control step, its stationarity slope, its CSV and
+the summary of its command.  Its algebraic first-order condition
+B1^T x + R1 u1 is the stacked system's maximum-principle table
+(stacked.structural_defects), read once per kernel.
 """
 
 from __future__ import annotations
@@ -27,32 +30,21 @@ from .stacked import (
     column_labels,
     cost_figures,
     cost_samples,
-    leader_feedback,
     path_kernel,
     paths_csv,
     quadratic_expansion,
     residual_rms,
     solve_affine_bsde,
     stacked_paths,
-    stationarity_report,
-    terminal_defect,
+    structural_defects,
 )
 
 
 def follower_feedback(ens: StackedEnsemble) -> np.ndarray:
-    """Feedback control u1 = -R1^-1 B1^T (P2 y + varphi), stored on the follower's
-    ensemble.
-
-    It is leader_feedback on the follower's system.  The adjoint
-    representation -R1^-1 B1^T x is computed alongside; the two agree to
-    roundoff through the identity x = P2 y + varphi.
-    """
-    sys = ens.kernel.sys
-    u1 = leader_feedback(ens)
-    u1_adj = ens.X @ -_tr(sys.R_inv[::2] @ _tr(sys.B2h.values))
-    check_forms_agree(u1, u1_adj, "feedback/adjoint control forms")
-    ens.u1, ens.u1_adjoint = u1, u1_adj
-    return u1
+    """Feedback control u1 = -R1^-1 B1^T (P2 y + varphi) = zeta read_u, stored on
+    the follower's ensemble (follower_kernel checks it against the adjoint form)."""
+    ens.u1 = ens.zeta @ ens.kernel.read_u
+    return ens.u1
 
 
 def follower_cost(spec: LQGameSpec, ens: StackedEnsemble) -> np.ndarray:
@@ -64,8 +56,12 @@ def follower_kernel(
     spec: LQGameSpec, p1: RiccatiPath, p2: RiccatiPath, u2: AffineControl
 ) -> PathKernel:
     """The stacked path kernel on follower_system(spec, u2), whose Pi1 and Pi2
-    are P1 and P2."""
-    return path_kernel(follower_system(spec, u2), p1, p2)
+    are P1 and P2.  Its feedback table is compared once with the adjoint form
+    -R1^-1 B1^T x, which it equals through the identity x = P2 y + varphi."""
+    kernel = path_kernel(follower_system(spec, u2), p1, p2)
+    adjoint = -(kernel.read_X @ spec.B1.values @ _tr(spec.R1_inv[::2]))
+    check_forms_agree(kernel.read_u, adjoint, "feedback/adjoint control forms")
+    return kernel
 
 
 def response_step(spec: LQGameSpec, v: AffineControl) -> AffineBSDESolution:
@@ -88,35 +84,20 @@ def response_step(spec: LQGameSpec, v: AffineControl) -> AffineBSDESolution:
 
 def follower_stationarity_samples(
     spec: LQGameSpec, ens: StackedEnsemble, v: AffineControl, delta: AffineBSDESolution
-) -> dict:
-    """First-order optimality of the follower's feedback control on the ensemble,
-    for the step v and its state perturbation delta (response_step), as samples
-    that stationarity_report reduces.
+) -> np.ndarray:
+    """The variational first-order check of the follower's feedback control on the
+    ensemble, for the step v and its state perturbation delta (response_step).
 
-    Algebraic part: max ||B1^T x + R1 u1|| over nodes and paths (zero by
-    construction).  Variational part: J1 is quadratic, so along the
-    direction v, J1(u1 + eps v) = J1(u1) + eps slope + eps^2 curvature
-    exactly under common random numbers; per path, the cross term, whose
-    mean is the extrapolated, eps -> 0, directional derivative.
+    J1 is quadratic, so along the direction v,
+    J1(u1 + eps v) = J1(u1) + eps slope + eps^2 curvature exactly under
+    common random numbers.  Returns the cross term per path, whose mean is
+    the extrapolated, eps -> 0, directional derivative.
     """
     W = ens.bundle.W
     step = (delta.phi_pathwise(W), _u2_pathwise(v, W), delta.eta_values[:, None])
-    cross = quadratic_expansion(
+    return quadratic_expansion(
         spec.grid, (ens.Y, ens.u1, ens.Z), step, spec.Q1, spec.R1, spec.S1, spec.G1
     )
-    return {
-        "algebraic_residual": stationarity_residual(spec, ens.X, ens.u1),
-        "extrapolated_slope": cross,
-    }
-
-
-def stationarity_residual(spec: LQGameSpec, x: np.ndarray, u1: np.ndarray) -> float:
-    """Max |x B1 + u1 R1^T| over nodes and paths: the follower's algebraic
-    first-order condition for adjoint states x and controls u1, both
-    (N+1, paths, dim)."""
-    r = x @ spec.B1.values
-    r += u1 @ _tr(spec.R1.values)
-    return float(np.max(np.abs(r), initial=0.0))
 
 
 def follower_paths_csv(ens: StackedEnsemble, max_paths: int | None = None) -> str:
@@ -135,14 +116,16 @@ def follower_summary(
     the CLI's summary, and the CSV of the first csv_paths paths, streamed in
     path chunks (stream_paths).
 
-    P1, P2, the path kernel and the response step of the stationarity
-    direction v are formed once; each chunk runs the kernel, the feedback,
-    the cost, the residual and the stationarity check.
+    P1, P2, the path kernel with its structural defects and the response
+    step of the stationarity direction v are formed once; each chunk runs
+    the kernel, the feedback, the cost, the residual and the stationarity
+    slope.
     """
     p1 = solve_p1(spec)
     p2 = solve_p2(spec, p1)
     kernel = follower_kernel(spec, p1, p2, u2)
     delta = response_step(spec, v)
+    defects = structural_defects(kernel)
 
     def chunk(bundle: PathBundle) -> dict:
         ens = stacked_paths(kernel, bundle)
@@ -150,22 +133,20 @@ def follower_summary(
         residual, residual_max = bsde_residual_samples(ens)
         return {
             "J1": follower_cost(spec, ens),
-            **follower_stationarity_samples(spec, ens, v, delta),
-            "terminal_error_max": terminal_defect(spec.xi, ens.Y, bundle.W),
+            "slope": follower_stationarity_samples(spec, ens, v, delta),
             "residual": residual,
             "bsde_residual_max": residual_max,
             "csv": follower_paths_csv(ens, csv_paths),
         }
 
     merged = stream_paths(spec.grid, mc, kernel.sys.dim, chunk)
-    stat = stationarity_report(merged)
     summary = {
         "J1": cost_figures(merged["J1"]),
         "stationarity": {
-            "algebraic": stat["algebraic_residual"],
-            "extrapolated_slope": stat["extrapolated_slope"],
+            "algebraic": defects["stationarity"],
+            "extrapolated_slope": float(merged["slope"].mean()),
         },
-        "terminal_error_max": merged["terminal_error_max"],
+        "terminal_error_max": defects["terminal"],
         "bsde_residual_rms": residual_rms(merged["residual"]),
         "bsde_residual_max": merged["bsde_residual_max"],
     }

@@ -8,8 +8,13 @@ stacked.stacked_paths) reconstructs the optimal trajectories pathwise,
 as it does for the follower's problem at dimension n.  This module adds
 what only the leader has: the equilibrium solve's deterministic layer,
 the follower's control and cost along the equilibrium, the leader's
-cost and stationarity check through the follower's response, the
-block-named CSV and the summary of the equilibrium command.
+cost and stationarity slope through the follower's response, the
+block-named CSV and the summary of the equilibrium command.  The
+deterministic layer also checks the structural identities once, on the
+kernel's tables (stacked.structural_defects), together with the two
+forms of the follower's control and its algebraic condition along the
+equilibrium; a chunk of paths forms each control with one matmul and
+checks nothing.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .follower import follower_kernel, stationarity_residual
+from .follower import follower_kernel
 from .model import AffineControl, LQGameSpec, TerminalCondition
 from .odeint import check_forms_agree
 from .riccati import RiccatiPath, StackedSystem, _tr, riccati_chain
@@ -33,41 +38,40 @@ from .stacked import (
     column_labels,
     cost_figures,
     cost_samples,
-    decoupling_consistency,
-    leader_feedback,
     path_kernel,
     paths_csv,
     quadratic_expansion,
+    reachable_max,
     residual_rms,
     stacked_paths,
-    stationarity_report,
-    terminal_defect,
+    structural_defects,
 )
 
 
-def equilibrium_follower_control(
-    spec: LQGameSpec, p2: RiccatiPath, ens: StackedEnsemble
-) -> np.ndarray:
-    """The follower's control along the leader-optimal trajectory of the leader's
-    ensemble, whose kernel holds Pi2.
+def follower_control_table(
+    spec: LQGameSpec, p2: RiccatiPath, kernel: PathKernel
+) -> tuple[np.ndarray, float]:
+    """The follower's control along the equilibrium as a table on the leader's
+    zeta, u1 = zeta read_u1, and the max of its algebraic condition there.
 
-    Stacked form: u1 = -R1^-1 B1^T [(0, P2) + (I, 0) Pi2] Y
-                       - R1^-1 B1^T (I, 0) varphi-tilde;
-    block form: -R1^-1 B1^T (P2 ybar + phibar).  The two are equal
-    through X = Pi2 Y + varphi-tilde; both are computed and compared.
+    Block form: u1 = -R1^-1 B1^T x with the follower's adjoint state
+    x = P2 ybar + phibar; stacked form: -R1^-1 B1^T [(0, P2) + (I, 0) Pi2] Y
+    - R1^-1 B1^T (I, 0) varphi-tilde.  The two are equal through
+    X = Pi2 Y + varphi-tilde, and their tables are compared once.  The
+    condition B1^T x + R1 u1 is read on the block form (reachable_max).
     """
     n = spec.dims.n
-    stacked = ens.kernel.pi2.values[:, :n].copy()  # (0, P2) + (I, 0) Pi2 at every node
+    gains_t = spec.B1.values @ _tr(spec.R1_inv[::2])  # (R1^-1 B1^T)^T
+    x = kernel.read_Y[:, :, n:] @ _tr(p2.values) + kernel.read_X[:, :, :n]
+    read_u1 = -(x @ gains_t)
+    stacked = kernel.pi2.values[:, :n].copy()  # (0, P2) + (I, 0) Pi2 at every node
     stacked[:, :, n:] += p2.values
-    gains = spec.R1_inv[::2] @ _tr(spec.B1.values)
-    gain_t = _tr(gains)
-    u1 = ens.Y @ -_tr(gains @ stacked)
-    u1 -= ens.tilde_varphi[:, :, :n] @ gain_t
-    u1_blk = ens.ybar @ -_tr(gains @ p2.values)
-    u1_blk -= ens.phibar @ gain_t
-    check_forms_agree(u1, u1_blk, "stacked/block follower control forms")
-    ens.u1, ens.u1_stacked = u1_blk, u1
-    return u1
+    stacked_u1 = -(kernel.read_Y @ _tr(stacked) @ gains_t)
+    stacked_u1[:, :n] -= gains_t
+    check_forms_agree(stacked_u1, read_u1, "stacked/block follower control forms")
+    condition = x @ spec.B1.values
+    condition += read_u1 @ _tr(spec.R1.values)
+    return read_u1, reachable_max(condition)
 
 
 def leader_cost(spec: LQGameSpec, ens: StackedEnsemble) -> np.ndarray:
@@ -80,20 +84,14 @@ def equilibrium_follower_cost(spec: LQGameSpec, ens: StackedEnsemble) -> np.ndar
     return cost_samples(spec.grid, ens.ybar, ens.u1, ens.zbar, spec.Q1, spec.R1, spec.S1, spec.G1)
 
 
-def equilibrium_follower_stationarity(
-    spec: LQGameSpec, p2: RiccatiPath, ens: StackedEnsemble
-) -> float:
-    """The follower's algebraic stationarity residual along the equilibrium,
-    where its adjoint state is x = P2 ybar + phibar."""
-    return stationarity_residual(spec, ens.ybar @ _tr(p2.values) + ens.phibar, ens.u1)
-
-
 @dataclass
 class StackelbergSolution:
     """An equilibrium solve: its deterministic layer and the ensemble of its paths.
 
     equilibrium_layer fills everything but the ensemble; equilibrium_paths
     adds the ensemble of one bundle of paths, a whole solve's or one chunk's.
+    defects holds the leader kernel's structural_defects and, under
+    "follower", the follower's algebraic condition along the equilibrium.
     """
 
     spec: LQGameSpec
@@ -103,6 +101,8 @@ class StackelbergSolution:
     pi1: RiccatiPath
     pi2: RiccatiPath
     kernel: PathKernel  # the leader's path kernel
+    read_u1: np.ndarray  # (N+1, 2n+2, k): the leader's zeta -> the follower's control
+    defects: dict
     ensemble: StackedEnsemble | None = None
 
     @property
@@ -112,17 +112,21 @@ class StackelbergSolution:
 
 def equilibrium_layer(spec: LQGameSpec) -> StackelbergSolution:
     """The deterministic layer of an equilibrium solve: P1, P2, the stacked
-    system, Pi1, Pi2 (riccati_chain) and the leader's path kernel."""
+    system, Pi1, Pi2 (riccati_chain), the leader's path kernel, the follower's
+    control table and the structural defects, before any path is drawn."""
     p1, p2, sys, pi1, pi2 = riccati_chain(spec)
-    return StackelbergSolution(spec, p1, p2, sys, pi1, pi2, path_kernel(sys, pi1, pi2))
+    kernel = path_kernel(sys, pi1, pi2)
+    read_u1, follower_condition = follower_control_table(spec, p2, kernel)
+    defects = structural_defects(kernel) | {"follower": follower_condition}
+    return StackelbergSolution(spec, p1, p2, sys, pi1, pi2, kernel, read_u1, defects)
 
 
 def equilibrium_paths(sol: StackelbergSolution, bundle: PathBundle) -> StackelbergSolution:
     """sol with the ensemble of a bundle of paths: the leader's path kernel and
-    both equilibrium controls; the costs are left to the caller."""
+    both equilibrium controls, one matmul each; the costs are left to the caller."""
     ens = stacked_paths(sol.kernel, bundle)
-    ens.u2 = leader_feedback(ens)
-    equilibrium_follower_control(sol.spec, sol.p2, ens)
+    ens.u2 = ens.zeta @ sol.kernel.read_u
+    ens.u1 = ens.zeta @ sol.read_u1
     return dataclasses.replace(sol, ensemble=ens)
 
 
@@ -143,36 +147,24 @@ def response_kernel(
     return follower_kernel(_zero_terminal(spec), p1, p2, v)
 
 
-def leader_stationarity_samples(sol: StackelbergSolution, response: PathKernel) -> dict:
-    """First-order optimality of the leader's feedback control on sol's ensemble,
-    for the direction of the response kernel (response_kernel), as samples that
-    stationarity_report reduces.
+def leader_stationarity_samples(sol: StackelbergSolution, response: PathKernel) -> np.ndarray:
+    """The variational first-order check of the leader's feedback control on sol's
+    ensemble, for the direction of the response kernel (response_kernel); its
+    algebraic counterpart is a structural defect (sol.defects).
 
-    Algebraic part: max ||B1h^T Y + B2h^T X + R2 u2|| over nodes and
-    paths (zero when Pi2 is symmetric).  Variational part: the bilevel
-    cost is quadratic in u2 once the follower's optimal response is
-    followed through the affine response map, so
+    The bilevel cost is quadratic in u2 once the follower's optimal
+    response is followed through the affine response map, so
     J2(u2 + eps v) = J2(u2) + eps slope + eps^2 curvature exactly under
-    common random numbers; per path, the cross term, whose mean is the
-    extrapolated, eps -> 0, directional derivative.
+    common random numbers.  Returns the cross term per path, whose mean is
+    the extrapolated, eps -> 0, directional derivative.
     """
-    spec, sys, ens = sol.spec, sol.system, sol.ensemble
-    r = ens.Y @ sys.B1h.values
-    r += ens.X @ sys.B2h.values
-    r += ens.u2 @ _tr(spec.R2.values)
-    worst = float(np.max(np.abs(r), initial=0.0))
+    spec, ens = sol.spec, sol.ensemble
     delta = stacked_paths(response, ens.bundle)
     du2 = _u2_pathwise(response.sys.forcing_control, ens.bundle.W)
-    cross = quadratic_expansion(
+    return quadratic_expansion(
         spec.grid, (ens.ybar, ens.u2, ens.zbar), (delta.Y, du2, delta.Z),
         spec.Q2, spec.R2, spec.S2, spec.G2,
     )
-    return {"algebraic_residual": worst, "extrapolated_slope": cross}
-
-
-def initial_coupling_defect(ens: StackedEnsemble) -> float:
-    """Max over paths of ||X(0) - G2-hat Y(0)||, exact up to roundoff."""
-    return float(np.max(np.abs(ens.X[0] - ens.Y[0] @ ens.kernel.sys.G2h.T), initial=0.0))
 
 
 def leader_paths_csv(ens: StackedEnsemble, max_paths: int | None = None) -> str:
@@ -191,10 +183,10 @@ def equilibrium_summary(
     """The equilibrium's figures on mc's paths, keyed as the CLI's summary, and
     the CSV of the first csv_paths paths, streamed in path chunks (stream_paths).
 
-    The deterministic layer and the response kernel of the stationarity
-    direction v are formed once; each chunk runs the path kernel, both
-    controls and costs, the residual, both stationarity checks and the
-    structural defects.
+    The deterministic layer, with its structural defects, and the response
+    kernel of the stationarity direction v are formed once; each chunk runs
+    the path kernel, both controls and costs, the residual and the leader's
+    stationarity slope.
     """
     sol = equilibrium_layer(spec)
     response = response_kernel(spec, sol.p1, sol.p2, v)
@@ -206,29 +198,25 @@ def equilibrium_summary(
         return {
             "J1": equilibrium_follower_cost(spec, ens),
             "J2": leader_cost(spec, ens),
-            **leader_stationarity_samples(chunk_sol, response),
-            "follower": equilibrium_follower_stationarity(spec, sol.p2, ens),
-            "terminal_error_max": terminal_defect(sol.system.xih, ens.Y, bundle.W),
-            "initial_coupling_max": initial_coupling_defect(ens),
-            "decoupling_consistency_max": decoupling_consistency(ens),
+            "slope": leader_stationarity_samples(chunk_sol, response),
             "residual": residual,
             "bsde_residual_max": residual_max,
             "csv": leader_paths_csv(ens, csv_paths),
         }
 
     merged = stream_paths(spec.grid, mc, sol.system.dim, chunk)
-    stat = stationarity_report(merged)
+    defects = sol.defects
     summary = {
         "J1": cost_figures(merged["J1"]),
         "J2": cost_figures(merged["J2"]),
         "stationarity": {
-            "follower": merged["follower"],
-            "leader": stat["algebraic_residual"],
-            "leader_extrapolated_slope": stat["extrapolated_slope"],
+            "follower": defects["follower"],
+            "leader": defects["stationarity"],
+            "leader_extrapolated_slope": float(merged["slope"].mean()),
         },
-        "terminal_error_max": merged["terminal_error_max"],
-        "initial_coupling_max": merged["initial_coupling_max"],
-        "decoupling_consistency_max": merged["decoupling_consistency_max"],
+        "terminal_error_max": defects["terminal"],
+        "initial_coupling_max": defects["initial_coupling"],
+        "decoupling_consistency_max": defects["decoupling"],
         "bsde_residual_rms": residual_rms(merged["residual"]),
         "bsde_residual_max": merged["bsde_residual_max"],
     }

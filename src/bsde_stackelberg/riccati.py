@@ -105,6 +105,7 @@ class StackedSystem:
     S1h: CoefficientPath
     G2h: np.ndarray
     xih: TerminalCondition
+    R: CoefficientPath  # the control weight: the spec's R2 or R1
     R_inv: np.ndarray  # (2N+1, k, k) half-step table: the spec's R2_inv or R1_inv
     forcing_load: CoefficientPath  # (dim, j) loading of the known control
     forcing_control: AffineControl  # the known control, j x 1
@@ -181,6 +182,7 @@ def build_stacked_system(spec: LQGameSpec, p1: RiccatiPath, p2: RiccatiPath) -> 
         CoefficientPath(grid, S1h),
         G2h,
         TerminalCondition(a_hat, b_hat),
+        spec.R2,
         spec.R2_inv,
         CoefficientPath(grid, np.zeros((nn, 2 * n, 0))),
         AffineControl.zero(grid, 0),
@@ -195,7 +197,7 @@ def follower_system(spec: LQGameSpec, u2: AffineControl) -> StackedSystem:
     return StackedSystem(
         n, grid, A1h=spec.A, B1h=CoefficientPath.constant(grid, np.zeros((n, spec.dims.k))),
         B2h=spec.B1, C1h=CoefficientPath(grid, _tr(spec.C.values)), D1h=zero, F1h=spec.Q1,
-        F2h=zero, S1h=spec.S1, G2h=spec.G1, xih=spec.xi, R_inv=spec.R1_inv,
+        F2h=zero, S1h=spec.S1, G2h=spec.G1, xih=spec.xi, R=spec.R1, R_inv=spec.R1_inv,
         forcing_load=spec.B2, forcing_control=u2,
     )
 

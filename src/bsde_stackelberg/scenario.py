@@ -67,6 +67,8 @@ def _parse_path(entry, grid: TimeGrid, shape: tuple[int, int], name: str) -> Coe
 
 
 def scenario_from_dict(doc: dict, steps: int | None = None, sha256: str = "") -> Scenario:
+    if not isinstance(doc, dict):
+        raise SpecError(f"a scenario must be a JSON object, got {type(doc).__name__}")
     dims_doc = dict(doc["dims"])
     d = dims_doc.pop("d", 1)
     if d != 1:
@@ -75,7 +77,7 @@ def scenario_from_dict(doc: dict, steps: int | None = None, sha256: str = "") ->
     if unknown:
         raise SpecError(f"unknown dims keys {unknown}; expected n, k and d")
     dims = Dimensions(int(dims_doc["n"]), int(dims_doc.get("k", 1)))
-    grid = TimeGrid(float(doc["horizon"]), int(steps or doc["steps"]))
+    grid = TimeGrid(float(doc["horizon"]), int(doc["steps"] if steps is None else steps))
     coeffs = {
         name: _parse_path(doc["coefficients"][name], grid, shape, name)
         for name, shape in coefficient_shapes(dims).items()

@@ -7,7 +7,11 @@ dimension n (riccati.follower_system) with P1 and P2 as its Pi1 and Pi2.
 The optimal trajectories are reconstructed pathwise from one auxiliary
 BSDE and one auxiliary SDE (Euler-Maruyama), so the terminal condition
 Y(T) = xi-hat and the initial coupling X(0) = G2-hat Y(0) hold exactly by
-construction.
+construction.  Every path process is a fixed table times the augmented
+state zeta = (tilde-varphi, W, 1) (PathKernel), so these identities, the
+decoupling X = Pi2 Y + tilde-varphi and the maximum-principle condition are
+fixed tables too: structural_defects checks them once per kernel, for
+every zeta the process can reach, and no path is drawn for it.
 
 Every linear BSDE here is closed exactly by the affine ansatz
 phi = alpha(t) + beta(t) W(t), eta = beta(t), valid because coefficients
@@ -15,8 +19,7 @@ are deterministic, the terminal datum is affine in W(T) and the known
 control is affine in W(t).  That reduces it to a pair of terminal-value
 ODEs; the only sampling error left is the Euler scheme for the auxiliary
 SDE.  The module also holds the reductions both levels apply to their
-paths: feedback, costs, the BSDE residual, the structural defects and the
-per-path CSV.
+paths: costs, the BSDE residual and the per-path CSV.
 
 Path arrays are time-major, (N+1, paths, dim): node i of every path is
 one contiguous (paths, dim) block, and every node-wise relation is one
@@ -30,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import AffineControl, CoefficientPath, TerminalCondition, TimeGrid
+from .model import AffineControl, CoefficientPath, TimeGrid
 from .odeint import MAX_NORM, DivergenceError, guarded_inv
 from .riccati import RiccatiPath, StackedSystem, _sym, _tr, csv_block
 from .sampling import PathBundle, mean_stderr
@@ -161,7 +164,8 @@ class PathKernel:
     u_const + u_lin W live in the W and 1 rows of the kernel's tables.
     step maps zeta_i to the forward offset's drift and diffusion at node i,
     (N+1, dim+2, 2 dim); read_X, read_Y and read_Z map zeta to X, Y and Z,
-    (N+1, dim+2, dim) each.  None of them depends on the paths, so one
+    (N+1, dim+2, dim) each, and read_u to the feedback control,
+    (N+1, dim+2, k).  None of them depends on the paths, so one
     kernel serves any number of path chunks (stacked_paths).  step's drift
     and diffusion columns are the tilde-varphi columns of the linear Euler
     recursion zeta_{i+1} = zeta_i (I + A_i dt + C_i dW_i), whose W entry
@@ -175,6 +179,7 @@ class PathKernel:
     read_X: np.ndarray  # (N+1, dim+2, dim): zeta -> X
     read_Y: np.ndarray  # (N+1, dim+2, dim): zeta -> Y
     read_Z: np.ndarray  # (N+1, dim+2, dim): zeta -> Z
+    read_u: np.ndarray  # (N+1, dim+2, k): zeta -> the feedback control
 
     @cached_property
     def closed_loop(self) -> tuple[np.ndarray, ...]:
@@ -200,14 +205,16 @@ def _affine_rows(K: np.ndarray, const: np.ndarray, lin: np.ndarray) -> np.ndarra
 
 
 def path_kernel(sys: StackedSystem, pi1: RiccatiPath, pi2: RiccatiPath) -> PathKernel:
-    """A stacked system's path kernel: the auxiliary BSDE and the four tables on zeta.
+    """A stacked system's path kernel: the auxiliary BSDE and the five tables on zeta.
 
     The forward offset's drift follows the decoupled system's display plus
     Pi2 forcing_load u for the known control u, and its diffusion the exact
     pathwise Z-relation (see _offset_diffusion).  X and Y are the two
-    decoupling relations of reconstruct_XYZ, and Z's table is composed from
-    theirs.  tilde-phi and u are folded into the W and 1 rows here, once;
-    the decoupling inverses are formed once, by _decoupling_inverses.
+    decoupling relations of reconstruct_XYZ; Z's table is composed from
+    theirs, and the feedback u = -R^-1 (B1h + Pi2 B2h)^T Y - R^-1 B2h^T
+    varphi-tilde from Y's.  tilde-phi and u are folded into the W and 1
+    rows here, once; the decoupling inverses are formed once, by
+    _decoupling_inverses.
     """
     tilde_phi = solve_tilde_phi(sys, pi1)
     alpha, eta = tilde_phi.alpha.values, tilde_phi.beta.values  # (N+1, dim, 1)
@@ -218,9 +225,8 @@ def path_kernel(sys: StackedSystem, pi1: RiccatiPath, pi2: RiccatiPath) -> PathK
     inv_s, inv_12, inv_21 = _decoupling_inverses(sys, pi1, pi2)
     coupler = (D1 + Pi2 @ _tr(C1)) @ inv_s
     mix = (Pi2 - sys.S1h.values) @ inv_s
-    drift_mat = (
-        _tr(A1) + Pi2 @ F2 - (B1 + Pi2 @ B2) @ sys.R_inv[::2] @ _tr(B2) - coupler @ Pi1 @ C1
-    )
+    B = B1 + Pi2 @ B2  # the feedback's Y loading, R u = -B^T Y - B2h^T varphi-tilde
+    drift_mat = _tr(A1) + Pi2 @ F2 - B @ sys.R_inv[::2] @ _tr(B2) - coupler @ Pi1 @ C1
     diff_varphi, diff_phi = _offset_diffusion(C1, D1, Pi1, Pi2, mix, inv_12, inv_21)
     step = np.empty((sys.grid.steps + 1, d + 2, 2 * d))
     step[:, :d, :d], step[:, :d, d:] = _tr(drift_mat), _tr(diff_varphi)
@@ -234,7 +240,49 @@ def path_kernel(sys: StackedSystem, pi1: RiccatiPath, pi2: RiccatiPath) -> PathK
     gain = inv_s @ Pi1
     read_Z = -(read_X @ _tr(gain @ C1) + read_Y @ _tr(gain @ _tr(D1)))
     read_Z[:, -1] -= (inv_s @ eta)[:, :, 0]
-    return PathKernel(sys, pi2, tilde_phi, step, read_X, read_Y, read_Z)
+    Rinv_t = _tr(sys.R_inv[::2])
+    read_u = -(read_Y @ B @ Rinv_t)
+    read_u[:, :d] -= B2 @ Rinv_t
+    return PathKernel(sys, pi2, tilde_phi, step, read_X, read_Y, read_Z, read_u)
+
+
+def reachable_max(table: np.ndarray, first_node: int = 0) -> float:
+    """Max |entry| of a (nodes, dim+2, cols) table on zeta, the nodes counted
+    from first_node, over the rows zeta can reach: at node 0, where
+    zeta = (0, 0, 1), only the 1 row, and every row after that.  A table that
+    reads 0 here reads 0 on every path."""
+    entries = np.abs(table)
+    if first_node == 0:
+        entries[0, :-1] = 0.0
+    return float(np.max(entries, initial=0.0))
+
+
+def structural_defects(kernel: PathKernel) -> dict:
+    """The structural identities of a stacked system as tables on zeta, each
+    read by reachable_max once per kernel, for every path at once:
+
+    decoupling X - Pi2 Y - varphi-tilde; initial coupling X(0) - G2h Y(0);
+    terminal Y(T) - xi-hat(W(T)); and the maximum-principle condition
+    B1h^T Y + B2h^T X + R u of the feedback u.  On the follower's system
+    (B1h = 0, B2h = B1) the last is the follower's algebraic condition
+    B1^T x + R1 u1.
+    """
+    sys, d = kernel.sys, kernel.sys.dim
+    read_X, read_Y = kernel.read_X, kernel.read_Y
+    decoupling = read_X - read_Y @ _tr(kernel.pi2.values)
+    decoupling[:, :d] -= np.eye(d)
+    terminal = read_Y[-1:].copy()  # xi-hat = a + b W(T) has rows (0, b^T, a^T)
+    terminal[0, d] -= sys.xih.b[:, 0]
+    terminal[0, -1] -= sys.xih.a
+    stationarity = read_Y @ sys.B1h.values
+    stationarity += read_X @ sys.B2h.values
+    stationarity += kernel.read_u @ _tr(sys.R.values)
+    return {
+        "decoupling": reachable_max(decoupling),
+        "initial_coupling": reachable_max(read_X[:1] - read_Y[:1] @ sys.G2h.T),
+        "terminal": reachable_max(terminal, sys.grid.steps),
+        "stationarity": reachable_max(stationarity),
+    }
 
 
 def simulate_tilde_varphi(kernel: PathKernel, bundle: PathBundle) -> np.ndarray:
@@ -260,27 +308,28 @@ class StackedEnsemble:
 
     On the leader's system X stacks (adjoint-forward offset, forward state)
     and Y stacks (adjoint-backward state, follower backward state); the
-    block properties expose the n-dimensional components by name, and u2,
-    u1 and u1_stacked are the leader's control and the follower's in block
-    and stacked form.  On the follower's system X is the adjoint state,
-    (Y, Z) the backward state pair, u1 the feedback control and u1_adjoint
-    its algebraically equal adjoint representation.
+    block properties expose the n-dimensional components by name, and u2
+    and u1 are the leader's control and the follower's.  On the follower's
+    system X is the adjoint state, (Y, Z) the backward state pair and u1 the
+    feedback control.  Each control is zeta times one table.
     """
 
     kernel: PathKernel
     bundle: PathBundle
+    zeta: np.ndarray  # (N+1, paths, dim+2): (tilde-varphi, W, 1)
     X: np.ndarray  # (N+1, paths, dim)
     Y: np.ndarray
     Z: np.ndarray
-    tilde_varphi: np.ndarray
     u2: np.ndarray = None  # (N+1, paths, k)
     u1: np.ndarray = None
-    u1_stacked: np.ndarray = None
-    u1_adjoint: np.ndarray = None
 
     @property
     def grid(self) -> TimeGrid:
         return self.kernel.sys.grid
+
+    @property
+    def tilde_varphi(self) -> np.ndarray:
+        return self.zeta[:, :, : self.kernel.sys.dim]
 
     @property
     def n(self) -> int:
@@ -314,40 +363,15 @@ def reconstruct_XYZ(kernel: PathKernel, zeta: np.ndarray, bundle: PathBundle) ->
     X = (I + Pi2 Pi1)^-1 (-Pi2 phi-tilde + varphi-tilde);
     Y = -(I + Pi1 Pi2)^-1 (Pi1 varphi-tilde + phi-tilde);
     Z = -(I + Pi1 S1h)^-1 (Pi1 C1h X + Pi1 D1h^T Y + eta-tilde).
-
-    The ensemble holds a copy of tilde-varphi, not zeta.
     """
-    tilde_varphi = np.ascontiguousarray(zeta[:, :, : kernel.sys.dim])
     X, Y, Z = zeta @ kernel.read_X, zeta @ kernel.read_Y, zeta @ kernel.read_Z
-    return StackedEnsemble(kernel, bundle, X, Y, Z, tilde_varphi)
+    return StackedEnsemble(kernel, bundle, zeta, X, Y, Z)
 
 
 def stacked_paths(kernel: PathKernel, bundle: PathBundle) -> StackedEnsemble:
     """A decoupled stacked system on a bundle of paths: the Euler forward offset
     and the reconstructed (X, Y, Z).  The one path kernel of both levels."""
     return reconstruct_XYZ(kernel, simulate_tilde_varphi(kernel, bundle), bundle)
-
-
-def decoupling_consistency(ens: StackedEnsemble) -> float:
-    """Max norm of X - Pi2 Y - varphi-tilde over paths and nodes.
-
-    The reconstruction uses both decoupling relations; their mutual
-    consistency is the sanity check of the whole leader solve.
-    """
-    gap = ens.Y @ _tr(ens.kernel.pi2.values)
-    np.subtract(ens.X, gap, out=gap)
-    gap -= ens.tilde_varphi
-    return float(np.max(np.abs(gap), initial=0.0))
-
-
-def leader_feedback(ens: StackedEnsemble) -> np.ndarray:
-    """Feedback control u = -R^-1 (B1h + Pi2 B2h)^T Y - R^-1 B2h^T varphi-tilde
-    of the ensemble's system."""
-    sys, pi2 = ens.kernel.sys, ens.kernel.pi2
-    Rinv, B2 = sys.R_inv[::2], sys.B2h.values
-    u = ens.Y @ -_tr(Rinv @ _tr(sys.B1h.values + pi2.values @ B2))
-    u -= ens.tilde_varphi @ _tr(Rinv @ _tr(B2))
-    return u
 
 
 def bsde_residual_samples(ens: StackedEnsemble) -> tuple[np.ndarray, float]:
@@ -358,12 +382,12 @@ def bsde_residual_samples(ens: StackedEnsemble) -> tuple[np.ndarray, float]:
     path's accumulated squared residual sum_i ||r_i||^2 and the max
     single-step residual.
     """
-    sys, W = ens.kernel.sys, ens.bundle.W[:-1]
+    sys = ens.kernel.sys
     M, F, load = ens.kernel.closed_loop
     drift = ens.Y[:-1] @ _tr(M[:-1])
     drift += ens.Z[:-1] @ sys.C1h.values[:-1]
     drift += ens.tilde_varphi[:-1] @ _tr(F[:-1])
-    drift += np.stack([W, np.ones_like(W)], axis=2) @ load[:-1]  # (W, 1) @ (l, c)
+    drift += ens.zeta[:-1, :, -2:] @ load[:-1]  # (W, 1) @ (l, c)
     drift *= sys.grid.dt
     resid = ens.Y[1:] - ens.Y[:-1]
     resid += drift
@@ -375,12 +399,6 @@ def residual_rms(accumulated: np.ndarray) -> float:
     """RMS over paths of the accumulated squared residuals of bsde_residual_samples,
     which scales like O(dt) for a consistent first-order scheme."""
     return float(np.sqrt(np.mean(accumulated)))
-
-
-def terminal_defect(xi: TerminalCondition, y: np.ndarray, W: np.ndarray) -> float:
-    """Max over paths of ||y(T) - xi(W(T))|| for a backward state y
-    (N+1, paths, dim) on Brownian paths W (N+1, paths); exact up to roundoff."""
-    return float(np.max(np.abs(y[-1] - xi.on_paths(W[-1])), initial=0.0))
 
 
 def cost_samples(
@@ -444,15 +462,6 @@ def quadratic_expansion(
 def _bilinear_form(v: np.ndarray, M: np.ndarray, w: np.ndarray) -> np.ndarray:
     """v' M w over the last axis; M is one matrix or a stack matching v's first axis."""
     return np.einsum("...j,...j->...", v @ M, w)
-
-
-def stationarity_report(samples: dict) -> dict:
-    """A stationarity check's figures from its samples, merged over any number of
-    path chunks: the algebraic residual's max and the mean slope."""
-    return {
-        "algebraic_residual": samples["algebraic_residual"],
-        "extrapolated_slope": float(samples["extrapolated_slope"].mean()),
-    }
 
 
 def column_labels(prefix: str, count: int, suffix: str = "") -> list[str]:

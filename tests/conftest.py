@@ -181,3 +181,44 @@ def dense_game(steps=40):
         G2=[[1.0, 0.2, 0.0], [0.2, 0.7, 0.1], [0.0, 0.1, 0.5]],
         a=[0.5, -0.3, 0.2], b=[1.0, 0.5, -0.4],
     )
+
+
+def _tr(M):
+    return np.swapaxes(M, -1, -2)
+
+
+def follower_pathwise_defects(spec, ens):
+    """The follower's structural identities along its ensemble's paths, as reference
+    formulas on the path arrays: max |defect| over nodes and paths of each."""
+    gaps = {
+        "terminal": ens.Y[-1] - spec.xi.on_paths(ens.bundle.W[-1]),
+        "initial_coupling": ens.X[0] - ens.Y[0] @ spec.G1.T,
+        "decoupling": ens.X - ens.Y @ _tr(ens.kernel.pi2.values) - ens.tilde_varphi,
+        "stationarity": ens.X @ spec.B1.values + ens.u1 @ _tr(spec.R1.values),
+        "adjoint_form": ens.u1 + ens.X @ spec.B1.values @ _tr(spec.R1_inv[::2]),
+    }
+    return {key: float(np.max(np.abs(gap))) for key, gap in gaps.items()}
+
+
+def leader_pathwise_defects(sol):
+    """The equilibrium's structural identities along sol's ensemble, as reference
+    formulas on the path arrays: max |defect| over nodes and paths of each.
+    "follower" is the follower's condition at x = P2 ybar + phibar, and
+    "u1_forms" compares u1 with its stacked form -R1^-1 B1^T (P2 ybar + (Pi2 Y +
+    varphi-tilde)_1)."""
+    spec, sys, ens = sol.spec, sol.system, sol.ensemble
+    n, Pi2, P2 = spec.dims.n, sol.pi2.values, sol.p2.values
+    gains_t = spec.B1.values @ _tr(spec.R1_inv[::2])
+    x = ens.ybar @ _tr(P2) + ens.phibar
+    x_stacked = ens.ybar @ _tr(P2) + (ens.Y @ _tr(Pi2) + ens.tilde_varphi)[:, :, :n]
+    gaps = {
+        "terminal": ens.Y[-1] - sys.xih.on_paths(ens.bundle.W[-1]),
+        "initial_coupling": ens.X[0] - ens.Y[0] @ sys.G2h.T,
+        "decoupling": ens.X - ens.Y @ _tr(Pi2) - ens.tilde_varphi,
+        "stationarity": (
+            ens.Y @ sys.B1h.values + ens.X @ sys.B2h.values + ens.u2 @ _tr(spec.R2.values)
+        ),
+        "follower": x @ spec.B1.values + ens.u1 @ _tr(spec.R1.values),
+        "u1_forms": ens.u1 + x_stacked @ gains_t,
+    }
+    return {key: float(np.max(np.abs(gap))) for key, gap in gaps.items()}

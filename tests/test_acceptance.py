@@ -13,11 +13,7 @@ import pytest
 import bsde_stackelberg as bs
 from bsde_stackelberg.finance import MarketParams
 from bsde_stackelberg.follower import follower_stationarity_samples, response_step
-from bsde_stackelberg.leader import (
-    initial_coupling_defect,
-    leader_stationarity_samples,
-    response_kernel,
-)
+from bsde_stackelberg.leader import leader_stationarity_samples, response_kernel
 from bsde_stackelberg.model import AffineControl, CoefficientPath
 from bsde_stackelberg.oracle import (
     build_discrete_problem,
@@ -31,14 +27,14 @@ from bsde_stackelberg.scenario import (
     random_deterministic_scenario,
     stochastic_scenario,
 )
-from bsde_stackelberg.stacked import (
-    bsde_residual_samples,
-    decoupling_consistency,
-    residual_rms,
-    terminal_defect,
-)
+from bsde_stackelberg.stacked import bsde_residual_samples, residual_rms, structural_defects
 
-from conftest import p1_closed_form, specialized_stacked_matrices
+from conftest import (
+    follower_pathwise_defects,
+    leader_pathwise_defects,
+    p1_closed_form,
+    specialized_stacked_matrices,
+)
 
 
 @pytest.fixture()
@@ -192,17 +188,11 @@ class TestAcceptance:
             xi = spec.xi.a[None] + ens.bundle.W[-1, :, None] * spec.xi.b[:, 0][None]
             worst = max(worst, float(np.max(np.abs(ens.Y[-1] - xi))))
             worst = max(worst, float(np.max(np.abs(ens.X[0] - ens.Y[0] @ spec.G1.T))))
-            worst = max(worst, float(np.max(np.abs(ens.u1 - ens.u1_adjoint))))
+            worst = max(worst, follower_pathwise_defects(spec, ens)["adjoint_form"])
         for sol in (hand_solution, stochastic_solution):
-            ens = sol.ensemble
-            worst = max(worst, terminal_defect(sol.system.xih, ens.Y, ens.bundle.W))
-            worst = max(worst, initial_coupling_defect(sol.ensemble))
-            worst = max(worst, decoupling_consistency(sol.ensemble))
-            worst = max(
-                worst, float(np.max(np.abs(sol.ensemble.u1 - sol.ensemble.u1_stacked)))
-            )
+            worst = max(worst, *leader_pathwise_defects(sol).values())
         report(
-            "pathwise structural identities (terminal, coupling, feedback, decoupling)",
+            "pathwise structural identities (terminal, coupling, decoupling, both controls)",
             worst <= 1e-8,
             f"worst defect {worst:.2e} (tol 1e-8)",
         )
@@ -221,25 +211,27 @@ class TestAcceptance:
             deltas = [response_step(spec, v) for v in dirs]
             responses = [response_kernel(spec, sol.p1, sol.p2, v) for v in dirs]
 
+            # the algebraic conditions are tables on zeta, read once per kernel
+            algebraic = {
+                "J1": structural_defects(follower)["stationarity"],
+                "J2": sol.defects["stationarity"],
+            }
+
             def chunk(bundle):
                 fol = bs.stacked_paths(follower, bundle)
                 bs.follower_feedback(fol)
                 eq = bs.equilibrium_paths(sol, bundle)
                 out = {"J1": bs.follower_cost(spec, fol), "J2": bs.leader_cost(spec, eq.ensemble)}
                 for j, v in enumerate(dirs):
-                    for level, samples in (
-                        ("J1", follower_stationarity_samples(spec, fol, v, deltas[j])),
-                        ("J2", leader_stationarity_samples(eq, responses[j])),
-                    ):
-                        out |= {(level, j, key): value for key, value in samples.items()}
+                    out[("J1", j)] = follower_stationarity_samples(spec, fol, v, deltas[j])
+                    out[("J2", j)] = leader_stationarity_samples(eq, responses[j])
                 return out
 
             merged = stream_paths(spec.grid, mc, sol.system.dim, chunk)
             for j in range(len(dirs)):
                 for level in ("J1", "J2"):
                     tol = 1e-3 * max(1.0, abs(merged[level].mean()))
-                    slope = merged[(level, j, "extrapolated_slope")].mean()
-                    rows.append((merged[(level, j, "algebraic_residual")], slope, tol))
+                    rows.append((algebraic[level], merged[(level, j)].mean(), tol))
         worst_alg = max(r[0] for r in rows)
         worst_rel = max(abs(r[1]) / r[2] for r in rows)
         ok = worst_alg <= 1e-8 and worst_rel <= 1.0

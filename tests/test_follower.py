@@ -23,9 +23,9 @@ from bsde_stackelberg.stacked import (
     quadratic_expansion,
     residual_rms,
     solve_affine_bsde,
-    stationarity_report,
+    structural_defects,
 )
-from conftest import dense_game
+from conftest import dense_game, follower_pathwise_defects
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -187,16 +187,14 @@ class TestStochasticScenario:
         gap = ens.X[0] - ens.Y[0] @ stochastic_spec.G1.T
         assert np.max(np.abs(gap)) < 1e-12
 
-    def test_feedback_equals_adjoint_form(self, pipeline):
+    def test_feedback_equals_adjoint_form(self, stochastic_spec, pipeline):
         _, _, _, ens = pipeline
-        assert np.max(np.abs(ens.u1 - ens.u1_adjoint)) < 1e-10
+        assert follower_pathwise_defects(stochastic_spec, ens)["adjoint_form"] < 1e-10
 
     def test_algebraic_stationarity(self, stochastic_spec, pipeline):
         _, _, _, ens = pipeline
-        v = bs.AffineControl.constant(stochastic_spec.grid, [1.0])
-        delta = response_step(stochastic_spec, v)
-        stat = follower_stationarity_samples(stochastic_spec, ens, v, delta)
-        assert stat["algebraic_residual"] < 1e-10
+        assert structural_defects(ens.kernel)["stationarity"] < 1e-10
+        assert follower_pathwise_defects(stochastic_spec, ens)["stationarity"] < 1e-10
 
     def test_bsde_residual_halves_with_dt(self):
         # n = 1, and n = 3, k = 2 with a large C, where P1 and P2 - S1 do not
@@ -236,10 +234,10 @@ class TestQuadraticCost:
         assert samples.mean() == pytest.approx(9.0)  # 0.5 * 2 * 3^2
 
 
-def expanded_cost(base, stat, curvature, eps):
+def expanded_cost(base, slope, curvature, eps):
     """J(u + eps v) from the exact quadratic expansion of a stationarity check,
     whose curvature is the cost of the step."""
-    return base + eps * stat["extrapolated_slope"] + eps**2 * curvature
+    return base + eps * slope + eps**2 * curvature
 
 
 def follower_curvature(spec, v, delta, W):
@@ -252,26 +250,26 @@ class TestPerturbations:
     def test_zero_direction_changes_nothing(self, hand_spec, hand_follower):
         v = bs.AffineControl.zero(hand_spec.grid, 1)
         delta = response_step(hand_spec, v)
-        stat = stationarity_report(follower_stationarity_samples(hand_spec, hand_follower, v, delta))
+        slope = follower_stationarity_samples(hand_spec, hand_follower, v, delta).mean()
         J1 = bs.follower_cost(hand_spec, hand_follower).mean()
         curvature = follower_curvature(hand_spec, v, delta, hand_follower.bundle.W)
-        assert expanded_cost(J1, stat, curvature, 1e-2) == pytest.approx(J1, abs=1e-15)
+        assert expanded_cost(J1, slope, curvature, 1e-2) == pytest.approx(J1, abs=1e-15)
 
     def test_slope_zero_at_optimum_hand(self, hand_spec, hand_follower):
         v = bs.AffineControl.constant(hand_spec.grid, [1.0])
         delta = response_step(hand_spec, v)
-        stat = stationarity_report(follower_stationarity_samples(hand_spec, hand_follower, v, delta))
-        assert abs(stat["extrapolated_slope"]) < 1e-10
+        slope = follower_stationarity_samples(hand_spec, hand_follower, v, delta).mean()
+        assert abs(slope) < 1e-10
 
     def test_quadratic_growth_away_from_optimum(self, hand_spec, hand_follower):
         # J1(u + eps v) - J1(u) must be positive (strict convexity in u)
         v = bs.AffineControl.constant(hand_spec.grid, [1.0])
         delta = response_step(hand_spec, v)
-        stat = stationarity_report(follower_stationarity_samples(hand_spec, hand_follower, v, delta))
+        slope = follower_stationarity_samples(hand_spec, hand_follower, v, delta).mean()
         J1 = bs.follower_cost(hand_spec, hand_follower).mean()
         curvature = follower_curvature(hand_spec, v, delta, hand_follower.bundle.W)
         for eps in (0.1, -0.1):
-            assert expanded_cost(J1, stat, curvature, eps) > J1
+            assert expanded_cost(J1, slope, curvature, eps) > J1
 
 
 def noisy_dense_game(steps):
@@ -311,8 +309,8 @@ def follower_case(spec, v, bundle):
     W = bundle.W
     step = (delta.phi_pathwise(W), _u2_pathwise(v, W), delta.eta_values[:, None])
     weights = (spec.Q1, spec.R1, spec.S1, spec.G1)
-    stat = stationarity_report(follower_stationarity_samples(spec, ens, v, response_step(spec, v)))
-    return (ens.Y, ens.u1, ens.Z), step, weights, bs.follower_cost(spec, ens).mean(), stat
+    slope = follower_stationarity_samples(spec, ens, v, response_step(spec, v)).mean()
+    return (ens.Y, ens.u1, ens.Z), step, weights, bs.follower_cost(spec, ens).mean(), slope
 
 
 def leader_case(spec, v, bundle):
@@ -323,8 +321,8 @@ def leader_case(spec, v, bundle):
     delta = bs.stacked_paths(response, bundle)
     step = (delta.Y, _u2_pathwise(v, bundle.W), delta.Z)
     weights = (spec.Q2, spec.R2, spec.S2, spec.G2)
-    stat = stationarity_report(leader_stationarity_samples(sol, response))
-    return (ens.ybar, ens.u2, ens.zbar), step, weights, bs.leader_cost(spec, ens).mean(), stat
+    slope = leader_stationarity_samples(sol, response).mean()
+    return (ens.ybar, ens.u2, ens.zbar), step, weights, bs.leader_cost(spec, ens).mean(), slope
 
 
 def skewed(weights, scale=0.3):
@@ -346,7 +344,7 @@ class TestQuadraticExpansion:
         spec = expansion_games()[game]
         bundle = sample_brownian(spec.grid, 60, 7)
         v = affine_direction(spec.grid, spec.dims.k)
-        base, step, weights, J, stat = level(spec, v, bundle)
+        base, step, weights, J, slope = level(spec, v, bundle)
         curvature = cost_samples(spec.grid, *step, *weights).mean()
         assert curvature > 0.0
         # the same weights up to an antisymmetric part
@@ -357,7 +355,7 @@ class TestQuadraticExpansion:
         for eps in (1e-2, -0.1):
             perturbed = [b + eps * d for b, d in zip(base, step)]
             brute = cost_samples(spec.grid, *perturbed, *weights).mean()
-            assert abs(brute - expanded_cost(J, stat, curvature, eps)) <= 1e-12 * abs(J)
+            assert abs(brute - expanded_cost(J, slope, curvature, eps)) <= 1e-12 * abs(J)
             brute_t = cost_samples(spec.grid, *perturbed, *tilted).mean()
             expanded_t = J_t + eps * cross_t + eps**2 * curvature_t
             assert abs(brute_t - expanded_t) <= 1e-12 * abs(J_t)

@@ -8,7 +8,6 @@ import pytest
 
 import bsde_stackelberg as bs
 from bsde_stackelberg.leader import (
-    initial_coupling_defect,
     leader_paths_csv,
     leader_stationarity_samples,
     response_kernel,
@@ -21,11 +20,9 @@ from bsde_stackelberg.stacked import (
     _u2_pathwise,
     bsde_residual_samples,
     cost_samples,
-    decoupling_consistency,
     residual_rms,
-    stationarity_report,
-    terminal_defect,
 )
+from conftest import leader_pathwise_defects
 
 STUDY = Path(__file__).resolve().parents[1] / "scripts" / "convergence_study.py"
 _spec = importlib.util.spec_from_file_location("convergence_study", STUDY)
@@ -125,17 +122,23 @@ class TestAuxiliaryBackward:
 
 
 class TestStructuralIdentities:
+    """Each identity on the kernel's tables (sol.defects) and, as a reference,
+    along the ensemble's paths."""
+
     def test_terminal_identity(self, hand_solution, stochastic_solution):
         for sol in (hand_solution, stochastic_solution):
-            assert terminal_defect(sol.system.xih, sol.ensemble.Y, sol.ensemble.bundle.W) < 1e-12
+            assert sol.defects["terminal"] < 1e-12
+            assert leader_pathwise_defects(sol)["terminal"] < 1e-12
 
     def test_initial_coupling(self, hand_solution, stochastic_solution):
-        assert initial_coupling_defect(hand_solution.ensemble) < 1e-12
-        assert initial_coupling_defect(stochastic_solution.ensemble) < 1e-12
+        for sol in (hand_solution, stochastic_solution):
+            assert sol.defects["initial_coupling"] < 1e-12
+            assert leader_pathwise_defects(sol)["initial_coupling"] < 1e-12
 
     def test_forward_backward_decoupling(self, hand_solution, stochastic_solution):
-        assert decoupling_consistency(hand_solution.ensemble) < 1e-12
-        assert decoupling_consistency(stochastic_solution.ensemble) < 1e-12
+        for sol in (hand_solution, stochastic_solution):
+            assert sol.defects["decoupling"] < 1e-12
+            assert leader_pathwise_defects(sol)["decoupling"] < 1e-12
 
     def test_block_views(self, stochastic_solution):
         ens = stochastic_solution.ensemble
@@ -159,14 +162,13 @@ class TestStructuralIdentities:
 
 class TestEquilibriumControls:
     def test_follower_control_block_forms_agree(self, stochastic_solution):
-        ens = stochastic_solution.ensemble
-        assert np.max(np.abs(ens.u1 - ens.u1_stacked)) < 1e-10
+        assert leader_pathwise_defects(stochastic_solution)["u1_forms"] < 1e-10
 
     def test_algebraic_stationarity_both_levels(self, stochastic_spec, stochastic_solution):
         sol = stochastic_solution
-        v = bs.AffineControl.constant(stochastic_spec.grid, [1.0])
-        response = response_kernel(stochastic_spec, sol.p1, sol.p2, v)
-        assert leader_stationarity_samples(sol, response)["algebraic_residual"] < 1e-10
+        assert sol.defects["stationarity"] < 1e-10
+        assert sol.defects["follower"] < 1e-10
+        assert leader_pathwise_defects(sol)["stationarity"] < 1e-10
         # follower optimality along the equilibrium path
         ens = sol.ensemble
         worst = 0.0
@@ -179,13 +181,13 @@ class TestEquilibriumControls:
     def test_variational_slope_zero_on_hand_scenario(self, hand_spec, hand_solution):
         v = bs.AffineControl.constant(hand_spec.grid, [1.0])
         response = response_kernel(hand_spec, hand_solution.p1, hand_solution.p2, v)
-        stat = stationarity_report(leader_stationarity_samples(hand_solution, response))
-        assert abs(stat["extrapolated_slope"]) < 1e-7
+        slope = leader_stationarity_samples(hand_solution, response).mean()
+        assert abs(slope) < 1e-7
 
     def test_perturbed_cost_grows_at_optimum(self, hand_spec, hand_solution):
         v = bs.AffineControl.constant(hand_spec.grid, [1.0])
         response = response_kernel(hand_spec, hand_solution.p1, hand_solution.p2, v)
-        stat = stationarity_report(leader_stationarity_samples(hand_solution, response))
+        slope = leader_stationarity_samples(hand_solution, response).mean()
         base = bs.leader_cost(hand_spec, hand_solution.ensemble).mean()
         bundle = hand_solution.ensemble.bundle
         delta = bs.stacked_paths(response, bundle)
@@ -195,7 +197,7 @@ class TestEquilibriumControls:
             hand_spec.Q2, hand_spec.R2, hand_spec.S2, hand_spec.G2,
         ).mean()
         for eps in (0.1, -0.1):
-            perturbed = base + eps * stat["extrapolated_slope"] + eps**2 * curvature
+            perturbed = base + eps * slope + eps**2 * curvature
             assert perturbed > base
 
 

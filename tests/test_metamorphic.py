@@ -1,0 +1,135 @@
+"""Metamorphic relations of the LQ game on the library route.
+
+Two exact relations hold path by path, at both levels, when the runs
+share their Brownian paths, and neither needs an oracle:
+
+- a change of state coordinates y -> T y with a general (not orthogonal)
+  T, which maps A -> T A T^-1, C -> T C T^-1, B_i -> T B_i, the state
+  weights W -> T^-T W T^-1 and xi -> T xi, leaves every per-path cost and
+  control as it is;
+- a game with block-diagonal coefficients and one set of controls per
+  block is two independent games on one Brownian motion, so its per-path
+  costs are the sums of theirs and its controls stack theirs.
+
+An orthogonal T would not do: a transposition error is covariant under
+U, since (U A U^T)^T = U A^T U^T.
+"""
+
+import numpy as np
+import pytest
+from scipy.linalg import block_diag
+
+import bsde_stackelberg as bs
+from bsde_stackelberg.scenario import make_constant_spec
+from bsde_stackelberg.stacked import structural_defects
+from conftest import dense_game
+
+STEPS, PATHS = 64, 100
+MATRICES = ("A", "B1", "B2", "C", "Q1", "R1", "S1", "Q2", "R2", "S2")
+STATE_WEIGHTS = ("Q1", "S1", "Q2", "S2", "G1", "G2")
+
+
+def constants(spec):
+    """The coefficient matrices of a constant-coefficient spec, by name."""
+    out = {name: getattr(spec, name).values[0] for name in MATRICES}
+    return out | {"G1": spec.G1, "G2": spec.G2, "a": spec.xi.a, "b": spec.xi.b}
+
+
+def constant_spec(c):
+    return make_constant_spec(1.0, STEPS, **c)
+
+
+def changed_coordinates(spec, T):
+    """The game in the state coordinates T y."""
+    c, Ti = constants(spec), np.linalg.inv(T)
+    for name in STATE_WEIGHTS:
+        W = Ti.T @ c[name] @ Ti
+        c[name] = 0.5 * (W + W.T)
+    for name in ("A", "C"):
+        c[name] = T @ c[name] @ Ti
+    for name in ("B1", "B2", "a", "b"):
+        c[name] = T @ c[name]
+    return constant_spec(c)
+
+
+def block_game(first, second):
+    """The block-diagonal game of two games: states and controls stacked."""
+    c1, c2 = constants(first), constants(second)
+    c = {name: block_diag(c1[name], c2[name]) for name in (*MATRICES, "G1", "G2")}
+    return constant_spec(c | {key: np.concatenate([c1[key], c2[key]]) for key in ("a", "b")})
+
+
+def leader_control(k, scale=1.0):
+    """A known leader control affine in W, so its W row is exercised."""
+    path = bs.CoefficientPath.constant
+    grid = bs.TimeGrid(1.0, STEPS)
+    const = scale * np.linspace(0.3, -0.2, k).reshape(k, 1)
+    lin = scale * np.linspace(-0.4, 0.5, k).reshape(k, 1)
+    return bs.AffineControl(path(grid, const), path(grid, lin))
+
+
+def per_path(spec, u2, bundle):
+    """Per-path costs and controls of both levels, and the structural defects of
+    both kernels: the follower's for the leader control u2, and the equilibrium."""
+    sol = bs.equilibrium_paths(bs.equilibrium_layer(spec), bundle)
+    kernel = bs.follower_kernel(spec, sol.p1, sol.p2, u2)
+    fol = bs.stacked_paths(kernel, bundle)
+    bs.follower_feedback(fol)
+    eq = sol.ensemble
+    figures = {
+        "follower J1": bs.follower_cost(spec, fol),
+        "follower u1": fol.u1,
+        "J1": bs.equilibrium_follower_cost(spec, eq),
+        "J2": bs.leader_cost(spec, eq),
+        "u1": eq.u1,
+        "u2": eq.u2,
+    }
+    defects = max(*sol.defects.values(), *structural_defects(kernel).values())
+    return figures, defects
+
+
+def assert_relative(got, want, what):
+    gap = float(np.max(np.abs(got - want)))
+    assert gap <= 1e-12 * float(np.max(np.abs(want))), (what, gap)
+
+
+@pytest.fixture(scope="module")
+def bundle():
+    return bs.sample_brownian(bs.TimeGrid(1.0, STEPS), PATHS, 11)
+
+
+def test_change_of_coordinates(bundle):
+    spec = dense_game(STEPS)
+    n, k = spec.dims.n, spec.dims.k
+    G = np.random.default_rng(3).standard_normal((n, n))
+    T = np.eye(n) + 0.4 * G
+    assert np.max(np.abs(T @ T.T - np.eye(n))) > 0.1  # not orthogonal
+    u2 = leader_control(k)
+    base, _ = per_path(spec, u2, bundle)
+    moved, defects = per_path(changed_coordinates(spec, T), u2, bundle)
+    for key, want in base.items():
+        assert_relative(moved[key], want, key)
+    assert defects <= 1e-8
+
+
+def test_block_diagonal_split(bundle):
+    first, second = dense_game(STEPS), bs.stochastic_scenario(STEPS)
+    k1 = first.dims.k
+    u2_first, u2_second = leader_control(k1), leader_control(second.dims.k, scale=0.5)
+    u2 = bs.AffineControl(
+        *(
+            bs.CoefficientPath(a.grid, np.concatenate([a.values, b.values], axis=1))
+            for a, b in (
+                (u2_first.u_const, u2_second.u_const),
+                (u2_first.u_lin, u2_second.u_lin),
+            )
+        )
+    )
+    parts = [per_path(first, u2_first, bundle)[0], per_path(second, u2_second, bundle)[0]]
+    whole, defects = per_path(block_game(first, second), u2, bundle)
+    for key in ("follower J1", "J1", "J2"):
+        assert_relative(whole[key], parts[0][key] + parts[1][key], key)
+    for key in ("follower u1", "u1", "u2"):
+        assert_relative(whole[key][:, :, :k1], parts[0][key], key)
+        assert_relative(whole[key][:, :, k1:], parts[1][key], key)
+    assert defects <= 1e-8

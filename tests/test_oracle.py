@@ -4,11 +4,6 @@ import numpy as np
 import pytest
 
 import bsde_stackelberg as bs
-from bsde_stackelberg.leader import (
-    initial_coupling_defect,
-    leader_stationarity_samples,
-    response_kernel,
-)
 from bsde_stackelberg.oracle import (
     NonConvexError,
     build_discrete_problem,
@@ -18,7 +13,8 @@ from bsde_stackelberg.oracle import (
     oracle_report,
 )
 from bsde_stackelberg.scenario import hand_solvable_scenario, make_constant_spec
-from bsde_stackelberg.stacked import decoupling_consistency, terminal_defect
+from bsde_stackelberg.stacked import structural_defects
+from conftest import follower_pathwise_defects, leader_pathwise_defects
 
 
 @pytest.fixture(scope="module")
@@ -220,10 +216,10 @@ class TestMultiDimensionalPipelines:
             build_discrete_problem(spec), np.tile(u2_value, (spec.grid.steps, 1))
         )
         assert abs(bs.follower_cost(spec, ens).mean() - res.cost) / abs(res.cost) <= 1e-3
-        xi = spec.xi.on_paths(ens.bundle.W[-1])
-        assert np.max(np.abs(ens.Y[-1] - xi)) <= 1e-8
-        assert np.max(np.abs(ens.X[0] - ens.Y[0] @ spec.G1.T)) <= 1e-8
-        assert np.max(np.abs(ens.u1 - ens.u1_adjoint)) <= 1e-8
+        pathwise = follower_pathwise_defects(spec, ens)
+        for key in ("terminal", "initial_coupling", "adjoint_form"):
+            assert pathwise[key] <= 1e-8
+        assert max(structural_defects(kernel).values()) <= 1e-8
 
     def test_leader_matches_oracle(self, n, k):
         spec = random_multidim_game(np.random.default_rng(10 * n + k + 1), n, k)
@@ -231,10 +227,5 @@ class TestMultiDimensionalPipelines:
         res = deterministic_leader_oracle(build_discrete_problem(spec))
         ens = sol.ensemble
         assert abs(bs.leader_cost(spec, ens).mean() - res.cost) / abs(res.cost) <= 1e-2
-        assert terminal_defect(sol.system.xih, ens.Y, ens.bundle.W) <= 1e-8
-        assert initial_coupling_defect(ens) <= 1e-8
-        assert decoupling_consistency(ens) <= 1e-8
-        assert np.max(np.abs(ens.u1 - ens.u1_stacked)) <= 1e-8
-        v = bs.AffineControl.constant(spec.grid, np.ones(k))
-        response = response_kernel(spec, sol.p1, sol.p2, v)
-        assert leader_stationarity_samples(sol, response)["algebraic_residual"] <= 1e-8
+        assert max(leader_pathwise_defects(sol).values()) <= 1e-8
+        assert max(sol.defects.values()) <= 1e-8

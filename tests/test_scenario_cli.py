@@ -1,5 +1,6 @@
 """Scenario files and the command-line interface."""
 
+import dataclasses
 import importlib.metadata as md
 import json
 import sys
@@ -185,6 +186,32 @@ class TestCliValidate:
         err = capsys.readouterr().err
         assert rc == 1
         assert err == f"--paths must be at least 1, got {paths}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("document", [[1, 2], "scenario", None], ids=["list", "str", "null"])
+    @pytest.mark.parametrize("command", ["validate", "follower"])
+    def test_non_object_scenario_exit_one(self, tmp_path, capsys, command, document):
+        out = tmp_path / "o"
+        scn = write_scenario(tmp_path, document)
+        rc = main([command, "--scenario", str(scn), "--out", str(out), "--paths", "2"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("bad scenario: a scenario must be a JSON object")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("steps", ["0", "-5"])
+    @pytest.mark.parametrize("command", ["validate", "follower", "equilibrium"])
+    def test_steps_below_one_exit_one(self, tmp_path, capsys, command, steps):
+        # --steps 0 is an override like any other, not "use the scenario's steps"
+        out = tmp_path / "o"
+        rc = main([
+            command, "--scenario", str(SCENARIOS / "stochastic.json"), "--out", str(out),
+            "--steps", steps, "--paths", "2",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"bad scenario: steps must be a positive integer, got {steps}\n"
         assert not out.exists()
 
     # Philox keys each path's stream on (seed << 64) | path, below 2**128
@@ -403,13 +430,33 @@ def doubled_forward(original):
     return patched
 
 
+def shifted_read_X(original):
+    """The path kernel with its first tilde-varphi row of read_X shifted by 1: X no
+    longer equals Pi2 Y + varphi-tilde, at either level."""
+
+    def patched(sys, pi1, pi2):
+        kernel = original(sys, pi1, pi2)
+        read_X = kernel.read_X.copy()
+        read_X[:, 0] += 1.0
+        return dataclasses.replace(kernel, read_X=read_X)
+
+    return patched
+
+
 # (command, shipped scenario or None for the hand game, module, attribute, breakage)
 CONSISTENCY_FAILURES = [
-    ("follower", None, "stacked", "_decoupling_inverses", doubled_forward),
-    ("verify", None, "stacked", "_decoupling_inverses", doubled_forward),
-    ("leader", None, "stacked", "_decoupling_inverses", doubled_forward),
-    ("equilibrium", None, "stacked", "_decoupling_inverses", doubled_forward),
-    ("finance", "finance.json", "stacked", "_decoupling_inverses", doubled_forward),
+    pytest.param(command, scenario, "stacked", attribute, breakage, id=command + suffix)
+    for attribute, breakage, suffix in (
+        ("_decoupling_inverses", doubled_forward, ""),
+        ("path_kernel", shifted_read_X, "-read_X"),
+    )
+    for command, scenario in (
+        ("follower", None),
+        ("verify", None),
+        ("leader", None),
+        ("equilibrium", None),
+        ("finance", "finance.json"),
+    )
 ]
 
 
@@ -422,20 +469,33 @@ CONVEXITY_BREAKAGES = {
 }
 
 
+def rebind(monkeypatch, original, replacement):
+    """Replace a function in every package module that holds it by name."""
+    for name, mod in list(sys.modules.items()):
+        attribute = original.__name__
+        if name.startswith("bsde_stackelberg") and getattr(mod, attribute, None) is original:
+            monkeypatch.setattr(mod, attribute, replacement)
+
+
+def no_paths(*args, **kwargs):
+    raise AssertionError("paths drawn before the consistency check")
+
+
 class TestCliConsistencyFailures:
     """A failed consistency check or solve exits 2 with one stderr line."""
 
     @pytest.mark.parametrize(
         "command, scenario, module, attribute, breakage",
         CONSISTENCY_FAILURES,
-        ids=[row[0] for row in CONSISTENCY_FAILURES],
     )
     def test_exit_two_one_line(
         self, tmp_path, hand_doc, capsys, monkeypatch,
         command, scenario, module, attribute, breakage,
     ):
-        target = getattr(bs, module)
-        monkeypatch.setattr(target, attribute, breakage(getattr(target, attribute)))
+        original = getattr(getattr(bs, module), attribute)
+        rebind(monkeypatch, original, breakage(original))
+        # the check runs on the kernel's tables, before any path is drawn
+        rebind(monkeypatch, bs.sample_brownian, no_paths)
         path = SCENARIOS / scenario if scenario else write_scenario(tmp_path, hand_doc)
         rc = main([
             command, "--scenario", str(path), "--out", str(tmp_path / "o"),

@@ -103,3 +103,22 @@ def test_artifacts_independent_of_chunk_width(tmp_path, monkeypatch, capsys, com
     # pairwise sum for their time integrals: equal within compare_outputs.py's rule
     single = run_cli(tmp_path, monkeypatch, command, scenario, 1)
     compare_outputs.compare_trees(whole, single)
+
+
+def test_structural_figures_independent_of_paths_and_seed(tmp_path, capsys):
+    # the structural identities are read off the kernel's tables, not along paths
+    figures = []
+    for paths, seed in (("4", "0"), ("400", "3")):
+        out = tmp_path / f"{paths}-{seed}"
+        argv = [
+            "equilibrium", "--scenario", str(SCENARIOS / "stochastic.json"), "--out", str(out),
+            "--steps", "50", "--paths", paths, "--seed", seed,
+        ]
+        assert main(argv) == 0
+        s = json.loads((out / "summary.json").read_text())
+        figures.append([
+            s["terminal_error_max"], s["initial_coupling_max"], s["decoupling_consistency_max"],
+            s["stationarity"]["follower"], s["stationarity"]["leader"],
+        ])
+    assert figures[0] == figures[1]
+    assert max(figures[0]) <= 1e-8
