@@ -35,8 +35,9 @@ import bsde_stackelberg as bs
 from bsde_stackelberg.sampling import coarsen, sample_brownian
 from bsde_stackelberg.scenario import make_constant_spec
 from bsde_stackelberg.stacked import (
-    bsde_residual_samples,
     residual_rms,
+    residual_samples,
+    simulate_tilde_varphi,
     solve_affine_bsde,
     solve_tilde_phi,
 )
@@ -146,12 +147,14 @@ def richardson_order(coarse, mid, fine):
 
 
 def closed_loop_rms(spec, bundle):
-    """(leader, follower) RMS closed-loop residuals; the follower responds to u2 = 0.2."""
-    sol = bs.equilibrium_paths(bs.equilibrium_layer(spec), bundle)
+    """(leader, follower) RMS closed-loop residuals; the follower responds to u2 = 0.2.
+    Each is read off the kernel's augmented state by its residual table."""
+    sol = bs.equilibrium_layer(spec)
     u2 = bs.AffineControl.constant(spec.grid, 0.2 * np.ones(spec.dims.k))
-    follower = bs.stacked_paths(bs.follower_kernel(spec, sol.p1, sol.p2, u2), bundle)
+    kernels = (sol.kernel, bs.follower_kernel(spec, sol.p1, sol.p2, u2))
     return tuple(
-        residual_rms(bsde_residual_samples(ens)[0]) for ens in (sol.ensemble, follower)
+        residual_rms(residual_samples(k, simulate_tilde_varphi(k.step, bundle), bundle.dW)[0])
+        for k in kernels
     )
 
 

@@ -61,11 +61,9 @@ from .follower import (
 )
 from .leader import (
     StackelbergSolution,
-    equilibrium_follower_cost,
     equilibrium_layer,
     equilibrium_paths,
     equilibrium_summary,
-    leader_cost,
 )
 from .oracle import (
     DiscreteLQProblem,

@@ -201,7 +201,7 @@ def cmd_verify(scn: Scenario, out: Path, args) -> int:
     led_oracle = deterministic_leader_oracle(prob)
     led_rep = oracle_report(
         led_oracle.cost,
-        float(led.leader_cost(spec, sol.ensemble).mean()),
+        float(sol.cost("J2").mean()),
         control_rms_gap(led_oracle.control, sol.ensemble.u2[:, 0]),
         spec.grid.steps,
     )

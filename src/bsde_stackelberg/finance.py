@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .leader import (
-    StackelbergSolution,
-    equilibrium_follower_cost,
-    equilibrium_layer,
-    equilibrium_paths,
-    leader_cost,
-)
+from .leader import StackelbergSolution, equilibrium_ensemble, equilibrium_layer
 from .model import (
     CoefficientPath,
     Dimensions,
@@ -31,7 +25,7 @@ from .model import (
     validate_spec,
 )
 from .sampling import MonteCarloConfig, PathBundle, mean_stderr, stream_paths
-from .stacked import StackedEnsemble, cost_figures, paths_csv
+from .stacked import StackedEnsemble, cost_figures, form_samples, paths_csv, simulate_tilde_varphi
 
 
 @dataclass(frozen=True)
@@ -119,7 +113,7 @@ def _dual_coefficients(sol: StackelbergSolution):
     Y(t) = E[Gamma_t(T)^T xi-hat + int_t^T Gamma_t(s)^T f(s) ds] with
     f = (F2h - B2h R2^-1 B2h^T) varphi-tilde (see PathKernel.closed_loop).
     """
-    M, forcing = sol.kernel.closed_loop[:2]  # the leader has no known control
+    M, forcing = sol.kernel.closed_loop  # the leader has no known control
     return np.swapaxes(M, 1, 2), sol.system.C1h.values, forcing
 
 
@@ -142,27 +136,24 @@ def _gamma_step(gamma, a_i, a_ip1, c_i, dt, dW):
     )
 
 
-def reserve_samples(sol: StackelbergSolution) -> np.ndarray:
+def reserve_samples(sol: StackelbergSolution, zeta: np.ndarray, bundle: PathBundle) -> np.ndarray:
     """Per path, Gamma_0(T)^T xi-hat + trapezoid(Gamma_0(t)^T f(t)): the dual
-    representation's samples of Y(0), (paths, 2n).
-
-    The propagator is streamed over the ensemble's own paths.
-    """
+    representation's samples of Y(0), (paths, 2n), on a bundle's paths, with
+    f's varphi-tilde read off their augmented state zeta."""
     sys = sol.system
     grid = sys.grid
-    ens = sol.ensemble
     a, c, forcing = _dual_coefficients(sol)
     m = 2 * sys.n
-    P = ens.bundle.n_paths
+    P = bundle.n_paths
     dt = grid.dt
-    dW = ens.bundle.dW
+    dW = bundle.dW
 
     gamma = np.broadcast_to(np.eye(m), (P, m, m)).copy()
     integral = np.zeros((P, m))
     w_end = 0.5 * dt
 
     def integrand(i, g):
-        f = np.einsum("ij,pj->pi", forcing[i], ens.tilde_varphi[i])
+        f = np.einsum("ij,pj->pi", forcing[i], zeta[i, :, :m])
         return np.einsum("pji,pj->pi", g, f)
 
     integral += w_end * integrand(0, gamma)
@@ -171,23 +162,8 @@ def reserve_samples(sol: StackelbergSolution) -> np.ndarray:
         w = w_end if i == grid.steps - 1 else dt
         integral += w * integrand(i + 1, gamma)
 
-    xi_hat = sys.xih.on_paths(ens.bundle.W[-1])
+    xi_hat = sys.xih.on_paths(bundle.W[-1])
     return np.einsum("pji,pj->pi", gamma, xi_hat) + integral
-
-
-def reserve_report(samples: np.ndarray, y0_paths: np.ndarray) -> dict:
-    """The dual check's figures from its samples (reserve_samples) and the
-    pipeline's per-path Y(0), both (paths, 2n) and merged over any number of
-    path chunks: the estimate with its standard errors next to the
-    pipeline's deterministic Y(0)."""
-    estimate, stderr = mean_stderr(samples)
-    pipeline_Y0 = y0_paths.mean(axis=0)
-    return {
-        "mc_estimate": estimate,
-        "stderr": stderr,
-        "pipeline_Y0": pipeline_Y0,
-        "gap": estimate - pipeline_Y0,
-    }
 
 
 def consumption_paths_csv(
@@ -209,32 +185,29 @@ def consumption_summary(
     m: MarketParams, mc: MonteCarloConfig, csv_paths: int = 0
 ) -> tuple[dict, str]:
     """The consumption equilibrium's figures on mc's paths, keyed as the CLI's
-    summary, and the CSV of the first csv_paths paths, streamed in path
-    chunks (stream_paths).
-
-    The deterministic layer is formed once; each chunk runs the path kernel,
-    both controls and costs and the dual propagator.
-    """
+    summary, and the CSV of the first csv_paths paths, streamed in path chunks:
+    J1 and J2 as forms on zeta, and the dual propagator, whose mean estimates
+    the pipeline's Y(0) = zeta(0) read_Y(0), the same on every path."""
     sol = equilibrium_layer(build_finance_spec(m))
+    kernel = sol.kernel
 
     def chunk(bundle: PathBundle) -> dict:
-        chunk_sol = equilibrium_paths(sol, bundle)
-        ens = chunk_sol.ensemble
-        return {
-            "J1": equilibrium_follower_cost(sol.spec, ens),
-            "J2": leader_cost(sol.spec, ens),
-            "Y0": ens.Y[0],
-            "reserve": reserve_samples(chunk_sol),
+        zeta = simulate_tilde_varphi(kernel.step, bundle)
+        listed = bundle.below(csv_paths)
+        ens = equilibrium_ensemble(sol, zeta[:, : listed.n_paths], listed)
+        return {name: form_samples(form, zeta) for name, form in sol.forms.items()} | {
+            "reserve": reserve_samples(sol, zeta, bundle),
             "csv": consumption_paths_csv(ens, m, csv_paths),
         }
 
     merged = stream_paths(m.grid, mc, sol.system.dim, chunk)
-    reserve = reserve_report(merged["reserve"], merged["Y0"])
+    estimate, stderr = mean_stderr(merged["reserve"])
+    Y0 = kernel.read_Y[0, -1]
     summary = {
-        "initial_reserve": float(reserve["pipeline_Y0"][1]),
-        "Y0": reserve["pipeline_Y0"],
+        "initial_reserve": float(Y0[1]),
+        "Y0": Y0,
         "J1": cost_figures(merged["J1"]),
         "J2": cost_figures(merged["J2"]),
-        "dual_check": {key: reserve[key] for key in ("mc_estimate", "stderr", "gap")},
+        "dual_check": {"mc_estimate": estimate, "stderr": stderr, "gap": estimate - Y0},
     }
     return summary, merged["csv"]

@@ -1,41 +1,39 @@
 """The follower's problem for a given terminal datum and leader control.
 
 The follower's problem is the leader's stacked form at dimension n
-(riccati.follower_system): P1 and P2 are that system's Pi1 and Pi2, and
-its offsets, reconstruction, feedback and residual are the stacked path
-layer (stacked.path_kernel, stacked.stacked_paths) run on it.  On the
-follower's ensemble X is the adjoint state x and (Y, Z) the backward
-state pair (y, z).  This module adds what only the follower has: the
-adjoint form of its feedback, checked once on the kernel's tables, its
-cost, its response to a control step, its stationarity slope, its CSV and
-the summary of its command.  Its algebraic first-order condition
-B1^T x + R1 u1 is the stacked system's maximum-principle table
-(stacked.structural_defects), read once per kernel.
+(riccati.follower_system) with P1 and P2 as its Pi1 and Pi2, run through the
+stacked path layer; on its ensemble X is the adjoint state x and (Y, Z) the
+backward state pair (y, z).  This module adds its cost and stationarity
+slope as forms on its zeta, its response to a control step, its CSV and
+the summary of its command.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .model import AffineControl, LQGameSpec
-from .odeint import check_forms_agree
-from .riccati import RiccatiPath, _tr, follower_system, solve_p1, solve_p2
+from .riccati import RiccatiPath, follower_system, solve_p1, solve_p2
 from .sampling import MonteCarloConfig, PathBundle, stream_paths
 from .stacked import (
     AffineBSDESolution,
     PathKernel,
     StackedEnsemble,
-    _u2_pathwise,
-    bsde_residual_samples,
+    affine_table,
+    check_feedback,
     column_labels,
     cost_figures,
-    cost_samples,
+    form_samples,
+    form_table,
     path_kernel,
     paths_csv,
-    quadratic_expansion,
+    reconstruct_XYZ,
     residual_rms,
+    residual_samples,
+    simulate_tilde_varphi,
     solve_affine_bsde,
-    stacked_paths,
     structural_defects,
 )
 
@@ -47,20 +45,23 @@ def follower_feedback(ens: StackedEnsemble) -> np.ndarray:
     return ens.u1
 
 
+def follower_cost_table(spec: LQGameSpec, kernel: PathKernel) -> np.ndarray:
+    """The form of the follower's cost J1 on its zeta (stacked.form_table)."""
+    return form_table(spec.grid, spec.weights(1), (kernel.read_Y, kernel.read_u, kernel.read_Z))
+
+
 def follower_cost(spec: LQGameSpec, ens: StackedEnsemble) -> np.ndarray:
-    """The follower's per-path cost J1 on its ensemble (cost_samples)."""
-    return cost_samples(spec.grid, ens.Y, ens.u1, ens.Z, spec.Q1, spec.R1, spec.S1, spec.G1)
+    """The follower's per-path cost J1 on its ensemble."""
+    return form_samples(follower_cost_table(spec, ens.kernel), ens.zeta)
 
 
 def follower_kernel(
     spec: LQGameSpec, p1: RiccatiPath, p2: RiccatiPath, u2: AffineControl
 ) -> PathKernel:
-    """The stacked path kernel on follower_system(spec, u2), whose Pi1 and Pi2
-    are P1 and P2.  Its feedback table is compared once with the adjoint form
-    -R1^-1 B1^T x, which it equals through the identity x = P2 y + varphi."""
+    """The stacked path kernel on follower_system(spec, u2), whose Pi1 and Pi2 are
+    P1 and P2, with its feedback checked against the adjoint form (check_feedback)."""
     kernel = path_kernel(follower_system(spec, u2), p1, p2)
-    adjoint = -(kernel.read_X @ spec.B1.values @ _tr(spec.R1_inv[::2]))
-    check_forms_agree(kernel.read_u, adjoint, "feedback/adjoint control forms")
+    check_feedback(kernel)
     return kernel
 
 
@@ -82,22 +83,20 @@ def response_step(spec: LQGameSpec, v: AffineControl) -> AffineBSDESolution:
     )
 
 
-def follower_stationarity_samples(
-    spec: LQGameSpec, ens: StackedEnsemble, v: AffineControl, delta: AffineBSDESolution
-) -> np.ndarray:
-    """The variational first-order check of the follower's feedback control on the
-    ensemble, for the step v and its state perturbation delta (response_step).
-
-    J1 is quadratic, so along the direction v,
-    J1(u1 + eps v) = J1(u1) + eps slope + eps^2 curvature exactly under
-    common random numbers.  Returns the cross term per path, whose mean is
-    the extrapolated, eps -> 0, directional derivative.
-    """
-    W = ens.bundle.W
-    step = (delta.phi_pathwise(W), _u2_pathwise(v, W), delta.eta_values[:, None])
-    return quadratic_expansion(
-        spec.grid, (ens.Y, ens.u1, ens.Z), step, spec.Q1, spec.R1, spec.S1, spec.G1
+def follower_slope_table(spec: LQGameSpec, kernel: PathKernel, v: AffineControl) -> np.ndarray:
+    """The form on the follower's zeta of its stationarity cross term along v:
+    J1(u1 + eps v) = J1(u1) + eps slope + eps^2 curvature exactly under common
+    random numbers.  The step (alpha + beta W, v, beta) of response_step's
+    perturbation is affine in W, so it reads only zeta's W and 1 rows."""
+    n, delta = spec.dims.n, response_step(spec, v)
+    alpha, beta = delta.alpha.values, delta.beta.values
+    step = (
+        affine_table(alpha, beta, n),
+        affine_table(v.u_const.values, v.u_lin.values, n),
+        affine_table(beta, np.zeros_like(beta), n),
     )
+    reads = (kernel.read_Y, kernel.read_u, kernel.read_Z)
+    return form_table(spec.grid, spec.weights(1), reads, step)
 
 
 def follower_paths_csv(ens: StackedEnsemble, max_paths: int | None = None) -> str:
@@ -109,37 +108,42 @@ def follower_paths_csv(ens: StackedEnsemble, max_paths: int | None = None) -> st
     return paths_csv(ens.grid.nodes, header, blocks, max_paths, ens.bundle.first)
 
 
-def follower_summary(
-    spec: LQGameSpec, u2: AffineControl, mc: MonteCarloConfig, v: AffineControl, csv_paths: int = 0
-) -> tuple[dict, str]:
-    """The follower's figures for the leader control u2 on mc's paths, keyed as
-    the CLI's summary, and the CSV of the first csv_paths paths, streamed in
-    path chunks (stream_paths).
-
-    P1, P2, the path kernel with its structural defects and the response
-    step of the stationarity direction v are formed once; each chunk runs
-    the kernel, the feedback, the cost, the residual and the stationarity
-    slope.
-    """
-    p1 = solve_p1(spec)
-    p2 = solve_p2(spec, p1)
-    kernel = follower_kernel(spec, p1, p2, u2)
-    delta = response_step(spec, v)
-    defects = structural_defects(kernel)
+def follower_chunk(
+    spec: LQGameSpec, kernel: PathKernel, v: AffineControl, csv_paths: int = 0
+) -> Callable[[PathBundle], dict]:
+    """The per-path figures of follower_summary on one chunk of paths: one Euler
+    loop, then J1, the slope along v and the residual read off zeta; the path
+    arrays are formed only for the CSV's paths, those below csv_paths."""
+    cost, slope = follower_cost_table(spec, kernel), follower_slope_table(spec, kernel, v)
 
     def chunk(bundle: PathBundle) -> dict:
-        ens = stacked_paths(kernel, bundle)
+        zeta = simulate_tilde_varphi(kernel.step, bundle)
+        residual, residual_max = residual_samples(kernel, zeta, bundle.dW)
+        listed = bundle.below(csv_paths)
+        ens = reconstruct_XYZ(kernel, zeta[:, : listed.n_paths], listed)
         follower_feedback(ens)
-        residual, residual_max = bsde_residual_samples(ens)
         return {
-            "J1": follower_cost(spec, ens),
-            "slope": follower_stationarity_samples(spec, ens, v, delta),
+            "J1": form_samples(cost, zeta),
+            "slope": form_samples(slope, zeta),
             "residual": residual,
             "bsde_residual_max": residual_max,
             "csv": follower_paths_csv(ens, csv_paths),
         }
 
-    merged = stream_paths(spec.grid, mc, kernel.sys.dim, chunk)
+    return chunk
+
+
+def follower_summary(
+    spec: LQGameSpec, u2: AffineControl, mc: MonteCarloConfig, v: AffineControl, csv_paths: int = 0
+) -> tuple[dict, str]:
+    """The follower's figures for the leader control u2 on mc's paths, keyed as
+    the CLI's summary, and the CSV of the first csv_paths paths, streamed in
+    path chunks (follower_chunk)."""
+    p1 = solve_p1(spec)
+    p2 = solve_p2(spec, p1)
+    kernel = follower_kernel(spec, p1, p2, u2)
+    defects = structural_defects(kernel)
+    merged = stream_paths(spec.grid, mc, kernel.sys.dim, follower_chunk(spec, kernel, v, csv_paths))
     summary = {
         "J1": cost_figures(merged["J1"]),
         "stationarity": {

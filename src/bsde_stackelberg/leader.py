@@ -1,26 +1,19 @@
 """The leader's problem on the stacked 2n-dimensional system.
 
 The leader anticipates the follower's feedback response, which turns the
-outer problem into optimal control of a forward-backward pair
-(X, (Y, Z)) of doubled dimension.  Two Riccati solutions Pi1, Pi2
-decouple it, and the stacked path layer (stacked.path_kernel,
-stacked.stacked_paths) reconstructs the optimal trajectories pathwise,
-as it does for the follower's problem at dimension n.  This module adds
-what only the leader has: the equilibrium solve's deterministic layer,
-the follower's control and cost along the equilibrium, the leader's
-cost and stationarity slope through the follower's response, the
-block-named CSV and the summary of the equilibrium command.  The
-deterministic layer also checks the structural identities once, on the
-kernel's tables (stacked.structural_defects), together with the two
-forms of the follower's control and its algebraic condition along the
-equilibrium; a chunk of paths forms each control with one matmul and
-checks nothing.
+outer problem into optimal control of a forward-backward pair (X, (Y, Z))
+of doubled dimension, decoupled by Pi1, Pi2 and run through the stacked
+path layer.  This module adds the equilibrium's deterministic layer with
+its table checks, the follower's control along the equilibrium, both costs
+and the leader's stationarity slope through the follower's response as
+forms, the block-named CSV and the summary of the equilibrium command.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -33,17 +26,21 @@ from .stacked import (
     AffineBSDESolution,
     PathKernel,
     StackedEnsemble,
-    _u2_pathwise,
-    bsde_residual_samples,
+    affine_table,
+    check_feedback,
     column_labels,
     cost_figures,
-    cost_samples,
+    embed,
+    form_samples,
+    form_table,
+    joint_step,
     path_kernel,
     paths_csv,
-    quadratic_expansion,
     reachable_max,
+    reconstruct_XYZ,
     residual_rms,
-    stacked_paths,
+    residual_samples,
+    simulate_tilde_varphi,
     structural_defects,
 )
 
@@ -74,22 +71,12 @@ def follower_control_table(
     return read_u1, reachable_max(condition)
 
 
-def leader_cost(spec: LQGameSpec, ens: StackedEnsemble) -> np.ndarray:
-    """The leader's per-path cost J2 along the ensemble (cost_samples)."""
-    return cost_samples(spec.grid, ens.ybar, ens.u2, ens.zbar, spec.Q2, spec.R2, spec.S2, spec.G2)
-
-
-def equilibrium_follower_cost(spec: LQGameSpec, ens: StackedEnsemble) -> np.ndarray:
-    """The follower's per-path cost J1 along the equilibrium (cost_samples)."""
-    return cost_samples(spec.grid, ens.ybar, ens.u1, ens.zbar, spec.Q1, spec.R1, spec.S1, spec.G1)
-
-
 @dataclass
 class StackelbergSolution:
     """An equilibrium solve: its deterministic layer and the ensemble of its paths.
 
     equilibrium_layer fills everything but the ensemble; equilibrium_paths
-    adds the ensemble of one bundle of paths, a whole solve's or one chunk's.
+    adds the ensemble of one bundle of paths.
     defects holds the leader kernel's structural_defects and, under
     "follower", the follower's algebraic condition along the equilibrium.
     """
@@ -103,31 +90,48 @@ class StackelbergSolution:
     kernel: PathKernel  # the leader's path kernel
     read_u1: np.ndarray  # (N+1, 2n+2, k): the leader's zeta -> the follower's control
     defects: dict
+    forms: dict  # the forms of J1 and J2 on the leader's zeta (stacked.form_table)
     ensemble: StackedEnsemble | None = None
 
     @property
     def tilde_phi(self) -> AffineBSDESolution:
         return self.kernel.tilde_phi
 
+    def cost(self, name: str) -> np.ndarray:
+        """Per-path J1 or J2 on the ensemble's paths, a form on its zeta."""
+        return form_samples(self.forms[name], self.ensemble.zeta)
+
 
 def equilibrium_layer(spec: LQGameSpec) -> StackelbergSolution:
-    """The deterministic layer of an equilibrium solve: P1, P2, the stacked
-    system, Pi1, Pi2 (riccati_chain), the leader's path kernel, the follower's
-    control table and the structural defects, before any path is drawn."""
+    """An equilibrium's deterministic layer, before any path is drawn: Riccati chain,
+    checked leader kernel, follower control table, defects and forms of J1, J2."""
     p1, p2, sys, pi1, pi2 = riccati_chain(spec)
     kernel = path_kernel(sys, pi1, pi2)
+    check_feedback(kernel)
     read_u1, follower_condition = follower_control_table(spec, p2, kernel)
     defects = structural_defects(kernel) | {"follower": follower_condition}
-    return StackelbergSolution(spec, p1, p2, sys, pi1, pi2, kernel, read_u1, defects)
+    ybar, zbar = kernel.read_Y[:, :, spec.dims.n :], kernel.read_Z[:, :, spec.dims.n :]
+    forms = {
+        "J1": form_table(spec.grid, spec.weights(1), (ybar, read_u1, zbar)),
+        "J2": form_table(spec.grid, spec.weights(2), (ybar, kernel.read_u, zbar)),
+    }
+    return StackelbergSolution(spec, p1, p2, sys, pi1, pi2, kernel, read_u1, defects, forms)
+
+
+def equilibrium_ensemble(
+    sol: StackelbergSolution, zeta: np.ndarray, bundle: PathBundle
+) -> StackedEnsemble:
+    """The leader's path arrays on the augmented state zeta of a bundle's paths:
+    (X, Y, Z) and both equilibrium controls, one matmul each."""
+    ens = reconstruct_XYZ(sol.kernel, zeta, bundle)
+    ens.u2, ens.u1 = zeta @ sol.kernel.read_u, zeta @ sol.read_u1
+    return ens
 
 
 def equilibrium_paths(sol: StackelbergSolution, bundle: PathBundle) -> StackelbergSolution:
-    """sol with the ensemble of a bundle of paths: the leader's path kernel and
-    both equilibrium controls, one matmul each; the costs are left to the caller."""
-    ens = stacked_paths(sol.kernel, bundle)
-    ens.u2 = ens.zeta @ sol.kernel.read_u
-    ens.u1 = ens.zeta @ sol.read_u1
-    return dataclasses.replace(sol, ensemble=ens)
+    """sol with the ensemble of a bundle of paths (equilibrium_ensemble)."""
+    zeta = simulate_tilde_varphi(sol.kernel.step, bundle)
+    return dataclasses.replace(sol, ensemble=equilibrium_ensemble(sol, zeta, bundle))
 
 
 def _zero_terminal(spec: LQGameSpec) -> LQGameSpec:
@@ -147,24 +151,20 @@ def response_kernel(
     return follower_kernel(_zero_terminal(spec), p1, p2, v)
 
 
-def leader_stationarity_samples(sol: StackelbergSolution, response: PathKernel) -> np.ndarray:
-    """The variational first-order check of the leader's feedback control on sol's
-    ensemble, for the direction of the response kernel (response_kernel); its
-    algebraic counterpart is a structural defect (sol.defects).
-
-    The bilevel cost is quadratic in u2 once the follower's optimal
-    response is followed through the affine response map, so
-    J2(u2 + eps v) = J2(u2) + eps slope + eps^2 curvature exactly under
-    common random numbers.  Returns the cross term per path, whose mean is
-    the extrapolated, eps -> 0, directional derivative.
+def leader_slope_table(sol: StackelbergSolution, response: PathKernel) -> np.ndarray:
+    """The form of the leader's stationarity cross term along the response kernel's
+    direction v, on the joint state xi = (tilde-varphi of the response,
+    tilde-varphi of the equilibrium, W, 1) (stacked.joint_step).  Through the
+    affine response map J2(u2 + eps v) = J2(u2) + eps slope + eps^2 curvature
+    exactly under common random numbers; the slope's mean is the derivative.
     """
-    spec, ens = sol.spec, sol.ensemble
-    delta = stacked_paths(response, ens.bundle)
-    du2 = _u2_pathwise(response.sys.forcing_control, ens.bundle.W)
-    return quadratic_expansion(
-        spec.grid, (ens.ybar, ens.u2, ens.zbar), (delta.Y, du2, delta.Z),
-        spec.Q2, spec.R2, spec.S2, spec.G2,
-    )
+    a, b, v = response.sys.dim, sol.system.dim, response.sys.forcing_control
+    n, kernel = sol.spec.dims.n, sol.kernel
+    base = (kernel.read_Y[:, :, n:], kernel.read_u, kernel.read_Z[:, :, n:])
+    base = [embed(t, before=a) for t in base]
+    du2 = affine_table(v.u_const.values, v.u_lin.values, a)
+    step = [embed(t, after=b) for t in (response.read_Y, du2, response.read_Z)]
+    return form_table(sol.spec.grid, sol.spec.weights(2), base, step)
 
 
 def leader_paths_csv(ens: StackedEnsemble, max_paths: int | None = None) -> str:
@@ -177,33 +177,41 @@ def leader_paths_csv(ens: StackedEnsemble, max_paths: int | None = None) -> str:
     return paths_csv(ens.grid.nodes, header, blocks, max_paths, ens.bundle.first)
 
 
-def equilibrium_summary(
-    spec: LQGameSpec, mc: MonteCarloConfig, v: AffineControl, csv_paths: int = 0
-) -> tuple[dict, str]:
-    """The equilibrium's figures on mc's paths, keyed as the CLI's summary, and
-    the CSV of the first csv_paths paths, streamed in path chunks (stream_paths).
-
-    The deterministic layer, with its structural defects, and the response
-    kernel of the stationarity direction v are formed once; each chunk runs
-    the path kernel, both controls and costs, the residual and the leader's
-    stationarity slope.
-    """
-    sol = equilibrium_layer(spec)
-    response = response_kernel(spec, sol.p1, sol.p2, v)
+def equilibrium_chunk(
+    sol: StackelbergSolution, response: PathKernel, csv_paths: int = 0
+) -> Callable[[PathBundle], dict]:
+    """The per-path figures of equilibrium_summary on one chunk of paths: one Euler
+    loop on the joint state of the equilibrium and the response kernel, then
+    J1, J2, the leader's slope and the residual read off it; the path arrays
+    are formed only for the CSV's paths, those below csv_paths."""
+    step, slope = joint_step(response, sol.kernel), leader_slope_table(sol, response)
+    a = response.sys.dim
 
     def chunk(bundle: PathBundle) -> dict:
-        chunk_sol = equilibrium_paths(sol, bundle)
-        ens = chunk_sol.ensemble
-        residual, residual_max = bsde_residual_samples(ens)
-        return {
-            "J1": equilibrium_follower_cost(spec, ens),
-            "J2": leader_cost(spec, ens),
-            "slope": leader_stationarity_samples(chunk_sol, response),
+        xi = simulate_tilde_varphi(step, bundle)
+        zeta = xi[:, :, a:]  # the equilibrium's
+        residual, residual_max = residual_samples(sol.kernel, zeta, bundle.dW)
+        listed = bundle.below(csv_paths)
+        ens = equilibrium_ensemble(sol, zeta[:, : listed.n_paths], listed)
+        return {name: form_samples(form, zeta) for name, form in sol.forms.items()} | {
+            "slope": form_samples(slope, xi),
             "residual": residual,
             "bsde_residual_max": residual_max,
             "csv": leader_paths_csv(ens, csv_paths),
         }
 
+    return chunk
+
+
+def equilibrium_summary(
+    spec: LQGameSpec, mc: MonteCarloConfig, v: AffineControl, csv_paths: int = 0
+) -> tuple[dict, str]:
+    """The equilibrium's figures on mc's paths, keyed as the CLI's summary, and
+    the CSV of the first csv_paths paths, streamed in path chunks
+    (equilibrium_chunk), for the stationarity direction v."""
+    sol = equilibrium_layer(spec)
+    response = response_kernel(spec, sol.p1, sol.p2, v)
+    chunk = equilibrium_chunk(sol, response, csv_paths)
     merged = stream_paths(spec.grid, mc, sol.system.dim, chunk)
     defects = sol.defects
     summary = {

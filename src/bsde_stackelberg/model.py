@@ -271,6 +271,10 @@ class LQGameSpec:
         B1 = self.B1.half
         return B1 @ self.R1_inv @ np.swapaxes(B1, 1, 2)
 
+    def weights(self, player: int) -> tuple:
+        """The cost weights (Q, R, S, G) of player 1, the follower, or 2, the leader."""
+        return tuple(getattr(self, f"{name}{player}") for name in "QRSG")
+
     @property
     def c_vanishes(self) -> bool:
         """True when the noise coefficient C is zero at every node (to 1e-12)."""

@@ -43,6 +43,11 @@ class PathBundle:
     def n_paths(self) -> int:
         return self.dW.shape[1]
 
+    def below(self, max_paths: int) -> "PathBundle":
+        """The bundle of its paths numbered below max_paths in its seed's stream."""
+        count = max(0, max_paths - self.first)
+        return PathBundle(self.grid, self.seed, self.dW[:, :count], self.W[:, :count], self.first)
+
 
 def _running_values(dW: np.ndarray) -> np.ndarray:
     W = np.zeros((dW.shape[0] + 1, dW.shape[1]))
@@ -81,9 +86,9 @@ def coarsen(bundle: PathBundle, factor: int) -> PathBundle:
     return PathBundle(coarse, bundle.seed, dW, _running_values(dW), bundle.first)
 
 
-# Memory budget of one (N + 1, chunk, dim) float64 path array.  A chunk's
-# working set (both levels' states, offsets, controls and temporaries) is
-# about 12 such arrays, and peak memory no longer grows with the path count.
+# Memory budget of one (N + 1, chunk, dim) float64 path array.  An equilibrium
+# chunk (dim = 2n) holds its joint state (3n + 2 columns), its Brownian paths
+# and one form's temporary: about 6 such arrays at n = 1, fewer at larger n.
 PATH_CHUNK_BYTES = 4 * 2**20
 
 

@@ -18,8 +18,13 @@ phi = alpha(t) + beta(t) W(t), eta = beta(t), valid because coefficients
 are deterministic, the terminal datum is affine in W(T) and the known
 control is affine in W(t).  That reduces it to a pair of terminal-value
 ODEs; the only sampling error left is the Euler scheme for the auxiliary
-SDE.  The module also holds the reductions both levels apply to their
-paths: costs, the BSDE residual and the per-path CSV.
+SDE.  The figures both levels read off their paths are fixed forms on
+zeta too: each cost and stationarity cross term is a quadratic form
+sum_i zeta_i H_i zeta_i^T (form_table), and the BSDE residual is linear in
+(zeta_{i+1}, zeta_i, dW_i zeta_i) (PathKernel.residual_table).  So a path
+chunk runs one Euler loop, on zeta or on the joint state of two kernels
+(joint_step), and reads every figure off it; the path arrays X, Y, Z and
+the controls (reconstruct_XYZ) are formed only for the per-path CSV.
 
 Path arrays are time-major, (N+1, paths, dim): node i of every path is
 one contiguous (paths, dim) block, and every node-wise relation is one
@@ -33,8 +38,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import AffineControl, CoefficientPath, TimeGrid
-from .odeint import MAX_NORM, DivergenceError, guarded_inv
+from .model import CoefficientPath, TimeGrid
+from .odeint import MAX_NORM, DivergenceError, check_forms_agree, guarded_inv
 from .riccati import RiccatiPath, StackedSystem, _sym, _tr, csv_block
 from .sampling import PathBundle, mean_stderr
 
@@ -45,15 +50,6 @@ class AffineBSDESolution:
 
     alpha: CoefficientPath  # m x 1
     beta: CoefficientPath  # m x 1
-
-    def phi_pathwise(self, W: np.ndarray) -> np.ndarray:
-        """(N+1, paths, m) values of phi along Brownian paths W (N+1, paths)."""
-        return _affine_pathwise(self.alpha, self.beta, W)
-
-    @property
-    def eta_values(self) -> np.ndarray:
-        """(N+1, m) deterministic eta trajectory."""
-        return self.beta.values[:, :, 0]
 
 
 def solve_affine_bsde(
@@ -98,16 +94,6 @@ def solve_affine_bsde(
         raise DivergenceError(float(grid.nodes[N - 1 - bad.argmax()]))
     y = y[::-1, :, None]
     return AffineBSDESolution(CoefficientPath(grid, y[:, :m]), CoefficientPath(grid, y[:, m:-1]))
-
-
-def _affine_pathwise(const: CoefficientPath, lin: CoefficientPath, W: np.ndarray) -> np.ndarray:
-    """(N+1, paths, m) values of const(t) + lin(t) W(t) for m x 1 coefficients."""
-    return const.values[:, None, :, 0] + W[:, :, None] * lin.values[:, None, :, 0]
-
-
-def _u2_pathwise(u2: AffineControl, W: np.ndarray) -> np.ndarray:
-    """(N+1, paths, k) leader control values along paths."""
-    return _affine_pathwise(u2.u_const, u2.u_lin, W)
 
 
 def solve_tilde_phi(sys: StackedSystem, pi1: RiccatiPath) -> AffineBSDESolution:
@@ -166,10 +152,7 @@ class PathKernel:
     (N+1, dim+2, 2 dim); read_X, read_Y and read_Z map zeta to X, Y and Z,
     (N+1, dim+2, dim) each, and read_u to the feedback control,
     (N+1, dim+2, k).  None of them depends on the paths, so one
-    kernel serves any number of path chunks (stacked_paths).  step's drift
-    and diffusion columns are the tilde-varphi columns of the linear Euler
-    recursion zeta_{i+1} = zeta_i (I + A_i dt + C_i dW_i), whose W entry
-    steps by dW and whose 1 entry stays.
+    kernel serves any number of path chunks (simulate_tilde_varphi).
     """
 
     sys: StackedSystem
@@ -182,20 +165,30 @@ class PathKernel:
     read_u: np.ndarray  # (N+1, dim+2, k): zeta -> the feedback control
 
     @cached_property
-    def closed_loop(self) -> tuple[np.ndarray, ...]:
-        """(N+1)-node tables (M, F, load) of the closed-loop backward equation of (Y, Z),
+    def closed_loop(self) -> tuple[np.ndarray, np.ndarray]:
+        """(N+1)-node tables (M, F) of the closed-loop backward equation of (Y, Z),
         -dY = (M Y + C1h^T Z + F varphi-tilde + forcing_load u) dt - Z dW with
-        M = A1h + F2h Pi2 - B2h R^-1 (B1h + Pi2 B2h)^T, F = F2h - B2h R^-1 B2h^T
-        and the known control's load forcing_load (u_const + u_lin W) = l W + c
-        as its W and 1 rows, load = (l, c), (N+1, 2, dim).  The residual and the
-        dual reserve read them."""
+        M = A1h + F2h Pi2 - B2h R^-1 (B1h + Pi2 B2h)^T and F = F2h - B2h R^-1 B2h^T.
+        The residual table and the dual reserve read them."""
         sys, Pi2 = self.sys, self.pi2.values
         B2, F2 = sys.B2h.values, sys.F2h.values
         B2_Rinv = B2 @ sys.R_inv[::2]
         M = sys.A1h.values + F2 @ Pi2 - B2_Rinv @ _tr(sys.B1h.values + Pi2 @ B2)
+        return M, F2 - B2_Rinv @ _tr(B2)
+
+    @cached_property
+    def residual_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(N, dim+2, dim) tables (-read_Y + dt drift, -read_Z) on zeta_i of the
+        residual r_i = Y_{i+1} - Y_i + drift_i dt - Z_i dW_i (residual_samples);
+        the known control's load is the drift's W and 1 rows."""
+        sys, d = self.sys, self.sys.dim
+        M, F = self.closed_loop
         u = sys.forcing_control
-        load = _affine_rows(sys.forcing_load.values, u.u_const.values, u.u_lin.values)
-        return M, F2 - B2_Rinv @ _tr(B2), load
+        drift = self.read_Y @ _tr(M)
+        drift += self.read_Z @ sys.C1h.values
+        drift[:, :d] += _tr(F)
+        drift[:, d:] += _affine_rows(sys.forcing_load.values, u.u_const.values, u.u_lin.values)
+        return sys.grid.dt * drift[:-1] - self.read_Y[:-1], -self.read_Z[:-1]
 
 
 def _affine_rows(K: np.ndarray, const: np.ndarray, lin: np.ndarray) -> np.ndarray:
@@ -285,20 +278,59 @@ def structural_defects(kernel: PathKernel) -> dict:
     }
 
 
-def simulate_tilde_varphi(kernel: PathKernel, bundle: PathBundle) -> np.ndarray:
-    """Euler-Maruyama for a stacked system's forward offset, tilde-varphi(0) = 0,
-    on the augmented state zeta = (tilde-varphi, W, 1): one matmul with the
-    kernel's step table gives each step's drift and diffusion.
-    Returns zeta, (N+1, paths, dim + 2)."""
-    d, grid = kernel.sys.dim, kernel.sys.grid
+def check_feedback(kernel: PathKernel):
+    """Compare the feedback table read_u with the maximum-principle form
+    u = -R^-1 (B1h^T Y + B2h^T X) (check_forms_agree), equal through
+    X = Pi2 Y + varphi-tilde; on the follower's system, the adjoint form."""
+    sys = kernel.sys
+    form = kernel.read_Y @ sys.B1h.values
+    form += kernel.read_X @ sys.B2h.values
+    form = -(form @ _tr(sys.R_inv[::2]))
+    check_forms_agree(kernel.read_u, form, "feedback/maximum-principle control forms")
+
+
+def embed(table: np.ndarray, before: int = 0, after: int = 0) -> np.ndarray:
+    """A table on zeta = (tilde-varphi, W, 1) as the same map of a joint state
+    (a, tilde-varphi, b, W, 1): zero rows for the before entries a and the after entries b."""
+    d = table.shape[1] - 2
+    out = np.zeros((table.shape[0], before + d + after + 2, table.shape[2]))
+    out[:, before : before + d] = table[:, :d]
+    out[:, -2:] = table[:, d:]
+    return out
+
+
+def affine_table(const: np.ndarray, lin: np.ndarray, dim: int) -> np.ndarray:
+    """(N+1, dim+2, m) table on zeta of const(t) + lin(t) W(t), (N+1, m, 1) each."""
+    return embed(_tr(np.concatenate([lin, const], axis=2)), before=dim)
+
+
+def joint_step(first: PathKernel, second: PathKernel) -> np.ndarray:
+    """The step table of the joint state xi = (tilde-varphi of first, tilde-varphi
+    of second, W, 1) of two kernels: one Euler loop runs both on the same
+    paths, and xi[..., first.sys.dim:] is second's zeta, a view."""
+    a, b = first.sys.dim, second.sys.dim
+    f, s = embed(first.step, after=b), embed(second.step, before=a)
+    return np.concatenate([f[..., :a], s[..., :b], f[..., a:], s[..., b:]], axis=2)
+
+
+def simulate_tilde_varphi(step: np.ndarray, bundle: PathBundle) -> np.ndarray:
+    """Euler-Maruyama for forward offsets tilde-varphi(0) = 0 on the augmented
+    state zeta = (tilde-varphi, W, 1), for a (N+1, D+2, 2D) step table of drift
+    and diffusion columns (PathKernel.step, joint_step): tilde-varphi_{i+1} =
+    zeta_i (I + dt drift_i) + dW_i zeta_i diffusion_i.  Returns (N+1, paths, D+2)."""
+    d, grid = step.shape[2] // 2, bundle.grid
+    drift = grid.dt * step[:, :, :d]
+    drift[:, :d] += np.eye(d)
+    diffusion = np.ascontiguousarray(step[:, :, d:])
     zeta = np.empty((grid.steps + 1, bundle.n_paths, d + 2))
     zeta[0, :, :d] = 0.0
     zeta[:, :, d] = bundle.W
     zeta[:, :, d + 1] = 1.0
-    dt, dW = grid.dt, bundle.dW
     for i in range(grid.steps):
-        load = zeta[i] @ kernel.step[i]
-        zeta[i + 1, :, :d] = zeta[i, :, :d] + load[:, :d] * dt + load[:, d:] * dW[i, :, None]
+        noise = zeta[i] @ diffusion[i]
+        noise *= bundle.dW[i, :, None]
+        noise += zeta[i] @ drift[i]
+        zeta[i + 1, :, :d] = noise
     return zeta
 
 
@@ -371,55 +403,63 @@ def reconstruct_XYZ(kernel: PathKernel, zeta: np.ndarray, bundle: PathBundle) ->
 def stacked_paths(kernel: PathKernel, bundle: PathBundle) -> StackedEnsemble:
     """A decoupled stacked system on a bundle of paths: the Euler forward offset
     and the reconstructed (X, Y, Z).  The one path kernel of both levels."""
-    return reconstruct_XYZ(kernel, simulate_tilde_varphi(kernel, bundle), bundle)
+    return reconstruct_XYZ(kernel, simulate_tilde_varphi(kernel.step, bundle), bundle)
 
 
-def bsde_residual_samples(ens: StackedEnsemble) -> tuple[np.ndarray, float]:
-    """Discrete residual of the closed-loop BSDE for (Y, Z) on the ensemble's paths.
-
-    r_i = Y_{i+1} - Y_i + drift_i dt - Z_i dW_i per path and step, with the
-    drift at the left node (the kernel's closed_loop tables); returns each
-    path's accumulated squared residual sum_i ||r_i||^2 and the max
-    single-step residual.
-    """
-    sys = ens.kernel.sys
-    M, F, load = ens.kernel.closed_loop
-    drift = ens.Y[:-1] @ _tr(M[:-1])
-    drift += ens.Z[:-1] @ sys.C1h.values[:-1]
-    drift += ens.tilde_varphi[:-1] @ _tr(F[:-1])
-    drift += ens.zeta[:-1, :, -2:] @ load[:-1]  # (W, 1) @ (l, c)
-    drift *= sys.grid.dt
-    resid = ens.Y[1:] - ens.Y[:-1]
-    resid += drift
-    resid -= ens.Z[:-1] * ens.bundle.dW[:, :, None]
-    return np.einsum("ipj,ipj->p", resid, resid), float(np.max(np.abs(resid)))
+def residual_samples(
+    kernel: PathKernel, zeta: np.ndarray, dW: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Discrete residual of the closed-loop BSDE for (Y, Z) on the paths of zeta,
+    r_i = zeta_{i+1} read_Y_{i+1} + zeta_i T_i + dW_i zeta_i T'_i with the
+    kernel's residual_table (T, T'): each path's accumulated squared residual
+    sum_i ||r_i||^2, and the max single-step |r_i|."""
+    left, noise_table = kernel.residual_table
+    resid = zeta[:-1] @ noise_table
+    resid *= dW[:, :, None]
+    resid += zeta[:-1] @ left
+    resid += zeta[1:] @ kernel.read_Y[1:]
+    accumulated = np.einsum("ipj,ipj->p", resid, resid)
+    return accumulated, float(np.max(np.abs(resid, out=resid)))
 
 
 def residual_rms(accumulated: np.ndarray) -> float:
-    """RMS over paths of the accumulated squared residuals of bsde_residual_samples,
+    """RMS over paths of the accumulated squared residuals of residual_samples,
     which scales like O(dt) for a consistent first-order scheme."""
     return float(np.sqrt(np.mean(accumulated)))
 
 
-def cost_samples(
+def form_table(
     grid: TimeGrid,
-    y: np.ndarray,
-    u: np.ndarray,
-    z: np.ndarray,
-    Q: CoefficientPath,
-    R: CoefficientPath,
-    S: CoefficientPath,
-    G: np.ndarray,
+    weights: tuple[CoefficientPath, CoefficientPath, CoefficientPath, np.ndarray],
+    reads: tuple[np.ndarray, np.ndarray, np.ndarray],
+    step: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Per path, 0.5 { int (y'Qy + u'Ru + z'Sz) dt + y(0)'G y(0) }, trapezoidal in time.
-
-    y, u and z are (N+1, paths, dim); a term may broadcast over paths.
+    """The (N+1, m, m) table H of a per-path form sum_i zeta_i H_i zeta_i^T on an
+    augmented state zeta (form_samples), from the (y, u, z) read-out tables of
+    a cost and its weights (Q, R, S, G): the cost 0.5 {int (y'Qy + u'Ru + z'Sz)
+    dt + y(0)'G y(0)}, trapezoidal in time, or with the (dy, du, dz) tables of
+    a step the cross term int (y'Q~dy + u'R~du + z'S~dz) dt + y(0)'G~dy(0) with
+    the symmetric parts M~ = (M + M')/2, so J(base + eps step) = J(base)
+    + eps cross + eps^2 J(step) exactly.  zeta(0) = (0, 0, 1) on every path,
+    so the G term is the last diagonal entry of H_0.
     """
-    integrand = _bilinear_form(y, Q.values, y)
-    integrand += _bilinear_form(u, R.values, u)
-    integrand += _bilinear_form(z, S.values, z)
-    time_integral = np.trapezoid(integrand, dx=grid.dt, axis=0)
-    return 0.5 * (time_integral + _bilinear_form(y[0], G, y[0]))
+    mats, scale = (*(W.values for W in weights[:3]), weights[3]), 0.5
+    if step is None:
+        step = reads
+    else:
+        mats, scale = tuple(_sym(M) for M in mats), 1.0
+    H = sum(L @ M @ _tr(K) for L, M, K in zip(reads, mats, step))
+    w = np.full(grid.steps + 1, scale * grid.dt)
+    w[[0, -1]] *= 0.5
+    H *= w[:, None, None]
+    H[0, -1, -1] += scale * (reads[0][0, -1] @ mats[3] @ step[0][0, -1])
+    return H
+
+
+def form_samples(H: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+    """Per path, sum_i zeta_i H_i zeta_i^T of a form_table H on an augmented
+    state zeta, (N+1, paths, m)."""
+    return np.einsum("ipj,ipj->p", zeta @ H, zeta)
 
 
 def cost_figures(samples: np.ndarray) -> dict:
@@ -427,41 +467,6 @@ def cost_figures(samples: np.ndarray) -> dict:
     (sampling.mean_stderr)."""
     mean, stderr = mean_stderr(samples)
     return {"mean": float(mean), "stderr": float(stderr)}
-
-
-def quadratic_expansion(
-    grid: TimeGrid,
-    base: tuple[np.ndarray, np.ndarray, np.ndarray],
-    step: tuple[np.ndarray, np.ndarray, np.ndarray],
-    Q: CoefficientPath,
-    R: CoefficientPath,
-    S: CoefficientPath,
-    G: np.ndarray,
-) -> np.ndarray:
-    """Per path, the cross term of the cost along a step, with
-    J(base + eps step) = J(base) + eps cross + eps^2 curvature exactly,
-    where the curvature is the cost of the step (cost_samples).
-
-    base and step are (y, u, z) triples of (N+1, paths, dim) arrays; a
-    step may broadcast over paths.  cross is
-    int (y'Q~dy + u'R~du + z'S~dz) dt + y(0)'G~dy(0) with the symmetric
-    parts M~ = (M + M')/2, so it stays exact for weights that are
-    symmetric only to roundoff.  Its mean over paths is the directional
-    derivative of J.
-    """
-    y, u, z = base
-    dy, du, dz = step
-    integrand = _bilinear_form(y, _sym(Q.values), dy)
-    integrand += _bilinear_form(u, _sym(R.values), du)
-    integrand += _bilinear_form(z, _sym(S.values), dz)
-    cross = np.trapezoid(integrand, dx=grid.dt, axis=0)
-    cross += _bilinear_form(y[0], _sym(G), dy[0])
-    return cross
-
-
-def _bilinear_form(v: np.ndarray, M: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """v' M w over the last axis; M is one matrix or a stack matching v's first axis."""
-    return np.einsum("...j,...j->...", v @ M, w)
 
 
 def column_labels(prefix: str, count: int, suffix: str = "") -> list[str]:

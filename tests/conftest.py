@@ -187,6 +187,69 @@ def _tr(M):
     return np.swapaxes(M, -1, -2)
 
 
+def _sym(M):
+    return 0.5 * (M + _tr(M))
+
+
+def affine_pathwise(const, lin, W):
+    """(N+1, paths, m) values of const(t) + lin(t) W(t) for m x 1 coefficient paths,
+    along Brownian paths W (N+1, paths): an affine BSDE solution's alpha + beta W,
+    or an affine control's u_const + u_lin W."""
+    return const.values[:, None, :, 0] + W[:, :, None] * lin.values[:, None, :, 0]
+
+
+def u2_pathwise(u2, W):
+    """(N+1, paths, k) values of an affine control along paths."""
+    return affine_pathwise(u2.u_const, u2.u_lin, W)
+
+
+def bilinear_form(v, M, w):
+    """v' M w over the last axis; M is one matrix or a stack matching v's first axis."""
+    return np.einsum("...j,...j->...", v @ M, w)
+
+
+def cost_samples(grid, y, u, z, Q, R, S, G):
+    """Reference formula of a cost on path arrays: per path,
+    0.5 { int (y'Qy + u'Ru + z'Sz) dt + y(0)'G y(0) }, trapezoidal in time.
+    y, u and z are (N+1, paths, dim); a term may broadcast over paths."""
+    integrand = bilinear_form(y, Q.values, y)
+    integrand += bilinear_form(u, R.values, u)
+    integrand += bilinear_form(z, S.values, z)
+    time_integral = np.trapezoid(integrand, dx=grid.dt, axis=0)
+    return 0.5 * (time_integral + bilinear_form(y[0], G, y[0]))
+
+
+def quadratic_expansion(grid, base, step, Q, R, S, G):
+    """Reference formula of a cost's cross term along a step on path arrays: per
+    path, int (y'Q~dy + u'R~du + z'S~dz) dt + y(0)'G~dy(0) with the symmetric
+    parts M~ = (M + M')/2, so J(base + eps step) = J(base) + eps cross
+    + eps^2 cost(step).  base and step are (y, u, z) triples of
+    (N+1, paths, dim) arrays; a step may broadcast over paths."""
+    y, u, z = base
+    dy, du, dz = step
+    integrand = bilinear_form(y, _sym(Q.values), dy)
+    integrand += bilinear_form(u, _sym(R.values), du)
+    integrand += bilinear_form(z, _sym(S.values), dz)
+    cross = np.trapezoid(integrand, dx=grid.dt, axis=0)
+    return cross + bilinear_form(y[0], _sym(G), dy[0])
+
+
+def bsde_residual_samples(ens):
+    """Reference formula of the closed-loop BSDE residual on an ensemble's path
+    arrays: r_i = Y_{i+1} - Y_i + drift_i dt - Z_i dW_i with the drift
+    M Y + C1h^T Z + F varphi-tilde + forcing_load u at the left node.  Returns
+    each path's sum_i ||r_i||^2 and the max single-step |r_i|."""
+    sys = ens.kernel.sys
+    M, F = ens.kernel.closed_loop
+    u = u2_pathwise(sys.forcing_control, ens.bundle.W)
+    drift = ens.Y[:-1] @ _tr(M[:-1])
+    drift += ens.Z[:-1] @ sys.C1h.values[:-1]
+    drift += ens.tilde_varphi[:-1] @ _tr(F[:-1])
+    drift += u[:-1] @ _tr(sys.forcing_load.values[:-1])
+    resid = ens.Y[1:] - ens.Y[:-1] + sys.grid.dt * drift - ens.Z[:-1] * ens.bundle.dW[:, :, None]
+    return np.einsum("ipj,ipj->p", resid, resid), float(np.max(np.abs(resid)))
+
+
 def follower_pathwise_defects(spec, ens):
     """The follower's structural identities along its ensemble's paths, as reference
     formulas on the path arrays: max |defect| over nodes and paths of each."""

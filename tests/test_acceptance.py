@@ -12,8 +12,8 @@ import pytest
 
 import bsde_stackelberg as bs
 from bsde_stackelberg.finance import MarketParams
-from bsde_stackelberg.follower import follower_stationarity_samples, response_step
-from bsde_stackelberg.leader import leader_stationarity_samples, response_kernel
+from bsde_stackelberg.follower import follower_chunk
+from bsde_stackelberg.leader import equilibrium_chunk, response_kernel
 from bsde_stackelberg.model import AffineControl, CoefficientPath
 from bsde_stackelberg.oracle import (
     build_discrete_problem,
@@ -27,7 +27,7 @@ from bsde_stackelberg.scenario import (
     random_deterministic_scenario,
     stochastic_scenario,
 )
-from bsde_stackelberg.stacked import bsde_residual_samples, residual_rms, structural_defects
+from bsde_stackelberg.stacked import residual_rms, residual_samples, structural_defects
 
 from conftest import (
     follower_pathwise_defects,
@@ -152,10 +152,8 @@ class TestAcceptance:
         worst = 0.0
         for spec in specs:
             res = deterministic_leader_oracle(build_discrete_problem(spec))
-            ens = bs.equilibrium_paths(
-                bs.equilibrium_layer(spec), sample_brownian(spec.grid, 2, 0)
-            ).ensemble
-            rel = abs(bs.leader_cost(spec, ens).mean() - res.cost) / max(abs(res.cost), 1e-12)
+            sol = bs.equilibrium_paths(bs.equilibrium_layer(spec), sample_brownian(spec.grid, 2, 0))
+            rel = abs(sol.cost("J2").mean() - res.cost) / max(abs(res.cost), 1e-12)
             worst = max(worst, rel)
         gaps = []
         for N in (64, 256, 1024):
@@ -208,8 +206,10 @@ class TestAcceptance:
             dirs = directions(spec.grid, include_noise=stochastic)
             sol = bs.equilibrium_layer(spec)
             follower = bs.follower_kernel(spec, sol.p1, sol.p2, AffineControl.zero(spec.grid, 1))
-            deltas = [response_step(spec, v) for v in dirs]
-            responses = [response_kernel(spec, sol.p1, sol.p2, v) for v in dirs]
+            slopes = {("J1", j): follower_chunk(spec, follower, v) for j, v in enumerate(dirs)}
+            for j, v in enumerate(dirs):
+                response = response_kernel(spec, sol.p1, sol.p2, v)
+                slopes["J2", j] = equilibrium_chunk(sol, response)
 
             # the algebraic conditions are tables on zeta, read once per kernel
             algebraic = {
@@ -221,11 +221,8 @@ class TestAcceptance:
                 fol = bs.stacked_paths(follower, bundle)
                 bs.follower_feedback(fol)
                 eq = bs.equilibrium_paths(sol, bundle)
-                out = {"J1": bs.follower_cost(spec, fol), "J2": bs.leader_cost(spec, eq.ensemble)}
-                for j, v in enumerate(dirs):
-                    out[("J1", j)] = follower_stationarity_samples(spec, fol, v, deltas[j])
-                    out[("J2", j)] = leader_stationarity_samples(eq, responses[j])
-                return out
+                out = {"J1": bs.follower_cost(spec, fol), "J2": eq.cost("J2")}
+                return out | {key: slope(bundle)["slope"] for key, slope in slopes.items()}
 
             merged = stream_paths(spec.grid, mc, sol.system.dim, chunk)
             for j in range(len(dirs)):
@@ -267,7 +264,7 @@ class TestAcceptance:
         rms = []
         for spec, bundle in ((fine_spec, fine), (coarse_spec, coarsen(fine, 2))):
             ens = bs.equilibrium_paths(bs.equilibrium_layer(spec), bundle).ensemble
-            rms.append(residual_rms(bsde_residual_samples(ens)[0]))
+            rms.append(residual_rms(residual_samples(ens.kernel, ens.zeta, bundle.dW)[0]))
         ratio = rms[1] / rms[0]
         ok = min_order >= 3.5 and abs(ratio - 2.0) <= 0.4
         report(

@@ -7,25 +7,25 @@ import numpy as np
 import pytest
 
 import bsde_stackelberg as bs
-from bsde_stackelberg.follower import (
-    follower_paths_csv,
-    follower_stationarity_samples,
-    response_step,
-)
-from bsde_stackelberg.leader import _zero_terminal, leader_stationarity_samples, response_kernel
+from bsde_stackelberg.follower import follower_chunk, follower_paths_csv, response_step
+from bsde_stackelberg.leader import _zero_terminal, equilibrium_chunk, response_kernel
 from bsde_stackelberg.odeint import OdeDirection, integrate_matrix_ode
 from bsde_stackelberg.sampling import coarsen, mean_stderr, sample_brownian
 from bsde_stackelberg.scenario import load_scenario
 from bsde_stackelberg.stacked import (
-    _u2_pathwise,
-    bsde_residual_samples,
-    cost_samples,
-    quadratic_expansion,
     residual_rms,
+    residual_samples,
     solve_affine_bsde,
     structural_defects,
 )
-from conftest import dense_game, follower_pathwise_defects
+from conftest import (
+    affine_pathwise,
+    cost_samples,
+    dense_game,
+    follower_pathwise_defects,
+    quadratic_expansion,
+    u2_pathwise,
+)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -80,7 +80,7 @@ class TestAffineBSDE:
             g,
         )
         W = np.array([[0.0] * 9, [1.0] * 9]).T
-        vals = sol.phi_pathwise(W)
+        vals = affine_pathwise(sol.alpha, sol.beta, W)
         np.testing.assert_allclose(vals[:, 0, 0], 2.0, atol=1e-14)
         np.testing.assert_allclose(vals[:, 1, 0], 5.0, atol=1e-14)
 
@@ -208,7 +208,7 @@ class TestStochasticScenario:
                 p2 = bs.solve_p2(spec, p1)
                 u2 = bs.AffineControl.constant(spec.grid, 0.2 * np.ones(spec.dims.k))
                 ens = bs.stacked_paths(bs.follower_kernel(spec, p1, p2, u2), bundle)
-                rms.append(residual_rms(bsde_residual_samples(ens)[0]))
+                rms.append(residual_rms(residual_samples(ens.kernel, ens.zeta, bundle.dW)[0]))
             assert rms[1] / rms[0] == pytest.approx(2.0, abs=0.25), scenario.__name__
 
 
@@ -242,30 +242,41 @@ def expanded_cost(base, slope, curvature, eps):
 
 def follower_curvature(spec, v, delta, W):
     """The follower's curvature along v: the mean cost of the step (cost_samples)."""
-    step = (delta.phi_pathwise(W), _u2_pathwise(v, W), delta.eta_values[:, None])
-    return cost_samples(spec.grid, *step, spec.Q1, spec.R1, spec.S1, spec.G1).mean()
+    return cost_samples(spec.grid, *follower_step(delta, v, W), *spec.weights(1)).mean()
+
+
+def follower_slope(spec, ens, v):
+    """The mean of the follower's stationarity cross term along v on the ensemble's
+    paths, as a path chunk reads it (follower_chunk)."""
+    return follower_chunk(spec, ens.kernel, v)(ens.bundle)["slope"].mean()
+
+
+def follower_step(delta, v, W):
+    """The follower's step (dy, du, dz) along v as path arrays, from its state
+    perturbation delta (response_step)."""
+    dy = affine_pathwise(delta.alpha, delta.beta, W)
+    return dy, u2_pathwise(v, W), delta.beta.values[:, None, :, 0]
 
 
 class TestPerturbations:
     def test_zero_direction_changes_nothing(self, hand_spec, hand_follower):
         v = bs.AffineControl.zero(hand_spec.grid, 1)
         delta = response_step(hand_spec, v)
-        slope = follower_stationarity_samples(hand_spec, hand_follower, v, delta).mean()
+        slope = follower_slope(hand_spec, hand_follower, v)
         J1 = bs.follower_cost(hand_spec, hand_follower).mean()
         curvature = follower_curvature(hand_spec, v, delta, hand_follower.bundle.W)
         assert expanded_cost(J1, slope, curvature, 1e-2) == pytest.approx(J1, abs=1e-15)
 
     def test_slope_zero_at_optimum_hand(self, hand_spec, hand_follower):
         v = bs.AffineControl.constant(hand_spec.grid, [1.0])
-        delta = response_step(hand_spec, v)
-        slope = follower_stationarity_samples(hand_spec, hand_follower, v, delta).mean()
+        slope = follower_slope(hand_spec, hand_follower, v)
         assert abs(slope) < 1e-10
 
     def test_quadratic_growth_away_from_optimum(self, hand_spec, hand_follower):
         # J1(u + eps v) - J1(u) must be positive (strict convexity in u)
         v = bs.AffineControl.constant(hand_spec.grid, [1.0])
         delta = response_step(hand_spec, v)
-        slope = follower_stationarity_samples(hand_spec, hand_follower, v, delta).mean()
+        slope = follower_slope(hand_spec, hand_follower, v)
         J1 = bs.follower_cost(hand_spec, hand_follower).mean()
         curvature = follower_curvature(hand_spec, v, delta, hand_follower.bundle.W)
         for eps in (0.1, -0.1):
@@ -306,10 +317,9 @@ def follower_case(spec, v, bundle):
         spec.B1.half @ v.u_const.half, spec.B1.half @ v.u_lin.half,
         np.zeros(spec.dims.n), np.zeros(spec.dims.n), spec.grid,
     )
-    W = bundle.W
-    step = (delta.phi_pathwise(W), _u2_pathwise(v, W), delta.eta_values[:, None])
-    weights = (spec.Q1, spec.R1, spec.S1, spec.G1)
-    slope = follower_stationarity_samples(spec, ens, v, response_step(spec, v)).mean()
+    step = follower_step(delta, v, bundle.W)
+    weights = spec.weights(1)
+    slope = follower_slope(spec, ens, v)
     return (ens.Y, ens.u1, ens.Z), step, weights, bs.follower_cost(spec, ens).mean(), slope
 
 
@@ -319,10 +329,10 @@ def leader_case(spec, v, bundle):
     ens = sol.ensemble
     response = response_kernel(spec, sol.p1, sol.p2, v)
     delta = bs.stacked_paths(response, bundle)
-    step = (delta.Y, _u2_pathwise(v, bundle.W), delta.Z)
-    weights = (spec.Q2, spec.R2, spec.S2, spec.G2)
-    slope = leader_stationarity_samples(sol, response).mean()
-    return (ens.ybar, ens.u2, ens.zbar), step, weights, bs.leader_cost(spec, ens).mean(), slope
+    step = (delta.Y, u2_pathwise(v, bundle.W), delta.Z)
+    weights = spec.weights(2)
+    slope = equilibrium_chunk(sol, response)(bundle)["slope"].mean()
+    return (ens.ybar, ens.u2, ens.zbar), step, weights, sol.cost("J2").mean(), slope
 
 
 def skewed(weights, scale=0.3):

@@ -7,22 +7,16 @@ import numpy as np
 import pytest
 
 import bsde_stackelberg as bs
-from bsde_stackelberg.leader import (
-    leader_paths_csv,
-    leader_stationarity_samples,
-    response_kernel,
-)
+from bsde_stackelberg.leader import equilibrium_chunk, leader_paths_csv, response_kernel
 from bsde_stackelberg.sampling import coarsen, mean_stderr, sample_brownian
 from bsde_stackelberg.scenario import make_constant_spec
 from bsde_stackelberg.stacked import (
     _decoupling_inverses,
     _offset_diffusion,
-    _u2_pathwise,
-    bsde_residual_samples,
-    cost_samples,
     residual_rms,
+    residual_samples,
 )
-from conftest import leader_pathwise_defects
+from conftest import affine_pathwise, cost_samples, leader_pathwise_defects, u2_pathwise
 
 STUDY = Path(__file__).resolve().parents[1] / "scripts" / "convergence_study.py"
 _spec = importlib.util.spec_from_file_location("convergence_study", STUDY)
@@ -85,7 +79,7 @@ class TestAuxiliaryBackward:
         assert np.max(np.abs(sol.tilde_phi.beta.values)) == 0.0
         for arr in (sol.ensemble.X, sol.ensemble.Y, sol.ensemble.Z, sol.ensemble.u2):
             assert np.max(np.abs(arr)) == 0.0
-        assert bs.leader_cost(spec, sol.ensemble).mean() == 0.0
+        assert sol.cost("J2").mean() == 0.0
 
     def test_deterministic_terminal_kills_martingale_loading(self, hand_solution):
         assert np.max(np.abs(hand_solution.tilde_phi.beta.values)) == 0.0
@@ -151,13 +145,19 @@ class TestStructuralIdentities:
     def test_deterministic_terminal_stderr_zero_and_seed_free(self, hand_spec):
         layer = bs.equilibrium_layer(hand_spec)
         a, b = (
-            bs.equilibrium_paths(layer, sample_brownian(hand_spec.grid, 2, seed)).ensemble
+            bs.equilibrium_paths(layer, sample_brownian(hand_spec.grid, 2, seed))
             for seed in (0, 123)
         )
-        (J2_a, stderr_a), (J2_b, _) = (mean_stderr(bs.leader_cost(hand_spec, e)) for e in (a, b))
+        (J2_a, stderr_a), (J2_b, _) = (mean_stderr(s.cost("J2")) for s in (a, b))
         assert stderr_a == 0.0
         assert J2_a == pytest.approx(J2_b, abs=1e-15)
-        assert np.array_equal(a.u2, b.u2)
+        assert np.array_equal(a.ensemble.u2, b.ensemble.u2)
+
+
+def leader_slope(sol, response):
+    """The mean of the leader's stationarity cross term on sol's paths, as a path
+    chunk reads it (equilibrium_chunk)."""
+    return equilibrium_chunk(sol, response)(sol.ensemble.bundle)["slope"].mean()
 
 
 class TestEquilibriumControls:
@@ -181,17 +181,17 @@ class TestEquilibriumControls:
     def test_variational_slope_zero_on_hand_scenario(self, hand_spec, hand_solution):
         v = bs.AffineControl.constant(hand_spec.grid, [1.0])
         response = response_kernel(hand_spec, hand_solution.p1, hand_solution.p2, v)
-        slope = leader_stationarity_samples(hand_solution, response).mean()
+        slope = leader_slope(hand_solution, response)
         assert abs(slope) < 1e-7
 
     def test_perturbed_cost_grows_at_optimum(self, hand_spec, hand_solution):
         v = bs.AffineControl.constant(hand_spec.grid, [1.0])
         response = response_kernel(hand_spec, hand_solution.p1, hand_solution.p2, v)
-        slope = leader_stationarity_samples(hand_solution, response).mean()
-        base = bs.leader_cost(hand_spec, hand_solution.ensemble).mean()
+        slope = leader_slope(hand_solution, response)
+        base = hand_solution.cost("J2").mean()
         bundle = hand_solution.ensemble.bundle
         delta = bs.stacked_paths(response, bundle)
-        du2 = _u2_pathwise(response.sys.forcing_control, bundle.W)
+        du2 = u2_pathwise(response.sys.forcing_control, bundle.W)
         curvature = cost_samples(
             hand_spec.grid, delta.Y, du2, delta.Z,
             hand_spec.Q2, hand_spec.R2, hand_spec.S2, hand_spec.G2,
@@ -216,9 +216,10 @@ class TestNodeKernelsMatchLoops:
         bundle = sample_brownian(spec.grid, 5, 3)
         ens = bs.stacked_paths(bs.follower_kernel(spec, p1, p2, u2), bundle)
         bs.follower_feedback(ens)
-        u2_paths = _u2_pathwise(u2, bundle.W)
+        u2_paths = u2_pathwise(u2, bundle.W)
         phieta = bs.solve_tilde_phi(bs.follower_system(spec, u2), p1)
-        phi, eta = phieta.phi_pathwise(bundle.W), phieta.eta_values
+        phi = affine_pathwise(phieta.alpha, phieta.beta, bundle.W)
+        eta = phieta.beta.values[:, :, 0]
         inv, eye = np.linalg.inv, np.eye(spec.dims.n)
         for i in range(spec.grid.steps + 1):
             P1, P2, C = p1.values[i], p2.values[i], spec.C.values[i]
@@ -249,7 +250,8 @@ class TestNodeKernelsMatchLoops:
         bundle = sample_brownian(spec.grid, 5, 3)
         sol = bs.equilibrium_paths(bs.equilibrium_layer(spec), bundle)
         sys, ens = sol.system, sol.ensemble
-        phi, eta = sol.tilde_phi.phi_pathwise(bundle.W), sol.tilde_phi.eta_values
+        phi = affine_pathwise(sol.tilde_phi.alpha, sol.tilde_phi.beta, bundle.W)
+        eta = sol.tilde_phi.beta.values[:, :, 0]
         inv, eye = np.linalg.inv, np.eye(2 * spec.dims.n)
         for i in range(spec.grid.steps + 1):
             Pi1, Pi2, tv = sol.pi1.values[i], sol.pi2.values[i], ens.tilde_varphi[i]
@@ -288,7 +290,7 @@ class TestForwardOffsetDiffusion:
             rms = []
             for spec, bundle in ((fine_spec, fine), (coarse_spec, coarsen(fine, 2))):
                 ens = bs.equilibrium_paths(bs.equilibrium_layer(spec), bundle).ensemble
-                rms.append(residual_rms(bsde_residual_samples(ens)[0]))
+                rms.append(residual_rms(residual_samples(ens.kernel, ens.zeta, bundle.dW)[0]))
             rms_f, rms_c = rms
             assert rms_c / rms_f == pytest.approx(2.0, rel=0.25), scenario.__name__
 

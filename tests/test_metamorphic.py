@@ -5,11 +5,14 @@ share their Brownian paths, and neither needs an oracle:
 
 - a change of state coordinates y -> T y with a general (not orthogonal)
   T, which maps A -> T A T^-1, C -> T C T^-1, B_i -> T B_i, the state
-  weights W -> T^-T W T^-1 and xi -> T xi, leaves every per-path cost and
-  control as it is;
+  weights W -> T^-T W T^-1 and xi -> T xi, leaves every per-path cost,
+  stationarity slope and control as it is;
 - a game with block-diagonal coefficients and one set of controls per
   block is two independent games on one Brownian motion, so its per-path
-  costs are the sums of theirs and its controls stack theirs.
+  costs and slopes are the sums of theirs and its controls stack theirs.
+
+The costs and slopes are the forms a path chunk reads off the augmented
+state, so both relations check the form route as well.
 
 An orthogonal T would not do: a transposition error is covariant under
 U, since (U A U^T)^T = U A^T U^T.
@@ -20,6 +23,8 @@ import pytest
 from scipy.linalg import block_diag
 
 import bsde_stackelberg as bs
+from bsde_stackelberg.follower import follower_chunk
+from bsde_stackelberg.leader import equilibrium_chunk, response_kernel
 from bsde_stackelberg.scenario import make_constant_spec
 from bsde_stackelberg.stacked import structural_defects
 from conftest import dense_game
@@ -68,19 +73,25 @@ def leader_control(k, scale=1.0):
     return bs.AffineControl(path(grid, const), path(grid, lin))
 
 
-def per_path(spec, u2, bundle):
-    """Per-path costs and controls of both levels, and the structural defects of
-    both kernels: the follower's for the leader control u2, and the equilibrium."""
-    sol = bs.equilibrium_paths(bs.equilibrium_layer(spec), bundle)
+def per_path(spec, u2, v, bundle):
+    """Per-path figures of both levels, and the structural defects of both kernels:
+    the follower's for the leader control u2, and the equilibrium.  J1, J2 and
+    the stationarity slopes along v are the forms a path chunk reads off zeta
+    (follower_chunk, equilibrium_chunk); the controls are path arrays."""
+    sol = bs.equilibrium_layer(spec)
     kernel = bs.follower_kernel(spec, sol.p1, sol.p2, u2)
     fol = bs.stacked_paths(kernel, bundle)
     bs.follower_feedback(fol)
-    eq = sol.ensemble
+    eq = bs.equilibrium_paths(sol, bundle).ensemble
+    fol_forms = follower_chunk(spec, kernel, v)(bundle)
+    forms = equilibrium_chunk(sol, response_kernel(spec, sol.p1, sol.p2, v))(bundle)
     figures = {
-        "follower J1": bs.follower_cost(spec, fol),
+        "follower J1": fol_forms["J1"],
+        "follower slope": fol_forms["slope"],
         "follower u1": fol.u1,
-        "J1": bs.equilibrium_follower_cost(spec, eq),
-        "J2": bs.leader_cost(spec, eq),
+        "J1": forms["J1"],
+        "J2": forms["J2"],
+        "slope": forms["slope"],
         "u1": eq.u1,
         "u2": eq.u2,
     }
@@ -104,30 +115,34 @@ def test_change_of_coordinates(bundle):
     G = np.random.default_rng(3).standard_normal((n, n))
     T = np.eye(n) + 0.4 * G
     assert np.max(np.abs(T @ T.T - np.eye(n))) > 0.1  # not orthogonal
-    u2 = leader_control(k)
-    base, _ = per_path(spec, u2, bundle)
-    moved, defects = per_path(changed_coordinates(spec, T), u2, bundle)
+    u2, v = leader_control(k), leader_control(k, scale=-1.5)
+    base, _ = per_path(spec, u2, v, bundle)
+    moved, defects = per_path(changed_coordinates(spec, T), u2, v, bundle)
     for key, want in base.items():
         assert_relative(moved[key], want, key)
     assert defects <= 1e-8
 
 
-def test_block_diagonal_split(bundle):
-    first, second = dense_game(STEPS), bs.stochastic_scenario(STEPS)
-    k1 = first.dims.k
-    u2_first, u2_second = leader_control(k1), leader_control(second.dims.k, scale=0.5)
-    u2 = bs.AffineControl(
+def stacked_control(first, second):
+    """The control of the block game whose blocks are two games' controls."""
+    return bs.AffineControl(
         *(
             bs.CoefficientPath(a.grid, np.concatenate([a.values, b.values], axis=1))
-            for a, b in (
-                (u2_first.u_const, u2_second.u_const),
-                (u2_first.u_lin, u2_second.u_lin),
-            )
+            for a, b in ((first.u_const, second.u_const), (first.u_lin, second.u_lin))
         )
     )
-    parts = [per_path(first, u2_first, bundle)[0], per_path(second, u2_second, bundle)[0]]
-    whole, defects = per_path(block_game(first, second), u2, bundle)
-    for key in ("follower J1", "J1", "J2"):
+
+
+def test_block_diagonal_split(bundle):
+    first, second = dense_game(STEPS), bs.stochastic_scenario(STEPS)
+    k1, k2 = first.dims.k, second.dims.k
+    u2s = leader_control(k1), leader_control(k2, scale=0.5)
+    vs = leader_control(k1, scale=-1.5), leader_control(k2, scale=0.8)
+    parts = [per_path(game, u2, v, bundle)[0] for game, u2, v in zip((first, second), u2s, vs)]
+    whole, defects = per_path(
+        block_game(first, second), stacked_control(*u2s), stacked_control(*vs), bundle
+    )
+    for key in ("follower J1", "follower slope", "J1", "J2", "slope"):
         assert_relative(whole[key], parts[0][key] + parts[1][key], key)
     for key in ("follower u1", "u1", "u2"):
         assert_relative(whole[key][:, :, :k1], parts[0][key], key)

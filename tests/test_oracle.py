@@ -176,8 +176,8 @@ class TestOracleVsPipeline:
     def test_leader_rel_gap_small(self, hand_spec_coarse):
         res = deterministic_leader_oracle(build_discrete_problem(hand_spec_coarse))
         bundle = bs.sample_brownian(hand_spec_coarse.grid, 2, 0)
-        ens = bs.equilibrium_paths(bs.equilibrium_layer(hand_spec_coarse), bundle).ensemble
-        J2 = bs.leader_cost(hand_spec_coarse, ens).mean()
+        sol = bs.equilibrium_paths(bs.equilibrium_layer(hand_spec_coarse), bundle)
+        J2 = sol.cost("J2").mean()
         rel = abs(J2 - res.cost) / max(abs(res.cost), 1e-12)
         assert rel < 1e-2
 
@@ -225,7 +225,6 @@ class TestMultiDimensionalPipelines:
         spec = random_multidim_game(np.random.default_rng(10 * n + k + 1), n, k)
         sol = bs.equilibrium_paths(bs.equilibrium_layer(spec), bs.sample_brownian(spec.grid, 2, 0))
         res = deterministic_leader_oracle(build_discrete_problem(spec))
-        ens = sol.ensemble
-        assert abs(bs.leader_cost(spec, ens).mean() - res.cost) / abs(res.cost) <= 1e-2
+        assert abs(sol.cost("J2").mean() - res.cost) / abs(res.cost) <= 1e-2
         assert max(leader_pathwise_defects(sol).values()) <= 1e-8
         assert max(sol.defects.values()) <= 1e-8

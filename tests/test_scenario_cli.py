@@ -443,20 +443,40 @@ def shifted_read_X(original):
     return patched
 
 
+def shifted_leader_read_u(original):
+    """The leader's path kernel (dimension 2n; the follower's has n) with the 1 row
+    of its feedback table read_u shifted by 1e-3: u2 no longer solves the
+    leader's maximum-principle condition, and J2, a form on read_u, moves."""
+
+    def patched(sys, pi1, pi2):
+        kernel = original(sys, pi1, pi2)
+        if sys.dim == sys.n:
+            return kernel
+        read_u = kernel.read_u.copy()
+        read_u[:, -1] += 1e-3
+        return dataclasses.replace(kernel, read_u=read_u)
+
+    return patched
+
+
+COMMANDS = (
+    ("follower", None),
+    ("verify", None),
+    ("leader", None),
+    ("equilibrium", None),
+    ("finance", "finance.json"),
+)
+
 # (command, shipped scenario or None for the hand game, module, attribute, breakage)
 CONSISTENCY_FAILURES = [
     pytest.param(command, scenario, "stacked", attribute, breakage, id=command + suffix)
-    for attribute, breakage, suffix in (
-        ("_decoupling_inverses", doubled_forward, ""),
-        ("path_kernel", shifted_read_X, "-read_X"),
+    for attribute, breakage, suffix, commands in (
+        ("_decoupling_inverses", doubled_forward, "", COMMANDS),
+        ("path_kernel", shifted_read_X, "-read_X", COMMANDS),
+        # the follower command builds no leader kernel
+        ("path_kernel", shifted_leader_read_u, "-leader-read_u", COMMANDS[1:]),
     )
-    for command, scenario in (
-        ("follower", None),
-        ("verify", None),
-        ("leader", None),
-        ("equilibrium", None),
-        ("finance", "finance.json"),
-    )
+    for command, scenario in commands
 ]
 
 

@@ -4,6 +4,7 @@ artifacts that do not depend on the path-chunk width."""
 import importlib.util
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -122,3 +123,23 @@ def test_structural_figures_independent_of_paths_and_seed(tmp_path, capsys):
         ])
     assert figures[0] == figures[1]
     assert max(figures[0]) <= 1e-8
+
+
+# a chunk holds its joint state, its Brownian paths and one form's temporary:
+# about 6 budget-sized arrays at n = 1 (sampling.PATH_CHUNK_BYTES)
+WORKING_SET_CHUNKS = 8
+
+
+def test_peak_allocation_is_one_chunks_working_set():
+    # numpy reports its buffers to tracemalloc; 10000 paths run as 4 chunks,
+    # and the peak is one chunk's working set, not the whole bundle's
+    spec = load_scenario(SCENARIOS / "stochastic.json", steps=100).spec
+    v = bs.AffineControl.constant(spec.grid, np.ones(spec.dims.k))
+    tracemalloc.start()
+    try:
+        bs.equilibrium_summary(spec, bs.MonteCarloConfig(10000, 5), v, CSV_PATH_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sampling.chunk_bounds(10000, 100, 2)) == 4
+    assert peak < WORKING_SET_CHUNKS * sampling.PATH_CHUNK_BYTES, peak / sampling.PATH_CHUNK_BYTES
