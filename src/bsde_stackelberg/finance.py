@@ -7,6 +7,17 @@ The equilibrium is the generic leader pipeline on that specification;
 the module adds the market-named CSV of it (wealth, portfolio and the two
 consumption rates) and the dual propagator representation of the initial
 wealth reserve, a Monte Carlo check of the pipeline's Y(0).
+
+The propagator solves d(Gamma) = a Gamma dt + c Gamma dW with a = M^T and
+c = C1h, M the closed-loop drift of the backward pair, so that
+Y(0) = E[Gamma(T)^T xi-hat + int_0^T Gamma(t)^T f(t) dt] with the forcing
+f = F varphi-tilde (PathKernel.closed_loop).  Its trapezoidal drift,
+Milstein diffusion step is Gamma_{i+1} = S_i Gamma_i with
+S_i = S0 + dW_i S1 + dW_i^2 S2, S0 = I + dt/2 (a_i + a_{i+1} (I + dt a_i))
+- dt/2 c_i^2, S1 = c_i + dt/2 a_{i+1} c_i and S2 = c_i^2 / 2.  The reserve
+sample Gamma(T)^T xi-hat + sum_i w_i Gamma(t_i)^T f_i is the row recursion
+y_N = xi-hat + w_N f_N, y_i = y_{i+1} S_i + w_i f_i, run backward to y_0 on
+(paths, 2n) rows (reserve_samples).
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ from .model import (
     TimeGrid,
     validate_spec,
 )
+from .riccati import _tr
 from .sampling import MonteCarloConfig, PathBundle, mean_stderr, stream_paths
 from .stacked import StackedEnsemble, cost_figures, form_samples, paths_csv, simulate_tilde_varphi
 
@@ -105,65 +117,47 @@ def build_finance_spec(m: MarketParams) -> LQGameSpec:
     return spec
 
 
-def _dual_coefficients(sol: StackelbergSolution):
-    """Node-wise (drift, diffusion, forcing) matrices of the propagator.
-
-    The propagator solves d(Gamma) = M^T Gamma dt + C1h Gamma dW with M
-    the closed-loop drift of the backward pair, so that
-    Y(t) = E[Gamma_t(T)^T xi-hat + int_t^T Gamma_t(s)^T f(s) ds] with
-    f = (F2h - B2h R2^-1 B2h^T) varphi-tilde (see PathKernel.closed_loop).
-    """
-    M, forcing = sol.kernel.closed_loop  # the leader has no known control
-    return np.swapaxes(M, 1, 2), sol.system.C1h.values, forcing
-
-
-def _gamma_step(gamma, a_i, a_ip1, c_i, dt, dW):
-    """One propagator step: trapezoidal drift, Milstein diffusion.
-
-    Exact to O(dt^2) when the diffusion vanishes, so the deterministic
-    self-consistency checks are not limited by drift bias.
-    """
-    drift0 = np.einsum("ij,pjk->pik", a_i, gamma)
-    diff = np.einsum("ij,pjk->pik", c_i, gamma)
-    pred = gamma + dt * drift0 + dW[:, None, None] * diff
-    drift1 = np.einsum("ij,pjk->pik", a_ip1, pred)
-    milstein = np.einsum("ij,pjk->pik", c_i, diff)
-    return (
-        gamma
-        + 0.5 * dt * (drift0 + drift1)
-        + dW[:, None, None] * diff
-        + 0.5 * (dW**2 - dt)[:, None, None] * milstein
-    )
+def dual_tables(sol: StackelbergSolution) -> tuple[np.ndarray, np.ndarray]:
+    """reserve_samples' tables, built once per solve: the (N, 2n, 6n) step table
+    [S0 | S1 | S2] and the (N+1, 2n+2, 2n) table on zeta of w_i f_i, trapezoid
+    weights w_i, with xi-hat = a + b W(T) in the W and 1 rows of its last node."""
+    sys, grid = sol.system, sol.system.grid
+    M, F = sol.kernel.closed_loop  # the leader has no known control
+    a, c, m, dt = _tr(M), sys.C1h.values[:-1], sys.dim, grid.dt
+    eye, c_sq = np.eye(m), c @ c
+    steps = np.concatenate([
+        eye + 0.5 * dt * (a[:-1] + a[1:] @ (eye + dt * a[:-1]) - c_sq),
+        c + 0.5 * dt * a[1:] @ c,
+        0.5 * c_sq,
+    ], axis=2)
+    weights = np.full(grid.steps + 1, dt)
+    weights[[0, -1]] *= 0.5
+    forcing = np.zeros((grid.steps + 1, m + 2, m))
+    forcing[:, :m] = weights[:, None, None] * _tr(F)
+    forcing[-1, m] += sys.xih.b[:, 0]
+    forcing[-1, -1] += sys.xih.a
+    return steps, forcing
 
 
-def reserve_samples(sol: StackelbergSolution, zeta: np.ndarray, bundle: PathBundle) -> np.ndarray:
-    """Per path, Gamma_0(T)^T xi-hat + trapezoid(Gamma_0(t)^T f(t)): the dual
-    representation's samples of Y(0), (paths, 2n), on a bundle's paths, with
-    f's varphi-tilde read off their augmented state zeta."""
-    sys = sol.system
-    grid = sys.grid
-    a, c, forcing = _dual_coefficients(sol)
-    m = 2 * sys.n
-    P = bundle.n_paths
-    dt = grid.dt
-    dW = bundle.dW
-
-    gamma = np.broadcast_to(np.eye(m), (P, m, m)).copy()
-    integral = np.zeros((P, m))
-    w_end = 0.5 * dt
-
-    def integrand(i, g):
-        f = np.einsum("ij,pj->pi", forcing[i], zeta[i, :, :m])
-        return np.einsum("pji,pj->pi", g, f)
-
-    integral += w_end * integrand(0, gamma)
-    for i in range(grid.steps):
-        gamma = _gamma_step(gamma, a[i], a[i + 1], c[i], dt, dW[i])
-        w = w_end if i == grid.steps - 1 else dt
-        integral += w * integrand(i + 1, gamma)
-
-    xi_hat = sys.xih.on_paths(bundle.W[-1])
-    return np.einsum("pji,pj->pi", gamma, xi_hat) + integral
+def reserve_samples(
+    tables: tuple[np.ndarray, np.ndarray], zeta: np.ndarray, dW: np.ndarray
+) -> np.ndarray:
+    """Per path, the dual samples of Y(0), (paths, 2n), on the paths of zeta with
+    increments dW: y_N = xi-hat + w_N f_N, y_i = y_{i+1} S_i + w_i f_i with
+    S_i = S0_i + dW_i S1_i + dW_i^2 S2_i, backward to y_0 on the dual_tables
+    (steps, forcing), one (paths, 2n) x (2n, 6n) product per step."""
+    steps, forcing = tables
+    m = steps.shape[1]
+    f = zeta @ forcing
+    y = f[-1]
+    for i in reversed(range(len(steps))):
+        s = y @ steps[i]
+        y = s[:, 2 * m :] * dW[i, :, None]
+        y += s[:, m : 2 * m]
+        y *= dW[i, :, None]
+        y += s[:, :m]
+        y += f[i]
+    return y
 
 
 def consumption_paths_csv(
@@ -186,17 +180,17 @@ def consumption_summary(
 ) -> tuple[dict, str]:
     """The consumption equilibrium's figures on mc's paths, keyed as the CLI's
     summary, and the CSV of the first csv_paths paths, streamed in path chunks:
-    J1 and J2 as forms on zeta, and the dual propagator, whose mean estimates
-    the pipeline's Y(0) = zeta(0) read_Y(0), the same on every path."""
+    J1 and J2 as forms on zeta, and the dual reserve samples, whose mean
+    estimates the pipeline's Y(0) = zeta(0) read_Y(0), the same on every path."""
     sol = equilibrium_layer(build_finance_spec(m))
-    kernel = sol.kernel
+    kernel, dual = sol.kernel, dual_tables(sol)
 
     def chunk(bundle: PathBundle) -> dict:
         zeta = simulate_tilde_varphi(kernel.step, bundle)
         listed = bundle.below(csv_paths)
         ens = equilibrium_ensemble(sol, zeta[:, : listed.n_paths], listed)
         return {name: form_samples(form, zeta) for name, form in sol.forms.items()} | {
-            "reserve": reserve_samples(sol, zeta, bundle),
+            "reserve": reserve_samples(dual, zeta, bundle.dW),
             "csv": consumption_paths_csv(ens, m, csv_paths),
         }
 

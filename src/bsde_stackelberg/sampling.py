@@ -89,6 +89,8 @@ def coarsen(bundle: PathBundle, factor: int) -> PathBundle:
 # Memory budget of one (N + 1, chunk, dim) float64 path array.  An equilibrium
 # chunk (dim = 2n) holds its joint state (3n + 2 columns), its Brownian paths
 # and one form's temporary: about 6 such arrays at n = 1, fewer at larger n.
+# A finance chunk (dim = 2) holds zeta, its Brownian paths, the dual reserve's
+# forcing f and a (paths, 6) step product, or one form's temporary: about 5.
 PATH_CHUNK_BYTES = 4 * 2**20
 
 

@@ -250,6 +250,45 @@ def bsde_residual_samples(ens):
     return np.einsum("ipj,ipj->p", resid, resid), float(np.max(np.abs(resid)))
 
 
+def dual_coefficients(sol):
+    """Node tables (a, c, F) of the dual propagator d(Gamma) = a Gamma dt
+    + c Gamma dW, a = M^T and c = C1h, and of its forcing f = F varphi-tilde,
+    from the closed loop of sol's kernel (PathKernel.closed_loop)."""
+    M, F = sol.kernel.closed_loop
+    return _tr(M), sol.system.C1h.values, F
+
+
+def gamma_step(gamma, a_i, a_ip1, c_i, dt, dW):
+    """One forward propagator step on a (paths, 2n, 2n) stack: trapezoidal
+    drift, Milstein diffusion.  Exact to O(dt^2) when the diffusion vanishes."""
+    drift0 = np.einsum("ij,pjk->pik", a_i, gamma)
+    diff = np.einsum("ij,pjk->pik", c_i, gamma)
+    pred = gamma + dt * drift0 + dW[:, None, None] * diff
+    drift1 = np.einsum("ij,pjk->pik", a_ip1, pred)
+    milstein = np.einsum("ij,pjk->pik", c_i, diff)
+    return (
+        gamma
+        + 0.5 * dt * (drift0 + drift1)
+        + dW[:, None, None] * diff
+        + 0.5 * (dW**2 - dt)[:, None, None] * milstein
+    )
+
+
+def reserve_reference(sol, zeta, bundle):
+    """Reference formula of the dual reserve samples, forward on the propagator
+    stack: per path, Gamma(T)^T xi-hat + trapezoid(Gamma(t)^T f(t)) with
+    f = F varphi-tilde read off the augmented state zeta, (paths, 2n)."""
+    a, c, F = dual_coefficients(sol)
+    grid, m = sol.system.grid, sol.system.dim
+    gamma = np.broadcast_to(np.eye(m), (bundle.n_paths, m, m)).copy()
+    integrand = [np.einsum("pji,pj->pi", gamma, zeta[0, :, :m] @ F[0].T)]
+    for i in range(grid.steps):
+        gamma = gamma_step(gamma, a[i], a[i + 1], c[i], grid.dt, bundle.dW[i])
+        integrand.append(np.einsum("pji,pj->pi", gamma, zeta[i + 1, :, :m] @ F[i + 1].T))
+    xi_hat = sol.system.xih.on_paths(bundle.W[-1])
+    return np.einsum("pji,pj->pi", gamma, xi_hat) + np.trapezoid(integrand, dx=grid.dt, axis=0)
+
+
 def follower_pathwise_defects(spec, ens):
     """The follower's structural identities along its ensemble's paths, as reference
     formulas on the path arrays: max |defect| over nodes and paths of each."""

@@ -1,18 +1,31 @@
 """Consumption-rate application: closed forms, specialization, dual reserve."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import bsde_stackelberg as bs
+from bsde_stackelberg import sampling
+from bsde_stackelberg.cli import CSV_PATH_CAP
 from bsde_stackelberg.finance import (
     MarketParams,
-    _dual_coefficients,
-    _gamma_step,
     build_finance_spec,
     consumption_paths_csv,
+    dual_tables,
+    reserve_samples,
 )
+from bsde_stackelberg.scenario import load_scenario
 
-from conftest import p1_closed_form, specialized_stacked_matrices
+from conftest import (
+    dense_game,
+    dual_coefficients,
+    gamma_step,
+    p1_closed_form,
+    reserve_reference,
+    specialized_stacked_matrices,
+)
+from test_streaming import SCENARIOS, WORKING_SET_CHUNKS
 
 
 def benchmark_market(steps=100):
@@ -30,7 +43,7 @@ def riccati_pair(m):
 
 
 def gamma_propagator(sol, t, s, path):
-    """Pathwise propagator Gamma_t(s) (2n x 2n) of reserve_samples, identity at s = t.
+    """Pathwise propagator Gamma_t(s) (2n x 2n) of reserve_reference, identity at s = t.
 
     t and s must be grid nodes with t <= s; the path index selects the
     Brownian trajectory of the solved ensemble.
@@ -43,11 +56,11 @@ def gamma_propagator(sol, t, s, path):
     for i, u in ((i0, t), (i1, s)):
         if abs(grid.nodes[i] - u) > 1e-12 * max(1.0, grid.horizon):
             raise ValueError(f"time {u} is not a grid node")
-    a, c, _ = _dual_coefficients(sol)
+    a, c, _ = dual_coefficients(sol)
     gamma = np.eye(2 * sol.system.n)[None]
     dW = sol.ensemble.bundle.dW
     for i in range(i0, i1):
-        gamma = _gamma_step(gamma, a[i], a[i + 1], c[i], grid.dt, dW[i, path : path + 1])
+        gamma = gamma_step(gamma, a[i], a[i + 1], c[i], grid.dt, dW[i, path : path + 1])
     return gamma[0]
 
 
@@ -193,3 +206,31 @@ class TestDualRepresentation:
         dual = summary["dual_check"]
         ratios = np.abs(dual["gap"]) / np.maximum(dual["stderr"], 1e-300)
         assert np.all(ratios < 3.0)
+
+    @pytest.mark.parametrize("game", ["market", "dense"])
+    def test_backward_rows_match_forward_propagator(self, market, game):
+        # at n = 1, C1h = diag(C^T, C^T) is a multiple of I and commutes with every
+        # drift, so only the dense game (n = 3, C != 0) pins S_i's operand order
+        spec = build_finance_spec(market) if game == "market" else dense_game(64)
+        sol = bs.equilibrium_layer(spec)
+        bundle = bs.sample_brownian(spec.grid, 200, 11)
+        zeta = bs.simulate_tilde_varphi(sol.kernel.step, bundle)
+        samples = reserve_samples(dual_tables(sol), zeta, bundle.dW)
+        reference = reserve_reference(sol, zeta, bundle)
+        assert samples.shape == reference.shape == (200, 2 * spec.dims.n)
+        gap = np.max(np.abs(samples - reference)) / np.max(np.abs(reference))
+        assert gap < 1e-12, gap
+
+
+def test_peak_allocation_is_one_finance_chunks_working_set():
+    # the finance twin of test_streaming's equilibrium guard: 10000 paths run as
+    # 4 chunks, each holding zeta, its Brownian paths, f and the step product
+    scn = load_scenario(SCENARIOS / "finance.json", steps=100)
+    tracemalloc.start()
+    try:
+        bs.consumption_summary(scn.market, bs.MonteCarloConfig(10000, 5), CSV_PATH_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sampling.chunk_bounds(10000, 100, 2)) == 4
+    assert peak < WORKING_SET_CHUNKS * sampling.PATH_CHUNK_BYTES, peak / sampling.PATH_CHUNK_BYTES
