@@ -180,6 +180,9 @@ def cmd_verify(scn: Scenario, out: Path, args) -> int:
     if not spec.c_vanishes:
         print("oracle verification needs C = 0 (no multiplicative noise)", file=sys.stderr)
         return EXIT_VALIDATION
+    if scn.u2.u_lin.values.any():  # the follower oracle takes u2's constant part only
+        print("oracle verification needs a deterministic u2 (u2.lin = 0)", file=sys.stderr)
+        return EXIT_VALIDATION
     profile = TOLERANCE_PROFILES[args.tolerance]
     layer = led.equilibrium_layer(spec)  # its consistency checks come before any path
     # deterministic xi and C = 0: all paths identical, so 2 paths in one bundle

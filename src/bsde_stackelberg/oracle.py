@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .model import LQGameSpec
 
@@ -107,17 +106,24 @@ def build_discrete_problem(spec: LQGameSpec) -> DiscreteLQProblem:
 def _quadratic_pieces(prob: DiscreteLQProblem, Qs: np.ndarray, G: np.ndarray):
     """Trapezoid state weights + initial weight as one (N+1) stack of matrices."""
     W = prob.node_weights[:, None, None] * Qs
-    W = W.copy()
     W[0] += G
     return W
 
 
 def _convex(H: np.ndarray) -> np.ndarray:
-    """The symmetrized Hessian; NonConvexError unless it is positive semidefinite."""
+    """The symmetrized Hessian; NonConvexError unless it is positive semidefinite.
+
+    A Cholesky factorization certifies it (it succeeds only when the minimum
+    eigenvalue is above -O(n eps |H|), far inside PSD_TOL); only when it fails
+    is the minimum eigenvalue computed and held to the tolerance.
+    """
     H = 0.5 * (H + H.T)
-    min_eig = float(np.linalg.eigvalsh(H).min())
-    if min_eig < -PSD_TOL * max(1.0, float(np.abs(H).max())):
-        raise NonConvexError(min_eig)
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        min_eig = float(np.linalg.eigvalsh(H).min())
+        if min_eig < -PSD_TOL * max(1.0, float(np.abs(H).max())):
+            raise NonConvexError(min_eig) from None
     return H
 
 
@@ -138,13 +144,25 @@ class OracleResult:
     inner_control: np.ndarray | None = None  # leader oracle: induced follower control
 
 
-def _cost_terms(prob: DiscreteLQProblem, Qs, G, c, S, R_bar):
-    """H, g, const of 0.5 u'Hu + g'u + const for one player's cost."""
-    W = _quadratic_pieces(prob, Qs, G)
-    H = np.einsum("inm,inp,ipq->mq", S, W, S, optimize=True)
-    g = np.einsum("inm,inp,ip->m", S, W, c, optimize=True)
+def _gram(S, W, T):
+    """sum_i S_i' W_i T_i over the nodes: one GEMM over the flattened (N+1) n state rows."""
+    return S.reshape(-1, S.shape[-1]).T @ (W @ T).reshape(-1, T.shape[-1])
+
+
+def _affine(c0, S, u):
+    """Node states c0 + S u of a flattened control u; c0 is (N+1, n) or (N+1, n, q)."""
+    return c0 + (S.reshape(-1, S.shape[-1]) @ u).reshape(c0.shape)
+
+
+def _cost_terms(W, c, S, R_bar):
+    """H, g, const of 0.5 u'Hu + g'u + const for one player's cost with state
+    weights W: H is S'WS plus R_bar on its N diagonal k x k blocks."""
+    N, k = R_bar.shape[:2]
+    H = _gram(S, W, S)
+    H.reshape(N, k, N, k)[np.arange(N), :, np.arange(N), :] += R_bar
+    g = _gram(S, W, c[..., None])[:, 0]
     const = 0.5 * float(np.einsum("in,inp,ip->", c, W, c, optimize=True))
-    return H + scipy.linalg.block_diag(*R_bar), g, const
+    return H, g, const
 
 
 def deterministic_follower_oracle(prob: DiscreteLQProblem, u2: np.ndarray) -> OracleResult:
@@ -154,11 +172,10 @@ def deterministic_follower_oracle(prob: DiscreteLQProblem, u2: np.ndarray) -> Or
     """
     spec = prob.spec
     grid = spec.grid
-    Q1s = spec.Q1(grid.nodes)
     c0, S, T = prob.state_maps
     u2 = np.asarray(u2, dtype=float).reshape(grid.steps * spec.dims.k)
-    c = c0 + np.einsum("inm,m->in", T, u2)
-    H, g, const = _cost_terms(prob, Q1s, spec.G1, c, S, prob.R1_bar)
+    W1 = _quadratic_pieces(prob, spec.Q1(grid.nodes), spec.G1)
+    H, g, const = _cost_terms(W1, _affine(c0, T, u2), S, prob.R1_bar)
     u, grad = _solve_qp(H, g)
     cost = 0.5 * float(u @ H @ u) + float(g @ u) + const
     return OracleResult(u.reshape(grid.steps, spec.dims.k), cost, grad)
@@ -173,22 +190,19 @@ def deterministic_leader_oracle(prob: DiscreteLQProblem) -> OracleResult:
     spec = prob.spec
     grid = spec.grid
     N, k = grid.steps, spec.dims.k
-    Q1s = spec.Q1(grid.nodes)
-    Q2s = spec.Q2(grid.nodes)
     c0, S, T = prob.state_maps
 
     # follower optimum as an affine function of u2
-    H1, g1_const, _ = _cost_terms(prob, Q1s, spec.G1, c0, S, prob.R1_bar)
+    W1 = _quadratic_pieces(prob, spec.Q1(grid.nodes), spec.G1)
+    H1, g1_const, _ = _cost_terms(W1, c0, S, prob.R1_bar)
     H1 = _convex(H1)
-    W1 = _quadratic_pieces(prob, Q1s, spec.G1)
-    g1_lin = np.einsum("inm,inp,ipq->mq", S, W1, T, optimize=True)
-    u1_const = np.linalg.solve(H1, -g1_const)
-    u1_lin = np.linalg.solve(H1, -g1_lin)
+    g1_lin = _gram(S, W1, T)
+    u1_affine = np.linalg.solve(H1, -np.column_stack([g1_const, g1_lin]))  # one factorization
+    u1_const, u1_lin = u1_affine[:, 0], u1_affine[:, 1:]
 
     # reduced state map: y = (c0 + S u1_const) + (T + S u1_lin) u2
-    c_red = c0 + np.einsum("inm,m->in", S, u1_const)
-    T_red = T + np.einsum("inm,mq->inq", S, u1_lin)
-    H2, g2, const2 = _cost_terms(prob, Q2s, spec.G2, c_red, T_red, prob.R2_bar)
+    W2 = _quadratic_pieces(prob, spec.Q2(grid.nodes), spec.G2)
+    H2, g2, const2 = _cost_terms(W2, _affine(c0, S, u1_const), _affine(T, S, u1_lin), prob.R2_bar)
     u2, grad = _solve_qp(H2, g2)
     cost = 0.5 * float(u2 @ H2 @ u2) + float(g2 @ u2) + const2
     u1 = u1_const + u1_lin @ u2

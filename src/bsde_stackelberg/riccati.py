@@ -69,7 +69,7 @@ class RiccatiPath:
 
 def _tr(stack: np.ndarray) -> np.ndarray:
     """Transpose of every matrix in a stack."""
-    return np.swapaxes(stack, -1, -2)
+    return stack.swapaxes(-1, -2)
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -203,7 +203,7 @@ def follower_system(spec: LQGameSpec, u2: AffineControl) -> StackedSystem:
 
 
 def pi1_field(sys: StackedSystem) -> Callable[[int, np.ndarray], np.ndarray]:
-    """The Pi1 flow's right-hand side at one RK4 stage (scalar j), or at a stack
+    """The Pi1 flow's right-hand side at one RK4 stage (int j), or at a stack
     as riccati_residual passes it, gated by pi1_s1_inverse.  A stage inverts
     I + Pi1 S1-hat with plain inv and records it in a (4N, m, m) stack that
     field.gate() checks with one batched cond after the flow.  A non-finite stage
@@ -213,29 +213,35 @@ def pi1_field(sys: StackedSystem) -> Callable[[int, np.ndarray], np.ndarray]:
     B1_Rinv, B2_Rinv = B1 @ sys.R_inv, B2 @ sys.R_inv
     # (Pi1 B1 - B2) R^-1 (B1^T Pi1 - B2^T) expanded: its iterate-free products
     # join A1, F1 and F2 in four tables
-    left = A1 - B2_Rinv @ _tr(B1)
-    right = _tr(A1) - B1_Rinv @ _tr(B2)
-    quad = F1 - B1_Rinv @ _tr(B1)
-    const = B2_Rinv @ _tr(B2) - F2
-    C1t, D1t = _tr(C1), _tr(D1)
+    tables = (
+        A1 - B2_Rinv @ _tr(B1), _tr(A1) - B1_Rinv @ _tr(B2),
+        F1 - B1_Rinv @ _tr(B1), B2_Rinv @ _tr(B2) - F2, _tr(C1), C1, D1, _tr(D1),
+    )
+    rows = list(zip(S1, zip(*tables)))  # the views of each half step, read per stage
     eye, stage_j, count = np.eye(sys.dim), np.empty(4 * sys.grid.steps, dtype=int), 0
     stages = np.empty((4 * sys.grid.steps, sys.dim, sys.dim))
 
-    def stage_inverse(j, Pi1):
+    if D1.any():
+        def drift(Pi1, inv_s, left, right, quad, const, C1t, C1, D1, D1t):
+            return -(
+                left @ Pi1 + Pi1 @ right - Pi1 @ quad @ Pi1 + const
+                + (C1t - Pi1 @ D1) @ inv_s @ Pi1 @ (C1 - D1t @ Pi1)
+            )
+    else:  # D1-hat is zero (always so on the follower's system), and so are its products
+        def drift(Pi1, inv_s, left, right, quad, const, C1t, C1, *_):
+            return -(left @ Pi1 + Pi1 @ right - Pi1 @ quad @ Pi1 + const + C1t @ inv_s @ Pi1 @ C1)
+
+    def field(j, Pi1):
+        if isinstance(j, np.ndarray):
+            return drift(Pi1, pi1_s1_inverse(Pi1, S1[j], times[j]), *(a[j] for a in tables))
         # (I + Pi1 S1-hat)^-1 depends on the RK4 iterate, so it is inverted per stage
         nonlocal count
-        m = stages[count] = eye + Pi1 @ S1[j]
+        S1_j, row = rows[j]
+        m = stages[count] = eye + Pi1 @ S1_j
         stage_j[count], count = j, count + 1
         if not np.isfinite(m).all():
             raise SingularityError(float(times[j]), PI1_S1)
-        return np.linalg.inv(m)  # LinAlgError stops the flow; the gate names the stage
-
-    def field(j, Pi1):
-        inv_s = pi1_s1_inverse(Pi1, S1[j], times[j]) if np.ndim(j) else stage_inverse(j, Pi1)
-        return -(
-            left[j] @ Pi1 + Pi1 @ right[j] - Pi1 @ quad[j] @ Pi1 + const[j]
-            + (C1t[j] - Pi1 @ D1[j]) @ inv_s @ Pi1 @ (C1[j] - D1t[j] @ Pi1)
-        )
+        return drift(Pi1, np.linalg.inv(m), *row)  # LinAlgError stops the flow; the gate names it
 
     field.gate = lambda: check_invertible(stages[:count], times[stage_j[:count]], PI1_S1)
     return field

@@ -6,8 +6,10 @@ reused across modules, so the suite stays fast.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import bsde_stackelberg as bs
+from bsde_stackelberg.odeint import MAX_NORM, DivergenceError, OdeDirection
 
 
 @pytest.fixture(scope="session")
@@ -324,3 +326,51 @@ def leader_pathwise_defects(sol):
         "u1_forms": ens.u1 + x_stacked @ gains_t,
     }
     return {key: float(np.max(np.abs(gap))) for key, gap in gaps.items()}
+
+
+def cost_terms_reference(S, W, c, R_bar):
+    """The QP oracle's former Hessian and gradient by einsum over the nodes:
+    H = sum_i S_i' W_i S_i + block_diag(R_bar) and g = sum_i S_i' W_i c_i."""
+    H = np.einsum("inm,inp,ipq->mq", S, W, S, optimize=True)
+    g = np.einsum("inm,inp,ip->m", S, W, c, optimize=True)
+    return H + scipy.linalg.block_diag(*R_bar), g
+
+
+def cross_term_reference(S, W, T):
+    """The leader oracle's former g1_lin = sum_i S_i' W_i T_i, by einsum."""
+    return np.einsum("inm,inp,ipq->mq", S, W, T, optimize=True)
+
+
+def reduced_map_reference(T, S, u_lin):
+    """The leader oracle's former reduced state map T + S u_lin, by einsum."""
+    return T + np.einsum("inm,mq->inq", S, u_lin)
+
+
+def rk4_reversed_time(field, boundary_value, grid, direction, postprocess=None):
+    """The former RK4 loop of odeint.integrate_matrix_ode, as its reference: a
+    backward problem is integrated forward in s = T - t with the negated field
+    at half-step index 2N - j, and the nodes are reversed at the end."""
+    m = np.atleast_2d(np.asarray(boundary_value, dtype=float))
+    N, dt = grid.steps, grid.dt
+    backward = direction is OdeDirection.BACKWARD
+
+    def f(j, m):
+        if backward:
+            return -np.asarray(field(2 * N - j, m), dtype=float)
+        return np.asarray(field(j, m), dtype=float)
+
+    out = np.empty((N + 1, *m.shape))
+    out[0] = m
+    for i in range(N):
+        j = 2 * i
+        k1 = f(j, m)
+        k2 = f(j + 1, m + 0.5 * dt * k1)
+        k3 = f(j + 1, m + 0.5 * dt * k2)
+        k4 = f(j + 2, m + dt * k3)
+        m = m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if postprocess is not None:
+            m = postprocess(m)
+        if not np.all(np.isfinite(m)) or np.max(np.abs(m)) > MAX_NORM:
+            raise DivergenceError(float(grid.nodes[N - i - 1 if backward else i + 1]))
+        out[i + 1] = m
+    return out[::-1] if backward else out

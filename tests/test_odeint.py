@@ -58,6 +58,23 @@ class TestRK4:
             integrate_matrix_ode(lambda t, m: m @ m, 2.0 * np.eye(1), g, OdeDirection.FORWARD)
         assert 0.4 < e.value.t < 0.7
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "direction, poisoned, node",
+        # forward, step 4 reads half steps 6, 7, 7, 8 and ends at node 4;
+        # backward, step 4 reads 14, 13, 13, 12 and ends at node 6
+        [(OdeDirection.FORWARD, 7, 4), (OdeDirection.BACKWARD, 13, 6)],
+    )
+    def test_nonfinite_stage_diverges_at_its_step(self, direction, poisoned, node, value):
+        g = bs.TimeGrid(1.0, 10)
+
+        def field(j, m):
+            return np.full((1, 1), value if j == poisoned else 0.0)
+
+        with pytest.raises(bs.DivergenceError) as e:
+            integrate_matrix_ode(field, np.eye(1), g, direction)
+        assert e.value.t == g.nodes[node]
+
 
 class TestGuardedInverse:
     def test_regular_matrix(self):

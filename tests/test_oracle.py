@@ -6,6 +6,11 @@ import pytest
 import bsde_stackelberg as bs
 from bsde_stackelberg.oracle import (
     NonConvexError,
+    _affine,
+    _convex,
+    _cost_terms,
+    _gram,
+    _quadratic_pieces,
     build_discrete_problem,
     control_rms_gap,
     deterministic_follower_oracle,
@@ -14,7 +19,13 @@ from bsde_stackelberg.oracle import (
 )
 from bsde_stackelberg.scenario import hand_solvable_scenario, make_constant_spec
 from bsde_stackelberg.stacked import structural_defects
-from conftest import follower_pathwise_defects, leader_pathwise_defects
+from conftest import (
+    cost_terms_reference,
+    cross_term_reference,
+    follower_pathwise_defects,
+    leader_pathwise_defects,
+    reduced_map_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +151,73 @@ class TestLeaderOracle:
     def test_gradient_certified(self, hand_spec_coarse):
         res = deterministic_leader_oracle(build_discrete_problem(hand_spec_coarse))
         assert res.gradient_norm < 1e-10
+
+
+def assert_rel_close(actual, reference, rel):
+    assert np.max(np.abs(actual - reference)) <= rel * np.max(np.abs(reference))
+
+
+class TestGemmForms:
+    """The Hessians, the leader's cross term and its reduced state map as GEMMs,
+    against the former einsum formulas (tests/conftest.py)."""
+
+    @pytest.mark.parametrize("game", ["hand", "n2k2"])
+    def test_forms_match_einsum_references(self, game):
+        if game == "hand":
+            spec = hand_solvable_scenario(steps=256)
+        else:
+            spec = random_multidim_game(np.random.default_rng(22), 2, 2, steps=64)
+        prob = build_discrete_problem(spec)
+        c0, S, T = prob.state_maps
+        nodes = spec.grid.nodes
+        W1 = _quadratic_pieces(prob, spec.Q1(nodes), spec.G1)
+        W2 = _quadratic_pieces(prob, spec.Q2(nodes), spec.G2)
+        H1, g1, _ = _cost_terms(W1, c0, S, prob.R1_bar)
+        H1_ref, g1_ref = cost_terms_reference(S, W1, c0, prob.R1_bar)
+        assert_rel_close(H1, H1_ref, 1e-13)
+        assert_rel_close(g1, g1_ref, 1e-13)
+        g1_lin_ref = cross_term_reference(S, W1, T)
+        assert_rel_close(_gram(S, W1, T), g1_lin_ref, 1e-13)
+        u1_lin = np.linalg.solve(H1_ref, -g1_lin_ref)
+        T_red_ref = reduced_map_reference(T, S, u1_lin)
+        assert_rel_close(_affine(T, S, u1_lin), T_red_ref, 1e-13)
+        H2, _, _ = _cost_terms(W2, c0, T_red_ref, prob.R2_bar)
+        assert_rel_close(H2, cost_terms_reference(T_red_ref, W2, c0, prob.R2_bar)[0], 1e-13)
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Count the calls of np.linalg.eigvalsh while a test runs."""
+    calls, original = [], np.linalg.eigvalsh
+
+    def counted(H):
+        calls.append(H.shape)
+        return original(H)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+class TestConvexityCertificate:
+    """_convex certifies by Cholesky and falls back to the eigenvalue rule."""
+
+    def test_positive_definite_needs_no_eigenvalues(self, eigvalsh_calls):
+        rng = np.random.default_rng(5)
+        L = rng.uniform(-1.0, 1.0, (40, 40))
+        H = L @ L.T + 0.1 * np.eye(40)
+        H[0, 1] += 1e-14  # symmetrized on the way in
+        np.testing.assert_array_equal(_convex(H), 0.5 * (H + H.T))
+        assert eigvalsh_calls == []
+
+    def test_semidefinite_within_tolerance_passes_the_fallback(self, eigvalsh_calls):
+        H = np.diag([1.0, -1e-12])
+        np.testing.assert_array_equal(_convex(H), H)
+        assert eigvalsh_calls == [(2, 2)]
+
+    def test_negative_beyond_tolerance_raises(self, eigvalsh_calls):
+        with pytest.raises(NonConvexError) as e:
+            _convex(np.diag([1.0, -1e-8]))
+        assert e.value.min_eig == -1e-8 and eigvalsh_calls == [(2, 2)]
 
 
 class TestDiagnostics:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import bsde_stackelberg as bs
 from bsde_stackelberg.riccati import (
+    _sym,
     pi1_field,
     pi2_field,
     riccati_csv,
@@ -17,7 +18,7 @@ from bsde_stackelberg.riccati import (
 from bsde_stackelberg.scenario import make_constant_spec, scenario_from_dict
 from bsde_stackelberg.stacked import paths_csv
 
-from conftest import singular_stage_document
+from conftest import dense_game, rk4_reversed_time, singular_stage_document
 
 
 def tanh_spec(steps=256):
@@ -357,6 +358,41 @@ class TestLeaderRiccati:
         cf2, _ = bs.pi2_closed_form(sys, hand_spec.R2)
         assert np.max(np.abs(cf1.values[-1])) < 1e-12  # Pi1(T) = 0
         np.testing.assert_allclose(cf2.values[0], sys.G2h, atol=1e-12)  # Pi2(0) = G2-hat
+
+
+@pytest.fixture(scope="module")
+def dense_chain():
+    """The n = 3, k = 2, C != 0 game at N = 64, its follower's system and its chain."""
+    spec = dense_game(64)
+    fsys = bs.follower_system(spec, bs.AffineControl.zero(spec.grid, spec.dims.k))
+    return spec, fsys, bs.riccati_chain(spec)
+
+
+class TestRK4Loop:
+    """The RK4 loop steps backward with h = -dt and calls the field directly; every
+    flow is bit for bit that of the former reversed-time loop with a negated field."""
+
+    @pytest.mark.parametrize("tag", ["P1", "P2", "Pi1", "Pi2"])
+    def test_flows_bit_identical_to_reversed_time_reference(self, dense_chain, tag):
+        spec, fsys, (p1, p2, lsys, pi1, pi2) = dense_chain
+        backward, forward = bs.OdeDirection.BACKWARD, bs.OdeDirection.FORWARD
+        field, boundary, direction, solved = {
+            "P1": (pi1_field(fsys), np.zeros((3, 3)), backward, p1),
+            "P2": (pi2_field(fsys, p1), spec.G1, forward, p2),
+            "Pi1": (pi1_field(lsys), np.zeros((6, 6)), backward, pi1),
+            "Pi2": (pi2_field(lsys, pi1), lsys.G2h, forward, pi2),
+        }[tag]
+        reference = rk4_reversed_time(field, boundary, spec.grid, direction, _sym)
+        assert reference.tobytes() == solved.values.tobytes()
+
+    def test_zero_d1_fold_drops_only_zeros(self, dense_chain):
+        # a D1-hat of 1e-300 takes the general stage body, whose D1-hat products
+        # then vanish in every sum: P1 is the same to the bit
+        spec, fsys, (p1, *_) = dense_chain
+        assert not fsys.D1h.values.any()
+        tiny = bs.CoefficientPath.constant(spec.grid, np.full((3, 3), 1e-300))
+        general = bs.solve_pi1(dataclasses.replace(fsys, D1h=tiny))
+        assert general.values.tobytes() == p1.values.tobytes()
 
 
 class TestCsvExport:

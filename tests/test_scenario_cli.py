@@ -401,6 +401,18 @@ class TestCliVerify:
         rc = main(["verify", "--scenario", str(scn), "--out", str(tmp_path / "o")])
         assert rc == 1
 
+    def test_stochastic_u2_rejected(self, tmp_path, hand_doc, capsys):
+        # the follower oracle solves against u2's constant part only: before this
+        # guard a u2.lin of 2 moved the follower's rel_gap from 2.6e-10 to 8.3e-3
+        # at --steps 64, and verify failed on a gap that means nothing
+        hand_doc["u2"] = {"const": {"constant": [0.0]}, "lin": {"constant": [2.0]}}
+        scn = write_scenario(tmp_path, hand_doc)
+        out = tmp_path / "o"
+        assert main(["verify", "--scenario", str(scn), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "u2.lin = 0" in err
+        assert not out.exists()
+
     def test_multiplicative_noise_rejected(self, tmp_path, capsys):
         # the oracles are only upper bounds when C != 0: J1 = 0.2388 here
         # against the oracle's 0.25, which used to fail as a false gap
