@@ -204,10 +204,13 @@ def follower_system(spec: LQGameSpec, u2: AffineControl) -> StackedSystem:
 
 def pi1_field(sys: StackedSystem) -> Callable[[int, np.ndarray], np.ndarray]:
     """The Pi1 flow's right-hand side at one RK4 stage (int j), or at a stack
-    as riccati_residual passes it, gated by pi1_s1_inverse.  A stage inverts
-    I + Pi1 S1-hat with plain inv and records it in a (4N, m, m) stack that
-    field.gate() checks with one batched cond after the flow.  A non-finite stage
-    matrix raises SingularityError at once, an exactly singular one LinAlgError."""
+    as riccati_residual passes it, gated by pi1_s1_inverse.  A stage records
+    I + Pi1 S1-hat in a (4N, m, m) stack that field.gate() checks with one
+    batched cond after the flow.  Where C1-hat or D1-hat is nonzero the stage
+    inverts it with plain inv: a non-finite stage matrix raises SingularityError
+    at once, an exactly singular one LinAlgError.  Where both are zero (C = 0)
+    the inverse only multiplies zeros, so no stage forms it and the gate alone
+    names a bad stage."""
     A1, B1, B2, C1, D1, F1, F2, S1 = sys.halves()
     times = sys.grid.half_times
     B1_Rinv, B2_Rinv = B1 @ sys.R_inv, B2 @ sys.R_inv
@@ -227,21 +230,31 @@ def pi1_field(sys: StackedSystem) -> Callable[[int, np.ndarray], np.ndarray]:
                 left @ Pi1 + Pi1 @ right - Pi1 @ quad @ Pi1 + const
                 + (C1t - Pi1 @ D1) @ inv_s @ Pi1 @ (C1 - D1t @ Pi1)
             )
-    else:  # D1-hat is zero (always so on the follower's system), and so are its products
+    elif C1.any():  # D1-hat is zero (always so on the follower's system), and so are its products
         def drift(Pi1, inv_s, left, right, quad, const, C1t, C1, *_):
             return -(left @ Pi1 + Pi1 @ right - Pi1 @ quad @ Pi1 + const + C1t @ inv_s @ Pi1 @ C1)
+    else:  # C = 0: C1-hat and D1-hat are zero, and so is the whole inverse term
+        def drift(Pi1, inv_s, left, right, quad, const, *_):
+            return -(left @ Pi1 + Pi1 @ right - Pi1 @ quad @ Pi1 + const)
+
+    if C1.any() or D1.any():
+        def stage_inverse(m, j):
+            # (I + Pi1 S1-hat)^-1 depends on the RK4 iterate, so it is inverted per stage
+            if not np.isfinite(m).all():
+                raise SingularityError(float(times[j]), PI1_S1)
+            return np.linalg.inv(m)  # LinAlgError stops the flow; the gate names it
+    else:  # the folded drift reads no inverse, so none is formed
+        def stage_inverse(m, j):
+            return None
 
     def field(j, Pi1):
         if isinstance(j, np.ndarray):
             return drift(Pi1, pi1_s1_inverse(Pi1, S1[j], times[j]), *(a[j] for a in tables))
-        # (I + Pi1 S1-hat)^-1 depends on the RK4 iterate, so it is inverted per stage
         nonlocal count
         S1_j, row = rows[j]
         m = stages[count] = eye + Pi1 @ S1_j
         stage_j[count], count = j, count + 1
-        if not np.isfinite(m).all():
-            raise SingularityError(float(times[j]), PI1_S1)
-        return drift(Pi1, np.linalg.inv(m), *row)  # LinAlgError stops the flow; the gate names it
+        return drift(Pi1, stage_inverse(m, j), *row)
 
     field.gate = lambda: check_invertible(stages[:count], times[stage_j[:count]], PI1_S1)
     return field

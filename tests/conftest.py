@@ -185,6 +185,27 @@ def dense_game(steps=40):
     )
 
 
+def c_zero_game(steps=64, c=0.0):
+    """n = k = 2 game with every C entry equal to c (0 by default, the QP oracle's
+    regime), S1 != 0, non-symmetric A and a deterministic terminal datum."""
+    return bs.make_constant_spec(
+        1.0, steps,
+        A=[[0.2, 0.7], [-0.5, -0.1]],
+        B1=[[1.0, 0.2], [0.3, 0.8]],
+        B2=[[0.4, 0.0], [0.1, 0.9]],
+        C=np.full((2, 2), c),
+        Q1=[[0.5, 0.1], [0.1, 0.3]],
+        R1=[[1.0, 0.2], [0.2, 0.8]],
+        S1=[[0.2, 0.05], [0.05, 0.1]],
+        G1=[[0.5, 0.1], [0.1, 0.4]],
+        Q2=[[0.3, 0.1], [0.1, 0.4]],
+        R2=[[1.2, -0.1], [-0.1, 0.9]],
+        S2=0.1 * np.eye(2),
+        G2=[[1.0, 0.2], [0.2, 0.7]],
+        a=[0.5, -0.3], b=[0.0, 0.0],
+    )
+
+
 def _tr(M):
     return np.swapaxes(M, -1, -2)
 

@@ -12,22 +12,29 @@ share their Brownian paths, and neither needs an oracle:
   costs and slopes are the sums of theirs and its controls stack theirs.
 
 The costs and slopes are the forms a path chunk reads off the augmented
-state, so both relations check the form route as well.
+state, so both relations check the form route as well.  The change of
+coordinates also runs on a C = 0 game, where the Pi1 flows take their
+body without the inverse term, and through the CLI's verify and
+equilibrium commands, whose oracle and pipeline costs and J means it
+leaves as they are.
 
 An orthogonal T would not do: a transposition error is covariant under
 U, since (U A U^T)^T = U A^T U^T.
 """
+
+import json
 
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
 import bsde_stackelberg as bs
+from bsde_stackelberg.cli import main
 from bsde_stackelberg.follower import follower_chunk
 from bsde_stackelberg.leader import equilibrium_chunk, response_kernel
 from bsde_stackelberg.scenario import make_constant_spec
 from bsde_stackelberg.stacked import structural_defects
-from conftest import dense_game
+from conftest import c_zero_game, dense_game, scenario_document
 
 STEPS, PATHS = 64, 100
 MATRICES = ("A", "B1", "B2", "C", "Q1", "R1", "S1", "Q2", "R2", "S2")
@@ -109,18 +116,58 @@ def bundle():
     return bs.sample_brownian(bs.TimeGrid(1.0, STEPS), PATHS, 11)
 
 
-def test_change_of_coordinates(bundle):
-    spec = dense_game(STEPS)
-    n, k = spec.dims.n, spec.dims.k
-    G = np.random.default_rng(3).standard_normal((n, n))
-    T = np.eye(n) + 0.4 * G
+def coordinate_change(n):
+    """A general (not orthogonal) T = I + 0.4 G, G standard normal."""
+    T = np.eye(n) + 0.4 * np.random.default_rng(3).standard_normal((n, n))
     assert np.max(np.abs(T @ T.T - np.eye(n))) > 0.1  # not orthogonal
+    return T
+
+
+def assert_coordinate_invariance(spec, bundle):
+    n, k = spec.dims.n, spec.dims.k
+    T = coordinate_change(n)
     u2, v = leader_control(k), leader_control(k, scale=-1.5)
     base, _ = per_path(spec, u2, v, bundle)
     moved, defects = per_path(changed_coordinates(spec, T), u2, v, bundle)
     for key, want in base.items():
         assert_relative(moved[key], want, key)
     assert defects <= 1e-8
+
+
+def test_change_of_coordinates(bundle):
+    assert_coordinate_invariance(dense_game(STEPS), bundle)
+
+
+def test_change_of_coordinates_at_c_zero(bundle):
+    # C = 0 with a stochastic xi: both Pi1 fields take the body without the
+    # inverse term, which dense_game and the block split (C != 0) never reach
+    spec = constant_spec(constants(dense_game(STEPS)) | {"C": np.zeros((3, 3))})
+    assert not spec.xi.deterministic
+    assert_coordinate_invariance(spec, bundle)
+
+
+def test_cli_change_of_coordinates_at_c_zero(tmp_path):
+    # the CLI route: verify and equilibrium on a C = 0 game and on its image under
+    # y -> T y, with one seed.  rel_gap is left out: it is the difference of two
+    # close costs, so roundoff alone moves it by far more than 1e-12
+    spec = c_zero_game(STEPS)
+    games = {"base": spec, "moved": changed_coordinates(spec, coordinate_change(2))}
+    figures = {}
+    for name, game in games.items():
+        scn = tmp_path / f"{name}.json"
+        scn.write_text(json.dumps(scenario_document(game)))
+        for command in ("verify", "equilibrium"):
+            out = tmp_path / name / command
+            argv = [command, "--scenario", str(scn), "--seed", "5", "--paths", "4"]
+            assert main([*argv, "--out", str(out)]) == 0
+        oracle = json.loads((tmp_path / name / "verify" / "oracle.json").read_text())
+        summary = json.loads((tmp_path / name / "equilibrium" / "summary.json").read_text())
+        figures[name] = np.array(
+            [oracle[level][cost] for level in ("follower", "leader")
+             for cost in ("oracle_cost", "pipeline_cost")]
+            + [summary["J1"]["mean"], summary["J2"]["mean"]]
+        )
+    np.testing.assert_allclose(figures["moved"], figures["base"], rtol=1e-12, atol=0)
 
 
 def stacked_control(first, second):

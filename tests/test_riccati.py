@@ -14,11 +14,12 @@ from bsde_stackelberg.riccati import (
     pi1_field,
     pi2_field,
     riccati_csv,
+    riccati_residual,
 )
 from bsde_stackelberg.scenario import make_constant_spec, scenario_from_dict
 from bsde_stackelberg.stacked import paths_csv
 
-from conftest import dense_game, rk4_reversed_time, singular_stage_document
+from conftest import c_zero_game, dense_game, rk4_reversed_time, singular_stage_document
 
 
 def tanh_spec(steps=256):
@@ -194,13 +195,24 @@ class TestFollowerRiccati:
 
     def test_exactly_singular_stage_raises_at_its_time(self):
         # n = 2, N = 8, B1 = R1 = I: the second stage of the first backward step reads
-        # Pi1 = dt/2 I = I/16 exactly, so I + Pi1 S1 = diag(0, 17/16) makes inv raise;
-        # the gate after the flow names that stage
-        spec = gate_spec(np.diag([-16.0, 1.0]), np.zeros((2, 2)), np.zeros((2, 2)))
+        # Pi1 = dt/2 I = I/16 exactly (at Pi1 = 0 the inverse term is zero, whatever C),
+        # so I + Pi1 S1 = diag(0, 17/16); C != 0 makes the stage invert it and inv
+        # raise, and the gate after the flow names that stage
+        swap = 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]])
+        spec = gate_spec(np.diag([-16.0, 1.0]), swap, np.zeros((2, 2)))
         with pytest.raises(bs.SingularityError) as err:
             bs.solve_p1(spec)
         assert (err.value.t, err.value.label) == (0.9375, "(I + Pi1 S1-hat)")
         assert isinstance(err.value.__context__, np.linalg.LinAlgError)
+
+    def test_exactly_singular_stage_at_c_zero_named_by_the_gate(self):
+        # the same stage with C = 0: the flow forms no inverse, runs to its end, and
+        # the gate after the flow names the stage it recorded
+        spec = gate_spec(np.diag([-16.0, 1.0]), np.zeros((2, 2)), np.zeros((2, 2)))
+        with pytest.raises(bs.SingularityError) as err:
+            bs.solve_p1(spec)
+        assert (err.value.t, err.value.label) == (0.9375, "(I + Pi1 S1-hat)")
+        assert err.value.__context__ is None
 
     def test_ill_conditioned_stage_wins_over_later_divergence(self):
         # the same stage is diag(2^-45, 17/16), cond 3.7e13, but invertible; its huge
@@ -393,6 +405,25 @@ class TestRK4Loop:
         tiny = bs.CoefficientPath.constant(spec.grid, np.full((3, 3), 1e-300))
         general = bs.solve_pi1(dataclasses.replace(fsys, D1h=tiny))
         assert general.values.tobytes() == p1.values.tobytes()
+
+    def test_zero_c_fold_drops_only_zeros(self):
+        # at C = 0 both Pi1 fields take the body without the inverse term; a C of
+        # 1e-300 takes the bodies with it, whose products underflow to 0: every
+        # flow, and each Pi1 field on the stacked residual, is the same to the bit
+        folded, general = c_zero_game(64), c_zero_game(64, c=1e-300)
+        assert not folded.C.values.any() and general.C.values.all()
+        chains = [bs.riccati_chain(spec) for spec in (folded, general)]
+        for got, want in zip(*chains):
+            if isinstance(got, bs.RiccatiPath):
+                assert got.values.tobytes() == want.values.tobytes(), got.tag
+        assert chains[1][2].D1h.values.any()  # the general game's leader keeps the full body
+        residuals = []
+        for spec, (p1, _, lsys, pi1, _) in zip((folded, general), chains):
+            fsys = bs.follower_system(spec, bs.AffineControl.zero(spec.grid, spec.dims.k))
+            residuals.append(
+                (riccati_residual(p1, pi1_field(fsys)), riccati_residual(pi1, pi1_field(lsys)))
+            )
+        assert residuals[0] == residuals[1]
 
 
 class TestCsvExport:
