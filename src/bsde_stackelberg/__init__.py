@@ -23,13 +23,12 @@ from .odeint import (
     DivergenceError,
     OdeDirection,
     SingularityError,
-    SolvabilityReport,
     integrate_matrix_ode,
     matrix_exponential,
-    solvability_scan,
 )
 from .riccati import (
     RiccatiPath,
+    SolvabilityReport,
     StackedSystem,
     UnsolvableError,
     build_stacked_system,
@@ -79,7 +78,6 @@ from .scenario import (
     hand_solvable_scenario,
     load_scenario,
     make_constant_spec,
-    random_deterministic_scenario,
     stochastic_scenario,
 )
 

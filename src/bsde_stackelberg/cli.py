@@ -117,8 +117,8 @@ def cmd_riccati(scn: Scenario, out: Path, args) -> int:
     if solvability["closed_form_applicable"]:
         try:
             forms = {
-                "pi1": (pi1_closed_form(lsys, spec.R2), pi1),
-                "pi2": (pi2_closed_form(lsys, spec.R2), pi2),
+                "pi1": (pi1_closed_form(lsys), pi1),
+                "pi2": (pi2_closed_form(lsys), pi2),
             }
             for tag, ((cf, rep), rk4) in forms.items():
                 solvability[tag] = {

@@ -130,10 +130,8 @@ def dual_tables(sol: StackelbergSolution) -> tuple[np.ndarray, np.ndarray]:
         c + 0.5 * dt * a[1:] @ c,
         0.5 * c_sq,
     ], axis=2)
-    weights = np.full(grid.steps + 1, dt)
-    weights[[0, -1]] *= 0.5
     forcing = np.zeros((grid.steps + 1, m + 2, m))
-    forcing[:, :m] = weights[:, None, None] * _tr(F)
+    forcing[:, :m] = grid.trapezoid_weights[:, None, None] * _tr(F)
     forcing[-1, m] += sys.xih.b[:, 0]
     forcing[-1, -1] += sys.xih.a
     return steps, forcing

@@ -23,7 +23,6 @@ from .odeint import check_forms_agree
 from .riccati import RiccatiPath, StackedSystem, _tr, riccati_chain
 from .sampling import MonteCarloConfig, PathBundle, stream_paths
 from .stacked import (
-    AffineBSDESolution,
     PathKernel,
     StackedEnsemble,
     affine_table,
@@ -92,10 +91,6 @@ class StackelbergSolution:
     defects: dict
     forms: dict  # the forms of J1 and J2 on the leader's zeta (stacked.form_table)
     ensemble: StackedEnsemble | None = None
-
-    @property
-    def tilde_phi(self) -> AffineBSDESolution:
-        return self.kernel.tilde_phi
 
     def cost(self, name: str) -> np.ndarray:
         """Per-path J1 or J2 on the ensemble's paths, a form on its zeta."""

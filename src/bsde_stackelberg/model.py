@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -67,6 +66,14 @@ class TimeGrid:
         half.setflags(write=False)
         return half
 
+    @cached_property
+    def trapezoid_weights(self) -> np.ndarray:
+        """The N+1 trapezoid-rule weights of the nodes: dt inside, dt / 2 at both ends."""
+        w = np.full(self.steps + 1, self.dt)
+        w[[0, -1]] *= 0.5
+        w.setflags(write=False)
+        return w
+
 
 @dataclass(frozen=True)
 class CoefficientPath:
@@ -113,11 +120,6 @@ class CoefficientPath:
     def constant(cls, grid: TimeGrid, value) -> "CoefficientPath":
         m = np.atleast_2d(np.asarray(value, dtype=float))
         return cls(grid, np.broadcast_to(m, (grid.steps + 1, *m.shape)))
-
-    @classmethod
-    def from_callable(cls, grid: TimeGrid, f: Callable[[float], np.ndarray]) -> "CoefficientPath":
-        vals = np.stack([np.atleast_2d(np.asarray(f(t), dtype=float)) for t in grid.nodes])
-        return cls(grid, vals)
 
     def __call__(self, t: float) -> np.ndarray:
         return eval_coefficient(self, t)
@@ -173,10 +175,6 @@ class TerminalCondition:
     @property
     def deterministic(self) -> bool:
         return not np.any(self.b)
-
-    def on_paths(self, W_T: np.ndarray) -> np.ndarray:
-        """(paths, n) values of xi for terminal Brownian values W_T of shape (paths,)."""
-        return self.a[None] + W_T[:, None] * self.b[:, 0][None]
 
 
 @dataclass(frozen=True)
@@ -304,10 +302,6 @@ class ValidationReport:
     @property
     def errors(self) -> tuple[Violation, ...]:
         return tuple(v for v in self.violations if v.severity == "error")
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
     @property
     def passed(self) -> bool:

@@ -12,7 +12,6 @@ plain arrays.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -144,38 +143,3 @@ def transition_steps(matfun: Callable[[np.ndarray], np.ndarray], grid) -> np.nda
     omega = 0.5 * dt * (a1 + a2) + (np.sqrt(3.0) / 12.0) * dt * dt * (a2 @ a1 - a1 @ a2)
     return matrix_exponential(omega)
 
-
-@dataclass(frozen=True)
-class SolvabilityReport:
-    """Determinant scan behind the closed-form Riccati representations."""
-
-    grid: object  # the model.TimeGrid of the scan
-    determinants: np.ndarray
-    min_determinant: float
-    satisfied: bool
-
-
-def solvability_scan(blockmatrix: np.ndarray, grid) -> SolvabilityReport:
-    """Scan det of the lower-right block of e^(M t) over the grid nodes.
-
-    The scanned quantity is det{(0, I) e^(M t) (0; I)} for each node t;
-    the representation of the associated Riccati solution exists iff all
-    determinants are strictly positive.
-    """
-    m = np.atleast_2d(np.asarray(blockmatrix, dtype=float))
-    if m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
-        raise ValueError(f"block matrix must be square with even size, got {m.shape}")
-    step = matrix_exponential(m * grid.dt)
-    acc = np.empty((grid.steps + 1, *m.shape))
-    acc[0] = np.eye(m.shape[0])
-    for i in range(grid.steps):
-        acc[i + 1] = step @ acc[i]
-    return determinant_scan(acc, grid)
-
-
-def determinant_scan(mats: np.ndarray, grid) -> SolvabilityReport:
-    """det of the lower-right half block of each node matrix in an (N+1, 2m, 2m) stack."""
-    half = mats.shape[1] // 2
-    dets = np.linalg.det(mats[:, half:, half:])
-    min_det = float(dets.min())
-    return SolvabilityReport(grid, dets, min_det, bool(min_det > 0.0))

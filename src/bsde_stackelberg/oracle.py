@@ -95,12 +95,10 @@ def build_discrete_problem(spec: LQGameSpec) -> DiscreteLQProblem:
     M = M + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     E, F1, F2 = M[:, :, :n], M[:, :, n : n + k], M[:, :, n + k :]
 
-    w = np.full(N + 1, dt)
-    w[0] = w[-1] = 0.5 * dt
     R1, R2 = spec.R1(grid.nodes), spec.R2(grid.nodes)
     R1_bar = 0.5 * dt * (R1[:-1] + R1[1:])
     R2_bar = 0.5 * dt * (R2[:-1] + R2[1:])
-    return DiscreteLQProblem(spec, E, F1, F2, w, R1_bar, R2_bar)
+    return DiscreteLQProblem(spec, E, F1, F2, grid.trapezoid_weights, R1_bar, R2_bar)
 
 
 def _quadratic_pieces(prob: DiscreteLQProblem, Qs: np.ndarray, G: np.ndarray):

@@ -21,9 +21,7 @@ from .model import AffineControl, CoefficientPath, LQGameSpec, TerminalCondition
 from .odeint import (
     OdeDirection,
     SingularityError,
-    SolvabilityReport,
     check_invertible,
-    determinant_scan,
     guarded_inv,
     integrate_matrix_ode,
     transition_steps,
@@ -41,6 +39,15 @@ class UnsolvableError(RuntimeError):
         super().__init__(
             f"solvability condition violated: min determinant {min_determinant:.6g} at t={t:.6g}"
         )
+
+
+@dataclass(frozen=True)
+class SolvabilityReport:
+    """Determinant scan behind the closed-form Riccati representations."""
+
+    determinants: np.ndarray
+    min_determinant: float
+    satisfied: bool
 
 
 @dataclass(frozen=True)
@@ -358,14 +365,14 @@ def _transition_closed_form(
     cumulative[-1] = np.eye(size)
     for i in range(grid.steps - 1, -1, -1):
         cumulative[i] = cumulative[i + 1] @ steps[i]
-    report = determinant_scan(cumulative, grid)
+    dets = np.linalg.det(cumulative[:, m:, m:])
+    report = SolvabilityReport(dets, float(dets.min()), bool(dets.min() > 0.0))
     if not report.satisfied:
-        at = float(times[int(np.argmin(report.determinants))])
-        raise UnsolvableError(report.min_determinant, at)
+        raise UnsolvableError(report.min_determinant, float(times[int(np.argmin(dets))]))
     return -np.linalg.solve(cumulative[:, m:, m:], cumulative[:, m:, :m]), report
 
 
-def pi1_closed_form(sys: StackedSystem, R2: CoefficientPath) -> tuple[RiccatiPath, SolvabilityReport]:
+def pi1_closed_form(sys: StackedSystem) -> tuple[RiccatiPath, SolvabilityReport]:
     """Matrix-exponential representation of Pi1 (requires C = 0).
 
     Built on the transition matrices of the linear Hamiltonian system;
@@ -378,7 +385,7 @@ def pi1_closed_form(sys: StackedSystem, R2: CoefficientPath) -> tuple[RiccatiPat
         # read and invert at the Gauss times, not from the half-step tables,
         # so that the closed form stays independent of the RK4 route
         A1, B1, B2, F1, F2 = sys.A1h(t), sys.B1h(t), sys.B2h(t), sys.F1h(t), sys.F2h(t)
-        R2inv = guarded_inv(R2(t), t, "R2")
+        R2inv = guarded_inv(sys.R(t), t, "R2")
         B1t, B2t = _tr(B1), _tr(B2)
         return np.block([
             [_tr(A1) - B1 @ R2inv @ B2t, B1 @ R2inv @ B1t - F1],
@@ -389,7 +396,7 @@ def pi1_closed_form(sys: StackedSystem, R2: CoefficientPath) -> tuple[RiccatiPat
     return RiccatiPath("Pi1", CoefficientPath(grid, vals), sys.S1h), report
 
 
-def pi2_closed_form(sys: StackedSystem, R2: CoefficientPath) -> tuple[RiccatiPath, SolvabilityReport]:
+def pi2_closed_form(sys: StackedSystem) -> tuple[RiccatiPath, SolvabilityReport]:
     """Matrix-exponential representation of Pi2 (requires C = 0).
 
     The representation lives in reversed time tau = T - t; the returned
@@ -404,7 +411,7 @@ def pi2_closed_form(sys: StackedSystem, R2: CoefficientPath) -> tuple[RiccatiPat
     def bfun(tau):
         t = np.clip(T - tau, 0.0, T)
         A1, B1, B2, F1, F2 = sys.A1h(t), sys.B1h(t), sys.B2h(t), sys.F1h(t), sys.F2h(t)
-        R2inv = guarded_inv(R2(t), t, "R2")
+        R2inv = guarded_inv(sys.R(t), t, "R2")
         B1t = _tr(B1)
         hamilton = F2 - B2 @ R2inv @ _tr(B2)
         drift = A1 - B2 @ R2inv @ B1t
@@ -444,13 +451,20 @@ def riccati_residual(
 def riccati_csv(ric: RiccatiPath) -> str:
     """CSV export: header t,m_11,...,m_nn (row-major), 17 significant digits."""
     rows, cols = ric.path.shape
-    header = "t," + ",".join(f"m_{r + 1}{c + 1}" for r in range(rows) for c in range(cols))
+    header = ["t"] + [f"m_{r + 1}{c + 1}" for r in range(rows) for c in range(cols)]
     nodes = ric.path.grid.nodes
-    return header + "\n" + csv_block(np.column_stack([nodes, ric.values.reshape(len(nodes), -1)]))
+    return csv_block(np.column_stack([nodes, ric.values.reshape(len(nodes), -1)]), header)
 
 
-def csv_block(table: np.ndarray, lead: str = "") -> str:
-    """The rows of a 2-D table as CSV lines, each after lead and ended by a newline,
-    17 significant digits; one "%.17g" format string formats the whole table."""
-    line = lead + ",".join(["%.17g"] * table.shape[1]) + "\n"
-    return (line * table.shape[0]) % tuple(table.ravel().tolist())
+# rows per "%" call of csv_block: only one slab's values are Python floats at a time
+CSV_SLAB_ROWS = 256
+
+
+def csv_block(table: np.ndarray, header: list[str] | None = None) -> str:
+    """CSV text of a 2-D table: the header line, if any, then one line per row,
+    17 significant digits; one "%.17g" format string formats each slab of
+    CSV_SLAB_ROWS rows, and the text is joined once."""
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    slabs = np.split(table, range(CSV_SLAB_ROWS, len(table), CSV_SLAB_ROWS))
+    head = [] if header is None else [",".join(header) + "\n"]
+    return "".join(head + [(line * len(slab)) % tuple(slab.ravel().tolist()) for slab in slabs])

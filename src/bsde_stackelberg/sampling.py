@@ -34,7 +34,6 @@ class PathBundle:
     """Brownian increments and running values on a grid."""
 
     grid: TimeGrid
-    seed: int
     dW: np.ndarray  # (N, paths)
     W: np.ndarray  # (N + 1, paths), W[0] = 0
     first: int = 0  # index of the bundle's first path in its seed's stream
@@ -46,7 +45,7 @@ class PathBundle:
     def below(self, max_paths: int) -> "PathBundle":
         """The bundle of its paths numbered below max_paths in its seed's stream."""
         count = max(0, max_paths - self.first)
-        return PathBundle(self.grid, self.seed, self.dW[:, :count], self.W[:, :count], self.first)
+        return PathBundle(self.grid, self.dW[:, :count], self.W[:, :count], self.first)
 
 
 def _running_values(dW: np.ndarray) -> np.ndarray:
@@ -74,7 +73,7 @@ def sample_brownian(grid: TimeGrid, n_paths: int, seed: int, first: int = 0) -> 
         gen.standard_normal(out=row)
         dW[:, p] = row
     dW *= np.sqrt(grid.dt)
-    return PathBundle(grid, seed, dW, _running_values(dW), first)
+    return PathBundle(grid, dW, _running_values(dW), first)
 
 
 def coarsen(bundle: PathBundle, factor: int) -> PathBundle:
@@ -83,7 +82,7 @@ def coarsen(bundle: PathBundle, factor: int) -> PathBundle:
         raise ValueError(f"steps {bundle.grid.steps} not divisible by {factor}")
     coarse = TimeGrid(bundle.grid.horizon, bundle.grid.steps // factor)
     dW = bundle.dW.reshape(coarse.steps, factor, bundle.n_paths).sum(axis=1)
-    return PathBundle(coarse, bundle.seed, dW, _running_values(dW), bundle.first)
+    return PathBundle(coarse, dW, _running_values(dW), bundle.first)
 
 
 # Memory budget of one (N + 1, chunk, dim) float64 path array.  An equilibrium

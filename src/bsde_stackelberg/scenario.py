@@ -151,30 +151,23 @@ def make_constant_spec(
     b,
 ) -> LQGameSpec:
     """Programmatic constant-coefficient spec (scalars or matrices)."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    n = A.shape[0]
-    B1 = np.atleast_2d(np.asarray(B1, dtype=float))
-    k = B1.shape[1]
-    grid = TimeGrid(horizon, steps)
-    cp = CoefficientPath.constant
+    n = np.atleast_2d(np.asarray(A, dtype=float)).shape[0]
+    k = np.atleast_2d(np.asarray(B1, dtype=float)).shape[1]
+    dims, grid = Dimensions(n, k), TimeGrid(horizon, steps)
+    given = dict(A=A, B1=B1, B2=B2, C=C, Q1=Q1, R1=R1, S1=S1, Q2=Q2, R2=R2, S2=S2)
+    coeffs = {
+        name: CoefficientPath.constant(grid, np.asarray(given[name], dtype=float).reshape(shape))
+        for name, shape in coefficient_shapes(dims).items()
+    }
     return LQGameSpec(
-        dims=Dimensions(n, k),
+        dims=dims,
         grid=grid,
-        A=cp(grid, A),
-        B1=cp(grid, B1),
-        B2=cp(grid, np.asarray(B2, dtype=float).reshape(n, k)),
-        C=cp(grid, np.asarray(C, dtype=float).reshape(n, n)),
-        Q1=cp(grid, np.asarray(Q1, dtype=float).reshape(n, n)),
-        R1=cp(grid, np.asarray(R1, dtype=float).reshape(k, k)),
-        S1=cp(grid, np.asarray(S1, dtype=float).reshape(n, n)),
         G1=np.asarray(G1, dtype=float).reshape(n, n),
-        Q2=cp(grid, np.asarray(Q2, dtype=float).reshape(n, n)),
-        R2=cp(grid, np.asarray(R2, dtype=float).reshape(k, k)),
-        S2=cp(grid, np.asarray(S2, dtype=float).reshape(n, n)),
         G2=np.asarray(G2, dtype=float).reshape(n, n),
         xi=TerminalCondition(
             np.asarray(a, dtype=float).reshape(n), np.asarray(b, dtype=float).reshape(n, 1)
         ),
+        **coeffs,
     )
 
 
@@ -202,20 +195,4 @@ def stochastic_scenario(steps: int = 1000) -> LQGameSpec:
         Q1=0.5, R1=1.0, S1=0.2, G1=0.5,
         Q2=0.3, R2=1.0, S2=0.1, G2=1.0,
         a=0.5, b=0.4,
-    )
-
-
-def random_deterministic_scenario(rng: np.random.Generator, steps: int = 256) -> LQGameSpec:
-    """Scalar scenario with coefficients in [-1, 1] and weights in [0.5, 2],
-    deterministic terminal datum (for the brute-force oracles)."""
-
-    def u(lo, hi):
-        return float(rng.uniform(lo, hi))
-
-    return make_constant_spec(
-        1.0, steps,
-        A=u(-1, 1), B1=u(-1, 1), B2=u(-1, 1), C=0.0,
-        Q1=u(0.5, 2), R1=u(0.5, 2), S1=u(0.5, 2), G1=u(0.5, 2),
-        Q2=u(0.5, 2), R2=u(0.5, 2), S2=u(0.5, 2), G2=u(0.5, 2),
-        a=u(-1, 1), b=0.0,
     )

@@ -157,7 +157,6 @@ class PathKernel:
 
     sys: StackedSystem
     pi2: RiccatiPath
-    tilde_phi: AffineBSDESolution
     step: np.ndarray  # (N+1, dim+2, 2 dim): zeta -> (drift, diffusion) of tilde-varphi
     read_X: np.ndarray  # (N+1, dim+2, dim): zeta -> X
     read_Y: np.ndarray  # (N+1, dim+2, dim): zeta -> Y
@@ -236,7 +235,7 @@ def path_kernel(sys: StackedSystem, pi1: RiccatiPath, pi2: RiccatiPath) -> PathK
     Rinv_t = _tr(sys.R_inv[::2])
     read_u = -(read_Y @ B @ Rinv_t)
     read_u[:, :d] -= B2 @ Rinv_t
-    return PathKernel(sys, pi2, tilde_phi, step, read_X, read_Y, read_Z, read_u)
+    return PathKernel(sys, pi2, step, read_X, read_Y, read_Z, read_u)
 
 
 def reachable_max(table: np.ndarray, first_node: int = 0) -> float:
@@ -360,24 +359,12 @@ class StackedEnsemble:
         return self.kernel.sys.grid
 
     @property
-    def tilde_varphi(self) -> np.ndarray:
-        return self.zeta[:, :, : self.kernel.sys.dim]
-
-    @property
     def n(self) -> int:
         return self.kernel.sys.n
 
     @property
     def phibar(self) -> np.ndarray:
         return self.X[:, :, : self.n]
-
-    @property
-    def q(self) -> np.ndarray:
-        return self.X[:, :, self.n :]
-
-    @property
-    def p(self) -> np.ndarray:
-        return self.Y[:, :, : self.n]
 
     @property
     def ybar(self) -> np.ndarray:
@@ -449,9 +436,7 @@ def form_table(
     else:
         mats, scale = tuple(_sym(M) for M in mats), 1.0
     H = sum(L @ M @ _tr(K) for L, M, K in zip(reads, mats, step))
-    w = np.full(grid.steps + 1, scale * grid.dt)
-    w[[0, -1]] *= 0.5
-    H *= w[:, None, None]
+    H *= scale * grid.trapezoid_weights[:, None, None]
     H[0, -1, -1] += scale * (reads[0][0, -1] @ mats[3] @ step[0][0, -1])
     return H
 
@@ -491,9 +476,12 @@ def paths_csv(
     """
     width = blocks[0].shape[1]
     count = width if max_paths is None else max(0, min(max_paths - first, width))
-    data = np.concatenate([np.atleast_3d(b[:, :count]) for b in blocks], axis=2)
-    lines = ["path,t," + ",".join(header) + "\n"] if first == 0 else []
-    lines += [
-        csv_block(np.column_stack([nodes, data[:, p]]), f"{first + p},") for p in range(count)
-    ]
-    return "".join(lines)
+    # one block of rows per path; "%.17g" prints the float path number as the integer
+    shape = (count, len(nodes), 1)
+    table = np.concatenate([
+        np.broadcast_to(np.arange(first, first + count)[:, None, None], shape),
+        np.broadcast_to(nodes[:, None], shape),
+        *(np.swapaxes(np.atleast_3d(b[:, :count]), 0, 1) for b in blocks),
+    ], axis=2)
+    header = ["path", "t", *header] if first == 0 else None
+    return csv_block(table.reshape(-1, table.shape[2]), header)

@@ -115,6 +115,48 @@ def singular_stage_document():
     }
 
 
+def random_deterministic_scenario(rng, steps=256):
+    """Scalar scenario with coefficients in [-1, 1] and weights in [0.5, 2],
+    deterministic terminal datum (for the brute-force oracles)."""
+
+    def u(lo, hi):
+        return float(rng.uniform(lo, hi))
+
+    return bs.make_constant_spec(
+        1.0, steps,
+        A=u(-1, 1), B1=u(-1, 1), B2=u(-1, 1), C=0.0,
+        Q1=u(0.5, 2), R1=u(0.5, 2), S1=u(0.5, 2), G1=u(0.5, 2),
+        Q2=u(0.5, 2), R2=u(0.5, 2), S2=u(0.5, 2), G2=u(0.5, 2),
+        a=u(-1, 1), b=0.0,
+    )
+
+
+def solvability_scan(blockmatrix, grid):
+    """Scan det of the lower-right block of e^(M t) over the grid nodes.
+
+    The scanned quantity is det{(0, I) e^(M t) (0; I)} for each node t;
+    the representation of the associated Riccati solution exists iff all
+    determinants are strictly positive.
+    """
+    m = np.atleast_2d(np.asarray(blockmatrix, dtype=float))
+    if m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
+        raise ValueError(f"block matrix must be square with even size, got {m.shape}")
+    step = bs.matrix_exponential(m * grid.dt)
+    acc = np.empty((grid.steps + 1, *m.shape))
+    acc[0] = np.eye(m.shape[0])
+    for i in range(grid.steps):
+        acc[i + 1] = step @ acc[i]
+    half = m.shape[0] // 2
+    dets = np.linalg.det(acc[:, half:, half:])
+    return bs.SolvabilityReport(dets, float(dets.min()), bool(dets.min() > 0.0))
+
+
+def xi_on_paths(xi, W_T):
+    """(paths, n) values of a terminal datum xi = a + b W(T) at terminal Brownian
+    values W_T of shape (paths,)."""
+    return xi.a[None] + W_T[:, None] * xi.b[:, 0][None]
+
+
 def p1_closed_form(m):
     """P1 of a constant consumption market, a scalar linear ODE's solution:
     P1(t) = (e^(lam (T - t)) - 1) / (R1 lam) with lam = theta^2 - 2r,
@@ -267,7 +309,7 @@ def bsde_residual_samples(ens):
     u = u2_pathwise(sys.forcing_control, ens.bundle.W)
     drift = ens.Y[:-1] @ _tr(M[:-1])
     drift += ens.Z[:-1] @ sys.C1h.values[:-1]
-    drift += ens.tilde_varphi[:-1] @ _tr(F[:-1])
+    drift += ens.zeta[:-1, :, : sys.dim] @ _tr(F[:-1])
     drift += u[:-1] @ _tr(sys.forcing_load.values[:-1])
     resid = ens.Y[1:] - ens.Y[:-1] + sys.grid.dt * drift - ens.Z[:-1] * ens.bundle.dW[:, :, None]
     return np.einsum("ipj,ipj->p", resid, resid), float(np.max(np.abs(resid)))
@@ -308,17 +350,18 @@ def reserve_reference(sol, zeta, bundle):
     for i in range(grid.steps):
         gamma = gamma_step(gamma, a[i], a[i + 1], c[i], grid.dt, bundle.dW[i])
         integrand.append(np.einsum("pji,pj->pi", gamma, zeta[i + 1, :, :m] @ F[i + 1].T))
-    xi_hat = sol.system.xih.on_paths(bundle.W[-1])
+    xi_hat = xi_on_paths(sol.system.xih, bundle.W[-1])
     return np.einsum("pji,pj->pi", gamma, xi_hat) + np.trapezoid(integrand, dx=grid.dt, axis=0)
 
 
 def follower_pathwise_defects(spec, ens):
     """The follower's structural identities along its ensemble's paths, as reference
     formulas on the path arrays: max |defect| over nodes and paths of each."""
+    varphi = ens.zeta[..., : spec.dims.n]
     gaps = {
-        "terminal": ens.Y[-1] - spec.xi.on_paths(ens.bundle.W[-1]),
+        "terminal": ens.Y[-1] - xi_on_paths(spec.xi, ens.bundle.W[-1]),
         "initial_coupling": ens.X[0] - ens.Y[0] @ spec.G1.T,
-        "decoupling": ens.X - ens.Y @ _tr(ens.kernel.pi2.values) - ens.tilde_varphi,
+        "decoupling": ens.X - ens.Y @ _tr(ens.kernel.pi2.values) - varphi,
         "stationarity": ens.X @ spec.B1.values + ens.u1 @ _tr(spec.R1.values),
         "adjoint_form": ens.u1 + ens.X @ spec.B1.values @ _tr(spec.R1_inv[::2]),
     }
@@ -335,11 +378,12 @@ def leader_pathwise_defects(sol):
     n, Pi2, P2 = spec.dims.n, sol.pi2.values, sol.p2.values
     gains_t = spec.B1.values @ _tr(spec.R1_inv[::2])
     x = ens.ybar @ _tr(P2) + ens.phibar
-    x_stacked = ens.ybar @ _tr(P2) + (ens.Y @ _tr(Pi2) + ens.tilde_varphi)[:, :, :n]
+    varphi = ens.zeta[..., : sys.dim]
+    x_stacked = ens.ybar @ _tr(P2) + (ens.Y @ _tr(Pi2) + varphi)[:, :, :n]
     gaps = {
-        "terminal": ens.Y[-1] - sys.xih.on_paths(ens.bundle.W[-1]),
+        "terminal": ens.Y[-1] - xi_on_paths(sys.xih, ens.bundle.W[-1]),
         "initial_coupling": ens.X[0] - ens.Y[0] @ sys.G2h.T,
-        "decoupling": ens.X - ens.Y @ _tr(Pi2) - ens.tilde_varphi,
+        "decoupling": ens.X - ens.Y @ _tr(Pi2) - varphi,
         "stationarity": (
             ens.Y @ sys.B1h.values + ens.X @ sys.B2h.values + ens.u2 @ _tr(spec.R2.values)
         ),

@@ -24,7 +24,6 @@ from bsde_stackelberg.oracle import (
 from bsde_stackelberg.sampling import coarsen, sample_brownian, stream_paths
 from bsde_stackelberg.scenario import (
     hand_solvable_scenario,
-    random_deterministic_scenario,
     stochastic_scenario,
 )
 from bsde_stackelberg.stacked import residual_rms, residual_samples, structural_defects
@@ -33,6 +32,8 @@ from conftest import (
     follower_pathwise_defects,
     leader_pathwise_defects,
     p1_closed_form,
+    random_deterministic_scenario,
+    solvability_scan,
     specialized_stacked_matrices,
 )
 
@@ -79,8 +80,8 @@ class TestAcceptance:
         sys = bs.build_stacked_system(hand_spec, p1, p2)
         pi1 = bs.solve_pi1(sys)
         pi2 = bs.solve_pi2(sys, pi1)
-        cf1, rep1 = bs.pi1_closed_form(sys, hand_spec.R2)
-        cf2, rep2 = bs.pi2_closed_form(sys, hand_spec.R2)
+        cf1, rep1 = bs.pi1_closed_form(sys)
+        cf2, rep2 = bs.pi2_closed_form(sys)
         gap = max(
             float(np.max(np.abs(cf1.values - pi1.values))),
             float(np.max(np.abs(cf2.values - pi2.values))),
@@ -317,11 +318,11 @@ class TestAcceptance:
 
     def test_solvability_gates(self, hand_spec, hand_riccati, report):
         oscillator = np.array([[0.0, 1.0], [-25.0, 0.0]])
-        rejected = not bs.solvability_scan(oscillator, bs.TimeGrid(1.0, 200)).satisfied
+        rejected = not solvability_scan(oscillator, bs.TimeGrid(1.0, 200)).satisfied
         p1, p2 = hand_riccati
         sys = bs.build_stacked_system(hand_spec, p1, p2)
-        _, rep1 = bs.pi1_closed_form(sys, hand_spec.R2)
-        _, rep2 = bs.pi2_closed_form(sys, hand_spec.R2)
+        _, rep1 = bs.pi1_closed_form(sys)
+        _, rep2 = bs.pi2_closed_form(sys)
         try:
             bundle = sample_brownian(hand_spec.grid, 2, 0)
             bs.equilibrium_paths(bs.equilibrium_layer(hand_spec), bundle)

@@ -1,19 +1,28 @@
-"""The package's import layering, read from the source with ast.
+"""The package's import layering and its reach, read from the source with ast.
 
 Every package import sits at module level, so a module's dependencies are
 visible at its top, and the module import graph has no cycle.  From the
 bottom up the layers are odeint, model, (sampling, riccati, oracle),
 stacked, follower, leader, finance, scenario and cli, with __init__ on top.
+
+Every top-level function and class of the package, and every method and
+property, is named somewhere a run or a reader reaches it: in the package
+outside its own def, in scripts/ or in README.md.  Code that only the
+tests call belongs in tests/conftest.py.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 PACKAGE = "bsde_stackelberg"
-SOURCES = Path(__file__).resolve().parents[1] / "src" / PACKAGE
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = ROOT / "src" / PACKAGE
 MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES.glob("*.py")}
+SCRIPTS = [ast.parse(path.read_text(), str(path)) for path in (ROOT / "scripts").glob("*.py")]
 
 
 def package_targets(node: ast.AST) -> list[str]:
@@ -74,6 +83,57 @@ def find_cycle(graph: dict[str, set[str]]) -> list[str]:
     return []
 
 
+def definitions(modules: dict[str, ast.Module]) -> list[tuple[str, ast.AST, bool]]:
+    """(qualified name, def node, is a member) of every top-level function and class,
+    and of every method and property of a top-level class but the dunder ones."""
+    out = []
+    for module, tree in sorted(modules.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                out.append((f"{module}.{node.name}", node, False))
+            if isinstance(node, ast.ClassDef):
+                out += [
+                    (f"{module}.{node.name}.{item.name}", item, True)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                ]
+    return out
+
+
+def name_counts(trees) -> tuple[Counter, Counter]:
+    """How often each identifier occurs as a name and as an attribute in trees."""
+    names, attrs = Counter(), Counter()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                attrs[node.attr] += 1
+    return names, attrs
+
+
+def unreached(modules: dict[str, ast.Module], scripts: list[ast.Module], readme: str) -> list[str]:
+    """Qualified names of the definitions that nothing names: no name or attribute
+    in the modules outside the definition itself or in scripts, and no identifier
+    in README's code.  A member counts as named only as an attribute, in README as
+    .name; imports do not count, so a re-export in __init__ names nothing."""
+    names, attrs = name_counts([*modules.values(), *scripts])
+    code = " ".join(re.findall(r"```.*?```|`[^`\n]+`", readme, flags=re.S))
+    readme_names = set(re.findall(r"[A-Za-z_]\w*", code))
+    readme_attrs = set(re.findall(r"\.([A-Za-z_]\w*)", code))
+    out = []
+    for qualified, node, member in definitions(modules):
+        own_names, own_attrs = name_counts([node])
+        name = node.name
+        outside = attrs[name] - own_attrs[name]
+        if not member:
+            outside += names[name] - own_names[name]
+        if not (outside or name in (readme_attrs if member else readme_names)):
+            out.append(qualified)
+    return out
+
+
 def test_sources_found():
     assert {"__init__", "odeint", "model", "stacked", "follower", "leader"} <= set(MODULES)
 
@@ -104,3 +164,27 @@ def test_path_layer_imports_neither_level():
 def test_find_cycle_reports_a_cycle():
     assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
     assert find_cycle({"a": {"b"}, "b": set()}) == []
+
+
+def test_every_definition_is_reached():
+    dead = unreached(MODULES, SCRIPTS, (ROOT / "README.md").read_text())
+    assert dead == [], f"named nowhere outside tests/: {dead}"
+
+
+def test_unreached_reports_what_only_itself_names():
+    source = ast.parse(
+        "def used():\n    return Box().size\n\n"
+        "def recursive(n):\n    return recursive(n - 1)\n\n"
+        "def documented():\n    pass\n\n"
+        "class Box:\n"
+        "    def __init__(self):\n        self.grow()\n"
+        "    @property\n    def size(self):\n        return self.size\n"
+        "    def grow(self):\n        pass\n"
+        "    def shrink(self):\n        return self.shrink()\n"
+        "    def used(self):\n        pass\n"
+    )
+    script = ast.parse("from pkg import used\nused()\n")
+    readme = "Call `documented()`; `used` and `shrink` are prose here, not `.size`."
+    assert unreached({"mod": source}, [script], readme) == [
+        "mod.recursive", "mod.Box.shrink", "mod.Box.used",
+    ]

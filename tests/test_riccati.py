@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import bsde_stackelberg as bs
 from bsde_stackelberg.riccati import (
+    CSV_SLAB_ROWS,
     _sym,
     pi1_field,
     pi2_field,
@@ -334,8 +335,8 @@ class TestLeaderRiccati:
         sys = bs.build_stacked_system(hand_spec, p1, p2)
         pi1 = bs.solve_pi1(sys)
         pi2 = bs.solve_pi2(sys, pi1)
-        cf1, rep1 = bs.pi1_closed_form(sys, hand_spec.R2)
-        cf2, rep2 = bs.pi2_closed_form(sys, hand_spec.R2)
+        cf1, rep1 = bs.pi1_closed_form(sys)
+        cf2, rep2 = bs.pi2_closed_form(sys)
         assert rep1.satisfied and rep2.satisfied
         assert np.max(np.abs(cf1.values - pi1.values)) < 1e-8
         assert np.max(np.abs(cf2.values - pi2.values)) < 1e-8
@@ -350,8 +351,8 @@ class TestLeaderRiccati:
         sys = bs.build_stacked_system(spec, p1, bs.solve_p2(spec, p1))
         pi1 = bs.solve_pi1(sys)
         pi2 = bs.solve_pi2(sys, pi1)
-        cf1, rep1 = bs.pi1_closed_form(sys, spec.R2)
-        cf2, rep2 = bs.pi2_closed_form(sys, spec.R2)
+        cf1, rep1 = bs.pi1_closed_form(sys)
+        cf2, rep2 = bs.pi2_closed_form(sys)
         assert rep1.satisfied and rep2.satisfied
         assert np.max(np.abs(cf1.values - pi1.values)) <= 1e-9
         assert np.max(np.abs(cf2.values - pi2.values)) <= 1e-9
@@ -361,13 +362,13 @@ class TestLeaderRiccati:
         p2 = bs.solve_p2(stochastic_spec, p1)
         sys = bs.build_stacked_system(stochastic_spec, p1, p2)
         with pytest.raises(ValueError):
-            bs.pi1_closed_form(sys, stochastic_spec.R2)
+            bs.pi1_closed_form(sys)
 
     def test_closed_form_boundaries(self, hand_spec, hand_riccati):
         p1, p2 = hand_riccati
         sys = bs.build_stacked_system(hand_spec, p1, p2)
-        cf1, _ = bs.pi1_closed_form(sys, hand_spec.R2)
-        cf2, _ = bs.pi2_closed_form(sys, hand_spec.R2)
+        cf1, _ = bs.pi1_closed_form(sys)
+        cf2, _ = bs.pi2_closed_form(sys)
         assert np.max(np.abs(cf1.values[-1])) < 1e-12  # Pi1(T) = 0
         np.testing.assert_allclose(cf2.values[0], sys.G2h, atol=1e-12)  # Pi2(0) = G2-hat
 
@@ -454,3 +455,16 @@ class TestCsvExport:
         for t, m in zip(grid.nodes, ric.values):
             lines.append(",".join([f"{t:.17g}"] + [f"{x:.17g}" for x in m.ravel()]))
         assert riccati_csv(ric) == "\n".join(lines) + "\n"
+
+    def test_slabs_join_into_the_rows_of_a_later_chunk(self):
+        # 2 paths x 300 nodes span three CSV_SLAB_ROWS slabs; paths numbered from 7, no header
+        rng = np.random.default_rng(5)
+        nodes = np.linspace(0.0, 1.0, 300)
+        data = rng.normal(size=(300, 2, 3))
+        lines = [
+            f"{7 + p},{t:.17g}," + ",".join(f"{x:.17g}" for x in data[i, p])
+            for p in range(2)
+            for i, t in enumerate(nodes)
+        ]
+        assert 2 * len(nodes) > 2 * CSV_SLAB_ROWS
+        assert paths_csv(nodes, ["a", "b", "c"], [data], first=7) == "\n".join(lines) + "\n"
