@@ -116,18 +116,21 @@ def finance_game(steps):
     return bs.build_finance_spec(finance_market(steps))
 
 
-def adjoint_gap(sol):
+def adjoint_gap(sol, bundle):
     """RMS over paths, at T, of x - (P2 ybar + phibar), where x is the follower's
     adjoint dx = (A^T x + Q1 ybar) dt + (C^T x + S1 zbar) dW, x(0) = G1 ybar(0),
-    simulated by Euler from the equilibrium's (ybar, zbar) on the solve's paths."""
-    spec, ens = sol.spec, sol.ensemble
+    simulated by Euler from the equilibrium's (ybar, zbar) on the bundle's paths.
+    Each of ybar, zbar and phibar is the leader's zeta times its kernel's table."""
+    spec, kernel, n = sol.spec, sol.kernel, sol.spec.dims.n
     A, C, Q1, S1 = (getattr(spec, name).values for name in ("A", "C", "Q1", "S1"))
-    ybar, zbar, dW, dt = ens.ybar, ens.zbar, ens.bundle.dW, spec.grid.dt
+    zeta = simulate_tilde_varphi(kernel.step, bundle)
+    ybar, zbar = zeta @ kernel.read_Y[:, :, n:], zeta @ kernel.read_Z[:, :, n:]
+    dW, dt = bundle.dW, spec.grid.dt
     x = ybar[0] @ spec.G1.T
     for i in range(spec.grid.steps):
         drift = x @ A[i] + ybar[i] @ Q1[i].T
         x = x + drift * dt + (x @ C[i] + zbar[i] @ S1[i].T) * dW[i, :, None]
-    gap = x - ybar[-1] @ sol.p2.values[-1].T - ens.phibar[-1]
+    gap = x - ybar[-1] @ sol.p2.values[-1].T - zeta[-1] @ kernel.read_X[-1, :, :n]
     return float(np.sqrt(np.mean(np.sum(gap**2, axis=1))))
 
 
@@ -136,7 +139,7 @@ def adjoint_gaps(game, step_counts, paths, seed):
     finest = max(step_counts)
     fine = sample_brownian(bs.TimeGrid(1.0, finest), paths, seed)
     return [
-        adjoint_gap(bs.equilibrium_paths(bs.equilibrium_layer(game(N)), coarsen(fine, finest // N)))
+        adjoint_gap(bs.equilibrium_layer(game(N)), coarsen(fine, finest // N))
         for N in step_counts
     ]
 

@@ -45,23 +45,19 @@ from .riccati import (
 from .sampling import MonteCarloConfig, PathBundle, coarsen, sample_brownian
 from .stacked import (
     AffineBSDESolution,
-    StackedEnsemble,
-    reconstruct_XYZ,
+    form_samples,
     simulate_tilde_varphi,
     solve_tilde_phi,
-    stacked_paths,
     structural_defects,
 )
 from .follower import (
-    follower_cost,
-    follower_feedback,
+    follower_cost_table,
     follower_kernel,
     follower_summary,
 )
 from .leader import (
     StackelbergSolution,
     equilibrium_layer,
-    equilibrium_paths,
     equilibrium_summary,
 )
 from .oracle import (

@@ -41,7 +41,7 @@ from .riccati import (
 )
 from .sampling import MonteCarloConfig, sample_brownian
 from .scenario import Scenario, load_scenario
-from .stacked import stacked_paths
+from .stacked import form_samples, simulate_tilde_varphi
 
 EXIT_VALIDATION = 1
 EXIT_SOLVER = 2
@@ -132,9 +132,6 @@ def cmd_riccati(scn: Scenario, out: Path, args) -> int:
     summary = {
         "residual_max": {k: v[0] for k, v in residuals.items()},
         "residual_argmax_t": {k: v[1] for k, v in residuals.items()},
-        "asymmetry_max": {
-            r.tag.lower(): r.max_asymmetry() for r in (p1, p2, pi1, pi2)
-        },
     }
     _write_summary(out, summary, scn, args)
     return 0
@@ -187,25 +184,25 @@ def cmd_verify(scn: Scenario, out: Path, args) -> int:
     layer = led.equilibrium_layer(spec)  # its consistency checks come before any path
     # deterministic xi and C = 0: all paths identical, so 2 paths in one bundle
     bundle = sample_brownian(spec.grid, 2, args.seed)
+    zeta = simulate_tilde_varphi(layer.kernel.step, bundle)
 
-    sol = led.equilibrium_paths(layer, bundle)
     prob = build_discrete_problem(spec)
     u2_steps = 0.5 * (scn.u2.u_const.values[:-1, :, 0] + scn.u2.u_const.values[1:, :, 0])
     fol_oracle = deterministic_follower_oracle(prob, u2_steps)
-    fol_ens = stacked_paths(fol.follower_kernel(spec, sol.p1, sol.p2, scn.u2), bundle)
-    fol.follower_feedback(fol_ens)
+    fol_kernel = fol.follower_kernel(spec, layer.p1, layer.p2, scn.u2)
+    fol_zeta = simulate_tilde_varphi(fol_kernel.step, bundle)
     fol_rep = oracle_report(
         fol_oracle.cost,
-        float(fol.follower_cost(spec, fol_ens).mean()),
-        control_rms_gap(fol_oracle.control, fol_ens.u1[:, 0]),
+        float(form_samples(fol.follower_cost_table(spec, fol_kernel), fol_zeta).mean()),
+        control_rms_gap(fol_oracle.control, (fol_zeta @ fol_kernel.read_u)[:, 0]),
         spec.grid.steps,
     )
 
     led_oracle = deterministic_leader_oracle(prob)
     led_rep = oracle_report(
         led_oracle.cost,
-        float(sol.cost("J2").mean()),
-        control_rms_gap(led_oracle.control, sol.ensemble.u2[:, 0]),
+        float(form_samples(layer.forms["J2"], zeta).mean()),
+        control_rms_gap(led_oracle.control, (zeta @ layer.kernel.read_u)[:, 0]),
         spec.grid.steps,
     )
     payload = {"follower": fol_rep, "leader": led_rep}
@@ -258,7 +255,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as e:
         print(f"cannot read scenario: {e}", file=sys.stderr)
         return EXIT_IO
-    except (SpecError, KeyError, ValueError) as e:
+    except (SpecError, KeyError, TypeError, ValueError) as e:
         print(f"bad scenario: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

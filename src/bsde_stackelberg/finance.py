@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .leader import StackelbergSolution, equilibrium_ensemble, equilibrium_layer
+from .leader import StackelbergSolution, equilibrium_layer
 from .model import (
     CoefficientPath,
     Dimensions,
@@ -37,7 +37,7 @@ from .model import (
 )
 from .riccati import _tr
 from .sampling import MonteCarloConfig, PathBundle, mean_stderr, stream_paths
-from .stacked import StackedEnsemble, cost_figures, form_samples, paths_csv, simulate_tilde_varphi
+from .stacked import cost_figures, form_samples, paths_csv, simulate_tilde_varphi
 
 
 @dataclass(frozen=True)
@@ -159,18 +159,22 @@ def reserve_samples(
 
 
 def consumption_paths_csv(
-    ens: StackedEnsemble, m: MarketParams, max_paths: int | None = None
+    sol: StackelbergSolution,
+    m: MarketParams,
+    zeta: np.ndarray,
+    max_paths: int | None = None,
+    first: int = 0,
 ) -> str:
-    """Per-path CSV of (t, wealth, portfolio, c1, c2), 17 significant digits.
+    """Per-path CSV of (t, wealth, portfolio, c1, c2), 17 significant digits, of
+    the paths of the leader's zeta numbered from first (paths_csv).
 
     Wealth is the leader's backward state ybar, the portfolio the risky
     position zbar / sigma, and c1, c2 the two consumption rates u1, u2.
     """
-    portfolio = ens.zbar[:, :, 0] / m.sigma.values[:, :, 0]
-    return paths_csv(
-        m.grid.nodes, ["y", "pi", "c1", "c2"], [ens.ybar, portfolio, ens.u1, ens.u2],
-        max_paths, ens.bundle.first,
-    )
+    kernel, n = sol.kernel, sol.spec.dims.n
+    ybar, zbar = kernel.read_Y[:, :, n:], kernel.read_Z[:, :, n:]
+    table = np.concatenate([ybar, zbar / m.sigma.values, sol.read_u1, kernel.read_u], axis=2)
+    return paths_csv(m.grid.nodes, ["y", "pi", "c1", "c2"], zeta, table, max_paths, first)
 
 
 def consumption_summary(
@@ -185,11 +189,9 @@ def consumption_summary(
 
     def chunk(bundle: PathBundle) -> dict:
         zeta = simulate_tilde_varphi(kernel.step, bundle)
-        listed = bundle.below(csv_paths)
-        ens = equilibrium_ensemble(sol, zeta[:, : listed.n_paths], listed)
         return {name: form_samples(form, zeta) for name, form in sol.forms.items()} | {
             "reserve": reserve_samples(dual, zeta, bundle.dW),
-            "csv": consumption_paths_csv(ens, m, csv_paths),
+            "csv": consumption_paths_csv(sol, m, zeta, csv_paths, bundle.first),
         }
 
     merged = stream_paths(m.grid, mc, sol.system.dim, chunk)

@@ -2,8 +2,9 @@
 
 The follower's problem is the leader's stacked form at dimension n
 (riccati.follower_system) with P1 and P2 as its Pi1 and Pi2, run through the
-stacked path layer; on its ensemble X is the adjoint state x and (Y, Z) the
-backward state pair (y, z).  This module adds its cost and stationarity
+stacked path layer; on its kernel read_X reads the adjoint state x, read_Y
+and read_Z the backward state pair (y, z) and read_u the feedback control
+u1 = -R1^-1 B1^T (P2 y + varphi).  This module adds its cost and stationarity
 slope as forms on its zeta, its response to a control step, its CSV and
 the summary of its command.
 """
@@ -20,7 +21,6 @@ from .sampling import MonteCarloConfig, PathBundle, stream_paths
 from .stacked import (
     AffineBSDESolution,
     PathKernel,
-    StackedEnsemble,
     affine_table,
     check_feedback,
     column_labels,
@@ -29,7 +29,6 @@ from .stacked import (
     form_table,
     path_kernel,
     paths_csv,
-    reconstruct_XYZ,
     residual_rms,
     residual_samples,
     simulate_tilde_varphi,
@@ -38,21 +37,9 @@ from .stacked import (
 )
 
 
-def follower_feedback(ens: StackedEnsemble) -> np.ndarray:
-    """Feedback control u1 = -R1^-1 B1^T (P2 y + varphi) = zeta read_u, stored on
-    the follower's ensemble (follower_kernel checks it against the adjoint form)."""
-    ens.u1 = ens.zeta @ ens.kernel.read_u
-    return ens.u1
-
-
 def follower_cost_table(spec: LQGameSpec, kernel: PathKernel) -> np.ndarray:
     """The form of the follower's cost J1 on its zeta (stacked.form_table)."""
     return form_table(spec.grid, spec.weights(1), (kernel.read_Y, kernel.read_u, kernel.read_Z))
-
-
-def follower_cost(spec: LQGameSpec, ens: StackedEnsemble) -> np.ndarray:
-    """The follower's per-path cost J1 on its ensemble."""
-    return form_samples(follower_cost_table(spec, ens.kernel), ens.zeta)
 
 
 def follower_kernel(
@@ -99,35 +86,35 @@ def follower_slope_table(spec: LQGameSpec, kernel: PathKernel, v: AffineControl)
     return form_table(spec.grid, spec.weights(1), reads, step)
 
 
-def follower_paths_csv(ens: StackedEnsemble, max_paths: int | None = None) -> str:
-    """Per-path CSV: path,t,y_*,z_*,u1_*,x_* with 17 significant digits (paths_csv)."""
-    n, k = ens.Y.shape[2], ens.u1.shape[2]
+def follower_paths_csv(
+    kernel: PathKernel, zeta: np.ndarray, max_paths: int | None = None, first: int = 0
+) -> str:
+    """Per-path CSV: path,t,y_*,z_*,u1_*,x_* with 17 significant digits, of the
+    paths of the follower's zeta numbered from first (paths_csv)."""
+    n, k = kernel.sys.dim, kernel.read_u.shape[2]
     header = column_labels("y", n) + column_labels("z", n, "1")
     header += column_labels("u1", k) + column_labels("x", n)
-    blocks = [ens.Y, ens.Z, ens.u1, ens.X]
-    return paths_csv(ens.grid.nodes, header, blocks, max_paths, ens.bundle.first)
+    table = np.concatenate([kernel.read_Y, kernel.read_Z, kernel.read_u, kernel.read_X], axis=2)
+    return paths_csv(kernel.sys.grid.nodes, header, zeta, table, max_paths, first)
 
 
 def follower_chunk(
     spec: LQGameSpec, kernel: PathKernel, v: AffineControl, csv_paths: int = 0
 ) -> Callable[[PathBundle], dict]:
     """The per-path figures of follower_summary on one chunk of paths: one Euler
-    loop, then J1, the slope along v and the residual read off zeta; the path
-    arrays are formed only for the CSV's paths, those below csv_paths."""
+    loop, then J1, the slope along v and the residual read off zeta, and the
+    CSV of its paths numbered below csv_paths."""
     cost, slope = follower_cost_table(spec, kernel), follower_slope_table(spec, kernel, v)
 
     def chunk(bundle: PathBundle) -> dict:
         zeta = simulate_tilde_varphi(kernel.step, bundle)
         residual, residual_max = residual_samples(kernel, zeta, bundle.dW)
-        listed = bundle.below(csv_paths)
-        ens = reconstruct_XYZ(kernel, zeta[:, : listed.n_paths], listed)
-        follower_feedback(ens)
         return {
             "J1": form_samples(cost, zeta),
             "slope": form_samples(slope, zeta),
             "residual": residual,
             "bsde_residual_max": residual_max,
-            "csv": follower_paths_csv(ens, csv_paths),
+            "csv": follower_paths_csv(kernel, zeta, csv_paths, bundle.first),
         }
 
     return chunk

@@ -24,7 +24,6 @@ from .riccati import RiccatiPath, StackedSystem, _tr, riccati_chain
 from .sampling import MonteCarloConfig, PathBundle, stream_paths
 from .stacked import (
     PathKernel,
-    StackedEnsemble,
     affine_table,
     check_feedback,
     column_labels,
@@ -36,7 +35,6 @@ from .stacked import (
     path_kernel,
     paths_csv,
     reachable_max,
-    reconstruct_XYZ,
     residual_rms,
     residual_samples,
     simulate_tilde_varphi,
@@ -72,10 +70,8 @@ def follower_control_table(
 
 @dataclass
 class StackelbergSolution:
-    """An equilibrium solve: its deterministic layer and the ensemble of its paths.
-
-    equilibrium_layer fills everything but the ensemble; equilibrium_paths
-    adds the ensemble of one bundle of paths.
+    """An equilibrium's deterministic layer: each process along it is the leader's
+    zeta times a table (the kernel's read-outs and read_u1), and J1, J2 are forms.
     defects holds the leader kernel's structural_defects and, under
     "follower", the follower's algebraic condition along the equilibrium.
     """
@@ -90,11 +86,6 @@ class StackelbergSolution:
     read_u1: np.ndarray  # (N+1, 2n+2, k): the leader's zeta -> the follower's control
     defects: dict
     forms: dict  # the forms of J1 and J2 on the leader's zeta (stacked.form_table)
-    ensemble: StackedEnsemble | None = None
-
-    def cost(self, name: str) -> np.ndarray:
-        """Per-path J1 or J2 on the ensemble's paths, a form on its zeta."""
-        return form_samples(self.forms[name], self.ensemble.zeta)
 
 
 def equilibrium_layer(spec: LQGameSpec) -> StackelbergSolution:
@@ -111,22 +102,6 @@ def equilibrium_layer(spec: LQGameSpec) -> StackelbergSolution:
         "J2": form_table(spec.grid, spec.weights(2), (ybar, kernel.read_u, zbar)),
     }
     return StackelbergSolution(spec, p1, p2, sys, pi1, pi2, kernel, read_u1, defects, forms)
-
-
-def equilibrium_ensemble(
-    sol: StackelbergSolution, zeta: np.ndarray, bundle: PathBundle
-) -> StackedEnsemble:
-    """The leader's path arrays on the augmented state zeta of a bundle's paths:
-    (X, Y, Z) and both equilibrium controls, one matmul each."""
-    ens = reconstruct_XYZ(sol.kernel, zeta, bundle)
-    ens.u2, ens.u1 = zeta @ sol.kernel.read_u, zeta @ sol.read_u1
-    return ens
-
-
-def equilibrium_paths(sol: StackelbergSolution, bundle: PathBundle) -> StackelbergSolution:
-    """sol with the ensemble of a bundle of paths (equilibrium_ensemble)."""
-    zeta = simulate_tilde_varphi(sol.kernel.step, bundle)
-    return dataclasses.replace(sol, ensemble=equilibrium_ensemble(sol, zeta, bundle))
 
 
 def _zero_terminal(spec: LQGameSpec) -> LQGameSpec:
@@ -162,14 +137,19 @@ def leader_slope_table(sol: StackelbergSolution, response: PathKernel) -> np.nda
     return form_table(sol.spec.grid, sol.spec.weights(2), base, step)
 
 
-def leader_paths_csv(ens: StackedEnsemble, max_paths: int | None = None) -> str:
-    """Per-path CSV with block-named columns, 17 significant digits (paths_csv)."""
-    n, k = ens.n, ens.u2.shape[2]
-    # X stacks (phibar, q), Y stacks (p, ybar) and Z stacks (k, zbar)
+def leader_paths_csv(
+    sol: StackelbergSolution, zeta: np.ndarray, max_paths: int | None = None, first: int = 0
+) -> str:
+    """Per-path CSV with block-named columns, 17 significant digits, of the paths
+    of the leader's zeta numbered from first (paths_csv): X stacks (phibar, q),
+    Y stacks (p, ybar) and Z stacks (k, zbar)."""
+    n, k, kernel = sol.spec.dims.n, sol.spec.dims.k, sol.kernel
     header = [c for pre in ("phibar", "q", "p", "ybar", "k", "zbar") for c in column_labels(pre, n)]
     header += column_labels("u1", k) + column_labels("u2", k)
-    blocks = [ens.X, ens.Y, ens.Z, ens.u1, ens.u2]
-    return paths_csv(ens.grid.nodes, header, blocks, max_paths, ens.bundle.first)
+    table = np.concatenate(
+        [kernel.read_X, kernel.read_Y, kernel.read_Z, sol.read_u1, kernel.read_u], axis=2
+    )
+    return paths_csv(sol.spec.grid.nodes, header, zeta, table, max_paths, first)
 
 
 def equilibrium_chunk(
@@ -177,8 +157,8 @@ def equilibrium_chunk(
 ) -> Callable[[PathBundle], dict]:
     """The per-path figures of equilibrium_summary on one chunk of paths: one Euler
     loop on the joint state of the equilibrium and the response kernel, then
-    J1, J2, the leader's slope and the residual read off it; the path arrays
-    are formed only for the CSV's paths, those below csv_paths."""
+    J1, J2, the leader's slope and the residual read off it, and the CSV of
+    its paths numbered below csv_paths."""
     step, slope = joint_step(response, sol.kernel), leader_slope_table(sol, response)
     a = response.sys.dim
 
@@ -186,13 +166,11 @@ def equilibrium_chunk(
         xi = simulate_tilde_varphi(step, bundle)
         zeta = xi[:, :, a:]  # the equilibrium's
         residual, residual_max = residual_samples(sol.kernel, zeta, bundle.dW)
-        listed = bundle.below(csv_paths)
-        ens = equilibrium_ensemble(sol, zeta[:, : listed.n_paths], listed)
         return {name: form_samples(form, zeta) for name, form in sol.forms.items()} | {
             "slope": form_samples(slope, xi),
             "residual": residual,
             "bsde_residual_max": residual_max,
-            "csv": leader_paths_csv(ens, csv_paths),
+            "csv": leader_paths_csv(sol, zeta, csv_paths, bundle.first),
         }
 
     return chunk

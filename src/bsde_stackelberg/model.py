@@ -33,7 +33,7 @@ class Dimensions:
     def __post_init__(self):
         for name in ("n", "k"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
                 raise SpecError(f"dimension {name} must be a positive integer, got {v!r}")
 
 
@@ -49,7 +49,8 @@ class TimeGrid:
     def __post_init__(self):
         if not (self.horizon > 0 and np.isfinite(self.horizon)):
             raise SpecError(f"horizon must be a positive real, got {self.horizon!r}")
-        if not isinstance(self.steps, (int, np.integer)) or self.steps < 1:
+        steps = self.steps
+        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
             raise SpecError(f"steps must be a positive integer, got {self.steps!r}")
         dt = self.horizon / self.steps
         nodes = np.arange(self.steps + 1) * dt

@@ -69,10 +69,6 @@ class RiccatiPath:
         build_stacked_system and stacked.path_kernel its node rows [::2]."""
         return pi1_s1_inverse(self.path.half, self.S1h.half, self.path.grid.half_times)
 
-    def max_asymmetry(self) -> float:
-        v = self.path.values
-        return float(np.max(np.abs(v - np.transpose(v, (0, 2, 1)))))
-
 
 def _tr(stack: np.ndarray) -> np.ndarray:
     """Transpose of every matrix in a stack."""

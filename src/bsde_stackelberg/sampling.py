@@ -42,11 +42,6 @@ class PathBundle:
     def n_paths(self) -> int:
         return self.dW.shape[1]
 
-    def below(self, max_paths: int) -> "PathBundle":
-        """The bundle of its paths numbered below max_paths in its seed's stream."""
-        count = max(0, max_paths - self.first)
-        return PathBundle(self.grid, self.dW[:, :count], self.W[:, :count], self.first)
-
 
 def _running_values(dW: np.ndarray) -> np.ndarray:
     W = np.zeros((dW.shape[0] + 1, dW.shape[1]))

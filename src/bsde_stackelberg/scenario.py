@@ -76,8 +76,8 @@ def scenario_from_dict(doc: dict, steps: int | None = None, sha256: str = "") ->
     unknown = sorted(set(dims_doc) - {"n", "k"})
     if unknown:
         raise SpecError(f"unknown dims keys {unknown}; expected n, k and d")
-    dims = Dimensions(int(dims_doc["n"]), int(dims_doc.get("k", 1)))
-    grid = TimeGrid(float(doc["horizon"]), int(doc["steps"] if steps is None else steps))
+    dims = Dimensions(dims_doc["n"], dims_doc.get("k", 1))
+    grid = TimeGrid(float(doc["horizon"]), doc["steps"] if steps is None else steps)
     coeffs = {
         name: _parse_path(doc["coefficients"][name], grid, shape, name)
         for name, shape in coefficient_shapes(dims).items()

@@ -23,12 +23,13 @@ zeta too: each cost and stationarity cross term is a quadratic form
 sum_i zeta_i H_i zeta_i^T (form_table), and the BSDE residual is linear in
 (zeta_{i+1}, zeta_i, dW_i zeta_i) (PathKernel.residual_table).  So a path
 chunk runs one Euler loop, on zeta or on the joint state of two kernels
-(joint_step), and reads every figure off it; the path arrays X, Y, Z and
-the controls (reconstruct_XYZ) are formed only for the per-path CSV.
+(joint_step), and reads every figure off it; the values of X, Y, Z and the
+controls are formed only for the per-path CSV's paths, as zeta times one
+table (paths_csv).
 
 Path arrays are time-major, (N+1, paths, dim): node i of every path is
 one contiguous (paths, dim) block, and every node-wise relation is one
-stacked matmul against an (N+1, dim, dim) table.
+stacked matmul against an (N+1, dim, cols) table.
 """
 
 from __future__ import annotations
@@ -202,7 +203,9 @@ def path_kernel(sys: StackedSystem, pi1: RiccatiPath, pi2: RiccatiPath) -> PathK
     The forward offset's drift follows the decoupled system's display plus
     Pi2 forcing_load u for the known control u, and its diffusion the exact
     pathwise Z-relation (see _offset_diffusion).  X and Y are the two
-    decoupling relations of reconstruct_XYZ; Z's table is composed from
+    decoupling relations X = (I + Pi2 Pi1)^-1 (varphi-tilde - Pi2 phi-tilde)
+    and Y = -(I + Pi1 Pi2)^-1 (Pi1 varphi-tilde + phi-tilde); Z's table
+    -(I + Pi1 S1h)^-1 (Pi1 C1h X + Pi1 D1h^T Y + eta-tilde) is composed from
     theirs, and the feedback u = -R^-1 (B1h + Pi2 B2h)^T Y - R^-1 B2h^T
     varphi-tilde from Y's.  tilde-phi and u are folded into the W and 1
     rows here, once; the decoupling inverses are formed once, by
@@ -333,66 +336,6 @@ def simulate_tilde_varphi(step: np.ndarray, bundle: PathBundle) -> np.ndarray:
     return zeta
 
 
-@dataclass
-class StackedEnsemble:
-    """Pathwise stacked solution with named block views, at either level.
-
-    On the leader's system X stacks (adjoint-forward offset, forward state)
-    and Y stacks (adjoint-backward state, follower backward state); the
-    block properties expose the n-dimensional components by name, and u2
-    and u1 are the leader's control and the follower's.  On the follower's
-    system X is the adjoint state, (Y, Z) the backward state pair and u1 the
-    feedback control.  Each control is zeta times one table.
-    """
-
-    kernel: PathKernel
-    bundle: PathBundle
-    zeta: np.ndarray  # (N+1, paths, dim+2): (tilde-varphi, W, 1)
-    X: np.ndarray  # (N+1, paths, dim)
-    Y: np.ndarray
-    Z: np.ndarray
-    u2: np.ndarray = None  # (N+1, paths, k)
-    u1: np.ndarray = None
-
-    @property
-    def grid(self) -> TimeGrid:
-        return self.kernel.sys.grid
-
-    @property
-    def n(self) -> int:
-        return self.kernel.sys.n
-
-    @property
-    def phibar(self) -> np.ndarray:
-        return self.X[:, :, : self.n]
-
-    @property
-    def ybar(self) -> np.ndarray:
-        return self.Y[:, :, self.n :]
-
-    @property
-    def zbar(self) -> np.ndarray:
-        return self.Z[:, :, self.n :]
-
-
-def reconstruct_XYZ(kernel: PathKernel, zeta: np.ndarray, bundle: PathBundle) -> StackedEnsemble:
-    """Recover (X, Y, Z) from the augmented state zeta (simulate_tilde_varphi),
-    one matmul per process with the kernel's read-out tables:
-
-    X = (I + Pi2 Pi1)^-1 (-Pi2 phi-tilde + varphi-tilde);
-    Y = -(I + Pi1 Pi2)^-1 (Pi1 varphi-tilde + phi-tilde);
-    Z = -(I + Pi1 S1h)^-1 (Pi1 C1h X + Pi1 D1h^T Y + eta-tilde).
-    """
-    X, Y, Z = zeta @ kernel.read_X, zeta @ kernel.read_Y, zeta @ kernel.read_Z
-    return StackedEnsemble(kernel, bundle, zeta, X, Y, Z)
-
-
-def stacked_paths(kernel: PathKernel, bundle: PathBundle) -> StackedEnsemble:
-    """A decoupled stacked system on a bundle of paths: the Euler forward offset
-    and the reconstructed (X, Y, Z).  The one path kernel of both levels."""
-    return reconstruct_XYZ(kernel, simulate_tilde_varphi(kernel.step, bundle), bundle)
-
-
 def residual_samples(
     kernel: PathKernel, zeta: np.ndarray, dW: np.ndarray
 ) -> tuple[np.ndarray, float]:
@@ -462,26 +405,27 @@ def column_labels(prefix: str, count: int, suffix: str = "") -> list[str]:
 def paths_csv(
     nodes: np.ndarray,
     header: list[str],
-    blocks: list[np.ndarray],
+    zeta: np.ndarray,
+    table: np.ndarray,
     max_paths: int | None = None,
     first: int = 0,
 ) -> str:
     """Per-path CSV 'path,t,<header>' at the grid nodes, 17 significant digits.
 
-    blocks are (N+1, paths) or (N+1, paths, cols) arrays whose columns,
-    concatenated in order, match header.  Their paths are numbered from
-    first, and those numbered below max_paths are listed.  The header line
-    opens the file, so it comes only with first = 0: the CSVs of
-    consecutive path chunks join into the CSV of all their paths.
+    The columns of a path are its augmented state zeta, (N+1, paths, m),
+    times the (N+1, m, cols) table, whose columns match header.  The paths
+    are numbered from first, and those numbered below max_paths are listed.
+    The header line opens the file, so it comes only with first = 0: the
+    CSVs of consecutive path chunks join into the CSV of all their paths.
     """
-    width = blocks[0].shape[1]
+    width = zeta.shape[1]
     count = width if max_paths is None else max(0, min(max_paths - first, width))
     # one block of rows per path; "%.17g" prints the float path number as the integer
     shape = (count, len(nodes), 1)
-    table = np.concatenate([
+    rows = np.concatenate([
         np.broadcast_to(np.arange(first, first + count)[:, None, None], shape),
         np.broadcast_to(nodes[:, None], shape),
-        *(np.swapaxes(np.atleast_3d(b[:, :count]), 0, 1) for b in blocks),
+        np.swapaxes(zeta[:, :count] @ table, 0, 1),
     ], axis=2)
     header = ["path", "t", *header] if first == 0 else None
-    return csv_block(table.reshape(-1, table.shape[2]), header)
+    return csv_block(rows.reshape(-1, rows.shape[2]), header)

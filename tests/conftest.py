@@ -4,6 +4,8 @@ Session-scoped where the underlying computation is deterministic and
 reused across modules, so the suite stays fast.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -35,29 +37,117 @@ def hand_riccati(hand_spec):
     return p1, p2
 
 
+@dataclass
+class PathArrays:
+    """Reference path arrays of a path kernel on a bundle of paths (path_arrays).
+
+    On the leader's kernel X stacks (phibar, q), Y stacks (p, ybar) and Z
+    stacks (k, zbar), u2 is the leader's control and u1 the follower's; on
+    the follower's kernel X is the adjoint state, (Y, Z) the backward pair
+    and u1 the feedback control.
+    """
+
+    kernel: object  # stacked.PathKernel
+    bundle: object  # sampling.PathBundle
+    zeta: np.ndarray  # (N+1, paths, dim+2): (tilde-varphi, W, 1)
+    X: np.ndarray  # (N+1, paths, dim)
+    Y: np.ndarray
+    Z: np.ndarray
+    u1: np.ndarray  # (N+1, paths, k)
+    u2: np.ndarray = None
+
+    @property
+    def grid(self):
+        return self.kernel.sys.grid
+
+    @property
+    def n(self) -> int:
+        return self.kernel.sys.n
+
+    @property
+    def phibar(self) -> np.ndarray:
+        return self.X[:, :, : self.n]
+
+    @property
+    def ybar(self) -> np.ndarray:
+        return self.Y[:, :, self.n :]
+
+    @property
+    def zbar(self) -> np.ndarray:
+        return self.Z[:, :, self.n :]
+
+
+def path_arrays(kernel, bundle, read_u1=None):
+    """A kernel's processes on a bundle's paths, each the Euler augmented state
+    zeta times one of the kernel's tables.  Without read_u1 (the follower's
+    kernel) u1 is zeta read_u; with it (the leader's) u1 is zeta read_u1 and
+    u2 is zeta read_u."""
+    zeta = bs.simulate_tilde_varphi(kernel.step, bundle)
+    X, Y, Z, u = (zeta @ t for t in (kernel.read_X, kernel.read_Y, kernel.read_Z, kernel.read_u))
+    if read_u1 is None:
+        return PathArrays(kernel, bundle, zeta, X, Y, Z, u)
+    return PathArrays(kernel, bundle, zeta, X, Y, Z, zeta @ read_u1, u)
+
+
+def equilibrium_arrays(sol, bundle):
+    """The leader's path arrays of an equilibrium layer on a bundle of paths."""
+    return path_arrays(sol.kernel, bundle, sol.read_u1)
+
+
+def assert_csv_blocks(text, blocks, paths, rel=1e-14):
+    """Check a per-path CSV against reference path arrays, block by block in header
+    order.  blocks lists (column name prefix, (N+1, paths, width) array); the CSV
+    must list paths 0, ..., paths - 1, and on each a block's columns must agree
+    with its array within rel of the array's largest entry on that path."""
+    lines = text.splitlines()
+    header = lines[0].split(",")
+    rows = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    assert header[:2] == ["path", "t"]
+    assert np.array_equal(np.unique(rows[:, 0]), np.arange(paths))
+    col = 2
+    for prefix, want in blocks:
+        width = want.shape[2]
+        assert [h.rsplit("_", 1)[0] for h in header[col : col + width]] == [prefix] * width
+        for p in range(paths):
+            got, ref = rows[rows[:, 0] == p, col : col + width], want[:, p]
+            assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref)), (prefix, p)
+        col += width
+    assert col == len(header)
+
+
+def follower_cost_samples(spec, ens):
+    """The follower's per-path J1 on its path arrays, a form on their zeta."""
+    return bs.form_samples(bs.follower_cost_table(spec, ens.kernel), ens.zeta)
+
+
+def leader_cost_samples(sol, ens):
+    """The leader's per-path J2 on an equilibrium's path arrays, a form on their zeta."""
+    return bs.form_samples(sol.forms["J2"], ens.zeta)
+
+
 @pytest.fixture(scope="session")
 def hand_follower(hand_spec, hand_riccati):
     """The follower's state and feedback for u2 = 0 on 4 paths."""
     p1, p2 = hand_riccati
     u2 = bs.AffineControl.zero(hand_spec.grid, hand_spec.dims.k)
     kernel = bs.follower_kernel(hand_spec, p1, p2, u2)
-    ens = bs.stacked_paths(kernel, bs.sample_brownian(hand_spec.grid, 4, 0))
-    bs.follower_feedback(ens)
-    return ens
+    return path_arrays(kernel, bs.sample_brownian(hand_spec.grid, 4, 0))
+
+
+def solved(spec, paths, seed):
+    """An equilibrium layer of spec and its path arrays on a bundle of paths drawn with seed."""
+    sol = bs.equilibrium_layer(spec)
+    return sol, equilibrium_arrays(sol, bs.sample_brownian(spec.grid, paths, seed))
 
 
 @pytest.fixture(scope="session")
 def hand_solution(hand_spec):
-    return bs.equilibrium_paths(
-        bs.equilibrium_layer(hand_spec), bs.sample_brownian(hand_spec.grid, 4, 0)
-    )
+    return solved(hand_spec, 4, 0)
 
 
 @pytest.fixture(scope="session")
 def stochastic_solution(stochastic_spec):
-    return bs.equilibrium_paths(
-        bs.equilibrium_layer(stochastic_spec), bs.sample_brownian(stochastic_spec.grid, 256, 3)
-    )
+    return solved(stochastic_spec, 256, 3)
 
 
 @pytest.fixture(scope="session")
@@ -70,10 +160,7 @@ def market():
 @pytest.fixture(scope="session")
 def consumption(market):
     """The consumption market's equilibrium on 2000 paths."""
-    return bs.equilibrium_paths(
-        bs.equilibrium_layer(bs.build_finance_spec(market)),
-        bs.sample_brownian(market.grid, 2000, 5),
-    )
+    return solved(bs.build_finance_spec(market), 2000, 5)
 
 
 def scenario_document(spec, mode="strict", u2=None, market=None):
@@ -300,8 +387,8 @@ def quadratic_expansion(grid, base, step, Q, R, S, G):
 
 
 def bsde_residual_samples(ens):
-    """Reference formula of the closed-loop BSDE residual on an ensemble's path
-    arrays: r_i = Y_{i+1} - Y_i + drift_i dt - Z_i dW_i with the drift
+    """Reference formula of the closed-loop BSDE residual on path arrays:
+    r_i = Y_{i+1} - Y_i + drift_i dt - Z_i dW_i with the drift
     M Y + C1h^T Z + F varphi-tilde + forcing_load u at the left node.  Returns
     each path's sum_i ||r_i||^2 and the max single-step |r_i|."""
     sys = ens.kernel.sys
@@ -355,7 +442,7 @@ def reserve_reference(sol, zeta, bundle):
 
 
 def follower_pathwise_defects(spec, ens):
-    """The follower's structural identities along its ensemble's paths, as reference
+    """The follower's structural identities along its path arrays, as reference
     formulas on the path arrays: max |defect| over nodes and paths of each."""
     varphi = ens.zeta[..., : spec.dims.n]
     gaps = {
@@ -368,13 +455,13 @@ def follower_pathwise_defects(spec, ens):
     return {key: float(np.max(np.abs(gap))) for key, gap in gaps.items()}
 
 
-def leader_pathwise_defects(sol):
-    """The equilibrium's structural identities along sol's ensemble, as reference
-    formulas on the path arrays: max |defect| over nodes and paths of each.
+def leader_pathwise_defects(sol, ens):
+    """The equilibrium's structural identities along its path arrays ens, as
+    reference formulas on them: max |defect| over nodes and paths of each.
     "follower" is the follower's condition at x = P2 ybar + phibar, and
     "u1_forms" compares u1 with its stacked form -R1^-1 B1^T (P2 ybar + (Pi2 Y +
     varphi-tilde)_1)."""
-    spec, sys, ens = sol.spec, sol.system, sol.ensemble
+    spec, sys = sol.spec, sol.system
     n, Pi2, P2 = spec.dims.n, sol.pi2.values, sol.p2.values
     gains_t = spec.B1.values @ _tr(spec.R1_inv[::2])
     x = ens.ybar @ _tr(P2) + ens.phibar

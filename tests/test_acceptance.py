@@ -29,9 +29,13 @@ from bsde_stackelberg.scenario import (
 from bsde_stackelberg.stacked import residual_rms, residual_samples, structural_defects
 
 from conftest import (
+    equilibrium_arrays,
+    follower_cost_samples,
     follower_pathwise_defects,
+    leader_cost_samples,
     leader_pathwise_defects,
     p1_closed_form,
+    path_arrays,
     random_deterministic_scenario,
     solvability_scan,
     specialized_stacked_matrices,
@@ -112,7 +116,7 @@ class TestAcceptance:
             "y": np.max(np.abs(ens.Y - (1.0 + nodes)[:, None, None] / 2.0)),
             "z": np.max(np.abs(ens.Z)),
             "u1": np.max(np.abs(ens.u1 + 0.5)),
-            "J1": abs(bs.follower_cost(hand_spec, ens).mean() - 0.25),
+            "J1": abs(follower_cost_samples(hand_spec, ens).mean() - 0.25),
         }
         worst = max(errs.values())
         report(
@@ -134,9 +138,8 @@ class TestAcceptance:
             p1 = bs.solve_p1(spec)
             p2 = bs.solve_p2(spec, p1)
             kernel = bs.follower_kernel(spec, p1, p2, AffineControl.zero(spec.grid, 1))
-            ens = bs.stacked_paths(kernel, sample_brownian(spec.grid, 2, 0))
-            bs.follower_feedback(ens)
-            J1 = bs.follower_cost(spec, ens).mean()
+            ens = path_arrays(kernel, sample_brownian(spec.grid, 2, 0))
+            J1 = follower_cost_samples(spec, ens).mean()
             rel = abs(J1 - res.cost) / max(abs(res.cost), 1e-12)
             worst = max(worst, rel)
         report(
@@ -153,15 +156,16 @@ class TestAcceptance:
         worst = 0.0
         for spec in specs:
             res = deterministic_leader_oracle(build_discrete_problem(spec))
-            sol = bs.equilibrium_paths(bs.equilibrium_layer(spec), sample_brownian(spec.grid, 2, 0))
-            rel = abs(sol.cost("J2").mean() - res.cost) / max(abs(res.cost), 1e-12)
+            sol = bs.equilibrium_layer(spec)
+            ens = equilibrium_arrays(sol, sample_brownian(spec.grid, 2, 0))
+            rel = abs(leader_cost_samples(sol, ens).mean() - res.cost) / max(abs(res.cost), 1e-12)
             worst = max(worst, rel)
         gaps = []
         for N in (64, 256, 1024):
             spec = hand_solvable_scenario(steps=N)
             res = deterministic_leader_oracle(build_discrete_problem(spec))
-            sol = bs.equilibrium_paths(bs.equilibrium_layer(spec), sample_brownian(spec.grid, 2, 0))
-            gaps.append(control_rms_gap(res.control, sol.ensemble.u2[:, 0]))
+            ens = equilibrium_arrays(bs.equilibrium_layer(spec), sample_brownian(spec.grid, 2, 0))
+            gaps.append(control_rms_gap(res.control, ens.u2[:, 0]))
         decreasing = gaps[0] > gaps[1] > gaps[2]
         ok = worst <= 1e-2 and decreasing
         report(
@@ -180,16 +184,15 @@ class TestAcceptance:
         kernel = bs.follower_kernel(
             stochastic_spec, p1, p2, AffineControl.constant(stochastic_spec.grid, [0.2])
         )
-        sto_fol = bs.stacked_paths(kernel, sample_brownian(stochastic_spec.grid, 128, 1))
-        bs.follower_feedback(sto_fol)
+        sto_fol = path_arrays(kernel, sample_brownian(stochastic_spec.grid, 128, 1))
         worst = 0.0
         for spec, ens in ((hand_spec, hand_follower), (stochastic_spec, sto_fol)):
             xi = spec.xi.a[None] + ens.bundle.W[-1, :, None] * spec.xi.b[:, 0][None]
             worst = max(worst, float(np.max(np.abs(ens.Y[-1] - xi))))
             worst = max(worst, float(np.max(np.abs(ens.X[0] - ens.Y[0] @ spec.G1.T))))
             worst = max(worst, follower_pathwise_defects(spec, ens)["adjoint_form"])
-        for sol in (hand_solution, stochastic_solution):
-            worst = max(worst, *leader_pathwise_defects(sol).values())
+        for sol, ens in (hand_solution, stochastic_solution):
+            worst = max(worst, *leader_pathwise_defects(sol, ens).values())
         report(
             "pathwise structural identities (terminal, coupling, decoupling, both controls)",
             worst <= 1e-8,
@@ -219,10 +222,8 @@ class TestAcceptance:
             }
 
             def chunk(bundle):
-                fol = bs.stacked_paths(follower, bundle)
-                bs.follower_feedback(fol)
-                eq = bs.equilibrium_paths(sol, bundle)
-                out = {"J1": bs.follower_cost(spec, fol), "J2": eq.cost("J2")}
+                J1 = follower_cost_samples(spec, path_arrays(follower, bundle))
+                out = {"J1": J1, "J2": leader_cost_samples(sol, equilibrium_arrays(sol, bundle))}
                 return out | {key: slope(bundle)["slope"] for key, slope in slopes.items()}
 
             merged = stream_paths(spec.grid, mc, sol.system.dim, chunk)
@@ -264,7 +265,7 @@ class TestAcceptance:
         fine = sample_brownian(fine_spec.grid, 128, 4)
         rms = []
         for spec, bundle in ((fine_spec, fine), (coarse_spec, coarsen(fine, 2))):
-            ens = bs.equilibrium_paths(bs.equilibrium_layer(spec), bundle).ensemble
+            ens = equilibrium_arrays(bs.equilibrium_layer(spec), bundle)
             rms.append(residual_rms(residual_samples(ens.kernel, ens.zeta, bundle.dW)[0]))
         ratio = rms[1] / rms[0]
         ok = min_order >= 3.5 and abs(ratio - 2.0) <= 0.4
@@ -325,7 +326,7 @@ class TestAcceptance:
         _, rep2 = bs.pi2_closed_form(sys)
         try:
             bundle = sample_brownian(hand_spec.grid, 2, 0)
-            bs.equilibrium_paths(bs.equilibrium_layer(hand_spec), bundle)
+            equilibrium_arrays(bs.equilibrium_layer(hand_spec), bundle)
             completed = True
         except bs.DivergenceError:
             completed = False

@@ -18,6 +18,7 @@ from bsde_stackelberg.finance import (
 from bsde_stackelberg.scenario import load_scenario
 
 from conftest import (
+    assert_csv_blocks,
     dense_game,
     dual_coefficients,
     gamma_step,
@@ -42,12 +43,13 @@ def riccati_pair(m):
     return p1, bs.solve_p2(spec, p1)
 
 
-def gamma_propagator(sol, t, s, path):
+def gamma_propagator(solved, t, s, path):
     """Pathwise propagator Gamma_t(s) (2n x 2n) of reserve_reference, identity at s = t.
 
     t and s must be grid nodes with t <= s; the path index selects the
-    Brownian trajectory of the solved ensemble.
+    Brownian trajectory of the solved pair (sol, path arrays).
     """
+    sol, ens = solved
     grid = sol.system.grid
     i0 = int(round(t / grid.dt))
     i1 = int(round(s / grid.dt))
@@ -58,7 +60,7 @@ def gamma_propagator(sol, t, s, path):
             raise ValueError(f"time {u} is not a grid node")
     a, c, _ = dual_coefficients(sol)
     gamma = np.eye(2 * sol.system.n)[None]
-    dW = sol.ensemble.bundle.dW
+    dW = ens.bundle.dW
     for i in range(i0, i1):
         gamma = gamma_step(gamma, a[i], a[i + 1], c[i], grid.dt, dW[i, path : path + 1])
     return gamma[0]
@@ -146,25 +148,23 @@ class TestSpecializedMatrices:
 
 class TestEquilibrium:
     def test_wealth_terminal_identity(self, market, consumption):
-        ens = consumption.ensemble
+        _, ens = consumption
         xi = market.xi.a[0] + market.xi.b[0, 0] * ens.bundle.W[-1]
         assert np.max(np.abs(ens.ybar[-1, :, 0] - xi)) < 1e-10
 
     def test_portfolio_is_scaled_martingale_loading(self, market, consumption):
-        # the CSV's 17 significant digits give back every float64 exactly
-        ens = consumption.ensemble
-        text = consumption_paths_csv(ens, market, max_paths=2)
-        rows = np.loadtxt(text.splitlines()[1:], delimiter=",")
-        sigma = market.sigma.values[:, 0, 0]
-        for p in range(2):
-            columns = rows[rows[:, 0] == p]
-            np.testing.assert_array_equal(columns[:, 2], ens.ybar[:, p, 0])
-            np.testing.assert_array_equal(columns[:, 3], ens.zbar[:, p, 0] / sigma)
-            np.testing.assert_array_equal(columns[:, 4], ens.u1[:, p, 0])
-            np.testing.assert_array_equal(columns[:, 5], ens.u2[:, p, 0])
+        # the writer reads every column off one product of zeta with its joined
+        # table, so a column may differ from its process's own product in the
+        # last bit; the 17-digit round trip is exact (test_round_trip_precision)
+        sol, ens = consumption
+        text = consumption_paths_csv(sol, market, ens.zeta, max_paths=2)
+        portfolio = ens.zbar / market.sigma.values
+        blocks = [("y", ens.ybar), ("pi", portfolio), ("c1", ens.u1), ("c2", ens.u2)]
+        assert_csv_blocks(text, blocks, paths=2)
 
     def test_csv_header_and_cap(self, market, consumption):
-        text = consumption_paths_csv(consumption.ensemble, market, max_paths=2)
+        sol, ens = consumption
+        text = consumption_paths_csv(sol, market, ens.zeta, max_paths=2)
         lines = text.strip().split("\n")
         assert lines[0] == "path,t,y,pi,c1,c2"
         assert len(lines) == 1 + 2 * (market.grid.steps + 1)
@@ -176,11 +176,10 @@ class TestDualRepresentation:
         np.testing.assert_allclose(g, np.eye(2), atol=0)
 
     def test_propagator_composes(self, consumption):
-        sol = consumption
-        dt = sol.system.grid.dt
-        full = gamma_propagator(sol, 0.0, 4 * dt, path=1)
-        left = gamma_propagator(sol, 0.0, 2 * dt, path=1)
-        right = gamma_propagator(sol, 2 * dt, 4 * dt, path=1)
+        dt = consumption[0].system.grid.dt
+        full = gamma_propagator(consumption, 0.0, 4 * dt, path=1)
+        left = gamma_propagator(consumption, 0.0, 2 * dt, path=1)
+        right = gamma_propagator(consumption, 2 * dt, 4 * dt, path=1)
         np.testing.assert_allclose(right @ left, full, atol=1e-12)
 
     def test_rejects_off_grid_times(self, consumption):

@@ -20,9 +20,14 @@ from bsde_stackelberg.stacked import (
 )
 from conftest import (
     affine_pathwise,
+    assert_csv_blocks,
     cost_samples,
     dense_game,
+    equilibrium_arrays,
+    follower_cost_samples,
     follower_pathwise_defects,
+    leader_cost_samples,
+    path_arrays,
     quadratic_expansion,
     u2_pathwise,
 )
@@ -144,7 +149,7 @@ class TestHandSolution:
         assert np.max(np.abs(ens.u1 + 0.5)) < 1e-10
 
     def test_cost_quarter_with_zero_stderr(self, hand_spec, hand_follower):
-        mean, stderr = mean_stderr(bs.follower_cost(hand_spec, hand_follower))
+        mean, stderr = mean_stderr(follower_cost_samples(hand_spec, hand_follower))
         assert mean == pytest.approx(0.25, abs=1e-10)
         assert stderr < 1e-14
 
@@ -160,9 +165,9 @@ class TestHandSolution:
         p1, p2 = hand_riccati
         u2 = bs.AffineControl.zero(hand_spec.grid, 1)
         kernel = bs.follower_kernel(hand_spec, p1, p2, u2)
-        a, b = (bs.stacked_paths(kernel, sample_brownian(hand_spec.grid, 2, s)) for s in (0, 99))
+        a, b = (path_arrays(kernel, sample_brownian(hand_spec.grid, 2, s)) for s in (0, 99))
         assert np.array_equal(a.Y, b.Y)
-        assert np.array_equal(bs.follower_feedback(a), bs.follower_feedback(b))
+        assert np.array_equal(a.u1, b.u1)
 
 
 @pytest.fixture(scope="module")
@@ -171,8 +176,7 @@ def pipeline(stochastic_spec):
     p2 = bs.solve_p2(stochastic_spec, p1)
     u2 = bs.AffineControl.constant(stochastic_spec.grid, [0.2])
     kernel = bs.follower_kernel(stochastic_spec, p1, p2, u2)
-    ens = bs.stacked_paths(kernel, sample_brownian(stochastic_spec.grid, 128, 1))
-    bs.follower_feedback(ens)
+    ens = path_arrays(kernel, sample_brownian(stochastic_spec.grid, 128, 1))
     return p1, p2, u2, ens
 
 
@@ -207,7 +211,7 @@ class TestStochasticScenario:
                 p1 = bs.solve_p1(spec)
                 p2 = bs.solve_p2(spec, p1)
                 u2 = bs.AffineControl.constant(spec.grid, 0.2 * np.ones(spec.dims.k))
-                ens = bs.stacked_paths(bs.follower_kernel(spec, p1, p2, u2), bundle)
+                ens = path_arrays(bs.follower_kernel(spec, p1, p2, u2), bundle)
                 rms.append(residual_rms(residual_samples(ens.kernel, ens.zeta, bundle.dW)[0]))
             assert rms[1] / rms[0] == pytest.approx(2.0, abs=0.25), scenario.__name__
 
@@ -263,7 +267,7 @@ class TestPerturbations:
         v = bs.AffineControl.zero(hand_spec.grid, 1)
         delta = response_step(hand_spec, v)
         slope = follower_slope(hand_spec, hand_follower, v)
-        J1 = bs.follower_cost(hand_spec, hand_follower).mean()
+        J1 = follower_cost_samples(hand_spec, hand_follower).mean()
         curvature = follower_curvature(hand_spec, v, delta, hand_follower.bundle.W)
         assert expanded_cost(J1, slope, curvature, 1e-2) == pytest.approx(J1, abs=1e-15)
 
@@ -277,7 +281,7 @@ class TestPerturbations:
         v = bs.AffineControl.constant(hand_spec.grid, [1.0])
         delta = response_step(hand_spec, v)
         slope = follower_slope(hand_spec, hand_follower, v)
-        J1 = bs.follower_cost(hand_spec, hand_follower).mean()
+        J1 = follower_cost_samples(hand_spec, hand_follower).mean()
         curvature = follower_curvature(hand_spec, v, delta, hand_follower.bundle.W)
         for eps in (0.1, -0.1):
             assert expanded_cost(J1, slope, curvature, eps) > J1
@@ -309,8 +313,7 @@ def follower_case(spec, v, bundle):
     p1 = bs.solve_p1(spec)
     p2 = bs.solve_p2(spec, p1)
     u2 = bs.AffineControl.constant(spec.grid, 0.2 * np.ones(spec.dims.k))
-    ens = bs.stacked_paths(bs.follower_kernel(spec, p1, p2, u2), bundle)
-    bs.follower_feedback(ens)
+    ens = path_arrays(bs.follower_kernel(spec, p1, p2, u2), bundle)
     # -d(dy) = [A dy + C dz + B1 v] dt - dz dW, dy(T) = 0
     delta = solve_affine_bsde(
         spec.A.half, spec.C.half,
@@ -320,19 +323,19 @@ def follower_case(spec, v, bundle):
     step = follower_step(delta, v, bundle.W)
     weights = spec.weights(1)
     slope = follower_slope(spec, ens, v)
-    return (ens.Y, ens.u1, ens.Z), step, weights, bs.follower_cost(spec, ens).mean(), slope
+    return (ens.Y, ens.u1, ens.Z), step, weights, follower_cost_samples(spec, ens).mean(), slope
 
 
 def leader_case(spec, v, bundle):
     """Base (ybar, u2, zbar), step, weights, base cost and stationarity of the leader."""
-    sol = bs.equilibrium_paths(bs.equilibrium_layer(spec), bundle)
-    ens = sol.ensemble
+    sol = bs.equilibrium_layer(spec)
+    ens = equilibrium_arrays(sol, bundle)
     response = response_kernel(spec, sol.p1, sol.p2, v)
-    delta = bs.stacked_paths(response, bundle)
+    delta = path_arrays(response, bundle)
     step = (delta.Y, u2_pathwise(v, bundle.W), delta.Z)
     weights = spec.weights(2)
     slope = equilibrium_chunk(sol, response)(bundle)["slope"].mean()
-    return (ens.ybar, ens.u2, ens.zbar), step, weights, sol.cost("J2").mean(), slope
+    return (ens.ybar, ens.u2, ens.zbar), step, weights, leader_cost_samples(sol, ens).mean(), slope
 
 
 def skewed(weights, scale=0.3):
@@ -377,17 +380,25 @@ class TestQuadraticExpansion:
         p1 = bs.solve_p1(spec)
         p2 = bs.solve_p2(spec, p1)
         v = affine_direction(spec.grid, spec.dims.k)
-        delta = bs.stacked_paths(response_kernel(spec, p1, p2, v), bundle)
-        full = bs.stacked_paths(bs.follower_kernel(_zero_terminal(spec), p1, p2, v), bundle)
-        bs.follower_feedback(full)
+        delta = path_arrays(response_kernel(spec, p1, p2, v), bundle)
+        full = path_arrays(bs.follower_kernel(_zero_terminal(spec), p1, p2, v), bundle)
         assert np.array_equal(delta.Y, full.Y) and np.array_equal(delta.Z, full.Z)
-        assert delta.u1 is None
 
 
 class TestCsv:
     def test_header_and_path_cap(self, hand_follower):
-        text = follower_paths_csv(hand_follower, max_paths=2)
+        text = follower_paths_csv(hand_follower.kernel, hand_follower.zeta, max_paths=2)
         lines = text.strip().split("\n")
         assert lines[0] == "path,t,y_1,z_11,u1_1,x_1"
         n_nodes = hand_follower.grid.steps + 1
         assert len(lines) == 1 + 2 * n_nodes
+
+    def test_columns_are_the_processes_in_header_order(self):
+        # n = 3, k = 2: the control block is narrower than the state blocks
+        spec = dense_game()
+        p1 = bs.solve_p1(spec)
+        u2 = bs.AffineControl.constant(spec.grid, [0.2, -0.1])
+        kernel = bs.follower_kernel(spec, p1, bs.solve_p2(spec, p1), u2)
+        ens = path_arrays(kernel, sample_brownian(spec.grid, 5, 2))
+        blocks = [("y", ens.Y), ("z", ens.Z), ("u1", ens.u1), ("x", ens.X)]
+        assert_csv_blocks(follower_paths_csv(kernel, ens.zeta, max_paths=4), blocks, paths=4)

@@ -3,8 +3,8 @@
 A path chunk reads J1, J2, both stationarity cross terms and the BSDE
 residual off zeta by fixed forms and tables (stacked.form_table,
 PathKernel.residual_table), and forms no path arrays for them.  Here the
-same figures come from the reference formulas of conftest on the
-reconstructed arrays, at both levels and on shared paths, on an n = 3,
+same figures come from the reference formulas of conftest on the path
+arrays (conftest.path_arrays), at both levels and on shared paths, on an n = 3,
 k = 2 game with C != 0 and a leader control and direction affine in W.
 """
 
@@ -19,6 +19,8 @@ from conftest import (
     bsde_residual_samples,
     cost_samples,
     dense_game,
+    equilibrium_arrays,
+    path_arrays,
     quadratic_expansion,
     u2_pathwise,
 )
@@ -56,8 +58,8 @@ def test_leader_forms_match_reference(game):
     spec, bundle, _, v, sol = game
     response = response_kernel(spec, sol.p1, sol.p2, v)
     got = equilibrium_chunk(sol, response)(bundle)
-    ens = bs.equilibrium_paths(sol, bundle).ensemble
-    delta = bs.stacked_paths(response, bundle)
+    ens = equilibrium_arrays(sol, bundle)
+    delta = path_arrays(response, bundle)
     base = (ens.ybar, ens.u2, ens.zbar)
     step = (delta.Y, u2_pathwise(v, bundle.W), delta.Z)
     residual, residual_max = bsde_residual_samples(ens)
@@ -74,8 +76,7 @@ def test_follower_forms_match_reference(game):
     spec, bundle, u2, v, sol = game
     kernel = bs.follower_kernel(spec, sol.p1, sol.p2, u2)
     got = follower_chunk(spec, kernel, v)(bundle)
-    ens = bs.stacked_paths(kernel, bundle)
-    bs.follower_feedback(ens)
+    ens = path_arrays(kernel, bundle)
     delta = response_step(spec, v)
     base = (ens.Y, ens.u1, ens.Z)
     step = (

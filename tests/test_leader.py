@@ -16,7 +16,17 @@ from bsde_stackelberg.stacked import (
     residual_rms,
     residual_samples,
 )
-from conftest import affine_pathwise, cost_samples, leader_pathwise_defects, u2_pathwise
+from conftest import (
+    affine_pathwise,
+    assert_csv_blocks,
+    cost_samples,
+    dense_game,
+    equilibrium_arrays,
+    leader_cost_samples,
+    leader_pathwise_defects,
+    path_arrays,
+    u2_pathwise,
+)
 
 STUDY = Path(__file__).resolve().parents[1] / "scripts" / "convergence_study.py"
 _spec = importlib.util.spec_from_file_location("convergence_study", STUDY)
@@ -74,24 +84,26 @@ def diffusion_consistency_gap(sys, pi1, pi2):
 class TestAuxiliaryBackward:
     def test_zero_terminal_gives_zero_offsets(self):
         spec = zero_spec()
-        sol = bs.equilibrium_paths(bs.equilibrium_layer(spec), sample_brownian(spec.grid, 4, 0))
+        sol = bs.equilibrium_layer(spec)
+        ens = equilibrium_arrays(sol, sample_brownian(spec.grid, 4, 0))
         tilde_phi = bs.solve_tilde_phi(sol.system, sol.pi1)
         assert np.max(np.abs(tilde_phi.alpha.values)) == 0.0
         assert np.max(np.abs(tilde_phi.beta.values)) == 0.0
-        for arr in (sol.ensemble.X, sol.ensemble.Y, sol.ensemble.Z, sol.ensemble.u2):
+        for arr in (ens.X, ens.Y, ens.Z, ens.u2):
             assert np.max(np.abs(arr)) == 0.0
-        assert sol.cost("J2").mean() == 0.0
+        assert leader_cost_samples(sol, ens).mean() == 0.0
 
     def test_deterministic_terminal_kills_martingale_loading(self, hand_solution):
-        tilde_phi = bs.solve_tilde_phi(hand_solution.system, hand_solution.pi1)
+        sol, _ = hand_solution
+        tilde_phi = bs.solve_tilde_phi(sol.system, sol.pi1)
         assert np.max(np.abs(tilde_phi.beta.values)) == 0.0
 
     def test_backward_value_matches_transition_propagation(self, hand_spec, hand_solution):
         # variation-of-constants: alpha(0) = transition(0 -> T)^-1 applied backward
         from bsde_stackelberg.odeint import transition_steps
 
-        sys = hand_solution.system
-        pi1 = hand_solution.pi1
+        sol, _ = hand_solution
+        sys, pi1 = sol.system, sol.pi1
         R2 = hand_spec.R2
         eye = np.eye(2)
 
@@ -119,58 +131,51 @@ class TestAuxiliaryBackward:
 
 class TestStructuralIdentities:
     """Each identity on the kernel's tables (sol.defects) and, as a reference,
-    along the ensemble's paths."""
+    along the path arrays."""
 
     def test_terminal_identity(self, hand_solution, stochastic_solution):
-        for sol in (hand_solution, stochastic_solution):
+        for sol, ens in (hand_solution, stochastic_solution):
             assert sol.defects["terminal"] < 1e-12
-            assert leader_pathwise_defects(sol)["terminal"] < 1e-12
+            assert leader_pathwise_defects(sol, ens)["terminal"] < 1e-12
 
     def test_initial_coupling(self, hand_solution, stochastic_solution):
-        for sol in (hand_solution, stochastic_solution):
+        for sol, ens in (hand_solution, stochastic_solution):
             assert sol.defects["initial_coupling"] < 1e-12
-            assert leader_pathwise_defects(sol)["initial_coupling"] < 1e-12
+            assert leader_pathwise_defects(sol, ens)["initial_coupling"] < 1e-12
 
     def test_forward_backward_decoupling(self, hand_solution, stochastic_solution):
-        for sol in (hand_solution, stochastic_solution):
+        for sol, ens in (hand_solution, stochastic_solution):
             assert sol.defects["decoupling"] < 1e-12
-            assert leader_pathwise_defects(sol)["decoupling"] < 1e-12
-
-    def test_block_views(self, stochastic_solution):
-        ens = stochastic_solution.ensemble
-        n = ens.n
-        assert np.array_equal(ens.phibar, ens.X[:, :, :n])
-        assert np.array_equal(ens.ybar, ens.Y[:, :, n:])
+            assert leader_pathwise_defects(sol, ens)["decoupling"] < 1e-12
 
     def test_deterministic_terminal_stderr_zero_and_seed_free(self, hand_spec):
         layer = bs.equilibrium_layer(hand_spec)
         a, b = (
-            bs.equilibrium_paths(layer, sample_brownian(hand_spec.grid, 2, seed))
+            equilibrium_arrays(layer, sample_brownian(hand_spec.grid, 2, seed))
             for seed in (0, 123)
         )
-        (J2_a, stderr_a), (J2_b, _) = (mean_stderr(s.cost("J2")) for s in (a, b))
+        (J2_a, stderr_a), (J2_b, _) = (mean_stderr(leader_cost_samples(layer, e)) for e in (a, b))
         assert stderr_a == 0.0
         assert J2_a == pytest.approx(J2_b, abs=1e-15)
-        assert np.array_equal(a.ensemble.u2, b.ensemble.u2)
+        assert np.array_equal(a.u2, b.u2)
 
 
-def leader_slope(sol, response):
-    """The mean of the leader's stationarity cross term on sol's paths, as a path
-    chunk reads it (equilibrium_chunk)."""
-    return equilibrium_chunk(sol, response)(sol.ensemble.bundle)["slope"].mean()
+def leader_slope(sol, ens, response):
+    """The mean of the leader's stationarity cross term on the paths of ens, as a
+    path chunk reads it (equilibrium_chunk)."""
+    return equilibrium_chunk(sol, response)(ens.bundle)["slope"].mean()
 
 
 class TestEquilibriumControls:
     def test_follower_control_block_forms_agree(self, stochastic_solution):
-        assert leader_pathwise_defects(stochastic_solution)["u1_forms"] < 1e-10
+        assert leader_pathwise_defects(*stochastic_solution)["u1_forms"] < 1e-10
 
     def test_algebraic_stationarity_both_levels(self, stochastic_spec, stochastic_solution):
-        sol = stochastic_solution
+        sol, ens = stochastic_solution
         assert sol.defects["stationarity"] < 1e-10
         assert sol.defects["follower"] < 1e-10
-        assert leader_pathwise_defects(sol)["stationarity"] < 1e-10
+        assert leader_pathwise_defects(sol, ens)["stationarity"] < 1e-10
         # follower optimality along the equilibrium path
-        ens = sol.ensemble
         worst = 0.0
         for i, t in enumerate(stochastic_spec.grid.nodes):
             x = ens.ybar[i] @ sol.p2.values[i].T + ens.phibar[i]
@@ -179,18 +184,19 @@ class TestEquilibriumControls:
         assert worst < 1e-10
 
     def test_variational_slope_zero_on_hand_scenario(self, hand_spec, hand_solution):
+        sol, ens = hand_solution
         v = bs.AffineControl.constant(hand_spec.grid, [1.0])
-        response = response_kernel(hand_spec, hand_solution.p1, hand_solution.p2, v)
-        slope = leader_slope(hand_solution, response)
-        assert abs(slope) < 1e-7
+        response = response_kernel(hand_spec, sol.p1, sol.p2, v)
+        assert abs(leader_slope(sol, ens, response)) < 1e-7
 
     def test_perturbed_cost_grows_at_optimum(self, hand_spec, hand_solution):
+        sol, ens = hand_solution
         v = bs.AffineControl.constant(hand_spec.grid, [1.0])
-        response = response_kernel(hand_spec, hand_solution.p1, hand_solution.p2, v)
-        slope = leader_slope(hand_solution, response)
-        base = hand_solution.cost("J2").mean()
-        bundle = hand_solution.ensemble.bundle
-        delta = bs.stacked_paths(response, bundle)
+        response = response_kernel(hand_spec, sol.p1, sol.p2, v)
+        slope = leader_slope(sol, ens, response)
+        base = leader_cost_samples(sol, ens).mean()
+        bundle = ens.bundle
+        delta = path_arrays(response, bundle)
         du2 = u2_pathwise(response.sys.forcing_control, bundle.W)
         curvature = cost_samples(
             hand_spec.grid, delta.Y, du2, delta.Z,
@@ -214,8 +220,7 @@ class TestNodeKernelsMatchLoops:
         path = bs.CoefficientPath.constant
         u2 = bs.AffineControl(path(spec.grid, [[0.3]]), path(spec.grid, [[u_lin]]))
         bundle = sample_brownian(spec.grid, 5, 3)
-        ens = bs.stacked_paths(bs.follower_kernel(spec, p1, p2, u2), bundle)
-        bs.follower_feedback(ens)
+        ens = path_arrays(bs.follower_kernel(spec, p1, p2, u2), bundle)
         u2_paths = u2_pathwise(u2, bundle.W)
         phieta = bs.solve_tilde_phi(bs.follower_system(spec, u2), p1)
         phi = affine_pathwise(phieta.alpha, phieta.beta, bundle.W)
@@ -250,8 +255,8 @@ class TestNodeKernelsMatchLoops:
     def test_leader_reconstruction_and_feedback(self):
         spec = two_state_stochastic_spec(steps=16)
         bundle = sample_brownian(spec.grid, 5, 3)
-        sol = bs.equilibrium_paths(bs.equilibrium_layer(spec), bundle)
-        sys, ens = sol.system, sol.ensemble
+        sol = bs.equilibrium_layer(spec)
+        sys, ens = sol.system, equilibrium_arrays(sol, bundle)
         tilde_phi = bs.solve_tilde_phi(sys, sol.pi1)
         phi = affine_pathwise(tilde_phi.alpha, tilde_phi.beta, bundle.W)
         eta = tilde_phi.beta.values[:, :, 0]
@@ -272,15 +277,13 @@ class TestNodeKernelsMatchLoops:
 class TestForwardOffsetDiffusion:
     def test_modes_identical_when_diffusion_inactive(self, hand_spec, hand_solution):
         # C = 0: both assemblies vanish identically
-        gap = diffusion_consistency_gap(
-            hand_solution.system, hand_solution.pi1, hand_solution.pi2
-        )
+        sol, _ = hand_solution
+        gap = diffusion_consistency_gap(sol.system, sol.pi1, sol.pi2)
         assert gap == 0.0
 
     def test_modes_differ_on_noncommuting_scenario(self, stochastic_solution):
-        gap = diffusion_consistency_gap(
-            stochastic_solution.system, stochastic_solution.pi1, stochastic_solution.pi2
-        )
+        sol, _ = stochastic_solution
+        gap = diffusion_consistency_gap(sol.system, sol.pi1, sol.pi2)
         assert gap > 1e-6
 
     def test_residual_halves_with_dt_consistent_mode(self):
@@ -292,7 +295,7 @@ class TestForwardOffsetDiffusion:
             fine = sample_brownian(fine_spec.grid, 64, 11)
             rms = []
             for spec, bundle in ((fine_spec, fine), (coarse_spec, coarsen(fine, 2))):
-                ens = bs.equilibrium_paths(bs.equilibrium_layer(spec), bundle).ensemble
+                ens = equilibrium_arrays(bs.equilibrium_layer(spec), bundle)
                 rms.append(residual_rms(residual_samples(ens.kernel, ens.zeta, bundle.dW)[0]))
             rms_f, rms_c = rms
             assert rms_c / rms_f == pytest.approx(2.0, rel=0.25), scenario.__name__
@@ -304,21 +307,35 @@ class TestFollowerAdjoint:
         # against P2 ybar + phibar at T (convergence_study.adjoint_gap): the gap halves
         # with the time step only if the stacked system reproduces the follower's
         # closed loop.  Both grids run on common paths
-        def solve(game, N, bundle):
-            return bs.equilibrium_paths(bs.equilibrium_layer(game(N)), bundle)
+        def gap(game, N, bundle):
+            return study.adjoint_gap(bs.equilibrium_layer(game(N)), bundle)
 
         for game, N in ((two_state_stochastic_spec, 400), (study.finance_game, 100)):
             fine = sample_brownian(bs.TimeGrid(1.0, 2 * N), 256, 5)
-            coarse_gap = study.adjoint_gap(solve(game, N, coarsen(fine, 2)))
-            assert coarse_gap / study.adjoint_gap(solve(game, 2 * N, fine)) == pytest.approx(
+            coarse_gap = gap(game, N, coarsen(fine, 2))
+            assert coarse_gap / gap(game, 2 * N, fine) == pytest.approx(
                 2.0, abs=0.25
             ), game.__name__
 
 
 class TestCsv:
     def test_header_and_cap(self, stochastic_solution):
-        text = leader_paths_csv(stochastic_solution.ensemble, max_paths=3)
+        sol, ens = stochastic_solution
+        text = leader_paths_csv(sol, ens.zeta, max_paths=3)
         lines = text.strip().split("\n")
         assert lines[0].startswith("path,t,phibar_1")
-        n_nodes = stochastic_solution.ensemble.grid.steps + 1
+        n_nodes = ens.grid.steps + 1
         assert len(lines) == 1 + 3 * n_nodes
+
+    def test_columns_are_the_processes_in_header_order(self):
+        # n = 3, k = 2: blocks of two widths, and u1, u2 of the same width
+        sol = bs.equilibrium_layer(dense_game())
+        ens = equilibrium_arrays(sol, sample_brownian(sol.spec.grid, 5, 2))
+        n = sol.spec.dims.n
+        blocks = [
+            ("phibar", ens.X[:, :, :n]), ("q", ens.X[:, :, n:]),
+            ("p", ens.Y[:, :, :n]), ("ybar", ens.Y[:, :, n:]),
+            ("k", ens.Z[:, :, :n]), ("zbar", ens.Z[:, :, n:]),
+            ("u1", ens.u1), ("u2", ens.u2),
+        ]
+        assert_csv_blocks(leader_paths_csv(sol, ens.zeta, max_paths=4), blocks, paths=4)

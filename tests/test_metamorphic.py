@@ -34,7 +34,7 @@ from bsde_stackelberg.follower import follower_chunk
 from bsde_stackelberg.leader import equilibrium_chunk, response_kernel
 from bsde_stackelberg.scenario import make_constant_spec
 from bsde_stackelberg.stacked import structural_defects
-from conftest import c_zero_game, dense_game, scenario_document
+from conftest import c_zero_game, dense_game, equilibrium_arrays, path_arrays, scenario_document
 
 STEPS, PATHS = 64, 100
 MATRICES = ("A", "B1", "B2", "C", "Q1", "R1", "S1", "Q2", "R2", "S2")
@@ -87,9 +87,8 @@ def per_path(spec, u2, v, bundle):
     (follower_chunk, equilibrium_chunk); the controls are path arrays."""
     sol = bs.equilibrium_layer(spec)
     kernel = bs.follower_kernel(spec, sol.p1, sol.p2, u2)
-    fol = bs.stacked_paths(kernel, bundle)
-    bs.follower_feedback(fol)
-    eq = bs.equilibrium_paths(sol, bundle).ensemble
+    fol = path_arrays(kernel, bundle)
+    eq = equilibrium_arrays(sol, bundle)
     fol_forms = follower_chunk(spec, kernel, v)(bundle)
     forms = equilibrium_chunk(sol, response_kernel(spec, sol.p1, sol.p2, v))(bundle)
     figures = {

@@ -22,8 +22,12 @@ from bsde_stackelberg.stacked import structural_defects
 from conftest import (
     cost_terms_reference,
     cross_term_reference,
+    equilibrium_arrays,
+    follower_cost_samples,
     follower_pathwise_defects,
+    leader_cost_samples,
     leader_pathwise_defects,
+    path_arrays,
     reduced_map_reference,
 )
 
@@ -243,19 +247,18 @@ class TestOracleVsPipeline:
         p2 = bs.solve_p2(hand_spec_coarse, p1)
         u2 = bs.AffineControl.zero(hand_spec_coarse.grid, 1)
         kernel = bs.follower_kernel(hand_spec_coarse, p1, p2, u2)
-        ens = bs.stacked_paths(kernel, bs.sample_brownian(hand_spec_coarse.grid, 2, 0))
-        bs.follower_feedback(ens)
+        ens = path_arrays(kernel, bs.sample_brownian(hand_spec_coarse.grid, 2, 0))
         prob = build_discrete_problem(hand_spec_coarse)
         res = deterministic_follower_oracle(prob, np.zeros((hand_spec_coarse.grid.steps, 1)))
-        J1 = bs.follower_cost(hand_spec_coarse, ens).mean()
+        J1 = follower_cost_samples(hand_spec_coarse, ens).mean()
         rep = oracle_report(res.cost, J1, control_rms_gap(res.control, ens.u1[:, 0]), 256)
         assert rep["rel_gap"] < 1e-3
 
     def test_leader_rel_gap_small(self, hand_spec_coarse):
         res = deterministic_leader_oracle(build_discrete_problem(hand_spec_coarse))
         bundle = bs.sample_brownian(hand_spec_coarse.grid, 2, 0)
-        sol = bs.equilibrium_paths(bs.equilibrium_layer(hand_spec_coarse), bundle)
-        J2 = sol.cost("J2").mean()
+        sol = bs.equilibrium_layer(hand_spec_coarse)
+        J2 = leader_cost_samples(sol, equilibrium_arrays(sol, bundle)).mean()
         rel = abs(J2 - res.cost) / max(abs(res.cost), 1e-12)
         assert rel < 1e-2
 
@@ -288,12 +291,11 @@ class TestMultiDimensionalPipelines:
         p1 = bs.solve_p1(spec)
         p2 = bs.solve_p2(spec, p1)
         kernel = bs.follower_kernel(spec, p1, p2, bs.AffineControl.constant(spec.grid, u2_value))
-        ens = bs.stacked_paths(kernel, bs.sample_brownian(spec.grid, 2, 0))
-        bs.follower_feedback(ens)
+        ens = path_arrays(kernel, bs.sample_brownian(spec.grid, 2, 0))
         res = deterministic_follower_oracle(
             build_discrete_problem(spec), np.tile(u2_value, (spec.grid.steps, 1))
         )
-        assert abs(bs.follower_cost(spec, ens).mean() - res.cost) / abs(res.cost) <= 1e-3
+        assert abs(follower_cost_samples(spec, ens).mean() - res.cost) / abs(res.cost) <= 1e-3
         pathwise = follower_pathwise_defects(spec, ens)
         for key in ("terminal", "initial_coupling", "adjoint_form"):
             assert pathwise[key] <= 1e-8
@@ -301,8 +303,9 @@ class TestMultiDimensionalPipelines:
 
     def test_leader_matches_oracle(self, n, k):
         spec = random_multidim_game(np.random.default_rng(10 * n + k + 1), n, k)
-        sol = bs.equilibrium_paths(bs.equilibrium_layer(spec), bs.sample_brownian(spec.grid, 2, 0))
+        sol = bs.equilibrium_layer(spec)
+        ens = equilibrium_arrays(sol, bs.sample_brownian(spec.grid, 2, 0))
         res = deterministic_leader_oracle(build_discrete_problem(spec))
-        assert abs(sol.cost("J2").mean() - res.cost) / abs(res.cost) <= 1e-2
-        assert max(leader_pathwise_defects(sol).values()) <= 1e-8
+        assert abs(leader_cost_samples(sol, ens).mean() - res.cost) / abs(res.cost) <= 1e-2
+        assert max(leader_pathwise_defects(sol, ens).values()) <= 1e-8
         assert max(sol.defects.values()) <= 1e-8

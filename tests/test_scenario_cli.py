@@ -200,6 +200,31 @@ class TestCliValidate:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("keys,value", [
+        (("coefficients", "A"), 5),
+        (("dims",), 1),
+        (("horizon",), None),
+        (("coefficients", "A"), {"nodes": [5, [1.0, [0.0]]]}),
+        (("u2",), 3),
+        (("coefficients",), [1.0, 2.0]),
+        (("steps",), 2.5),  # not truncated to 2 steps
+        (("steps",), True),  # a JSON boolean is no integer
+    ], ids=["A-number", "dims-number", "horizon-null", "nodes-entry", "u2-number",
+            "coefficients-list", "steps-fraction", "steps-boolean"])
+    def test_malformed_field_exit_one(self, tmp_path, hand_doc, capsys, keys, value):
+        target = hand_doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        out = tmp_path / "o"
+        scn = write_scenario(tmp_path, hand_doc)
+        rc = main(["equilibrium", "--scenario", str(scn), "--out", str(out), "--paths", "2"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("bad scenario: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("steps", ["0", "-5"])
     @pytest.mark.parametrize("command", ["validate", "follower", "equilibrium"])
     def test_steps_below_one_exit_one(self, tmp_path, capsys, command, steps):
