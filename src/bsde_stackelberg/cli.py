@@ -18,7 +18,7 @@ import numpy as np
 from . import follower as fol
 from . import leader as led
 from .finance import consumption_summary
-from .model import AffineControl, SpecError, validate_spec
+from .model import AffineControl, LQGameSpec, SpecError, validate_spec
 from .odeint import ConsistencyError, DivergenceError, SingularityError
 from .oracle import (
     NonConvexError,
@@ -169,27 +169,21 @@ def cmd_finance(scn: Scenario, out: Path, args) -> int:
     return 0
 
 
-def cmd_verify(scn: Scenario, out: Path, args) -> int:
-    spec = scn.spec
-    if not spec.xi.deterministic:
-        print("oracle verification needs a deterministic terminal datum", file=sys.stderr)
-        return EXIT_VALIDATION
-    if not spec.c_vanishes:
-        print("oracle verification needs C = 0 (no multiplicative noise)", file=sys.stderr)
-        return EXIT_VALIDATION
-    if scn.u2.u_lin.values.any():  # the follower oracle takes u2's constant part only
-        print("oracle verification needs a deterministic u2 (u2.lin = 0)", file=sys.stderr)
-        return EXIT_VALIDATION
-    profile = TOLERANCE_PROFILES[args.tolerance]
+def oracle_payload(spec: LQGameSpec, u2: AffineControl, seed: int) -> dict:
+    """oracle.json: each player's pipeline cost and control against its QP oracle.
+
+    Needs C = 0, a deterministic terminal datum and a deterministic u2, which
+    the follower oracle takes at the step midpoints.
+    """
     layer = led.equilibrium_layer(spec)  # its consistency checks come before any path
     # deterministic xi and C = 0: all paths identical, so 2 paths in one bundle
-    bundle = sample_brownian(spec.grid, 2, args.seed)
+    bundle = sample_brownian(spec.grid, 2, seed)
     zeta = simulate_tilde_varphi(layer.kernel.step, bundle)
 
     prob = build_discrete_problem(spec)
-    u2_steps = 0.5 * (scn.u2.u_const.values[:-1, :, 0] + scn.u2.u_const.values[1:, :, 0])
+    u2_steps = 0.5 * (u2.u_const.values[:-1, :, 0] + u2.u_const.values[1:, :, 0])
     fol_oracle = deterministic_follower_oracle(prob, u2_steps)
-    fol_kernel = fol.follower_kernel(spec, layer.p1, layer.p2, scn.u2)
+    fol_kernel = fol.follower_kernel(spec, layer.p1, layer.p2, u2)
     fol_zeta = simulate_tilde_varphi(fol_kernel.step, bundle)
     fol_rep = oracle_report(
         fol_oracle.cost,
@@ -205,11 +199,26 @@ def cmd_verify(scn: Scenario, out: Path, args) -> int:
         control_rms_gap(led_oracle.control, (zeta @ layer.kernel.read_u)[:, 0]),
         spec.grid.steps,
     )
-    payload = {"follower": fol_rep, "leader": led_rep}
+    return {"follower": fol_rep, "leader": led_rep}
+
+
+def cmd_verify(scn: Scenario, out: Path, args) -> int:
+    spec = scn.spec
+    if not spec.xi.deterministic:
+        print("oracle verification needs a deterministic terminal datum", file=sys.stderr)
+        return EXIT_VALIDATION
+    if not spec.c_vanishes:
+        print("oracle verification needs C = 0 (no multiplicative noise)", file=sys.stderr)
+        return EXIT_VALIDATION
+    if scn.u2.u_lin.values.any():  # the follower oracle takes u2's constant part only
+        print("oracle verification needs a deterministic u2 (u2.lin = 0)", file=sys.stderr)
+        return EXIT_VALIDATION
+    profile = TOLERANCE_PROFILES[args.tolerance]
+    payload = oracle_payload(spec, scn.u2, args.seed)
     _write_json(out, "oracle.json", payload)
     ok = (
-        fol_rep["rel_gap"] <= profile["follower_rel_gap"]
-        and led_rep["rel_gap"] <= profile["leader_rel_gap"]
+        payload["follower"]["rel_gap"] <= profile["follower_rel_gap"]
+        and payload["leader"]["rel_gap"] <= profile["leader_rel_gap"]
     )
     summary = {"oracle": payload, "passed": ok, "thresholds": profile}
     _write_summary(out, summary, scn, args)
@@ -266,7 +275,10 @@ def main(argv=None) -> int:
             return EXIT_VALIDATION
 
     try:
-        return COMMANDS[args.command](scn, Path(args.out), args)
+        # an overflow is caught by the solver's guards (DivergenceError,
+        # SingularityError), so its floating-point warnings are not printed
+        with np.errstate(all="ignore"):
+            return COMMANDS[args.command](scn, Path(args.out), args)
     except (
         DivergenceError,
         SingularityError,

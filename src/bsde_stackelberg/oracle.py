@@ -3,10 +3,12 @@
 With a deterministic terminal datum and deterministic controls, the
 backward equation degenerates to a terminal-value ODE with z = 0, so
 both players' problems collapse to finite-dimensional convex quadratic
-programs over piecewise-constant controls.  Those are solved exactly by
-normal equations; nothing from the feedback pipeline is trusted.  The
-leader oracle nests the follower's exact argmin, which is affine in the
-leader's control, so the outer problem is again an exact QP.
+programs over piecewise-constant controls.  Those are solved exactly,
+each by one banded solve of its KKT system, in which the discrete states
+stay unknowns and the one-step dynamics stay equality constraints;
+nothing from the feedback pipeline is trusted.  The leader's bilevel
+problem is one QP: the follower's KKT rows, which characterize its
+response, are linear constraints of the leader's problem.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .model import LQGameSpec
 
@@ -125,11 +128,17 @@ def _convex(H: np.ndarray) -> np.ndarray:
     return H
 
 
-def _solve_qp(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, float]:
-    H = _convex(H)
-    u = np.linalg.solve(H, -g)
-    grad = float(np.linalg.norm(H @ u + g))
-    return u, grad
+def _certified(W: np.ndarray, R_bar: np.ndarray) -> bool:
+    """True when every node weight W_i is PSD and every step weight R_bar_i is PD:
+    then a reduced Hessian S'WS + R_bar is at least R_bar, so it is convex and
+    none needs to be formed."""
+    if np.linalg.eigvalsh(W).min() < 0.0:
+        return False
+    try:
+        np.linalg.cholesky(R_bar)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -138,7 +147,7 @@ class OracleResult:
 
     control: np.ndarray  # (N, k)
     cost: float
-    gradient_norm: float
+    gradient_norm: float  # |K x - b| of the KKT system
     inner_control: np.ndarray | None = None  # leader oracle: induced follower control
 
 
@@ -147,64 +156,127 @@ def _gram(S, W, T):
     return S.reshape(-1, S.shape[-1]).T @ (W @ T).reshape(-1, T.shape[-1])
 
 
-def _affine(c0, S, u):
-    """Node states c0 + S u of a flattened control u; c0 is (N+1, n) or (N+1, n, q)."""
-    return c0 + (S.reshape(-1, S.shape[-1]) @ u).reshape(c0.shape)
-
-
-def _cost_terms(W, c, S, R_bar):
-    """H, g, const of 0.5 u'Hu + g'u + const for one player's cost with state
-    weights W: H is S'WS plus R_bar on its N diagonal k x k blocks."""
+def _hessian(S, W, R_bar):
+    """Hessian S'WS + block_diag(R_bar) of a cost over the controls whose node
+    states are c + S u; R_bar adds to its N diagonal k x k blocks."""
     N, k = R_bar.shape[:2]
     H = _gram(S, W, S)
     H.reshape(N, k, N, k)[np.arange(N), :, np.arange(N), :] += R_bar
-    g = _gram(S, W, c[..., None])[:, 0]
-    const = 0.5 * float(np.einsum("in,inp,ip->", c, W, c, optimize=True))
-    return H, g, const
+    return H
+
+
+def _place(m, r, c, B, rs, cs):
+    """(rows, cols, values) of the blocks B[j] at rows (j + rs) m + r and columns
+    (j + cs) m + c of a matrix with m unknowns per step."""
+    step = np.arange(len(B))[:, None, None]
+    rows = (step + rs) * m + r + np.arange(B.shape[1])[:, None]
+    cols = (step + cs) * m + c + np.arange(B.shape[2])
+    return np.broadcast_to(rows, B.shape).ravel(), np.broadcast_to(cols, B.shape).ravel(), B.ravel()
+
+
+def _band(rows, cols, vals, size):
+    """LAPACK band storage ab[h + r - c, c] = a[r, c] of the matrix with entries
+    vals at (rows, cols), repeats summed, and its half-bandwidth h."""
+    h = int(np.abs(rows - cols).max())
+    flat = (h + rows - cols) * size + cols
+    return np.bincount(flat, vals, (2 * h + 1) * size).reshape(2 * h + 1, size), h
+
+
+def _solve_kkt(m, terms, pairs, rhs):
+    """Solve the block-banded system K x = rhs with m unknowns per step.
+
+    Each (r, c, B, rs, cs) in terms places its blocks as _place does; each in
+    pairs also places the transposed blocks at the mirrored position.  Returns
+    x and the residual norm |K x - rhs|.
+    """
+    pairs = pairs + [(c, r, np.swapaxes(B, 1, 2), cs, rs) for r, c, B, rs, cs in pairs]
+    rows, cols, vals = (np.concatenate(part) for part in zip(*(_place(m, *t) for t in terms + pairs)))
+    ab, h = _band(rows, cols, vals, rhs.size)
+    x = scipy.linalg.solve_banded((h, h), ab, rhs, check_finite=False)
+    residual = np.bincount(rows, vals * x[cols], rhs.size) - rhs
+    return x, float(np.linalg.norm(residual))
+
+
+def _follower_rows(prob: DiscreteLQProblem, W1, y, u1, lam, dyn, sy, su1):
+    """The follower's KKT rows as (r, c, B, rs, cs) block terms over its unknowns
+    y, u1 and lambda at step offsets y, u1 and lam:
+    dynamics (rows dyn)        y_i - E_i y_{i+1} - F1_i u1_i = F2_i u2_i (+ E_{N-1} a),
+    stationarity in y (sy)     W1_i y_i + lambda_i - E_{i-1}' lambda_{i-1} = 0,
+    stationarity in u1 (su1)   R1_bar_i u1_i - F1_i' lambda_i = 0.
+    y_N = a is known, so the last step's y_{i+1} term goes to the right-hand side.
+    """
+    N, n = prob.E.shape[:2]
+    eye, E = np.broadcast_to(np.eye(n), (N, n, n)), prob.E[:-1]
+    return [
+        (dyn, y, eye, 0, 0), (dyn, y, -E, 0, 1), (dyn, u1, -prob.F1, 0, 0),
+        (sy, y, W1[:-1], 0, 0), (sy, lam, eye, 0, 0), (sy, lam, -np.swapaxes(E, 1, 2), 1, 0),
+        (su1, u1, prob.R1_bar, 0, 0), (su1, lam, -np.swapaxes(prob.F1, 1, 2), 0, 0),
+    ]
+
+
+def _cost(W, y, a, R_bar, u):
+    """0.5 sum_i y_i' W_i y_i over the nodes, y_N = a, + 0.5 sum_i u_i' R_bar_i u_i."""
+    y = np.vstack([y, a])
+    return 0.5 * float(np.einsum("ip,ipq,iq->", y, W, y) + np.einsum("ip,ipq,iq->", u, R_bar, u))
 
 
 def deterministic_follower_oracle(prob: DiscreteLQProblem, u2: np.ndarray) -> OracleResult:
     """Exact discrete follower optimum for a fixed piecewise-constant u2.
 
-    u2 has shape (N, k); returns the minimizing u1 and its cost.
+    u2 has shape (N, k); returns the minimizing u1 and its cost.  The unknowns
+    are ordered (y_i, u1_i, lambda_i) step by step, so the KKT matrix is
+    block-tridiagonal and one banded solve gives them all.
     """
     spec = prob.spec
-    grid = spec.grid
-    c0, S, T = prob.state_maps
-    u2 = np.asarray(u2, dtype=float).reshape(grid.steps * spec.dims.k)
+    grid, n, k = spec.grid, spec.dims.n, spec.dims.k
+    N, a = grid.steps, spec.xi.a
     W1 = _quadratic_pieces(prob, spec.Q1(grid.nodes), spec.G1)
-    H, g, const = _cost_terms(W1, _affine(c0, T, u2), S, prob.R1_bar)
-    u, grad = _solve_qp(H, g)
-    cost = 0.5 * float(u @ H @ u) + float(g @ u) + const
-    return OracleResult(u.reshape(grid.steps, spec.dims.k), cost, grad)
+    if not _certified(W1, prob.R1_bar):
+        _convex(_hessian(prob.state_maps[1], W1, prob.R1_bar))
+    y, u1, lam, m = 0, n, n + k, 2 * n + k
+    u2 = np.asarray(u2, dtype=float).reshape(N, k)
+    rhs = np.zeros((N, m))
+    rhs[:, lam:] = (prob.F2 @ u2[..., None])[..., 0]
+    rhs[-1, lam:] += prob.E[-1] @ a
+    x, residual = _solve_kkt(m, _follower_rows(prob, W1, y, u1, lam, lam, y, u1), [], rhs.ravel())
+    x = x.reshape(N, m)
+    control = x[:, u1:lam]
+    return OracleResult(control, _cost(W1, x[:, :n], a, prob.R1_bar, control), residual)
 
 
 def deterministic_leader_oracle(prob: DiscreteLQProblem) -> OracleResult:
     """Exact discrete leader optimum with the follower responding optimally.
 
-    The inner argmin u1*(u2) = -H1^-1 (g1 + B12 u2) is affine, so the
-    bilevel cost is an exact quadratic in u2; both solves are direct.
+    The follower's QP is strictly convex, so its KKT rows (dynamics and
+    stationarity in y and u1) characterize its response; as linear
+    constraints of the leader's QP over (y, u1, u2, lambda), with multipliers
+    (mu, nu, rho), they make the bilevel problem one banded KKT solve.
     """
     spec = prob.spec
-    grid = spec.grid
-    N, k = grid.steps, spec.dims.k
-    c0, S, T = prob.state_maps
-
-    # follower optimum as an affine function of u2
+    grid, n, k = spec.grid, spec.dims.n, spec.dims.k
+    N, a = grid.steps, spec.xi.a
     W1 = _quadratic_pieces(prob, spec.Q1(grid.nodes), spec.G1)
-    H1, g1_const, _ = _cost_terms(W1, c0, S, prob.R1_bar)
-    H1 = _convex(H1)
-    g1_lin = _gram(S, W1, T)
-    u1_affine = np.linalg.solve(H1, -np.column_stack([g1_const, g1_lin]))  # one factorization
-    u1_const, u1_lin = u1_affine[:, 0], u1_affine[:, 1:]
-
-    # reduced state map: y = (c0 + S u1_const) + (T + S u1_lin) u2
     W2 = _quadratic_pieces(prob, spec.Q2(grid.nodes), spec.G2)
-    H2, g2, const2 = _cost_terms(W2, _affine(c0, S, u1_const), _affine(T, S, u1_lin), prob.R2_bar)
-    u2, grad = _solve_qp(H2, g2)
-    cost = 0.5 * float(u2 @ H2 @ u2) + float(g2 @ u2) + const2
-    u1 = u1_const + u1_lin @ u2
-    return OracleResult(u2.reshape(N, k), cost, grad, inner_control=u1.reshape(N, k))
+    if not _certified(W1, prob.R1_bar):
+        _convex(_hessian(prob.state_maps[1], W1, prob.R1_bar))
+    if not _certified(W2, prob.R2_bar):
+        # the reduced map T + S u1_lin of u2, with u1_lin = -H1^-1 sum_i S_i' W1_i T_i
+        _, S, T = prob.state_maps
+        u1_lin = np.linalg.solve(_hessian(S, W1, prob.R1_bar), -_gram(S, W1, T))
+        T_red = T + (S.reshape(-1, S.shape[-1]) @ u1_lin).reshape(T.shape)
+        _convex(_hessian(T_red, W2, prob.R2_bar))
+    # step offsets of (y, u1, u2, lambda, mu, nu, rho)
+    y, u1, u2, lam, mu, nu, rho = np.cumsum([0, n, k, k, n, n, n])
+    m = 4 * n + 3 * k
+    rhs = np.zeros((N, m))
+    rhs[-1, mu : mu + n] = prob.E[-1] @ a
+    pairs = _follower_rows(prob, W1, y, u1, lam, mu, nu, rho) + [(mu, u2, -prob.F2, 0, 0)]
+    terms = [(y, y, W2[:-1], 0, 0), (u2, u2, prob.R2_bar, 0, 0)]
+    x, residual = _solve_kkt(m, terms, pairs, rhs.ravel())
+    x = x.reshape(N, m)
+    control = x[:, u2:lam]
+    cost = _cost(W2, x[:, :n], a, prob.R2_bar, control)
+    return OracleResult(control, cost, residual, inner_control=x[:, u1:u2])
 
 
 def control_rms_gap(oracle_control: np.ndarray, pipeline_control: np.ndarray) -> float:

@@ -118,6 +118,11 @@ class StackedSystem:
         """Dimension of the forward and backward states."""
         return self.A1h.shape[0]
 
+    @property
+    def weight_name(self) -> str:
+        """The spec's name of the control weight R: R2 on the leader's system, R1 on the follower's."""
+        return "R2" if self.dim == 2 * self.n else "R1"
+
     def halves(self) -> tuple[np.ndarray, ...]:
         """Half-step tables of A1h, B1h, B2h, C1h, D1h, F1h, F2h and S1h, in that order."""
         hats = (self.A1h, self.B1h, self.B2h, self.C1h, self.D1h, self.F1h, self.F2h, self.S1h)
@@ -381,11 +386,11 @@ def pi1_closed_form(sys: StackedSystem) -> tuple[RiccatiPath, SolvabilityReport]
         # read and invert at the Gauss times, not from the half-step tables,
         # so that the closed form stays independent of the RK4 route
         A1, B1, B2, F1, F2 = sys.A1h(t), sys.B1h(t), sys.B2h(t), sys.F1h(t), sys.F2h(t)
-        R2inv = guarded_inv(sys.R(t), t, "R2")
+        R_inv = guarded_inv(sys.R(t), t, sys.weight_name)
         B1t, B2t = _tr(B1), _tr(B2)
         return np.block([
-            [_tr(A1) - B1 @ R2inv @ B2t, B1 @ R2inv @ B1t - F1],
-            [F2 - B2 @ R2inv @ B2t, -A1 + B2 @ R2inv @ B1t],
+            [_tr(A1) - B1 @ R_inv @ B2t, B1 @ R_inv @ B1t - F1],
+            [F2 - B2 @ R_inv @ B2t, -A1 + B2 @ R_inv @ B1t],
         ])
 
     vals, report = _transition_closed_form(afun, grid, grid.nodes)
@@ -407,12 +412,12 @@ def pi2_closed_form(sys: StackedSystem) -> tuple[RiccatiPath, SolvabilityReport]
     def bfun(tau):
         t = np.clip(T - tau, 0.0, T)
         A1, B1, B2, F1, F2 = sys.A1h(t), sys.B1h(t), sys.B2h(t), sys.F1h(t), sys.F2h(t)
-        R2inv = guarded_inv(sys.R(t), t, "R2")
+        R_inv = guarded_inv(sys.R(t), t, sys.weight_name)
         B1t = _tr(B1)
-        hamilton = F2 - B2 @ R2inv @ _tr(B2)
-        drift = A1 - B2 @ R2inv @ B1t
+        hamilton = F2 - B2 @ R_inv @ _tr(B2)
+        drift = A1 - B2 @ R_inv @ B1t
         phi = drift + hamilton @ G2h
-        psi = G2h @ drift + _tr(drift) @ G2h + G2h @ hamilton @ G2h + F1 - B1 @ R2inv @ B1t
+        psi = G2h @ drift + _tr(drift) @ G2h + G2h @ hamilton @ G2h + F1 - B1 @ R_inv @ B1t
         # Hamiltonian block sign convention: lower-left carries -psi, matching
         # the representation Pi21 = -(lower-right)^-1 (lower-left)
         return np.block([[phi, hamilton], [-psi, -_tr(phi)]])

@@ -12,6 +12,7 @@ import scipy.linalg
 
 import bsde_stackelberg as bs
 from bsde_stackelberg.odeint import MAX_NORM, DivergenceError, OdeDirection
+from bsde_stackelberg.oracle import OracleResult, _convex, _gram, _hessian, _quadratic_pieces
 
 
 @pytest.fixture(scope="session")
@@ -496,6 +497,62 @@ def cross_term_reference(S, W, T):
 def reduced_map_reference(T, S, u_lin):
     """The leader oracle's former reduced state map T + S u_lin, by einsum."""
     return T + np.einsum("inm,mq->inq", S, u_lin)
+
+
+def affine_map(c0, S, u):
+    """Node states c0 + S u of a flattened control u; c0 is (N+1, n) or (N+1, n, q)."""
+    return c0 + (S.reshape(-1, S.shape[-1]) @ u).reshape(c0.shape)
+
+
+def cost_terms(W, c, S, R_bar):
+    """H, g, const of 0.5 u'Hu + g'u + const for one player's cost over the
+    controls whose node states are c + S u, with state weights W."""
+    g = _gram(S, W, c[..., None])[:, 0]
+    const = 0.5 * float(np.einsum("in,inp,ip->", c, W, c, optimize=True))
+    return _hessian(S, W, R_bar), g, const
+
+
+def solve_qp(H, g):
+    """Minimizer of 0.5 u'Hu + g'u after the convexity gate, and |Hu + g|."""
+    H = _convex(H)
+    u = np.linalg.solve(H, -g)
+    return u, float(np.linalg.norm(H @ u + g))
+
+
+def dense_follower_oracle(prob, u2):
+    """The follower oracle's former condensed form, as the banded one's reference:
+    the states eliminated through the state maps, one dense solve in u1."""
+    spec = prob.spec
+    grid = spec.grid
+    c0, S, T = prob.state_maps
+    u2 = np.asarray(u2, dtype=float).reshape(grid.steps * spec.dims.k)
+    W1 = _quadratic_pieces(prob, spec.Q1(grid.nodes), spec.G1)
+    H, g, const = cost_terms(W1, affine_map(c0, T, u2), S, prob.R1_bar)
+    u, grad = solve_qp(H, g)
+    cost = 0.5 * float(u @ H @ u) + float(g @ u) + const
+    return OracleResult(u.reshape(grid.steps, spec.dims.k), cost, grad)
+
+
+def dense_leader_oracle(prob):
+    """The leader oracle's former condensed form: the follower's argmin
+    u1*(u2) = -H1^-1 (g1 + B12 u2) substituted, one dense solve in u2."""
+    spec = prob.spec
+    grid = spec.grid
+    N, k = grid.steps, spec.dims.k
+    c0, S, T = prob.state_maps
+    W1 = _quadratic_pieces(prob, spec.Q1(grid.nodes), spec.G1)
+    H1, g1_const, _ = cost_terms(W1, c0, S, prob.R1_bar)
+    H1 = _convex(H1)
+    u1_affine = np.linalg.solve(H1, -np.column_stack([g1_const, _gram(S, W1, T)]))
+    u1_const, u1_lin = u1_affine[:, 0], u1_affine[:, 1:]
+    W2 = _quadratic_pieces(prob, spec.Q2(grid.nodes), spec.G2)
+    H2, g2, const2 = cost_terms(
+        W2, affine_map(c0, S, u1_const), affine_map(T, S, u1_lin), prob.R2_bar
+    )
+    u2, grad = solve_qp(H2, g2)
+    cost = 0.5 * float(u2 @ H2 @ u2) + float(g2 @ u2) + const2
+    u1 = u1_const + u1_lin @ u2
+    return OracleResult(u2.reshape(N, k), cost, grad, inner_control=u1.reshape(N, k))
 
 
 def rk4_reversed_time(field, boundary_value, grid, direction, postprocess=None):

@@ -1,14 +1,15 @@
 """Brute-force QP oracles: exact discrete optima for deterministic games."""
 
+import json
+
 import numpy as np
 import pytest
 
 import bsde_stackelberg as bs
+from bsde_stackelberg.cli import main
 from bsde_stackelberg.oracle import (
     NonConvexError,
-    _affine,
     _convex,
-    _cost_terms,
     _gram,
     _quadratic_pieces,
     build_discrete_problem,
@@ -20,8 +21,13 @@ from bsde_stackelberg.oracle import (
 from bsde_stackelberg.scenario import hand_solvable_scenario, make_constant_spec
 from bsde_stackelberg.stacked import structural_defects
 from conftest import (
+    affine_map,
+    c_zero_game,
+    cost_terms,
     cost_terms_reference,
     cross_term_reference,
+    dense_follower_oracle,
+    dense_leader_oracle,
     equilibrium_arrays,
     follower_cost_samples,
     follower_pathwise_defects,
@@ -29,6 +35,7 @@ from conftest import (
     leader_pathwise_defects,
     path_arrays,
     reduced_map_reference,
+    scenario_document,
 )
 
 
@@ -176,7 +183,7 @@ class TestGemmForms:
         nodes = spec.grid.nodes
         W1 = _quadratic_pieces(prob, spec.Q1(nodes), spec.G1)
         W2 = _quadratic_pieces(prob, spec.Q2(nodes), spec.G2)
-        H1, g1, _ = _cost_terms(W1, c0, S, prob.R1_bar)
+        H1, g1, _ = cost_terms(W1, c0, S, prob.R1_bar)
         H1_ref, g1_ref = cost_terms_reference(S, W1, c0, prob.R1_bar)
         assert_rel_close(H1, H1_ref, 1e-13)
         assert_rel_close(g1, g1_ref, 1e-13)
@@ -184,9 +191,71 @@ class TestGemmForms:
         assert_rel_close(_gram(S, W1, T), g1_lin_ref, 1e-13)
         u1_lin = np.linalg.solve(H1_ref, -g1_lin_ref)
         T_red_ref = reduced_map_reference(T, S, u1_lin)
-        assert_rel_close(_affine(T, S, u1_lin), T_red_ref, 1e-13)
-        H2, _, _ = _cost_terms(W2, c0, T_red_ref, prob.R2_bar)
+        assert_rel_close(affine_map(T, S, u1_lin), T_red_ref, 1e-13)
+        H2, _, _ = cost_terms(W2, c0, T_red_ref, prob.R2_bar)
         assert_rel_close(H2, cost_terms_reference(T_red_ref, W2, c0, prob.R2_bar)[0], 1e-13)
+
+
+class TestBandedOracles:
+    """The banded KKT solves against the condensed dense oracles (tests/conftest.py)."""
+
+    @pytest.mark.parametrize("game", ["c_zero", "n4k3"])
+    def test_agree_with_dense_reference(self, game):
+        if game == "c_zero":
+            spec = c_zero_game(steps=128)
+        else:
+            spec = random_multidim_game(np.random.default_rng(43), 4, 3, steps=96)
+        prob = build_discrete_problem(spec)
+        u2 = np.random.default_rng(1).uniform(-0.5, 0.5, (spec.grid.steps, spec.dims.k))
+        pairs = (
+            (deterministic_follower_oracle(prob, u2), dense_follower_oracle(prob, u2)),
+            (deterministic_leader_oracle(prob), dense_leader_oracle(prob)),
+        )
+        for banded, dense in pairs:
+            assert banded.cost == pytest.approx(dense.cost, rel=1e-12, abs=0.0)
+            assert_rel_close(banded.control, dense.control, 1e-12)
+        leader, dense_leader = pairs[1]
+        assert_rel_close(leader.inner_control, dense_leader.inner_control, 1e-12)
+
+    def test_certified_inputs_form_no_hessian(self):
+        prob = build_discrete_problem(c_zero_game(steps=64))
+        deterministic_follower_oracle(prob, np.zeros((64, 2)))
+        deterministic_leader_oracle(prob)
+        assert "state_maps" not in prob.__dict__  # the cached dense maps were never built
+
+    def test_uncertified_convex_input_is_solved(self):
+        # G1 < 0 fails the cheap certificate, but R1 keeps both Hessians positive
+        # definite: the dense gate passes and the banded solve runs
+        spec = make_constant_spec(
+            1.0, 32,
+            A=0.1, B1=1.0, B2=1.0, C=0.0,
+            Q1=0.5, R1=1.0, S1=0.0, G1=-0.01,
+            Q2=0.3, R2=1.0, S2=0.0, G2=-0.01,
+            a=1.0, b=0.0,
+        )
+        prob = build_discrete_problem(spec)
+        u2 = np.full((32, 1), 0.2)
+        follower, leader = deterministic_follower_oracle(prob, u2), deterministic_leader_oracle(prob)
+        assert "state_maps" in prob.__dict__
+        assert follower.cost == pytest.approx(dense_follower_oracle(prob, u2).cost, rel=1e-12)
+        assert leader.cost == pytest.approx(dense_leader_oracle(prob).cost, rel=1e-12)
+
+
+def verify_gaps(tmp_path, steps):
+    """(follower, leader) rel_gap of the verify command on c_zero_game at N steps."""
+    path = tmp_path / "c_zero.json"
+    path.write_text(json.dumps(scenario_document(c_zero_game(steps))))
+    out = tmp_path / f"verify_{steps}"
+    assert main(["verify", "--scenario", str(path), "--out", str(out), "--seed", "0"]) == 0
+    report = json.loads((out / "oracle.json").read_text())
+    return np.array([report[level]["rel_gap"] for level in ("follower", "leader")])
+
+
+def test_verify_gap_is_second_order(tmp_path):
+    """At N = 1024 and 4096 verify passes, and both players' gaps fall 16-fold:
+    the pipeline's cost differs from the discrete optimum by O(dt^2) on this game."""
+    ratio = verify_gaps(tmp_path, 1024) / verify_gaps(tmp_path, 4096)
+    assert np.all((14.5 <= ratio) & (ratio <= 17.5)), ratio
 
 
 @pytest.fixture

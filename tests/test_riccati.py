@@ -12,6 +12,7 @@ import bsde_stackelberg as bs
 from bsde_stackelberg.riccati import (
     CSV_SLAB_ROWS,
     _sym,
+    follower_system,
     pi1_field,
     pi2_field,
     riccati_csv,
@@ -372,6 +373,16 @@ class TestLeaderRiccati:
         cf2, _ = bs.pi2_closed_form(sys)
         assert np.max(np.abs(cf1.values[-1])) < 1e-12  # Pi1(T) = 0
         np.testing.assert_allclose(cf2.values[0], sys.G2h, atol=1e-12)  # Pi2(0) = G2-hat
+
+    @pytest.mark.parametrize("closed_form", [bs.pi1_closed_form, bs.pi2_closed_form])
+    def test_closed_form_names_the_follower_weight(self, hand_spec_coarse, closed_form):
+        # on the follower's system the control weight is R1: a singular one is named so
+        u2 = bs.AffineControl.zero(hand_spec_coarse.grid, 1)
+        sys = follower_system(hand_spec_coarse, u2)
+        singular = bs.CoefficientPath.constant(hand_spec_coarse.grid, np.zeros((1, 1)))
+        with pytest.raises(bs.SingularityError) as e:
+            closed_form(dataclasses.replace(sys, R=singular))
+        assert e.value.label == "R1"
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,7 @@ import dataclasses
 import importlib.metadata as md
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -517,12 +518,30 @@ CONSISTENCY_FAILURES = [
 ]
 
 
-# breakages of the oracle's convexity gate, with the message each raises: a
-# negated Hessian fails the gate (NonConvexError), a zero one makes numpy's
-# solve raise LinAlgError
+def negated_hessian(monkeypatch):
+    """Fail the cheap certificate, so the dense gate runs, on the negated Hessian."""
+    convex = bs.oracle._convex
+    monkeypatch.setattr(bs.oracle, "_certified", lambda W, R_bar: False)
+    monkeypatch.setattr(bs.oracle, "_convex", lambda H: convex(-H))
+
+
+def zeroed_band(monkeypatch):
+    """Zero the band storage of every KKT matrix, so the banded solve meets a singular one."""
+    band = bs.oracle._band
+
+    def zeroed(*args):
+        ab, half = band(*args)
+        return np.zeros_like(ab), half
+
+    monkeypatch.setattr(bs.oracle, "_band", zeroed)
+
+
+# breakages of the oracle's solve, with the message each raises: a negated
+# Hessian fails the convexity gate (NonConvexError), a zero band makes scipy's
+# banded solve raise LinAlgError
 CONVEXITY_BREAKAGES = {
-    "nonconvex": (lambda convex: lambda H: convex(-H), "not PSD"),
-    "linalg": (lambda convex: np.zeros_like, "Singular matrix"),
+    "nonconvex": (negated_hessian, "not PSD"),
+    "linalg": (zeroed_band, "singular matrix"),
 }
 
 
@@ -576,7 +595,7 @@ class TestCliConsistencyFailures:
     def test_verify_solver_error_exits_two(
         self, tmp_path, hand_doc, capsys, monkeypatch, breakage, message
     ):
-        monkeypatch.setattr(bs.oracle, "_convex", breakage(bs.oracle._convex))
+        breakage(monkeypatch)
         rc = main([
             "verify", "--scenario", str(write_scenario(tmp_path, hand_doc)),
             "--out", str(tmp_path / "o"), "--steps", "32", "--paths", "4", "--seed", "0",
@@ -585,6 +604,32 @@ class TestCliConsistencyFailures:
         assert rc == 2
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("solver failure:") and message in err
+
+
+# inputs whose solve overflows; the guards turn it into one failure each
+OVERFLOWS = {
+    "B1-1e155": lambda doc: doc["coefficients"].__setitem__("B1", {"constant": [1e155]}),
+    "G1-1e300": lambda doc: doc["weights"].__setitem__("G1", [[1e300]]),
+}
+
+
+class TestCliOverflow:
+    """An overflowing solve exits 2 with one stderr line and no floating-point warning."""
+
+    @pytest.mark.parametrize("command", ["riccati", "equilibrium", "verify"])
+    @pytest.mark.parametrize("edit", OVERFLOWS.values(), ids=OVERFLOWS.keys())
+    def test_exit_two_one_line(self, tmp_path, capsys, command, edit):
+        doc = json.loads((SCENARIOS / "hand_solvable.json").read_text())
+        edit(doc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([
+                command, "--scenario", str(write_scenario(tmp_path, doc)),
+                "--out", str(tmp_path / "o"), "--steps", "8", "--paths", "4",
+            ])
+        err = capsys.readouterr().err
+        assert rc == 2 and [str(w.message) for w in caught] == []
+        assert err.count("\n") == 1 and err.startswith("solver failure:")
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
