@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .odeint import guarded_inv
+from .odeint import check_finite, guarded_inv
 
 SYMMETRY_TOL = 1e-12
 
@@ -266,9 +266,11 @@ class LQGameSpec:
 
     @cached_property
     def B1_R1inv_B1T(self) -> np.ndarray:
-        """(2N+1, n, n) half-step table of B1 R1^-1 B1^T."""
+        """(2N+1, n, n) half-step table of B1 R1^-1 B1^T, checked finite when formed
+        (DivergenceError names it); the follower's flows read it as their B2-hat R^-1 B2-hat^T."""
         B1 = self.B1.half
-        return B1 @ self.R1_inv @ np.swapaxes(B1, 1, 2)
+        table = B1 @ self.R1_inv @ np.swapaxes(B1, 1, 2)
+        return check_finite(table, self.grid.half_times, "B1 R1^-1 B1^T")
 
     def weights(self, player: int) -> tuple:
         """The cost weights (Q, R, S, G) of player 1, the follower, or 2, the leader."""

@@ -15,14 +15,13 @@ import enum
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 COND_LIMIT = 1e12
 MAX_NORM = 1e12  # an RK4 iterate past this max-entry size counts as diverged
 
 
 class DivergenceError(RuntimeError):
-    """Integration produced a non-finite or exploding iterate."""
+    """Integration produced a non-finite or exploding iterate, or a table it reads overflowed."""
 
     def __init__(self, t: float, message: str = ""):
         self.t = t
@@ -47,6 +46,16 @@ def check_forms_agree(a: np.ndarray, b: np.ndarray, what: str):
     gap = float(np.max(np.abs(a - b), initial=0.0))
     if gap > 1e-10 * max(1.0, float(np.max(np.abs(a), initial=0.0))):
         raise ConsistencyError(f"{what} disagree by {gap:.3e}")
+
+
+def check_finite(table: np.ndarray, t, label: str) -> np.ndarray:
+    """The (K, m, m) table at K times t, or DivergenceError naming label at the
+    time of its first non-finite matrix."""
+    finite = np.isfinite(table).all(axis=(1, 2))
+    if not finite.all():
+        first = float(t[finite.argmin()])
+        raise DivergenceError(first, f"{label} not finite at t={first:.6g}")
+    return table
 
 
 def check_invertible(stack: np.ndarray, t, label: str):
@@ -124,6 +133,8 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
         raise ValueError(f"matrix must be square, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
+    import scipy.linalg  # loaded on first use: only the closed forms reach it
+
     return scipy.linalg.expm(m)
 
 

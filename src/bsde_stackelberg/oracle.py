@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .model import LQGameSpec
 
@@ -192,6 +191,8 @@ def _solve_kkt(m, terms, pairs, rhs):
     pairs = pairs + [(c, r, np.swapaxes(B, 1, 2), cs, rs) for r, c, B, rs, cs in pairs]
     rows, cols, vals = (np.concatenate(part) for part in zip(*(_place(m, *t) for t in terms + pairs)))
     ab, h = _band(rows, cols, vals, rhs.size)
+    import scipy.linalg  # loaded on first use: only verify reaches it
+
     x = scipy.linalg.solve_banded((h, h), ab, rhs, check_finite=False)
     residual = np.bincount(rows, vals * x[cols], rhs.size) - rhs
     return x, float(np.linalg.norm(residual))

@@ -21,6 +21,7 @@ from .model import AffineControl, CoefficientPath, LQGameSpec, TerminalCondition
 from .odeint import (
     OdeDirection,
     SingularityError,
+    check_finite,
     check_invertible,
     guarded_inv,
     integrate_matrix_ode,
@@ -110,6 +111,7 @@ class StackedSystem:
     xih: TerminalCondition
     R: CoefficientPath  # the control weight: the spec's R2 or R1
     R_inv: np.ndarray  # (2N+1, k, k) half-step table: the spec's R2_inv or R1_inv
+    B2_Rinv_B2T: np.ndarray  # (2N+1, dim, dim) half-step table of B2-hat R^-1 B2-hat^T
     forcing_load: CoefficientPath  # (dim, j) loading of the known control
     forcing_control: AffineControl  # the known control, j x 1
 
@@ -176,13 +178,15 @@ def build_stacked_system(spec: LQGameSpec, p1: RiccatiPath, p2: RiccatiPath) -> 
     G2h[n:, n:] = spec.G2
     a_hat = np.concatenate([np.zeros(n), spec.xi.a])
     b_hat = np.vstack([np.zeros_like(spec.xi.b), spec.xi.b])
+    B2h_path = CoefficientPath(grid, B2h)
+    B2_Rinv_B2T = B2h_path.half @ spec.R2_inv @ _tr(B2h_path.half)
     # the leader's problem has no known control: zero columns
     return StackedSystem(
         n,
         grid,
         CoefficientPath(grid, A1h),
         CoefficientPath(grid, B1h),
-        CoefficientPath(grid, B2h),
+        B2h_path,
         CoefficientPath(grid, C1h),
         CoefficientPath(grid, D1h),
         CoefficientPath(grid, F1h),
@@ -192,6 +196,7 @@ def build_stacked_system(spec: LQGameSpec, p1: RiccatiPath, p2: RiccatiPath) -> 
         TerminalCondition(a_hat, b_hat),
         spec.R2,
         spec.R2_inv,
+        check_finite(B2_Rinv_B2T, grid.half_times, "B2-hat R2^-1 B2-hat^T"),
         CoefficientPath(grid, np.zeros((nn, 2 * n, 0))),
         AffineControl.zero(grid, 0),
     )
@@ -206,6 +211,7 @@ def follower_system(spec: LQGameSpec, u2: AffineControl) -> StackedSystem:
         n, grid, A1h=spec.A, B1h=CoefficientPath.constant(grid, np.zeros((n, spec.dims.k))),
         B2h=spec.B1, C1h=CoefficientPath(grid, _tr(spec.C.values)), D1h=zero, F1h=spec.Q1,
         F2h=zero, S1h=spec.S1, G2h=spec.G1, xih=spec.xi, R=spec.R1, R_inv=spec.R1_inv,
+        B2_Rinv_B2T=spec.B1_R1inv_B1T,
         forcing_load=spec.B2, forcing_control=u2,
     )
 
@@ -226,7 +232,7 @@ def pi1_field(sys: StackedSystem) -> Callable[[int, np.ndarray], np.ndarray]:
     # join A1, F1 and F2 in four tables
     tables = (
         A1 - B2_Rinv @ _tr(B1), _tr(A1) - B1_Rinv @ _tr(B2),
-        F1 - B1_Rinv @ _tr(B1), B2_Rinv @ _tr(B2) - F2, _tr(C1), C1, D1, _tr(D1),
+        F1 - B1_Rinv @ _tr(B1), sys.B2_Rinv_B2T - F2, _tr(C1), C1, D1, _tr(D1),
     )
     rows = list(zip(S1, zip(*tables)))  # the views of each half step, read per stage
     eye, stage_j, count = np.eye(sys.dim), np.empty(4 * sys.grid.steps, dtype=int), 0
@@ -279,7 +285,7 @@ def pi2_field(sys: StackedSystem, pi1: RiccatiPath) -> Callable[[int, np.ndarray
     # would regroup the sums, and P2 is this flow on the follower's system
     left = A1 - B2_Rinv @ _tr(B1) - C1t_w @ _tr(D1)
     quad = F2 - C1t_w @ C1
-    quad_t = B2_Rinv @ _tr(B2)
+    quad_t = sys.B2_Rinv_B2T
     right = _tr(A1) - D1_w @ C1
     right_t = B1 @ Rinv @ _tr(B2)
     const = F1 - B1 @ Rinv @ _tr(B1) - D1_w @ _tr(D1)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,57 +41,119 @@ class Scenario:
     sha256: str
 
 
-def _parse_path(entry, grid: TimeGrid, shape: tuple[int, int], name: str) -> CoefficientPath:
-    """One coefficient: {"constant": flat} or {"nodes": [[t, flat], ...]}.
+def _json_type(value) -> str:
+    """The JSON type name of a parsed JSON value."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    return {dict: "object", list: "array", str: "string"}.get(type(value), "number")
+
+
+def _field(doc: dict, name: str):
+    """The field of doc at the last key of the dotted name; SpecError names it if missing."""
+    parent, _, key = name.rpartition(".")
+    if key not in doc:
+        raise SpecError(f"{parent or 'the scenario'} is missing '{key}'")
+    return doc[key]
+
+
+def _object(doc: dict, name: str, holds: str) -> dict:
+    """The field of doc at the dotted name, checked to be a JSON object; holds
+    says what the object must hold."""
+    value = _field(doc, name)
+    if not isinstance(value, dict):
+        raise SpecError(f"{name} must be an object {holds}, got {_json_type(value)}")
+    return value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _number(value, name: str) -> float:
+    if not _is_number(value):
+        raise SpecError(f"{name} must be a number, got {_json_type(value)}")
+    return float(value)
+
+
+def _matrix(value, shape: tuple[int, int], name: str) -> np.ndarray:
+    """A rows x cols matrix given as a number or as nested arrays of numbers."""
+    rows, cols = shape
+    flat = np.asarray(value, dtype=object).ravel()  # a ragged array keeps lists as entries
+    if not all(map(_is_number, flat)):
+        raise SpecError(f"{name} must be a number or an array of numbers")
+    if flat.size != rows * cols:
+        raise SpecError(f"{name} must hold {rows} x {cols} numbers, got {flat.size}")
+    return flat.astype(float).reshape(rows, cols)
+
+
+def _parse_path(doc: dict, name: str, grid: TimeGrid, shape: tuple[int, int]) -> CoefficientPath:
+    """The coefficient of doc at the dotted name: {"constant": flat} or
+    {"nodes": [[t, flat], ...]}.
 
     Node times must be distinct and cover [0, T], so that interpolation
     never holds an end value constant.
     """
     rows, cols = shape
+    entry = _object(doc, name, "with 'constant' or 'nodes'")
     if "constant" in entry:
-        flat = np.asarray(entry["constant"], dtype=float).reshape(rows, cols)
-        return CoefficientPath.constant(grid, flat)
+        return CoefficientPath.constant(grid, _matrix(entry["constant"], shape, f"{name}.constant"))
     if "nodes" in entry:
-        pairs = sorted(entry["nodes"], key=lambda p: p[0])
+        nodes = entry["nodes"]
+        if not (
+            isinstance(nodes, list)
+            and all(isinstance(p, list) and len(p) == 2 for p in nodes)
+        ):
+            raise SpecError(f"{name}.nodes must be an array of [t, values] pairs")
+        pairs = sorted(
+            ((_number(t, f"{name}.nodes times"), v) for t, v in nodes), key=lambda p: p[0]
+        )
         times = np.array([p[0] for p in pairs], dtype=float)
         if np.any(np.diff(times) == 0.0):
-            raise SpecError(f"coefficient {name} has repeated node times")
+            raise SpecError(f"{name} has repeated node times")
         if not (times.size and times[0] <= 0.0 and times[-1] >= grid.horizon):
-            raise SpecError(f"coefficient {name} node times must cover [0, {grid.horizon}]")
-        vals = np.stack([np.asarray(p[1], dtype=float).reshape(rows, cols) for p in pairs])
+            raise SpecError(f"{name} node times must cover [0, {grid.horizon}]")
+        vals = np.stack([_matrix(p[1], shape, f"{name}.nodes values") for p in pairs])
         out = np.empty((grid.steps + 1, rows, cols))
         for r in range(rows):
             for c in range(cols):
                 out[:, r, c] = np.interp(grid.nodes, times, vals[:, r, c])
         return CoefficientPath(grid, out)
-    raise SpecError(f"coefficient {name} needs 'constant' or 'nodes'")
+    raise SpecError(f"{name} needs 'constant' or 'nodes'")
 
 
 def scenario_from_dict(doc: dict, steps: int | None = None, sha256: str = "") -> Scenario:
+    """Parse a scenario document.  Each field's JSON type is checked before it
+    is converted, so a malformed field raises SpecError with the field's name."""
     if not isinstance(doc, dict):
-        raise SpecError(f"a scenario must be a JSON object, got {type(doc).__name__}")
-    dims_doc = dict(doc["dims"])
+        raise SpecError(f"a scenario must be a JSON object, got {_json_type(doc)}")
+    dims_doc = dict(_object(doc, "dims", "with n, k and d"))
     d = dims_doc.pop("d", 1)
-    if d != 1:
+    if d != 1 or isinstance(d, bool):
         raise SpecError(f"dims.d must be 1 (the model has one Brownian motion), got {d!r}")
     unknown = sorted(set(dims_doc) - {"n", "k"})
     if unknown:
         raise SpecError(f"unknown dims keys {unknown}; expected n, k and d")
-    dims = Dimensions(dims_doc["n"], dims_doc.get("k", 1))
-    grid = TimeGrid(float(doc["horizon"]), doc["steps"] if steps is None else steps)
+    dims = Dimensions(_field(dims_doc, "dims.n"), dims_doc.get("k", 1))
+    horizon = _number(_field(doc, "horizon"), "horizon")
+    grid = TimeGrid(horizon, _field(doc, "steps") if steps is None else steps)
+    coeff_doc = _object(doc, "coefficients", "of coefficient paths")
     coeffs = {
-        name: _parse_path(doc["coefficients"][name], grid, shape, name)
+        name: _parse_path(coeff_doc, f"coefficients.{name}", grid, shape)
         for name, shape in coefficient_shapes(dims).items()
     }
-    weights = doc["weights"]
-    term = doc["terminal"]
-    a = np.asarray(term["a"], dtype=float).reshape(dims.n)
-    xi = TerminalCondition(a, term.get("b", np.zeros(dims.n)))
+    weights = _object(doc, "weights", "with G1 and G2")
+    term = _object(doc, "terminal", "with a and b")
+    n = dims.n
+    a = _matrix(_field(term, "terminal.a"), (n, 1), "terminal.a").reshape(n)
+    b = _matrix(term["b"], (n, 1), "terminal.b") if "b" in term else np.zeros((n, 1))
+    xi = TerminalCondition(a, b)
     spec = LQGameSpec(
         dims=dims,
         grid=grid,
-        G1=np.asarray(weights["G1"], dtype=float).reshape(dims.n, dims.n),
-        G2=np.asarray(weights["G2"], dtype=float).reshape(dims.n, dims.n),
+        G1=_matrix(_field(weights, "weights.G1"), (n, n), "weights.G1"),
+        G2=_matrix(_field(weights, "weights.G2"), (n, n), "weights.G2"),
         xi=xi,
         **coeffs,
     )
@@ -99,10 +162,10 @@ def scenario_from_dict(doc: dict, steps: int | None = None, sha256: str = "") ->
         raise SpecError(f"mode must be 'strict' or 'permissive', got {mode!r}")
 
     if "u2" in doc:
-        u2_doc = doc["u2"]
-        const = _parse_path(u2_doc["const"], grid, (dims.k, 1), "u2.const")
+        u2_doc = _object(doc, "u2", "with 'const' and optionally 'lin'")
+        const = _parse_path(u2_doc, "u2.const", grid, (dims.k, 1))
         if "lin" in u2_doc:
-            lin = _parse_path(u2_doc["lin"], grid, (dims.k, 1), "u2.lin")
+            lin = _parse_path(u2_doc, "u2.lin", grid, (dims.k, 1))
         else:
             lin = CoefficientPath.constant(grid, np.zeros((dims.k, 1)))
         u2 = AffineControl(const, lin)
@@ -111,15 +174,15 @@ def scenario_from_dict(doc: dict, steps: int | None = None, sha256: str = "") ->
 
     market = None
     if "market" in doc:
-        mdoc = doc["market"]
+        mdoc = _object(doc, "market", "of market parameters")
         paths = {
-            name: _parse_path(mdoc[name], grid, (1, 1), f"market.{name}")
+            name: _parse_path(mdoc, f"market.{name}", grid, (1, 1))
             for name in ("r", "mu", "sigma", "R1", "R2")
         }
         market = MarketParams(
             grid=grid,
-            G1=float(mdoc["G1"]),
-            G2=float(mdoc["G2"]),
+            G1=_number(_field(mdoc, "market.G1"), "market.G1"),
+            G2=_number(_field(mdoc, "market.G2"), "market.G2"),
             xi=TerminalCondition(xi.a[:1], xi.b[:1]),
             **paths,
         )

@@ -9,10 +9,19 @@ Every top-level function and class of the package, and every method and
 property, is named somewhere a run or a reader reaches it: in the package
 outside its own def, in scripts/ or in README.md.  Code that only the
 tests call belongs in tests/conftest.py.
+
+scipy is imported only inside the two functions that call it, the closed
+forms' matrix_exponential and the QP oracles' banded solve, so only riccati
+(at C = 0) and verify load it; a fresh interpreter checks that the other
+commands never do.
 """
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -188,3 +197,55 @@ def test_unreached_reports_what_only_itself_names():
     assert unreached({"mod": source}, [script], readme) == [
         "mod.recursive", "mod.Box.shrink", "mod.Box.used",
     ]
+
+
+# Runs CLI commands in a fresh interpreter and prints, as JSON, each command's exit
+# code and whether scipy was loaded after it.  argv[1] is the output directory,
+# argv[2:] the runs as command:scenario.
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+from pathlib import Path
+
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import bsde_stackelberg
+from bsde_stackelberg.cli import main
+
+out, report = Path(sys.argv[1]), {"import": [None, loaded()]}
+for run in sys.argv[2:]:
+    command, scenario = run.split(":")
+    argv = [command, "--scenario", str(Path("scenarios") / scenario), "--out", str(out / run)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main([*argv, "--steps", "16", "--paths", "8"])
+    report[run] = [rc, loaded()]
+print(json.dumps(report))
+"""
+SHIPPED = ("hand_solvable.json", "stochastic.json", "finance.json")
+COLD = [
+    f"{command}:{scenario}"
+    for command in ("validate", "follower", "leader", "equilibrium")
+    for scenario in SHIPPED
+] + ["finance:finance.json"]
+
+
+def test_scipy_loads_only_for_closed_forms_and_verify(tmp_path):
+    # tests/conftest.py imports scipy, so each probe runs in its own interpreter;
+    # riccati and verify run in separate ones, so that each must load scipy itself
+    runs = {"cold": [*COLD, "verify:hand_solvable.json"], "riccati": ["riccati:hand_solvable.json"]}
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(ROOT / "src"), os.environ.get("PYTHONPATH")
+    ])))
+    probes = {
+        name: subprocess.Popen(
+            [sys.executable, "-c", SCIPY_PROBE, str(tmp_path / name), *argv],
+            cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        )
+        for name, argv in runs.items()
+    }
+    reports = {name: json.loads(probe.communicate(timeout=120)[0]) for name, probe in probes.items()}
+    cold = reports["cold"]
+    assert {run: cold[run] for run in ["import", *COLD]} == {
+        "import": [None, []], **{run: [0, []] for run in COLD}
+    }
+    for name, run in (("cold", "verify:hand_solvable.json"), ("riccati", runs["riccati"][0])):
+        rc, modules = reports[name][run]
+        assert rc == 0 and "scipy.linalg" in modules, (run, rc)

@@ -23,6 +23,7 @@ U, since (U A U^T)^T = U A^T U^T.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from bsde_stackelberg.leader import equilibrium_chunk, response_kernel
 from bsde_stackelberg.scenario import make_constant_spec
 from bsde_stackelberg.stacked import structural_defects
 from conftest import c_zero_game, dense_game, equilibrium_arrays, path_arrays, scenario_document
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 STEPS, PATHS = 64, 100
 MATRICES = ("A", "B1", "B2", "C", "Q1", "R1", "S1", "Q2", "R2", "S2")
@@ -194,3 +197,43 @@ def test_block_diagonal_split(bundle):
         assert_relative(whole[key][:, :, :k1], parts[0][key], key)
         assert_relative(whole[key][:, :, k1:], parts[1][key], key)
     assert defects <= 1e-8
+
+
+def generated_game(rng, n=2, k=1):
+    """A random constant game with C != 0 and a random terminal datum."""
+    def spd(scale):
+        M = rng.uniform(-1.0, 1.0, (n, n))
+        return scale * (M @ M.T + 0.5 * np.eye(n))
+
+    return make_constant_spec(
+        1.0, STEPS,
+        A=rng.uniform(-0.5, 0.5, (n, n)), B1=rng.uniform(-1.0, 1.0, (n, k)),
+        B2=rng.uniform(-1.0, 1.0, (n, k)), C=rng.uniform(-0.3, 0.3, (n, n)),
+        Q1=spd(0.3), R1=spd(1.0)[:k, :k], S1=spd(0.1), G1=spd(0.4),
+        Q2=spd(0.3), R2=spd(1.0)[:k, :k], S2=spd(0.1), G2=spd(0.5),
+        a=rng.uniform(-1.0, 1.0, n), b=rng.uniform(-0.5, 0.5, n),
+    )
+
+
+def test_cli_block_diagonal_split(tmp_path):
+    # the CLI route: equilibrium on the block game of the shipped hand_solvable game
+    # and a generated n = 2 game, and on each part, with one seed.  The Brownian
+    # draw is keyed per path, not per dimension, so the parts see the whole's paths
+    # and the J means of the whole are the sums of the parts' J means
+    hand = bs.load_scenario(SCENARIOS / "hand_solvable.json", steps=STEPS).spec
+    generated = generated_game(np.random.default_rng(8))
+    games = {"hand": hand, "generated": generated, "whole": block_game(hand, generated)}
+    means = {}
+    for name, game in games.items():
+        scn = tmp_path / f"{name}.json"
+        scn.write_text(json.dumps(scenario_document(game)))
+        out = tmp_path / name
+        argv = ["equilibrium", "--scenario", str(scn), "--seed", "9", "--paths", "200"]
+        assert main([*argv, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        means[name] = np.array([summary["J1"]["mean"], summary["J2"]["mean"]])
+        if name == "generated":  # its costs vary from path to path
+            assert summary["J1"]["stderr"] > 0 and summary["J2"]["stderr"] > 0
+    np.testing.assert_allclose(
+        means["whole"], means["hand"] + means["generated"], rtol=1e-12, atol=0
+    )

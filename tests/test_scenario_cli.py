@@ -201,18 +201,18 @@ class TestCliValidate:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("keys,value", [
-        (("coefficients", "A"), 5),
-        (("dims",), 1),
-        (("horizon",), None),
-        (("coefficients", "A"), {"nodes": [5, [1.0, [0.0]]]}),
-        (("u2",), 3),
-        (("coefficients",), [1.0, 2.0]),
-        (("steps",), 2.5),  # not truncated to 2 steps
-        (("steps",), True),  # a JSON boolean is no integer
+    @pytest.mark.parametrize("keys,value,field", [
+        (("coefficients", "A"), 5, "coefficients.A must be an object with 'constant' or 'nodes'"),
+        (("dims",), 1, "dims must be an object"),
+        (("horizon",), None, "horizon must be a number, got null"),
+        (("coefficients", "A"), {"nodes": [5, [1.0, [0.0]]]}, "coefficients.A.nodes must be"),
+        (("u2",), 3, "u2 must be an object"),
+        (("coefficients",), [1.0, 2.0], "coefficients must be an object"),
+        (("steps",), 2.5, "steps must be a positive integer"),  # not truncated to 2 steps
+        (("steps",), True, "steps must be a positive integer"),  # a JSON boolean is no integer
     ], ids=["A-number", "dims-number", "horizon-null", "nodes-entry", "u2-number",
             "coefficients-list", "steps-fraction", "steps-boolean"])
-    def test_malformed_field_exit_one(self, tmp_path, hand_doc, capsys, keys, value):
+    def test_malformed_field_exit_one(self, tmp_path, hand_doc, capsys, keys, value, field):
         target = hand_doc
         for key in keys[:-1]:
             target = target[key]
@@ -222,7 +222,7 @@ class TestCliValidate:
         rc = main(["equilibrium", "--scenario", str(scn), "--out", str(out), "--paths", "2"])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith("bad scenario: ")
+        assert err.startswith(f"bad scenario: {field}")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
@@ -606,10 +606,14 @@ class TestCliConsistencyFailures:
         assert err.startswith("solver failure:") and message in err
 
 
-# inputs whose solve overflows; the guards turn it into one failure each
+# inputs whose solve overflows, and what their one failure line names: B1 R1^-1 B1^T
+# overflows where it is formed, G1 in the P2 flow
 OVERFLOWS = {
-    "B1-1e155": lambda doc: doc["coefficients"].__setitem__("B1", {"constant": [1e155]}),
-    "G1-1e300": lambda doc: doc["weights"].__setitem__("G1", [[1e300]]),
+    "B1-1e155": (
+        lambda doc: doc["coefficients"].__setitem__("B1", {"constant": [1e155]}),
+        "B1 R1^-1 B1^T not finite at t=0",
+    ),
+    "G1-1e300": (lambda doc: doc["weights"].__setitem__("G1", [[1e300]]), "solution diverged"),
 }
 
 
@@ -617,8 +621,8 @@ class TestCliOverflow:
     """An overflowing solve exits 2 with one stderr line and no floating-point warning."""
 
     @pytest.mark.parametrize("command", ["riccati", "equilibrium", "verify"])
-    @pytest.mark.parametrize("edit", OVERFLOWS.values(), ids=OVERFLOWS.keys())
-    def test_exit_two_one_line(self, tmp_path, capsys, command, edit):
+    @pytest.mark.parametrize("edit,names", OVERFLOWS.values(), ids=OVERFLOWS.keys())
+    def test_exit_two_one_line(self, tmp_path, capsys, command, edit, names):
         doc = json.loads((SCENARIOS / "hand_solvable.json").read_text())
         edit(doc)
         with warnings.catch_warnings(record=True) as caught:
@@ -629,7 +633,7 @@ class TestCliOverflow:
             ])
         err = capsys.readouterr().err
         assert rc == 2 and [str(w.message) for w in caught] == []
-        assert err.count("\n") == 1 and err.startswith("solver failure:")
+        assert err.count("\n") == 1 and err.startswith(f"solver failure: {names}")
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
