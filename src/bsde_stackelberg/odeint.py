@@ -58,26 +58,57 @@ def check_finite(table: np.ndarray, t, label: str) -> np.ndarray:
     return table
 
 
-def check_invertible(stack: np.ndarray, t, label: str):
+def check_invertible(stack: np.ndarray, t, label: str, inverse: np.ndarray | None = None):
     """Raise SingularityError at the time of the first non-finite matrix, or the
-    first with cond above 1e12, of a (K, m, m) stack at K times t: one batched cond."""
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    cond = np.linalg.cond(np.where(finite[:, None, None], stack, 0.0))
+    first with cond above 1e12, of a (K, m, m) stack at K times t.
+
+    A matrix M passes on the certificate kappa_F = |M|_F |X|_F <= COND_LIMIT / 2,
+    X its computed inverse: kappa_2 <= kappa_F, and MX - I is of order
+    eps |M| |X| (Higham, Accuracy and Stability of Numerical Algorithms, ch. 14),
+    so the factor 2 covers the rounding in X.  inverse is the caller's (K, m, m)
+    stack of X, where it has one; a slot that holds NaN certifies nothing.
+    Without it, one batched inv forms X, and an inv that raises LinAlgError
+    certifies nothing.  The batched SVD cond decides every matrix that is not
+    certified, so each decision is the SVD's.
+    """
+    if inverse is None:
+        try:
+            inverse = np.linalg.inv(stack)
+        except np.linalg.LinAlgError:
+            inverse = np.full_like(stack, np.nan)
+    with np.errstate(all="ignore"):  # an overflowing norm is inf: not certified
+        m_sq = np.einsum("kij,kij->k", stack, stack)  # |M|_F^2 of each matrix
+        x_sq = np.einsum("kij,kij->k", inverse, inverse)
+        uncertified = ~(m_sq * x_sq <= (0.5 * COND_LIMIT) ** 2)
+    if not uncertified.any():
+        return
+    rest = stack[uncertified]
+    finite = np.isfinite(rest).all(axis=(1, 2))
+    cond = np.linalg.cond(np.where(finite[:, None, None], rest, 0.0))
     bad = ~finite | ~(cond <= COND_LIMIT)
     if bad.any():
-        raise SingularityError(float(np.broadcast_to(t, bad.shape)[bad.argmax()]), label)
+        t = np.broadcast_to(t, uncertified.shape)[uncertified]
+        raise SingularityError(float(t[bad.argmax()]), label)
 
 
 def guarded_inv(m: np.ndarray, t, label: str) -> np.ndarray:
     """Inverse with a condition-number gate (threshold 1e12).
 
-    m is one matrix at time t, or a (K, m, m) stack at K times t, gated by
-    check_invertible and inverted by one batched inv.  The Pi1 flow gates
-    its stage matrices with the same check, after the flow (riccati.pi1_field).
+    m is one matrix at time t, or a (K, m, m) stack at K times t, inverted by
+    one batched inv and gated by check_invertible on that inverse.  An inv
+    that raises leaves the gate to the SVD, which names the singular matrix.
+    The Pi1 flow gates its stage matrices with the same check, after the flow
+    (riccati.pi1_field).
     """
     m = np.atleast_2d(m)
-    check_invertible(m.reshape(-1, *m.shape[-2:]), t, label)
-    return np.linalg.inv(m)
+    stack = m.reshape(-1, *m.shape[-2:])
+    try:
+        inverse = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        check_invertible(stack, t, label)  # certifies nothing: the SVD names the matrix
+        raise
+    check_invertible(stack, t, label, inverse.reshape(stack.shape))
+    return inverse
 
 
 class OdeDirection(enum.Enum):
@@ -109,20 +140,29 @@ def integrate_matrix_ode(
     backward = direction is OdeDirection.BACKWARD
     # a backward flow steps from t = T with h = -dt through the half steps 2N, 2N - 1, ...
     h, sign, j = (-grid.dt, -1, 2 * N) if backward else (grid.dt, 1, 0)
+    half, sixth = 0.5 * h, h / 6.0
     out = np.empty((N + 1, *m.shape))
     out[N if backward else 0] = m
+    # one buffer per flow: the iterates of stages 2-4, the slope sum and 2 k3;
+    # a field may return its argument, so no slot is written while its k is live
+    y2, y3, y4, acc, k3x2 = np.empty((5, *m.shape))
     for _ in range(N):
         k1 = field(j, m)
-        k2 = field(j + sign, m + 0.5 * h * k1)
-        k3 = field(j + sign, m + 0.5 * h * k2)
+        k2 = field(j + sign, np.add(m, np.multiply(half, k1, out=y2), out=y2))
+        k3 = field(j + sign, np.add(m, np.multiply(half, k2, out=y3), out=y3))
         j += 2 * sign
-        k4 = field(j, m + h * k3)
-        m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if postprocess is not None:
-            m = postprocess(m)
-        if not np.abs(m).max() <= MAX_NORM:  # also true on nan and inf
+        k4 = field(j, np.add(m, np.multiply(h, k3, out=y4), out=y4))
+        # m + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right as written
+        np.add(k1, np.multiply(2.0, k2, out=acc), out=acc)
+        acc += np.multiply(2.0, k3, out=k3x2)
+        acc += k4
+        acc *= sixth
+        acc += m
+        m = acc if postprocess is None else postprocess(acc)
+        if not np.abs(m, out=k3x2).max() <= MAX_NORM:  # also true on nan and inf
             raise DivergenceError(float(grid.nodes[j // 2]))
         out[j // 2] = m
+        m = out[j // 2]
     return out
 
 

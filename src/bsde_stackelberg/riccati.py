@@ -29,6 +29,7 @@ from .odeint import (
 )
 
 PI1_S1 = "(I + Pi1 S1-hat)"
+_dot = np.ndarray.dot  # a stage's 2-D product: the same dgemm as @, with less call overhead
 
 
 class UnsolvableError(RuntimeError):
@@ -218,13 +219,16 @@ def follower_system(spec: LQGameSpec, u2: AffineControl) -> StackedSystem:
 
 def pi1_field(sys: StackedSystem) -> Callable[[int, np.ndarray], np.ndarray]:
     """The Pi1 flow's right-hand side at one RK4 stage (int j), or at a stack
-    as riccati_residual passes it, gated by pi1_s1_inverse.  A stage records
-    I + Pi1 S1-hat in a (4N, m, m) stack that field.gate() checks with one
-    batched cond after the flow.  Where C1-hat or D1-hat is nonzero the stage
-    inverts it with plain inv: a non-finite stage matrix raises SingularityError
-    at once, an exactly singular one LinAlgError.  Where both are zero (C = 0)
-    the inverse only multiplies zeros, so no stage forms it and the gate alone
-    names a bad stage."""
+    as riccati_residual passes it, gated by pi1_s1_inverse.  One drift formula
+    serves both, with ndarray.dot for a stage's 2-D products and matmul for a
+    stack's.  field.gate() checks every stage's I + Pi1 S1-hat after the flow
+    (odeint.check_invertible).  Where C1-hat or D1-hat is nonzero the stage
+    inverts it with plain inv and keeps it and its inverse in two (4N, m, m)
+    stacks, so the gate forms no inverse: a non-finite stage matrix raises
+    SingularityError at once, an exactly singular one LinAlgError, whose slot
+    the gate leaves to the SVD.  Where both are zero (C = 0) the inverse only
+    multiplies zeros: a stage records only its iterate, and the gate forms
+    I + Pi1 S1-hat for all stages in one batched product."""
     A1, B1, B2, C1, D1, F1, F2, S1 = sys.halves()
     times = sys.grid.half_times
     B1_Rinv, B2_Rinv = B1 @ sys.R_inv, B2 @ sys.R_inv
@@ -234,47 +238,67 @@ def pi1_field(sys: StackedSystem) -> Callable[[int, np.ndarray], np.ndarray]:
         A1 - B2_Rinv @ _tr(B1), _tr(A1) - B1_Rinv @ _tr(B2),
         F1 - B1_Rinv @ _tr(B1), sys.B2_Rinv_B2T - F2, _tr(C1), C1, D1, _tr(D1),
     )
-    rows = list(zip(S1, zip(*tables)))  # the views of each half step, read per stage
+    rows = list(zip(*tables))  # the views of each half step, read per stage
     eye, stage_j, count = np.eye(sys.dim), np.empty(4 * sys.grid.steps, dtype=int), 0
     stages = np.empty((4 * sys.grid.steps, sys.dim, sys.dim))
 
     if D1.any():
-        def drift(Pi1, inv_s, left, right, quad, const, C1t, C1, D1, D1t):
-            return -(
-                left @ Pi1 + Pi1 @ right - Pi1 @ quad @ Pi1 + const
-                + (C1t - Pi1 @ D1) @ inv_s @ Pi1 @ (C1 - D1t @ Pi1)
-            )
+        def noise(mul, Pi1, inv_s, C1t, C1, D1, D1t):
+            return mul(mul(mul(C1t - mul(Pi1, D1), inv_s), Pi1), C1 - mul(D1t, Pi1))
     elif C1.any():  # D1-hat is zero (always so on the follower's system), and so are its products
-        def drift(Pi1, inv_s, left, right, quad, const, C1t, C1, *_):
-            return -(left @ Pi1 + Pi1 @ right - Pi1 @ quad @ Pi1 + const + C1t @ inv_s @ Pi1 @ C1)
+        def noise(mul, Pi1, inv_s, C1t, C1, *_):
+            return mul(mul(mul(C1t, inv_s), Pi1), C1)
     else:  # C = 0: C1-hat and D1-hat are zero, and so is the whole inverse term
-        def drift(Pi1, inv_s, left, right, quad, const, *_):
-            return -(left @ Pi1 + Pi1 @ right - Pi1 @ quad @ Pi1 + const)
+        noise = None
 
-    if C1.any() or D1.any():
-        def stage_inverse(m, j):
-            # (I + Pi1 S1-hat)^-1 depends on the RK4 iterate, so it is inverted per stage
+    def drift(mul, Pi1, inv_s, left, right, quad, const, *diffusion):
+        # -(left Pi1 + Pi1 right - Pi1 quad Pi1 + const + noise), summed as written
+        d = mul(left, Pi1)
+        d += mul(Pi1, right)
+        d -= mul(mul(Pi1, quad), Pi1)
+        d += const
+        if noise is not None:
+            d += noise(mul, Pi1, inv_s, *diffusion)
+        return np.negative(d, out=d)
+
+    if noise is None:
+        def stage(i, j, Pi1):
+            stages[i] = Pi1  # the gate forms I + Pi1 S1-hat after the flow
+    else:
+        # (I + Pi1 S1-hat)^-1 depends on the RK4 iterate, so it is inverted per
+        # stage; a slot whose inv raised keeps its NaN, which certifies nothing
+        inverses = np.full_like(stages, np.nan)
+
+        def stage(i, j, Pi1):
+            m = np.add(eye, _dot(Pi1, S1[j]), out=stages[i])
             if not np.isfinite(m).all():
                 raise SingularityError(float(times[j]), PI1_S1)
-            return np.linalg.inv(m)  # LinAlgError stops the flow; the gate names it
-    else:  # the folded drift reads no inverse, so none is formed
-        def stage_inverse(m, j):
-            return None
+            inv_s = inverses[i] = np.linalg.inv(m)  # LinAlgError stops the flow
+            return inv_s
 
     def field(j, Pi1):
         if isinstance(j, np.ndarray):
-            return drift(Pi1, pi1_s1_inverse(Pi1, S1[j], times[j]), *(a[j] for a in tables))
+            inv_s = pi1_s1_inverse(Pi1, S1[j], times[j])
+            return drift(np.matmul, Pi1, inv_s, *(a[j] for a in tables))
         nonlocal count
-        S1_j, row = rows[j]
-        m = stages[count] = eye + Pi1 @ S1_j
         stage_j[count], count = j, count + 1
-        return drift(Pi1, stage_inverse(m, j), *row)
+        return drift(_dot, Pi1, stage(count - 1, j, Pi1), *rows[j])
 
-    field.gate = lambda: check_invertible(stages[:count], times[stage_j[:count]], PI1_S1)
+    def gate():
+        k = stage_j[:count]
+        if noise is None:
+            check_invertible(eye + stages[:count] @ S1[k], times[k], PI1_S1)
+        else:
+            check_invertible(stages[:count], times[k], PI1_S1, inverses[:count])
+
+    field.gate = gate
     return field
 
 
 def pi2_field(sys: StackedSystem, pi1: RiccatiPath) -> Callable[[int, np.ndarray], np.ndarray]:
+    """The Pi2 flow's right-hand side at one RK4 stage (int j), or at a stack
+    as riccati_residual passes it: one drift formula, with ndarray.dot for a
+    stage's 2-D products and matmul for a stack's."""
     A1, B1, B2, C1, D1, F1, F2, _ = sys.halves()
     Rinv = sys.R_inv
     w = pi1.s1_inverse @ pi1.path.half
@@ -283,19 +307,32 @@ def pi2_field(sys: StackedSystem, pi1: RiccatiPath) -> Callable[[int, np.ndarray
     # expanded into tables; F1 is symmetric, so the stage iterates are symmetric
     # up to roundoff, but Pi2^T stays apart from Pi2: merging the two tables
     # would regroup the sums, and P2 is this flow on the follower's system
-    left = A1 - B2_Rinv @ _tr(B1) - C1t_w @ _tr(D1)
-    quad = F2 - C1t_w @ C1
-    quad_t = sys.B2_Rinv_B2T
-    right = _tr(A1) - D1_w @ C1
-    right_t = B1 @ Rinv @ _tr(B2)
-    const = F1 - B1 @ Rinv @ _tr(B1) - D1_w @ _tr(D1)
+    tables = (
+        A1 - B2_Rinv @ _tr(B1) - C1t_w @ _tr(D1),  # left
+        F2 - C1t_w @ C1,  # quad
+        sys.B2_Rinv_B2T,  # quad_t
+        _tr(A1) - D1_w @ C1,  # right
+        B1 @ Rinv @ _tr(B2),  # right_t
+        F1 - B1 @ Rinv @ _tr(B1) - D1_w @ _tr(D1),  # const
+    )
+    rows = list(zip(*tables))
+
+    def drift(mul, Pi2, Pi2t, left, quad, quad_t, right, right_t, const):
+        # Pi2 (left + quad Pi2 - quad_t Pi2^T) + right Pi2 - right_t Pi2^T + const,
+        # summed as written
+        inner = mul(quad, Pi2)
+        inner += left
+        inner -= mul(quad_t, Pi2t)
+        d = mul(Pi2, inner)
+        d += mul(right, Pi2)
+        d -= mul(right_t, Pi2t)
+        d += const
+        return d
 
     def field(j, Pi2):
-        Pi2t = _tr(Pi2)
-        return (
-            Pi2 @ (left[j] + quad[j] @ Pi2 - quad_t[j] @ Pi2t)
-            + right[j] @ Pi2 - right_t[j] @ Pi2t + const[j]
-        )
+        if isinstance(j, np.ndarray):
+            return drift(np.matmul, Pi2, _tr(Pi2), *(a[j] for a in tables))
+        return drift(_dot, Pi2, Pi2.T, *rows[j])
 
     return field
 

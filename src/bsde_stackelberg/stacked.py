@@ -168,13 +168,14 @@ class PathKernel:
     def closed_loop(self) -> tuple[np.ndarray, np.ndarray]:
         """(N+1)-node tables (M, F) of the closed-loop backward equation of (Y, Z),
         -dY = (M Y + C1h^T Z + F varphi-tilde + forcing_load u) dt - Z dW with
-        M = A1h + F2h Pi2 - B2h R^-1 (B1h + Pi2 B2h)^T and F = F2h - B2h R^-1 B2h^T.
-        The residual table and the dual reserve read them."""
+        M = A1h + F2h Pi2 - B2h R^-1 (B1h + Pi2 B2h)^T and F = F2h - B2h R^-1 B2h^T,
+        whose product is the node rows of the system's B2_Rinv_B2T.  The residual
+        table and the dual reserve read them."""
         sys, Pi2 = self.sys, self.pi2.values
         B2, F2 = sys.B2h.values, sys.F2h.values
         B2_Rinv = B2 @ sys.R_inv[::2]
         M = sys.A1h.values + F2 @ Pi2 - B2_Rinv @ _tr(sys.B1h.values + Pi2 @ B2)
-        return M, F2 - B2_Rinv @ _tr(B2)
+        return M, F2 - sys.B2_Rinv_B2T[::2]
 
     @cached_property
     def residual_table(self) -> tuple[np.ndarray, np.ndarray]:

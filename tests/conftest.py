@@ -11,8 +11,15 @@ import pytest
 import scipy.linalg
 
 import bsde_stackelberg as bs
-from bsde_stackelberg.odeint import MAX_NORM, DivergenceError, OdeDirection
+from bsde_stackelberg.odeint import (
+    COND_LIMIT,
+    MAX_NORM,
+    DivergenceError,
+    OdeDirection,
+    SingularityError,
+)
 from bsde_stackelberg.oracle import OracleResult, _convex, _gram, _hessian, _quadratic_pieces
+from bsde_stackelberg.riccati import PI1_S1
 
 
 @pytest.fixture(scope="session")
@@ -583,3 +590,148 @@ def rk4_reversed_time(field, boundary_value, grid, direction, postprocess=None):
             raise DivergenceError(float(grid.nodes[N - i - 1 if backward else i + 1]))
         out[i + 1] = m
     return out[::-1] if backward else out
+
+
+def svd_gate(stack, t, label):
+    """The former odeint.check_invertible, as the certified gate's reference: one
+    batched SVD cond of the whole (K, m, m) stack; SingularityError at the time of
+    the first non-finite matrix, or the first with cond above COND_LIMIT."""
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    cond = np.linalg.cond(np.where(finite[:, None, None], stack, 0.0))
+    bad = ~finite | ~(cond <= COND_LIMIT)
+    if bad.any():
+        raise SingularityError(float(np.broadcast_to(t, bad.shape)[bad.argmax()]), label)
+
+
+def svd_guarded_inv(m, t, label):
+    """The former odeint.guarded_inv: the SVD gate, then one batched inv."""
+    m = np.atleast_2d(m)
+    svd_gate(m.reshape(-1, *m.shape[-2:]), t, label)
+    return np.linalg.inv(m)
+
+
+def rk4_allocating(field, boundary_value, grid, direction, postprocess=None):
+    """The former RK4 loop of odeint.integrate_matrix_ode, as its reference: the
+    same steps with h = -dt backward, each stage and sum a new array."""
+    m = np.atleast_2d(np.asarray(boundary_value, dtype=float))
+    N = grid.steps
+    backward = direction is OdeDirection.BACKWARD
+    h, sign, j = (-grid.dt, -1, 2 * N) if backward else (grid.dt, 1, 0)
+    out = np.empty((N + 1, *m.shape))
+    out[N if backward else 0] = m
+    for _ in range(N):
+        k1 = field(j, m)
+        k2 = field(j + sign, m + 0.5 * h * k1)
+        k3 = field(j + sign, m + 0.5 * h * k2)
+        j += 2 * sign
+        k4 = field(j, m + h * k3)
+        m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if postprocess is not None:
+            m = postprocess(m)
+        if not np.abs(m).max() <= MAX_NORM:
+            raise DivergenceError(float(grid.nodes[j // 2]))
+        out[j // 2] = m
+    return out
+
+
+def matmul_pi1_field(sys):
+    """The former riccati.pi1_field, as its reference: every product by @, each
+    stage's I + Pi1 S1-hat recorded, and one SVD gate of all of them after the
+    flow (field.gate()); a stage inverts it only where C1-hat or D1-hat is nonzero."""
+    A1, B1, B2, C1, D1, F1, F2, S1 = sys.halves()
+    times = sys.grid.half_times
+    B1_Rinv, B2_Rinv = B1 @ sys.R_inv, B2 @ sys.R_inv
+    tables = (
+        A1 - B2_Rinv @ _tr(B1), _tr(A1) - B1_Rinv @ _tr(B2),
+        F1 - B1_Rinv @ _tr(B1), sys.B2_Rinv_B2T - F2, _tr(C1), C1, D1, _tr(D1),
+    )
+    rows = list(zip(S1, zip(*tables)))
+    eye, stage_j, count = np.eye(sys.dim), np.empty(4 * sys.grid.steps, dtype=int), 0
+    stages = np.empty((4 * sys.grid.steps, sys.dim, sys.dim))
+
+    if D1.any():
+        def drift(Pi1, inv_s, left, right, quad, const, C1t, C1, D1, D1t):
+            return -(
+                left @ Pi1 + Pi1 @ right - Pi1 @ quad @ Pi1 + const
+                + (C1t - Pi1 @ D1) @ inv_s @ Pi1 @ (C1 - D1t @ Pi1)
+            )
+    elif C1.any():
+        def drift(Pi1, inv_s, left, right, quad, const, C1t, C1, *_):
+            return -(left @ Pi1 + Pi1 @ right - Pi1 @ quad @ Pi1 + const + C1t @ inv_s @ Pi1 @ C1)
+    else:
+        def drift(Pi1, inv_s, left, right, quad, const, *_):
+            return -(left @ Pi1 + Pi1 @ right - Pi1 @ quad @ Pi1 + const)
+
+    def stage_inverse(m, j):
+        if not (C1.any() or D1.any()):
+            return None
+        if not np.isfinite(m).all():
+            raise SingularityError(float(times[j]), PI1_S1)
+        return np.linalg.inv(m)
+
+    def field(j, Pi1):
+        if isinstance(j, np.ndarray):
+            inv_s = svd_guarded_inv(np.eye(Pi1.shape[-1]) + Pi1 @ S1[j], times[j], PI1_S1)
+            return drift(Pi1, inv_s, *(a[j] for a in tables))
+        nonlocal count
+        S1_j, row = rows[j]
+        m = stages[count] = eye + Pi1 @ S1_j
+        stage_j[count], count = j, count + 1
+        return drift(Pi1, stage_inverse(m, j), *row)
+
+    field.gate = lambda: svd_gate(stages[:count], times[stage_j[:count]], PI1_S1)
+    return field
+
+
+def matmul_pi2_field(sys, pi1):
+    """The former riccati.pi2_field, as its reference: every product by @, and
+    (I + Pi1 S1-hat)^-1 formed behind the SVD gate."""
+    A1, B1, B2, C1, D1, F1, F2, _ = sys.halves()
+    Rinv = sys.R_inv
+    s1_inverse = svd_guarded_inv(
+        np.eye(sys.dim) + pi1.path.half @ pi1.S1h.half, sys.grid.half_times, PI1_S1
+    )
+    w = s1_inverse @ pi1.path.half
+    B2_Rinv, C1t_w, D1_w = B2 @ Rinv, _tr(C1) @ w, D1 @ w
+    left = A1 - B2_Rinv @ _tr(B1) - C1t_w @ _tr(D1)
+    quad = F2 - C1t_w @ C1
+    quad_t = sys.B2_Rinv_B2T
+    right = _tr(A1) - D1_w @ C1
+    right_t = B1 @ Rinv @ _tr(B2)
+    const = F1 - B1 @ Rinv @ _tr(B1) - D1_w @ _tr(D1)
+
+    def field(j, Pi2):
+        Pi2t = _tr(Pi2)
+        return (
+            Pi2 @ (left[j] + quad[j] @ Pi2 - quad_t[j] @ Pi2t)
+            + right[j] @ Pi2 - right_t[j] @ Pi2t + const[j]
+        )
+
+    return field
+
+
+def reference_pi1(sys):
+    """Pi1 of a stacked system by the reference loop, field and gate: the former
+    riccati.solve_pi1, gated after the flow also when the flow stopped."""
+    field = matmul_pi1_field(sys)
+    try:
+        with np.errstate(all="ignore"):
+            values = rk4_allocating(
+                field, np.zeros((sys.dim, sys.dim)), sys.grid, OdeDirection.BACKWARD, _sym
+            )
+    finally:
+        field.gate()
+    return bs.RiccatiPath("Pi1", bs.CoefficientPath(sys.grid, values), sys.S1h)
+
+
+def reference_chain(spec):
+    """P1, P2, Pi1 and Pi2 of a game by the reference loop, fields and gate."""
+    fsys = bs.follower_system(spec, bs.AffineControl.zero(spec.grid, spec.dims.k))
+    forward = OdeDirection.FORWARD
+    p1 = reference_pi1(fsys)
+    p2 = rk4_allocating(matmul_pi2_field(fsys, p1), spec.G1, spec.grid, forward, _sym)
+    p2 = bs.RiccatiPath("P2", bs.CoefficientPath(spec.grid, p2))
+    lsys = bs.build_stacked_system(spec, p1, p2)
+    pi1 = reference_pi1(lsys)
+    pi2 = rk4_allocating(matmul_pi2_field(lsys, pi1), lsys.G2h, spec.grid, forward, _sym)
+    return p1.values, p2.values, pi1.values, pi2

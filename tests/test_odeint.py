@@ -5,13 +5,15 @@ import pytest
 
 import bsde_stackelberg as bs
 from bsde_stackelberg.odeint import (
+    COND_LIMIT,
     OdeDirection,
+    check_invertible,
     guarded_inv,
     integrate_matrix_ode,
     transition_steps,
 )
 
-from conftest import solvability_scan
+from conftest import solvability_scan, svd_gate, svd_guarded_inv
 
 
 class TestRK4:
@@ -108,6 +110,91 @@ class TestGuardedInverse:
         with pytest.raises(bs.SingularityError) as e:
             guarded_inv(stack, np.array([0.0, 0.25, 0.5, 0.75]), "(stack)")
         assert e.value.t == 0.5 and e.value.label == "(stack)"
+
+
+def conditioned(rng, m, kappa):
+    """A random m x m matrix with singular values 1, kappa^-1/2 (m - 2 times) and
+    1/kappa: cond kappa, and kappa_F = |M|_F |M^-1|_F = kappa + m - 2 + O(1/kappa)."""
+    U, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    V, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    s = np.full(m, kappa**-0.5)
+    s[0], s[-1] = 1.0, 1.0 / kappa
+    return (U * s) @ V.T
+
+
+def named(gate, *args):
+    """(t, label) of the SingularityError a gate raises, or None if it passes."""
+    try:
+        gate(*args)
+    except bs.SingularityError as err:
+        return err.t, err.label
+    return None
+
+
+class TestCertifiedGate:
+    """check_invertible passes a matrix on kappa_F <= COND_LIMIT / 2 and leaves the
+    rest to the batched SVD: every decision, time and label is the SVD gate's
+    alone (conftest.svd_gate), right at the 1e12 boundary."""
+
+    TIMES = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+
+    def stack(self, m, bad=None, at=2):
+        rng = np.random.default_rng(m)
+        stack = np.stack([conditioned(rng, m, 10.0) for _ in self.TIMES])
+        if bad is not None:
+            stack[at] = bad(rng, m)
+        return stack
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    @pytest.mark.parametrize("kappa", [1e3, 0.4e12, 0.99e12, 1.01e12, 3e12])
+    def test_boundary_decided_as_by_the_svd(self, m, kappa):
+        stack = self.stack(m, lambda rng, m: conditioned(rng, m, kappa))
+        want = None if kappa < COND_LIMIT else (0.5, "(b)")
+        assert named(svd_gate, stack, self.TIMES, "(b)") == want
+        assert named(check_invertible, stack, self.TIMES, "(b)") == want
+        inverse = np.linalg.inv(stack)
+        assert named(check_invertible, stack, self.TIMES, "(b)", inverse) == want
+        assert named(guarded_inv, stack, self.TIMES, "(b)") == want
+        if want is None:
+            assert guarded_inv(stack, self.TIMES, "(b)").tobytes() == inverse.tobytes()
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_svd_runs_only_on_uncertified_matrices(self, m, monkeypatch):
+        seen, cond = [], np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda x: seen.append(len(x)) or cond(x))
+        check_invertible(self.stack(m), self.TIMES, "(b)")
+        # kappa_F is about 0.99e12 + m - 2 > COND_LIMIT / 2: only that matrix goes to the SVD
+        near = self.stack(m, lambda rng, m: conditioned(rng, m, 0.99e12))
+        check_invertible(near, self.TIMES, "(b)")
+        assert seen == [1]
+
+    BAD = {
+        "singular": lambda rng, m: np.ones((m, m)),  # the batched inv raises
+        "zero": lambda rng, m: np.zeros((m, m)),
+        "nan": lambda rng, m: np.where(np.eye(m) > 0, np.nan, conditioned(rng, m, 2.0)),
+        "inf": lambda rng, m: np.full((m, m), np.inf),
+    }
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    @pytest.mark.parametrize("bad", list(BAD))
+    def test_singular_and_nonfinite_named_as_by_the_svd(self, m, bad):
+        stack = self.stack(m, self.BAD[bad], at=3)
+        assert named(svd_gate, stack, self.TIMES, "(s)") == (0.75, "(s)")
+        assert named(check_invertible, stack, self.TIMES, "(s)") == (0.75, "(s)")
+        assert named(guarded_inv, stack, self.TIMES, "(s)") == (0.75, "(s)")
+        assert named(svd_guarded_inv, stack, self.TIMES, "(s)") == (0.75, "(s)")
+        # an earlier matrix above the boundary is named first
+        stack[1] = conditioned(np.random.default_rng(0), m, 1.01e12)
+        assert named(check_invertible, stack, self.TIMES, "(s)") == (0.25, "(s)")
+
+    @pytest.mark.parametrize("kappa, want", [(10.0, None), (1.01e12, (0.5, "(u)"))])
+    def test_unwritten_inverse_slot_goes_to_the_svd(self, kappa, want):
+        # a stage whose inv never ran keeps the NaN its slot was filled with: that
+        # slot certifies nothing, and the SVD decides the matrix
+        stack = self.stack(4, lambda rng, m: conditioned(rng, m, kappa))
+        inverse = np.linalg.inv(stack)
+        inverse[2] = np.nan
+        assert named(check_invertible, stack, self.TIMES, "(u)", inverse) == want
 
 
 class TestMatrixExponential:

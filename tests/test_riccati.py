@@ -2,6 +2,7 @@
 
 import dataclasses
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,10 +19,18 @@ from bsde_stackelberg.riccati import (
     riccati_csv,
     riccati_residual,
 )
-from bsde_stackelberg.scenario import make_constant_spec, scenario_from_dict
+from bsde_stackelberg.scenario import load_scenario, make_constant_spec, scenario_from_dict
 from bsde_stackelberg.stacked import paths_csv
 
-from conftest import c_zero_game, dense_game, rk4_reversed_time, singular_stage_document
+from conftest import (
+    c_zero_game,
+    dense_game,
+    reference_chain,
+    rk4_reversed_time,
+    singular_stage_document,
+)
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def tanh_spec(steps=256):
@@ -437,6 +446,52 @@ class TestRK4Loop:
                 (riccati_residual(p1, pi1_field(fsys)), riccati_residual(pi1, pi1_field(lsys)))
             )
         assert residuals[0] == residuals[1]
+
+
+class TestReferenceFlows:
+    """The flows by ndarray.dot stages, one buffer per RK4 flow and the certified
+    gate are bit for bit those of the former @-based loop, fields and SVD gate
+    (tests/conftest.py::reference_chain), and name every bad stage as they did."""
+
+    GAMES = {
+        "stochastic": lambda: load_scenario(SCENARIOS / "stochastic.json").spec,
+        "finance": lambda: bs.build_finance_spec(load_scenario(SCENARIOS / "finance.json").market),
+        "dense": lambda: dense_game(64),  # n = 3, k = 2, C != 0
+        "c_zero": lambda: c_zero_game(64),  # n = k = 2, C = 0
+    }
+
+    @pytest.mark.parametrize("game", list(GAMES))
+    def test_chain_bit_identical_to_reference(self, game):
+        spec = self.GAMES[game]()
+        p1, p2, _, pi1, pi2 = bs.riccati_chain(spec)
+        for got, want in zip((p1, p2, pi1, pi2), reference_chain(spec)):
+            assert np.array_equal(got.values, want), got.tag
+            assert got.values.tobytes() == want.tobytes(), got.tag  # signed zeros too
+
+    SINGULAR = {
+        "document": lambda: scenario_from_dict(singular_stage_document()).spec,
+        "exact_c": lambda: gate_spec(
+            np.diag([-16.0, 1.0]), 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((2, 2))
+        ),
+        "exact_c_zero": lambda: gate_spec(
+            np.diag([-16.0, 1.0]), np.zeros((2, 2)), np.zeros((2, 2))
+        ),
+        "ill_conditioned": lambda: gate_spec(
+            np.diag([-16.0 * (1.0 - 2.0**-45), 1.0]),
+            0.5 * np.array([[0.0, 1.0], [1.0, 0.0]]),
+            np.eye(2),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(SINGULAR))
+    def test_singular_stage_named_as_by_reference(self, case):
+        spec = self.SINGULAR[case]()
+        named = []
+        for solve in (bs.riccati_chain, reference_chain):
+            with pytest.raises(bs.SingularityError) as err:
+                solve(spec)
+            named.append((err.value.t, err.value.label))
+        assert named[0] == named[1]
 
 
 class TestCsvExport:
