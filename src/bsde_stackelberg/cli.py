@@ -30,11 +30,8 @@ from .oracle import (
 )
 from .riccati import (
     UnsolvableError,
-    follower_system,
     pi1_closed_form,
-    pi1_field,
     pi2_closed_form,
-    pi2_field,
     riccati_chain,
     riccati_csv,
     riccati_residual,
@@ -106,13 +103,7 @@ def cmd_riccati(scn: Scenario, out: Path, args) -> int:
     p1, p2, lsys, pi1, pi2 = riccati_chain(spec)  # no path kernel: riccati draws no paths
     for ric in (p1, p2, pi1, pi2):
         _write_text(out, f"riccati_{ric.tag.lower()}.csv", riccati_csv(ric))
-    fsys = follower_system(spec, scn.u2)  # P1 and P2 are its Pi1 and Pi2
-    residuals = {
-        "p1": riccati_residual(p1, pi1_field(fsys)),
-        "p2": riccati_residual(p2, pi2_field(fsys, p1)),
-        "pi1": riccati_residual(pi1, pi1_field(lsys)),
-        "pi2": riccati_residual(pi2, pi2_field(lsys, pi1)),
-    }
+    residuals = {ric.tag.lower(): riccati_residual(ric) for ric in (p1, p2, pi1, pi2)}
     solvability: dict = {"closed_form_applicable": spec.c_vanishes}
     if solvability["closed_form_applicable"]:
         try:

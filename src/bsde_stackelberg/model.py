@@ -1,9 +1,10 @@
 """Game specification: dimensions, time grid, coefficients, terminal data, validation.
 
 Everything here is immutable after construction and safe to share across
-threads.  Coefficients are stored as node samples on a uniform grid with
-linear interpolation in between.  RK4 reads them only at the half steps
-t = j dt / 2, from one (2N+1)-sample table per coefficient, and the spec
+threads.  A coefficient is given by its node samples on a uniform grid, with
+linear interpolation in between, and stored as one (2N+1)-sample table at
+the half steps t = j dt / 2: the nodes at even j, the interval midpoints at
+odd j.  RK4 reads that table, the node readers its even rows, and the spec
 inverts R1 and R2 once, on those tables, for every consumer of a solve.
 """
 
@@ -78,15 +79,18 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class CoefficientPath:
-    """A matrix-valued function of time, sampled at the grid nodes.
+    """A matrix-valued function of time, given by its samples at the grid nodes.
 
-    values has shape (N + 1, rows, cols).  Evaluation between nodes is
-    linear interpolation; node evaluation returns the stored matrix
-    bit-exactly.  half samples the same function at the RK4 half steps.
+    It holds one (2N+1, rows, cols) table, half, of samples at t = j dt / 2:
+    the node values at even j, the interval midpoints (the linear interpolant
+    there) at odd j, filled once here.  values, of shape (N + 1, rows, cols),
+    is the read-only view half[::2].  Evaluation between nodes is linear
+    interpolation; node evaluation returns the stored matrix bit-exactly.
     """
 
     grid: TimeGrid
     values: np.ndarray
+    half: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -98,24 +102,16 @@ class CoefficientPath:
             )
         if not np.all(np.isfinite(v)):
             raise SpecError("coefficient values must be finite")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        half = np.empty((2 * v.shape[0] - 1, *v.shape[1:]))
+        half[0::2] = v
+        half[1::2] = 0.5 * (v[:-1] + v[1:])
+        half.setflags(write=False)
+        object.__setattr__(self, "half", half)
+        object.__setattr__(self, "values", half[::2])
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape[1], self.values.shape[2]
-
-    @cached_property
-    def half(self) -> np.ndarray:
-        """(2N+1, rows, cols) samples at t = j dt / 2: the node values at even j,
-        the interval midpoints (the linear interpolant there) at odd j."""
-        v = self.values
-        out = np.empty((2 * v.shape[0] - 1, *v.shape[1:]))
-        out[0::2] = v
-        out[1::2] = 0.5 * (v[:-1] + v[1:])
-        out.setflags(write=False)
-        return out
 
     @classmethod
     def constant(cls, grid: TimeGrid, value) -> "CoefficientPath":
@@ -279,7 +275,13 @@ class LQGameSpec:
     @property
     def c_vanishes(self) -> bool:
         """True when the noise coefficient C is zero at every node (to 1e-12)."""
-        return bool(np.max(np.abs(self.C.values)) < 1e-12)
+        return vanishes(self.C)
+
+
+def vanishes(path: CoefficientPath) -> bool:
+    """True when every node value of path is below 1e-12 in size: the test of
+    C = 0 that the CLI and the Riccati closed forms share."""
+    return bool(np.max(np.abs(path.values)) < 1e-12)
 
 
 def _weight_inverse(weight: CoefficientPath, label: str) -> np.ndarray:

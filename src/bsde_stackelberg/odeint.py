@@ -122,9 +122,12 @@ def integrate_matrix_ode(
     grid,
     direction: OdeDirection,
     postprocess: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Classical RK4 for dM/dt = field(j, M) with one boundary value; returns
-    the (N+1, m, m) values at the grid's nodes.
+    the (N+1, m, m) values at the grid's nodes and the (N+1, m, m) node slopes
+    field(2 i, values[i]), each the first stage (k1) of the step from node i.
+    The slope row of the node the flow ends at is left unformed: t = 0 for a
+    backward flow, t = T for a forward one.
 
     It carries the nonlinear Riccati flows; linear ODEs take RK4 step
     maps instead (stacked.solve_affine_bsde).  The field is called once
@@ -141,13 +144,13 @@ def integrate_matrix_ode(
     # a backward flow steps from t = T with h = -dt through the half steps 2N, 2N - 1, ...
     h, sign, j = (-grid.dt, -1, 2 * N) if backward else (grid.dt, 1, 0)
     half, sixth = 0.5 * h, h / 6.0
-    out = np.empty((N + 1, *m.shape))
+    out, slopes = np.empty((N + 1, *m.shape)), np.empty((N + 1, *m.shape))
     out[N if backward else 0] = m
     # one buffer per flow: the iterates of stages 2-4, the slope sum and 2 k3;
     # a field may return its argument, so no slot is written while its k is live
     y2, y3, y4, acc, k3x2 = np.empty((5, *m.shape))
     for _ in range(N):
-        k1 = field(j, m)
+        k1 = slopes[j // 2] = field(j, m)
         k2 = field(j + sign, np.add(m, np.multiply(half, k1, out=y2), out=y2))
         k3 = field(j + sign, np.add(m, np.multiply(half, k2, out=y3), out=y3))
         j += 2 * sign
@@ -163,7 +166,7 @@ def integrate_matrix_ode(
             raise DivergenceError(float(grid.nodes[j // 2]))
         out[j // 2] = m
         m = out[j // 2]
-    return out
+    return out, slopes
 
 
 def matrix_exponential(m: np.ndarray) -> np.ndarray:

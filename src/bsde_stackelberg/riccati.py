@@ -11,13 +11,13 @@ implemented here as an independent cross-check of the RK4 route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .model import AffineControl, CoefficientPath, LQGameSpec, TerminalCondition, TimeGrid
+from .model import AffineControl, CoefficientPath, LQGameSpec, TerminalCondition, TimeGrid, vanishes
 from .odeint import (
     OdeDirection,
     SingularityError,
@@ -59,6 +59,9 @@ class RiccatiPath:
     tag: str  # "P1", "P2", "Pi1" or "Pi2"
     path: CoefficientPath
     S1h: CoefficientPath | None = None  # for P1 and Pi1: the S1-hat of their system
+    # of an RK4 solve: its (N+1) node slopes, read by riccati_residual; the row
+    # of the node the flow ends at is unformed (odeint.integrate_matrix_ode)
+    slopes: np.ndarray | None = None
 
     @property
     def values(self) -> np.ndarray:
@@ -67,9 +70,12 @@ class RiccatiPath:
     @cached_property
     def s1_inverse(self) -> np.ndarray:
         """(2N+1) half-step table of (I + Pi1 S1-hat)^-1 for a P1 or Pi1, formed
-        and gated once; pi2_field and stacked.solve_tilde_phi read it, and
-        build_stacked_system and stacked.path_kernel its node rows [::2]."""
-        return pi1_s1_inverse(self.path.half, self.S1h.half, self.path.grid.half_times)
+        from the path's and S1-hat's half tables by one gated batched inverse;
+        pi2_field and stacked.solve_tilde_phi read it, and build_stacked_system
+        and stacked.path_kernel its node rows [::2]."""
+        Pi1 = self.path.half
+        stage = np.eye(Pi1.shape[-1]) + Pi1 @ self.S1h.half
+        return guarded_inv(stage, self.path.grid.half_times, PI1_S1)
 
 
 def _tr(stack: np.ndarray) -> np.ndarray:
@@ -80,11 +86,6 @@ def _tr(stack: np.ndarray) -> np.ndarray:
 def _sym(m: np.ndarray) -> np.ndarray:
     """Symmetric part (M + M')/2 of a matrix or a stack of matrices."""
     return 0.5 * (m + _tr(m))
-
-
-def pi1_s1_inverse(Pi1: np.ndarray, S1h: np.ndarray, t) -> np.ndarray:
-    """(I + Pi1 S1-hat)^-1 of one matrix at time t, or of a stack at times t."""
-    return guarded_inv(np.eye(Pi1.shape[-1]) + Pi1 @ S1h, t, PI1_S1)
 
 
 @dataclass(frozen=True)
@@ -218,11 +219,9 @@ def follower_system(spec: LQGameSpec, u2: AffineControl) -> StackedSystem:
 
 
 def pi1_field(sys: StackedSystem) -> Callable[[int, np.ndarray], np.ndarray]:
-    """The Pi1 flow's right-hand side at one RK4 stage (int j), or at a stack
-    as riccati_residual passes it, gated by pi1_s1_inverse.  One drift formula
-    serves both, with ndarray.dot for a stage's 2-D products and matmul for a
-    stack's.  field.gate() checks every stage's I + Pi1 S1-hat after the flow
-    (odeint.check_invertible).  Where C1-hat or D1-hat is nonzero the stage
+    """The Pi1 flow's right-hand side at one RK4 stage j, its products by
+    ndarray.dot.  field.gate() checks every stage's I + Pi1 S1-hat after the
+    flow (odeint.check_invertible).  Where C1-hat or D1-hat is nonzero the stage
     inverts it with plain inv and keeps it and its inverse in two (4N, m, m)
     stacks, so the gate forms no inverse: a non-finite stage matrix raises
     SingularityError at once, an exactly singular one LinAlgError, whose slot
@@ -243,23 +242,13 @@ def pi1_field(sys: StackedSystem) -> Callable[[int, np.ndarray], np.ndarray]:
     stages = np.empty((4 * sys.grid.steps, sys.dim, sys.dim))
 
     if D1.any():
-        def noise(mul, Pi1, inv_s, C1t, C1, D1, D1t):
-            return mul(mul(mul(C1t - mul(Pi1, D1), inv_s), Pi1), C1 - mul(D1t, Pi1))
+        def noise(Pi1, inv_s, C1t, C1, D1, D1t):
+            return _dot(_dot(_dot(C1t - _dot(Pi1, D1), inv_s), Pi1), C1 - _dot(D1t, Pi1))
     elif C1.any():  # D1-hat is zero (always so on the follower's system), and so are its products
-        def noise(mul, Pi1, inv_s, C1t, C1, *_):
-            return mul(mul(mul(C1t, inv_s), Pi1), C1)
+        def noise(Pi1, inv_s, C1t, C1, *_):
+            return _dot(_dot(_dot(C1t, inv_s), Pi1), C1)
     else:  # C = 0: C1-hat and D1-hat are zero, and so is the whole inverse term
         noise = None
-
-    def drift(mul, Pi1, inv_s, left, right, quad, const, *diffusion):
-        # -(left Pi1 + Pi1 right - Pi1 quad Pi1 + const + noise), summed as written
-        d = mul(left, Pi1)
-        d += mul(Pi1, right)
-        d -= mul(mul(Pi1, quad), Pi1)
-        d += const
-        if noise is not None:
-            d += noise(mul, Pi1, inv_s, *diffusion)
-        return np.negative(d, out=d)
 
     if noise is None:
         def stage(i, j, Pi1):
@@ -277,12 +266,18 @@ def pi1_field(sys: StackedSystem) -> Callable[[int, np.ndarray], np.ndarray]:
             return inv_s
 
     def field(j, Pi1):
-        if isinstance(j, np.ndarray):
-            inv_s = pi1_s1_inverse(Pi1, S1[j], times[j])
-            return drift(np.matmul, Pi1, inv_s, *(a[j] for a in tables))
+        # -(left Pi1 + Pi1 right - Pi1 quad Pi1 + const + noise), summed as written
         nonlocal count
         stage_j[count], count = j, count + 1
-        return drift(_dot, Pi1, stage(count - 1, j, Pi1), *rows[j])
+        inv_s = stage(count - 1, j, Pi1)
+        left, right, quad, const, *diffusion = rows[j]
+        d = _dot(left, Pi1)
+        d += _dot(Pi1, right)
+        d -= _dot(_dot(Pi1, quad), Pi1)
+        d += const
+        if noise is not None:
+            d += noise(Pi1, inv_s, *diffusion)
+        return np.negative(d, out=d)
 
     def gate():
         k = stage_j[:count]
@@ -296,9 +291,8 @@ def pi1_field(sys: StackedSystem) -> Callable[[int, np.ndarray], np.ndarray]:
 
 
 def pi2_field(sys: StackedSystem, pi1: RiccatiPath) -> Callable[[int, np.ndarray], np.ndarray]:
-    """The Pi2 flow's right-hand side at one RK4 stage (int j), or at a stack
-    as riccati_residual passes it: one drift formula, with ndarray.dot for a
-    stage's 2-D products and matmul for a stack's."""
+    """The Pi2 flow's right-hand side at one RK4 stage j, its products by
+    ndarray.dot."""
     A1, B1, B2, C1, D1, F1, F2, _ = sys.halves()
     Rinv = sys.R_inv
     w = pi1.s1_inverse @ pi1.path.half
@@ -317,45 +311,45 @@ def pi2_field(sys: StackedSystem, pi1: RiccatiPath) -> Callable[[int, np.ndarray
     )
     rows = list(zip(*tables))
 
-    def drift(mul, Pi2, Pi2t, left, quad, quad_t, right, right_t, const):
+    def field(j, Pi2):
         # Pi2 (left + quad Pi2 - quad_t Pi2^T) + right Pi2 - right_t Pi2^T + const,
         # summed as written
-        inner = mul(quad, Pi2)
+        left, quad, quad_t, right, right_t, const = rows[j]
+        inner = _dot(quad, Pi2)
         inner += left
-        inner -= mul(quad_t, Pi2t)
-        d = mul(Pi2, inner)
-        d += mul(right, Pi2)
-        d -= mul(right_t, Pi2t)
+        inner -= _dot(quad_t, Pi2.T)
+        d = _dot(Pi2, inner)
+        d += _dot(right, Pi2)
+        d -= _dot(right_t, Pi2.T)
         d += const
         return d
-
-    def field(j, Pi2):
-        if isinstance(j, np.ndarray):
-            return drift(np.matmul, Pi2, _tr(Pi2), *(a[j] for a in tables))
-        return drift(_dot, Pi2, Pi2.T, *rows[j])
 
     return field
 
 
 def solve_pi1(sys: StackedSystem) -> RiccatiPath:
-    """Backward RK4 for Pi1 with Pi1(T) = 0, symmetrized per step.  The stages
-    are gated after the flow (pi1_field), also when it stopped or diverged, so
-    SingularityError names the first bad stage in integration order."""
+    """Backward RK4 for Pi1 with Pi1(T) = 0, symmetrized per step, with its node
+    slopes.  The stages are gated after the flow (pi1_field), also when it
+    stopped or diverged, so SingularityError names the first bad stage in
+    integration order."""
     field, zero = pi1_field(sys), np.zeros((sys.dim, sys.dim))
     try:
         with np.errstate(all="ignore"):  # past a bad stage the iterate may overflow
-            values = integrate_matrix_ode(field, zero, sys.grid, OdeDirection.BACKWARD, _sym)
+            values, slopes = integrate_matrix_ode(
+                field, zero, sys.grid, OdeDirection.BACKWARD, _sym
+            )
     finally:
         field.gate()
-    return RiccatiPath("Pi1", CoefficientPath(sys.grid, values), sys.S1h)
+    return RiccatiPath("Pi1", CoefficientPath(sys.grid, values), sys.S1h, slopes)
 
 
 def solve_pi2(sys: StackedSystem, pi1: RiccatiPath) -> RiccatiPath:
-    """Forward RK4 for Pi2 with Pi2(0) = G2-hat, symmetrized per step."""
-    values = integrate_matrix_ode(
+    """Forward RK4 for Pi2 with Pi2(0) = G2-hat, symmetrized per step, with its
+    node slopes."""
+    values, slopes = integrate_matrix_ode(
         pi2_field(sys, pi1), sys.G2h, sys.grid, OdeDirection.FORWARD, postprocess=_sym
     )
-    return RiccatiPath("Pi2", CoefficientPath(sys.grid, values))
+    return RiccatiPath("Pi2", CoefficientPath(sys.grid, values), slopes=slopes)
 
 
 def _riccati_system(spec: LQGameSpec) -> StackedSystem:
@@ -365,13 +359,12 @@ def _riccati_system(spec: LQGameSpec) -> StackedSystem:
 
 def solve_p1(spec: LQGameSpec) -> RiccatiPath:
     """P1: Pi1 of the follower's system, backward RK4 from P1(T) = 0."""
-    pi1 = solve_pi1(_riccati_system(spec))
-    return RiccatiPath("P1", pi1.path, pi1.S1h)
+    return replace(solve_pi1(_riccati_system(spec)), tag="P1")
 
 
 def solve_p2(spec: LQGameSpec, p1: RiccatiPath) -> RiccatiPath:
     """P2: Pi2 of the follower's system, forward RK4 from P2(0) = G1; may blow up in finite time."""
-    return RiccatiPath("P2", solve_pi2(_riccati_system(spec), p1).path)
+    return replace(solve_pi2(_riccati_system(spec), p1), tag="P2")
 
 
 def riccati_chain(
@@ -386,11 +379,12 @@ def riccati_chain(
 
 
 def _require_c_zero(sys: StackedSystem):
-    worst = max(float(np.max(np.abs(sys.C1h.values))), float(np.max(np.abs(sys.D1h.values))))
-    if worst > 1e-12:
-        raise ValueError(
-            f"closed form requires C1-hat = D1-hat = 0 (i.e. C = 0); max entry {worst:.3e}"
-        )
+    """ValueError unless C = 0 by LQGameSpec.c_vanishes's test, read on C1-hat,
+    which holds C's entries at both levels; D1-hat = P2 C is not tested, as
+    the closed forms read neither."""
+    if not vanishes(sys.C1h):
+        worst = float(np.max(np.abs(sys.C1h.values)))
+        raise ValueError(f"closed form requires C = 0; max |C| entry {worst:.3e}")
 
 
 def _transition_closed_form(
@@ -471,25 +465,23 @@ def pi2_closed_form(sys: StackedSystem) -> tuple[RiccatiPath, SolvabilityReport]
     return RiccatiPath("Pi2", CoefficientPath(grid, vals)), report
 
 
-def riccati_residual(
-    ric: RiccatiPath, field: Callable[[np.ndarray, np.ndarray], np.ndarray]
-) -> tuple[float, float]:
-    """Max norm of (central-difference derivative - field) at interior nodes.
+def riccati_residual(ric: RiccatiPath) -> tuple[float, float]:
+    """Max norm of (central-difference derivative - field) at interior nodes of
+    an RK4 solve.
 
-    field takes half-step indices (node i is index 2 i) and a stack of iterates,
-    as the *_field factories return it; all interior nodes go through one call.
-    Returns (max residual, time of the first max).  Second-order differencing:
-    the residual of a well-resolved solve shrinks ~4x when N doubles.
+    The field values are the flow's own node slopes (RiccatiPath.slopes), the
+    first stage of each RK4 step, so no field is evaluated again.  Returns
+    (max residual, time of the first max).  Second-order differencing: the
+    residual of a well-resolved solve shrinks ~4x when N doubles.
     """
     grid = ric.path.grid
     if grid.steps < 4:
         raise ValueError("residual check needs N >= 4")
     vals = ric.values
     deriv = (vals[2:] - vals[:-2]) / (2.0 * grid.dt)
-    inner = np.arange(1, grid.steps)
-    r = np.max(np.abs(deriv - field(2 * inner, vals[1:-1])), axis=(1, 2))
+    r = np.max(np.abs(deriv - ric.slopes[1:-1]), axis=(1, 2))
     worst = int(np.argmax(r))
-    return float(r[worst]), float(grid.nodes[inner[worst]])
+    return float(r[worst]), float(grid.nodes[worst + 1])
 
 
 def riccati_csv(ric: RiccatiPath) -> str:

@@ -710,6 +710,22 @@ def matmul_pi2_field(sys, pi1):
     return field
 
 
+def field_residual(ric, field):
+    """The former riccati.riccati_residual, as its reference: max norm of
+    (central-difference derivative - field) at the interior nodes, field taking
+    half-step indices (node i is index 2 i) and the stack of interior iterates
+    in one call.  Returns (max residual, time of the first max)."""
+    grid = ric.path.grid
+    if grid.steps < 4:
+        raise ValueError("residual check needs N >= 4")
+    vals = ric.values
+    deriv = (vals[2:] - vals[:-2]) / (2.0 * grid.dt)
+    inner = np.arange(1, grid.steps)
+    r = np.max(np.abs(deriv - field(2 * inner, vals[1:-1])), axis=(1, 2))
+    worst = int(np.argmax(r))
+    return float(r[worst]), float(grid.nodes[inner[worst]])
+
+
 def reference_pi1(sys):
     """Pi1 of a stacked system by the reference loop, field and gate: the former
     riccati.solve_pi1, gated after the flow also when the flow stopped."""

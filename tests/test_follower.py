@@ -101,7 +101,8 @@ def reference_affine_bsde(M, N, g_c, g_l, term_c, term_l, grid):
         return np.hstack([dalpha, dbeta])
 
     terminal = np.hstack([np.reshape(term_c, (-1, 1)), np.reshape(term_l, (-1, 1))])
-    return integrate_matrix_ode(field, terminal, grid, OdeDirection.BACKWARD)
+    values, _ = integrate_matrix_ode(field, terminal, grid, OdeDirection.BACKWARD)
+    return values
 
 
 def varying_tables(grid, n=3):

@@ -14,8 +14,9 @@ share their Brownian paths, and neither needs an oracle:
 The costs and slopes are the forms a path chunk reads off the augmented
 state, so both relations check the form route as well.  The change of
 coordinates also runs on a C = 0 game, where the Pi1 flows take their
-body without the inverse term, and through the CLI's verify and
-equilibrium commands, whose oracle and pipeline costs and J means it
+body without the inverse term, and through the CLI: verify and
+equilibrium on a C = 0 game, whose oracle and pipeline costs and J means
+it leaves as they are, and equilibrium on a C != 0 game, whose J means it
 leaves as they are.
 
 An orthogonal T would not do: a transposition error is covariant under
@@ -148,27 +149,41 @@ def test_change_of_coordinates_at_c_zero(bundle):
     assert_coordinate_invariance(spec, bundle)
 
 
-def test_cli_change_of_coordinates_at_c_zero(tmp_path):
-    # the CLI route: verify and equilibrium on a C = 0 game and on its image under
-    # y -> T y, with one seed.  rel_gap is left out: it is the difference of two
-    # close costs, so roundoff alone moves it by far more than 1e-12
-    spec = c_zero_game(STEPS)
-    games = {"base": spec, "moved": changed_coordinates(spec, coordinate_change(2))}
+def cli_figures(spec, commands, tmp_path):
+    """The CLI's figures of a game and of its image under y -> T y, with one seed:
+    the oracle and pipeline costs of verify, if run, then equilibrium's J means."""
+    n = spec.dims.n
+    games = {"base": spec, "moved": changed_coordinates(spec, coordinate_change(n))}
     figures = {}
     for name, game in games.items():
         scn = tmp_path / f"{name}.json"
         scn.write_text(json.dumps(scenario_document(game)))
-        for command in ("verify", "equilibrium"):
+        for command in commands:
             out = tmp_path / name / command
             argv = [command, "--scenario", str(scn), "--seed", "5", "--paths", "4"]
             assert main([*argv, "--out", str(out)]) == 0
-        oracle = json.loads((tmp_path / name / "verify" / "oracle.json").read_text())
+        found = []
+        if "verify" in commands:
+            oracle = json.loads((tmp_path / name / "verify" / "oracle.json").read_text())
+            found += [oracle[level][cost] for level in ("follower", "leader")
+                      for cost in ("oracle_cost", "pipeline_cost")]
         summary = json.loads((tmp_path / name / "equilibrium" / "summary.json").read_text())
-        figures[name] = np.array(
-            [oracle[level][cost] for level in ("follower", "leader")
-             for cost in ("oracle_cost", "pipeline_cost")]
-            + [summary["J1"]["mean"], summary["J2"]["mean"]]
-        )
+        figures[name] = np.array(found + [summary["J1"]["mean"], summary["J2"]["mean"]])
+    return figures
+
+
+def test_cli_change_of_coordinates_at_c_zero(tmp_path):
+    # the CLI route: verify and equilibrium on a C = 0 game and on its image under
+    # y -> T y, with one seed.  rel_gap is left out: it is the difference of two
+    # close costs, so roundoff alone moves it by far more than 1e-12
+    figures = cli_figures(c_zero_game(STEPS), ("verify", "equilibrium"), tmp_path)
+    np.testing.assert_allclose(figures["moved"], figures["base"], rtol=1e-12, atol=0)
+
+
+def test_cli_change_of_coordinates_at_c_nonzero(tmp_path):
+    # the same on the n = 3, k = 2, C != 0 game, through equilibrium only:
+    # verify rejects C != 0
+    figures = cli_figures(dense_game(STEPS), ("equilibrium",), tmp_path)
     np.testing.assert_allclose(figures["moved"], figures["base"], rtol=1e-12, atol=0)
 
 

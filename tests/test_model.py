@@ -87,6 +87,19 @@ class TestCoefficientPath:
         with pytest.raises(ValueError):
             p.values[0, 0, 0] = 2.0
 
+    def test_one_table_holds_nodes_and_midpoints(self):
+        # values is the read-only even-row view of the one half-step table, and
+        # the odd rows are the node midpoints, by the expression they always had
+        g = bs.TimeGrid(1.0, 7)
+        v = np.random.default_rng(2).normal(size=(8, 2, 3))
+        p = bs.CoefficientPath(g, v)
+        assert p.half.shape == (15, 2, 3)
+        assert np.shares_memory(p.values, p.half) and p.values.base is p.half
+        assert not p.values.flags.writeable and not p.half.flags.writeable
+        assert p.values.tobytes() == v.tobytes()
+        assert p.half[1::2].tobytes() == (0.5 * (v[:-1] + v[1:])).tobytes()
+        assert not np.shares_memory(p.half, v)  # the table is the path's own
+
     @given(t=st.floats(0.0, 1.0))
     @settings(max_examples=100, deadline=None)
     def test_interpolation_stays_within_node_bounds(self, t):

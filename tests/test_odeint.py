@@ -19,14 +19,14 @@ from conftest import solvability_scan, svd_gate, svd_guarded_inv
 class TestRK4:
     def test_forward_exponential_exact_to_rk4_order(self):
         g = bs.TimeGrid(1.0, 64)
-        sol = integrate_matrix_ode(lambda t, m: m, np.eye(1), g, OdeDirection.FORWARD)
+        sol, _ = integrate_matrix_ode(lambda t, m: m, np.eye(1), g, OdeDirection.FORWARD)
         err = abs(float(sol[-1, 0, 0]) - np.e)
         assert err < 1e-8
 
     def test_backward_matches_forward_in_reversed_time(self):
         # M' = M with M(T) = I has M(t) = e^(t - T)
         g = bs.TimeGrid(1.0, 64)
-        sol = integrate_matrix_ode(lambda t, m: m, np.eye(1), g, OdeDirection.BACKWARD)
+        sol, _ = integrate_matrix_ode(lambda t, m: m, np.eye(1), g, OdeDirection.BACKWARD)
         np.testing.assert_allclose(
             sol[:, 0, 0], np.exp(g.nodes - 1.0), rtol=0, atol=1e-8
         )
@@ -36,17 +36,31 @@ class TestRK4:
         errs = []
         for N in (8, 16, 32, 64):
             g = bs.TimeGrid(1.0, N)
-            sol = integrate_matrix_ode(
+            sol, _ = integrate_matrix_ode(
                 lambda t, m: np.eye(1) - m @ m, np.zeros((1, 1)), g, OdeDirection.FORWARD
             )
             errs.append(np.max(np.abs(sol[:, 0, 0] - np.tanh(g.nodes))))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders > 3.5)
 
+    @pytest.mark.parametrize(
+        "direction, formed",
+        [(OdeDirection.FORWARD, slice(0, -1)), (OdeDirection.BACKWARD, slice(1, None))],
+    )
+    def test_node_slopes_are_each_steps_first_stage(self, direction, formed):
+        # m' = j m reads the half-step index j, so a slope taken at another stage
+        # than k1 = field(2 i, values[i]) shows; the end node's row is not formed
+        g = bs.TimeGrid(1.0, 10)
+        sol, slopes = integrate_matrix_ode(
+            lambda j, m: j * m, np.eye(2), g, direction, postprocess=lambda m: 0.5 * (m + m.T)
+        )
+        j = 2.0 * np.arange(11)[:, None, None]
+        assert slopes[formed].tobytes() == (j * sol)[formed].tobytes()
+
     def test_postprocess_applied_each_step(self):
         g = bs.TimeGrid(1.0, 10)
         skew = np.array([[0.0, 1.0], [0.0, 0.0]])
-        sol = integrate_matrix_ode(
+        sol, _ = integrate_matrix_ode(
             lambda t, m: skew,
             np.zeros((2, 2)),
             g,

@@ -25,6 +25,9 @@ from bsde_stackelberg.stacked import paths_csv
 from conftest import (
     c_zero_game,
     dense_game,
+    field_residual,
+    matmul_pi1_field,
+    matmul_pi2_field,
     reference_chain,
     rk4_reversed_time,
     singular_stage_document,
@@ -115,7 +118,7 @@ def random_noisy_game(seed, n, k, steps=64):
 
 def paper_p_fields(spec):
     """The paper's P1 and P2 equations, written out from the game's coefficients,
-    as stacked fields for riccati_residual: field(j, P) at half-step indices j.
+    as stacked fields for field_residual: field(j, P) at half-step indices j.
 
     P1' = -(A P1 + P1 A' - P1 Q1 P1 + B1 R1^-1 B1' + C (P1 S1 + I)^-1 P1 C'),
     P2' = P2 A + A' P2 + Q1 - P2 B1 R1^-1 B1' P2 - P2 C (P1 S1 + I)^-1 P1 C' P2.
@@ -185,15 +188,14 @@ class TestFollowerRiccati:
         assert np.max(np.abs(p1.values[-1])) == 0.0
         np.testing.assert_array_equal(p2.values[0], spec.G1)
         paper_p1, paper_p2 = paper_p_fields(spec)
-        r1, _ = bs.riccati_residual(p1, paper_p1)
-        r2, _ = bs.riccati_residual(p2, paper_p2(p1))
+        r1, _ = field_residual(p1, paper_p1)
+        r2, _ = field_residual(p2, paper_p2(p1))
         assert r1 < 2e-3 and r2 < 2e-3
 
-    def test_residuals_small(self, hand_spec, hand_riccati):
+    def test_residuals_small(self, hand_riccati):
         p1, p2 = hand_riccati
-        fsys = bs.follower_system(hand_spec, bs.AffineControl.zero(hand_spec.grid, 1))
-        r1, _ = bs.riccati_residual(p1, pi1_field(fsys))
-        r2, _ = bs.riccati_residual(p2, pi2_field(fsys, p1))
+        r1, _ = riccati_residual(p1)
+        r2, _ = riccati_residual(p2)
         assert r1 < 1e-6 and r2 < 1e-6
 
     def test_singular_stage_raises_with_time_and_label(self):
@@ -303,10 +305,10 @@ class TestStackedSystem:
         zero = np.zeros((2 * n, 2 * n))
         pi1 = bs.RiccatiPath("Pi1", bs.CoefficientPath(sys.grid, bs.integrate_matrix_ode(
             pi1_field(sys), zero, sys.grid, bs.OdeDirection.BACKWARD
-        )), sys.S1h)
+        )[0]), sys.S1h)
         pi2 = bs.RiccatiPath("Pi2", bs.CoefficientPath(sys.grid, bs.integrate_matrix_ode(
             pi2_field(sys, pi1), sys.G2h, sys.grid, bs.OdeDirection.FORWARD
-        )))
+        )[0]))
         for pi in (pi1, pi2):
             v = pi.values
             assert np.abs(v - v.swapaxes(1, 2)).max() <= 1e-13 * max(1.0, np.abs(v).max()), pi.tag
@@ -337,8 +339,8 @@ class TestLeaderRiccati:
         pi2 = bs.solve_pi2(sys, pi1)
         assert np.max(np.abs(pi1.values[-1])) == 0.0  # terminal condition
         np.testing.assert_allclose(pi2.values[0], sys.G2h, atol=0)
-        r1, _ = bs.riccati_residual(pi1, pi1_field(sys))
-        r2, _ = bs.riccati_residual(pi2, pi2_field(sys, pi1))
+        r1, _ = riccati_residual(pi1)
+        r2, _ = riccati_residual(pi2)
         assert r1 < 1e-4 and r2 < 1e-4
 
     def test_closed_forms_match_rk4(self, hand_spec, hand_riccati):
@@ -431,7 +433,7 @@ class TestRK4Loop:
     def test_zero_c_fold_drops_only_zeros(self):
         # at C = 0 both Pi1 fields take the body without the inverse term; a C of
         # 1e-300 takes the bodies with it, whose products underflow to 0: every
-        # flow, and each Pi1 field on the stacked residual, is the same to the bit
+        # flow, and each Pi1 flow's residual from its node slopes, is the same to the bit
         folded, general = c_zero_game(64), c_zero_game(64, c=1e-300)
         assert not folded.C.values.any() and general.C.values.all()
         chains = [bs.riccati_chain(spec) for spec in (folded, general)]
@@ -439,12 +441,7 @@ class TestRK4Loop:
             if isinstance(got, bs.RiccatiPath):
                 assert got.values.tobytes() == want.values.tobytes(), got.tag
         assert chains[1][2].D1h.values.any()  # the general game's leader keeps the full body
-        residuals = []
-        for spec, (p1, _, lsys, pi1, _) in zip((folded, general), chains):
-            fsys = bs.follower_system(spec, bs.AffineControl.zero(spec.grid, spec.dims.k))
-            residuals.append(
-                (riccati_residual(p1, pi1_field(fsys)), riccati_residual(pi1, pi1_field(lsys)))
-            )
+        residuals = [(riccati_residual(p1), riccati_residual(pi1)) for p1, _, _, pi1, _ in chains]
         assert residuals[0] == residuals[1]
 
 
@@ -482,6 +479,22 @@ class TestReferenceFlows:
             np.eye(2),
         ),
     }
+
+    @pytest.mark.parametrize("game", list(GAMES))
+    def test_residuals_from_node_slopes_equal_reference_fields(self, game):
+        # each flow's residual, read off its own RK4 node slopes, is exactly the
+        # one the former @-based fields give on the stack of interior nodes
+        spec = self.GAMES[game]()
+        p1, p2, lsys, pi1, pi2 = bs.riccati_chain(spec)
+        fsys = follower_system(spec, bs.AffineControl.zero(spec.grid, spec.dims.k))
+        fields = (
+            (p1, matmul_pi1_field(fsys)),
+            (p2, matmul_pi2_field(fsys, p1)),
+            (pi1, matmul_pi1_field(lsys)),
+            (pi2, matmul_pi2_field(lsys, pi1)),
+        )
+        for ric, field in fields:
+            assert riccati_residual(ric) == field_residual(ric, field), ric.tag
 
     @pytest.mark.parametrize("case", list(SINGULAR))
     def test_singular_stage_named_as_by_reference(self, case):

@@ -308,6 +308,23 @@ class TestCliPipelines:
         summary = json.loads((out / "summary.json").read_text())
         assert max(summary["residual_max"].values()) < 1e-3
 
+    def test_riccati_closed_forms_take_the_clis_c_zero_test(self, tmp_path, capsys):
+        # C = 9.9e-13 passes the C = 0 test (max |C| < 1e-12); with G1 = 2,
+        # D1-hat = P2 C reaches 1.98e-12, which the closed forms once tested
+        # as well: riccati ended on a ValueError traceback
+        doc = json.loads((SCENARIOS / "hand_solvable.json").read_text())
+        doc["coefficients"]["C"] = {"constant": [9.9e-13]}
+        doc["weights"]["G1"] = [[2.0]]
+        out = tmp_path / "o"
+        rc = main([
+            "riccati", "--scenario", str(write_scenario(tmp_path, doc)), "--out", str(out),
+            "--steps", "32",
+        ])
+        assert rc == 0 and capsys.readouterr().err == ""
+        solv = json.loads((out / "solvability.json").read_text())
+        assert solv["closed_form_applicable"] is True
+        assert solv["pi1"]["satisfied"] and solv["pi2"]["satisfied"]
+
     def test_follower_summary(self, tmp_path, hand_doc):
         scn = write_scenario(tmp_path, hand_doc)
         out = tmp_path / "out"
