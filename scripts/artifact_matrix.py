@@ -3,9 +3,12 @@
 
 Usage: python scripts/artifact_matrix.py OUT
 
-The games are the three shipped scenarios and one game from each generator
-in bench/workloads.py (read, not changed).  Every command of the CLI runs
-on every game in process, through cli.main, at fixed small sizes: STEPS
+The games are the three shipped scenarios, one game from each generator
+in bench/workloads.py (read, not changed), and verify-rank-one:
+verify-oracle's game with the rank-one state weight RANK_ONE_Q1, on which
+the follower's QP oracle fails its cheap certificate and decides
+convexity by KKT inertia.  Every command of the CLI runs on every game
+in process, through cli.main, at fixed small sizes: STEPS
 steps, PATHS paths, seed SEED.  A run writes its artifacts to
 OUT/<game>/<command>/, and exit.json beside them records its exit code and
 its stderr.  A command that does not apply to a game is recorded the same
@@ -32,6 +35,9 @@ from bsde_stackelberg import cli
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ("hand_solvable", "stochastic", "finance")
 STEPS, PATHS, SEED = 40, 60, 7  # PATHS > cli.CSV_PATH_CAP: the per-path CSVs are capped
+# PSD, so strict validation accepts it, but eigvalsh reads its scaled copies
+# slightly negative
+RANK_ONE_Q1 = [0.3, 0.1, 0.1, 1 / 30]
 
 
 def _workloads():
@@ -54,6 +60,11 @@ def games(out: Path) -> dict[str, Path]:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(workloads.scenario_text(dataclasses.replace(w, steps=STEPS), SEED, 0))
             found[w.name] = path
+    doc = json.loads(found["verify-oracle"].read_text())
+    doc["coefficients"]["Q1"] = {"constant": RANK_ONE_Q1}
+    found["verify-rank-one"] = out / "verify-rank-one" / "scenario.json"
+    found["verify-rank-one"].parent.mkdir(parents=True, exist_ok=True)
+    found["verify-rank-one"].write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return found
 
 

@@ -8,7 +8,9 @@ each by one banded solve of its KKT system, in which the discrete states
 stay unknowns and the one-step dynamics stay equality constraints;
 nothing from the feedback pipeline is trusted.  The leader's bilevel
 problem is one QP: the follower's KKT rows, which characterize its
-response, are linear constraints of the leader's problem.
+response, are linear constraints of the leader's problem.  Convexity is
+decided on the same KKT matrices, by their inertia, when a cheap
+certificate on the weights does not settle it.
 """
 
 from __future__ import annotations
@@ -24,11 +26,14 @@ PSD_TOL = 1e-9
 
 
 class NonConvexError(RuntimeError):
-    """The discrete quadratic cost is not convex (assumption violation)."""
+    """The discrete quadratic cost is not strictly convex (assumption violation):
+    its KKT matrix has the (positive, negative, zero) eigenvalue counts
+    `inertia`, where a strictly convex QP's has `required`."""
 
-    def __init__(self, min_eig: float):
-        self.min_eig = min_eig
-        super().__init__(f"discrete cost Hessian not PSD (min eigenvalue {min_eig:.3e})")
+    def __init__(self, inertia: tuple[int, int, int], required: tuple[int, int, int]):
+        self.inertia, self.required = inertia, required
+        found, want = ("(+{}, -{}, {})".format(*counts) for counts in (inertia, required))
+        super().__init__(f"discrete cost Hessian not PSD (KKT inertia {found}, required {want})")
 
 
 @dataclass(frozen=True)
@@ -49,27 +54,16 @@ class DiscreteLQProblem:
     R2_bar: np.ndarray  # (N, k, k)
 
     @cached_property
-    def state_maps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Affine map (u1, u2) -> node states: y_i = c_i + S_i u1 + T_i u2.
-
-        Controls are flattened step-major; returns c (N+1, n),
-        S and T (N+1, n, N*k).  Built once per problem, for both oracles.
-        """
+    def follower_kkt(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The follower's node weights W1 and its KKT matrix as (rows, cols, values)
+        over the unknowns (y_i, u1_i, lambda_i), step by step; neither depends on
+        u2.  Built, and the follower's QP checked strictly convex, once per
+        problem, for both oracles."""
         n, k = self.spec.dims.n, self.spec.dims.k
-        N = self.spec.grid.steps
-        c = np.zeros((N + 1, n))
-        S = np.zeros((N + 1, n, N * k))
-        T = np.zeros((N + 1, n, N * k))
-        c[N] = self.spec.xi.a
-        for i in range(N - 1, -1, -1):
-            c[i] = self.E[i] @ c[i + 1]
-            S[i] = self.E[i] @ S[i + 1]
-            T[i] = self.E[i] @ T[i + 1]
-            S[i, :, i * k : (i + 1) * k] += self.F1[i]
-            T[i, :, i * k : (i + 1) * k] += self.F2[i]
-        for shared in (c, S, T):
-            shared.setflags(write=False)
-        return c, S, T
+        W1 = _quadratic_pieces(self, self.spec.Q1(self.spec.grid.nodes), self.spec.G1)
+        K = _assemble(2 * n + k, _follower_rows(self, W1, 0, n, n + k, n + k, 0, n), [])
+        _require_convex(W1, self.R1_bar, 2 * n + k, K, n)
+        return W1, K
 
 
 def build_discrete_problem(spec: LQGameSpec) -> DiscreteLQProblem:
@@ -110,27 +104,10 @@ def _quadratic_pieces(prob: DiscreteLQProblem, Qs: np.ndarray, G: np.ndarray):
     return W
 
 
-def _convex(H: np.ndarray) -> np.ndarray:
-    """The symmetrized Hessian; NonConvexError unless it is positive semidefinite.
-
-    A Cholesky factorization certifies it (it succeeds only when the minimum
-    eigenvalue is above -O(n eps |H|), far inside PSD_TOL); only when it fails
-    is the minimum eigenvalue computed and held to the tolerance.
-    """
-    H = 0.5 * (H + H.T)
-    try:
-        np.linalg.cholesky(H)
-    except np.linalg.LinAlgError:
-        min_eig = float(np.linalg.eigvalsh(H).min())
-        if min_eig < -PSD_TOL * max(1.0, float(np.abs(H).max())):
-            raise NonConvexError(min_eig) from None
-    return H
-
-
 def _certified(W: np.ndarray, R_bar: np.ndarray) -> bool:
     """True when every node weight W_i is PSD and every step weight R_bar_i is PD:
     then a reduced Hessian S'WS + R_bar is at least R_bar, so it is convex and
-    none needs to be formed."""
+    no inertia needs to be counted."""
     if np.linalg.eigvalsh(W).min() < 0.0:
         return False
     try:
@@ -138,6 +115,45 @@ def _certified(W: np.ndarray, R_bar: np.ndarray) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _inertia(m: int, K) -> tuple[int, int, int]:
+    """(#positive, #negative, #zero) eigenvalues of the symmetric block-tridiagonal
+    matrix K = (rows, cols, values) with m unknowns per step.
+
+    Its step blocks give the Schur pivots S_0 = D_0, S_i = D_i - L_i S_{i-1}^-1 L_i',
+    with D_i the diagonal block of step i and L_i the block at step row i and
+    column i - 1, whose inertias sum to K's (Haynsworth); one batched eigvalsh
+    counts them.  A pivot eigenvalue within PSD_TOL max(1, max|K|) of zero counts
+    as zero, and a singular pivot ends the count, so it falls short of K's size.
+    """
+    rows, cols, vals = K
+    step, lower = rows // m, rows // m - cols // m
+    N, keep = int(step.max()) + 1, lower >= 0  # the blocks above are the L_i'
+    flat = ((lower * N + step) * m + rows % m) * m + cols % m
+    D, L = np.bincount(flat[keep], vals[keep], 2 * N * m * m).reshape(2, N, m, m)
+    S = D.copy()
+    for i in range(1, N):
+        try:
+            S[i] -= L[i] @ np.linalg.solve(S[i - 1], L[i].T)
+        except np.linalg.LinAlgError:
+            S = S[:i]
+            break
+    eig = np.linalg.eigvalsh(S)
+    tol = PSD_TOL * max(1.0, float(np.abs(D).max()), float(np.abs(L).max()))
+    return int((eig > tol).sum()), int((eig < -tol).sum()), int((np.abs(eig) <= tol).sum())
+
+
+def _require_convex(W: np.ndarray, R_bar: np.ndarray, m: int, K, constraints: int) -> None:
+    """NonConvexError unless the QP with node weights W, step weights R_bar and KKT
+    matrix K (m unknowns per step, `constraints` of them multipliers) is strictly
+    convex on its constraints' null space: _certified, or else K has the inertia
+    (#primal, #constraints, 0) (Gould, Math. Programming 32, 1985; Nocedal &
+    Wright, Numerical Optimization, 2006, Thm 16.3)."""
+    N = len(R_bar)
+    required = (N * (m - constraints), N * constraints, 0)
+    if not _certified(W, R_bar) and (found := _inertia(m, K)) != required:
+        raise NonConvexError(found, required)
 
 
 @dataclass(frozen=True)
@@ -148,20 +164,6 @@ class OracleResult:
     cost: float
     gradient_norm: float  # |K x - b| of the KKT system
     inner_control: np.ndarray | None = None  # leader oracle: induced follower control
-
-
-def _gram(S, W, T):
-    """sum_i S_i' W_i T_i over the nodes: one GEMM over the flattened (N+1) n state rows."""
-    return S.reshape(-1, S.shape[-1]).T @ (W @ T).reshape(-1, T.shape[-1])
-
-
-def _hessian(S, W, R_bar):
-    """Hessian S'WS + block_diag(R_bar) of a cost over the controls whose node
-    states are c + S u; R_bar adds to its N diagonal k x k blocks."""
-    N, k = R_bar.shape[:2]
-    H = _gram(S, W, S)
-    H.reshape(N, k, N, k)[np.arange(N), :, np.arange(N), :] += R_bar
-    return H
 
 
 def _place(m, r, c, B, rs, cs):
@@ -181,15 +183,18 @@ def _band(rows, cols, vals, size):
     return np.bincount(flat, vals, (2 * h + 1) * size).reshape(2 * h + 1, size), h
 
 
-def _solve_kkt(m, terms, pairs, rhs):
-    """Solve the block-banded system K x = rhs with m unknowns per step.
-
-    Each (r, c, B, rs, cs) in terms places its blocks as _place does; each in
-    pairs also places the transposed blocks at the mirrored position.  Returns
-    x and the residual norm |K x - rhs|.
-    """
+def _assemble(m, terms, pairs):
+    """A block-banded matrix with m unknowns per step as (rows, cols, values), repeats
+    summed: each (r, c, B, rs, cs) in terms places its blocks as _place does, and
+    each in pairs also its transposed blocks at the mirrored position."""
     pairs = pairs + [(c, r, np.swapaxes(B, 1, 2), cs, rs) for r, c, B, rs, cs in pairs]
-    rows, cols, vals = (np.concatenate(part) for part in zip(*(_place(m, *t) for t in terms + pairs)))
+    return tuple(np.concatenate(part) for part in zip(*(_place(m, *t) for t in terms + pairs)))
+
+
+def _solve_kkt(K, rhs):
+    """Solve the banded system K x = rhs, K as (rows, cols, values); returns x and
+    the residual norm |K x - rhs|."""
+    rows, cols, vals = K
     ab, h = _band(rows, cols, vals, rhs.size)
     import scipy.linalg  # loaded on first use: only verify reaches it
 
@@ -229,17 +234,15 @@ def deterministic_follower_oracle(prob: DiscreteLQProblem, u2: np.ndarray) -> Or
     block-tridiagonal and one banded solve gives them all.
     """
     spec = prob.spec
-    grid, n, k = spec.grid, spec.dims.n, spec.dims.k
-    N, a = grid.steps, spec.xi.a
-    W1 = _quadratic_pieces(prob, spec.Q1(grid.nodes), spec.G1)
-    if not _certified(W1, prob.R1_bar):
-        _convex(_hessian(prob.state_maps[1], W1, prob.R1_bar))
-    y, u1, lam, m = 0, n, n + k, 2 * n + k
+    n, k = spec.dims.n, spec.dims.k
+    N, a = spec.grid.steps, spec.xi.a
+    W1, K = prob.follower_kkt
+    u1, lam, m = n, n + k, 2 * n + k
     u2 = np.asarray(u2, dtype=float).reshape(N, k)
     rhs = np.zeros((N, m))
     rhs[:, lam:] = (prob.F2 @ u2[..., None])[..., 0]
     rhs[-1, lam:] += prob.E[-1] @ a
-    x, residual = _solve_kkt(m, _follower_rows(prob, W1, y, u1, lam, lam, y, u1), [], rhs.ravel())
+    x, residual = _solve_kkt(K, rhs.ravel())
     x = x.reshape(N, m)
     control = x[:, u1:lam]
     return OracleResult(control, _cost(W1, x[:, :n], a, prob.R1_bar, control), residual)
@@ -251,21 +254,15 @@ def deterministic_leader_oracle(prob: DiscreteLQProblem) -> OracleResult:
     The follower's QP is strictly convex, so its KKT rows (dynamics and
     stationarity in y and u1) characterize its response; as linear
     constraints of the leader's QP over (y, u1, u2, lambda), with multipliers
-    (mu, nu, rho), they make the bilevel problem one banded KKT solve.
+    (mu, nu, rho), they make the bilevel problem one banded KKT solve.  Its
+    convexity check accepts any stationary point of the follower, so the
+    follower's own check (follower_kkt) runs first.
     """
     spec = prob.spec
     grid, n, k = spec.grid, spec.dims.n, spec.dims.k
     N, a = grid.steps, spec.xi.a
-    W1 = _quadratic_pieces(prob, spec.Q1(grid.nodes), spec.G1)
+    W1 = prob.follower_kkt[0]
     W2 = _quadratic_pieces(prob, spec.Q2(grid.nodes), spec.G2)
-    if not _certified(W1, prob.R1_bar):
-        _convex(_hessian(prob.state_maps[1], W1, prob.R1_bar))
-    if not _certified(W2, prob.R2_bar):
-        # the reduced map T + S u1_lin of u2, with u1_lin = -H1^-1 sum_i S_i' W1_i T_i
-        _, S, T = prob.state_maps
-        u1_lin = np.linalg.solve(_hessian(S, W1, prob.R1_bar), -_gram(S, W1, T))
-        T_red = T + (S.reshape(-1, S.shape[-1]) @ u1_lin).reshape(T.shape)
-        _convex(_hessian(T_red, W2, prob.R2_bar))
     # step offsets of (y, u1, u2, lambda, mu, nu, rho)
     y, u1, u2, lam, mu, nu, rho = np.cumsum([0, n, k, k, n, n, n])
     m = 4 * n + 3 * k
@@ -273,7 +270,9 @@ def deterministic_leader_oracle(prob: DiscreteLQProblem) -> OracleResult:
     rhs[-1, mu : mu + n] = prob.E[-1] @ a
     pairs = _follower_rows(prob, W1, y, u1, lam, mu, nu, rho) + [(mu, u2, -prob.F2, 0, 0)]
     terms = [(y, y, W2[:-1], 0, 0), (u2, u2, prob.R2_bar, 0, 0)]
-    x, residual = _solve_kkt(m, terms, pairs, rhs.ravel())
+    K = _assemble(m, terms, pairs)
+    _require_convex(W2, prob.R2_bar, m, K, 2 * n + k)
+    x, residual = _solve_kkt(K, rhs.ravel())
     x = x.reshape(N, m)
     control = x[:, u2:lam]
     cost = _cost(W2, x[:, :n], a, prob.R2_bar, control)

@@ -18,7 +18,7 @@ from bsde_stackelberg.odeint import (
     OdeDirection,
     SingularityError,
 )
-from bsde_stackelberg.oracle import OracleResult, _convex, _gram, _hessian, _quadratic_pieces
+from bsde_stackelberg.oracle import PSD_TOL, OracleResult, _quadratic_pieces
 from bsde_stackelberg.riccati import PI1_S1
 
 
@@ -322,25 +322,31 @@ def dense_game(steps=40):
     )
 
 
-def c_zero_game(steps=64, c=0.0):
+# a rank-one PSD state weight that strict validation accepts, but whose scaled
+# copies eigvalsh reads slightly negative, so the QP oracles' cheap certificate
+# fails and their KKT inertia decides convexity
+RANK_ONE_Q1 = [[0.3, 0.1], [0.1, 1 / 30]]
+
+
+def c_zero_game(steps=64, c=0.0, **weights):
     """n = k = 2 game with every C entry equal to c (0 by default, the QP oracle's
-    regime), S1 != 0, non-symmetric A and a deterministic terminal datum."""
-    return bs.make_constant_spec(
-        1.0, steps,
-        A=[[0.2, 0.7], [-0.5, -0.1]],
-        B1=[[1.0, 0.2], [0.3, 0.8]],
-        B2=[[0.4, 0.0], [0.1, 0.9]],
-        C=np.full((2, 2), c),
-        Q1=[[0.5, 0.1], [0.1, 0.3]],
-        R1=[[1.0, 0.2], [0.2, 0.8]],
-        S1=[[0.2, 0.05], [0.05, 0.1]],
-        G1=[[0.5, 0.1], [0.1, 0.4]],
-        Q2=[[0.3, 0.1], [0.1, 0.4]],
-        R2=[[1.2, -0.1], [-0.1, 0.9]],
-        S2=0.1 * np.eye(2),
-        G2=[[1.0, 0.2], [0.2, 0.7]],
-        a=[0.5, -0.3], b=[0.0, 0.0],
-    )
+    regime), S1 != 0, non-symmetric A and a deterministic terminal datum; weights
+    replace its coefficients by name."""
+    return bs.make_constant_spec(1.0, steps, **{
+        "A": [[0.2, 0.7], [-0.5, -0.1]],
+        "B1": [[1.0, 0.2], [0.3, 0.8]],
+        "B2": [[0.4, 0.0], [0.1, 0.9]],
+        "C": np.full((2, 2), c),
+        "Q1": [[0.5, 0.1], [0.1, 0.3]],
+        "R1": [[1.0, 0.2], [0.2, 0.8]],
+        "S1": [[0.2, 0.05], [0.05, 0.1]],
+        "G1": [[0.5, 0.1], [0.1, 0.4]],
+        "Q2": [[0.3, 0.1], [0.1, 0.4]],
+        "R2": [[1.2, -0.1], [-0.1, 0.9]],
+        "S2": 0.1 * np.eye(2),
+        "G2": [[1.0, 0.2], [0.2, 0.7]],
+        "a": [0.5, -0.3], "b": [0.0, 0.0],
+    } | weights)
 
 
 def _tr(M):
@@ -488,6 +494,80 @@ def leader_pathwise_defects(sol, ens):
     return {key: float(np.max(np.abs(gap))) for key, gap in gaps.items()}
 
 
+def state_maps(prob):
+    """The former DiscreteLQProblem.state_maps, the dense oracles' affine map
+    (u1, u2) -> node states y_i = c_i + S_i u1 + T_i u2 of step-major controls:
+    c (N+1, n), S and T (N+1, n, N*k)."""
+    n, k = prob.spec.dims.n, prob.spec.dims.k
+    N = prob.spec.grid.steps
+    c = np.zeros((N + 1, n))
+    S = np.zeros((N + 1, n, N * k))
+    T = np.zeros((N + 1, n, N * k))
+    c[N] = prob.spec.xi.a
+    for i in range(N - 1, -1, -1):
+        c[i] = prob.E[i] @ c[i + 1]
+        S[i] = prob.E[i] @ S[i + 1]
+        T[i] = prob.E[i] @ T[i + 1]
+        S[i, :, i * k : (i + 1) * k] += prob.F1[i]
+        T[i, :, i * k : (i + 1) * k] += prob.F2[i]
+    return c, S, T
+
+
+def gram(S, W, T):
+    """sum_i S_i' W_i T_i over the nodes: one GEMM over the flattened (N+1) n state rows."""
+    return S.reshape(-1, S.shape[-1]).T @ (W @ T).reshape(-1, T.shape[-1])
+
+
+def hessian(S, W, R_bar):
+    """Hessian S'WS + block_diag(R_bar) of a cost over the controls whose node
+    states are c + S u; R_bar adds to its N diagonal k x k blocks."""
+    N, k = R_bar.shape[:2]
+    H = gram(S, W, S)
+    H.reshape(N, k, N, k)[np.arange(N), :, np.arange(N), :] += R_bar
+    return H
+
+
+class DenseNonConvexError(ValueError):
+    """The dense gate's rejection: the condensed Hessian is not PSD."""
+
+    def __init__(self, min_eig):
+        self.min_eig = min_eig
+        super().__init__(f"discrete cost Hessian not PSD (min eigenvalue {min_eig:.3e})")
+
+
+def convex(H):
+    """The oracles' former dense gate: the symmetrized Hessian, or DenseNonConvexError
+    unless it is positive semidefinite.  A Cholesky factorization certifies it;
+    only when it fails is the minimum eigenvalue computed and held to
+    -PSD_TOL max(1, max|H|)."""
+    H = 0.5 * (H + H.T)
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        min_eig = float(np.linalg.eigvalsh(H).min())
+        if min_eig < -PSD_TOL * max(1.0, float(np.abs(H).max())):
+            raise DenseNonConvexError(min_eig) from None
+    return H
+
+
+def dense_hessians(prob):
+    """The follower's condensed Hessian H1 in u1, and the leader's H2 in u2 through
+    the follower's response (the oracles' former dense convexity route): u2 moves
+    the states along the reduced map T + S u1_lin, u1_lin = -H1^-1 sum_i S_i' W1_i T_i.
+    H2 is None when H1 is singular."""
+    spec, nodes = prob.spec, prob.spec.grid.nodes
+    _, S, T = state_maps(prob)
+    W1 = _quadratic_pieces(prob, spec.Q1(nodes), spec.G1)
+    W2 = _quadratic_pieces(prob, spec.Q2(nodes), spec.G2)
+    H1 = hessian(S, W1, prob.R1_bar)
+    try:
+        u1_lin = np.linalg.solve(H1, -gram(S, W1, T))
+    except np.linalg.LinAlgError:
+        return H1, None
+    T_red = T + (S.reshape(-1, S.shape[-1]) @ u1_lin).reshape(T.shape)
+    return H1, hessian(T_red, W2, prob.R2_bar)
+
+
 def cost_terms_reference(S, W, c, R_bar):
     """The QP oracle's former Hessian and gradient by einsum over the nodes:
     H = sum_i S_i' W_i S_i + block_diag(R_bar) and g = sum_i S_i' W_i c_i."""
@@ -514,14 +594,14 @@ def affine_map(c0, S, u):
 def cost_terms(W, c, S, R_bar):
     """H, g, const of 0.5 u'Hu + g'u + const for one player's cost over the
     controls whose node states are c + S u, with state weights W."""
-    g = _gram(S, W, c[..., None])[:, 0]
+    g = gram(S, W, c[..., None])[:, 0]
     const = 0.5 * float(np.einsum("in,inp,ip->", c, W, c, optimize=True))
-    return _hessian(S, W, R_bar), g, const
+    return hessian(S, W, R_bar), g, const
 
 
 def solve_qp(H, g):
     """Minimizer of 0.5 u'Hu + g'u after the convexity gate, and |Hu + g|."""
-    H = _convex(H)
+    H = convex(H)
     u = np.linalg.solve(H, -g)
     return u, float(np.linalg.norm(H @ u + g))
 
@@ -531,7 +611,7 @@ def dense_follower_oracle(prob, u2):
     the states eliminated through the state maps, one dense solve in u1."""
     spec = prob.spec
     grid = spec.grid
-    c0, S, T = prob.state_maps
+    c0, S, T = state_maps(prob)
     u2 = np.asarray(u2, dtype=float).reshape(grid.steps * spec.dims.k)
     W1 = _quadratic_pieces(prob, spec.Q1(grid.nodes), spec.G1)
     H, g, const = cost_terms(W1, affine_map(c0, T, u2), S, prob.R1_bar)
@@ -546,11 +626,11 @@ def dense_leader_oracle(prob):
     spec = prob.spec
     grid = spec.grid
     N, k = grid.steps, spec.dims.k
-    c0, S, T = prob.state_maps
+    c0, S, T = state_maps(prob)
     W1 = _quadratic_pieces(prob, spec.Q1(grid.nodes), spec.G1)
     H1, g1_const, _ = cost_terms(W1, c0, S, prob.R1_bar)
-    H1 = _convex(H1)
-    u1_affine = np.linalg.solve(H1, -np.column_stack([g1_const, _gram(S, W1, T)]))
+    H1 = convex(H1)
+    u1_affine = np.linalg.solve(H1, -np.column_stack([g1_const, gram(S, W1, T)]))
     u1_const, u1_lin = u1_affine[:, 0], u1_affine[:, 1:]
     W2 = _quadratic_pieces(prob, spec.Q2(grid.nodes), spec.G2)
     H2, g2, const2 = cost_terms(

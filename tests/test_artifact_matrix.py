@@ -24,6 +24,6 @@ def test_two_runs_give_byte_identical_trees(tmp_path):
     # every command on every game; each command applies to some game, and a
     # command that does not apply says so in one stderr line
     games = {game for game, _ in records}
-    assert len(games) == 5 and len(records) == len(games) * len(COMMANDS)
+    assert len(games) == 6 and len(records) == len(games) * len(COMMANDS)
     assert {command for (_, command), r in records.items() if r["exit"] == 0} == set(COMMANDS)
     assert all(r["stderr"].count("\n") == (r["exit"] != 0) for r in records.values())

@@ -14,10 +14,13 @@ share their Brownian paths, and neither needs an oracle:
 The costs and slopes are the forms a path chunk reads off the augmented
 state, so both relations check the form route as well.  The change of
 coordinates also runs on a C = 0 game, where the Pi1 flows take their
-body without the inverse term, and through the CLI: verify and
-equilibrium on a C = 0 game, whose oracle and pipeline costs and J means
-it leaves as they are, and equilibrium on a C != 0 game, whose J means it
-leaves as they are.
+body without the inverse term, and on the QP oracles' convexity decision:
+it maps each KKT matrix to a congruent one of the same inertia, so an
+uncertified rank-one game is accepted and a non-convex one rejected in
+both coordinates.  Through the CLI it runs verify and equilibrium on a
+C = 0 game, whose oracle and pipeline costs and J means it leaves as
+they are, and equilibrium on a C != 0 game, whose J means it leaves as
+they are.
 
 An orthogonal T would not do: a transposition error is covariant under
 U, since (U A U^T)^T = U A^T U^T.
@@ -34,9 +37,22 @@ import bsde_stackelberg as bs
 from bsde_stackelberg.cli import main
 from bsde_stackelberg.follower import follower_chunk
 from bsde_stackelberg.leader import equilibrium_chunk, response_kernel
+from bsde_stackelberg.oracle import (
+    NonConvexError,
+    build_discrete_problem,
+    deterministic_follower_oracle,
+    deterministic_leader_oracle,
+)
 from bsde_stackelberg.scenario import make_constant_spec
 from bsde_stackelberg.stacked import structural_defects
-from conftest import c_zero_game, dense_game, equilibrium_arrays, path_arrays, scenario_document
+from conftest import (
+    RANK_ONE_Q1,
+    c_zero_game,
+    dense_game,
+    equilibrium_arrays,
+    path_arrays,
+    scenario_document,
+)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -147,6 +163,58 @@ def test_change_of_coordinates_at_c_zero(bundle):
     spec = constant_spec(constants(dense_game(STEPS)) | {"C": np.zeros((3, 3))})
     assert not spec.xi.deterministic
     assert_coordinate_invariance(spec, bundle)
+
+
+def oracle_outcomes(spec):
+    """Each QP oracle's cost, or the inertia and required inertia it rejects with."""
+    prob = build_discrete_problem(spec)
+    u2 = np.full((STEPS, spec.dims.k), 0.2)
+    outcomes = []
+    for oracle in (lambda: deterministic_follower_oracle(prob, u2), lambda: deterministic_leader_oracle(prob)):
+        try:
+            outcomes.append(oracle().cost)
+        except NonConvexError as e:
+            outcomes.append((e.inertia, e.required))
+    return outcomes
+
+
+def kkt_inertias(spec, monkeypatch):
+    """The inertia of every KKT matrix the oracles check, the certificate bypassed."""
+    found, inertia = [], bs.oracle._inertia
+
+    def recorded(m, K):
+        found.append(inertia(m, K))
+        return found[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(bs.oracle, "_certified", lambda W, R_bar: False)
+        patch.setattr(bs.oracle, "_inertia", recorded)
+        oracle_outcomes(spec)
+    return found
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [{"Q1": RANK_ONE_Q1}, {"Q1": -3.0 * np.eye(2), "G1": -3.0 * np.eye(2)}],
+    ids=["rank_one", "nonconvex"],
+)
+def test_change_of_coordinates_keeps_the_oracles_decisions(weights, monkeypatch):
+    # the image's KKT matrices are congruent to the game's, so they have the same
+    # inertia: the uncertified rank-one game is accepted at the same costs, the
+    # non-convex one is rejected with the same inertia
+    spec = c_zero_game(STEPS, **weights)
+    moved = changed_coordinates(spec, coordinate_change(2))
+    base, image = oracle_outcomes(spec), oracle_outcomes(moved)
+    accepted = [isinstance(outcome, float) for outcome in base]
+    assert accepted == [isinstance(outcome, float) for outcome in image]
+    assert accepted == ([True, True] if "G1" not in weights else [False, False])
+    for want, got in zip(base, image):
+        if isinstance(want, float):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        else:
+            assert got == want
+    inertias = kkt_inertias(spec, monkeypatch)
+    assert len(inertias) == 2 and kkt_inertias(moved, monkeypatch) == inertias
 
 
 def cli_figures(spec, commands, tmp_path):

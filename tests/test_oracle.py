@@ -1,16 +1,21 @@
 """Brute-force QP oracles: exact discrete optima for deterministic games."""
 
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bsde_stackelberg as bs
 from bsde_stackelberg.cli import main
 from bsde_stackelberg.oracle import (
+    PSD_TOL,
     NonConvexError,
-    _convex,
-    _gram,
+    _assemble,
+    _inertia,
     _quadratic_pieces,
     build_discrete_problem,
     control_rms_gap,
@@ -21,12 +26,16 @@ from bsde_stackelberg.oracle import (
 from bsde_stackelberg.scenario import hand_solvable_scenario, make_constant_spec
 from bsde_stackelberg.stacked import structural_defects
 from conftest import (
+    RANK_ONE_Q1,
+    DenseNonConvexError,
     affine_map,
     c_zero_game,
+    convex,
     cost_terms,
     cost_terms_reference,
     cross_term_reference,
     dense_follower_oracle,
+    dense_hessians,
     dense_leader_oracle,
     equilibrium_arrays,
     follower_cost_samples,
@@ -34,8 +43,10 @@ from conftest import (
     leader_cost_samples,
     leader_pathwise_defects,
     path_arrays,
+    gram,
     reduced_map_reference,
     scenario_document,
+    state_maps,
 )
 
 
@@ -117,7 +128,8 @@ class TestFollowerOracle:
         prob = build_discrete_problem(spec)
         with pytest.raises(NonConvexError) as e:
             deterministic_follower_oracle(prob, np.zeros((16, 1)))
-        assert e.value.min_eig < 0.0
+        # more negative eigenvalues than constraints: a direction of negative curvature
+        assert e.value.inertia[1] > e.value.required[1] == 16
 
     def test_normal_equation_residual_relative(self, hand_prob):
         spec, prob = hand_prob
@@ -179,7 +191,7 @@ class TestGemmForms:
         else:
             spec = random_multidim_game(np.random.default_rng(22), 2, 2, steps=64)
         prob = build_discrete_problem(spec)
-        c0, S, T = prob.state_maps
+        c0, S, T = state_maps(prob)
         nodes = spec.grid.nodes
         W1 = _quadratic_pieces(prob, spec.Q1(nodes), spec.G1)
         W2 = _quadratic_pieces(prob, spec.Q2(nodes), spec.G2)
@@ -188,7 +200,7 @@ class TestGemmForms:
         assert_rel_close(H1, H1_ref, 1e-13)
         assert_rel_close(g1, g1_ref, 1e-13)
         g1_lin_ref = cross_term_reference(S, W1, T)
-        assert_rel_close(_gram(S, W1, T), g1_lin_ref, 1e-13)
+        assert_rel_close(gram(S, W1, T), g1_lin_ref, 1e-13)
         u1_lin = np.linalg.solve(H1_ref, -g1_lin_ref)
         T_red_ref = reduced_map_reference(T, S, u1_lin)
         assert_rel_close(affine_map(T, S, u1_lin), T_red_ref, 1e-13)
@@ -199,10 +211,12 @@ class TestGemmForms:
 class TestBandedOracles:
     """The banded KKT solves against the condensed dense oracles (tests/conftest.py)."""
 
-    @pytest.mark.parametrize("game", ["c_zero", "n4k3"])
+    @pytest.mark.parametrize("game", ["c_zero", "n4k3", "rank_one"])
     def test_agree_with_dense_reference(self, game):
         if game == "c_zero":
             spec = c_zero_game(steps=128)
+        elif game == "rank_one":  # uncertified: the KKT inertia decides
+            spec = c_zero_game(steps=256, Q1=RANK_ONE_Q1)
         else:
             spec = random_multidim_game(np.random.default_rng(43), 4, 3, steps=96)
         prob = build_discrete_problem(spec)
@@ -217,15 +231,15 @@ class TestBandedOracles:
         leader, dense_leader = pairs[1]
         assert_rel_close(leader.inner_control, dense_leader.inner_control, 1e-12)
 
-    def test_certified_inputs_form_no_hessian(self):
+    def test_certified_inputs_form_no_hessian(self, inertia_calls):
         prob = build_discrete_problem(c_zero_game(steps=64))
         deterministic_follower_oracle(prob, np.zeros((64, 2)))
         deterministic_leader_oracle(prob)
-        assert "state_maps" not in prob.__dict__  # the cached dense maps were never built
+        assert inertia_calls == []  # the certificate decided: no Schur recursion ran
 
-    def test_uncertified_convex_input_is_solved(self):
+    def test_uncertified_convex_input_is_solved(self, inertia_calls):
         # G1 < 0 fails the cheap certificate, but R1 keeps both Hessians positive
-        # definite: the dense gate passes and the banded solve runs
+        # definite: both KKT matrices have the required inertia and the banded solve runs
         spec = make_constant_spec(
             1.0, 32,
             A=0.1, B1=1.0, B2=1.0, C=0.0,
@@ -236,7 +250,10 @@ class TestBandedOracles:
         prob = build_discrete_problem(spec)
         u2 = np.full((32, 1), 0.2)
         follower, leader = deterministic_follower_oracle(prob, u2), deterministic_leader_oracle(prob)
-        assert "state_maps" in prob.__dict__
+        deterministic_follower_oracle(prob, -u2)
+        # the follower's check runs once per problem, for both oracles (m = 3),
+        # and the leader's once (m = 7)
+        assert inertia_calls == [3, 7]
         assert follower.cost == pytest.approx(dense_follower_oracle(prob, u2).cost, rel=1e-12)
         assert leader.cost == pytest.approx(dense_leader_oracle(prob).cost, rel=1e-12)
 
@@ -259,6 +276,19 @@ def test_verify_gap_is_second_order(tmp_path):
 
 
 @pytest.fixture
+def inertia_calls(monkeypatch):
+    """The unknowns per step of each KKT matrix whose inertia is counted while a test runs."""
+    calls, original = [], bs.oracle._inertia
+
+    def counted(m, K):
+        calls.append(m)
+        return original(m, K)
+
+    monkeypatch.setattr(bs.oracle, "_inertia", counted)
+    return calls
+
+
+@pytest.fixture
 def eigvalsh_calls(monkeypatch):
     """Count the calls of np.linalg.eigvalsh while a test runs."""
     calls, original = [], np.linalg.eigvalsh
@@ -272,25 +302,173 @@ def eigvalsh_calls(monkeypatch):
 
 
 class TestConvexityCertificate:
-    """_convex certifies by Cholesky and falls back to the eigenvalue rule."""
+    """The dense reference gate (tests/conftest.py::convex) certifies by Cholesky
+    and falls back to the eigenvalue rule."""
 
     def test_positive_definite_needs_no_eigenvalues(self, eigvalsh_calls):
         rng = np.random.default_rng(5)
         L = rng.uniform(-1.0, 1.0, (40, 40))
         H = L @ L.T + 0.1 * np.eye(40)
         H[0, 1] += 1e-14  # symmetrized on the way in
-        np.testing.assert_array_equal(_convex(H), 0.5 * (H + H.T))
+        np.testing.assert_array_equal(convex(H), 0.5 * (H + H.T))
         assert eigvalsh_calls == []
 
     def test_semidefinite_within_tolerance_passes_the_fallback(self, eigvalsh_calls):
         H = np.diag([1.0, -1e-12])
-        np.testing.assert_array_equal(_convex(H), H)
+        np.testing.assert_array_equal(convex(H), H)
         assert eigvalsh_calls == [(2, 2)]
 
     def test_negative_beyond_tolerance_raises(self, eigvalsh_calls):
-        with pytest.raises(NonConvexError) as e:
-            _convex(np.diag([1.0, -1e-8]))
+        with pytest.raises(DenseNonConvexError) as e:
+            convex(np.diag([1.0, -1e-8]))
         assert e.value.min_eig == -1e-8 and eigvalsh_calls == [(2, 2)]
+
+
+def dense_inertia(K, size):
+    """Inertia of K = (rows, cols, values) from the eigenvalues of its dense form."""
+    rows, cols, vals = K
+    dense = np.zeros((size, size))
+    np.add.at(dense, (rows, cols), vals)
+    eig = np.linalg.eigvalsh(dense)
+    tol = PSD_TOL * max(1.0, float(np.abs(dense).max()))
+    return int((eig > tol).sum()), int((eig < -tol).sum()), int((np.abs(eig) <= tol).sum())
+
+
+class TestKKTInertia:
+    """The oracles' convexity decision: the inertia of each KKT matrix, counted
+    by the block-tridiagonal Schur recursion over its step blocks."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_schur_pivots_count_the_dense_eigenvalues(self, seed):
+        rng = np.random.default_rng(seed)
+        N, m = 12, 3
+        D = rng.standard_normal((N, m, m))
+        D = D + np.swapaxes(D, 1, 2) + rng.uniform(-2.0, 2.0) * np.eye(m)
+        K = _assemble(m, [(0, 0, D, 0, 0)], [(0, 0, rng.standard_normal((N - 1, m, m)), 1, 0)])
+        found = _inertia(m, K)
+        assert found == dense_inertia(K, N * m) and sum(found) == N * m
+
+    def test_singular_pivot_ends_the_count(self):
+        # D_1 = 0 with no coupling to D_0: the pivot S_1 = 0 is singular, so
+        # S_2 is not formed and the count stops one step short
+        m, N = 2, 4
+        D = np.broadcast_to(np.eye(m), (N, m, m)).copy()
+        D[1] = 0.0
+        K = _assemble(m, [(0, 0, D, 0, 0)], [])
+        assert _inertia(m, K) == (2, 0, 2)
+
+    def test_singular_kkt_raises_nonconvex(self):
+        # B1 = 0 and R1 = 0: the follower's control is free and costless, its
+        # KKT matrix singular, so the game sits on the PSD boundary
+        spec = make_constant_spec(
+            1.0, 8,
+            A=0.1, B1=0.0, B2=1.0, C=0.0,
+            Q1=1.0, R1=0.0, S1=0.0, G1=1.0,
+            Q2=1.0, R2=1.0, S2=0.0, G2=1.0,
+            a=1.0, b=0.0,
+        )
+        prob = build_discrete_problem(spec)
+        for oracle in (lambda: deterministic_follower_oracle(prob, np.zeros((8, 1))),
+                       lambda: deterministic_leader_oracle(prob)):
+            with pytest.raises(NonConvexError) as e:
+                oracle()
+            assert e.value.inertia[2] > 0 and e.value.required == (16, 8, 0)
+
+    def test_nonconvex_follower_rejects_both_oracles(self):
+        # the leader's one-level KKT matrix has the required inertia here, since it
+        # accepts any stationary point of the follower: the follower's check rejects
+        prob = build_discrete_problem(c_zero_game(64, Q1=-3.0 * np.eye(2), G1=-3.0 * np.eye(2)))
+        message = (
+            "discrete cost Hessian not PSD "
+            "(KKT inertia (+254, -130, 0), required (+256, -128, 0))"
+        )
+        for oracle in (lambda: deterministic_follower_oracle(prob, np.zeros((64, 2))),
+                       lambda: deterministic_leader_oracle(prob)):
+            with pytest.raises(NonConvexError, match=r"^" + re.escape(message) + "$"):
+                oracle()
+
+    @pytest.mark.parametrize(
+        "weights, decided", [(("Q1",), [6]), (("Q1", "Q2"), [6, 14])], ids=["Q1", "Q1-Q2"]
+    )
+    def test_rank_one_game_stays_linear_in_memory(self, inertia_calls, weights, decided):
+        # the uncertified rank-one game at N = 2000: the condensed (N k)^2 Hessian
+        # alone would be 128 MB; the KKT matrices and their pivots are O(N).  With
+        # Q2 PD the leader's certificate holds and only the follower's inertia is
+        # counted; with Q2 rank-one too, the leader's is as well
+        tracemalloc.start()
+        try:
+            prob = build_discrete_problem(c_zero_game(2000, **dict.fromkeys(weights, RANK_ONE_Q1)))
+            deterministic_follower_oracle(prob, np.zeros((2000, 2)))
+            deterministic_leader_oracle(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inertia_calls == decided  # m = 6 for the follower, 14 for the leader
+        assert peak < 60e6, peak
+
+
+# weight families for the sweep: (state weight Q, initial weight G) of one player
+def _swept_weights(rng, n, kind):
+    if kind == "pd":
+        return _spd(rng, n, 0.2), _spd(rng, n, 0.2)
+    if kind == "rank_one":
+        v = rng.uniform(-1.0, 1.0, n)
+        return np.outer(v, v), _spd(rng, n, 0.2)
+    shift = rng.uniform(0.0, 1.0)
+    if kind == "indefinite":  # mostly convex still: R dominates
+        return _spd(rng, n, 0.1) - 0.8 * shift * np.eye(n), -0.05 * shift * np.eye(n)
+    return _spd(rng, n, 0.1) - 3.0 * shift * np.eye(n), _spd(rng, n, 0.1) - 10.0 * shift * np.eye(n)
+
+
+KINDS = ("pd", "rank_one", "indefinite", "nonconvex")
+# the decisions are compared outside this band of the dense smallest eigenvalue,
+# relative to max(1, max|H|); on the PSD boundary the two rules may differ
+MARGIN = 1e-6
+
+
+def _accepts(oracle):
+    try:
+        oracle()
+    except NonConvexError:
+        return False
+    return True
+
+
+def _dense_decision(H):
+    """True/False when H's smallest eigenvalue is above/below the band, else None."""
+    if H is None:
+        return None
+    lowest = float(np.linalg.eigvalsh(0.5 * (H + H.T)).min()) / max(1.0, float(np.abs(H).max()))
+    return None if abs(lowest) <= MARGIN else lowest > 0.0
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), k=st.integers(1, 3),
+    steps=st.integers(2, 64), kinds=st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)),
+)
+@settings(max_examples=120, deadline=None)
+def test_convexity_decisions_match_the_dense_hessians(seed, n, k, steps, kinds):
+    """Both oracles accept exactly when the dense reference's condensed Hessians
+    are positive definite, outside the MARGIN band: the follower's H1, and for
+    the leader H1 and its H2 through the follower's response."""
+    rng = np.random.default_rng(seed)
+    (Q1, G1), (Q2, G2) = (_swept_weights(rng, n, kind) for kind in kinds)
+    spec = make_constant_spec(
+        1.0, steps,
+        A=rng.uniform(-0.5, 0.5, (n, n)),
+        B1=rng.uniform(-1.0, 1.0, (n, k)), B2=rng.uniform(-1.0, 1.0, (n, k)), C=np.zeros((n, n)),
+        Q1=Q1, R1=_spd(rng, k, 0.3), S1=_spd(rng, n, 0.1), G1=G1,
+        Q2=Q2, R2=_spd(rng, k, 0.3), S2=_spd(rng, n, 0.1), G2=G2,
+        a=rng.uniform(-1.0, 1.0, n), b=np.zeros(n),
+    )
+    prob = build_discrete_problem(spec)
+    H1, H2 = dense_hessians(prob)
+    follower = _dense_decision(H1)
+    if follower is not None:
+        assert _accepts(lambda: deterministic_follower_oracle(prob, np.zeros((steps, k)))) == follower
+    leader = _dense_decision(H2) if follower else follower  # a rejected follower rejects it
+    if leader is not None:
+        assert _accepts(lambda: deterministic_leader_oracle(prob)) == leader
 
 
 class TestDiagnostics:

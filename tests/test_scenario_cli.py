@@ -535,11 +535,12 @@ CONSISTENCY_FAILURES = [
 ]
 
 
-def negated_hessian(monkeypatch):
-    """Fail the cheap certificate, so the dense gate runs, on the negated Hessian."""
-    convex = bs.oracle._convex
+def negated_kkt(monkeypatch):
+    """Fail the cheap certificate, so the KKT inertia decides, and count it on the
+    negated KKT matrix, whose inertia swaps the positive and negative counts."""
+    inertia = bs.oracle._inertia
     monkeypatch.setattr(bs.oracle, "_certified", lambda W, R_bar: False)
-    monkeypatch.setattr(bs.oracle, "_convex", lambda H: convex(-H))
+    monkeypatch.setattr(bs.oracle, "_inertia", lambda m, K: inertia(m, (K[0], K[1], -K[2])))
 
 
 def zeroed_band(monkeypatch):
@@ -554,10 +555,10 @@ def zeroed_band(monkeypatch):
 
 
 # breakages of the oracle's solve, with the message each raises: a negated
-# Hessian fails the convexity gate (NonConvexError), a zero band makes scipy's
+# KKT matrix fails the convexity gate (NonConvexError), a zero band makes scipy's
 # banded solve raise LinAlgError
 CONVEXITY_BREAKAGES = {
-    "nonconvex": (negated_hessian, "not PSD"),
+    "nonconvex": (negated_kkt, "not PSD"),
     "linalg": (zeroed_band, "singular matrix"),
 }
 
