@@ -124,13 +124,13 @@ def offset_alpha0(spec):
     read at the half steps, for zero terminal values."""
     p1 = bs.solve_p1(spec)
     sys = bs.build_stacked_system(spec, p1, bs.solve_p2(spec, p1))
-    leader = solve_tilde_phi(sys, bs.solve_pi1(sys)).alpha.values[0, :, 0]
+    leader = solve_tilde_phi(sys, bs.solve_pi1(sys))[0][0, :, 0]
     t = spec.grid.half_times[:, None, None] + np.arange(spec.dims.k)[None, :, None]
     zero, B1 = np.zeros(spec.dims.n), spec.B1.half
-    delta = solve_affine_bsde(
+    alpha, _ = solve_affine_bsde(
         spec.A.half, spec.C.half, B1 @ np.sin(2.0 * t), B1 @ np.cos(t), zero, zero, spec.grid
     )
-    return leader, delta.alpha.values[0, :, 0]
+    return leader, alpha[0, :, 0]
 
 
 def leader_riccati_ends(spec):

@@ -44,7 +44,6 @@ from .riccati import (
 )
 from .sampling import MonteCarloConfig, PathBundle, coarsen, sample_brownian
 from .stacked import (
-    AffineBSDESolution,
     form_samples,
     simulate_tilde_varphi,
     solve_tilde_phi,

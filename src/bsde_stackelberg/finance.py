@@ -59,6 +59,9 @@ class MarketParams:
             p = getattr(self, name)
             if p.grid != self.grid or p.shape != (1, 1):
                 raise ValueError(f"market parameter {name} must be 1x1 on the market grid")
+        for name in ("G1", "G2"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"market weight {name} must be finite")
         if np.any(self.sigma.values <= 0.0):
             raise ValueError("sigma must be strictly positive node-wise")
         if np.any(self.mu.values < self.r.values - 1e-12):

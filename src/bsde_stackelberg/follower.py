@@ -19,7 +19,6 @@ from .model import AffineControl, LQGameSpec
 from .riccati import RiccatiPath, follower_system, solve_p1, solve_p2
 from .sampling import MonteCarloConfig, PathBundle, stream_paths
 from .stacked import (
-    AffineBSDESolution,
     PathKernel,
     affine_table,
     check_feedback,
@@ -52,12 +51,12 @@ def follower_kernel(
     return kernel
 
 
-def response_step(spec: LQGameSpec, v: AffineControl) -> AffineBSDESolution:
+def response_step(spec: LQGameSpec, v: AffineControl) -> tuple[np.ndarray, np.ndarray]:
     """The follower's state perturbation for a control step v, for any paths.
 
     It solves the homogeneous BSDE -d(dy) = [A dy + C dz + B1 v] dt - dz dW
     with zero terminal value, closed by the affine ansatz: dy = alpha + beta W
-    and the deterministic dz = beta.
+    and the deterministic dz = beta.  Returns the node arrays (alpha, beta).
     """
     return solve_affine_bsde(
         spec.A.half,
@@ -75,8 +74,7 @@ def follower_slope_table(spec: LQGameSpec, kernel: PathKernel, v: AffineControl)
     J1(u1 + eps v) = J1(u1) + eps slope + eps^2 curvature exactly under common
     random numbers.  The step (alpha + beta W, v, beta) of response_step's
     perturbation is affine in W, so it reads only zeta's W and 1 rows."""
-    n, delta = spec.dims.n, response_step(spec, v)
-    alpha, beta = delta.alpha.values, delta.beta.values
+    n, (alpha, beta) = spec.dims.n, response_step(spec, v)
     step = (
         affine_table(alpha, beta, n),
         affine_table(v.u_const.values, v.u_lin.values, n),

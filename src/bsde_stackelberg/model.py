@@ -244,6 +244,8 @@ class LQGameSpec:
             g = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
             if g.shape != (n, n):
                 raise SpecError(f"weight {name} has shape {g.shape}, expected {(n, n)}")
+            if not np.all(np.isfinite(g)):
+                raise SpecError(f"weight {name} must be finite")
             g = g.copy()
             g.setflags(write=False)
             object.__setattr__(self, name, g)

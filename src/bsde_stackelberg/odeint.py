@@ -130,7 +130,7 @@ def integrate_matrix_ode(
     backward flow, t = T for a forward one.
 
     It carries the nonlinear Riccati flows; linear ODEs take RK4 step
-    maps instead (stacked.solve_affine_bsde).  The field is called once
+    maps instead (linear_rk4_steps).  The field is called once
     per stage, in integration order, with the half-step index j of its
     stage time t = grid.half_times[j], so it reads precomputed
     (2N+1)-sample tables instead of interpolating.  postprocess (e.g.
@@ -167,6 +167,17 @@ def integrate_matrix_ode(
         out[j // 2] = m
         m = out[j // 2]
     return out, slopes
+
+
+def linear_rk4_steps(a0: np.ndarray, a_half: np.ndarray, a1: np.ndarray, h: float) -> np.ndarray:
+    """The N RK4 step matrices S, Y_{i+1} = S_i Y_i, of a linear ODE dY/ds = a(s) Y, from
+    (N, m, m) stacks of a at the start, midpoint and end of each step of size h:
+    S = I + (h/6) (a0 + 2 k2 + 2 k3 + a1 (I + h k3)), k2 = a_half (I + h/2 a0) and
+    k3 = a_half (I + h/2 k2), the stages applied to the identity."""
+    eye = np.eye(a0.shape[-1])
+    k2 = a_half @ (eye + 0.5 * h * a0)
+    k3 = a_half @ (eye + 0.5 * h * k2)
+    return eye + (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + a1 @ (eye + h * k3))
 
 
 def matrix_exponential(m: np.ndarray) -> np.ndarray:

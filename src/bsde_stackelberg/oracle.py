@@ -21,6 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import LQGameSpec
+from .odeint import linear_rk4_steps
 
 PSD_TOL = 1e-9
 
@@ -74,22 +75,16 @@ def build_discrete_problem(spec: LQGameSpec) -> DiscreteLQProblem:
     N, dt = grid.steps, grid.dt
 
     def rate(t):
-        # columns: [state basis | unit u1 | unit u2]; y' = -(A y + B1 u1 + B2 u2)
-        A = spec.A(t)
-        G = np.concatenate([np.zeros((N, n, n)), spec.B1(t), spec.B2(t)], axis=2)
-        return lambda M: -(A @ M + G)
+        # y' = -(A y + B1 u1 + B2 u2) on (y, u1, u2), with u1 and u2 held constant
+        a = np.zeros((N, n + 2 * k, n + 2 * k))
+        a[:, :n] = -np.concatenate([spec.A(t), spec.B1(t), spec.B2(t)], axis=2)
+        return a
 
-    # one RK4 step from t_{i+1} back to t_i on every interval at once
-    h = -dt
-    t1 = grid.nodes[1:]
-    f1, fm, f0 = rate(t1), rate(t1 + 0.5 * h), rate(t1 + h)
-    M = np.tile(np.hstack([np.eye(n), np.zeros((n, 2 * k))]), (N, 1, 1))
-    k1 = f1(M)
-    k2 = fm(M + 0.5 * h * k1)
-    k3 = fm(M + 0.5 * h * k2)
-    k4 = f0(M + h * k3)
-    M = M + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    E, F1, F2 = M[:, :, :n], M[:, :, n : n + k], M[:, :, n + k :]
+    # one RK4 step from t_{i+1} back to t_i on every interval at once; the top
+    # n rows of its step map are [E | F1 | F2]
+    h, t1 = -dt, grid.nodes[1:]
+    top = linear_rk4_steps(rate(t1), rate(t1 + 0.5 * h), rate(t1 + h), h)[:, :n]
+    E, F1, F2 = top[:, :, :n], top[:, :, n : n + k], top[:, :, n + k :]
 
     R1, R2 = spec.R1(grid.nodes), spec.R2(grid.nodes)
     R1_bar = 0.5 * dt * (R1[:-1] + R1[1:])

@@ -71,10 +71,22 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _finite(flat: np.ndarray, name: str) -> np.ndarray:
+    """An object array of numbers as floats; SpecError names the field if one is NaN,
+    infinite or an integer too large for a float, all of which json reads."""
+    try:
+        values = flat.astype(float)
+    except OverflowError:
+        values = np.array([np.inf])
+    if not np.isfinite(values).all():
+        raise SpecError(f"{name} must be finite")
+    return values
+
+
 def _number(value, name: str) -> float:
     if not _is_number(value):
         raise SpecError(f"{name} must be a number, got {_json_type(value)}")
-    return float(value)
+    return float(_finite(np.array([value], dtype=object), name)[0])
 
 
 def _matrix(value, shape: tuple[int, int], name: str) -> np.ndarray:
@@ -85,7 +97,7 @@ def _matrix(value, shape: tuple[int, int], name: str) -> np.ndarray:
         raise SpecError(f"{name} must be a number or an array of numbers")
     if flat.size != rows * cols:
         raise SpecError(f"{name} must hold {rows} x {cols} numbers, got {flat.size}")
-    return flat.astype(float).reshape(rows, cols)
+    return _finite(flat, name).reshape(rows, cols)
 
 
 def _parse_path(doc: dict, name: str, grid: TimeGrid, shape: tuple[int, int]) -> CoefficientPath:

@@ -40,17 +40,9 @@ from functools import cached_property
 import numpy as np
 
 from .model import CoefficientPath, TimeGrid
-from .odeint import MAX_NORM, DivergenceError, check_forms_agree, guarded_inv
+from .odeint import MAX_NORM, DivergenceError, check_forms_agree, guarded_inv, linear_rk4_steps
 from .riccati import RiccatiPath, StackedSystem, _sym, _tr, csv_block
 from .sampling import PathBundle, mean_stderr
-
-
-@dataclass(frozen=True)
-class AffineBSDESolution:
-    """Solution phi(t) = alpha(t) + beta(t) W(t), eta(t) = beta(t)."""
-
-    alpha: CoefficientPath  # m x 1
-    beta: CoefficientPath  # m x 1
 
 
 def solve_affine_bsde(
@@ -61,7 +53,7 @@ def solve_affine_bsde(
     terminal_const: np.ndarray,
     terminal_lin: np.ndarray,
     grid: TimeGrid,
-) -> AffineBSDESolution:
+) -> tuple[np.ndarray, np.ndarray]:
     """Reduce -d(phi) = [M phi + N eta + g(t, W)] dt - eta dW to ODEs.
 
     With g = g_c(t) + g_l(t) W(t) and phi = alpha + beta W, matching the
@@ -71,7 +63,8 @@ def solve_affine_bsde(
     as (2N+1)-sample tables at the RK4 half steps.  The pair is linear:
     Y = (alpha, beta, 1) solves Y' = -G Y with G = [[M, N, g_c], [0, M, g_l],
     [0, 0, 0]], so stacked matmuls on G's tables give all N RK4 step
-    matrices at once, and each step is one matvec.  A non-finite iterate,
+    matrices at once (linear_rk4_steps), and each step is one matvec.
+    Returns the (N+1, m, 1) node arrays (alpha, beta).  A non-finite iterate,
     or one above MAX_NORM, raises DivergenceError at the first such node.
     """
     m, N, h = drift_lin.shape[1], grid.steps, grid.dt
@@ -79,11 +72,7 @@ def solve_affine_bsde(
     gen[:, :m, :m] = gen[:, m:-1, m:-1] = drift_lin
     gen[:, :m, m:-1], gen[:, :m, -1:], gen[:, m:-1, -1:] = drift_eta, forcing_const, forcing_lin
     # backward in t is forward in s = T - t, with dY/ds = G(T - s) Y
-    a0, a_half, a1 = gen[:0:-2], gen[-2::-2], gen[-3::-2]
-    eye = np.eye(2 * m + 1)
-    k2 = a_half @ (eye + 0.5 * h * a0)
-    k3 = a_half @ (eye + 0.5 * h * k2)
-    steps = eye + (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + a1 @ (eye + h * k3))
+    steps = linear_rk4_steps(gen[:0:-2], gen[-2::-2], gen[-3::-2], h)
     y = np.empty((N + 1, 2 * m + 1))
     y[0, :m], y[0, m:-1], y[0, -1] = np.ravel(terminal_const), np.ravel(terminal_lin), 1.0
     with np.errstate(all="ignore"):  # the iterates past a divergence are discarded
@@ -94,11 +83,12 @@ def solve_affine_bsde(
     if bad.any():
         raise DivergenceError(float(grid.nodes[N - 1 - bad.argmax()]))
     y = y[::-1, :, None]
-    return AffineBSDESolution(CoefficientPath(grid, y[:, :m]), CoefficientPath(grid, y[:, m:-1]))
+    return y[:, :m], y[:, m:-1]
 
 
-def solve_tilde_phi(sys: StackedSystem, pi1: RiccatiPath) -> AffineBSDESolution:
-    """Auxiliary BSDE of a stacked system, terminal value -xi-hat.
+def solve_tilde_phi(sys: StackedSystem, pi1: RiccatiPath) -> tuple[np.ndarray, np.ndarray]:
+    """Auxiliary BSDE of a stacked system, terminal value -xi-hat: the node
+    arrays (alpha, eta) of tilde-phi = alpha + eta W (solve_affine_bsde).
 
     The driver is K phi-tilde - L eta-tilde - forcing_load u with
     K = A1h - Pi1 F1h + (Pi1 B1h - B2h) R^-1 B1h^T
@@ -114,32 +104,21 @@ def solve_tilde_phi(sys: StackedSystem, pi1: RiccatiPath) -> AffineBSDESolution:
     return solve_affine_bsde(K, -L, g_c, g_l, -sys.xih.a, -sys.xih.b, sys.grid)
 
 
-def _offset_diffusion(C1, D1, Pi1, Pi2, mix, inv_12, inv_21):
+def _offset_diffusion(C1, D1, Pi1, Pi2, mix, inv_12):
     """Diffusion coefficients of the forward offset at every node, as (N+1) stacks.
 
     Returns (diff_varphi, diff_phi) multiplying the current offset and
     the backward offset; the martingale loading eta-tilde enters through
     mix = (Pi2 - S1h)(I + Pi1 S1h)^-1.  They are assembled from the
     pathwise relations gamma = C1h X + D1h^T Y + mix (Pi1 C1h X
-    + Pi1 D1h^T Y + eta), with X, Y expressed through the two offsets, so
-    the reconstructed (Y, Z) satisfy the closed-loop backward equation
-    without a systematic defect.
+    + Pi1 D1h^T Y + eta), with X, Y expressed through the two offsets and
+    inv_12 = (I + Pi1 Pi2)^-1 (path_kernel), so the reconstructed (Y, Z)
+    satisfy the closed-loop backward equation without a systematic defect.
     """
+    inv_21 = _tr(inv_12)  # (I + Pi2 Pi1)^-1, Pi1 and Pi2 being symmetric
     cfac = C1 + mix @ Pi1 @ C1
     dfac = _tr(D1) + mix @ Pi1 @ _tr(D1)
     return cfac @ inv_21 - dfac @ inv_12 @ Pi1, -cfac @ inv_21 @ Pi2 - dfac @ inv_12
-
-
-def _decoupling_inverses(sys, pi1, pi2):
-    """(I + Pi1 S1h)^-1, (I + Pi1 Pi2)^-1 and (I + Pi2 Pi1)^-1, (N+1, dim, dim) node tables;
-    the first is the node rows of pi1's half-step table (RiccatiPath.s1_inverse)."""
-    eye = np.eye(sys.dim)
-    Pi1, Pi2, nodes = pi1.values, pi2.values, sys.grid.nodes
-    return (
-        pi1.s1_inverse[::2],
-        guarded_inv(eye + Pi1 @ Pi2, nodes, "(I + Pi1 Pi2)"),
-        guarded_inv(eye + Pi2 @ Pi1, nodes, "(I + Pi2 Pi1)"),
-    )
 
 
 @dataclass(frozen=True)
@@ -154,6 +133,8 @@ class PathKernel:
     (N+1, dim+2, dim) each, and read_u to the feedback control,
     (N+1, dim+2, k).  None of them depends on the paths, so one
     kernel serves any number of path chunks (simulate_tilde_varphi).
+    closed_loop is (M, F) of the backward equation of (Y, Z) in closed loop,
+    -dY = (M Y + C1h^T Z + F varphi-tilde + forcing_load u) dt - Z dW.
     """
 
     sys: StackedSystem
@@ -163,19 +144,7 @@ class PathKernel:
     read_Y: np.ndarray  # (N+1, dim+2, dim): zeta -> Y
     read_Z: np.ndarray  # (N+1, dim+2, dim): zeta -> Z
     read_u: np.ndarray  # (N+1, dim+2, k): zeta -> the feedback control
-
-    @cached_property
-    def closed_loop(self) -> tuple[np.ndarray, np.ndarray]:
-        """(N+1)-node tables (M, F) of the closed-loop backward equation of (Y, Z),
-        -dY = (M Y + C1h^T Z + F varphi-tilde + forcing_load u) dt - Z dW with
-        M = A1h + F2h Pi2 - B2h R^-1 (B1h + Pi2 B2h)^T and F = F2h - B2h R^-1 B2h^T,
-        whose product is the node rows of the system's B2_Rinv_B2T.  The residual
-        table and the dual reserve read them."""
-        sys, Pi2 = self.sys, self.pi2.values
-        B2, F2 = sys.B2h.values, sys.F2h.values
-        B2_Rinv = B2 @ sys.R_inv[::2]
-        M = sys.A1h.values + F2 @ Pi2 - B2_Rinv @ _tr(sys.B1h.values + Pi2 @ B2)
-        return M, F2 - sys.B2_Rinv_B2T[::2]
+    closed_loop: tuple[np.ndarray, np.ndarray]  # (M, F), (N+1, dim, dim) each
 
     @cached_property
     def residual_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -199,47 +168,48 @@ def _affine_rows(K: np.ndarray, const: np.ndarray, lin: np.ndarray) -> np.ndarra
 
 
 def path_kernel(sys: StackedSystem, pi1: RiccatiPath, pi2: RiccatiPath) -> PathKernel:
-    """A stacked system's path kernel: the auxiliary BSDE and the five tables on zeta.
+    """A stacked system's path kernel: the auxiliary BSDE, the closed loop and the
+    five tables on zeta.
 
-    The forward offset's drift follows the decoupled system's display plus
-    Pi2 forcing_load u for the known control u, and its diffusion the exact
-    pathwise Z-relation (see _offset_diffusion).  X and Y are the two
-    decoupling relations X = (I + Pi2 Pi1)^-1 (varphi-tilde - Pi2 phi-tilde)
-    and Y = -(I + Pi1 Pi2)^-1 (Pi1 varphi-tilde + phi-tilde); Z's table
-    -(I + Pi1 S1h)^-1 (Pi1 C1h X + Pi1 D1h^T Y + eta-tilde) is composed from
-    theirs, and the feedback u = -R^-1 (B1h + Pi2 B2h)^T Y - R^-1 B2h^T
-    varphi-tilde from Y's.  tilde-phi and u are folded into the W and 1
-    rows here, once; the decoupling inverses are formed once, by
-    _decoupling_inverses.
+    One gain fb = R^-1 (B1h + Pi2 B2h)^T gives the feedback u = -fb Y
+    - R^-1 B2h^T varphi-tilde and the closed loop M = A1h + F2h Pi2 - B2h fb,
+    F = F2h - B2h R^-1 B2h^T.  The forward offset's drift is M^T - coupler Pi1 C1h,
+    coupler = (D1h + Pi2 C1h^T)(I + Pi1 S1h)^-1, plus Pi2 forcing_load u for the
+    known control u, and its diffusion the exact pathwise Z-relation
+    (_offset_diffusion).  X = (I + Pi2 Pi1)^-1 (varphi-tilde - Pi2 phi-tilde) and
+    Y = -(I + Pi1 Pi2)^-1 (Pi1 varphi-tilde + phi-tilde) are the decoupling
+    relations; Pi1 and Pi2 are symmetric, so the first inverse is the second's
+    transpose, of the same condition number, and one gated inverse serves both.
+    Z's table -(I + Pi1 S1h)^-1 (Pi1 C1h X + Pi1 D1h^T Y + eta-tilde) is composed
+    from theirs.  tilde-phi and u are folded into the W and 1 rows here, once.
     """
-    tilde_phi = solve_tilde_phi(sys, pi1)
-    alpha, eta = tilde_phi.alpha.values, tilde_phi.beta.values  # (N+1, dim, 1)
+    alpha, eta = solve_tilde_phi(sys, pi1)  # (N+1, dim, 1) each
     u = sys.forcing_control
-    A1, B1, B2 = sys.A1h.values, sys.B1h.values, sys.B2h.values
-    C1, D1, F2 = sys.C1h.values, sys.D1h.values, sys.F2h.values
+    B2, C1, D1, F2 = sys.B2h.values, sys.C1h.values, sys.D1h.values, sys.F2h.values
     Pi1, Pi2, d = pi1.values, pi2.values, sys.dim
-    inv_s, inv_12, inv_21 = _decoupling_inverses(sys, pi1, pi2)
+    inv_s = pi1.s1_inverse[::2]
+    inv_12 = guarded_inv(np.eye(d) + Pi1 @ Pi2, sys.grid.nodes, "(I + Pi1 Pi2)")
     coupler = (D1 + Pi2 @ _tr(C1)) @ inv_s
     mix = (Pi2 - sys.S1h.values) @ inv_s
-    B = B1 + Pi2 @ B2  # the feedback's Y loading, R u = -B^T Y - B2h^T varphi-tilde
-    drift_mat = _tr(A1) + Pi2 @ F2 - B @ sys.R_inv[::2] @ _tr(B2) - coupler @ Pi1 @ C1
-    diff_varphi, diff_phi = _offset_diffusion(C1, D1, Pi1, Pi2, mix, inv_12, inv_21)
+    fb = sys.R_inv[::2] @ _tr(sys.B1h.values + Pi2 @ B2)
+    M = sys.A1h.values + F2 @ Pi2 - B2 @ fb
+    diff_varphi, diff_phi = _offset_diffusion(C1, D1, Pi1, Pi2, mix, inv_12)
     step = np.empty((sys.grid.steps + 1, d + 2, 2 * d))
-    step[:, :d, :d], step[:, :d, d:] = _tr(drift_mat), _tr(diff_varphi)
+    step[:, :d, :d], step[:, :d, d:] = M - _tr(coupler @ Pi1 @ C1), _tr(diff_varphi)
     step[:, d:, :d] = _affine_rows(Pi2 @ sys.forcing_load.values, u.u_const.values, u.u_lin.values)
     step[:, d:, d:] = _affine_rows(diff_phi, alpha, eta)
     step[:, -1, :d] -= (coupler @ eta)[:, :, 0]
     step[:, -1, d:] += (mix @ eta)[:, :, 0]
-    read_X = np.concatenate([_tr(inv_21), _affine_rows(-inv_21 @ Pi2, alpha, eta)], axis=1)
+    read_X = np.concatenate([inv_12, _affine_rows(-_tr(inv_12) @ Pi2, alpha, eta)], axis=1)
     read_Y = np.concatenate([-_tr(inv_12 @ Pi1), _affine_rows(-inv_12, alpha, eta)], axis=1)
     # Z = -(I + Pi1 S1h)^-1 (Pi1 C1h X + Pi1 D1h^T Y + eta-tilde)
     gain = inv_s @ Pi1
     read_Z = -(read_X @ _tr(gain @ C1) + read_Y @ _tr(gain @ _tr(D1)))
     read_Z[:, -1] -= (inv_s @ eta)[:, :, 0]
-    Rinv_t = _tr(sys.R_inv[::2])
-    read_u = -(read_Y @ B @ Rinv_t)
-    read_u[:, :d] -= B2 @ Rinv_t
-    return PathKernel(sys, pi2, step, read_X, read_Y, read_Z, read_u)
+    read_u = -(read_Y @ _tr(fb))
+    read_u[:, :d] -= B2 @ _tr(sys.R_inv[::2])
+    closed_loop = (M, F2 - sys.B2_Rinv_B2T[::2])
+    return PathKernel(sys, pi2, step, read_X, read_Y, read_Z, read_u, closed_loop)
 
 
 def reachable_max(table: np.ndarray, first_node: int = 0) -> float:

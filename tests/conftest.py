@@ -17,9 +17,11 @@ from bsde_stackelberg.odeint import (
     DivergenceError,
     OdeDirection,
     SingularityError,
+    guarded_inv,
 )
 from bsde_stackelberg.oracle import PSD_TOL, OracleResult, _quadratic_pieces
 from bsde_stackelberg.riccati import PI1_S1
+from bsde_stackelberg.stacked import _affine_rows
 
 
 @pytest.fixture(scope="session")
@@ -358,15 +360,15 @@ def _sym(M):
 
 
 def affine_pathwise(const, lin, W):
-    """(N+1, paths, m) values of const(t) + lin(t) W(t) for m x 1 coefficient paths,
+    """(N+1, paths, m) values of const(t) + lin(t) W(t) for (N+1, m, 1) node arrays,
     along Brownian paths W (N+1, paths): an affine BSDE solution's alpha + beta W,
     or an affine control's u_const + u_lin W."""
-    return const.values[:, None, :, 0] + W[:, :, None] * lin.values[:, None, :, 0]
+    return const[:, None, :, 0] + W[:, :, None] * lin[:, None, :, 0]
 
 
 def u2_pathwise(u2, W):
     """(N+1, paths, k) values of an affine control along paths."""
-    return affine_pathwise(u2.u_const, u2.u_lin, W)
+    return affine_pathwise(u2.u_const.values, u2.u_lin.values, W)
 
 
 def bilinear_form(v, M, w):
@@ -400,13 +402,91 @@ def quadratic_expansion(grid, base, step, Q, R, S, G):
     return cross + bilinear_form(y[0], _sym(G), dy[0])
 
 
+def closed_loop_reference(sys, pi2):
+    """The former PathKernel.closed_loop, as its reference: the (N+1)-node tables
+    M = A1h + F2h Pi2 - B2h R^-1 (B1h + Pi2 B2h)^T and F = F2h - B2h R^-1 B2h^T,
+    formed from their own products rather than from the kernel's feedback gain."""
+    Pi2, B2, F2 = pi2.values, sys.B2h.values, sys.F2h.values
+    B2_Rinv = B2 @ sys.R_inv[::2]
+    M = sys.A1h.values + F2 @ Pi2 - B2_Rinv @ _tr(sys.B1h.values + Pi2 @ B2)
+    return M, F2 - sys.B2_Rinv_B2T[::2]
+
+
+def decoupling_inverses_reference(sys, pi1, pi2):
+    """The former stacked._decoupling_inverses, as its reference: (I + Pi1 S1h)^-1,
+    (I + Pi1 Pi2)^-1 and (I + Pi2 Pi1)^-1 as node tables, the last gated and
+    inverted on its own rather than as the transpose of the second."""
+    eye, nodes = np.eye(sys.dim), sys.grid.nodes
+    Pi1, Pi2 = pi1.values, pi2.values
+    return (
+        pi1.s1_inverse[::2],
+        guarded_inv(eye + Pi1 @ Pi2, nodes, "(I + Pi1 Pi2)"),
+        guarded_inv(eye + Pi2 @ Pi1, nodes, "(I + Pi2 Pi1)"),
+    )
+
+
+def kernel_tables_reference(sys, pi1, pi2):
+    """The path kernel's step, read_X and read_u as stacked.path_kernel formed them
+    before its one closed loop and one decoupling inverse, as their reference: the
+    forward offset's drift written out transposed, A1h^T + Pi2 F2h
+    - (B1h + Pi2 B2h) R^-1 B2h^T - coupler Pi1 C1h, and X read through
+    (I + Pi2 Pi1)^-1 (decoupling_inverses_reference)."""
+    alpha, eta = bs.solve_tilde_phi(sys, pi1)
+    u, d = sys.forcing_control, sys.dim
+    A1, B1, B2 = sys.A1h.values, sys.B1h.values, sys.B2h.values
+    C1, D1, F2 = sys.C1h.values, sys.D1h.values, sys.F2h.values
+    Pi1, Pi2 = pi1.values, pi2.values
+    inv_s, inv_12, inv_21 = decoupling_inverses_reference(sys, pi1, pi2)
+    coupler = (D1 + Pi2 @ _tr(C1)) @ inv_s
+    mix = (Pi2 - sys.S1h.values) @ inv_s
+    B, Rinv_t = B1 + Pi2 @ B2, _tr(sys.R_inv[::2])
+    drift_mat = _tr(A1) + Pi2 @ F2 - B @ sys.R_inv[::2] @ _tr(B2) - coupler @ Pi1 @ C1
+    cfac, dfac = C1 + mix @ Pi1 @ C1, _tr(D1) + mix @ Pi1 @ _tr(D1)
+    diff_varphi = cfac @ inv_21 - dfac @ inv_12 @ Pi1
+    diff_phi = -cfac @ inv_21 @ Pi2 - dfac @ inv_12
+    step = np.empty((sys.grid.steps + 1, d + 2, 2 * d))
+    step[:, :d, :d], step[:, :d, d:] = _tr(drift_mat), _tr(diff_varphi)
+    step[:, d:, :d] = _affine_rows(Pi2 @ sys.forcing_load.values, u.u_const.values, u.u_lin.values)
+    step[:, d:, d:] = _affine_rows(diff_phi, alpha, eta)
+    step[:, -1, :d] -= (coupler @ eta)[:, :, 0]
+    step[:, -1, d:] += (mix @ eta)[:, :, 0]
+    read_X = np.concatenate([_tr(inv_21), _affine_rows(-inv_21 @ Pi2, alpha, eta)], axis=1)
+    read_Y = np.concatenate([-_tr(inv_12 @ Pi1), _affine_rows(-inv_12, alpha, eta)], axis=1)
+    read_u = -(read_Y @ B @ Rinv_t)
+    read_u[:, :d] -= B2 @ Rinv_t
+    return step, read_X, read_u
+
+
+def oracle_steps_reference(spec):
+    """The former RK4 stages of oracle.build_discrete_problem, as their reference:
+    one step of y' = -(A y + B1 u1 + B2 u2) from t_{i+1} back to t_i on the
+    n x (n + 2k) iterate [state basis | unit u1 | unit u2], k1-k4 written out.
+    Returns its [E | F1 | F2], (N, n, n + 2k)."""
+    n, k, grid = spec.dims.n, spec.dims.k, spec.grid
+    N, h = grid.steps, -grid.dt
+
+    def rate(t):
+        A = spec.A(t)
+        G = np.concatenate([np.zeros((N, n, n)), spec.B1(t), spec.B2(t)], axis=2)
+        return lambda M: -(A @ M + G)
+
+    t1 = grid.nodes[1:]
+    f1, fm, f0 = rate(t1), rate(t1 + 0.5 * h), rate(t1 + h)
+    M = np.tile(np.hstack([np.eye(n), np.zeros((n, 2 * k))]), (N, 1, 1))
+    k1 = f1(M)
+    k2 = fm(M + 0.5 * h * k1)
+    k3 = fm(M + 0.5 * h * k2)
+    k4 = f0(M + h * k3)
+    return M + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def bsde_residual_samples(ens):
     """Reference formula of the closed-loop BSDE residual on path arrays:
     r_i = Y_{i+1} - Y_i + drift_i dt - Z_i dW_i with the drift
     M Y + C1h^T Z + F varphi-tilde + forcing_load u at the left node.  Returns
     each path's sum_i ||r_i||^2 and the max single-step |r_i|."""
     sys = ens.kernel.sys
-    M, F = ens.kernel.closed_loop
+    M, F = closed_loop_reference(sys, ens.kernel.pi2)
     u = u2_pathwise(sys.forcing_control, ens.bundle.W)
     drift = ens.Y[:-1] @ _tr(M[:-1])
     drift += ens.Z[:-1] @ sys.C1h.values[:-1]
@@ -419,8 +499,8 @@ def bsde_residual_samples(ens):
 def dual_coefficients(sol):
     """Node tables (a, c, F) of the dual propagator d(Gamma) = a Gamma dt
     + c Gamma dW, a = M^T and c = C1h, and of its forcing f = F varphi-tilde,
-    from the closed loop of sol's kernel (PathKernel.closed_loop)."""
-    M, F = sol.kernel.closed_loop
+    from the closed loop of sol's system (closed_loop_reference)."""
+    M, F = closed_loop_reference(sol.system, sol.pi2)
     return _tr(M), sol.system.C1h.values, F
 
 

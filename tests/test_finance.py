@@ -91,6 +91,13 @@ class TestMarketParams:
                 G1=1.0, G2=1.0, a=1.0,
             )
 
+    @pytest.mark.parametrize("name", ["G1", "G2"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_nonfinite_terminal_weights(self, name, value):
+        weights = {"G1": 1.0, "G2": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^market weight {name} must be finite$"):
+            MarketParams.constant(1.0, 10, r=0.0, mu=0.1, sigma=0.2, R1=1.0, R2=1.0, a=1.0, **weights)
+
 
 class TestSpecMapping:
     def test_coefficients(self, market):

@@ -44,7 +44,7 @@ class TestAffineBSDE:
     def test_scalar_linear_bsde_closed_form(self):
         # -d(phi) = phi dt - eta dW, phi(T) = 1: phi(t) = e^(T - t), eta = 0
         g = bs.TimeGrid(1.0, 128)
-        sol = solve_affine_bsde(
+        alpha, beta = solve_affine_bsde(
             half_table(g, 1.0),
             half_table(g, 0.0),
             half_table(g, 0.0),
@@ -54,14 +54,14 @@ class TestAffineBSDE:
             g,
         )
         np.testing.assert_allclose(
-            sol.alpha.values[:, 0, 0], np.exp(1.0 - g.nodes), atol=1e-10
+            alpha[:, 0, 0], np.exp(1.0 - g.nodes), atol=1e-10
         )
-        assert np.max(np.abs(sol.beta.values)) == 0.0
+        assert np.max(np.abs(beta)) == 0.0
 
     def test_martingale_terminal_loading(self):
         # -d(phi) = -eta dW, phi(T) = W(T): phi(t) = W(t), so alpha = 0, beta = 1
         g = bs.TimeGrid(1.0, 64)
-        sol = solve_affine_bsde(
+        alpha, beta = solve_affine_bsde(
             half_table(g, 0.0),
             half_table(g, 0.0),
             half_table(g, 0.0),
@@ -70,12 +70,12 @@ class TestAffineBSDE:
             np.ones((1, 1)),
             g,
         )
-        assert np.max(np.abs(sol.alpha.values)) < 1e-14
-        np.testing.assert_allclose(sol.beta.values[:, 0, 0], 1.0, atol=1e-14)
+        assert np.max(np.abs(alpha)) < 1e-14
+        np.testing.assert_allclose(beta[:, 0, 0], 1.0, atol=1e-14)
 
     def test_pathwise_evaluation(self):
         g = bs.TimeGrid(1.0, 8)
-        sol = solve_affine_bsde(
+        alpha, beta = solve_affine_bsde(
             half_table(g, 0.0),
             half_table(g, 0.0),
             half_table(g, 0.0),
@@ -85,7 +85,7 @@ class TestAffineBSDE:
             g,
         )
         W = np.array([[0.0] * 9, [1.0] * 9]).T
-        vals = affine_pathwise(sol.alpha, sol.beta, W)
+        vals = affine_pathwise(alpha, beta, W)
         np.testing.assert_allclose(vals[:, 0, 0], 2.0, atol=1e-14)
         np.testing.assert_allclose(vals[:, 1, 0], 5.0, atol=1e-14)
 
@@ -122,9 +122,9 @@ class TestAffineStepMaps:
         g = bs.TimeGrid(1.3, 90)
         M, N, g_c, g_l = varying_tables(g)
         term_c, term_l = np.array([0.4, -1.0, 0.7]), np.array([[0.3], [0.0], [-0.6]])
-        sol = solve_affine_bsde(M, N, g_c, g_l, term_c, term_l, g)
+        alpha, beta = solve_affine_bsde(M, N, g_c, g_l, term_c, term_l, g)
         ref = reference_affine_bsde(M, N, g_c, g_l, term_c, term_l, g)
-        got = np.concatenate([sol.alpha.values, sol.beta.values], axis=2)
+        got = np.concatenate([alpha, beta], axis=2)
         assert np.max(np.abs(ref)) > 0.5 and np.max(np.abs(ref[:, :, 1])) > 0.5
         np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
 
@@ -258,9 +258,9 @@ def follower_slope(spec, ens, v):
 
 def follower_step(delta, v, W):
     """The follower's step (dy, du, dz) along v as path arrays, from its state
-    perturbation delta (response_step)."""
-    dy = affine_pathwise(delta.alpha, delta.beta, W)
-    return dy, u2_pathwise(v, W), delta.beta.values[:, None, :, 0]
+    perturbation delta = (alpha, beta) (response_step)."""
+    alpha, beta = delta
+    return affine_pathwise(alpha, beta, W), u2_pathwise(v, W), beta[:, None, :, 0]
 
 
 class TestPerturbations:

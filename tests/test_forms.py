@@ -77,12 +77,12 @@ def test_follower_forms_match_reference(game):
     kernel = bs.follower_kernel(spec, sol.p1, sol.p2, u2)
     got = follower_chunk(spec, kernel, v)(bundle)
     ens = path_arrays(kernel, bundle)
-    delta = response_step(spec, v)
+    alpha, beta = response_step(spec, v)
     base = (ens.Y, ens.u1, ens.Z)
     step = (
-        affine_pathwise(delta.alpha, delta.beta, bundle.W),
+        affine_pathwise(alpha, beta, bundle.W),
         u2_pathwise(v, bundle.W),
-        delta.beta.values[:, None, :, 0],
+        beta[:, None, :, 0],
     )
     residual, residual_max = bsde_residual_samples(ens)
     assert_matches(got, {

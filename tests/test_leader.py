@@ -10,16 +10,12 @@ import bsde_stackelberg as bs
 from bsde_stackelberg.leader import equilibrium_chunk, leader_paths_csv, response_kernel
 from bsde_stackelberg.sampling import coarsen, mean_stderr, sample_brownian
 from bsde_stackelberg.scenario import make_constant_spec
-from bsde_stackelberg.stacked import (
-    _decoupling_inverses,
-    _offset_diffusion,
-    residual_rms,
-    residual_samples,
-)
+from bsde_stackelberg.stacked import _offset_diffusion, residual_rms, residual_samples
 from conftest import (
     affine_pathwise,
     assert_csv_blocks,
     cost_samples,
+    decoupling_inverses_reference,
     dense_game,
     equilibrium_arrays,
     leader_cost_samples,
@@ -68,7 +64,7 @@ def diffusion_consistency_gap(sys, pi1, pi2):
     """
     C1, D1t = sys.C1h.values, np.swapaxes(sys.D1h.values, 1, 2)
     Pi1, Pi2 = pi1.values, pi2.values
-    inv_s, inv_12, inv_21 = _decoupling_inverses(sys, pi1, pi2)
+    inv_s, inv_12, inv_21 = decoupling_inverses_reference(sys, pi1, pi2)
     mix = (Pi2 - sys.S1h.values) @ inv_s
     mixer = mix @ Pi1
     display = (
@@ -77,7 +73,7 @@ def diffusion_consistency_gap(sys, pi1, pi2):
         -(D1t @ inv_12 + mixer @ D1t @ inv_21
           + C1 @ inv_21 @ Pi2 + mixer @ C1 @ inv_21 @ Pi2),
     )
-    simulated = _offset_diffusion(C1, sys.D1h.values, Pi1, Pi2, mix, inv_12, inv_21)
+    simulated = _offset_diffusion(C1, sys.D1h.values, Pi1, Pi2, mix, inv_12)
     return max(float(np.max(np.abs(a - b))) for a, b in zip(display, simulated))
 
 
@@ -86,17 +82,17 @@ class TestAuxiliaryBackward:
         spec = zero_spec()
         sol = bs.equilibrium_layer(spec)
         ens = equilibrium_arrays(sol, sample_brownian(spec.grid, 4, 0))
-        tilde_phi = bs.solve_tilde_phi(sol.system, sol.pi1)
-        assert np.max(np.abs(tilde_phi.alpha.values)) == 0.0
-        assert np.max(np.abs(tilde_phi.beta.values)) == 0.0
+        alpha, eta = bs.solve_tilde_phi(sol.system, sol.pi1)
+        assert np.max(np.abs(alpha)) == 0.0
+        assert np.max(np.abs(eta)) == 0.0
         for arr in (ens.X, ens.Y, ens.Z, ens.u2):
             assert np.max(np.abs(arr)) == 0.0
         assert leader_cost_samples(sol, ens).mean() == 0.0
 
     def test_deterministic_terminal_kills_martingale_loading(self, hand_solution):
         sol, _ = hand_solution
-        tilde_phi = bs.solve_tilde_phi(sol.system, sol.pi1)
-        assert np.max(np.abs(tilde_phi.beta.values)) == 0.0
+        _, eta = bs.solve_tilde_phi(sol.system, sol.pi1)
+        assert np.max(np.abs(eta)) == 0.0
 
     def test_backward_value_matches_transition_propagation(self, hand_spec, hand_solution):
         # variation-of-constants: alpha(0) = transition(0 -> T)^-1 applied backward
@@ -124,7 +120,7 @@ class TestAuxiliaryBackward:
         acc = np.eye(2)
         for s in steps:
             acc = s @ acc
-        alpha = bs.solve_tilde_phi(sys, pi1).alpha.values
+        alpha, _ = bs.solve_tilde_phi(sys, pi1)
         alpha_T, alpha_0 = alpha[-1, :, 0], alpha[0, :, 0]
         np.testing.assert_allclose(np.linalg.solve(acc, alpha_T), alpha_0, atol=1e-8)
 
@@ -222,9 +218,9 @@ class TestNodeKernelsMatchLoops:
         bundle = sample_brownian(spec.grid, 5, 3)
         ens = path_arrays(bs.follower_kernel(spec, p1, p2, u2), bundle)
         u2_paths = u2_pathwise(u2, bundle.W)
-        phieta = bs.solve_tilde_phi(bs.follower_system(spec, u2), p1)
-        phi = affine_pathwise(phieta.alpha, phieta.beta, bundle.W)
-        eta = phieta.beta.values[:, :, 0]
+        alpha, eta = bs.solve_tilde_phi(bs.follower_system(spec, u2), p1)
+        phi = affine_pathwise(alpha, eta, bundle.W)
+        eta = eta[:, :, 0]
         inv, eye = np.linalg.inv, np.eye(spec.dims.n)
         for i in range(spec.grid.steps + 1):
             P1, P2, C = p1.values[i], p2.values[i], spec.C.values[i]
@@ -257,9 +253,9 @@ class TestNodeKernelsMatchLoops:
         bundle = sample_brownian(spec.grid, 5, 3)
         sol = bs.equilibrium_layer(spec)
         sys, ens = sol.system, equilibrium_arrays(sol, bundle)
-        tilde_phi = bs.solve_tilde_phi(sys, sol.pi1)
-        phi = affine_pathwise(tilde_phi.alpha, tilde_phi.beta, bundle.W)
-        eta = tilde_phi.beta.values[:, :, 0]
+        alpha, eta = bs.solve_tilde_phi(sys, sol.pi1)
+        phi = affine_pathwise(alpha, eta, bundle.W)
+        eta = eta[:, :, 0]
         inv, eye = np.linalg.inv, np.eye(2 * spec.dims.n)
         for i in range(spec.grid.steps + 1):
             Pi1, Pi2, tv = sol.pi1.values[i], sol.pi2.values[i], ens.zeta[i, :, : sys.dim]

@@ -256,6 +256,14 @@ class TestSpecValidation:
         with pytest.raises(bs.SpecError):
             dataclasses.replace(hand_spec_coarse, A=bad)
 
+    @pytest.mark.parametrize("name", ["G1", "G2"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_weight_rejected(self, hand_spec_coarse, name, value):
+        import dataclasses
+
+        with pytest.raises(bs.SpecError, match=f"^weight {name} must be finite$"):
+            dataclasses.replace(hand_spec_coarse, **{name: [[value]]})
+
     def test_symmetry_tolerance_boundary(self, hand_spec_coarse):
         # an asymmetry below SYMMETRY_TOL must pass
         from bsde_stackelberg.scenario import make_constant_spec

@@ -474,13 +474,15 @@ class TestCliVerify:
         assert not out.exists()
 
 
-def doubled_forward(original):
-    """(I + Pi2 Pi1)^-1 scaled by 2: X no longer equals Pi2 Y + varphi-tilde, at
-    either level (the follower's system has Pi1 = P1 and Pi2 = P2)."""
+def doubled_decoupling(original):
+    """The path kernel's one decoupling inverse (I + Pi1 Pi2)^-1, and with it its
+    transpose (I + Pi2 Pi1)^-1, scaled by 2: X and Y double, so the feedback table
+    and its maximum-principle form part by R^-1 B2h^T varphi-tilde, at either level
+    (the follower's system has Pi1 = P1 and Pi2 = P2)."""
 
-    def patched(sys, pi1, pi2):
-        inv_s, inv_12, inv_21 = original(sys, pi1, pi2)
-        return inv_s, inv_12, 2.0 * inv_21
+    def patched(m, t, label):
+        inverse = original(m, t, label)
+        return 2.0 * inverse if label == "(I + Pi1 Pi2)" else inverse
 
     return patched
 
@@ -526,7 +528,7 @@ COMMANDS = (
 CONSISTENCY_FAILURES = [
     pytest.param(command, scenario, "stacked", attribute, breakage, id=command + suffix)
     for attribute, breakage, suffix, commands in (
-        ("_decoupling_inverses", doubled_forward, "", COMMANDS),
+        ("guarded_inv", doubled_decoupling, "", COMMANDS),
         ("path_kernel", shifted_read_X, "-read_X", COMMANDS),
         # the follower command builds no leader kernel
         ("path_kernel", shifted_leader_read_u, "-leader-read_u", COMMANDS[1:]),
@@ -633,6 +635,49 @@ OVERFLOWS = {
     ),
     "G1-1e300": (lambda doc: doc["weights"].__setitem__("G1", [[1e300]]), "solution diverged"),
 }
+
+
+NAN, INF = float("nan"), float("inf")
+# a non-finite number in a scenario, which Python's json reads (NaN, Infinity, an
+# integer too large for a float): the command, the keys of the entry set in the
+# shipped scenario, its value, and the field its one failure line names
+NON_FINITE = {
+    "G1-nan-validate": ("validate", ("weights", "G1"), [[NAN]], "weights.G1"),
+    "G1-nan-equilibrium": ("equilibrium", ("weights", "G1"), [[NAN]], "weights.G1"),
+    "G2-inf-riccati": ("riccati", ("weights", "G2"), [[INF]], "weights.G2"),
+    "G2-huge-int": ("riccati", ("weights", "G2"), [[10**400]], "weights.G2"),
+    "market-G1-nan": ("finance", ("market", "G1"), NAN, "market.G1"),
+    "A-nan": ("equilibrium", ("coefficients", "A"), {"constant": [NAN]}, "coefficients.A.constant"),
+    "u2-nan": ("follower", ("u2",), {"const": {"constant": [NAN]}}, "u2.const.constant"),
+    "terminal-nan": ("equilibrium", ("terminal", "a"), [NAN], "terminal.a"),
+    "node-time-nan": (
+        "equilibrium", ("coefficients", "A"),
+        {"nodes": [[0.0, [0.0]], [NAN, [1.0]], [1.0, [1.0]]]}, "coefficients.A.nodes times",
+    ),
+}
+
+
+@pytest.mark.parametrize("command,keys,value,field", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_non_finite_field_exit_one(tmp_path, capsys, command, keys, value, field):
+    """A non-finite number is rejected where the scenario is read: exit 1 with one
+    stderr line that names its field, no floating-point warning and no artifact."""
+    scenario = "finance.json" if command == "finance" else "hand_solvable.json"
+    doc = json.loads((SCENARIOS / scenario).read_text())
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([
+            command, "--scenario", str(write_scenario(tmp_path, doc)),
+            "--out", str(out), "--steps", "8", "--paths", "4",
+        ])
+    err = capsys.readouterr().err
+    assert rc == 1 and [str(w.message) for w in caught] == []
+    assert err == f"bad scenario: {field} must be finite\n"
+    assert not out.exists()
 
 
 class TestCliOverflow:
