@@ -250,39 +250,40 @@ def main(argv=None) -> int:
     if not 0 <= args.seed < 2**64:  # sampling keys each path's stream on (seed << 64) | path
         print(f"--seed must be in [0, 2**64), got {args.seed}", file=sys.stderr)
         return EXIT_VALIDATION
-    try:
-        scn = load_scenario(args.scenario, steps=args.steps)
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"cannot read scenario: {e}", file=sys.stderr)
-        return EXIT_IO
-    except (SpecError, KeyError, TypeError, ValueError) as e:
-        print(f"bad scenario: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    if args.command != "validate":
-        _, passed = _validation_payload(scn)
-        if not passed:
-            print("scenario fails validation; run the validate command", file=sys.stderr)
+    # an overflow is caught by the loader's, validation's and the solver's guards
+    # (SpecError, the validation report, DivergenceError, SingularityError), so
+    # its floating-point warnings are not printed
+    with np.errstate(all="ignore"):
+        try:
+            scn = load_scenario(args.scenario, steps=args.steps)
+        except (OSError, json.JSONDecodeError) as e:
+            print(f"cannot read scenario: {e}", file=sys.stderr)
+            return EXIT_IO
+        except (SpecError, KeyError, TypeError, ValueError) as e:
+            print(f"bad scenario: {e}", file=sys.stderr)
             return EXIT_VALIDATION
 
-    try:
-        # an overflow is caught by the solver's guards (DivergenceError,
-        # SingularityError), so its floating-point warnings are not printed
-        with np.errstate(all="ignore"):
+        if args.command != "validate":
+            _, passed = _validation_payload(scn)
+            if not passed:
+                print("scenario fails validation; run the validate command", file=sys.stderr)
+                return EXIT_VALIDATION
+
+        try:
             return COMMANDS[args.command](scn, Path(args.out), args)
-    except (
-        DivergenceError,
-        SingularityError,
-        UnsolvableError,
-        ConsistencyError,
-        NonConvexError,
-        np.linalg.LinAlgError,
-    ) as e:
-        print(f"solver failure: {e}", file=sys.stderr)
-        return EXIT_SOLVER
-    except OSError as e:
-        print(f"I/O failure: {e}", file=sys.stderr)
-        return EXIT_IO
+        except (
+            DivergenceError,
+            SingularityError,
+            UnsolvableError,
+            ConsistencyError,
+            NonConvexError,
+            np.linalg.LinAlgError,
+        ) as e:
+            print(f"solver failure: {e}", file=sys.stderr)
+            return EXIT_SOLVER
+        except OSError as e:
+            print(f"I/O failure: {e}", file=sys.stderr)
+            return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ S_i = S0 + dW_i S1 + dW_i^2 S2, S0 = I + dt/2 (a_i + a_{i+1} (I + dt a_i))
 - dt/2 c_i^2, S1 = c_i + dt/2 a_{i+1} c_i and S2 = c_i^2 / 2.  The reserve
 sample Gamma(T)^T xi-hat + sum_i w_i Gamma(t_i)^T f_i is the row recursion
 y_N = xi-hat + w_N f_N, y_i = y_{i+1} S_i + w_i f_i, run backward to y_0 on
-(paths, 2n) rows (reserve_samples).
+paths-last (2n, paths) columns y_i^T (reserve_samples).
 """
 
 from __future__ import annotations
@@ -121,9 +121,11 @@ def build_finance_spec(m: MarketParams) -> LQGameSpec:
 
 
 def dual_tables(sol: StackelbergSolution) -> tuple[np.ndarray, np.ndarray]:
-    """reserve_samples' tables, built once per solve: the (N, 2n, 6n) step table
-    [S0 | S1 | S2] and the (N+1, 2n+2, 2n) table on zeta of w_i f_i, trapezoid
-    weights w_i, with xi-hat = a + b W(T) in the W and 1 rows of its last node."""
+    """reserve_samples' tables on paths-last arrays, built once per solve: the
+    (N, 6n, 2n) step table (S0^T; S1^T; S2^T) and the (N+1, 2n, 2n+2) table
+    on zeta_i^T of w_i f_i, trapezoid weights w_i, with xi-hat = a + b W(T) in
+    the W and 1 columns of its last node.  Every block has 2n >= 2 rows, so no
+    product is a BLAS gemv, whose bits depend on the number of paths."""
     sys, grid = sol.system, sol.system.grid
     M, F = sol.kernel.closed_loop  # the leader has no known control
     a, c, m, dt = _tr(M), sys.C1h.values[:-1], sys.dim, grid.dt
@@ -133,11 +135,11 @@ def dual_tables(sol: StackelbergSolution) -> tuple[np.ndarray, np.ndarray]:
         c + 0.5 * dt * a[1:] @ c,
         0.5 * c_sq,
     ], axis=2)
-    forcing = np.zeros((grid.steps + 1, m + 2, m))
-    forcing[:, :m] = grid.trapezoid_weights[:, None, None] * _tr(F)
-    forcing[-1, m] += sys.xih.b[:, 0]
-    forcing[-1, -1] += sys.xih.a
-    return steps, forcing
+    forcing = np.zeros((grid.steps + 1, m, m + 2))
+    forcing[:, :, :m] = grid.trapezoid_weights[:, None, None] * F
+    forcing[-1, :, m] += sys.xih.b[:, 0]
+    forcing[-1, :, -1] += sys.xih.a
+    return np.ascontiguousarray(_tr(steps)), forcing
 
 
 def reserve_samples(
@@ -146,19 +148,20 @@ def reserve_samples(
     """Per path, the dual samples of Y(0), (paths, 2n), on the paths of zeta with
     increments dW: y_N = xi-hat + w_N f_N, y_i = y_{i+1} S_i + w_i f_i with
     S_i = S0_i + dW_i S1_i + dW_i^2 S2_i, backward to y_0 on the dual_tables
-    (steps, forcing), one (paths, 2n) x (2n, 6n) product per step."""
+    (steps, forcing), on paths-last (2n, paths) columns y_i^T: one
+    (6n, 2n) x (2n, paths) product per step."""
     steps, forcing = tables
-    m = steps.shape[1]
-    f = zeta @ forcing
+    m = steps.shape[2]
+    f = forcing @ _tr(zeta)  # (N+1, 2n, paths)
     y = f[-1]
     for i in reversed(range(len(steps))):
-        s = y @ steps[i]
-        y = s[:, 2 * m :] * dW[i, :, None]
-        y += s[:, m : 2 * m]
-        y *= dW[i, :, None]
-        y += s[:, :m]
+        s = steps[i] @ y
+        y = s[2 * m :] * dW[i]
+        y += s[m : 2 * m]
+        y *= dW[i]
+        y += s[:m]
         y += f[i]
-    return y
+    return _tr(y)
 
 
 def consumption_paths_csv(

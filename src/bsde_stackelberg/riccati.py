@@ -45,9 +45,9 @@ class UnsolvableError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolvabilityReport:
-    """Determinant scan behind the closed-form Riccati representations."""
+    """Determinant scan behind the closed-form Riccati representations: the
+    smallest determinant over the grid nodes, and whether it is positive."""
 
-    determinants: np.ndarray
     min_determinant: float
     satisfied: bool
 
@@ -404,7 +404,7 @@ def _transition_closed_form(
     for i in range(grid.steps - 1, -1, -1):
         cumulative[i] = cumulative[i + 1] @ steps[i]
     dets = np.linalg.det(cumulative[:, m:, m:])
-    report = SolvabilityReport(dets, float(dets.min()), bool(dets.min() > 0.0))
+    report = SolvabilityReport(float(dets.min()), bool(dets.min() > 0.0))
     if not report.satisfied:
         raise UnsolvableError(report.min_determinant, float(times[int(np.argmin(dets))]))
     return -np.linalg.solve(cumulative[:, m:, m:], cumulative[:, m:, :m]), report

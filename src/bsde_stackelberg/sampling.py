@@ -93,10 +93,11 @@ def coarsen(bundle: PathBundle, factor: int) -> PathBundle:
 
 
 # Memory budget of one (N + 1, chunk, dim) float64 path array.  An equilibrium
-# chunk (dim = 2n) holds its joint state (3n + 2 columns), its Brownian paths
-# and one form's temporary: about 6 such arrays at n = 1, fewer at larger n.
-# A finance chunk (dim = 2) holds zeta, its Brownian paths, the dual reserve's
-# forcing f and a (paths, 6) step product, or one form's temporary: about 5.
+# chunk (dim = 2n) holds its joint state (3n + 2 rows), its Brownian paths and
+# the per-node sums of a residual or a form, whose products run a block of
+# nodes at a time (stacked.NODE_BLOCK_BYTES): a tracemalloc peak of about 4.7
+# such arrays at n = 1, fewer at larger n.  A finance chunk (dim = 2) holds
+# zeta, its Brownian paths and the dual reserve's forcing f: about 4.2.
 PATH_CHUNK_BYTES = 4 * 2**20
 
 

@@ -27,9 +27,16 @@ chunk runs one Euler loop, on zeta or on the joint state of two kernels
 controls are formed only for the per-path CSV's paths, as zeta times one
 table (paths_csv).
 
-Path arrays are time-major, (N+1, paths, dim): node i of every path is
-one contiguous (paths, dim) block, and every node-wise relation is one
-stacked matmul against an (N+1, dim, cols) table.
+The Euler state is stored paths-last, as a C-contiguous (N+1, dim, paths)
+array: node i of every path is one (dim, paths) block, and each node-wise
+product applies a transposed table to it from the left, (rows x dim) @
+(dim x paths), one BLAS gemm over all paths.  simulate_tilde_varphi returns
+the array's swapaxes(1, 2) view, of the logical shape (N+1, paths, dim), so
+that callers index zeta[i, p] and multiply zeta @ table as before (paths_csv).
+Each table so applied has at least two rows: a one-row table goes to BLAS
+gemv, whose bits depend on the number of paths, and a path's figures must not
+depend on the width of its chunk.  So the Euler step stacks its drift and
+diffusion rows into one table, and the residual its three tables into one.
 """
 
 from __future__ import annotations
@@ -43,6 +50,16 @@ from .model import CoefficientPath, TimeGrid
 from .odeint import MAX_NORM, DivergenceError, check_forms_agree, guarded_inv, linear_rk4_steps
 from .riccati import RiccatiPath, StackedSystem, _sym, _tr, csv_block
 from .sampling import PathBundle, mean_stderr
+
+# Bytes of the per-node products that residual_samples and form_samples hold at
+# once, in blocks of nodes: a block stays in cache, and its temporaries stay a
+# fraction of a chunk's path arrays.  A product per node and sums node by node
+# make every figure independent of the block, so the block may depend on the
+# number of paths.  On the benchmark's paths-wide workload (N = 100, chunks of
+# 2500 paths), one residual product over all nodes held 12 MB, and freeing it
+# raised glibc's mmap threshold above the chunk's path arrays: peak RSS went
+# from 84 to 90 MB.
+NODE_BLOCK_BYTES = 512 * 2**10
 
 
 def solve_affine_bsde(
@@ -147,10 +164,14 @@ class PathKernel:
     closed_loop: tuple[np.ndarray, np.ndarray]  # (M, F), (N+1, dim, dim) each
 
     @cached_property
-    def residual_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(N, dim+2, dim) tables (-read_Y + dt drift, -read_Z) on zeta_i of the
-        residual r_i = Y_{i+1} - Y_i + drift_i dt - Z_i dW_i (residual_samples);
-        the known control's load is the drift's W and 1 rows."""
+    def residual_table(self) -> np.ndarray:
+        """(N+1, 3 dim, dim+2) table with rows (T'_i; T_i; read_Y_i^T) on the paths-last
+        zeta_i^T, T' = -read_Z^T and T = (-read_Y + dt drift)^T, of the residual
+        r_i = Y_{i+1} - Y_i + drift_i dt - Z_i dW_i (residual_samples); the known
+        control's load is the drift's W and 1 columns.  Node N's T' and T rows and
+        node 0's read_Y rows go unused: one table serves every node, and its 3 dim
+        rows go to BLAS gemm together (a one-row table is a gemv, whose bits depend
+        on the number of paths)."""
         sys, d = self.sys, self.sys.dim
         M, F = self.closed_loop
         u = sys.forcing_control
@@ -158,7 +179,8 @@ class PathKernel:
         drift += self.read_Z @ sys.C1h.values
         drift[:, :d] += _tr(F)
         drift[:, d:] += _affine_rows(sys.forcing_load.values, u.u_const.values, u.u_lin.values)
-        return sys.grid.dt * drift[:-1] - self.read_Y[:-1], -self.read_Z[:-1]
+        rows = [-self.read_Z, sys.grid.dt * drift - self.read_Y, self.read_Y]
+        return np.ascontiguousarray(_tr(np.concatenate(rows, axis=2)))
 
 
 def _affine_rows(K: np.ndarray, const: np.ndarray, lin: np.ndarray) -> np.ndarray:
@@ -290,37 +312,57 @@ def simulate_tilde_varphi(step: np.ndarray, bundle: PathBundle) -> np.ndarray:
     """Euler-Maruyama for forward offsets tilde-varphi(0) = 0 on the augmented
     state zeta = (tilde-varphi, W, 1), for a (N+1, D+2, 2D) step table of drift
     and diffusion columns (PathKernel.step, joint_step): tilde-varphi_{i+1} =
-    zeta_i (I + dt drift_i) + dW_i zeta_i diffusion_i.  Returns (N+1, paths, D+2)."""
+    zeta_i (I + dt drift_i) + dW_i zeta_i diffusion_i.  Both come from one
+    product per step, of the stacked (2D, D+2) table ((I + dt drift_i)^T;
+    diffusion_i^T) with the paths-last node block zeta_i^T.  Returns
+    (N+1, paths, D+2), the swapaxes(1, 2) view of the (N+1, D+2, paths) array."""
     d, grid = step.shape[2] // 2, bundle.grid
-    drift = grid.dt * step[:, :, :d]
-    drift[:, :d] += np.eye(d)
-    diffusion = np.ascontiguousarray(step[:, :, d:])
-    zeta = np.empty((grid.steps + 1, bundle.n_paths, d + 2))
-    zeta[0, :, :d] = 0.0
-    zeta[:, :, d] = bundle.W
-    zeta[:, :, d + 1] = 1.0
+    table = np.ascontiguousarray(_tr(step))  # (N+1, 2D, D+2)
+    table[:, :d] *= grid.dt
+    table[:, :d, :d] += np.eye(d)
+    zeta = np.empty((grid.steps + 1, d + 2, bundle.n_paths))
+    zeta[0, :d] = 0.0
+    zeta[:, d] = bundle.W
+    zeta[:, d + 1] = 1.0
+    moves = np.empty((2 * d, bundle.n_paths))  # (drift; diffusion) of every path
     for i in range(grid.steps):
-        noise = zeta[i] @ diffusion[i]
-        noise *= bundle.dW[i, :, None]
-        noise += zeta[i] @ drift[i]
-        zeta[i + 1, :, :d] = noise
-    return zeta
+        np.matmul(table[i], zeta[i], out=moves)
+        offset = zeta[i + 1, :d]
+        np.multiply(moves[d:], bundle.dW[i], out=offset)
+        offset += moves[:d]
+    return _tr(zeta)
+
+
+def _node_blocks(nodes: int, rows: int, paths: int) -> list[slice]:
+    """Consecutive blocks of nodes 0, ..., nodes - 1 whose (block, rows, paths)
+    float64 products fit NODE_BLOCK_BYTES, at least one node each."""
+    width = max(1, NODE_BLOCK_BYTES // (8 * rows * max(paths, 1)))
+    return [slice(start, min(start + width, nodes)) for start in range(0, nodes, width)]
 
 
 def residual_samples(
     kernel: PathKernel, zeta: np.ndarray, dW: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Discrete residual of the closed-loop BSDE for (Y, Z) on the paths of zeta,
-    r_i = zeta_{i+1} read_Y_{i+1} + zeta_i T_i + dW_i zeta_i T'_i with the
-    kernel's residual_table (T, T'): each path's accumulated squared residual
-    sum_i ||r_i||^2, and the max single-step |r_i|."""
-    left, noise_table = kernel.residual_table
-    resid = zeta[:-1] @ noise_table
-    resid *= dW[:, :, None]
-    resid += zeta[:-1] @ left
-    resid += zeta[1:] @ kernel.read_Y[1:]
-    accumulated = np.einsum("ipj,ipj->p", resid, resid)
-    return accumulated, float(np.max(np.abs(resid, out=resid)))
+    r_i = zeta_{i+1} read_Y_{i+1} + zeta_i T_i + dW_i zeta_i T'_i: three slices of
+    one product of the kernel's residual_table (T'; T; read_Y) with the
+    paths-last zeta, a block of nodes at a time (_node_blocks).  Returns each
+    path's accumulated squared residual sum_i ||r_i||^2, summed node by node,
+    and the max single-step |r_i|."""
+    d, paths = kernel.sys.dim, _tr(zeta)
+    squares = np.empty(dW.shape)  # (N, paths): ||r_i||^2
+    peak = 0.0  # NaN propagates, as through stream_paths' merge
+    for b in _node_blocks(len(dW), 3 * d, dW.shape[1]):
+        ahead = slice(b.start, b.stop + 1)
+        parts = kernel.residual_table[ahead] @ paths[ahead]  # (nodes + 1, 3 dim, paths)
+        resid = parts[:-1, :d]
+        resid *= dW[b, None]
+        resid += parts[:-1, d : 2 * d]
+        resid += parts[1:, 2 * d :]
+        peak = np.maximum(peak, np.max(np.abs(resid)))
+        resid *= resid
+        resid.sum(axis=1, out=squares[b])
+    return squares.sum(axis=0), float(peak)
 
 
 def residual_rms(accumulated: np.ndarray) -> float:
@@ -357,8 +399,15 @@ def form_table(
 
 def form_samples(H: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     """Per path, sum_i zeta_i H_i zeta_i^T of a form_table H on an augmented
-    state zeta, (N+1, paths, m)."""
-    return np.einsum("ipj,ipj->p", zeta @ H, zeta)
+    state zeta, (N+1, paths, m): one product H_i^T zeta_i^T on the paths-last
+    array per block of nodes, times zeta_i^T, summed node by node."""
+    paths, H_t = _tr(zeta), _tr(H)
+    values = np.empty((len(H), paths.shape[2]))  # (N+1, paths): zeta_i H_i zeta_i^T
+    for b in _node_blocks(len(H), H.shape[1], paths.shape[2]):
+        terms = H_t[b] @ paths[b]
+        terms *= paths[b]
+        terms.sum(axis=1, out=values[b])
+    return values.sum(axis=0)
 
 
 def cost_figures(samples: np.ndarray) -> dict:

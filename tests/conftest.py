@@ -231,9 +231,9 @@ def random_deterministic_scenario(rng, steps=256):
 def solvability_scan(blockmatrix, grid):
     """Scan det of the lower-right block of e^(M t) over the grid nodes.
 
-    The scanned quantity is det{(0, I) e^(M t) (0; I)} for each node t;
+    Returns the determinant det{(0, I) e^(M t) (0; I)} at each node t;
     the representation of the associated Riccati solution exists iff all
-    determinants are strictly positive.
+    of them are strictly positive.
     """
     m = np.atleast_2d(np.asarray(blockmatrix, dtype=float))
     if m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
@@ -244,8 +244,7 @@ def solvability_scan(blockmatrix, grid):
     for i in range(grid.steps):
         acc[i + 1] = step @ acc[i]
     half = m.shape[0] // 2
-    dets = np.linalg.det(acc[:, half:, half:])
-    return bs.SolvabilityReport(dets, float(dets.min()), bool(dets.min() > 0.0))
+    return np.linalg.det(acc[:, half:, half:])
 
 
 def xi_on_paths(xi, W_T):

@@ -8,7 +8,9 @@ stacked, follower, leader, finance, scenario and cli, with __init__ on top.
 Every top-level function and class of the package, and every method and
 property, is named somewhere a run or a reader reaches it: in the package
 outside its own def, in scripts/ or in README.md.  Code that only the
-tests call belongs in tests/conftest.py.
+tests call belongs in tests/conftest.py.  Likewise every field of a dataclass
+is read somewhere in the package or in scripts/, but for the few named in
+test_every_dataclass_field_is_read.
 
 scipy is imported only inside the two functions that call it, the closed
 forms' matrix_exponential and the QP oracles' banded solve, so only riccati
@@ -143,6 +145,37 @@ def unreached(modules: dict[str, ast.Module], scripts: list[ast.Module], readme:
     return out
 
 
+def is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether a class definition carries @dataclass, called or not, by any path."""
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(modules: dict[str, ast.Module], scripts: list[ast.Module]) -> list[str]:
+    """Qualified names of the fields of top-level dataclasses that nothing reads: no
+    attribute of that name is loaded in the modules or in scripts.  A constructor
+    writes its fields, so building one reads none; dataclasses.asdict and getattr
+    by a string read fields unseen, and no field here is read only that way."""
+    loaded = Counter(
+        node.attr
+        for tree in [*modules.values(), *scripts]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+    return [
+        f"{module}.{node.name}.{item.target.id}"
+        for module, tree in sorted(modules.items())
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and is_dataclass(node)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        and not loaded[item.target.id]
+    ]
+
+
 def test_sources_found():
     assert {"__init__", "odeint", "model", "stacked", "follower", "leader"} <= set(MODULES)
 
@@ -197,6 +230,44 @@ def test_unreached_reports_what_only_itself_names():
     assert unreached({"mod": source}, [script], readme) == [
         "mod.recursive", "mod.Box.shrink", "mod.Box.used",
     ]
+
+
+# dataclass fields that nothing in the package or in scripts/ reads, kept on purpose
+KEPT_FIELDS = [
+    "leader.StackelbergSolution.pi1",
+    "oracle.OracleResult.gradient_norm",
+    "oracle.OracleResult.inner_control",
+]
+
+
+def test_every_dataclass_field_is_read():
+    """No field is carried for the tests alone, but the three of KEPT_FIELDS.
+
+    StackelbergSolution.pi1 is the Pi1 flow of the solved chain that an
+    equilibrium layer hands a library caller, P1, P2, the stacked system, Pi1,
+    Pi2 and the path kernel, as README's Library section lists it; the kernel
+    was built from it, and a caller would otherwise solve it again.
+    OracleResult.gradient_norm is the KKT residual |Kx - b| of the oracle's own
+    solve: README documents it as the oracle's accuracy, and the tests bound it.
+    OracleResult.inner_control is the follower's control in the leader oracle's
+    one-level KKT solve: the tests hold it to the follower oracle's best response,
+    their check that the one-level solve is the bilevel optimum.  Neither of
+    the oracle's two goes into oracle.json, whose keys stay as they are.
+    """
+    assert unread_fields(MODULES, SCRIPTS) == KEPT_FIELDS
+
+
+def test_unread_fields_reports_fields_only_written():
+    source = ast.parse(
+        "import dataclasses\nfrom dataclasses import dataclass\n\n"
+        "@dataclass(frozen=True)\nclass Pair:\n    left: int\n    right: int = 0\n\n"
+        "@dataclasses.dataclass\nclass Box:\n    size: int\n\n"
+        "class Plain:\n    hidden: int\n\n"
+        "def build():\n    p = Pair(1, right=2)\n    p.left = 3\n    return Box(p.left)\n"
+    )
+    script = ast.parse("from pkg import build\nprint(build().size)\n")
+    assert unread_fields({"mod": source}, []) == ["mod.Pair.right", "mod.Box.size"]
+    assert unread_fields({"mod": source}, [script]) == ["mod.Pair.right"]
 
 
 # Runs CLI commands in a fresh interpreter and prints, as JSON, each command's exit

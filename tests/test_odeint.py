@@ -260,21 +260,16 @@ class TestSolvabilityScan:
         g = bs.TimeGrid(1.0, 16)
         rng = np.random.default_rng(3)
         m = rng.normal(size=(4, 4)) * 0.2
-        report = solvability_scan(m, g)
-        assert report.determinants[0] == pytest.approx(1.0)
+        assert solvability_scan(m, g)[0] == pytest.approx(1.0)
 
     def test_oscillator_rejected(self):
         # lower-right block of exp(Mt) vanishes at t = pi/10 < 1
         m = np.array([[0.0, 1.0], [-25.0, 0.0]])
-        report = solvability_scan(m, bs.TimeGrid(1.0, 200))
-        assert not report.satisfied
-        assert report.min_determinant < 0.0
+        assert solvability_scan(m, bs.TimeGrid(1.0, 200)).min() < 0.0
 
     def test_stable_system_accepted(self):
         m = np.array([[0.0, 1.0], [0.5, 0.0]])
-        report = solvability_scan(m, bs.TimeGrid(1.0, 100))
-        assert report.satisfied
-        assert report.min_determinant > 0.0
+        assert solvability_scan(m, bs.TimeGrid(1.0, 100)).min() > 0.0
 
     def test_rejects_odd_or_nonsquare(self):
         g = bs.TimeGrid(1.0, 4)

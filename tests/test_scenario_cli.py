@@ -635,6 +635,15 @@ OVERFLOWS = {
     ),
     "G1-1e300": (lambda doc: doc["weights"].__setitem__("G1", [[1e300]]), "solution diverged"),
 }
+# finite weights of the stochastic scenario whose sums overflow before the solve:
+# G2's symmetric part in validation, Q1's half-step rows in the loader as well
+HUGE_WEIGHTS = {
+    "G2-1e308": (lambda doc: doc["weights"].__setitem__("G2", [[1e308]]), "solution diverged"),
+    "Q1-1e308": (
+        lambda doc: doc["coefficients"].__setitem__("Q1", {"constant": [1e308]}),
+        "(I + Pi1 S1-hat) numerically singular",
+    ),
+}
 
 
 NAN, INF = float("nan"), float("inf")
@@ -693,6 +702,22 @@ class TestCliOverflow:
             rc = main([
                 command, "--scenario", str(write_scenario(tmp_path, doc)),
                 "--out", str(tmp_path / "o"), "--steps", "8", "--paths", "4",
+            ])
+        err = capsys.readouterr().err
+        assert rc == 2 and [str(w.message) for w in caught] == []
+        assert err.count("\n") == 1 and err.startswith(f"solver failure: {names}")
+
+    @pytest.mark.parametrize("edit,names", HUGE_WEIGHTS.values(), ids=HUGE_WEIGHTS.keys())
+    def test_huge_weight_warns_nothing_before_its_line(self, tmp_path, capsys, edit, names):
+        """A finite weight whose sums overflow in the loader's half-step rows and in
+        validation's symmetric part: both run under the command's errstate."""
+        doc = json.loads((SCENARIOS / "stochastic.json").read_text())
+        edit(doc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([
+                "riccati", "--scenario", str(write_scenario(tmp_path, doc)),
+                "--out", str(tmp_path / "o"), "--steps", "8",
             ])
         err = capsys.readouterr().err
         assert rc == 2 and [str(w.message) for w in caught] == []
