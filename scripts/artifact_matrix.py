@@ -11,9 +11,12 @@ convexity by KKT inertia.  Every command of the CLI runs on every game
 in process, through cli.main, at fixed small sizes: STEPS
 steps, PATHS paths, seed SEED.  A run writes its artifacts to
 OUT/<game>/<command>/, and exit.json beside them records its exit code and
-its stderr.  A command that does not apply to a game is recorded the same
-way: it exits nonzero with one line on stderr.  A generated game's scenario
-is written to OUT/<game>/scenario.json.
+its stderr.  The commands that draw paths also run at --paths 1 on the
+shipped scenarios, into OUT/<game>/<command>-1path/: there the path stream
+and the per-path CSV's draw are both one path wide.  A command that does
+not apply to a game is recorded the same way: it exits nonzero with one
+line on stderr.  A generated game's scenario is written to
+OUT/<game>/scenario.json.
 
 The CLI promises byte-identical outputs for identical inputs, so two runs
 on the same code give byte-identical trees.  Two runs on different code are
@@ -35,6 +38,7 @@ from bsde_stackelberg import cli
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ("hand_solvable", "stochastic", "finance")
 STEPS, PATHS, SEED = 40, 60, 7  # PATHS > cli.CSV_PATH_CAP: the per-path CSVs are capped
+SINGLE_PATH = ("equilibrium", "finance", "follower", "leader")  # the commands that draw paths
 # PSD, so strict validation accepts it, but eigvalsh reads its scaled copies
 # slightly negative
 RANK_ONE_Q1 = [0.3, 0.1, 0.1, 1 / 30]
@@ -68,10 +72,10 @@ def games(out: Path) -> dict[str, Path]:
     return found
 
 
-def run_command(command: str, scenario: Path, out: Path) -> dict:
+def run_command(command: str, scenario: Path, out: Path, paths: int = PATHS) -> dict:
     """One CLI run into out, with its exit code and stderr written to out/exit.json."""
     argv = [command, "--scenario", str(scenario), "--out", str(out)]
-    argv += ["--steps", str(STEPS), "--paths", str(PATHS), "--seed", str(SEED)]
+    argv += ["--steps", str(STEPS), "--paths", str(paths), "--seed", str(SEED)]
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
         record = {"exit": cli.main(argv), "stderr": stderr.getvalue()}
@@ -81,12 +85,19 @@ def run_command(command: str, scenario: Path, out: Path) -> dict:
 
 
 def artifact_matrix(out: Path) -> dict[tuple[str, str], dict]:
-    """Run every command on every game into out; (game, command) -> exit record."""
-    return {
+    """Run every command on every game into out, and the SINGLE_PATH commands at
+    one path on the shipped scenarios; (game, run directory) -> exit record."""
+    found = games(out)
+    records = {
         (game, command): run_command(command, scenario, out / game / command)
-        for game, scenario in games(out).items()
+        for game, scenario in found.items()
         for command in sorted(cli.COMMANDS)
     }
+    for game in SCENARIOS:
+        for command in SINGLE_PATH:
+            run = f"{command}-1path"
+            records[game, run] = run_command(command, found[game], out / game / run, paths=1)
+    return records
 
 
 def main(argv=None) -> int:
@@ -96,7 +107,7 @@ def main(argv=None) -> int:
         return 2
     records = artifact_matrix(Path(argv[0]))
     for (game, command), record in records.items():
-        print(f"{game:>16} {command:>12} exit {record['exit']}")
+        print(f"{game:>16} {command:>17} exit {record['exit']}")
     return 0
 
 

@@ -28,7 +28,6 @@ from .odeint import (
 )
 from .riccati import (
     RiccatiPath,
-    SolvabilityReport,
     StackedSystem,
     UnsolvableError,
     build_stacked_system,

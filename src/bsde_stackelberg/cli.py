@@ -17,8 +17,8 @@ import numpy as np
 
 from . import follower as fol
 from . import leader as led
-from .finance import consumption_summary
-from .model import AffineControl, LQGameSpec, SpecError, validate_spec
+from .finance import consumption_paths_csv, consumption_summary
+from .model import AffineControl, LQGameSpec, SpecError, TimeGrid, validate_spec
 from .odeint import ConsistencyError, DivergenceError, SingularityError
 from .oracle import (
     NonConvexError,
@@ -57,13 +57,21 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, default=lambda x: x.tolist())
 
 
-def _write_json(out: Path, name: str, payload: dict):
-    _write_text(out, name, _json_text(payload) + "\n")
-
-
-def _write_text(out: Path, name: str, text: str):
+def _open(out: Path, name: str):
+    """out/name opened for writing; a CSV writer writes it a slab of rows at a time."""
     out.mkdir(parents=True, exist_ok=True)
-    (out / name).write_text(text)
+    return (out / name).open("w")
+
+
+def _write_json(out: Path, name: str, payload: dict):
+    with _open(out, name) as f:
+        f.write(_json_text(payload) + "\n")
+
+
+def _draw(step: np.ndarray, grid: TimeGrid, paths: int, seed: int) -> np.ndarray:
+    """zeta of a step table on paths 0, ..., paths - 1 of seed, in one bundle: a
+    per-path CSV's paths, drawn once after the stream, or verify's two."""
+    return simulate_tilde_varphi(step, sample_brownian(grid, paths, seed))
 
 
 def _write_summary(out: Path, summary: dict, scn: Scenario, args):
@@ -102,7 +110,8 @@ def cmd_riccati(scn: Scenario, out: Path, args) -> int:
         return EXIT_VALIDATION
     p1, p2, lsys, pi1, pi2 = riccati_chain(spec)  # no path kernel: riccati draws no paths
     for ric in (p1, p2, pi1, pi2):
-        _write_text(out, f"riccati_{ric.tag.lower()}.csv", riccati_csv(ric))
+        with _open(out, f"riccati_{ric.tag.lower()}.csv") as f:
+            riccati_csv(ric, f)
     residuals = {ric.tag.lower(): riccati_residual(ric) for ric in (p1, p2, pi1, pi2)}
     solvability: dict = {"closed_form_applicable": spec.c_vanishes}
     if solvability["closed_form_applicable"]:
@@ -111,10 +120,10 @@ def cmd_riccati(scn: Scenario, out: Path, args) -> int:
                 "pi1": (pi1_closed_form(lsys), pi1),
                 "pi2": (pi2_closed_form(lsys), pi2),
             }
-            for tag, ((cf, rep), rk4) in forms.items():
+            for tag, ((cf, min_det), rk4) in forms.items():
                 solvability[tag] = {
-                    "min_determinant": rep.min_determinant,
-                    "satisfied": rep.satisfied,
+                    "min_determinant": min_det,
+                    "satisfied": min_det > 0.0,
                     "max_gap_vs_rk4": float(np.max(np.abs(cf.values - rk4.values))),
                 }
         except UnsolvableError as e:
@@ -135,16 +144,20 @@ def _direction(scn: Scenario) -> AffineControl:
 
 def cmd_follower(scn: Scenario, out: Path, args) -> int:
     mc = MonteCarloConfig(paths=args.paths, seed=args.seed)
-    summary, csv = fol.follower_summary(scn.spec, scn.u2, mc, _direction(scn), CSV_PATH_CAP)
-    _write_text(out, "paths_follower.csv", csv)
+    summary, kernel = fol.follower_summary(scn.spec, scn.u2, mc, _direction(scn))
+    zeta = _draw(kernel.step, scn.spec.grid, min(args.paths, CSV_PATH_CAP), args.seed)
+    with _open(out, "paths_follower.csv") as f:
+        fol.follower_paths_csv(kernel, zeta, f)
     _write_summary(out, summary, scn, args)
     return 0
 
 
 def cmd_leader(scn: Scenario, out: Path, args) -> int:
     mc = MonteCarloConfig(paths=args.paths, seed=args.seed)
-    summary, csv = led.equilibrium_summary(scn.spec, mc, _direction(scn), CSV_PATH_CAP)
-    _write_text(out, "paths_leader.csv", csv)
+    summary, sol = led.equilibrium_summary(scn.spec, mc, _direction(scn))
+    zeta = _draw(sol.kernel.step, scn.spec.grid, min(args.paths, CSV_PATH_CAP), args.seed)
+    with _open(out, "paths_leader.csv") as f:
+        led.leader_paths_csv(sol, zeta, f)
     _write_summary(out, summary, scn, args)
     return 0
 
@@ -154,8 +167,10 @@ def cmd_finance(scn: Scenario, out: Path, args) -> int:
         print("scenario has no 'market' section", file=sys.stderr)
         return EXIT_VALIDATION
     mc = MonteCarloConfig(paths=args.paths, seed=args.seed)
-    summary, csv = consumption_summary(scn.market, mc, CSV_PATH_CAP)
-    _write_text(out, "paths_finance.csv", csv)
+    summary, sol = consumption_summary(scn.market, mc)
+    zeta = _draw(sol.kernel.step, scn.market.grid, min(args.paths, CSV_PATH_CAP), args.seed)
+    with _open(out, "paths_finance.csv") as f:
+        consumption_paths_csv(sol, scn.market, zeta, f)
     _write_summary(out, summary, scn, args)
     return 0
 
@@ -168,14 +183,13 @@ def oracle_payload(spec: LQGameSpec, u2: AffineControl, seed: int) -> dict:
     """
     layer = led.equilibrium_layer(spec)  # its consistency checks come before any path
     # deterministic xi and C = 0: all paths identical, so 2 paths in one bundle
-    bundle = sample_brownian(spec.grid, 2, seed)
-    zeta = simulate_tilde_varphi(layer.kernel.step, bundle)
+    zeta = _draw(layer.kernel.step, spec.grid, 2, seed)
 
     prob = build_discrete_problem(spec)
     u2_steps = 0.5 * (u2.u_const.values[:-1, :, 0] + u2.u_const.values[1:, :, 0])
     fol_oracle = deterministic_follower_oracle(prob, u2_steps)
     fol_kernel = fol.follower_kernel(spec, layer.p1, layer.p2, u2)
-    fol_zeta = simulate_tilde_varphi(fol_kernel.step, bundle)
+    fol_zeta = _draw(fol_kernel.step, spec.grid, 2, seed)
     fol_rep = oracle_report(
         fol_oracle.cost,
         float(form_samples(fol.follower_cost_table(spec, fol_kernel), fol_zeta).mean()),

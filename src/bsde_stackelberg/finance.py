@@ -23,6 +23,7 @@ paths-last (2n, paths) columns y_i^T (reserve_samples).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -164,15 +165,9 @@ def reserve_samples(
     return _tr(y)
 
 
-def consumption_paths_csv(
-    sol: StackelbergSolution,
-    m: MarketParams,
-    zeta: np.ndarray,
-    max_paths: int | None = None,
-    first: int = 0,
-) -> str:
-    """Per-path CSV of (t, wealth, portfolio, c1, c2), 17 significant digits, of
-    the paths of the leader's zeta numbered from first (paths_csv).
+def consumption_paths_csv(sol: StackelbergSolution, m: MarketParams, zeta: np.ndarray, out: TextIO):
+    """Write the per-path CSV of (t, wealth, portfolio, c1, c2) of the leader's
+    zeta to out, 17 significant digits (paths_csv).
 
     Wealth is the leader's backward state ybar, the portfolio the risky
     position zbar / sigma, and c1, c2 the two consumption rates u1, u2.
@@ -180,16 +175,15 @@ def consumption_paths_csv(
     kernel, n = sol.kernel, sol.spec.dims.n
     ybar, zbar = kernel.read_Y[:, :, n:], kernel.read_Z[:, :, n:]
     table = np.concatenate([ybar, zbar / m.sigma.values, sol.read_u1, kernel.read_u], axis=2)
-    return paths_csv(m.grid.nodes, ["y", "pi", "c1", "c2"], zeta, table, max_paths, first)
+    paths_csv(m.grid.nodes, ["y", "pi", "c1", "c2"], zeta, table, out)
 
 
-def consumption_summary(
-    m: MarketParams, mc: MonteCarloConfig, csv_paths: int = 0
-) -> tuple[dict, str]:
+def consumption_summary(m: MarketParams, mc: MonteCarloConfig) -> tuple[dict, StackelbergSolution]:
     """The consumption equilibrium's figures on mc's paths, keyed as the CLI's
-    summary, and the CSV of the first csv_paths paths, streamed in path chunks:
-    J1 and J2 as forms on zeta, and the dual reserve samples, whose mean
-    estimates the pipeline's Y(0) = zeta(0) read_Y(0), the same on every path."""
+    summary and streamed in path chunks: J1 and J2 as forms on zeta, and the
+    dual reserve samples, whose mean estimates the pipeline's Y(0) =
+    zeta(0) read_Y(0), the same on every path.  Also returns the equilibrium's
+    deterministic layer, which its CSV reads (consumption_paths_csv)."""
     sol = equilibrium_layer(build_finance_spec(m))
     kernel, dual = sol.kernel, dual_tables(sol)
 
@@ -197,7 +191,6 @@ def consumption_summary(
         zeta = simulate_tilde_varphi(kernel.step, bundle)
         return {name: form_samples(form, zeta) for name, form in sol.forms.items()} | {
             "reserve": reserve_samples(dual, zeta, bundle.dW),
-            "csv": consumption_paths_csv(sol, m, zeta, csv_paths, bundle.first),
         }
 
     merged = stream_paths(m.grid, mc, sol.system.dim, chunk)
@@ -210,4 +203,4 @@ def consumption_summary(
         "J2": cost_figures(merged["J2"]),
         "dual_check": {"mc_estimate": estimate, "stderr": stderr, "gap": estimate - Y0},
     }
-    return summary, merged["csv"]
+    return summary, sol

@@ -11,7 +11,7 @@ the summary of its command.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -84,24 +84,21 @@ def follower_slope_table(spec: LQGameSpec, kernel: PathKernel, v: AffineControl)
     return form_table(spec.grid, spec.weights(1), reads, step)
 
 
-def follower_paths_csv(
-    kernel: PathKernel, zeta: np.ndarray, max_paths: int | None = None, first: int = 0
-) -> str:
-    """Per-path CSV: path,t,y_*,z_*,u1_*,x_* with 17 significant digits, of the
-    paths of the follower's zeta numbered from first (paths_csv)."""
+def follower_paths_csv(kernel: PathKernel, zeta: np.ndarray, out: TextIO):
+    """Write the per-path CSV path,t,y_*,z_*,u1_*,x_* of the follower's zeta to
+    out, 17 significant digits (paths_csv)."""
     n, k = kernel.sys.dim, kernel.read_u.shape[2]
     header = column_labels("y", n) + column_labels("z", n, "1")
     header += column_labels("u1", k) + column_labels("x", n)
     table = np.concatenate([kernel.read_Y, kernel.read_Z, kernel.read_u, kernel.read_X], axis=2)
-    return paths_csv(kernel.sys.grid.nodes, header, zeta, table, max_paths, first)
+    paths_csv(kernel.sys.grid.nodes, header, zeta, table, out)
 
 
 def follower_chunk(
-    spec: LQGameSpec, kernel: PathKernel, v: AffineControl, csv_paths: int = 0
+    spec: LQGameSpec, kernel: PathKernel, v: AffineControl
 ) -> Callable[[PathBundle], dict]:
     """The per-path figures of follower_summary on one chunk of paths: one Euler
-    loop, then J1, the slope along v and the residual read off zeta, and the
-    CSV of its paths numbered below csv_paths."""
+    loop, then J1, the slope along v and the residual read off zeta."""
     cost, slope = follower_cost_table(spec, kernel), follower_slope_table(spec, kernel, v)
 
     def chunk(bundle: PathBundle) -> dict:
@@ -112,23 +109,22 @@ def follower_chunk(
             "slope": form_samples(slope, zeta),
             "residual": residual,
             "bsde_residual_max": residual_max,
-            "csv": follower_paths_csv(kernel, zeta, csv_paths, bundle.first),
         }
 
     return chunk
 
 
 def follower_summary(
-    spec: LQGameSpec, u2: AffineControl, mc: MonteCarloConfig, v: AffineControl, csv_paths: int = 0
-) -> tuple[dict, str]:
+    spec: LQGameSpec, u2: AffineControl, mc: MonteCarloConfig, v: AffineControl
+) -> tuple[dict, PathKernel]:
     """The follower's figures for the leader control u2 on mc's paths, keyed as
-    the CLI's summary, and the CSV of the first csv_paths paths, streamed in
-    path chunks (follower_chunk)."""
+    the CLI's summary and streamed in path chunks (follower_chunk), and the
+    follower's kernel, which its CSV reads (follower_paths_csv)."""
     p1 = solve_p1(spec)
     p2 = solve_p2(spec, p1)
     kernel = follower_kernel(spec, p1, p2, u2)
     defects = structural_defects(kernel)
-    merged = stream_paths(spec.grid, mc, kernel.sys.dim, follower_chunk(spec, kernel, v, csv_paths))
+    merged = stream_paths(spec.grid, mc, kernel.sys.dim, follower_chunk(spec, kernel, v))
     summary = {
         "J1": cost_figures(merged["J1"]),
         "stationarity": {
@@ -139,4 +135,4 @@ def follower_summary(
         "bsde_residual_rms": residual_rms(merged["residual"]),
         "bsde_residual_max": merged["bsde_residual_max"],
     }
-    return summary, merged["csv"]
+    return summary, kernel

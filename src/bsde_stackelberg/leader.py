@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -137,28 +137,25 @@ def leader_slope_table(sol: StackelbergSolution, response: PathKernel) -> np.nda
     return form_table(sol.spec.grid, sol.spec.weights(2), base, step)
 
 
-def leader_paths_csv(
-    sol: StackelbergSolution, zeta: np.ndarray, max_paths: int | None = None, first: int = 0
-) -> str:
-    """Per-path CSV with block-named columns, 17 significant digits, of the paths
-    of the leader's zeta numbered from first (paths_csv): X stacks (phibar, q),
-    Y stacks (p, ybar) and Z stacks (k, zbar)."""
+def leader_paths_csv(sol: StackelbergSolution, zeta: np.ndarray, out: TextIO):
+    """Write the per-path CSV of the leader's zeta to out with block-named columns,
+    17 significant digits (paths_csv): X stacks (phibar, q), Y stacks (p, ybar)
+    and Z stacks (k, zbar)."""
     n, k, kernel = sol.spec.dims.n, sol.spec.dims.k, sol.kernel
     header = [c for pre in ("phibar", "q", "p", "ybar", "k", "zbar") for c in column_labels(pre, n)]
     header += column_labels("u1", k) + column_labels("u2", k)
     table = np.concatenate(
         [kernel.read_X, kernel.read_Y, kernel.read_Z, sol.read_u1, kernel.read_u], axis=2
     )
-    return paths_csv(sol.spec.grid.nodes, header, zeta, table, max_paths, first)
+    paths_csv(sol.spec.grid.nodes, header, zeta, table, out)
 
 
 def equilibrium_chunk(
-    sol: StackelbergSolution, response: PathKernel, csv_paths: int = 0
+    sol: StackelbergSolution, response: PathKernel
 ) -> Callable[[PathBundle], dict]:
     """The per-path figures of equilibrium_summary on one chunk of paths: one Euler
     loop on the joint state of the equilibrium and the response kernel, then
-    J1, J2, the leader's slope and the residual read off it, and the CSV of
-    its paths numbered below csv_paths."""
+    J1, J2, the leader's slope and the residual read off it."""
     step, slope = joint_step(response, sol.kernel), leader_slope_table(sol, response)
     a = response.sys.dim
 
@@ -170,22 +167,21 @@ def equilibrium_chunk(
             "slope": form_samples(slope, xi),
             "residual": residual,
             "bsde_residual_max": residual_max,
-            "csv": leader_paths_csv(sol, zeta, csv_paths, bundle.first),
         }
 
     return chunk
 
 
 def equilibrium_summary(
-    spec: LQGameSpec, mc: MonteCarloConfig, v: AffineControl, csv_paths: int = 0
-) -> tuple[dict, str]:
-    """The equilibrium's figures on mc's paths, keyed as the CLI's summary, and
-    the CSV of the first csv_paths paths, streamed in path chunks
-    (equilibrium_chunk), for the stationarity direction v."""
+    spec: LQGameSpec, mc: MonteCarloConfig, v: AffineControl
+) -> tuple[dict, StackelbergSolution]:
+    """The equilibrium's figures on mc's paths, keyed as the CLI's summary and
+    streamed in path chunks (equilibrium_chunk), for the stationarity direction
+    v, and the equilibrium's deterministic layer, which its CSV reads
+    (leader_paths_csv)."""
     sol = equilibrium_layer(spec)
     response = response_kernel(spec, sol.p1, sol.p2, v)
-    chunk = equilibrium_chunk(sol, response, csv_paths)
-    merged = stream_paths(spec.grid, mc, sol.system.dim, chunk)
+    merged = stream_paths(spec.grid, mc, sol.system.dim, equilibrium_chunk(sol, response))
     defects = sol.defects
     summary = {
         "J1": cost_figures(merged["J1"]),
@@ -201,4 +197,4 @@ def equilibrium_summary(
         "bsde_residual_rms": residual_rms(merged["residual"]),
         "bsde_residual_max": merged["bsde_residual_max"],
     }
-    return summary, merged["csv"]
+    return summary, sol

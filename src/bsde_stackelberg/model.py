@@ -255,12 +255,12 @@ class LQGameSpec:
     @cached_property
     def R1_inv(self) -> np.ndarray:
         """(2N+1, k, k) half-step table of R1^-1, inverted once per spec."""
-        return _weight_inverse(self.R1, "R1")
+        return guarded_inv(self.R1.half, self.grid.half_times, "R1")
 
     @cached_property
     def R2_inv(self) -> np.ndarray:
         """(2N+1, k, k) half-step table of R2^-1, inverted once per spec."""
-        return _weight_inverse(self.R2, "R2")
+        return guarded_inv(self.R2.half, self.grid.half_times, "R2")
 
     @cached_property
     def B1_R1inv_B1T(self) -> np.ndarray:
@@ -284,11 +284,6 @@ def vanishes(path: CoefficientPath) -> bool:
     """True when every node value of path is below 1e-12 in size: the test of
     C = 0 that the CLI and the Riccati closed forms share."""
     return bool(np.max(np.abs(path.values)) < 1e-12)
-
-
-def _weight_inverse(weight: CoefficientPath, label: str) -> np.ndarray:
-    """Gated inverses of a control weight's half-step table, one batched call."""
-    return guarded_inv(weight.half, weight.grid.half_times, label)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -41,15 +41,6 @@ class UnsolvableError(RuntimeError):
         super().__init__(
             f"solvability condition violated: min determinant {min_determinant:.6g} at t={t:.6g}"
         )
-
-
-@dataclass(frozen=True)
-class SolvabilityReport:
-    """Determinant scan behind the closed-form Riccati representations: the
-    smallest determinant over the grid nodes, and whether it is positive."""
-
-    min_determinant: float
-    satisfied: bool
 
 
 @dataclass(frozen=True)
@@ -389,8 +380,9 @@ def _require_c_zero(sys: StackedSystem):
 
 def _transition_closed_form(
     matfun: Callable[[np.ndarray], np.ndarray], grid: TimeGrid, times: np.ndarray
-) -> tuple[np.ndarray, SolvabilityReport]:
-    """-(lower-right)^-1 (lower-left) of the cumulative transitions U_i = E_{N-1} ... E_i.
+) -> tuple[np.ndarray, float]:
+    """-(lower-right)^-1 (lower-left) of the cumulative transitions U_i = E_{N-1} ... E_i,
+    and the smallest lower-right determinant.
 
     E_i are the per-step transitions of dU/ds = matfun(s) U, matfun stack-valued.
     The lower-right determinant of every U_i must stay positive, else
@@ -404,14 +396,15 @@ def _transition_closed_form(
     for i in range(grid.steps - 1, -1, -1):
         cumulative[i] = cumulative[i + 1] @ steps[i]
     dets = np.linalg.det(cumulative[:, m:, m:])
-    report = SolvabilityReport(float(dets.min()), bool(dets.min() > 0.0))
-    if not report.satisfied:
-        raise UnsolvableError(report.min_determinant, float(times[int(np.argmin(dets))]))
-    return -np.linalg.solve(cumulative[:, m:, m:], cumulative[:, m:, :m]), report
+    min_det = float(dets.min())
+    if not min_det > 0.0:
+        raise UnsolvableError(min_det, float(times[int(np.argmin(dets))]))
+    return -np.linalg.solve(cumulative[:, m:, m:], cumulative[:, m:, :m]), min_det
 
 
-def pi1_closed_form(sys: StackedSystem) -> tuple[RiccatiPath, SolvabilityReport]:
-    """Matrix-exponential representation of Pi1 (requires C = 0).
+def pi1_closed_form(sys: StackedSystem) -> tuple[RiccatiPath, float]:
+    """Matrix-exponential representation of Pi1 (requires C = 0), and the
+    smallest determinant of its solvability scan (_transition_closed_form).
 
     Built on the transition matrices of the linear Hamiltonian system;
     for constant hat matrices this reduces to e^(A (T - t)) literally.
@@ -430,12 +423,13 @@ def pi1_closed_form(sys: StackedSystem) -> tuple[RiccatiPath, SolvabilityReport]
             [F2 - B2 @ R_inv @ B2t, -A1 + B2 @ R_inv @ B1t],
         ])
 
-    vals, report = _transition_closed_form(afun, grid, grid.nodes)
-    return RiccatiPath("Pi1", CoefficientPath(grid, vals), sys.S1h), report
+    vals, min_det = _transition_closed_form(afun, grid, grid.nodes)
+    return RiccatiPath("Pi1", CoefficientPath(grid, vals), sys.S1h), min_det
 
 
-def pi2_closed_form(sys: StackedSystem) -> tuple[RiccatiPath, SolvabilityReport]:
-    """Matrix-exponential representation of Pi2 (requires C = 0).
+def pi2_closed_form(sys: StackedSystem) -> tuple[RiccatiPath, float]:
+    """Matrix-exponential representation of Pi2 (requires C = 0), and the
+    smallest determinant of its solvability scan.
 
     The representation lives in reversed time tau = T - t; the returned
     path is mapped back to original time, so it is directly comparable
@@ -459,10 +453,10 @@ def pi2_closed_form(sys: StackedSystem) -> tuple[RiccatiPath, SolvabilityReport]
         # the representation Pi21 = -(lower-right)^-1 (lower-left)
         return np.block([[phi, hamilton], [-psi, -_tr(phi)]])
 
-    pi21_tau, report = _transition_closed_form(bfun, grid, T - grid.nodes)
+    pi21_tau, min_det = _transition_closed_form(bfun, grid, T - grid.nodes)
     # Pi2(t_i) = G2-hat + Pi21(tau = T - t_i)
     vals = G2h[None] + pi21_tau[::-1]
-    return RiccatiPath("Pi2", CoefficientPath(grid, vals)), report
+    return RiccatiPath("Pi2", CoefficientPath(grid, vals)), min_det
 
 
 def riccati_residual(ric: RiccatiPath) -> tuple[float, float]:
@@ -484,23 +478,28 @@ def riccati_residual(ric: RiccatiPath) -> tuple[float, float]:
     return float(r[worst]), float(grid.nodes[worst + 1])
 
 
-def riccati_csv(ric: RiccatiPath) -> str:
-    """CSV export: header t,m_11,...,m_nn (row-major), 17 significant digits."""
+def riccati_csv(ric: RiccatiPath, out: TextIO):
+    """Write the CSV of a solved Riccati path to out: header t,m_11,...,m_nn
+    (row-major), 17 significant digits.  Above dimension 9 the row and column
+    indices are joined by "_", m_1_12, so that no two entries share a name."""
     rows, cols = ric.path.shape
-    header = ["t"] + [f"m_{r + 1}{c + 1}" for r in range(rows) for c in range(cols)]
+    sep = "_" if max(rows, cols) > 9 else ""
+    header = ["t"] + [f"m_{r + 1}{sep}{c + 1}" for r in range(rows) for c in range(cols)]
     nodes = ric.path.grid.nodes
-    return csv_block(np.column_stack([nodes, ric.values.reshape(len(nodes), -1)]), header)
+    csv_block(np.column_stack([nodes, ric.values.reshape(len(nodes), -1)]), header, out)
 
 
-# rows per "%" call of csv_block: only one slab's values are Python floats at a time
+# rows per "%" call and write of csv_block: only one slab's values are Python
+# floats, and one slab's text a string, at a time
 CSV_SLAB_ROWS = 256
 
 
-def csv_block(table: np.ndarray, header: list[str] | None = None) -> str:
-    """CSV text of a 2-D table: the header line, if any, then one line per row,
+def csv_block(table: np.ndarray, header: list[str], out: TextIO):
+    """Write a 2-D table to out as CSV: the header line, then one line per row,
     17 significant digits; one "%.17g" format string formats each slab of
-    CSV_SLAB_ROWS rows, and the text is joined once."""
+    CSV_SLAB_ROWS rows, which is written before the next is formed."""
+    out.write(",".join(header) + "\n")
     line = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    slabs = np.split(table, range(CSV_SLAB_ROWS, len(table), CSV_SLAB_ROWS))
-    head = [] if header is None else [",".join(header) + "\n"]
-    return "".join(head + [(line * len(slab)) % tuple(slab.ravel().tolist()) for slab in slabs])
+    for start in range(0, len(table), CSV_SLAB_ROWS):
+        slab = table[start : start + CSV_SLAB_ROWS]
+        out.write((line * len(slab)) % tuple(slab.ravel().tolist()))

@@ -36,7 +36,6 @@ class PathBundle:
     grid: TimeGrid
     dW: np.ndarray  # (N, paths)
     W: np.ndarray  # (N + 1, paths), W[0] = 0
-    first: int = 0  # index of the bundle's first path in its seed's stream
 
     @property
     def n_paths(self) -> int:
@@ -80,7 +79,7 @@ def sample_brownian(grid: TimeGrid, n_paths: int, seed: int, first: int = 0) -> 
             gen.standard_normal(out=row)
         dW[:, start : start + len(block)] = block.T
     dW *= np.sqrt(grid.dt)
-    return PathBundle(grid, dW, _running_values(dW), first)
+    return PathBundle(grid, dW, _running_values(dW))
 
 
 def coarsen(bundle: PathBundle, factor: int) -> PathBundle:
@@ -89,7 +88,7 @@ def coarsen(bundle: PathBundle, factor: int) -> PathBundle:
         raise ValueError(f"steps {bundle.grid.steps} not divisible by {factor}")
     coarse = TimeGrid(bundle.grid.horizon, bundle.grid.steps // factor)
     dW = bundle.dW.reshape(coarse.steps, factor, bundle.n_paths).sum(axis=1)
-    return PathBundle(coarse, dW, _running_values(dW), bundle.first)
+    return PathBundle(coarse, dW, _running_values(dW))
 
 
 # Memory budget of one (N + 1, chunk, dim) float64 path array.  An equilibrium
@@ -119,13 +118,13 @@ def stream_paths(
     """Run chunk on mc's paths, one chunk_bounds(mc.paths, N, dim) chunk at a time.
 
     chunk maps a bundle to a dict whose values are per-path arrays (leading
-    axis: path), maxima over the bundle's paths (floats) or text.  The
-    chunks' values are merged key by key: arrays are concatenated in path
-    order, maxima reduced by max (NaN propagates) and texts joined.  A
-    reduction of the merged values, by the expression a single bundle of
-    all paths would use, then gives figures that do not depend on the
-    chunk width.  Arrays are copied as they come, so a chunk may return
-    views of its path arrays without keeping them alive.
+    axis: path) or maxima over the bundle's paths (floats).  The chunks'
+    values are merged key by key: arrays are concatenated in path order and
+    maxima reduced by max (NaN propagates).  A reduction of the merged
+    values, by the expression a single bundle of all paths would use, then
+    gives figures that do not depend on the chunk width.  Arrays are copied
+    as they come, so a chunk may return views of its path arrays without
+    keeping them alive.
     """
     parts = defaultdict(list)
     for first, count in chunk_bounds(mc.paths, grid.steps, dim):
@@ -135,8 +134,6 @@ def stream_paths(
 
 
 def _merge(values: list):
-    if isinstance(values[0], str):
-        return "".join(values)
     if isinstance(values[0], np.ndarray):
         return np.concatenate(values)
     return float(np.max(values))

@@ -23,9 +23,10 @@ zeta too: each cost and stationarity cross term is a quadratic form
 sum_i zeta_i H_i zeta_i^T (form_table), and the BSDE residual is linear in
 (zeta_{i+1}, zeta_i, dW_i zeta_i) (PathKernel.residual_table).  So a path
 chunk runs one Euler loop, on zeta or on the joint state of two kernels
-(joint_step), and reads every figure off it; the values of X, Y, Z and the
-controls are formed only for the per-path CSV's paths, as zeta times one
-table (paths_csv).
+(joint_step), and reads every figure off it as numbers.  The values of X, Y, Z
+and the controls are formed only for the per-path CSV's paths, which are
+drawn once, apart from the chunks, as zeta times one table, and written a
+slab of rows at a time (paths_csv).
 
 The Euler state is stored paths-last, as a C-contiguous (N+1, dim, paths)
 array: node i of every path is one (dim, paths) block, and each node-wise
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TextIO
 
 import numpy as np
 
@@ -423,29 +425,20 @@ def column_labels(prefix: str, count: int, suffix: str = "") -> list[str]:
 
 
 def paths_csv(
-    nodes: np.ndarray,
-    header: list[str],
-    zeta: np.ndarray,
-    table: np.ndarray,
-    max_paths: int | None = None,
-    first: int = 0,
-) -> str:
-    """Per-path CSV 'path,t,<header>' at the grid nodes, 17 significant digits.
+    nodes: np.ndarray, header: list[str], zeta: np.ndarray, table: np.ndarray, out: TextIO
+):
+    """Write the per-path CSV 'path,t,<header>' of every path of zeta to out, at
+    the grid nodes, 17 significant digits, a slab of rows at a time (csv_block).
 
     The columns of a path are its augmented state zeta, (N+1, paths, m),
-    times the (N+1, m, cols) table, whose columns match header.  The paths
-    are numbered from first, and those numbered below max_paths are listed.
-    The header line opens the file, so it comes only with first = 0: the
-    CSVs of consecutive path chunks join into the CSV of all their paths.
+    times the (N+1, m, cols) table, whose columns match header; the paths
+    are numbered from 0.
     """
-    width = zeta.shape[1]
-    count = width if max_paths is None else max(0, min(max_paths - first, width))
     # one block of rows per path; "%.17g" prints the float path number as the integer
-    shape = (count, len(nodes), 1)
+    shape = (zeta.shape[1], len(nodes), 1)
     rows = np.concatenate([
-        np.broadcast_to(np.arange(first, first + count)[:, None, None], shape),
+        np.broadcast_to(np.arange(shape[0])[:, None, None], shape),
         np.broadcast_to(nodes[:, None], shape),
-        np.swapaxes(zeta[:, :count] @ table, 0, 1),
+        np.swapaxes(zeta @ table, 0, 1),
     ], axis=2)
-    header = ["path", "t", *header] if first == 0 else None
-    return csv_block(rows.reshape(-1, rows.shape[2]), header)
+    csv_block(rows.reshape(-1, rows.shape[2]), ["path", "t", *header], out)

@@ -4,6 +4,7 @@ Session-scoped where the underlying computation is deterministic and
 reused across modules, so the suite stays fast.
 """
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +103,13 @@ def path_arrays(kernel, bundle, read_u1=None):
 def equilibrium_arrays(sol, bundle):
     """The leader's path arrays of an equilibrium layer on a bundle of paths."""
     return path_arrays(sol.kernel, bundle, sol.read_u1)
+
+
+def csv_text(writer, *args) -> str:
+    """The text that a CSV writer, writer(*args, out), writes to out."""
+    out = io.StringIO()
+    writer(*args, out)
+    return out.getvalue()
 
 
 def assert_csv_blocks(text, blocks, paths, rel=1e-14):

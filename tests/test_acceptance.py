@@ -84,14 +84,14 @@ class TestAcceptance:
         sys = bs.build_stacked_system(hand_spec, p1, p2)
         pi1 = bs.solve_pi1(sys)
         pi2 = bs.solve_pi2(sys, pi1)
-        cf1, rep1 = bs.pi1_closed_form(sys)
-        cf2, rep2 = bs.pi2_closed_form(sys)
+        cf1, det1 = bs.pi1_closed_form(sys)
+        cf2, det2 = bs.pi2_closed_form(sys)
         gap = max(
             float(np.max(np.abs(cf1.values - pi1.values))),
             float(np.max(np.abs(cf2.values - pi2.values))),
         )
         elapsed = time.perf_counter() - t0
-        ok = gap <= 1e-6 and rep1.satisfied and rep2.satisfied and elapsed < 5.0
+        ok = gap <= 1e-6 and det1 > 0.0 and det2 > 0.0 and elapsed < 5.0
         report(
             "leader Riccati closed forms vs RK4 (N=1000)",
             ok,
@@ -322,19 +322,19 @@ class TestAcceptance:
         rejected = solvability_scan(oscillator, bs.TimeGrid(1.0, 200)).min() <= 0.0
         p1, p2 = hand_riccati
         sys = bs.build_stacked_system(hand_spec, p1, p2)
-        _, rep1 = bs.pi1_closed_form(sys)
-        _, rep2 = bs.pi2_closed_form(sys)
+        _, det1 = bs.pi1_closed_form(sys)
+        _, det2 = bs.pi2_closed_form(sys)
         try:
             bundle = sample_brownian(hand_spec.grid, 2, 0)
             equilibrium_arrays(bs.equilibrium_layer(hand_spec), bundle)
             completed = True
         except bs.DivergenceError:
             completed = False
-        ok = rejected and rep1.satisfied and rep2.satisfied and completed
+        ok = rejected and det1 > 0.0 and det2 > 0.0 and completed
         report(
             "solvability gates (oscillator rejected, benchmark accepted)",
             ok,
             f"oscillator rejected={rejected}, benchmark determinants "
-            f">= {min(rep1.min_determinant, rep2.min_determinant):.3f}, "
+            f">= {min(det1, det2):.3f}, "
             f"solve completed={completed}",
         )

@@ -21,9 +21,12 @@ def test_two_runs_give_byte_identical_trees(tmp_path):
     first, second = tree(tmp_path / "a"), tree(tmp_path / "b")
     assert sorted(first) == sorted(second)
     assert [name for name in sorted(first) if first[name] != second[name]] == []
-    # every command on every game; each command applies to some game, and a
-    # command that does not apply says so in one stderr line
+    # every command on every game, and the path commands at one path on the
+    # shipped scenarios; each command applies to some game, and a command
+    # that does not apply says so in one stderr line
     games = {game for game, _ in records}
-    assert len(games) == 6 and len(records) == len(games) * len(COMMANDS)
-    assert {command for (_, command), r in records.items() if r["exit"] == 0} == set(COMMANDS)
+    single = len(artifact_matrix.SCENARIOS) * len(artifact_matrix.SINGLE_PATH)
+    assert len(games) == 6 and len(records) == len(games) * len(COMMANDS) + single == 54
+    passed = {run.removesuffix("-1path") for (_, run), r in records.items() if r["exit"] == 0}
+    assert passed == set(COMMANDS)
     assert all(r["stderr"].count("\n") == (r["exit"] != 0) for r in records.values())

@@ -7,7 +7,6 @@ import pytest
 
 import bsde_stackelberg as bs
 from bsde_stackelberg import sampling
-from bsde_stackelberg.cli import CSV_PATH_CAP
 from bsde_stackelberg.finance import (
     MarketParams,
     build_finance_spec,
@@ -19,6 +18,7 @@ from bsde_stackelberg.scenario import load_scenario
 
 from conftest import (
     assert_csv_blocks,
+    csv_text,
     dense_game,
     dual_coefficients,
     gamma_step,
@@ -164,14 +164,14 @@ class TestEquilibrium:
         # table, so a column may differ from its process's own product in the
         # last bit; the 17-digit round trip is exact (test_round_trip_precision)
         sol, ens = consumption
-        text = consumption_paths_csv(sol, market, ens.zeta, max_paths=2)
+        text = csv_text(consumption_paths_csv, sol, market, ens.zeta[:, :2])
         portfolio = ens.zbar / market.sigma.values
         blocks = [("y", ens.ybar), ("pi", portfolio), ("c1", ens.u1), ("c2", ens.u2)]
         assert_csv_blocks(text, blocks, paths=2)
 
     def test_csv_header_and_cap(self, market, consumption):
         sol, ens = consumption
-        text = consumption_paths_csv(sol, market, ens.zeta, max_paths=2)
+        text = csv_text(consumption_paths_csv, sol, market, ens.zeta[:, :2])
         lines = text.strip().split("\n")
         assert lines[0] == "path,t,y,pi,c1,c2"
         assert len(lines) == 1 + 2 * (market.grid.steps + 1)
@@ -234,7 +234,7 @@ def test_peak_allocation_is_one_finance_chunks_working_set():
     scn = load_scenario(SCENARIOS / "finance.json", steps=100)
     tracemalloc.start()
     try:
-        bs.consumption_summary(scn.market, bs.MonteCarloConfig(10000, 5), CSV_PATH_CAP)
+        bs.consumption_summary(scn.market, bs.MonteCarloConfig(10000, 5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -21,6 +21,7 @@ from bsde_stackelberg.stacked import (
 from conftest import (
     affine_pathwise,
     assert_csv_blocks,
+    csv_text,
     cost_samples,
     dense_game,
     equilibrium_arrays,
@@ -388,7 +389,7 @@ class TestQuadraticExpansion:
 
 class TestCsv:
     def test_header_and_path_cap(self, hand_follower):
-        text = follower_paths_csv(hand_follower.kernel, hand_follower.zeta, max_paths=2)
+        text = csv_text(follower_paths_csv, hand_follower.kernel, hand_follower.zeta[:, :2])
         lines = text.strip().split("\n")
         assert lines[0] == "path,t,y_1,z_11,u1_1,x_1"
         n_nodes = hand_follower.grid.steps + 1
@@ -402,4 +403,4 @@ class TestCsv:
         kernel = bs.follower_kernel(spec, p1, bs.solve_p2(spec, p1), u2)
         ens = path_arrays(kernel, sample_brownian(spec.grid, 5, 2))
         blocks = [("y", ens.Y), ("z", ens.Z), ("u1", ens.u1), ("x", ens.X)]
-        assert_csv_blocks(follower_paths_csv(kernel, ens.zeta, max_paths=4), blocks, paths=4)
+        assert_csv_blocks(csv_text(follower_paths_csv, kernel, ens.zeta[:, :4]), blocks, paths=4)

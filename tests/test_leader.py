@@ -14,6 +14,7 @@ from bsde_stackelberg.stacked import _offset_diffusion, residual_rms, residual_s
 from conftest import (
     affine_pathwise,
     assert_csv_blocks,
+    csv_text,
     cost_samples,
     decoupling_inverses_reference,
     dense_game,
@@ -317,7 +318,7 @@ class TestFollowerAdjoint:
 class TestCsv:
     def test_header_and_cap(self, stochastic_solution):
         sol, ens = stochastic_solution
-        text = leader_paths_csv(sol, ens.zeta, max_paths=3)
+        text = csv_text(leader_paths_csv, sol, ens.zeta[:, :3])
         lines = text.strip().split("\n")
         assert lines[0].startswith("path,t,phibar_1")
         n_nodes = ens.grid.steps + 1
@@ -334,4 +335,4 @@ class TestCsv:
             ("k", ens.Z[:, :, :n]), ("zbar", ens.Z[:, :, n:]),
             ("u1", ens.u1), ("u2", ens.u2),
         ]
-        assert_csv_blocks(leader_paths_csv(sol, ens.zeta, max_paths=4), blocks, paths=4)
+        assert_csv_blocks(csv_text(leader_paths_csv, sol, ens.zeta[:, :4]), blocks, paths=4)

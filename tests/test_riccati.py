@@ -1,6 +1,7 @@
 """The four Riccati solves, the stacked system, and the closed forms."""
 
 import dataclasses
+import io
 import warnings
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import bsde_stackelberg as bs
 from bsde_stackelberg.riccati import (
     CSV_SLAB_ROWS,
     _sym,
+    csv_block,
     follower_system,
     pi1_field,
     pi2_field,
@@ -24,6 +26,7 @@ from bsde_stackelberg.stacked import paths_csv
 
 from conftest import (
     c_zero_game,
+    csv_text,
     dense_game,
     field_residual,
     matmul_pi1_field,
@@ -348,9 +351,9 @@ class TestLeaderRiccati:
         sys = bs.build_stacked_system(hand_spec, p1, p2)
         pi1 = bs.solve_pi1(sys)
         pi2 = bs.solve_pi2(sys, pi1)
-        cf1, rep1 = bs.pi1_closed_form(sys)
-        cf2, rep2 = bs.pi2_closed_form(sys)
-        assert rep1.satisfied and rep2.satisfied
+        cf1, det1 = bs.pi1_closed_form(sys)
+        cf2, det2 = bs.pi2_closed_form(sys)
+        assert det1 > 0.0 and det2 > 0.0
         assert np.max(np.abs(cf1.values - pi1.values)) < 1e-8
         assert np.max(np.abs(cf2.values - pi2.values)) < 1e-8
 
@@ -364,9 +367,9 @@ class TestLeaderRiccati:
         sys = bs.build_stacked_system(spec, p1, bs.solve_p2(spec, p1))
         pi1 = bs.solve_pi1(sys)
         pi2 = bs.solve_pi2(sys, pi1)
-        cf1, rep1 = bs.pi1_closed_form(sys)
-        cf2, rep2 = bs.pi2_closed_form(sys)
-        assert rep1.satisfied and rep2.satisfied
+        cf1, det1 = bs.pi1_closed_form(sys)
+        cf2, det2 = bs.pi2_closed_form(sys)
+        assert det1 > 0.0 and det2 > 0.0
         assert np.max(np.abs(cf1.values - pi1.values)) <= 1e-9
         assert np.max(np.abs(cf2.values - pi2.values)) <= 1e-9
 
@@ -510,27 +513,20 @@ class TestReferenceFlows:
 class TestCsvExport:
     def test_round_trip_precision(self, hand_riccati):
         p1, _ = hand_riccati
-        text = riccati_csv(p1)
+        text = csv_text(riccati_csv, p1)
         lines = text.strip().split("\n")
         assert lines[0] == "t,m_11"
         t, v = map(float, lines[6].split(","))  # header + node index 5
         assert v == p1.values[5, 0, 0]  # 17 significant digits round-trips
 
     def test_rows_match_fstring_form_bytewise(self):
-        # one "%.17g" format string per block writes the bytes of one f-string per number.
-        # paths_csv prints products zeta @ table, which carry no -0.0: each path is one
-        # chunk, zeta = 1 times a table of its values, and -0.0 is checked on riccati_csv
-        special = [np.nan, np.inf, -np.inf, 1e-320, 0.1, 1e300]
-        nodes = np.array([0.0, 0.1, 1e300])
-        data = np.array([np.roll(special, s) for s in range(6)]).reshape(3, 2, 6)
-        header = [f"c{j}" for j in range(6)]
-        lines = ["path,t," + ",".join(header)]
-        for p in range(2):
-            for t, row in zip(nodes, data[:, p].tolist()):
-                lines.append(f"{p},{t:.17g}," + ",".join(f"{x:.17g}" for x in row))
-        one = np.ones((3, 1, 1))
-        text = "".join(paths_csv(nodes, header, one, data[:, p, None], first=p) for p in range(2))
-        assert text == "\n".join(lines) + "\n"
+        # one "%.17g" format string per slab writes the bytes of one f-string per
+        # number; 7.0 stands for a path number, printed as the integer
+        special = [np.nan, np.inf, -np.inf, -0.0, 1e-320, 0.1, 1e300, 7.0]
+        table = np.array([np.roll(special, s) for s in range(len(special))])
+        header = [f"c{j}" for j in range(len(special))]
+        lines = [",".join(header)] + [",".join(f"{x:.17g}" for x in row) for row in table.tolist()]
+        assert csv_text(csv_block, table, header) == "\n".join(lines) + "\n"
 
         finite = [-0.0, 1e-320, 0.1, 1e300]
         grid = bs.TimeGrid(1.0, 3)
@@ -538,18 +534,49 @@ class TestCsvExport:
         lines = ["t,m_11,m_12,m_21,m_22"]
         for t, m in zip(grid.nodes, ric.values):
             lines.append(",".join([f"{t:.17g}"] + [f"{x:.17g}" for x in m.ravel()]))
-        assert riccati_csv(ric) == "\n".join(lines) + "\n"
+        assert csv_text(riccati_csv, ric) == "\n".join(lines) + "\n"
 
-    def test_slabs_join_into_the_rows_of_a_later_chunk(self):
-        # 2 paths x 300 nodes span three CSV_SLAB_ROWS slabs; paths numbered from 7, no header
+    def test_slabs_are_written_as_whole_rows(self):
+        # 2 paths x 300 nodes span three CSV_SLAB_ROWS slabs: the header, then one
+        # write per slab of whole rows, which join into the rows of every path
         rng = np.random.default_rng(5)
         nodes = np.linspace(0.0, 1.0, 300)
         data = rng.normal(size=(300, 2, 3))
-        lines = [
-            f"{7 + p},{t:.17g}," + ",".join(f"{x:.17g}" for x in data[i, p])
+        lines = ["path,t,a,b,c"] + [
+            f"{p},{t:.17g}," + ",".join(f"{x:.17g}" for x in data[i, p])
             for p in range(2)
             for i, t in enumerate(nodes)
         ]
-        assert 2 * len(nodes) > 2 * CSV_SLAB_ROWS
-        identity = np.broadcast_to(np.eye(3), (300, 3, 3))
-        assert paths_csv(nodes, ["a", "b", "c"], data, identity, first=7) == "\n".join(lines) + "\n"
+
+        class Writes(io.StringIO):
+            """A StringIO that keeps the text of each write."""
+
+            def __init__(self):
+                super().__init__()
+                self.parts = []
+
+            def write(self, text):
+                self.parts.append(text)
+                return super().write(text)
+
+        out = Writes()
+        paths_csv(nodes, ["a", "b", "c"], data, np.broadcast_to(np.eye(3), (300, 3, 3)), out)
+        assert out.getvalue() == "\n".join(lines) + "\n"
+        rows = [part.count("\n") for part in out.parts]
+        assert rows == [1, CSV_SLAB_ROWS, CSV_SLAB_ROWS, 600 - 2 * CSV_SLAB_ROWS]
+        assert all(part.endswith("\n") for part in out.parts)
+
+    def test_header_names_are_distinct_above_dimension_nine(self):
+        # m_112 would be both (1, 12) and (11, 2); up to dimension 9 the names keep no "_"
+        grid = bs.TimeGrid(1.0, 2)
+
+        def header(n):
+            ric = bs.RiccatiPath("Pi1", bs.CoefficientPath(grid, np.zeros((3, n, n))))
+            return csv_text(riccati_csv, ric).split("\n", 1)[0].split(",")
+
+        assert header(3) == [
+            "t", "m_11", "m_12", "m_13", "m_21", "m_22", "m_23", "m_31", "m_32", "m_33"
+        ]
+        names = header(12)
+        assert len(set(names[1:])) == len(names[1:]) == 144
+        assert names[1:3] == ["m_1_1", "m_1_2"] and names[-1] == "m_12_12"

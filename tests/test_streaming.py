@@ -13,6 +13,7 @@ import pytest
 import bsde_stackelberg as bs
 from bsde_stackelberg import sampling
 from bsde_stackelberg.cli import CSV_PATH_CAP, main
+from bsde_stackelberg.leader import leader_paths_csv
 from bsde_stackelberg.scenario import load_scenario
 from conftest import dense_game, scenario_document
 
@@ -24,7 +25,7 @@ _spec = importlib.util.spec_from_file_location(
 compare_outputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare_outputs)
 
-PATHS, STEPS = 60, 16  # more paths than CSV_PATH_CAP, so narrow chunks split the CSV
+PATHS, STEPS = 60, 16  # more paths than CSV_PATH_CAP, which the per-path CSVs list
 # the shipped scenarios, and an n = 3, k = 2 game with C != 0 written out by the test
 RUNS = [
     (command, scenario)
@@ -52,16 +53,20 @@ class TestChunkBounds:
     def test_no_paths_is_one_empty_chunk(self):
         assert sampling.chunk_bounds(0, 10, 2) == [(0, 0)]
 
-    def test_merge_concatenates_maxes_and_joins(self, monkeypatch):
+    def test_merge_concatenates_and_maxes(self, monkeypatch):
         grid = bs.TimeGrid(1.0, 4)
         monkeypatch.setattr(sampling, "PATH_CHUNK_BYTES", budget_for(2, 4, 1))
+        widths = []
 
         def chunk(bundle):
-            return {"W_T": bundle.W[-1], "peak": float(bundle.first), "ids": f"{bundle.first};"}
+            widths.append(bundle.n_paths)
+            return {"W_T": bundle.W[-1], "peak": float(np.max(np.abs(bundle.W)))}
 
         merged = sampling.stream_paths(grid, bs.MonteCarloConfig(5, 3), 1, chunk)
-        assert np.array_equal(merged["W_T"], sampling.sample_brownian(grid, 5, 3).W[-1])
-        assert merged["peak"] == 3.0 and merged["ids"] == "0;1;3;"  # counts 1, 2, 2
+        whole = sampling.sample_brownian(grid, 5, 3)
+        assert widths == [1, 2, 2]
+        assert np.array_equal(merged["W_T"], whole.W[-1])
+        assert merged["peak"] == np.max(np.abs(whole.W))
 
 
 def scenario_path(tmp_path, scenario):
@@ -95,15 +100,16 @@ def test_artifacts_independent_of_chunk_width(tmp_path, monkeypatch, capsys, com
     csv = next(whole.glob("*.csv")).read_text()
     listed = {line.split(",", 1)[0] for line in csv.splitlines()[1:]}
     assert listed == {str(p) for p in range(CSV_PATH_CAP)}
-    for width in (math.ceil(PATHS / 7), 2):
+    for width in (math.ceil(PATHS / 7), 2, 1):
         chunked = run_cli(tmp_path, monkeypatch, command, scenario, width)
         assert sorted(p.name for p in chunked.iterdir()) == files
-        for name in files:
+        # the CSVs' paths are drawn once, apart from the stream, so every CSV is
+        # byte-identical at any width; so is summary.json in chunks of 2 or more
+        for name in files if width > 1 else [f for f in files if f != "summary.json"]:
             assert (chunked / name).read_bytes() == (whole / name).read_bytes(), (width, name)
     # one-path chunks take another BLAS route for their 1-row matmuls and a
     # pairwise sum for their time integrals: equal within compare_outputs.py's rule
-    single = run_cli(tmp_path, monkeypatch, command, scenario, 1)
-    compare_outputs.compare_trees(whole, single)
+    compare_outputs.compare_trees(whole, chunked)
 
 
 def test_structural_figures_independent_of_paths_and_seed(tmp_path, capsys):
@@ -137,9 +143,28 @@ def test_peak_allocation_is_one_chunks_working_set():
     v = bs.AffineControl.constant(spec.grid, np.ones(spec.dims.k))
     tracemalloc.start()
     try:
-        bs.equilibrium_summary(spec, bs.MonteCarloConfig(10000, 5), v, CSV_PATH_CAP)
+        bs.equilibrium_summary(spec, bs.MonteCarloConfig(10000, 5), v)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(sampling.chunk_bounds(10000, 100, 2)) == 4
     assert peak < WORKING_SET_CHUNKS * sampling.PATH_CHUNK_BYTES, peak / sampling.PATH_CHUNK_BYTES
+
+
+def test_leader_csv_is_written_a_slab_at_a_time(tmp_path):
+    # the writer holds its listed paths' values and one slab's text, not the
+    # file's text: 50 paths at N = 250, n = 3 (riccati-dense's size) are 5.7 MB
+    sol = bs.equilibrium_layer(dense_game(250))
+    bundle = bs.sample_brownian(sol.spec.grid, CSV_PATH_CAP, 5)
+    zeta = bs.simulate_tilde_varphi(sol.kernel.step, bundle)
+    path = tmp_path / "paths_leader.csv"
+    tracemalloc.start()
+    try:
+        with path.open("w") as f:
+            leader_paths_csv(sol, zeta, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 5e6
+    assert peak < 1.5 * size, peak / size
