@@ -24,13 +24,11 @@ from .stacked import (
     check_feedback,
     column_labels,
     cost_figures,
-    form_samples,
+    figures_chunk,
     form_table,
     path_kernel,
     paths_csv,
     residual_rms,
-    residual_samples,
-    simulate_tilde_varphi,
     solve_affine_bsde,
     structural_defects,
 )
@@ -97,21 +95,10 @@ def follower_paths_csv(kernel: PathKernel, zeta: np.ndarray, out: TextIO):
 def follower_chunk(
     spec: LQGameSpec, kernel: PathKernel, v: AffineControl
 ) -> Callable[[PathBundle], dict]:
-    """The per-path figures of follower_summary on one chunk of paths: one Euler
-    loop, then J1, the slope along v and the residual read off zeta."""
+    """The per-path figures of follower_summary on one chunk of paths
+    (stacked.figures_chunk): J1, the slope along v and the residual."""
     cost, slope = follower_cost_table(spec, kernel), follower_slope_table(spec, kernel, v)
-
-    def chunk(bundle: PathBundle) -> dict:
-        zeta = simulate_tilde_varphi(kernel.step, bundle)
-        residual, residual_max = residual_samples(kernel, zeta, bundle.dW)
-        return {
-            "J1": form_samples(cost, zeta),
-            "slope": form_samples(slope, zeta),
-            "residual": residual,
-            "bsde_residual_max": residual_max,
-        }
-
-    return chunk
+    return figures_chunk(kernel, {"J1": cost}, slope, kernel.step)
 
 
 def follower_summary(

@@ -29,15 +29,13 @@ from .stacked import (
     column_labels,
     cost_figures,
     embed,
-    form_samples,
+    figures_chunk,
     form_table,
     joint_step,
     path_kernel,
     paths_csv,
     reachable_max,
     residual_rms,
-    residual_samples,
-    simulate_tilde_varphi,
     structural_defects,
 )
 
@@ -153,23 +151,11 @@ def leader_paths_csv(sol: StackelbergSolution, zeta: np.ndarray, out: TextIO):
 def equilibrium_chunk(
     sol: StackelbergSolution, response: PathKernel
 ) -> Callable[[PathBundle], dict]:
-    """The per-path figures of equilibrium_summary on one chunk of paths: one Euler
-    loop on the joint state of the equilibrium and the response kernel, then
-    J1, J2, the leader's slope and the residual read off it."""
+    """The per-path figures of equilibrium_summary on one chunk of paths
+    (stacked.figures_chunk): one Euler loop on the joint state of the response
+    and the equilibrium kernel, then J1, J2, the leader's slope and the residual."""
     step, slope = joint_step(response, sol.kernel), leader_slope_table(sol, response)
-    a = response.sys.dim
-
-    def chunk(bundle: PathBundle) -> dict:
-        xi = simulate_tilde_varphi(step, bundle)
-        zeta = xi[:, :, a:]  # the equilibrium's
-        residual, residual_max = residual_samples(sol.kernel, zeta, bundle.dW)
-        return {name: form_samples(form, zeta) for name, form in sol.forms.items()} | {
-            "slope": form_samples(slope, xi),
-            "residual": residual,
-            "bsde_residual_max": residual_max,
-        }
-
-    return chunk
+    return figures_chunk(sol.kernel, sol.forms, slope, step)
 
 
 def equilibrium_summary(

@@ -31,21 +31,15 @@ class MonteCarloConfig:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Brownian increments and running values on a grid."""
+    """Brownian increments on a grid; the Euler loop forms the running values
+    W (stacked.simulate_tilde_varphi)."""
 
     grid: TimeGrid
     dW: np.ndarray  # (N, paths)
-    W: np.ndarray  # (N + 1, paths), W[0] = 0
 
     @property
     def n_paths(self) -> int:
         return self.dW.shape[1]
-
-
-def _running_values(dW: np.ndarray) -> np.ndarray:
-    W = np.zeros((dW.shape[0] + 1, dW.shape[1]))
-    np.cumsum(dW, axis=0, out=W[1:])
-    return W
 
 
 # Bytes of the row buffer that sample_brownian copies into dW one block of
@@ -79,7 +73,7 @@ def sample_brownian(grid: TimeGrid, n_paths: int, seed: int, first: int = 0) -> 
             gen.standard_normal(out=row)
         dW[:, start : start + len(block)] = block.T
     dW *= np.sqrt(grid.dt)
-    return PathBundle(grid, dW, _running_values(dW))
+    return PathBundle(grid, dW)
 
 
 def coarsen(bundle: PathBundle, factor: int) -> PathBundle:
@@ -88,15 +82,16 @@ def coarsen(bundle: PathBundle, factor: int) -> PathBundle:
         raise ValueError(f"steps {bundle.grid.steps} not divisible by {factor}")
     coarse = TimeGrid(bundle.grid.horizon, bundle.grid.steps // factor)
     dW = bundle.dW.reshape(coarse.steps, factor, bundle.n_paths).sum(axis=1)
-    return PathBundle(coarse, dW, _running_values(dW))
+    return PathBundle(coarse, dW)
 
 
 # Memory budget of one (N + 1, chunk, dim) float64 path array.  An equilibrium
-# chunk (dim = 2n) holds its joint state (3n + 2 rows), its Brownian paths and
-# the per-node sums of a residual or a form, whose products run a block of
-# nodes at a time (stacked.NODE_BLOCK_BYTES): a tracemalloc peak of about 4.7
-# such arrays at n = 1, fewer at larger n.  A finance chunk (dim = 2) holds
-# zeta, its Brownian paths and the dual reserve's forcing f: about 4.2.
+# chunk (dim = 2n) holds its joint state (3n + 2 rows, W among them), its
+# Brownian increments dW and the per-node sums of a residual or a form, whose
+# products run a block of nodes at a time (stacked.NODE_BLOCK_BYTES): a
+# tracemalloc peak of about 3.9 such arrays at n = 1 and 3.0 at n = 3 (N = 100,
+# 10000 paths).  A finance chunk holds zeta, dW and the dual reserve's forcing
+# f: about 3.7.
 PATH_CHUNK_BYTES = 4 * 2**20
 
 

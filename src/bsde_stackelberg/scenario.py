@@ -186,6 +186,8 @@ def scenario_from_dict(doc: dict, steps: int | None = None, sha256: str = "") ->
 
     market = None
     if "market" in doc:
+        if n != 1:
+            raise SpecError(f"market needs a one-dimensional game (one wealth), got dims.n = {n}")
         mdoc = _object(doc, "market", "of market parameters")
         paths = {
             name: _parse_path(mdoc, f"market.{name}", grid, (1, 1))
@@ -195,7 +197,7 @@ def scenario_from_dict(doc: dict, steps: int | None = None, sha256: str = "") ->
             grid=grid,
             G1=_number(_field(mdoc, "market.G1"), "market.G1"),
             G2=_number(_field(mdoc, "market.G2"), "market.G2"),
-            xi=TerminalCondition(xi.a[:1], xi.b[:1]),
+            xi=xi,
             **paths,
         )
     return Scenario(spec, mode, u2, market, sha256)

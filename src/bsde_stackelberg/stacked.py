@@ -38,13 +38,16 @@ Each table so applied has at least two rows: a one-row table goes to BLAS
 gemv, whose bits depend on the number of paths, and a path's figures must not
 depend on the width of its chunk.  So the Euler step stacks its drift and
 diffusion rows into one table, and the residual its three tables into one.
+That was measured on OpenBLAS's SkylakeX kernel, and the rule holds only
+there and on Sandybridge: on Haswell (also picked for Zen) gemm's columns
+too depend on the number of paths (README, "Path arrays").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TextIO
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -316,15 +319,16 @@ def simulate_tilde_varphi(step: np.ndarray, bundle: PathBundle) -> np.ndarray:
     and diffusion columns (PathKernel.step, joint_step): tilde-varphi_{i+1} =
     zeta_i (I + dt drift_i) + dW_i zeta_i diffusion_i.  Both come from one
     product per step, of the stacked (2D, D+2) table ((I + dt drift_i)^T;
-    diffusion_i^T) with the paths-last node block zeta_i^T.  Returns
-    (N+1, paths, D+2), the swapaxes(1, 2) view of the (N+1, D+2, paths) array."""
+    diffusion_i^T) with the paths-last node block zeta_i^T.  The same loop
+    forms W_{i+1} = W_i + dW_i from W(0) = 0: W exists only as zeta's W row.
+    Returns (N+1, paths, D+2), the swapaxes(1, 2) view of the (N+1, D+2,
+    paths) array."""
     d, grid = step.shape[2] // 2, bundle.grid
     table = np.ascontiguousarray(_tr(step))  # (N+1, 2D, D+2)
     table[:, :d] *= grid.dt
     table[:, :d, :d] += np.eye(d)
     zeta = np.empty((grid.steps + 1, d + 2, bundle.n_paths))
-    zeta[0, :d] = 0.0
-    zeta[:, d] = bundle.W
+    zeta[0, : d + 1] = 0.0  # tilde-varphi(0) and W(0)
     zeta[:, d + 1] = 1.0
     moves = np.empty((2 * d, bundle.n_paths))  # (drift; diffusion) of every path
     for i in range(grid.steps):
@@ -332,6 +336,7 @@ def simulate_tilde_varphi(step: np.ndarray, bundle: PathBundle) -> np.ndarray:
         offset = zeta[i + 1, :d]
         np.multiply(moves[d:], bundle.dW[i], out=offset)
         offset += moves[:d]
+        np.add(zeta[i, d], bundle.dW[i], out=zeta[i + 1, d])
     return _tr(zeta)
 
 
@@ -410,6 +415,28 @@ def form_samples(H: np.ndarray, zeta: np.ndarray) -> np.ndarray:
         terms *= paths[b]
         terms.sum(axis=1, out=values[b])
     return values.sum(axis=0)
+
+
+def figures_chunk(
+    kernel: PathKernel, forms: dict, slope: np.ndarray, step: np.ndarray
+) -> Callable[[PathBundle], dict]:
+    """The per-path figures of a summary on one chunk of paths: one Euler loop on
+    the step table's state, whose last dim + 2 columns are the kernel's zeta,
+    then each form_table of forms on zeta, the slope form on the whole state
+    and the kernel's residual."""
+    d = kernel.sys.dim
+
+    def chunk(bundle: PathBundle) -> dict:
+        state = simulate_tilde_varphi(step, bundle)
+        zeta = state[:, :, -(d + 2) :]
+        residual, residual_max = residual_samples(kernel, zeta, bundle.dW)
+        return {name: form_samples(form, zeta) for name, form in forms.items()} | {
+            "slope": form_samples(slope, state),
+            "residual": residual,
+            "bsde_residual_max": residual_max,
+        }
+
+    return chunk
 
 
 def cost_figures(samples: np.ndarray) -> dict:

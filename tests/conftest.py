@@ -255,6 +255,14 @@ def solvability_scan(blockmatrix, grid):
     return np.linalg.det(acc[:, half:, half:])
 
 
+def running_values(dW):
+    """Reference Brownian running values W, (N+1, paths) with W(0) = 0, of the
+    increments dW, (N, paths); the Euler loop forms them as zeta's W row."""
+    W = np.zeros((dW.shape[0] + 1, dW.shape[1]))
+    np.cumsum(dW, axis=0, out=W[1:])
+    return W
+
+
 def xi_on_paths(xi, W_T):
     """(paths, n) values of a terminal datum xi = a + b W(T) at terminal Brownian
     values W_T of shape (paths,)."""
@@ -494,7 +502,7 @@ def bsde_residual_samples(ens):
     each path's sum_i ||r_i||^2 and the max single-step |r_i|."""
     sys = ens.kernel.sys
     M, F = closed_loop_reference(sys, ens.kernel.pi2)
-    u = u2_pathwise(sys.forcing_control, ens.bundle.W)
+    u = u2_pathwise(sys.forcing_control, running_values(ens.bundle.dW))
     drift = ens.Y[:-1] @ _tr(M[:-1])
     drift += ens.Z[:-1] @ sys.C1h.values[:-1]
     drift += ens.zeta[:-1, :, : sys.dim] @ _tr(F[:-1])
@@ -538,7 +546,7 @@ def reserve_reference(sol, zeta, bundle):
     for i in range(grid.steps):
         gamma = gamma_step(gamma, a[i], a[i + 1], c[i], grid.dt, bundle.dW[i])
         integrand.append(np.einsum("pji,pj->pi", gamma, zeta[i + 1, :, :m] @ F[i + 1].T))
-    xi_hat = xi_on_paths(sol.system.xih, bundle.W[-1])
+    xi_hat = xi_on_paths(sol.system.xih, running_values(bundle.dW)[-1])
     return np.einsum("pji,pj->pi", gamma, xi_hat) + np.trapezoid(integrand, dx=grid.dt, axis=0)
 
 
@@ -547,7 +555,7 @@ def follower_pathwise_defects(spec, ens):
     formulas on the path arrays: max |defect| over nodes and paths of each."""
     varphi = ens.zeta[..., : spec.dims.n]
     gaps = {
-        "terminal": ens.Y[-1] - xi_on_paths(spec.xi, ens.bundle.W[-1]),
+        "terminal": ens.Y[-1] - xi_on_paths(spec.xi, running_values(ens.bundle.dW)[-1]),
         "initial_coupling": ens.X[0] - ens.Y[0] @ spec.G1.T,
         "decoupling": ens.X - ens.Y @ _tr(ens.kernel.pi2.values) - varphi,
         "stationarity": ens.X @ spec.B1.values + ens.u1 @ _tr(spec.R1.values),
@@ -569,7 +577,7 @@ def leader_pathwise_defects(sol, ens):
     varphi = ens.zeta[..., : sys.dim]
     x_stacked = ens.ybar @ _tr(P2) + (ens.Y @ _tr(Pi2) + varphi)[:, :, :n]
     gaps = {
-        "terminal": ens.Y[-1] - xi_on_paths(sys.xih, ens.bundle.W[-1]),
+        "terminal": ens.Y[-1] - xi_on_paths(sys.xih, running_values(ens.bundle.dW)[-1]),
         "initial_coupling": ens.X[0] - ens.Y[0] @ sys.G2h.T,
         "decoupling": ens.X - ens.Y @ _tr(Pi2) - varphi,
         "stationarity": (

@@ -37,6 +37,7 @@ from conftest import (
     p1_closed_form,
     path_arrays,
     random_deterministic_scenario,
+    running_values,
     solvability_scan,
     specialized_stacked_matrices,
 )
@@ -187,7 +188,8 @@ class TestAcceptance:
         sto_fol = path_arrays(kernel, sample_brownian(stochastic_spec.grid, 128, 1))
         worst = 0.0
         for spec, ens in ((hand_spec, hand_follower), (stochastic_spec, sto_fol)):
-            xi = spec.xi.a[None] + ens.bundle.W[-1, :, None] * spec.xi.b[:, 0][None]
+            W_T = running_values(ens.bundle.dW)[-1]
+            xi = spec.xi.a[None] + W_T[:, None] * spec.xi.b[:, 0][None]
             worst = max(worst, float(np.max(np.abs(ens.Y[-1] - xi))))
             worst = max(worst, float(np.max(np.abs(ens.X[0] - ens.Y[0] @ spec.G1.T))))
             worst = max(worst, follower_pathwise_defects(spec, ens)["adjoint_form"])

@@ -24,6 +24,7 @@ from conftest import (
     gamma_step,
     p1_closed_form,
     reserve_reference,
+    running_values,
     specialized_stacked_matrices,
 )
 from test_streaming import SCENARIOS, WORKING_SET_CHUNKS
@@ -156,7 +157,7 @@ class TestSpecializedMatrices:
 class TestEquilibrium:
     def test_wealth_terminal_identity(self, market, consumption):
         _, ens = consumption
-        xi = market.xi.a[0] + market.xi.b[0, 0] * ens.bundle.W[-1]
+        xi = market.xi.a[0] + market.xi.b[0, 0] * running_values(ens.bundle.dW)[-1]
         assert np.max(np.abs(ens.ybar[-1, :, 0] - xi)) < 1e-10
 
     def test_portfolio_is_scaled_martingale_loading(self, market, consumption):

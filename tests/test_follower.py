@@ -30,6 +30,7 @@ from conftest import (
     leader_cost_samples,
     path_arrays,
     quadratic_expansion,
+    running_values,
     u2_pathwise,
 )
 
@@ -185,7 +186,8 @@ def pipeline(stochastic_spec):
 class TestStochasticScenario:
     def test_terminal_identity_pathwise(self, stochastic_spec, pipeline):
         _, _, _, ens = pipeline
-        xi = stochastic_spec.xi.a[0] + stochastic_spec.xi.b[0, 0] * ens.bundle.W[-1]
+        W_T = running_values(ens.bundle.dW)[-1]
+        xi = stochastic_spec.xi.a[0] + stochastic_spec.xi.b[0, 0] * W_T
         assert np.max(np.abs(ens.Y[-1, :, 0] - xi)) < 1e-12
 
     def test_initial_coupling_pathwise(self, stochastic_spec, pipeline):
@@ -270,7 +272,7 @@ class TestPerturbations:
         delta = response_step(hand_spec, v)
         slope = follower_slope(hand_spec, hand_follower, v)
         J1 = follower_cost_samples(hand_spec, hand_follower).mean()
-        curvature = follower_curvature(hand_spec, v, delta, hand_follower.bundle.W)
+        curvature = follower_curvature(hand_spec, v, delta, running_values(hand_follower.bundle.dW))
         assert expanded_cost(J1, slope, curvature, 1e-2) == pytest.approx(J1, abs=1e-15)
 
     def test_slope_zero_at_optimum_hand(self, hand_spec, hand_follower):
@@ -284,7 +286,7 @@ class TestPerturbations:
         delta = response_step(hand_spec, v)
         slope = follower_slope(hand_spec, hand_follower, v)
         J1 = follower_cost_samples(hand_spec, hand_follower).mean()
-        curvature = follower_curvature(hand_spec, v, delta, hand_follower.bundle.W)
+        curvature = follower_curvature(hand_spec, v, delta, running_values(hand_follower.bundle.dW))
         for eps in (0.1, -0.1):
             assert expanded_cost(J1, slope, curvature, eps) > J1
 
@@ -322,7 +324,7 @@ def follower_case(spec, v, bundle):
         spec.B1.half @ v.u_const.half, spec.B1.half @ v.u_lin.half,
         np.zeros(spec.dims.n), np.zeros(spec.dims.n), spec.grid,
     )
-    step = follower_step(delta, v, bundle.W)
+    step = follower_step(delta, v, running_values(bundle.dW))
     weights = spec.weights(1)
     slope = follower_slope(spec, ens, v)
     return (ens.Y, ens.u1, ens.Z), step, weights, follower_cost_samples(spec, ens).mean(), slope
@@ -334,7 +336,7 @@ def leader_case(spec, v, bundle):
     ens = equilibrium_arrays(sol, bundle)
     response = response_kernel(spec, sol.p1, sol.p2, v)
     delta = path_arrays(response, bundle)
-    step = (delta.Y, u2_pathwise(v, bundle.W), delta.Z)
+    step = (delta.Y, u2_pathwise(v, running_values(bundle.dW)), delta.Z)
     weights = spec.weights(2)
     slope = equilibrium_chunk(sol, response)(bundle)["slope"].mean()
     return (ens.ybar, ens.u2, ens.zbar), step, weights, leader_cost_samples(sol, ens).mean(), slope

@@ -22,6 +22,7 @@ from conftest import (
     equilibrium_arrays,
     path_arrays,
     quadratic_expansion,
+    running_values,
     u2_pathwise,
 )
 
@@ -61,7 +62,7 @@ def test_leader_forms_match_reference(game):
     ens = equilibrium_arrays(sol, bundle)
     delta = path_arrays(response, bundle)
     base = (ens.ybar, ens.u2, ens.zbar)
-    step = (delta.Y, u2_pathwise(v, bundle.W), delta.Z)
+    step = (delta.Y, u2_pathwise(v, running_values(bundle.dW)), delta.Z)
     residual, residual_max = bsde_residual_samples(ens)
     assert_matches(got, {
         "J1": cost_samples(spec.grid, ens.ybar, ens.u1, ens.zbar, *spec.weights(1)),
@@ -80,8 +81,8 @@ def test_follower_forms_match_reference(game):
     alpha, beta = response_step(spec, v)
     base = (ens.Y, ens.u1, ens.Z)
     step = (
-        affine_pathwise(alpha, beta, bundle.W),
-        u2_pathwise(v, bundle.W),
+        affine_pathwise(alpha, beta, running_values(bundle.dW)),
+        u2_pathwise(v, running_values(bundle.dW)),
         beta[:, None, :, 0],
     )
     residual, residual_max = bsde_residual_samples(ens)

@@ -22,6 +22,7 @@ from conftest import (
     leader_cost_samples,
     leader_pathwise_defects,
     path_arrays,
+    running_values,
     u2_pathwise,
 )
 
@@ -194,7 +195,7 @@ class TestEquilibriumControls:
         base = leader_cost_samples(sol, ens).mean()
         bundle = ens.bundle
         delta = path_arrays(response, bundle)
-        du2 = u2_pathwise(response.sys.forcing_control, bundle.W)
+        du2 = u2_pathwise(response.sys.forcing_control, running_values(bundle.dW))
         curvature = cost_samples(
             hand_spec.grid, delta.Y, du2, delta.Z,
             hand_spec.Q2, hand_spec.R2, hand_spec.S2, hand_spec.G2,
@@ -218,9 +219,9 @@ class TestNodeKernelsMatchLoops:
         u2 = bs.AffineControl(path(spec.grid, [[0.3]]), path(spec.grid, [[u_lin]]))
         bundle = sample_brownian(spec.grid, 5, 3)
         ens = path_arrays(bs.follower_kernel(spec, p1, p2, u2), bundle)
-        u2_paths = u2_pathwise(u2, bundle.W)
+        u2_paths = u2_pathwise(u2, running_values(bundle.dW))
         alpha, eta = bs.solve_tilde_phi(bs.follower_system(spec, u2), p1)
-        phi = affine_pathwise(alpha, eta, bundle.W)
+        phi = affine_pathwise(alpha, eta, running_values(bundle.dW))
         eta = eta[:, :, 0]
         inv, eye = np.linalg.inv, np.eye(spec.dims.n)
         for i in range(spec.grid.steps + 1):
@@ -255,7 +256,7 @@ class TestNodeKernelsMatchLoops:
         sol = bs.equilibrium_layer(spec)
         sys, ens = sol.system, equilibrium_arrays(sol, bundle)
         alpha, eta = bs.solve_tilde_phi(sys, sol.pi1)
-        phi = affine_pathwise(alpha, eta, bundle.W)
+        phi = affine_pathwise(alpha, eta, running_values(bundle.dW))
         eta = eta[:, :, 0]
         inv, eye = np.linalg.inv, np.eye(2 * spec.dims.n)
         for i in range(spec.grid.steps + 1):

@@ -7,8 +7,15 @@ path's column with the same bits at any path count; a one-row table goes to
 gemv, whose bits move with the count.  Here the Euler loop, the BSDE residual,
 the forms and the dual reserve run on chunks of every width from 2 to 17, and
 each must give, byte for byte, the matching columns of one bundle of all paths.
+The rule holds on OpenBLAS's SkylakeX and Sandybridge kernels; the last test
+runs the dense game's check on the Haswell kernel, where it fails (ROADMAP
+item 20).
 """
 
+import os
+import re
+import subprocess
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,7 +34,7 @@ from bsde_stackelberg.stacked import (
     residual_samples,
     simulate_tilde_varphi,
 )
-from conftest import dense_game
+from conftest import dense_game, running_values
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 STEPS, PATHS, SEED = 24, 40, 7
@@ -147,4 +154,34 @@ def test_zeta_is_stored_paths_last(game):
     state = simulate_tilde_varphi(game.step, bundle)
     assert state.shape == (STEPS + 1, paths, game.step.shape[2] // 2 + 2)
     assert np.swapaxes(state, 1, 2).flags.c_contiguous
-    assert np.array_equal(state[:, :, -2], bundle.W) and (state[:, :, -1] == 1.0).all()
+    assert np.array_equal(state[:, :, -2], running_values(bundle.dW))
+    assert (state[:, :, -1] == 1.0).all()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 20: under OpenBLAS's Haswell kernel, gemm gives each column "
+    "bits that depend on the number of columns",
+)
+def test_chunk_width_rule_under_the_haswell_kernel():
+    """The dense game's chunk-width check, in a child process on OpenBLAS's Haswell
+    kernel, so that a host whose default kernel is another still runs it.  Skipped
+    where OPENBLAS_CORETYPE selects no Haswell kernel (the child's OPENBLAS_VERBOSE
+    output names its core); an error unless the child runs exactly one test."""
+    here = Path(__file__).resolve()
+    test = f"tests/{here.name}::test_chunks_give_the_full_bundles_columns_bit_for_bit[dense]"
+    env = os.environ | {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_VERBOSE": "2"}
+    # -s: OpenBLAS names its core as numpy loads, before any test, where pytest's
+    # capture would swallow the line
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider", test],
+        cwd=here.parents[1], env=env, capture_output=True, text=True,
+    )
+    output = child.stdout + child.stderr
+    if "Core: Haswell" not in output:
+        pytest.skip("OPENBLAS_CORETYPE=Haswell selects no Haswell kernel here")
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed|error)", output)}
+    if counts.get("passed", 0) + counts.get("failed", 0) != 1 or "error" in counts:
+        raise RuntimeError(f"the child did not run exactly one test:\n{output[-2000:]}")
+    assert child.returncode == 0, output[-2000:]

@@ -5,19 +5,29 @@ import pytest
 
 import bsde_stackelberg as bs
 from bsde_stackelberg.sampling import coarsen, sample_brownian
+from bsde_stackelberg.stacked import simulate_tilde_varphi
+from conftest import running_values
+
+
+def w_row(bundle):
+    """zeta's W row, (N+1, paths), as the Euler loop forms it (a zero step table
+    of one offset)."""
+    return simulate_tilde_varphi(np.zeros((bundle.grid.steps + 1, 3, 2)), bundle)[:, :, 1]
 
 
 class TestSampleBrownian:
     def test_shapes_and_initial_value(self):
         g = bs.TimeGrid(1.0, 16)
         b = sample_brownian(g, 7, 42)
-        assert b.dW.shape == (16, 7) and b.W.shape == (17, 7)
-        assert np.all(b.W[0] == 0.0)
+        W = w_row(b)
+        assert b.dW.shape == (16, 7) and W.shape == (17, 7)
+        assert np.all(W[0] == 0.0)
 
     def test_w_is_cumsum_of_increments(self):
         g = bs.TimeGrid(1.0, 16)
         b = sample_brownian(g, 5, 1)
-        np.testing.assert_allclose(b.W[1:], np.cumsum(b.dW, axis=0), atol=0)
+        np.testing.assert_allclose(w_row(b)[1:], np.cumsum(b.dW, axis=0), atol=0)
+        assert np.array_equal(w_row(b), running_values(b.dW))
 
     def test_deterministic_given_seed(self):
         g = bs.TimeGrid(1.0, 32)
@@ -51,14 +61,16 @@ class TestCoarsen:
         fine = sample_brownian(g, 6, 5)
         coarse = coarsen(fine, 4)
         assert coarse.grid.steps == 8
-        np.testing.assert_allclose(coarse.W[-1], fine.W[-1], atol=1e-14)
+        W_T = running_values(fine.dW)[-1]
+        np.testing.assert_allclose(running_values(coarse.dW)[-1], W_T, atol=1e-14)
         np.testing.assert_allclose(coarse.dW, fine.dW.reshape(8, 4, 6).sum(axis=1), atol=0)
 
     def test_shared_nodes_agree(self):
         g = bs.TimeGrid(1.0, 32)
         fine = sample_brownian(g, 3, 5)
         coarse = coarsen(fine, 2)
-        np.testing.assert_allclose(coarse.W, fine.W[::2], atol=1e-13)
+        W = running_values(fine.dW)[::2]
+        np.testing.assert_allclose(running_values(coarse.dW), W, atol=1e-13)
 
     def test_rejects_nondivisible_factor(self):
         g = bs.TimeGrid(1.0, 10)
@@ -86,4 +98,4 @@ class TestKeyContract:
         full = sample_brownian(g, 10, 5)
         part = sample_brownian(g, 3, 5, first=first)
         assert np.array_equal(part.dW, full.dW[:, first : first + 3])
-        assert np.array_equal(part.W, full.W[:, first : first + 3])
+        assert np.array_equal(w_row(part), running_values(full.dW)[:, first : first + 3])

@@ -415,6 +415,20 @@ class TestCliFinance:
         assert np.all(gaps < np.maximum(sigmas, 1e-4))
         assert (out / "paths_finance.csv").exists()
 
+    @pytest.mark.parametrize("command", ["validate", "finance"])
+    def test_market_on_two_dimensional_game_exit_one(self, tmp_path, capsys, command):
+        # the market has one wealth: terminal.a[1] and terminal.b[1] have no place in it
+        doc = singular_stage_document()
+        doc["terminal"] = {"a": [1.0, 123.0], "b": [[0.3], [7.0]]}
+        doc["market"] = json.loads((SCENARIOS / "finance.json").read_text())["market"]
+        scn = write_scenario(tmp_path, doc)
+        out = tmp_path / "o"
+        rc = main([command, "--scenario", str(scn), "--out", str(out), "--paths", "4"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("\n") == 1 and "market" in err and "dims.n" in err
+        assert not out.exists()
+
 
 class TestCliVerify:
     def test_hand_scenario_passes_strict(self, tmp_path, hand_doc):

@@ -15,7 +15,7 @@ from bsde_stackelberg import sampling
 from bsde_stackelberg.cli import CSV_PATH_CAP, main
 from bsde_stackelberg.leader import leader_paths_csv
 from bsde_stackelberg.scenario import load_scenario
-from conftest import dense_game, scenario_document
+from conftest import dense_game, running_values, scenario_document
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -60,13 +60,15 @@ class TestChunkBounds:
 
         def chunk(bundle):
             widths.append(bundle.n_paths)
-            return {"W_T": bundle.W[-1], "peak": float(np.max(np.abs(bundle.W)))}
+            W = running_values(bundle.dW)
+            return {"W_T": W[-1], "peak": float(np.max(np.abs(W)))}
 
         merged = sampling.stream_paths(grid, bs.MonteCarloConfig(5, 3), 1, chunk)
         whole = sampling.sample_brownian(grid, 5, 3)
         assert widths == [1, 2, 2]
-        assert np.array_equal(merged["W_T"], whole.W[-1])
-        assert merged["peak"] == np.max(np.abs(whole.W))
+        W = running_values(whole.dW)
+        assert np.array_equal(merged["W_T"], W[-1])
+        assert merged["peak"] == np.max(np.abs(W))
 
 
 def scenario_path(tmp_path, scenario):
