@@ -89,9 +89,9 @@ def coarsen(bundle: PathBundle, factor: int) -> PathBundle:
 # chunk (dim = 2n) holds its joint state (3n + 2 rows, W among them), its
 # Brownian increments dW and the per-node sums of a residual or a form, whose
 # products run a block of nodes at a time (stacked.NODE_BLOCK_BYTES): a
-# tracemalloc peak of about 3.9 such arrays at n = 1 and 3.0 at n = 3 (N = 100,
+# tracemalloc peak of about 3.8 such arrays at n = 1 and 2.9 at n = 3 (N = 100,
 # 10000 paths).  A finance chunk holds zeta, dW and the dual reserve's forcing
-# f: about 3.7.
+# f: about 3.6.
 PATH_CHUNK_BYTES = 4 * 2**20
 
 
