@@ -3,15 +3,16 @@
 Classical RK4 on the game's uniform time grid, in both directions: a
 backward problem steps from t = T with the negative step -dt, through
 the same loop.  A separate 4th-order Magnus propagator provides
-linear-system transition matrices; the Riccati closed forms are built on
-it.  The module imports no other module of the package: a grid is any
-model.TimeGrid, read through its steps, dt and nodes, and results are
-plain arrays.
+linear-system transition matrices, by a batched Pade exponential; the
+Riccati closed forms are built on it.  The module imports numpy alone: a
+grid is any model.TimeGrid, read through its steps, dt and nodes, and
+results are plain arrays.
 """
 
 from __future__ import annotations
 
 import enum
+from math import comb, perm
 from typing import Callable
 
 import numpy as np
@@ -180,16 +181,37 @@ def linear_rk4_steps(a0: np.ndarray, a_half: np.ndarray, a1: np.ndarray, h: floa
     return eye + (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + a1 @ (eye + h * k3))
 
 
+# Pade-13 coefficients b_j = (26 - j)! 13! / (26! j! (13 - j)!), and the largest 1-norm
+# at which that approximant is accurate to double precision (Higham 2005, Table 2.3)
+PADE13 = [comb(13, j) / perm(26, j) for j in range(14)]
+THETA13 = 5.371920351148152
+
+
 def matrix_exponential(m: np.ndarray) -> np.ndarray:
-    """e^M by scaling-and-squaring with Pade approximation, of one matrix or a stack."""
+    """e^M of one matrix or a stack, by scaling and squaring with the degree-13 Pade
+    approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 2005), batched over the
+    stack: each matrix is scaled by 2^-s, s the least with |M|_1 2^-s <= THETA13,
+    and its approximant squared s times."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.shape[-1] != m.shape[-2]:
         raise ValueError(f"matrix must be square, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    import scipy.linalg  # loaded on first use: only the closed forms reach it
-
-    return scipy.linalg.expm(m)
+    a = m.reshape(-1, *m.shape[-2:])
+    norm = np.abs(np.ldexp(a, -64)).sum(axis=1).max(axis=1)  # 2^-64 |M|_1 cannot overflow
+    with np.errstate(divide="ignore"):  # a zero matrix needs no scaling
+        s = np.maximum(np.ceil(np.log2(norm / THETA13) + 64), 0).astype(int)
+    a = np.ldexp(a, -s[:, None, None])
+    b, eye, a2 = PADE13, np.eye(a.shape[-1]), a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for j in range(int(s.max(initial=0))):
+        square = s > j
+        r[square] = r[square] @ r[square]
+    return r.reshape(m.shape)
 
 
 def transition_steps(matfun: Callable[[np.ndarray], np.ndarray], grid) -> np.ndarray:

@@ -4,12 +4,12 @@ With a deterministic terminal datum and deterministic controls, the
 backward equation degenerates to a terminal-value ODE with z = 0, so
 both players' problems collapse to finite-dimensional convex quadratic
 programs over piecewise-constant controls.  Those are solved exactly,
-each by one banded solve of its KKT system, in which the discrete states
-stay unknowns and the one-step dynamics stay equality constraints;
+each by one block Schur sweep of its KKT system, in which the discrete
+states stay unknowns and the one-step dynamics stay equality constraints;
 nothing from the feedback pipeline is trusted.  The leader's bilevel
 problem is one QP: the follower's KKT rows, which characterize its
 response, are linear constraints of the leader's problem.  Convexity is
-decided on the same KKT matrices, by their inertia, when a cheap
+decided by the inertia of the same sweep's pivots, when a cheap
 certificate on the weights does not settle it.
 """
 
@@ -59,7 +59,7 @@ class DiscreteLQProblem:
         """The follower's node weights W1 and its KKT matrix as (rows, cols, values)
         over the unknowns (y_i, u1_i, lambda_i), step by step; neither depends on
         u2.  Built, and the follower's QP checked strictly convex, once per
-        problem, for both oracles."""
+        problem, for both oracles; its Schur sweep serves every u2."""
         n, k = self.spec.dims.n, self.spec.dims.k
         W1 = _quadratic_pieces(self, self.spec.Q1(self.spec.grid.nodes), self.spec.G1)
         K = _assemble(2 * n + k, _follower_rows(self, W1, 0, n, n + k, n + k, 0, n), [])
@@ -112,30 +112,49 @@ def _certified(W: np.ndarray, R_bar: np.ndarray) -> bool:
     return True
 
 
+class _KKT(tuple):
+    """A symmetric block-tridiagonal matrix with m unknowns per step as (rows, cols,
+    values), repeats summed, and its block LDL' sweep, formed on first use."""
+
+    def __new__(cls, m: int, rows, cols, vals):
+        kkt = super().__new__(cls, (rows, cols, vals))
+        kkt.m = m
+        return kkt
+
+    @cached_property
+    def sweep(self):
+        """(S, G, tol): the pivots S_0 = D_0, S_i = D_i - L_i G_{i-1}, G_{i-1} =
+        S_{i-1}^-1 L_i' by one solve per step, D_i the diagonal block of step i and
+        L_i the block at step row i and column i - 1: the Riccati recursion of the
+        discrete LQ problem (Rao, Wright & Rawlings, JOTA 99, 1998).  S stops at
+        the first singular pivot; tol = PSD_TOL max(1, max|K|)."""
+        (rows, cols, vals), m = self, self.m
+        step, lower = rows // m, rows // m - cols // m
+        N, keep = int(step.max()) + 1, lower >= 0  # the blocks above are the L_i'
+        flat = ((lower * N + step) * m + rows % m) * m + cols % m
+        D, L = np.bincount(flat[keep], vals[keep], 2 * N * m * m).reshape(2, N, m, m)
+        S, G = D.copy(), []
+        for i, (prev, pivot, coupling) in enumerate(zip(S, S[1:], L[1:])):
+            try:
+                G.append(np.linalg.solve(prev, coupling.T))
+            except np.linalg.LinAlgError:
+                S = S[: i + 1]
+                break
+            pivot -= coupling @ G[i]
+        return S, G, PSD_TOL * max(1.0, float(np.abs(D).max()), float(np.abs(L).max()))
+
+
 def _inertia(m: int, K) -> tuple[int, int, int]:
     """(#positive, #negative, #zero) eigenvalues of the symmetric block-tridiagonal
     matrix K = (rows, cols, values) with m unknowns per step.
 
-    Its step blocks give the Schur pivots S_0 = D_0, S_i = D_i - L_i S_{i-1}^-1 L_i',
-    with D_i the diagonal block of step i and L_i the block at step row i and
-    column i - 1, whose inertias sum to K's (Haynsworth); one batched eigvalsh
-    counts them.  A pivot eigenvalue within PSD_TOL max(1, max|K|) of zero counts
-    as zero, and a singular pivot ends the count, so it falls short of K's size.
+    The inertias of its Schur pivots (_KKT.sweep, which K's solve reuses) sum
+    to K's (Haynsworth); one batched eigvalsh counts them.  A pivot eigenvalue
+    within PSD_TOL max(1, max|K|) of zero counts as zero, and a singular pivot
+    ends the count, so it falls short of K's size.
     """
-    rows, cols, vals = K
-    step, lower = rows // m, rows // m - cols // m
-    N, keep = int(step.max()) + 1, lower >= 0  # the blocks above are the L_i'
-    flat = ((lower * N + step) * m + rows % m) * m + cols % m
-    D, L = np.bincount(flat[keep], vals[keep], 2 * N * m * m).reshape(2, N, m, m)
-    S = D.copy()
-    for i in range(1, N):
-        try:
-            S[i] -= L[i] @ np.linalg.solve(S[i - 1], L[i].T)
-        except np.linalg.LinAlgError:
-            S = S[:i]
-            break
+    S, _, tol = (K if isinstance(K, _KKT) else _KKT(m, *K)).sweep
     eig = np.linalg.eigvalsh(S)
-    tol = PSD_TOL * max(1.0, float(np.abs(D).max()), float(np.abs(L).max()))
     return int((eig > tol).sum()), int((eig < -tol).sum()), int((np.abs(eig) <= tol).sum())
 
 
@@ -170,31 +189,30 @@ def _place(m, r, c, B, rs, cs):
     return np.broadcast_to(rows, B.shape).ravel(), np.broadcast_to(cols, B.shape).ravel(), B.ravel()
 
 
-def _band(rows, cols, vals, size):
-    """LAPACK band storage ab[h + r - c, c] = a[r, c] of the matrix with entries
-    vals at (rows, cols), repeats summed, and its half-bandwidth h."""
-    h = int(np.abs(rows - cols).max())
-    flat = (h + rows - cols) * size + cols
-    return np.bincount(flat, vals, (2 * h + 1) * size).reshape(2 * h + 1, size), h
-
-
-def _assemble(m, terms, pairs):
-    """A block-banded matrix with m unknowns per step as (rows, cols, values), repeats
-    summed: each (r, c, B, rs, cs) in terms places its blocks as _place does, and
-    each in pairs also its transposed blocks at the mirrored position."""
+def _assemble(m, terms, pairs) -> _KKT:
+    """A block-tridiagonal matrix with m unknowns per step: each (r, c, B, rs, cs)
+    in terms places its blocks as _place does, and each in pairs also its
+    transposed blocks at the mirrored position."""
     pairs = pairs + [(c, r, np.swapaxes(B, 1, 2), cs, rs) for r, c, B, rs, cs in pairs]
-    return tuple(np.concatenate(part) for part in zip(*(_place(m, *t) for t in terms + pairs)))
+    return _KKT(m, *(np.concatenate(part) for part in zip(*(_place(m, *t) for t in terms + pairs))))
 
 
-def _solve_kkt(K, rhs):
-    """Solve the banded system K x = rhs, K as (rows, cols, values); returns x and
-    the residual norm |K x - rhs|."""
+def _solve_kkt(K: _KKT, rhs: np.ndarray):
+    """Solve K x = rhs, step-major (N, m) arrays, by K's Schur sweep: forward
+    elimination w_i = rhs_i - G_{i-1}' w_{i-1}, one batched solve of the pivots
+    S_i v_i = w_i, then back substitution x_i = v_i - G_i x_{i+1}.  Returns x and
+    the residual norm |K x - rhs|; a singular pivot raises LinAlgError."""
+    S, G, _ = K.sweep
+    if len(S) < len(rhs):
+        raise np.linalg.LinAlgError(f"singular matrix: KKT Schur pivot of step {len(S) - 1}")
+    w = rhs.copy()
+    for prev, row, gain in zip(w, w[1:], G):
+        row -= prev @ gain
+    x = np.linalg.solve(S, w[..., None])[..., 0]
+    for row, after, gain in zip(x[-2::-1], x[:0:-1], reversed(G)):  # i = N - 2, ..., 0
+        row -= gain @ after
     rows, cols, vals = K
-    ab, h = _band(rows, cols, vals, rhs.size)
-    import scipy.linalg  # loaded on first use: only verify reaches it
-
-    x = scipy.linalg.solve_banded((h, h), ab, rhs, check_finite=False)
-    residual = np.bincount(rows, vals * x[cols], rhs.size) - rhs
+    residual = np.bincount(rows, vals * x.ravel()[cols], rhs.size) - rhs.ravel()
     return x, float(np.linalg.norm(residual))
 
 
@@ -226,7 +244,7 @@ def deterministic_follower_oracle(prob: DiscreteLQProblem, u2: np.ndarray) -> Or
 
     u2 has shape (N, k); returns the minimizing u1 and its cost.  The unknowns
     are ordered (y_i, u1_i, lambda_i) step by step, so the KKT matrix is
-    block-tridiagonal and one banded solve gives them all.
+    block-tridiagonal and one Schur sweep gives them all.
     """
     spec = prob.spec
     n, k = spec.dims.n, spec.dims.k
@@ -237,8 +255,7 @@ def deterministic_follower_oracle(prob: DiscreteLQProblem, u2: np.ndarray) -> Or
     rhs = np.zeros((N, m))
     rhs[:, lam:] = (prob.F2 @ u2[..., None])[..., 0]
     rhs[-1, lam:] += prob.E[-1] @ a
-    x, residual = _solve_kkt(K, rhs.ravel())
-    x = x.reshape(N, m)
+    x, residual = _solve_kkt(K, rhs)
     control = x[:, u1:lam]
     return OracleResult(control, _cost(W1, x[:, :n], a, prob.R1_bar, control), residual)
 
@@ -249,7 +266,7 @@ def deterministic_leader_oracle(prob: DiscreteLQProblem) -> OracleResult:
     The follower's QP is strictly convex, so its KKT rows (dynamics and
     stationarity in y and u1) characterize its response; as linear
     constraints of the leader's QP over (y, u1, u2, lambda), with multipliers
-    (mu, nu, rho), they make the bilevel problem one banded KKT solve.  Its
+    (mu, nu, rho), they make the bilevel problem one KKT solve.  Its
     convexity check accepts any stationary point of the follower, so the
     follower's own check (follower_kkt) runs first.
     """
@@ -267,8 +284,7 @@ def deterministic_leader_oracle(prob: DiscreteLQProblem) -> OracleResult:
     terms = [(y, y, W2[:-1], 0, 0), (u2, u2, prob.R2_bar, 0, 0)]
     K = _assemble(m, terms, pairs)
     _require_convex(W2, prob.R2_bar, m, K, 2 * n + k)
-    x, residual = _solve_kkt(K, rhs.ravel())
-    x = x.reshape(N, m)
+    x, residual = _solve_kkt(K, rhs)
     control = x[:, u2:lam]
     cost = _cost(W2, x[:, :n], a, prob.R2_bar, control)
     return OracleResult(control, cost, residual, inner_control=x[:, u1:u2])

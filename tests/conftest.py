@@ -756,6 +756,22 @@ def dense_leader_oracle(prob):
     return OracleResult(u2.reshape(N, k), cost, grad, inner_control=u1.reshape(N, k))
 
 
+def banded_solve(K, rhs):
+    """x with K x = rhs by LAPACK's banded LU (scipy.linalg.solve_banded), K as
+    (rows, cols, values) with repeats summed: the oracles' former solve, as the
+    reference of their Schur sweep (oracle._solve_kkt).  K goes into band
+    storage ab[h + r - c, c] = K[r, c], h its half-bandwidth."""
+    rows, cols, vals = K
+    h = int(np.abs(rows - cols).max())
+    flat = (h + rows - cols) * rhs.size + cols
+    ab = np.bincount(flat, vals, (2 * h + 1) * rhs.size).reshape(2 * h + 1, rhs.size)
+    return scipy.linalg.solve_banded((h, h), ab, rhs, check_finite=False)
+
+
+# scipy.linalg.expm: the former odeint.matrix_exponential, as its reference
+expm_reference = scipy.linalg.expm
+
+
 def rk4_reversed_time(field, boundary_value, grid, direction, postprocess=None):
     """The former RK4 loop of odeint.integrate_matrix_ode, as its reference: a
     backward problem is integrated forward in s = T - t with the negated field

@@ -12,10 +12,9 @@ tests call belongs in tests/conftest.py.  Likewise every field of a dataclass
 is read somewhere in the package or in scripts/, but for the few named in
 test_every_dataclass_field_is_read.
 
-scipy is imported only inside the two functions that call it, the closed
-forms' matrix_exponential and the QP oracles' banded solve, so only riccati
-(at C = 0) and verify load it; a fresh interpreter checks that the other
-commands never do.
+The package runs on numpy alone: scipy is the tests' reference
+(tests/conftest.py), and fresh interpreters in which any scipy import fails
+check that no command imports it.
 """
 
 import ast
@@ -270,14 +269,16 @@ def test_unread_fields_reports_fields_only_written():
     assert unread_fields({"mod": source}, [script]) == ["mod.Pair.right"]
 
 
-# Runs CLI commands in a fresh interpreter and prints, as JSON, each command's exit
-# code and whether scipy was loaded after it.  argv[1] is the output directory,
-# argv[2:] the runs as command:scenario.
+# Runs CLI commands in a fresh interpreter in which any scipy import fails, and
+# prints, as JSON, each command's exit code, or the exception it raised, and the
+# scipy modules loaded after it.  argv[1] is the output directory, argv[2:] the
+# runs as command:scenario.
 SCIPY_PROBE = """
 import contextlib, io, json, sys
 from pathlib import Path
 
-loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+sys.modules["scipy"] = None  # blocked: an import of scipy raises ImportError
+loaded = lambda: sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod)
 import bsde_stackelberg
 from bsde_stackelberg.cli import main
 
@@ -286,7 +287,10 @@ for run in sys.argv[2:]:
     command, scenario = run.split(":")
     argv = [command, "--scenario", str(Path("scenarios") / scenario), "--out", str(out / run)]
     with contextlib.redirect_stdout(io.StringIO()):
-        rc = main([*argv, "--steps", "16", "--paths", "8"])
+        try:
+            rc = main([*argv, "--steps", "16", "--paths", "8"])
+        except Exception as e:
+            rc = repr(e)
     report[run] = [rc, loaded()]
 print(json.dumps(report))
 """
@@ -298,10 +302,15 @@ COLD = [
 ] + ["finance:finance.json"]
 
 
-def test_scipy_loads_only_for_closed_forms_and_verify(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     # tests/conftest.py imports scipy, so each probe runs in its own interpreter;
-    # riccati and verify run in separate ones, so that each must load scipy itself
-    runs = {"cold": [*COLD, "verify:hand_solvable.json"], "riccati": ["riccati:hand_solvable.json"]}
+    # riccati (its C = 0 closed forms) and verify (the QP oracles) run in
+    # separate ones, so that neither rides on the other's imports
+    runs = {
+        "cold": COLD,
+        "riccati": ["riccati:hand_solvable.json"],
+        "verify": ["verify:hand_solvable.json"],
+    }
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         str(ROOT / "src"), os.environ.get("PYTHONPATH")
     ])))
@@ -313,10 +322,5 @@ def test_scipy_loads_only_for_closed_forms_and_verify(tmp_path):
         for name, argv in runs.items()
     }
     reports = {name: json.loads(probe.communicate(timeout=120)[0]) for name, probe in probes.items()}
-    cold = reports["cold"]
-    assert {run: cold[run] for run in ["import", *COLD]} == {
-        "import": [None, []], **{run: [0, []] for run in COLD}
-    }
-    for name, run in (("cold", "verify:hand_solvable.json"), ("riccati", runs["riccati"][0])):
-        rc, modules = reports[name][run]
-        assert rc == 0 and "scipy.linalg" in modules, (run, rc)
+    for name, argv in runs.items():
+        assert reports[name] == {"import": [None, []], **{run: [0, []] for run in argv}}, name

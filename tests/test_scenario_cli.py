@@ -576,23 +576,26 @@ def negated_kkt(monkeypatch):
     monkeypatch.setattr(bs.oracle, "_inertia", lambda m, K: inertia(m, (K[0], K[1], -K[2])))
 
 
-def zeroed_band(monkeypatch):
-    """Zero the band storage of every KKT matrix, so the banded solve meets a singular one."""
-    band = bs.oracle._band
+def zeroed_diagonal_block(monkeypatch):
+    """Zero the first step's diagonal block of every KKT matrix, so that the Schur
+    sweep's first pivot is singular."""
+    assemble = bs.oracle._assemble
 
-    def zeroed(*args):
-        ab, half = band(*args)
-        return np.zeros_like(ab), half
+    def zeroed(m, terms, pairs):
+        K = assemble(m, terms, pairs)
+        rows, cols, vals = K
+        vals[(rows < m) & (cols < m)] = 0.0
+        return K
 
-    monkeypatch.setattr(bs.oracle, "_band", zeroed)
+    monkeypatch.setattr(bs.oracle, "_assemble", zeroed)
 
 
 # breakages of the oracle's solve, with the message each raises: a negated
-# KKT matrix fails the convexity gate (NonConvexError), a zero band makes scipy's
-# banded solve raise LinAlgError
+# KKT matrix fails the convexity gate (NonConvexError), a singular Schur pivot
+# makes the solve raise LinAlgError
 CONVEXITY_BREAKAGES = {
     "nonconvex": (negated_kkt, "not PSD"),
-    "linalg": (zeroed_band, "singular matrix"),
+    "linalg": (zeroed_diagonal_block, "singular matrix"),
 }
 
 
